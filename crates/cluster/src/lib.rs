@@ -18,8 +18,9 @@
 //!
 //! Determinism note: the plane itself is clock-generic (tests drive it
 //! with [`wsg_net::ManualClock`], bit-identically to the simulator);
-//! only the runtime's pump threads live on wall-clock time, and they
-//! read it exclusively through [`wsg_http::WallClock`] (lint rule D2).
+//! only the runtime's pump threads live on wall-clock time, and planes
+//! read it exclusively through the fleet's one `wsg_net::WallClock` —
+//! the node loops' clock (lint rule D2).
 
 pub mod plane;
 pub mod proto;

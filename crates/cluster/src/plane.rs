@@ -4,8 +4,9 @@
 //!
 //! The plane is a passive state machine: [`MembershipPlane::handle`]
 //! folds in received envelopes, [`MembershipPlane::tick`] advances one
-//! gossip round (bump own heartbeat, reassess liveness, pick fanout
-//! targets). *Sending* is the caller's job — `ClusterRuntime` pumps
+//! gossip round — the same [`MembershipView::gossip_round`] the simulated
+//! `MembershipGossip` runs, with φ accrual and tombstones layered on top.
+//! *Sending* is the caller's job — `ClusterRuntime` pumps
 //! ticks from a thread, tests crank the clock by hand.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -15,7 +16,7 @@ use std::sync::Arc;
 use wsg_membership::{FailureDetectorConfig, MemberStatus, MembershipView, PhiAccrual};
 use wsg_net::sync::Mutex;
 use wsg_net::time::Clock;
-use wsg_net::{NodeId, Pcg32, PeerLiveness, RngExt, SimDuration};
+use wsg_net::{NodeId, Pcg32, PeerLiveness, SimDuration, SimTime};
 use wsg_obs::{Counter, Gauge, Registry};
 
 use crate::proto::{ClusterMessage, MemberEntry};
@@ -30,12 +31,15 @@ pub struct ClusterConfig {
     pub fanout: usize,
     /// The fixed-timeout backstop (suspect/fail/forget ages).
     pub detector: FailureDetectorConfig,
-    /// φ level at which the accrual detector downgrades a member to
-    /// suspect ahead of the fixed suspect timeout.
-    pub phi_threshold: f64,
-    /// Inter-arrival samples each member's accrual detector remembers.
-    pub accrual_window: usize,
 }
+
+/// φ level at which the accrual detector downgrades a member to suspect
+/// ahead of the fixed suspect timeout (8 ≈ a one-in-10⁸ false positive
+/// under the learned inter-arrival distribution).
+const PHI_THRESHOLD: f64 = 8.0;
+
+/// Inter-arrival samples each member's accrual detector remembers.
+const ACCRUAL_WINDOW: usize = 32;
 
 impl Default for ClusterConfig {
     fn default() -> Self {
@@ -47,13 +51,7 @@ impl ClusterConfig {
     /// A config whose detector timeouts scale with the gossip interval
     /// (see [`FailureDetectorConfig::for_interval`]).
     pub fn for_interval(interval: SimDuration) -> Self {
-        ClusterConfig {
-            interval,
-            fanout: 3,
-            detector: FailureDetectorConfig::for_interval(interval),
-            phi_threshold: 8.0,
-            accrual_window: 32,
-        }
+        ClusterConfig { interval, fanout: 3, detector: FailureDetectorConfig::for_interval(interval) }
     }
 }
 
@@ -74,7 +72,8 @@ struct PlaneState {
     condemned: BTreeSet<NodeId>,
     /// Our own heartbeat counter.
     heartbeat: u64,
-    self_addr: Option<SocketAddr>,
+    /// Drives the per-round target shuffle.
+    rng: Pcg32,
 }
 
 /// Gauge/counter handles registered lazily once the node's registry
@@ -115,7 +114,6 @@ pub struct MembershipPlane {
     me: NodeId,
     clock: Arc<dyn Clock>,
     config: ClusterConfig,
-    rng: Mutex<Pcg32>,
     state: Mutex<PlaneState>,
     metrics: Mutex<Option<PlaneMetrics>>,
 }
@@ -139,7 +137,6 @@ impl MembershipPlane {
         MembershipPlane {
             me,
             clock,
-            rng: Mutex::new(Pcg32::new(seed, me.index() as u64)),
             config,
             state: Mutex::new(PlaneState {
                 view: MembershipView::new(),
@@ -148,7 +145,7 @@ impl MembershipPlane {
                 left: BTreeSet::new(),
                 condemned: BTreeSet::new(),
                 heartbeat: 0,
-                self_addr: None,
+                rng: Pcg32::new(seed, me.index() as u64),
             }),
             metrics: Mutex::new(None),
         }
@@ -164,12 +161,18 @@ impl MembershipPlane {
         &self.config
     }
 
+    /// The plane's clock reading — the time base of every timestamp in
+    /// its view. On a `ClusterRuntime` this is the node loops' clock, so
+    /// it is directly comparable with the protocol's `ctx.now()`.
+    pub fn now(&self) -> SimTime {
+        self.clock.now()
+    }
+
     /// Record our own listening address and seed the view with ourselves.
     /// Must be called before any message handling.
     pub fn register_self(&self, addr: SocketAddr) {
-        let now = self.clock.now();
+        let now = self.now();
         let mut state = self.state.lock();
-        state.self_addr = Some(addr);
         state.addrs.insert(self.me, addr);
         state.left.remove(&self.me);
         let heartbeat = state.heartbeat;
@@ -187,7 +190,8 @@ impl MembershipPlane {
         self.publish(&state);
     }
 
-    /// Our own `(id, addr, heartbeat)` evidence.
+    /// Our own `(id, addr, heartbeat)` evidence — the body of the `Join` a
+    /// joiner posts to a seed and of the `Leave` a departing node announces.
     ///
     /// # Panics
     ///
@@ -196,45 +200,27 @@ impl MembershipPlane {
         let state = self.state.lock();
         MemberEntry {
             id: self.me,
-            addr: state.self_addr.expect("register_self before self_entry"),
+            addr: *state.addrs.get(&self.me).expect("register_self before self_entry"),
             heartbeat: state.heartbeat,
         }
-    }
-
-    /// The `Join` envelope body a joiner posts to a seed member.
-    pub fn join_message(&self) -> ClusterMessage {
-        ClusterMessage::Join(self.self_entry())
-    }
-
-    /// The `Leave` announcement for a graceful departure.
-    pub fn leave_message(&self) -> ClusterMessage {
-        ClusterMessage::Leave(self.self_entry())
     }
 
     /// Adopt a seed's `JoinResponse`: every listed member is (re-)admitted
     /// outright — the seed vouches for the snapshot, and a joiner has no
     /// history of its own to merge monotonically against.
     pub fn bootstrap(&self, members: &[MemberEntry]) {
-        let now = self.clock.now();
-        let mut state = self.state.lock();
-        for entry in members {
-            if entry.id == self.me {
-                continue;
-            }
-            self.admit(&mut state, *entry, now);
-        }
-        self.publish(&state);
+        self.handle(&ClusterMessage::JoinResponse(members.to_vec()));
     }
 
     /// Fold one received membership envelope into the plane. Returns the
     /// synchronous reply to send back, if the operation has one (`Join`).
     pub fn handle(&self, message: &ClusterMessage) -> Option<ClusterMessage> {
-        let now = self.clock.now();
+        let now = self.now();
         let mut state = self.state.lock();
         let reply = match message {
             ClusterMessage::Join(entry) => {
                 self.admit(&mut state, *entry, now);
-                Some(ClusterMessage::JoinResponse(Self::entries(&state)))
+                Some(ClusterMessage::JoinResponse(Self::entries(state.view.snapshot(), &state.addrs)))
             }
             ClusterMessage::JoinResponse(entries) => {
                 for entry in entries {
@@ -258,11 +244,10 @@ impl MembershipPlane {
                         // feed the accrual detector and lift any refusal
                         // verdict — the member is demonstrably back.
                         state.condemned.remove(&entry.id);
-                        let window = self.config.accrual_window;
                         state
                             .accrual
                             .entry(entry.id)
-                            .or_insert_with(|| PhiAccrual::new(window))
+                            .or_insert_with(|| PhiAccrual::new(ACCRUAL_WINDOW))
                             .heartbeat(now);
                     }
                 }
@@ -281,85 +266,67 @@ impl MembershipPlane {
     /// An explicit (re-)introduction: replaces any stale entry even if the
     /// member's heartbeat counter regressed (process restart), and clears
     /// standing tombstones.
-    fn admit(&self, state: &mut PlaneState, entry: MemberEntry, now: wsg_net::SimTime) {
+    fn admit(&self, state: &mut PlaneState, entry: MemberEntry, now: SimTime) {
         state.left.remove(&entry.id);
         state.condemned.remove(&entry.id);
         state.addrs.insert(entry.id, entry.addr);
         state.view.readmit(entry.id, entry.heartbeat, now);
-        let mut accrual = PhiAccrual::new(self.config.accrual_window);
+        let mut accrual = PhiAccrual::new(ACCRUAL_WINDOW);
         accrual.heartbeat(now);
         state.accrual.insert(entry.id, accrual);
     }
 
-    /// Advance one gossip round: bump our heartbeat, reassess liveness
-    /// (fixed timeouts, then φ accrual, then standing tombstones), and
-    /// pick up to `fanout` non-dead targets. Returns the heartbeat
-    /// message to push and the chosen `(peer, addr)` targets.
+    /// Advance one gossip round ([`MembershipView::gossip_round`]) with
+    /// the plane's own evidence layered on the fixed timeouts: φ accrual
+    /// suspicion, then standing refusal and leave tombstones. Returns the
+    /// heartbeat message to push and the chosen `(peer, addr)` targets.
     pub fn tick(&self) -> (ClusterMessage, Vec<(NodeId, SocketAddr)>) {
-        let now = self.clock.now();
+        let now = self.now();
         let mut state = self.state.lock();
-        state.heartbeat += 1;
-        let heartbeat = state.heartbeat;
-        state.view.record(self.me, heartbeat, now);
-
-        // Fixed-timeout backstop first; it recomputes every status from
-        // heartbeat age, wiping out-of-band verdicts...
-        state.view.reassess(
+        let PlaneState { view, addrs, accrual, left, condemned, heartbeat, rng, .. } = &mut *state;
+        let round = view.gossip_round(
+            self.me,
+            heartbeat,
             now,
-            self.config.detector.suspect_after(),
-            self.config.detector.fail_after(),
-            self.config.detector.forget_after(),
+            &self.config.detector,
+            self.config.fanout,
+            rng,
+            |view| {
+                // φ accrual is adaptive and usually fires before the
+                // fixed suspect timeout does.
+                for (id, phi) in accrual.iter() {
+                    if *id != self.me && phi.is_suspect(now, PHI_THRESHOLD) {
+                        view.mark_suspect(*id);
+                    }
+                }
+                for id in condemned.iter().chain(left.iter()) {
+                    view.mark_dead(*id);
+                }
+            },
         );
-        // ...so the sharper evidence is re-applied on top each round:
-        // φ accrual suspicion (adaptive, usually fires first), refused
-        // connections, and graceful leaves.
-        let threshold = self.config.phi_threshold;
-        let suspects: Vec<NodeId> = state
-            .accrual
-            .iter()
-            .filter(|(id, phi)| **id != self.me && phi.is_suspect(now, threshold))
-            .map(|(id, _)| *id)
-            .collect();
-        for id in suspects {
-            state.view.mark_suspect(id);
-        }
-        for id in state.condemned.clone() {
-            state.view.mark_dead(id);
-        }
-        for id in state.left.clone() {
-            state.view.mark_dead(id);
-        }
         // Forgotten members need no detector or tombstone state any more.
-        let view = state.view.clone();
-        state.accrual.retain(|id, _| view.status(*id).is_some());
-        state.condemned.retain(|id| view.status(*id).is_some());
-        state.left.retain(|id| view.status(*id).is_some());
+        accrual.retain(|id, _| view.status(*id).is_some());
+        condemned.retain(|id| view.status(*id).is_some());
+        left.retain(|id| view.status(*id).is_some());
 
+        let targets =
+            round.targets.iter().filter_map(|id| addrs.get(id).map(|addr| (*id, *addr))).collect();
+        let message = ClusterMessage::Heartbeat(Self::entries(round.snapshot, addrs));
         self.publish(&state);
-
-        let message = ClusterMessage::Heartbeat(Self::entries(&state));
-        let mut candidates: Vec<(NodeId, SocketAddr)> = state
-            .view
-            .not_dead()
-            .into_iter()
-            .filter(|id| *id != self.me)
-            .filter_map(|id| state.addrs.get(&id).map(|addr| (id, *addr)))
-            .collect();
-        drop(state);
-        let mut rng = self.rng.lock();
-        rng.shuffle(&mut candidates);
-        candidates.truncate(self.config.fanout);
-        (message, candidates)
+        (message, targets)
     }
 
-    /// The non-dead members with known addresses, ourselves included.
-    fn entries(state: &PlaneState) -> Vec<MemberEntry> {
-        state
-            .view
-            .snapshot()
+    /// `snapshot`'s members with known addresses (a view's
+    /// [`MembershipView::snapshot`]: the non-dead members, ourselves
+    /// included).
+    fn entries(
+        snapshot: Vec<(NodeId, u64)>,
+        addrs: &BTreeMap<NodeId, SocketAddr>,
+    ) -> Vec<MemberEntry> {
+        snapshot
             .into_iter()
             .filter_map(|(id, heartbeat)| {
-                state.addrs.get(&id).map(|addr| MemberEntry { id, addr: *addr, heartbeat })
+                addrs.get(&id).map(|addr| MemberEntry { id, addr: *addr, heartbeat })
             })
             .collect()
     }
@@ -397,11 +364,6 @@ impl MembershipPlane {
     /// Members currently alive or suspect (ourselves included).
     pub fn live_members(&self) -> Vec<NodeId> {
         self.state.lock().view.not_dead()
-    }
-
-    /// Members currently alive (ourselves included).
-    pub fn alive_members(&self) -> Vec<NodeId> {
-        self.state.lock().view.alive()
     }
 
     /// `(alive, suspect, dead)` — what the gauges export.
@@ -448,7 +410,6 @@ impl PeerLiveness for MembershipPlane {
 mod tests {
     use super::*;
     use wsg_net::time::ManualClock;
-    use wsg_net::SimTime;
 
     fn addr(port: u16) -> SocketAddr {
         format!("127.0.0.1:{port}").parse().unwrap()
@@ -505,6 +466,85 @@ mod tests {
         clock.set(SimTime::from_secs(40));
         plane.tick();
         assert_eq!(plane.status_of(NodeId(1)), None, "forgotten");
+    }
+
+    #[test]
+    fn sim_service_and_live_plane_share_the_fixed_timeout_transitions() {
+        use wsg_membership::service::MEMBERSHIP_TICK;
+        use wsg_membership::{MembershipConfig, MembershipGossip, MembershipMessage};
+        use wsg_net::{Context, Protocol, Rng64, TimerTag};
+
+        /// Just enough runtime for `MembershipGossip`: a settable clock
+        /// and an RNG; sends and timers are the sim's business, not ours.
+        struct ScriptCtx {
+            now: SimTime,
+            rng: Pcg32,
+        }
+        impl Context<MembershipMessage> for ScriptCtx {
+            fn now(&self) -> SimTime {
+                self.now
+            }
+            fn self_id(&self) -> NodeId {
+                NodeId(0)
+            }
+            fn node_count(&self) -> usize {
+                2
+            }
+            fn send(&mut self, _to: NodeId, _msg: MembershipMessage) {}
+            fn set_timer(&mut self, _delay: SimDuration, _tag: TimerTag) {}
+            fn rng(&mut self) -> &mut dyn Rng64 {
+                &mut self.rng
+            }
+        }
+
+        // Member 0, twice: the simulated service on a scripted context,
+        // the live plane on a ManualClock. Both tick every 100 ms, so both
+        // run suspect 1 s / dead 3 s / forget 30 s.
+        let interval = SimDuration::from_millis(100);
+        let mut ctx = ScriptCtx { now: SimTime::ZERO, rng: Pcg32::new(7, 0) };
+        let mut service =
+            MembershipGossip::new(MembershipConfig::default().interval(interval), NodeId(0), 2);
+        service.on_start(&mut ctx);
+        let clock = Arc::new(ManualClock::new());
+        let plane = plane_at(0, Arc::clone(&clock));
+
+        // The script: member 1's heartbeat progresses twice, last at
+        // 500 ms, then it falls silent. Two arrivals teach the plane's φ
+        // detector a single interval — under its two-sample minimum — so
+        // only the shared round's fixed timeouts are in play.
+        let mut transitions = Vec::new();
+        let mut last = Some(MemberStatus::Alive);
+        for at_ms in (100..=31_000).step_by(100) {
+            let now = SimTime::from_millis(at_ms);
+            ctx.now = now;
+            clock.set(now);
+            if let Some(beat) = [(100, 1), (500, 2)].iter().find(|(at, _)| *at == at_ms) {
+                let gossip = MembershipMessage::ViewGossip(vec![(NodeId(1), beat.1)]);
+                service.on_message(NodeId(1), gossip, &mut ctx);
+                plane.handle(&ClusterMessage::Heartbeat(vec![MemberEntry {
+                    id: NodeId(1),
+                    addr: addr(9001),
+                    heartbeat: beat.1,
+                }]));
+            }
+            service.on_timer(MEMBERSHIP_TICK, &mut ctx);
+            plane.tick();
+            let status = service.view().status(NodeId(1));
+            assert_eq!(status, plane.status_of(NodeId(1)), "sim and live disagree at {at_ms} ms");
+            if status != last {
+                transitions.push((at_ms, status));
+                last = status;
+            }
+        }
+        // Exactly at the boundaries, counted from the last progress (500 ms).
+        assert_eq!(
+            transitions,
+            vec![
+                (1_500, Some(MemberStatus::Suspect)),
+                (3_500, Some(MemberStatus::Dead)),
+                (30_500, None),
+            ]
+        );
     }
 
     #[test]

@@ -4,18 +4,17 @@
 //! protocol (through [`wsg_net::PeerLiveness`]) for peer selection.
 //!
 //! Wall-clock discipline (lint rule D2): this module never reads
-//! `Instant::now` itself — planes read time through one fleet-wide
-//! [`WallClock`], pump threads pace themselves with `thread::sleep`
-//! converted via [`SimDuration::to_std`].
+//! `Instant::now` itself — planes read time through the fleet's one
+//! clock ([`NetRuntime::clock`], the epoch the node loops' `ctx.now()`
+//! counts from), pump threads pace themselves with `thread::sleep`
+//! converted via `SimDuration::to_std`.
 
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use wsg_http::{
-    NetNode, NetRuntime, NetRuntimeConfig, OutboundHandle, PostError, SoapHttpClient, WallClock,
-};
+use wsg_http::{NetNode, NetRuntime, NetRuntimeConfig, OutboundHandle, SoapHttpClient};
 use wsg_http::server::{Service, SoapReply};
 use wsg_net::time::Clock;
 use wsg_net::{NodeId, Protocol, SplitMix64};
@@ -43,7 +42,6 @@ pub struct ClusterRuntime<P: Protocol<Message = String> + Send + 'static> {
     net: NetRuntime<P>,
     slots: Vec<ClusterSlot>,
     config: ClusterConfig,
-    clock: Arc<WallClock>,
     /// Seeds pump clients and plane shuffles, in deploy order.
     seeder: SplitMix64,
     /// Client used for synchronous Join bootstraps and Leave broadcasts.
@@ -54,8 +52,8 @@ impl<P> ClusterRuntime<P>
 where
     P: Protocol<Message = String> + Send + 'static,
 {
-    /// An empty fleet. All planes share one [`WallClock`] epoch so their
-    /// `SimTime` readings are mutually comparable.
+    /// An empty fleet. All planes read the node loops' clock, so plane
+    /// timestamps and `ctx.now()` readings are mutually comparable.
     pub fn new(seed: u64, net_config: NetRuntimeConfig, config: ClusterConfig) -> Self {
         let mut seeder = SplitMix64::new(seed ^ 0x0063_6c75_7374_6572);
         let external = SoapHttpClient::new(seeder.next(), net_config.client.clone());
@@ -63,19 +61,9 @@ where
             net: NetRuntime::new(seed, net_config),
             slots: Vec::new(),
             config,
-            clock: Arc::new(WallClock::new()),
             seeder,
             external,
         }
-    }
-
-    /// Deploy a bootstrap member: it starts with a view containing only
-    /// itself and waits for joiners (or heartbeats) to find it.
-    pub fn add_seed<F>(&mut self, build: F) -> NodeId
-    where
-        F: FnOnce(Arc<MembershipPlane>) -> P,
-    {
-        self.deploy(build)
     }
 
     /// Deploy a member that bootstraps by posting `Join` to the already-
@@ -91,10 +79,10 @@ where
     where
         F: FnOnce(Arc<MembershipPlane>) -> P,
     {
-        let id = self.deploy(build);
+        let id = self.add_seed(build);
         let plane = Arc::clone(&self.slots[id.index()].plane);
         let seed_addr = self.net.addr_of(seed);
-        let join = plane.join_message();
+        let join = ClusterMessage::Join(plane.self_entry());
         let xml = join.to_envelope(membership_uri(seed_addr)).to_xml();
         let outcome = self
             .external
@@ -120,8 +108,10 @@ where
         }
     }
 
-    /// Bind, route, and start one node plus its plane and pump thread.
-    fn deploy<F>(&mut self, build: F) -> NodeId
+    /// Deploy a bootstrap member — bind, route, and start one node plus
+    /// its plane and pump thread. It starts with a view containing only
+    /// itself and waits for joiners (or heartbeats) to find it.
+    pub fn add_seed<F>(&mut self, build: F) -> NodeId
     where
         F: FnOnce(Arc<MembershipPlane>) -> P,
     {
@@ -131,7 +121,7 @@ where
         let id = NodeId(self.net.node_count());
         let plane = Arc::new(MembershipPlane::new(
             id,
-            Arc::clone(&self.clock) as Arc<dyn Clock>,
+            Arc::new(self.net.clock()) as Arc<dyn Clock>,
             self.config.clone(),
             self.seeder.next(),
         ));
@@ -210,28 +200,9 @@ where
         &self.net
     }
 
-    /// Mutable access to the underlying socket fleet.
-    pub fn net_mut(&mut self) -> &mut NetRuntime<P> {
-        &mut self.net
-    }
-
     /// Node `id`'s metric registry (delegates to the fleet).
     pub fn registry_of(&self, id: NodeId) -> Arc<Registry> {
         self.net.registry_of(id)
-    }
-
-    /// POST an application envelope to `to` as an external client.
-    ///
-    /// # Errors
-    ///
-    /// [`PostError`] when the node is unreachable.
-    pub fn post_external(
-        &self,
-        to: NodeId,
-        action: Option<&str>,
-        xml: &str,
-    ) -> Result<wsg_http::PostOutcome, PostError> {
-        self.net.post_external(to, action, xml)
     }
 
     /// Gracefully depart node `id`: stop its pump, broadcast its `Leave`
@@ -241,7 +212,7 @@ where
         let slot = self.slots.get_mut(id.index())?;
         stop_pump(slot);
         let plane = Arc::clone(&slot.plane);
-        let leave = plane.leave_message();
+        let leave = ClusterMessage::Leave(plane.self_entry());
         for peer in plane.live_members() {
             if peer == id {
                 continue;
@@ -274,6 +245,11 @@ where
     /// Stop every pump, then the whole fleet. Returns final node states
     /// in id order (already-stopped nodes are not re-reported).
     pub fn shutdown(mut self) -> Vec<NetNode<P>> {
+        // Flag every pump before joining any: each may be up to one
+        // interval into its sleep, and those waits must overlap, not add.
+        for slot in &self.slots {
+            slot.stop.store(true, Ordering::SeqCst);
+        }
         for slot in &mut self.slots {
             stop_pump(slot);
         }

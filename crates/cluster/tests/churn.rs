@@ -115,3 +115,68 @@ fn plane_is_a_liveness_oracle_for_the_protocol_builder() {
     assert!(oracle.is_live(id));
     fleet.shutdown();
 }
+
+#[test]
+fn shutdown_overlaps_the_pumps_last_sleeps() {
+    // Eight pumps at a 200 ms interval, deployed 175 ms apart so each
+    // node's next wake-up falls 25 ms *before* its predecessor's: a
+    // shutdown that flags and joins pumps one at a time then just misses
+    // every flag and waits out nearly a full interval per node
+    // (~7 x 175 ms on top of the first). Flagging all of them first
+    // bounds the whole teardown by a single interval.
+    const NODES: u64 = 8;
+    const PUMP_MS: u64 = 200;
+    let mut fleet = ClusterRuntime::new(
+        11,
+        NetRuntimeConfig::default(),
+        ClusterConfig::for_interval(SimDuration::from_millis(PUMP_MS)),
+    );
+    let seed = fleet.add_seed(|_| Idle);
+    for _ in 1..NODES {
+        std::thread::sleep(std::time::Duration::from_millis(PUMP_MS - 25));
+        fleet.add_node(seed, |_| Idle).expect("join via seed");
+    }
+    let started = std::time::Instant::now();
+    let nodes = fleet.shutdown();
+    let took = started.elapsed();
+    assert_eq!(nodes.len() as u64, NODES);
+    assert!(
+        took < std::time::Duration::from_millis(NODES * PUMP_MS / 2),
+        "shutting down {NODES} pumps took {took:?}, want well under {NODES} x {PUMP_MS} ms"
+    );
+}
+
+#[test]
+fn node_loop_and_plane_read_one_epoch() {
+    use wsg_net::SimTime;
+
+    /// Reads the plane's clock between two `ctx.now()` readings.
+    struct Sandwich {
+        plane: Arc<MembershipPlane>,
+        readings: Option<(SimTime, SimTime, SimTime)>,
+    }
+    impl Protocol for Sandwich {
+        type Message = String;
+        fn on_start(&mut self, ctx: &mut dyn Context<String>) {
+            self.readings = Some((ctx.now(), self.plane.now(), ctx.now()));
+        }
+        fn on_message(&mut self, _: NodeId, _: String, _: &mut dyn Context<String>) {}
+    }
+
+    let mut fleet = ClusterRuntime::new(
+        3,
+        NetRuntimeConfig::default(),
+        ClusterConfig::for_interval(SimDuration::from_millis(INTERVAL_MS)),
+    );
+    // Let the epoch age first, so two clocks created at different moments
+    // could not agree by accident.
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    fleet.add_seed(|plane| Sandwich { plane, readings: None });
+    let nodes = fleet.shutdown();
+    let (before, plane_now, after) = nodes[0].protocol.readings.expect("on_start ran");
+    assert!(before >= SimTime::from_millis(50), "ctx.now() counts from the fleet's creation");
+    assert!(
+        before <= plane_now && plane_now <= after,
+        "plane clock {plane_now:?} outside the node loop's [{before:?}, {after:?}]"
+    );
+}

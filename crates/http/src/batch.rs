@@ -56,7 +56,7 @@ pub(crate) struct QueuedMsg {
 ///
 /// Protocol (model-checked exhaustively under `--cfg wsg_model`, see the
 /// `model_tests` module): producers push *then* wake; `stop` sets the
-/// flag *then* wakes. The sender reads the flag *before* draining, so
+/// flag *then* wakes. [`sender_loop`] reads the flag *before* draining, so
 /// every message queued before `stop()` is covered by the final drain —
 /// no envelope is stranded and no wakeup lost.
 #[derive(Default)]
@@ -66,10 +66,6 @@ pub(crate) struct WakeSignal {
 }
 
 impl WakeSignal {
-    pub(crate) fn new() -> Self {
-        WakeSignal { notify: Notify::new(), stopping: AtomicBool::new(false) }
-    }
-
     /// Producer side: there may be work — wake the sender (idempotent).
     pub(crate) fn wake(&self) {
         self.notify.notify_one();
@@ -180,6 +176,37 @@ impl SenderQueues {
     }
 }
 
+/// The sender thread's whole protocol: park until woken, read the stop
+/// flag, hand every queued batch to `post`, exit once stopping.
+///
+/// Wakes coalesce in the signal's single token: while `post` was busy
+/// with the last drain, producers kept queueing — one pass covers them
+/// all, and that backlog is exactly what forms multi-message batches.
+/// Under light load the queue holds a single envelope and it is flushed
+/// immediately (flush-on-idle).
+///
+/// The stop flag is read *before* draining (not after): everything
+/// queued before `stop()` is then covered by this drain, so no envelope
+/// is stranded. `model_tests` drives this very function through every
+/// interleaving within its bounds.
+pub(crate) fn sender_loop(
+    signal: &WakeSignal,
+    queues: &SenderQueues,
+    config: &BatchConfig,
+    mut post: impl FnMut(NodeId, Vec<QueuedMsg>),
+) {
+    loop {
+        signal.wait();
+        let stopping = signal.stopping();
+        while let Some((to, batch)) = queues.pop_batch(config) {
+            post(to, batch);
+        }
+        if stopping {
+            return;
+        }
+    }
+}
+
 /// A producer-side handle on one node's outbound path: shared queues plus
 /// the sender thread's wakeup latch.
 ///
@@ -240,26 +267,18 @@ mod model_tests {
     use super::*;
     use wsg_model::{thread, Explorer};
 
-    /// The sender thread's protocol, exactly as `runtime::sender_loop`
-    /// performs it (wait → read stop → drain → exit-if-stopping), minus
-    /// the HTTP posting: drained envelopes are collected instead.
+    /// The production [`sender_loop`] on a model thread, with the HTTP
+    /// posting step swapped for collecting the drained envelopes.
     fn spawn_sender(
         queues: Arc<SenderQueues>,
         signal: Arc<WakeSignal>,
     ) -> thread::JoinHandle<Vec<String>> {
         thread::spawn(move || {
-            let config = BatchConfig::default();
             let mut drained = Vec::new();
-            loop {
-                signal.wait();
-                let stopping = signal.stopping();
-                while let Some((_, batch)) = queues.pop_batch(&config) {
-                    drained.extend(batch.into_iter().map(|m| m.xml));
-                }
-                if stopping {
-                    return drained;
-                }
-            }
+            sender_loop(&signal, &queues, &BatchConfig::default(), |_, batch| {
+                drained.extend(batch.into_iter().map(|m| m.xml));
+            });
+            drained
         })
     }
 
@@ -271,7 +290,7 @@ mod model_tests {
             .samples(16)
             .explore(|| {
                 let queues = Arc::new(SenderQueues::default());
-                let signal = Arc::new(WakeSignal::new());
+                let signal = Arc::new(WakeSignal::default());
                 let out = OutboundHandle::new(Arc::clone(&queues), Arc::clone(&signal));
                 let sender = spawn_sender(Arc::clone(&queues), Arc::clone(&signal));
                 out.send(NodeId(1), "<m>0</m>".to_string());
@@ -312,7 +331,7 @@ mod model_tests {
             .samples(16)
             .explore(|| {
                 let queues = Arc::new(SenderQueues::default());
-                let signal = Arc::new(WakeSignal::new());
+                let signal = Arc::new(WakeSignal::default());
                 let out = OutboundHandle::new(Arc::clone(&queues), Arc::clone(&signal));
                 let sender = spawn_sender(Arc::clone(&queues), Arc::clone(&signal));
                 let rider = {

@@ -43,8 +43,6 @@ pub struct HttpClientConfig {
     pub backoff_base: Duration,
     /// ...capped at this much, then jittered into `[0.5, 1.0]` of nominal.
     pub backoff_cap: Duration,
-    /// Idle connections kept per peer address.
-    pub pool_per_host: usize,
 }
 
 impl Default for HttpClientConfig {
@@ -56,7 +54,6 @@ impl Default for HttpClientConfig {
             retries: 2,
             backoff_base: Duration::from_millis(20),
             backoff_cap: Duration::from_millis(200),
-            pool_per_host: 2,
         }
     }
 }
@@ -327,13 +324,16 @@ impl SoapHttpClient {
         dropped
     }
 
+    /// Idle connections kept per peer address.
+    const POOL_PER_HOST: usize = 2;
+
     fn maybe_pool(&self, addr: SocketAddr, stream: TcpStream, response: &Response) {
         if !response.keep_alive() {
             return;
         }
         let mut pool = self.pool.lock();
         let idle = pool.entry(addr).or_default();
-        if idle.len() < self.config.pool_per_host {
+        if idle.len() < Self::POOL_PER_HOST {
             idle.push(stream);
         }
     }

@@ -21,11 +21,11 @@
 //!   pool, connect/read/write timeouts, bounded retry with seeded
 //!   jittered exponential backoff (`wsg_net::rng`, so tests replay
 //!   deterministically).
-//! * [`runtime`] — [`runtime::NetRuntime`]: the networked twin of
-//!   `wsg_net::threads::ThreadNet`. Every `Protocol<Message = String>`
-//!   node (notably `ws_gossip::WsGossipNode`) gets its own loopback
-//!   socket, HTTP server and client; gossip rounds are real serialized
-//!   envelopes POSTed between processes' sockets.
+//! * [`runtime`] — [`runtime::NetRuntime`]: the socket sink over the one
+//!   live node loop (`wsg_net::threads::run_node`). Every
+//!   `Protocol<Message = String>` node (notably `ws_gossip::WsGossipNode`)
+//!   gets its own loopback socket, HTTP server and client; gossip rounds
+//!   are real serialized envelopes POSTed between processes' sockets.
 //!
 //! ## Example: a one-way SOAP endpoint on a real socket
 //!
@@ -65,12 +65,11 @@ pub mod message;
 pub mod parser;
 pub mod runtime;
 pub mod server;
-pub mod time;
 
 pub use batch::{BatchConfig, OutboundHandle};
 pub use client::{HttpClientConfig, PostError, PostOutcome, SoapHttpClient};
 pub use message::{Headers, Request, Response};
 pub use parser::{ParseError, Parsed, RequestParser, ResponseParser};
-pub use runtime::{NetNode, NetRuntime, NetRuntimeConfig, NodeDirectory, TransportStats};
+pub use runtime::{NetNode, NetRuntime, NetRuntimeConfig, TransportStats};
 pub use server::{HttpServerConfig, SoapHttpServer, SoapReply, SoapRequest};
-pub use time::WallClock;
+pub use wsg_net::time::WallClock;

@@ -1,13 +1,13 @@
-//! The networked node runtime: `wsg_net::threads::ThreadNet`'s twin with
-//! loopback sockets instead of channels.
+//! The networked node runtime: the live node loop
+//! (`wsg_net::threads::run_node`) with loopback sockets as its send sink.
 //!
 //! Every `Protocol<Message = String>` node added to a [`NetRuntime`] gets
 //! three things:
 //!
 //! * an HTTP **server** on `127.0.0.1:0` whose service parses each POSTed
 //!   SOAP envelope and enqueues it on the node's inbox;
-//! * a **node loop** thread identical in structure to the threaded
-//!   runtime's (timers on wall-clock, deterministic per-node RNG), whose
+//! * a **node loop** thread — the same loop `ThreadNet` runs (timers on
+//!   the runtime's [`WallClock`], deterministic per-node RNG) — whose
 //!   outgoing `ctx.send(to, xml)` calls go to...
 //! * a **sender** thread owning a pooled, retrying [`SoapHttpClient`]
 //!   that drains everything queued per destination into one POST — a
@@ -15,7 +15,7 @@
 //!   waiting, the bare envelope (byte-identical to the unbatched wire
 //!   format) when only one is (see [`crate::batch`] and DESIGN.md §12).
 //!
-//! Because the node's view of the world is still just [`Context`], the
+//! Because the node's view of the world is still just `wsg_net::Context`, the
 //! gossip protocols run here byte-for-byte unchanged from the simulator —
 //! only now a gossip round is real HTTP traffic that `tcpdump` would show.
 //!
@@ -24,8 +24,8 @@
 //! The deployment is **live**: [`NetRuntime::add_node`] binds a socket and
 //! starts a node at any point after construction, and
 //! [`NetRuntime::remove_node`] / [`NetRuntime::crash`] take one away
-//! again. Routing goes through a shared [`NodeDirectory`] — the address
-//! table sender threads consult per envelope — so a removed node becomes
+//! again. Routing goes through a shared directory — the address table
+//! sender threads consult per envelope — so a removed node becomes
 //! unroutable immediately and a joined one routable before its first
 //! message. `crash` drops the node's listener *before* stopping its loop,
 //! so peers see `ECONNREFUSED` mid-conversation exactly like a process
@@ -42,22 +42,21 @@
 
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
-
-use wsg_net::sync::{AtomicUsize, Ordering};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use wsg_net::protocol::{Context, NodeId, Protocol, TimerTag};
-use wsg_net::rng::{Pcg32, Rng64, SplitMix64};
-use wsg_net::sync::Mutex;
-use wsg_net::time::{SimDuration, SimTime};
+use wsg_net::protocol::{NodeId, Protocol};
+use wsg_net::rng::{Pcg32, SplitMix64};
+use wsg_net::sync::{AtomicUsize, Mutex, Ordering};
+use wsg_net::threads::{run_node, Inbox};
+use wsg_net::time::WallClock;
 use wsg_obs::{Counter, HistogramMetric, Registry};
 use wsg_soap::batch::{write_batch, BatchItem, BATCH_ACTION};
 use wsg_soap::{Envelope, Fault, FaultCode};
 
-use crate::batch::{BatchConfig, OutboundHandle, SenderQueues, WakeSignal};
+use crate::batch::{sender_loop, BatchConfig, OutboundHandle, SenderQueues, WakeSignal};
 use crate::client::{HttpClientConfig, PostError, PostOutcome, SoapHttpClient};
 use crate::server::{
     HttpServerConfig, SoapHttpServer, SoapReply, SoapRequest, Service, NODE_HEADER,
@@ -120,43 +119,27 @@ pub struct NetNode<P> {
 /// appear when a node is added and vanish when it is removed or crashed,
 /// so routing decisions always reflect the current deployment — there is
 /// no rebuild-and-redistribute step. Node ids are dense and never reused;
-/// [`NodeDirectory::capacity`] is the all-time id ceiling (what
-/// [`Context::node_count`] reports), [`NodeDirectory::len`] the number
-/// currently routable.
+/// `capacity` is the all-time id ceiling (what `Context::node_count`
+/// reports), `len` the number currently routable.
 #[derive(Debug, Default)]
-pub struct NodeDirectory {
+struct NodeDirectory {
     entries: Mutex<BTreeMap<NodeId, SocketAddr>>,
     capacity: AtomicUsize,
 }
 
 impl NodeDirectory {
     /// Where `id` is currently listening, if deployed.
-    pub fn addr_of(&self, id: NodeId) -> Option<SocketAddr> {
+    fn addr_of(&self, id: NodeId) -> Option<SocketAddr> {
         self.entries.lock().get(&id).copied()
     }
 
-    /// Every currently-routable node id, ascending.
-    pub fn live(&self) -> Vec<NodeId> {
-        self.entries.lock().keys().copied().collect()
-    }
-
-    /// Whether `id` is currently routable.
-    pub fn contains(&self, id: NodeId) -> bool {
-        self.entries.lock().contains_key(&id)
-    }
-
     /// Number of currently-routable nodes.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.entries.lock().len()
     }
 
-    /// Whether no node is currently routable.
-    pub fn is_empty(&self) -> bool {
-        self.entries.lock().is_empty()
-    }
-
     /// One past the highest node id ever deployed (ids are never reused).
-    pub fn capacity(&self) -> usize {
+    fn capacity(&self) -> usize {
         self.capacity.load(Ordering::Acquire)
     }
 
@@ -170,49 +153,37 @@ impl NodeDirectory {
     }
 }
 
-enum Inbox {
-    Message { from: NodeId, xml: String },
-    Stop,
-}
-
-struct NetCtx<'a> {
-    start: Instant,
-    id: NodeId,
-    node_count: usize,
-    rng: &'a mut Pcg32,
-    outbox: Vec<(NodeId, String)>,
-    timer_requests: Vec<(SimDuration, TimerTag)>,
-}
-
-impl Context<String> for NetCtx<'_> {
-    fn now(&self) -> SimTime {
-        SimTime::from_micros(self.start.elapsed().as_micros() as u64)
-    }
-    fn self_id(&self) -> NodeId {
-        self.id
-    }
-    fn node_count(&self) -> usize {
-        self.node_count
-    }
-    fn send(&mut self, to: NodeId, msg: String) {
-        self.outbox.push((to, msg));
-    }
-    fn set_timer(&mut self, delay: SimDuration, tag: TimerTag) {
-        self.timer_requests.push((delay, tag));
-    }
-    fn rng(&mut self) -> &mut dyn Rng64 {
-        self.rng
-    }
-}
-
 /// One deployed (or formerly deployed) node's runtime plumbing.
 struct NodeSlot<P> {
-    inbox: Sender<Inbox>,
+    inbox: Sender<Inbox<String>>,
     node_handle: Option<JoinHandle<P>>,
     sender_handle: Option<JoinHandle<TransportStats>>,
     server: Option<SoapHttpServer>,
     registry: Arc<Registry>,
     outbound: OutboundHandle,
+}
+
+impl<P> NodeSlot<P> {
+    /// Ask the node loop to exit.
+    fn signal_stop(&self) {
+        // wsg_lint: allow(E2) — a closed inbox means the node loop already exited; Stop is advisory
+        let _ = self.inbox.send(Inbox::Stop);
+    }
+
+    /// Wait for the sender thread's final drain (the node loop must have
+    /// exited: its last act is the sender's stop token).
+    fn join_sender(&mut self) -> TransportStats {
+        self.sender_handle
+            .take()
+            .map(|h| h.join().expect("sender thread panicked"))
+            .unwrap_or_default()
+    }
+
+    fn close_server(&mut self) {
+        if let Some(mut server) = self.server.take() {
+            server.shutdown();
+        }
+    }
 }
 
 /// A live network of protocol nodes on loopback HTTP sockets.
@@ -223,7 +194,7 @@ pub struct NetRuntime<P: Protocol<Message = String>> {
     external: SoapHttpClient,
     seeder: SplitMix64,
     config: NetRuntimeConfig,
-    start: Instant,
+    clock: WallClock,
 }
 
 impl<P> NetRuntime<P>
@@ -245,7 +216,7 @@ where
             external,
             seeder,
             config,
-            start: Instant::now(),
+            clock: WallClock::new(),
         }
     }
 
@@ -323,7 +294,7 @@ where
         // thread's client, and its transport counters — `GET /metrics`
         // on the node's socket shows all of them.
         let registry = Arc::new(Registry::new());
-        let (inbox_tx, inbox_rx): (Sender<Inbox>, Receiver<Inbox>) = channel();
+        let (inbox_tx, inbox_rx) = channel();
 
         // Server: route-matched targets go to their service; everything
         // else decodes and enqueues for the node's own thread.
@@ -337,7 +308,7 @@ where
                 }
                 let from = request.from_node.map(NodeId).unwrap_or(EXTERNAL_SENDER);
                 inbox
-                    .send(Inbox::Message { from, xml: request.raw })
+                    .send(Inbox::Message { from, msg: request.raw })
                     .map_err(|_| Fault::new(FaultCode::Receiver, "node is shut down"))?;
                 Ok(SoapReply::Accepted)
             });
@@ -354,7 +325,7 @@ where
         // per-destination queues into batched POSTs, routing through the
         // live directory so removed peers become unroutable immediately.
         let queues = Arc::new(SenderQueues::default());
-        let signal = Arc::new(WakeSignal::new());
+        let signal = Arc::new(WakeSignal::default());
         let outbound = OutboundHandle::new(Arc::clone(&queues), Arc::clone(&signal));
         let client = SoapHttpClient::new_observed(client_seed, self.config.client.clone(), &registry);
         let transport = TransportMetrics::new(&registry);
@@ -363,17 +334,34 @@ where
         let sender_handle = std::thread::Builder::new()
             .name(format!("wsg-net-sender-{index}"))
             .spawn(move || {
-                sender_loop(index, signal, queues, batch_config, client, directory, transport)
+                run_sender(index, signal, queues, batch_config, client, directory, transport)
             })
             .expect("spawn sender thread");
 
-        // Node loop.
+        // Node loop: the shared live loop with the sender's queues as
+        // its sink, reading the fleet-wide clock.
         let directory = Arc::clone(&self.directory);
-        let start = self.start;
+        let clock = self.clock;
         let out = outbound.clone();
         let node_handle = std::thread::Builder::new()
             .name(format!("wsg-net-node-{index}"))
-            .spawn(move || run_node(protocol, id, directory, inbox_rx, out, &mut rng, start))
+            .spawn(move || {
+                let protocol = run_node(
+                    protocol,
+                    id,
+                    inbox_rx,
+                    &mut rng,
+                    &clock,
+                    || directory.capacity(),
+                    |to, xml| out.send(to, xml),
+                );
+                // The sender drains what is queued, then exits — an
+                // explicit token, not channel disconnect, so outstanding
+                // OutboundHandle clones (e.g. a cluster pump's) can never
+                // wedge shutdown.
+                out.stop();
+                protocol
+            })
             .expect("spawn node thread");
 
         self.slots.push(NodeSlot {
@@ -406,27 +394,20 @@ where
         let node_handle = slot.node_handle.take()?;
         self.directory.remove(id);
         if !graceful {
-            if let Some(mut server) = slot.server.take() {
-                server.shutdown();
-            }
+            slot.close_server();
         }
-        // wsg_lint: allow(E2) — a closed inbox means the node loop already exited; Stop is advisory
-        let _ = slot.inbox.send(Inbox::Stop);
+        slot.signal_stop();
         let protocol = node_handle.join().expect("node thread panicked");
-        let transport = slot
-            .sender_handle
-            .take()
-            .map(|h| h.join().expect("sender thread panicked"))
-            .unwrap_or_default();
-        if let Some(mut server) = slot.server.take() {
-            server.shutdown();
-        }
+        let transport = slot.join_sender();
+        slot.close_server();
         Some(NetNode { protocol, transport })
     }
 
-    /// The shared routing table (what sender threads consult per send).
-    pub fn directory(&self) -> Arc<NodeDirectory> {
-        Arc::clone(&self.directory)
+    /// The clock every node loop reads (`ctx.now()`): process uptime since
+    /// this runtime was created. Layers that timestamp alongside the
+    /// nodes (`wsg_cluster`'s planes) share it so there is one epoch.
+    pub fn clock(&self) -> WallClock {
+        self.clock
     }
 
     /// The socket address node `id` serves, served, or would serve (if
@@ -485,7 +466,7 @@ where
     pub fn send_local(&self, from: NodeId, to: NodeId, xml: String) {
         if let Some(slot) = self.slots.get(to.0) {
             // wsg_lint: allow(E2) — documented above: messages to removed nodes are silently dropped
-            let _ = slot.inbox.send(Inbox::Message { from, xml });
+            let _ = slot.inbox.send(Inbox::Message { from, msg: xml });
         }
     }
 
@@ -502,32 +483,15 @@ where
     /// queues), then sender threads drain what was already queued, then
     /// the servers close — so no in-flight envelope is lost to shutdown.
     pub fn shutdown(mut self) -> Vec<NetNode<P>> {
-        for slot in &self.slots {
-            if slot.node_handle.is_some() {
-                // wsg_lint: allow(E2) — a closed inbox means the node loop already exited; Stop is advisory
-                let _ = slot.inbox.send(Inbox::Stop);
-            }
-        }
+        self.slots.iter().for_each(NodeSlot::signal_stop);
         let protocols: Vec<Option<P>> = self
             .slots
             .iter_mut()
             .map(|slot| slot.node_handle.take().map(|h| h.join().expect("node thread panicked")))
             .collect();
-        let transports: Vec<TransportStats> = self
-            .slots
-            .iter_mut()
-            .map(|slot| {
-                slot.sender_handle
-                    .take()
-                    .map(|h| h.join().expect("sender thread panicked"))
-                    .unwrap_or_default()
-            })
-            .collect();
-        for slot in &mut self.slots {
-            if let Some(mut server) = slot.server.take() {
-                server.shutdown();
-            }
-        }
+        let transports: Vec<TransportStats> =
+            self.slots.iter_mut().map(NodeSlot::join_sender).collect();
+        self.slots.iter_mut().for_each(NodeSlot::close_server);
         protocols
             .into_iter()
             .zip(transports)
@@ -580,7 +544,9 @@ impl TransportMetrics {
     }
 }
 
-fn sender_loop(
+/// A node's sender thread: [`sender_loop`] with the HTTP posting step —
+/// route, serialise (bare or batch wrapper), POST, account.
+fn run_sender(
     index: usize,
     signal: Arc<WakeSignal>,
     queues: Arc<SenderQueues>,
@@ -592,45 +558,14 @@ fn sender_loop(
     let mut stats = TransportStats::default();
     let node_header = [(NODE_HEADER.to_string(), index.to_string())];
     let mut scratch = String::new();
-    loop {
-        // Park until there may be work. Wakes coalesce in the signal's
-        // single token: while we were busy posting the last drain,
-        // producers kept queueing — one pass covers them all, and that
-        // backlog is exactly what forms multi-message batches. Under
-        // light load the queue holds a single envelope and it is flushed
-        // immediately (flush-on-idle).
-        signal.wait();
-        // Read the stop flag *before* draining (not after): everything
-        // queued before `stop()` is then covered by this drain, so no
-        // envelope is stranded. This ordering is model-checked — see
-        // `batch::model_tests`.
-        let stopping = signal.stopping();
-        drain_queues(&queues, &config, &client, &directory, &metrics, &mut stats, &node_header, &mut scratch);
-        if stopping {
-            return stats;
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)] // one call site; a struct would just rename the argument list
-fn drain_queues(
-    queues: &SenderQueues,
-    config: &BatchConfig,
-    client: &SoapHttpClient,
-    directory: &NodeDirectory,
-    metrics: &TransportMetrics,
-    stats: &mut TransportStats,
-    node_header: &[(String, String)],
-    scratch: &mut String,
-) {
-    while let Some((to, batch)) = queues.pop_batch(config) {
+    sender_loop(&signal, &queues, &config, |to, batch| {
         let count = batch.len() as u64;
         // Route through the live directory: a peer removed after these
         // envelopes were queued is dropped here instead of dialed.
         let Some(addr) = directory.addr_of(to) else {
             stats.unroutable += count;
             metrics.unroutable.add(count);
-            continue;
+            return;
         };
         let outcome = if let [only] = batch.as_slice() {
             // A lone message is posted bare — byte-identical to the
@@ -639,14 +574,14 @@ fn drain_queues(
             let action = Envelope::parse(&only.xml)
                 .ok()
                 .and_then(|e| e.addressing().action().map(str::to_string));
-            client.post(addr, target, action.as_deref(), node_header, only.xml.as_bytes())
+            client.post(addr, target, action.as_deref(), &node_header, only.xml.as_bytes())
         } else {
             let items: Vec<BatchItem<'_>> = batch
                 .iter()
                 .map(|m| BatchItem { target: m.target.as_deref(), xml: &m.xml })
                 .collect();
-            write_batch(&items, scratch);
-            client.post(addr, GOSSIP_TARGET, Some(BATCH_ACTION), node_header, scratch.as_bytes())
+            write_batch(&items, &mut scratch);
+            client.post(addr, GOSSIP_TARGET, Some(BATCH_ACTION), &node_header, scratch.as_bytes())
         };
         match outcome {
             Ok(outcome) => {
@@ -672,85 +607,16 @@ fn drain_queues(
                 }
             }
         }
-    }
-}
-
-fn run_node<P>(
-    mut protocol: P,
-    id: NodeId,
-    directory: Arc<NodeDirectory>,
-    rx: Receiver<Inbox>,
-    out: OutboundHandle,
-    rng: &mut Pcg32,
-    start: Instant,
-) -> P
-where
-    P: Protocol<Message = String>,
-{
-    let mut timers: Vec<(Instant, TimerTag)> = Vec::new();
-
-    let dispatch = |protocol: &mut P,
-                    timers: &mut Vec<(Instant, TimerTag)>,
-                    rng: &mut Pcg32,
-                    event: Option<(NodeId, String)>,
-                    fired: Option<TimerTag>| {
-        let mut ctx = NetCtx {
-            start,
-            id,
-            node_count: directory.capacity(),
-            rng,
-            outbox: Vec::new(),
-            timer_requests: Vec::new(),
-        };
-        match (event, fired) {
-            (Some((from, msg)), _) => protocol.on_message(from, msg, &mut ctx),
-            (None, Some(tag)) => protocol.on_timer(tag, &mut ctx),
-            (None, None) => protocol.on_start(&mut ctx),
-        }
-        let NetCtx { outbox, timer_requests, .. } = ctx;
-        for (to, xml) in outbox {
-            out.send(to, xml);
-        }
-        for (delay, tag) in timer_requests {
-            let fire_at = Instant::now() + Duration::from_micros(delay.as_micros());
-            timers.push((fire_at, tag));
-            timers.sort_by_key(|(at, _)| *at);
-        }
-    };
-
-    dispatch(&mut protocol, &mut timers, rng, None, None); // on_start
-
-    loop {
-        let now = Instant::now();
-        while let Some(&(fire_at, tag)) = timers.first() {
-            if fire_at > now {
-                break;
-            }
-            timers.remove(0);
-            dispatch(&mut protocol, &mut timers, rng, None, Some(tag));
-        }
-        let timeout = timers
-            .first()
-            .map(|(at, _)| at.saturating_duration_since(Instant::now()))
-            .unwrap_or(Duration::from_millis(50));
-        match rx.recv_timeout(timeout) {
-            Ok(Inbox::Message { from, xml }) => {
-                dispatch(&mut protocol, &mut timers, rng, Some((from, xml)), None);
-            }
-            Ok(Inbox::Stop) | Err(RecvTimeoutError::Disconnected) => break,
-            Err(RecvTimeoutError::Timeout) => {}
-        }
-    }
-    // The sender drains what is queued, then exits — an explicit token,
-    // not channel disconnect, so outstanding OutboundHandle clones (e.g.
-    // a cluster pump's) can never wedge shutdown.
-    out.stop();
-    protocol
+    });
+    stats
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wsg_net::protocol::{Context, TimerTag};
+    use wsg_net::threads::ThreadNet;
+    use wsg_net::time::{SimDuration, SimTime};
     use wsg_soap::MessageHeaders;
     use wsg_xml::Element;
 
@@ -792,6 +658,78 @@ mod tests {
             },
             ..NetRuntimeConfig::default()
         }
+    }
+
+    const EARLY: TimerTag = TimerTag(1);
+    const LATE: TimerTag = TimerTag(2);
+
+    /// Exercises the live loop's contract from inside a protocol: node 0
+    /// sends from `on_start`, arms two timers in reverse deadline order,
+    /// and re-arms the early one once from `on_timer`.
+    #[derive(Default)]
+    struct LoopProbe {
+        fired: Vec<(TimerTag, SimTime)>,
+        seen: Vec<(NodeId, String)>,
+    }
+
+    impl Protocol for LoopProbe {
+        type Message = String;
+        fn on_start(&mut self, ctx: &mut dyn Context<String>) {
+            if ctx.self_id() == NodeId(0) {
+                ctx.send(NodeId(1), envelope_xml("hello", "urn:test:Hello"));
+                ctx.set_timer(SimDuration::from_millis(300), LATE);
+                ctx.set_timer(SimDuration::from_millis(20), EARLY);
+            }
+        }
+        fn on_message(&mut self, from: NodeId, msg: String, _ctx: &mut dyn Context<String>) {
+            self.seen.push((from, msg));
+        }
+        fn on_timer(&mut self, tag: TimerTag, ctx: &mut dyn Context<String>) {
+            if tag == EARLY && self.fired.is_empty() {
+                ctx.set_timer(SimDuration::from_millis(20), EARLY);
+            }
+            self.fired.push((tag, ctx.now()));
+        }
+    }
+
+    /// The one generic body: deploy two probes on `run`'s runtime for
+    /// ~600 ms and check what the loop promised them.
+    fn assert_loop_contract(run: impl FnOnce(Vec<LoopProbe>) -> Vec<LoopProbe>) {
+        let nodes = run(vec![LoopProbe::default(), LoopProbe::default()]);
+        let tags: Vec<TimerTag> = nodes[0].fired.iter().map(|(tag, _)| *tag).collect();
+        assert_eq!(
+            tags,
+            vec![EARLY, EARLY, LATE],
+            "deadline order, not arming order; the re-armed timer fires again"
+        );
+        let times: Vec<SimTime> = nodes[0].fired.iter().map(|(_, at)| *at).collect();
+        assert!(times[0] >= SimTime::from_millis(20), "fired early: {times:?}");
+        assert!(times[1] >= times[0] + SimDuration::from_millis(20), "re-arm counts from the firing: {times:?}");
+        assert!(times[2] >= SimTime::from_millis(300), "fired early: {times:?}");
+        assert_eq!(
+            nodes[1].seen,
+            vec![(NodeId(0), envelope_xml("hello", "urn:test:Hello"))],
+            "on_start's send is delivered once, from its sender"
+        );
+        assert!(nodes[0].seen.is_empty() && nodes[1].fired.is_empty());
+    }
+
+    #[test]
+    fn loop_contract_holds_on_the_channel_sink() {
+        assert_loop_contract(|probes| {
+            ThreadNet::spawn(probes, 5).shutdown_after(Duration::from_millis(600))
+        });
+    }
+
+    #[test]
+    fn loop_contract_holds_on_the_socket_sink() {
+        assert_loop_contract(|probes| {
+            NetRuntime::spawn(probes, 5, quick_config())
+                .shutdown_after(Duration::from_millis(600))
+                .into_iter()
+                .map(|node| node.protocol)
+                .collect()
+        });
     }
 
     #[test]

@@ -51,12 +51,6 @@ pub struct HttpServerConfig {
     pub workers: usize,
     /// Close a connection after this much idle time between requests.
     pub keep_alive: Duration,
-    /// Maximum bytes of request line + headers.
-    pub max_head_bytes: usize,
-    /// Maximum bytes of a request body.
-    pub max_body_bytes: usize,
-    /// Accepted-but-unserviced connections to queue before refusing.
-    pub queue_depth: usize,
     /// How long a worker blocks per read before re-queuing a quiet
     /// connection and serving the next one. Workers multiplex over all
     /// live connections in slices, so a request arriving on an idle
@@ -65,24 +59,11 @@ pub struct HttpServerConfig {
     /// `workers`) for latency-sensitive fleets with many idle
     /// connections, at the cost of more wakeups.
     pub read_slice: Duration,
-    /// Upper bound on any single blocking write to a peer. A peer that
-    /// accepts a connection but stops reading (zero receive window)
-    /// would otherwise park a worker in `write_all` forever; with the
-    /// timeout the write errors out and the connection is shed.
-    pub write_timeout: Duration,
 }
 
 impl Default for HttpServerConfig {
     fn default() -> Self {
-        HttpServerConfig {
-            workers: 2,
-            keep_alive: Duration::from_secs(5),
-            max_head_bytes: crate::parser::MAX_HEAD_BYTES,
-            max_body_bytes: crate::parser::MAX_BODY_BYTES,
-            queue_depth: 64,
-            read_slice: READ_SLICE,
-            write_timeout: WRITE_TIMEOUT,
-        }
+        HttpServerConfig { workers: 2, keep_alive: Duration::from_secs(5), read_slice: READ_SLICE }
     }
 }
 
@@ -251,21 +232,8 @@ impl SoapHttpServer {
     }
 
     /// Serve on an already-bound listener (used by the runtime, which
-    /// binds all node sockets before starting any of them) with a fresh
-    /// metric registry.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the listener's local address cannot be read.
-    pub fn serve(
-        listener: TcpListener,
-        service: Service,
-        config: HttpServerConfig,
-    ) -> std::io::Result<Self> {
-        Self::serve_observed(listener, service, config, Arc::new(Registry::new()))
-    }
-
-    /// Like [`SoapHttpServer::serve`], with a caller-provided registry.
+    /// binds all node sockets before starting any of them), registering
+    /// the server's metrics in `registry`.
     ///
     /// # Errors
     ///
@@ -280,7 +248,7 @@ impl SoapHttpServer {
         let stop = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(ServerMetrics::new(registry));
         let (conn_tx, conn_rx): (SyncSender<Conn>, Receiver<Conn>) =
-            sync_channel(config.queue_depth.max(1));
+            sync_channel(QUEUE_DEPTH);
         let conn_rx = Arc::new(Mutex::new(conn_rx));
 
         let workers = config.workers.max(1);
@@ -404,7 +372,7 @@ fn accept_loop(
         let conn = Conn {
             stream,
             peer,
-            parser: RequestParser::with_limits(config.max_head_bytes, config.max_body_bytes),
+            parser: RequestParser::new(),
             idle: Duration::ZERO,
         };
         match conn_tx.try_send(conn) {
@@ -426,21 +394,28 @@ fn accept_loop(
 /// rather than parking on one each.
 const READ_SLICE: Duration = Duration::from_millis(10);
 
-/// Default for [`HttpServerConfig::write_timeout`]: generous, because a
+/// Upper bound on any single blocking write to a peer. A peer that
+/// accepts a connection but stops reading (zero receive window) would
+/// otherwise park a worker in `write_all` forever; with the timeout the
+/// write errors out and the connection is shed. Generous, because a
 /// healthy peer drains a response in microseconds — only a stalled or
 /// malicious one ever gets near it.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
+/// Accepted-but-unserviced connections queued before the accept thread
+/// sheds new ones (and before a worker sheds a re-queued one).
+const QUEUE_DEPTH: usize = 64;
+
 /// Arm an accepted socket with the server's deadlines: the read-slice
-/// read timeout (workers multiplex over connections in slices) and the
-/// configured write timeout, so a peer that stops reading errors the
-/// write out instead of parking a worker in `write_all` forever. False
-/// when the socket refuses (already dead) — the caller sheds it.
+/// read timeout (workers multiplex over connections in slices) and
+/// [`WRITE_TIMEOUT`], so a peer that stops reading errors the write out
+/// instead of parking a worker in `write_all` forever. False when the
+/// socket refuses (already dead) — the caller sheds it.
 fn arm_stream_timeouts(stream: &TcpStream, config: &HttpServerConfig) -> bool {
     if stream.set_read_timeout(Some(config.read_slice.max(Duration::from_millis(1)))).is_err() {
         return false;
     }
-    if stream.set_write_timeout(Some(config.write_timeout.max(Duration::from_millis(1)))).is_err() {
+    if stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err() {
         return false;
     }
     // wsg_lint: allow(E2) — Nagle is a latency tuning; a socket that rejects it still serves
@@ -716,8 +691,7 @@ mod tests {
         let read = accepted.read_timeout().unwrap().expect("read timeout armed");
         assert!(read >= config.read_slice.max(Duration::from_millis(1)), "{read:?}");
         let write = accepted.write_timeout().unwrap().expect("write timeout armed");
-        assert!(write >= config.write_timeout, "{write:?}");
-        assert!(config.write_timeout > Duration::ZERO, "default must actually bound writes");
+        assert!(write >= WRITE_TIMEOUT, "{write:?}");
     }
 
     fn echo_service() -> Service {

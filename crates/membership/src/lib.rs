@@ -45,4 +45,4 @@ pub use accrual::PhiAccrual;
 pub use detector::FailureDetectorConfig;
 pub use sampler::{PeerSampler, SamplerConfig};
 pub use service::{MembershipConfig, MembershipGossip, MembershipMessage};
-pub use view::{MemberStatus, MembershipView};
+pub use view::{MemberStatus, MembershipView, Round};

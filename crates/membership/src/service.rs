@@ -106,28 +106,26 @@ impl MembershipGossip {
     }
 
     fn tick(&mut self, ctx: &mut dyn Context<MembershipMessage>) {
-        // 1. Progress own heartbeat and refresh our own entry.
-        self.heartbeat += 1;
-        self.view.record(self.me, self.heartbeat, ctx.now());
-        // 2. Reassess liveness of everyone else.
-        self.view.reassess(
-            ctx.now(),
-            self.config.detector.suspect_after(),
-            self.config.detector.fail_after(),
-            self.config.detector.forget_after(),
+        let now = ctx.now();
+        let mut round = self.view.gossip_round(
+            self.me,
+            &mut self.heartbeat,
+            now,
+            &self.config.detector,
+            self.config.fanout,
+            ctx.rng(),
+            |_| {}, // the simulator has no evidence beyond heartbeat age
         );
-        // 3. Gossip the snapshot to a few random not-dead peers (falling
-        //    back to contacts while the view is still cold).
-        let mut pool: Vec<NodeId> =
-            self.view.not_dead().into_iter().filter(|p| *p != self.me).collect();
-        if pool.is_empty() {
-            pool = self.contacts.clone();
+        if round.targets.is_empty() {
+            // The view is still cold: fall back to the static contacts.
+            // (Shuffling the empty pool drew nothing, so this is the
+            // round's only RNG use.)
+            round.targets = self.contacts.clone();
+            ctx.rng().shuffle(&mut round.targets);
+            round.targets.truncate(self.config.fanout);
         }
-        ctx.rng().shuffle(&mut pool);
-        pool.truncate(self.config.fanout);
-        let snapshot = self.view.snapshot();
-        for peer in pool {
-            ctx.send(peer, MembershipMessage::ViewGossip(snapshot.clone()));
+        for peer in round.targets {
+            ctx.send(peer, MembershipMessage::ViewGossip(round.snapshot.clone()));
         }
         ctx.set_timer(self.config.interval, MEMBERSHIP_TICK);
     }

@@ -2,7 +2,9 @@
 
 use std::collections::BTreeMap;
 
-use wsg_net::{NodeId, SimTime};
+use wsg_net::{NodeId, Rng64, RngExt, SimTime};
+
+use crate::detector::FailureDetectorConfig;
 
 /// Liveness status assigned by the failure detector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -25,6 +27,15 @@ pub struct MemberInfo {
     pub last_progress: SimTime,
     /// Current liveness verdict.
     pub status: MemberStatus,
+}
+
+/// What one [`MembershipView::gossip_round`] decided.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Round {
+    /// Up to `fanout` non-dead members other than ourselves, in push order.
+    pub targets: Vec<NodeId>,
+    /// The heartbeat snapshot to push to them (dead members excluded).
+    pub snapshot: Vec<(NodeId, u64)>,
 }
 
 /// A node's view of the membership: member → freshest known evidence.
@@ -165,6 +176,45 @@ impl MembershipView {
                 MemberStatus::Alive
             };
         }
+    }
+
+    /// One gossip round of member `me` at `now` — the loop body the
+    /// simulated `MembershipGossip` and the live `wsg_cluster` plane share:
+    ///
+    /// 1. bump `heartbeat` and refresh our own entry;
+    /// 2. [`reassess`](Self::reassess) everyone against `detector`'s fixed
+    ///    timeouts — which recomputes every status from heartbeat age,
+    ///    so...
+    /// 3. ...`verdicts` re-applies whatever sharper out-of-band evidence
+    ///    the caller holds (`mark_suspect`/`mark_dead`; the simulator has
+    ///    none);
+    /// 4. pick up to `fanout` non-dead members other than `me` by `rng`
+    ///    shuffle (one shuffle of the ascending-id pool, then truncate);
+    /// 5. snapshot what is left standing.
+    #[allow(clippy::too_many_arguments)] // the inputs of a round are what they are; both callers pass fields they already hold
+    pub fn gossip_round(
+        &mut self,
+        me: NodeId,
+        heartbeat: &mut u64,
+        now: SimTime,
+        detector: &FailureDetectorConfig,
+        fanout: usize,
+        rng: &mut dyn Rng64,
+        verdicts: impl FnOnce(&mut MembershipView),
+    ) -> Round {
+        *heartbeat += 1;
+        self.record(me, *heartbeat, now);
+        self.reassess(
+            now,
+            detector.suspect_after(),
+            detector.fail_after(),
+            detector.forget_after(),
+        );
+        verdicts(self);
+        let mut targets: Vec<NodeId> = self.not_dead().into_iter().filter(|p| *p != me).collect();
+        rng.shuffle(&mut targets);
+        targets.truncate(fanout);
+        Round { targets, snapshot: self.snapshot() }
     }
 
     /// Known heartbeat of a member.

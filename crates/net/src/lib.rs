@@ -56,5 +56,5 @@ pub use protocol::{AllLive, Context, NodeId, PeerLiveness, Protocol, TimerTag};
 pub use rng::{Pcg32, Rng64, RngExt, SplitMix64};
 pub use sim::{SimConfig, SimNet};
 pub use stats::SimStats;
-pub use time::{Clock, ManualClock, SimDuration, SimTime};
+pub use time::{Clock, ManualClock, SimDuration, SimTime, WallClock};
 pub use trace::{TraceEvent, TraceKind};

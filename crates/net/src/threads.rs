@@ -1,26 +1,46 @@
-//! A thread-per-node runtime running the same [`Protocol`]s live.
+//! The live node loop, and a thread-per-node runtime over channels.
 //!
-//! The simulator answers the paper's quantitative questions; this runtime
-//! demonstrates that the protocol implementations are real programs, not
-//! simulation artifacts: each node runs on its own OS thread, messages
-//! travel over channels, and timers use wall-clock time. Loss/partition
-//! injection is deliberately absent — that is the simulator's job.
+//! The simulator answers the paper's quantitative questions; the live
+//! runtimes demonstrate that the protocol implementations are real
+//! programs, not simulation artifacts. There is exactly one live loop,
+//! [`run_node`]: one OS thread per node, an inbox channel, timers read
+//! off a [`Clock`], a deterministic per-node RNG. Where a node's sends go
+//! is the caller's *sink*:
+//!
+//! * [`ThreadNet`] (here) hands them to the destination's inbox channel —
+//!   any message type, no serialization;
+//! * `wsg_http::NetRuntime` queues them for a sender thread that POSTs
+//!   them over loopback sockets (`Message = String` envelopes).
+//!
+//! Loss/partition injection is deliberately absent — that is the
+//! simulator's job.
 
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::protocol::{Context, NodeId, Protocol, TimerTag};
 use crate::rng::{Pcg32, Rng64, SplitMix64};
-use crate::time::{SimDuration, SimTime};
+use crate::time::{Clock, SimDuration, SimTime, WallClock};
 
-enum Inbox<M> {
-    Message { from: NodeId, msg: M },
+/// What a node loop receives on its inbox channel.
+pub enum Inbox<M> {
+    /// A message from `from` for the protocol's `on_message`.
+    Message {
+        /// The sending node.
+        from: NodeId,
+        /// The message itself.
+        msg: M,
+    },
+    /// Leave the loop and return the protocol's final state.
     Stop,
 }
 
-struct ThreadCtx<'a, M> {
-    start: Instant,
+/// How long an idle loop (no timer armed) blocks per inbox wait.
+const IDLE_WAIT: Duration = Duration::from_millis(50);
+
+struct NodeCtx<'a, M, C> {
+    clock: &'a C,
     id: NodeId,
     node_count: usize,
     rng: &'a mut Pcg32,
@@ -28,9 +48,9 @@ struct ThreadCtx<'a, M> {
     timer_requests: Vec<(SimDuration, TimerTag)>,
 }
 
-impl<M> Context<M> for ThreadCtx<'_, M> {
+impl<M, C: Clock> Context<M> for NodeCtx<'_, M, C> {
     fn now(&self) -> SimTime {
-        SimTime::from_micros(self.start.elapsed().as_micros() as u64)
+        self.clock.now()
     }
     fn self_id(&self) -> NodeId {
         self.id
@@ -49,7 +69,91 @@ impl<M> Context<M> for ThreadCtx<'_, M> {
     }
 }
 
-/// A live network of protocol nodes, one OS thread each.
+/// Run `protocol` as node `id` until its inbox yields [`Inbox::Stop`] (or
+/// every inbox sender is gone), then return its final state.
+///
+/// `on_start` runs first; after that the loop alternates between firing
+/// due timers (earliest deadline first, ties in arming order) and waiting
+/// on `rx` until the next deadline. Each callback's sends are handed to
+/// `send` in order once the callback returns; `node_count` is consulted
+/// per callback, so a growing deployment shows through
+/// [`Context::node_count`]. Both are monomorphised — the per-message path
+/// has no indirect call beyond the `dyn Context` the protocol sees.
+pub fn run_node<P, C, N, S>(
+    mut protocol: P,
+    id: NodeId,
+    rx: Receiver<Inbox<P::Message>>,
+    rng: &mut Pcg32,
+    clock: &C,
+    node_count: N,
+    mut send: S,
+) -> P
+where
+    P: Protocol,
+    C: Clock,
+    N: Fn() -> usize,
+    S: FnMut(NodeId, P::Message),
+{
+    // Pending timers as (fire-at, tag), earliest first.
+    let mut timers: Vec<(SimTime, TimerTag)> = Vec::new();
+
+    let mut dispatch = |protocol: &mut P,
+                        timers: &mut Vec<(SimTime, TimerTag)>,
+                        rng: &mut Pcg32,
+                        event: Option<(NodeId, P::Message)>,
+                        fired: Option<TimerTag>| {
+        let mut ctx = NodeCtx {
+            clock,
+            id,
+            node_count: node_count(),
+            rng,
+            outbox: Vec::new(),
+            timer_requests: Vec::new(),
+        };
+        match (event, fired) {
+            (Some((from, msg)), _) => protocol.on_message(from, msg, &mut ctx),
+            (None, Some(tag)) => protocol.on_timer(tag, &mut ctx),
+            (None, None) => protocol.on_start(&mut ctx),
+        }
+        let NodeCtx { outbox, timer_requests, .. } = ctx;
+        for (to, msg) in outbox {
+            send(to, msg);
+        }
+        if !timer_requests.is_empty() {
+            let armed_at = clock.now();
+            timers.extend(timer_requests.into_iter().map(|(delay, tag)| (armed_at + delay, tag)));
+            timers.sort_by_key(|(at, _)| *at);
+        }
+    };
+
+    dispatch(&mut protocol, &mut timers, rng, None, None); // on_start
+
+    loop {
+        // Fire due timers.
+        let now = clock.now();
+        while let Some(&(fire_at, tag)) = timers.first() {
+            if fire_at > now {
+                break;
+            }
+            timers.remove(0);
+            dispatch(&mut protocol, &mut timers, rng, None, Some(tag));
+        }
+        let timeout = timers
+            .first()
+            .map(|(at, _)| at.since(clock.now()).to_std())
+            .unwrap_or(IDLE_WAIT);
+        match rx.recv_timeout(timeout) {
+            Ok(Inbox::Message { from, msg }) => {
+                dispatch(&mut protocol, &mut timers, rng, Some((from, msg)), None);
+            }
+            Ok(Inbox::Stop) | Err(RecvTimeoutError::Disconnected) => return protocol,
+            Err(RecvTimeoutError::Timeout) => {}
+        }
+    }
+}
+
+/// A live network of protocol nodes, one OS thread each: [`run_node`]
+/// with the destination's inbox channel as the send sink.
 ///
 /// ```
 /// use wsg_net::threads::ThreadNet;
@@ -83,24 +187,23 @@ where
     /// deterministic random stream (scheduling is still OS-dependent).
     pub fn spawn(protocols: Vec<P>, seed: u64) -> Self {
         let node_count = protocols.len();
-        // wsg_lint: allow(wall-clock) — real-time runtime: uptime anchor for Drop-time join deadline
-        let start = Instant::now();
+        let clock = WallClock::new();
         let mut seeder = SplitMix64::new(seed);
-        #[allow(clippy::type_complexity)]
-        let channels: Vec<(Sender<Inbox<P::Message>>, Receiver<Inbox<P::Message>>)> =
-            (0..node_count).map(|_| channel()).collect();
-        let senders: Vec<Sender<Inbox<P::Message>>> =
-            channels.iter().map(|(s, _)| s.clone()).collect();
+        let (senders, receivers): (Vec<Sender<Inbox<P::Message>>>, Vec<_>) =
+            (0..node_count).map(|_| channel()).unzip();
 
         let mut handles = Vec::with_capacity(node_count);
-        for (index, (protocol, (_, rx))) in
-            protocols.into_iter().zip(channels).enumerate()
-        {
+        for (index, (protocol, rx)) in protocols.into_iter().zip(receivers).enumerate() {
             let id = NodeId(index);
             let all_senders = senders.clone();
             let mut rng = Pcg32::new(seeder.next(), index as u64);
             handles.push(thread::spawn(move || {
-                run_node(protocol, id, node_count, rx, all_senders, &mut rng, start)
+                run_node(protocol, id, rx, &mut rng, &clock, || node_count, |to, msg| {
+                    if let Some(sender) = all_senders.get(to.0) {
+                        // wsg_lint: allow(E2) — messages to stopped peers drop, mirroring the simulated network's semantics
+                        let _ = sender.send(Inbox::Message { from: id, msg });
+                    }
+                })
             }));
         }
         ThreadNet { senders, handles }
@@ -129,82 +232,6 @@ where
             .into_iter()
             .map(|h| h.join().expect("node thread panicked"))
             .collect()
-    }
-}
-
-fn run_node<P>(
-    mut protocol: P,
-    id: NodeId,
-    node_count: usize,
-    rx: Receiver<Inbox<P::Message>>,
-    senders: Vec<Sender<Inbox<P::Message>>>,
-    rng: &mut Pcg32,
-    start: Instant,
-) -> P
-where
-    P: Protocol,
-{
-    // Pending timers as (fire-at, tag), earliest first.
-    let mut timers: Vec<(Instant, TimerTag)> = Vec::new();
-
-    let dispatch = |protocol: &mut P,
-                        timers: &mut Vec<(Instant, TimerTag)>,
-                        rng: &mut Pcg32,
-                        event: Option<(NodeId, P::Message)>,
-                        fired: Option<TimerTag>| {
-        let mut ctx = ThreadCtx {
-            start,
-            id,
-            node_count,
-            rng,
-            outbox: Vec::new(),
-            timer_requests: Vec::new(),
-        };
-        match (event, fired) {
-            (Some((from, msg)), _) => protocol.on_message(from, msg, &mut ctx),
-            (None, Some(tag)) => protocol.on_timer(tag, &mut ctx),
-            (None, None) => protocol.on_start(&mut ctx),
-        }
-        let ThreadCtx { outbox, timer_requests, .. } = ctx;
-        for (to, msg) in outbox {
-            if let Some(sender) = senders.get(to.0) {
-                // wsg_lint: allow(E2) — messages to stopped peers drop, mirroring the simulated network's semantics
-                let _ = sender.send(Inbox::Message { from: id, msg });
-            }
-        }
-        for (delay, tag) in timer_requests {
-            // wsg_lint: allow(wall-clock) — real-time runtime: protocol timers fire on the host clock by contract
-            let fire_at = Instant::now() + Duration::from_micros(delay.as_micros());
-            timers.push((fire_at, tag));
-            timers.sort_by_key(|(at, _)| *at);
-        }
-    };
-
-    dispatch(&mut protocol, &mut timers, rng, None, None); // on_start
-
-    loop {
-        // Fire due timers.
-        // wsg_lint: allow(wall-clock) — real-time runtime: timer wheel compares against the host clock
-        let now = Instant::now();
-        while let Some(&(fire_at, tag)) = timers.first() {
-            if fire_at > now {
-                break;
-            }
-            timers.remove(0);
-            dispatch(&mut protocol, &mut timers, rng, None, Some(tag));
-        }
-        let timeout = timers
-            .first()
-            // wsg_lint: allow(wall-clock) — real-time runtime: recv timeout until the next host-clock deadline
-            .map(|(at, _)| at.saturating_duration_since(Instant::now()))
-            .unwrap_or(Duration::from_millis(50));
-        match rx.recv_timeout(timeout) {
-            Ok(Inbox::Message { from, msg }) => {
-                dispatch(&mut protocol, &mut timers, rng, Some((from, msg)), None);
-            }
-            Ok(Inbox::Stop) | Err(RecvTimeoutError::Disconnected) => return protocol,
-            Err(RecvTimeoutError::Timeout) => {}
-        }
     }
 }
 

@@ -6,18 +6,17 @@
 //! `SimTime`/`SimDuration` are the *only* time types protocols and
 //! membership components touch; where the microseconds come from is the
 //! runtime's business. Lint rule **D2** pins the raw wall-clock reads
-//! (`Instant::now`/`SystemTime`) to exactly two layers:
+//! (`Instant::now`/`SystemTime`) to `wsg_bench::timing` (the sanctioned
+//! measurement stopwatch), `wsg_http` (socket timeouts and request
+//! timing) and one allowed read here: [`WallClock::new`], the epoch every
+//! live runtime maps process uptime onto `SimTime` from.
 //!
-//! * `wsg_bench::timing` — the sanctioned measurement stopwatch;
-//! * `wsg_http` — the socket transport and its runtimes, which provide
-//!   [`wsg_http` `WallClock`](https://example.org) mapping process uptime
-//!   onto `SimTime`.
-//!
-//! Everything else — including the live membership plane in
-//! `wsg_cluster` — receives time through a [`Clock`], so the same
-//! `MembershipView`/`FailureDetectorConfig`/`PhiAccrual` code runs
-//! bit-identically in the simulator (driven by `SimNet`'s virtual clock)
-//! and on real sockets (driven by `wsg_http::WallClock`).
+//! Everything else — the live node loop in [`crate::threads`] and the
+//! membership plane in `wsg_cluster` included — receives time through a
+//! [`Clock`], so the same `MembershipView`/`FailureDetectorConfig`/
+//! `PhiAccrual` code runs bit-identically in the simulator (driven by
+//! `SimNet`'s virtual clock) and on real sockets (driven by a
+//! [`WallClock`]).
 //!
 //! ## Sim-vs-wall conversions
 //!
@@ -164,7 +163,7 @@ impl SimDuration {
 ///
 /// The simulator's event loop *is* a clock (virtual time advances from
 /// event to event); wall-clock runtimes implement this by measuring
-/// process uptime (`wsg_http::WallClock`). Components that take a
+/// process uptime ([`WallClock`]). Components that take a
 /// `&dyn Clock` (or `Arc<dyn Clock>`) are thereby generic over both —
 /// the membership view and failure detectors run bit-identically in
 /// simulation and on real sockets.
@@ -216,6 +215,38 @@ impl ManualClock {
 impl Clock for ManualClock {
     fn now(&self) -> SimTime {
         SimTime::from_micros(self.micros.load(std::sync::atomic::Ordering::SeqCst))
+    }
+}
+
+/// A [`Clock`] that reports wall-clock time elapsed since its creation
+/// as [`SimTime`].
+///
+/// Anchoring to a construction-time epoch rather than an absolute clock
+/// keeps the reported values small, monotone and comparable across every
+/// component sharing one `WallClock` (clones share the epoch) — the same
+/// shape `MembershipView` timestamps have in simulation.
+#[derive(Debug, Clone, Copy)]
+pub struct WallClock {
+    epoch: std::time::Instant,
+}
+
+impl WallClock {
+    /// A clock whose `now()` starts at [`SimTime::ZERO`].
+    pub fn new() -> Self {
+        // wsg_lint: allow(wall-clock) — the one epoch read every live runtime (node loops, membership planes) derives its time from
+        WallClock { epoch: std::time::Instant::now() }
+    }
+}
+
+impl Default for WallClock {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Clock for WallClock {
+    fn now(&self) -> SimTime {
+        SimTime::ZERO + SimDuration::from_std(self.epoch.elapsed())
     }
 }
 
@@ -308,6 +339,18 @@ mod tests {
     fn div_is_total() {
         assert_eq!(SimDuration::from_millis(10).div(2), SimDuration::from_millis(5));
         assert_eq!(SimDuration::from_millis(10).div(0), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn wall_clock_is_monotone_and_clones_share_the_epoch() {
+        let clock = WallClock::new();
+        let copy = clock;
+        let first = clock.now();
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        let second = copy.now();
+        assert!(second > first, "{second:?} must advance past {first:?}");
+        assert!(first < SimTime::from_secs(5), "epoch anchors near zero");
+        assert!(clock.now() >= second, "a clone reads the same timeline");
     }
 
     #[test]

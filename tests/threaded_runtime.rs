@@ -1,6 +1,6 @@
 //! The same protocols on real OS threads: the gossip engine and the
 //! membership service running over `wsg_net::threads::ThreadNet` with
-//! wall-clock timers and crossbeam channels — proving the protocol
+//! wall-clock timers and `std::sync::mpsc` channels — proving the protocol
 //! implementations are not simulation artifacts.
 
 use std::time::Duration;
