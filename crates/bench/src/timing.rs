@@ -26,7 +26,11 @@ use std::time::{Duration, Instant};
 /// Heap allocations observed by [`CountingAlloc`] since process start.
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
-/// A [`System`]-delegating allocator that counts every allocation.
+/// Bytes those allocations asked for (a `realloc` counts its new size).
+static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// A [`System`]-delegating allocator that counts every allocation and the
+/// bytes it asks for.
 ///
 /// Registered as the `#[global_allocator]` of this crate (see `lib.rs`),
 /// so bench binaries and tests can measure allocations-per-message on the
@@ -35,16 +39,21 @@ static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 /// allocator for memory.
 pub struct CountingAlloc;
 
-// SAFETY: pure delegation to `System`; the counter is a relaxed atomic
-// with no allocation of its own, so the GlobalAlloc contract is inherited.
+fn count(bytes: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    ALLOCATED_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+}
+
+// SAFETY: pure delegation to `System`; the counters are relaxed atomics
+// with no allocation of their own, so the GlobalAlloc contract is inherited.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
@@ -53,7 +62,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -63,14 +72,27 @@ pub fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-/// Run `f` and return its result plus the number of heap allocations it
-/// performed. The counter is process-wide, so concurrent threads inflate
-/// the number — callers that need a tight bound should take the minimum
-/// over a few trials.
-pub fn count_allocs<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = allocations();
+/// What a piece of code asked of the allocator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Allocs {
+    /// Allocation calls (`alloc`, `alloc_zeroed`, `realloc`).
+    pub calls: u64,
+    /// Bytes those calls requested.
+    pub bytes: u64,
+}
+
+/// Run `f` and return its result plus the heap allocations it performed.
+/// The counters are process-wide, so concurrent threads inflate them —
+/// callers that need a tight bound should take the minimum over a few
+/// trials.
+pub fn count_allocs<T>(f: impl FnOnce() -> T) -> (T, Allocs) {
+    let (calls, bytes) = (allocations(), ALLOCATED_BYTES.load(Ordering::Relaxed));
     let out = f();
-    (out, allocations() - before)
+    let allocs = Allocs {
+        calls: allocations() - calls,
+        bytes: ALLOCATED_BYTES.load(Ordering::Relaxed) - bytes,
+    };
+    (out, allocs)
 }
 
 /// Samples per benchmark.

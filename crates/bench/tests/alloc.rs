@@ -1,11 +1,34 @@
-//! Regression test for per-message serialisation cost: streaming an
-//! envelope into a reused scratch buffer must allocate measurably less
-//! than building the element tree and serialising it (the pre-optimisation
-//! transmit path). Uses the crate's counting global allocator.
+//! Allocation budgets for the per-message hot paths, on the crate's
+//! counting global allocator: serialising an envelope, unwrapping a batch
+//! in the server, and a gossip node receiving a notification for the first
+//! time and again. The budgets sit between what the header-first,
+//! lazy-body envelope costs and what building every tree cost before it,
+//! so a change that re-introduces a per-message payload tree or a
+//! per-forward payload copy fails here, not in a benchmark run.
 
-use wsg_bench::timing::count_allocs;
+use ws_gossip::endpoint::{endpoint_of, registration_endpoint};
+use ws_gossip::{actions, GossipHeader, WsGossipNode};
+use wsg_bench::timing::{count_allocs, Allocs};
+use wsg_coord::{CoordinationContext, GossipGrant, GossipPolicy, GossipProtocol, WSGOSSIP_NS};
+use wsg_net::{Context, NodeId, Pcg32, Protocol, Rng64, SimDuration, SimTime, TimerTag};
+use wsg_soap::batch::{parse_wire, write_batch, BatchItem, Unbundled};
 use wsg_soap::{EndpointReference, Envelope, MessageHeaders};
 use wsg_xml::Element;
+
+use std::sync::{Mutex, MutexGuard};
+
+/// The counters are process-global: one test measures at a time, and each
+/// takes the floor over a few trials so a stray allocation on a harness
+/// thread inflates individual samples, not the result.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn alone() -> MutexGuard<'static, ()> {
+    ONE_AT_A_TIME.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+fn floor<T>(mut f: impl FnMut() -> T) -> Allocs {
+    (0..10).map(|_| count_allocs(&mut f).1).min().expect("ten trials")
+}
 
 fn sample_envelope() -> Envelope {
     Envelope::request(
@@ -26,24 +49,18 @@ fn sample_envelope() -> Envelope {
 
 #[test]
 fn streaming_serialisation_allocates_less_than_tree_building() {
+    let _alone = alone();
     let env = sample_envelope();
     let mut scratch = String::new();
     env.write_xml(&mut scratch); // warm the buffer to steady-state size
 
-    // Minimum over trials: the counter is process-global, so a stray
-    // allocation elsewhere inflates individual samples but not the floor.
-    let mut streaming = u64::MAX;
-    let mut tree = u64::MAX;
-    for _ in 0..10 {
-        let (_, n) = count_allocs(|| env.write_xml(&mut scratch));
-        streaming = streaming.min(n);
-        let (_, n) = count_allocs(|| {
-            let mut out = String::from("<?xml version=\"1.0\" encoding=\"UTF-8\"?>");
-            out.push_str(&env.to_element().to_xml_string());
-            out
-        });
-        tree = tree.min(n);
-    }
+    let streaming = floor(|| env.write_xml(&mut scratch)).calls;
+    let tree = floor(|| {
+        let mut out = String::from("<?xml version=\"1.0\" encoding=\"UTF-8\"?>");
+        out.push_str(&env.to_element().to_xml_string());
+        out
+    })
+    .calls;
 
     assert!(streaming > 0, "counting allocator is not active");
     assert!(
@@ -54,4 +71,151 @@ fn streaming_serialisation_allocates_less_than_tree_building() {
 
     // And the bytes must be identical — the optimisation is transparent.
     assert_eq!(scratch, env.to_xml());
+}
+
+/// A send-capturing runtime for one node under test.
+struct Capture {
+    me: NodeId,
+    rng: Pcg32,
+    sent: Vec<(NodeId, String)>,
+}
+
+impl Context<String> for Capture {
+    fn now(&self) -> SimTime {
+        SimTime::ZERO
+    }
+    fn self_id(&self) -> NodeId {
+        self.me
+    }
+    fn node_count(&self) -> usize {
+        10
+    }
+    fn send(&mut self, to: NodeId, msg: String) {
+        self.sent.push((to, msg));
+    }
+    fn set_timer(&mut self, _delay: SimDuration, _tag: TimerTag) {}
+    fn rng(&mut self) -> &mut dyn Rng64 {
+        &mut self.rng
+    }
+}
+
+const CONTEXT: &str = "urn:ws-gossip:ctx:7";
+const SUBSCRIBER: NodeId = NodeId(2);
+
+/// Text that makes the XML writer escape now and then, as real text does.
+fn payload_text(bytes: usize) -> String {
+    "tick 101.25 & rising <fast> ".chars().cycle().take(bytes).collect()
+}
+
+/// Publication `seq` as a subscriber receives it from the initiator: the
+/// `CoordinationContext` and `wsg:Gossip` headers of a live fleet, and a
+/// payload of `bytes` bytes.
+fn notification(seq: u64, bytes: usize) -> String {
+    let context = CoordinationContext::new(
+        CONTEXT,
+        GossipProtocol::Push,
+        registration_endpoint(NodeId(0)),
+        GossipPolicy::atomic_for(8),
+    );
+    let gossip = GossipHeader {
+        context_id: CONTEXT.into(),
+        topic: "quotes".into(),
+        origin: endpoint_of(NodeId(1)),
+        seq,
+        round: 1,
+    };
+    Envelope::request(
+        MessageHeaders::request(endpoint_of(SUBSCRIBER), actions::notify())
+            .with_message_id(format!("urn:uuid:{seq:032x}"))
+            .with_from(EndpointReference::new(endpoint_of(NodeId(1)))),
+        Element::text_node("tick", payload_text(bytes)),
+    )
+    .with_header(context.to_header())
+    .with_header(gossip.to_element())
+    .to_xml()
+}
+
+/// A disseminator holding the fleet's grant (fanout 5 over 7 peers), as
+/// after its first `RegisterResponse`.
+fn warm_subscriber(ctx: &mut Capture) -> WsGossipNode {
+    let policy = GossipPolicy::atomic_for(8);
+    let grant = GossipGrant {
+        fanout: policy.params().fanout(),
+        rounds: policy.params().rounds(),
+        peers: (2..10).map(NodeId).filter(|p| *p != SUBSCRIBER).map(endpoint_of).collect(),
+    };
+    let mut body = grant.to_register_response();
+    body.push_child(Element::in_ns("wsg", WSGOSSIP_NS, "ContextIdentifier").with_text(CONTEXT));
+    let response = Envelope::request(
+        MessageHeaders::request(endpoint_of(SUBSCRIBER), actions::register_response()),
+        body,
+    );
+    let mut node = WsGossipNode::disseminator(SUBSCRIBER, NodeId(0));
+    node.on_message(NodeId(0), response.to_xml(), ctx);
+    node
+}
+
+/// What a first and a duplicate receive of a `bytes`-byte notification
+/// ask of the allocator.
+fn receive_costs(bytes: usize) -> (Allocs, Allocs) {
+    let mut ctx = Capture { me: SUBSCRIBER, rng: Pcg32::new(7, 7), sent: Vec::new() };
+    let mut node = warm_subscriber(&mut ctx);
+    let (mut new, mut dup) = (Vec::new(), Vec::new());
+    for seq in 0..10 {
+        let (first, again) = (notification(seq, bytes), notification(seq, bytes));
+        new.push(count_allocs(|| node.on_message(NodeId(1), first, &mut ctx)).1);
+        assert_eq!(ctx.sent.len(), 5, "a first receive forwards to the grant's fanout");
+        ctx.sent.clear();
+        dup.push(count_allocs(|| node.on_message(NodeId(1), again, &mut ctx)).1);
+        assert!(ctx.sent.is_empty(), "a duplicate is not forwarded");
+    }
+    assert_eq!(node.ops().len(), 10);
+    assert_eq!(node.stats().parse_errors, 0);
+    assert_eq!(node.ops()[3].payload.text(), payload_text(bytes));
+    (new.into_iter().min().expect("ten"), dup.into_iter().min().expect("ten"))
+}
+
+#[test]
+fn a_duplicate_receive_never_pays_for_the_payload() {
+    let _alone = alone();
+    let (_, small) = receive_costs(256);
+    let (_, large) = receive_costs(16 * 1024);
+    // Headers only, whatever the payload size: the node keeps the text it
+    // was handed as the body nobody will ask for.
+    assert_eq!(small, large);
+    assert!(large.calls <= 250, "{large:?}");
+    assert!(large.bytes <= 24 * 1024, "{large:?}");
+}
+
+#[test]
+fn a_first_receive_builds_one_tree_and_copies_the_payload_only_onto_the_wire() {
+    let _alone = alone();
+    let (small, _) = receive_costs(256);
+    let (large, _) = receive_costs(16 * 1024);
+    assert!(small.calls <= 600, "{small:?}");
+    assert!(large.calls <= 600, "{large:?}");
+    // The floor under `Context::send(to, String)`: five forwards, each an
+    // owned wire string of the whole envelope, plus the one delivered text
+    // (requested at its escaped size, then cut back to fit) — seven
+    // payload-sized requests. An eighth is a regression (building every
+    // tree made about seventeen).
+    let wire = notification(0, 16 * 1024).len() as u64;
+    assert!(large.bytes <= 7 * wire + 48 * 1024, "{large:?} (wire {wire})");
+}
+
+#[test]
+fn unwrapping_a_batch_builds_no_tree() {
+    let _alone = alone();
+    let message = notification(0, 16 * 1024);
+    let items = vec![BatchItem { target: None, xml: &message }; 13];
+    let mut wire = String::new();
+    write_batch(&items, &mut wire);
+    let allocs = floor(|| match parse_wire(&wire) {
+        Ok(Unbundled::Batch(messages)) => assert_eq!(messages.len(), 13),
+        other => panic!("batch classified as {other:?}"),
+    });
+    // Per message: the `raw` string, and the names of the five elements the
+    // shape check looks at — a payload tree alone would be more than that.
+    assert!(allocs.calls <= 13 * 24, "{allocs:?}");
+    assert!(allocs.bytes <= 13 * (message.len() as u64 + 1024), "{allocs:?}");
 }

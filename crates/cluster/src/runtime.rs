@@ -129,7 +129,7 @@ where
         let route_plane = Arc::clone(&plane);
         #[allow(clippy::result_large_err)] // the Err size is fixed by the Service signature
         let service: Service = Arc::new(move |request| {
-            let message = ClusterMessage::from_envelope(&request.envelope)
+            let message = ClusterMessage::from_envelope(&request.envelope()?)
                 .map_err(|e| Fault::new(FaultCode::Sender, e.to_string()))?;
             match route_plane.handle(&message) {
                 Some(reply) => {

@@ -48,7 +48,11 @@ pub struct GossipLayerStats {
 struct LayerState {
     me: String,
     rng: Pcg32,
-    seen: BTreeSet<(String, u64)>,
+    // Dedup memory: per origin, the sequence numbers seen — one `u64` a
+    // message, and a lookup that borrows the origin from the header.
+    seen: BTreeMap<String, BTreeSet<u64>>,
+    seen_count: usize,
+    // Arrival order, for eviction; kept only once a cap is set.
     seen_order: VecDeque<(String, u64)>,
     seen_cap: usize,
     grants: BTreeMap<String, GossipGrant>,
@@ -68,17 +72,33 @@ impl LayerState {
 
     /// Record a message key in the dedup set, evicting the oldest entries
     /// beyond the configured cap. Returns `true` when the key was new.
-    fn mark_seen(&mut self, key: (String, u64)) -> bool {
-        if !self.seen.insert(key.clone()) {
+    fn mark_seen(&mut self, origin: &str, seq: u64) -> bool {
+        let new = match self.seen.get_mut(origin) {
+            Some(seqs) => seqs.insert(seq),
+            None => self.seen.entry(origin.to_string()).or_default().insert(seq),
+        };
+        if !new {
             return false;
         }
-        self.seen_order.push_back(key);
-        while self.seen_order.len() > self.seen_cap {
-            if let Some(evicted) = self.seen_order.pop_front() {
-                self.seen.remove(&evicted);
-            }
+        self.seen_count += 1;
+        if self.seen_cap != usize::MAX {
+            self.seen_order.push_back((origin.to_string(), seq));
+            self.evict_beyond_cap();
         }
         true
+    }
+
+    fn evict_beyond_cap(&mut self) {
+        while self.seen_order.len() > self.seen_cap {
+            let Some((origin, seq)) = self.seen_order.pop_front() else { break };
+            if let Some(seqs) = self.seen.get_mut(&origin) {
+                seqs.remove(&seq);
+                if seqs.is_empty() {
+                    self.seen.remove(&origin);
+                }
+            }
+            self.seen_count -= 1;
+        }
     }
 
     fn sample_peers(&mut self, grant: &GossipGrant) -> Vec<String> {
@@ -114,7 +134,8 @@ impl GossipLayerHandle {
             state: Arc::new(Mutex::new(LayerState {
                 me: me.into(),
                 rng: Pcg32::new(seed, 0x60551),
-                seen: BTreeSet::new(),
+                seen: BTreeMap::new(),
+                seen_count: 0,
                 seen_order: VecDeque::new(),
                 seen_cap: usize::MAX,
                 grants: BTreeMap::new(),
@@ -144,7 +165,18 @@ impl GossipLayerHandle {
     /// the window could, in principle, be re-delivered.
     pub fn set_seen_cap(&self, cap: usize) {
         assert!(cap > 0, "seen cap must be positive");
-        self.state.lock().seen_cap = cap;
+        let mut state = self.state.lock();
+        if state.seen_cap == usize::MAX {
+            // Arrival order was not kept while unbounded: age what is
+            // already there per origin, oldest sequence number first.
+            state.seen_order = state
+                .seen
+                .iter()
+                .flat_map(|(origin, seqs)| seqs.iter().map(move |seq| (origin.clone(), *seq)))
+                .collect();
+        }
+        state.seen_cap = cap;
+        state.evict_beyond_cap();
     }
 
     /// Install a grant (e.g. the one returned by Activation) — present
@@ -165,7 +197,7 @@ impl GossipLayerHandle {
 
     /// Number of distinct messages seen.
     pub fn seen_count(&self) -> usize {
-        self.state.lock().seen.len()
+        self.state.lock().seen_count
     }
 }
 
@@ -176,48 +208,50 @@ pub struct GossipHandler {
 }
 
 impl GossipHandler {
-    /// Build the forward copies of `envelope` for the next round and queue
-    /// them on the message context.
+    /// The forward copies of `envelope` for the next round: one per
+    /// sampled peer, differing in `To`, `MessageID`, `From` and
+    /// `wsg:Round` and sharing the payload.
     fn forward(
         state: &mut LayerState,
-        ctx: &mut MessageContext,
         envelope: &Envelope,
         header: &GossipHeader,
         grant: &GossipGrant,
-    ) {
+    ) -> Vec<Envelope> {
         if header.round >= grant.rounds {
-            return; // round budget exhausted
+            return Vec::new(); // round budget exhausted
         }
-        let next = header.next_round();
-        for peer in state.sample_peers(grant) {
-            let mut copy = envelope.clone();
-            copy.take_header(WSGOSSIP_NS, "Gossip");
-            copy.push_header(next.to_element());
+        let mut template = envelope.clone();
+        template.take_header(WSGOSSIP_NS, "Gossip");
+        template.push_header(header.next_round().to_element());
+        template.addressing_mut().set_from(EndpointReference::new(state.me.clone()));
+        let peers = state.sample_peers(grant);
+        let mut copies = Vec::with_capacity(peers.len());
+        for peer in peers {
+            let mut copy = template.clone();
             let message_id = state.fresh_message_id();
             let addressing = copy.addressing_mut();
             addressing.set_to(peer);
             addressing.set_message_id(message_id);
-            addressing.set_from(EndpointReference::new(state.me.clone()));
             state.stats.forwards_sent += 1;
-            ctx.send_envelope(copy);
+            copies.push(copy);
         }
+        copies
     }
 
-    /// Queue `envelope` until a grant arrives, registering with the
-    /// context's Registration service if we have not yet.
-    fn queue_and_register(
-        state: &mut LayerState,
-        ctx: &mut MessageContext,
-        envelope: &Envelope,
-        header: &GossipHeader,
-    ) {
+    /// Forward `envelope` under the context's grant, or — for an unknown
+    /// interaction — queue it and register with the context's
+    /// Registration service if we have not yet. Returns what to send.
+    fn route(state: &mut LayerState, envelope: &Envelope, header: &GossipHeader) -> Vec<Envelope> {
+        if let Some(grant) = state.grants.get(&header.context_id).cloned() {
+            return Self::forward(state, envelope, header, &grant);
+        }
         state
             .pending
             .entry(header.context_id.clone())
             .or_default()
             .push(envelope.clone());
         if !state.registering.insert(header.context_id.clone()) {
-            return; // register already in flight
+            return Vec::new(); // register already in flight
         }
         // The registration address travels in the CoordinationContext
         // header of the message itself.
@@ -226,7 +260,7 @@ impl GossipHandler {
             .and_then(|h| CoordinationContext::from_header(h).ok())
             .map(|c| c.registration_service().to_string());
         let Some(registration) = registration else {
-            return; // no context header: nothing we can do
+            return Vec::new(); // no context header: nothing we can do
         };
         let me = state.me.clone();
         let body = RegistrationService::encode_register(&header.context_id, &me);
@@ -235,7 +269,7 @@ impl GossipHandler {
             .with_from(EndpointReference::new(me))
             .with_reply_to(EndpointReference::new(state.me.clone()));
         state.stats.registers_sent += 1;
-        ctx.send_envelope(Envelope::request(headers, body));
+        vec![Envelope::request(headers, body)]
     }
 
     fn handle_register_response(&self, ctx: &mut MessageContext) -> HandlerOutcome {
@@ -257,7 +291,9 @@ impl GossipHandler {
         let queued = state.pending.remove(&context_id).unwrap_or_default();
         for envelope in queued {
             if let Some(header) = GossipHeader::from_envelope(&envelope) {
-                Self::forward(&mut state, ctx, &envelope, &header, &grant);
+                for copy in Self::forward(&mut state, &envelope, &header, &grant) {
+                    ctx.send_envelope(copy);
+                }
             }
         }
         HandlerOutcome::Consumed
@@ -288,35 +324,29 @@ impl Handler for GossipHandler {
             return HandlerOutcome::Continue; // not gossip traffic
         };
 
-        match ctx.direction {
+        let mut state = self.state.lock();
+        // The header alone decides a duplicate: nothing else of the
+        // message has been looked at, let alone copied.
+        let new = state.mark_seen(&header.origin, header.seq);
+        let outcome = match ctx.direction {
+            // Interception at the origin: never let the original (which
+            // is addressed to a topic URI, not a node) hit the wire.
             Direction::Outbound => {
-                // Interception at the origin: never let the original (which
-                // is addressed to a topic URI, not a node) hit the wire.
-                let mut state = self.state.lock();
                 state.stats.intercepted += 1;
-                state.mark_seen(header.key());
-                let envelope = ctx.envelope.clone();
-                match state.grants.get(&header.context_id).cloned() {
-                    Some(grant) => Self::forward(&mut state, ctx, &envelope, &header, &grant),
-                    None => Self::queue_and_register(&mut state, ctx, &envelope, &header),
-                }
                 HandlerOutcome::Consumed
             }
-            Direction::Inbound => {
-                let mut state = self.state.lock();
-                if !state.mark_seen(header.key()) {
-                    state.stats.duplicates_suppressed += 1;
-                    return HandlerOutcome::Consumed;
-                }
-                let envelope = ctx.envelope.clone();
-                match state.grants.get(&header.context_id).cloned() {
-                    Some(grant) => Self::forward(&mut state, ctx, &envelope, &header, &grant),
-                    None => Self::queue_and_register(&mut state, ctx, &envelope, &header),
-                }
-                drop(state);
-                HandlerOutcome::Continue // deliver to the application too
+            Direction::Inbound if !new => {
+                state.stats.duplicates_suppressed += 1;
+                return HandlerOutcome::Consumed;
             }
+            Direction::Inbound => HandlerOutcome::Continue, // deliver to the application too
+        };
+        let sends = Self::route(&mut state, &ctx.envelope, &header);
+        drop(state);
+        for send in sends {
+            ctx.send_envelope(send);
         }
+        outcome
     }
 }
 

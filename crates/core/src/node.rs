@@ -921,56 +921,44 @@ impl WsGossipNode {
 
     fn handle_notify(&mut self, envelope: Envelope, ctx: &mut dyn Context<String>) {
         let now = ctx.now();
-        let header = GossipHeader::from_envelope(&envelope);
-        let payload = envelope.body().cloned().unwrap_or_else(|| Element::new("empty"));
-        let op = match header {
-            Some(h) => DeliveredOp {
-                topic: h.topic,
-                origin: h.origin,
-                seq: h.seq,
-                round: h.round,
-                at: now,
-                payload,
-            },
-            None => DeliveredOp {
-                topic: "?".into(),
-                origin: envelope
-                    .addressing()
-                    .from()
-                    .map(|epr| epr.address().to_string())
-                    .unwrap_or_else(|| "?".into()),
-                seq: 0,
-                round: 0,
-                at: now,
-                payload,
-            },
+        let (topic, origin, seq, round) = match GossipHeader::from_envelope(&envelope) {
+            Some(h) => (h.topic, h.origin, h.seq, h.round),
+            None => {
+                let from = envelope.addressing().from().map(|epr| epr.address().to_string());
+                ("?".into(), from.unwrap_or_else(|| "?".into()), 0, 0)
+            }
         };
+        let payload = envelope.into_body().unwrap_or_else(|| Element::new("empty"));
+        let op = DeliveredOp { topic, origin, seq, round, at: now, payload };
         match &mut self.fifo {
             Some(fifo) => {
                 // FIFO ordering keys on the gossip origin; map the origin
                 // endpoint to its node id (synthetic endpoints are
                 // bijective).
                 let origin = node_of(&op.origin).unwrap_or(NodeId(usize::MAX - 1));
-                let released =
-                    fifo.accept(wsg_gossip::MsgId::new(origin, op.seq), op);
+                let released = fifo.accept(wsg_gossip::MsgId::new(origin, op.seq), op);
                 for (_, op) in released {
-                    self.stats.ops_delivered += 1;
-                    self.log(now, format!(
-                        "op delivered topic={} origin={} seq={} round={} (fifo)",
-                        op.topic, op.origin, op.seq, op.round
-                    ));
-                    self.ops.push(op);
+                    self.deliver(now, op, " (fifo)");
                 }
             }
-            None => {
-                self.stats.ops_delivered += 1;
-                self.log(now, format!(
-                    "op delivered topic={} origin={} seq={} round={}",
-                    op.topic, op.origin, op.seq, op.round
-                ));
-                self.ops.push(op);
-            }
+            None => self.deliver(now, op, ""),
         }
+    }
+
+    /// Hand one notification to the application: count it, log it, keep it.
+    fn deliver(&mut self, now: SimTime, op: DeliveredOp, how: &str) {
+        self.stats.ops_delivered += 1;
+        self.log(now, format!(
+            "op delivered topic={} origin={} seq={} round={}{how}",
+            op.topic, op.origin, op.seq, op.round
+        ));
+        // `ops` keeps every delivery for the node's lifetime: grow it by a
+        // quarter at a time — `Vec`'s doubling would leave up to half of
+        // the largest thing a busy node owns unused.
+        if self.ops.len() == self.ops.capacity() {
+            self.ops.reserve_exact(self.ops.len() / 4 + 16);
+        }
+        self.ops.push(op);
     }
 }
 
@@ -1037,7 +1025,7 @@ impl Protocol for WsGossipNode {
 
     fn on_message(&mut self, _from: NodeId, xml: String, ctx: &mut dyn Context<String>) {
         self.stats.messages_received += 1;
-        let envelope = match Envelope::parse(&xml) {
+        let envelope = match Envelope::parse_owned(xml) {
             Ok(env) => env,
             Err(_) => {
                 self.stats.parse_errors += 1;

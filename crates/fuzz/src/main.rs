@@ -191,6 +191,17 @@ fn write_seeds() -> std::io::Result<usize> {
     )
     .to_xml();
 
+    // What a foreign SOAP stack may send and this writer never does: CDATA,
+    // a character reference, and a payload prefix bound on env:Envelope
+    // (the shape behind fuzz/corpus/regressions/batch/24ffc09407f20b43:
+    // a subtree leaning on a binding outside its own byte span).
+    let foreign = push
+        .replacen("<env:Envelope", "<env:Envelope xmlns:app=\"urn:app\"", 1)
+        .replace(
+            "<state>v=17</state>",
+            "<app:state k=\"a&#x26;b\"><![CDATA[1 < 2]]> &#x26; more</app:state>",
+        );
+
     let entry = |id: usize, port: u16, heartbeat: u64| MemberEntry {
         id: NodeId(id),
         addr: format!("10.0.0.{}:{port}", id + 1).parse().unwrap(),
@@ -210,6 +221,11 @@ fn write_seeds() -> std::io::Result<usize> {
             BatchItem { target: Some("/membership"), xml: &heartbeat },
         ],
         &mut pair,
+    );
+    let mut leaning = String::new();
+    write_batch(
+        &[BatchItem { target: None, xml: &foreign }, BatchItem { target: None, xml: &push }],
+        &mut leaning,
     );
     let mut empty = String::new();
     write_batch(&[], &mut empty);
@@ -234,19 +250,28 @@ fn write_seeds() -> std::io::Result<usize> {
             "xml",
             &[
                 ("envelope", push.as_bytes()),
+                ("foreign", foreign.as_bytes()),
                 (
                     "mixed",
                     b"<?xml version=\"1.0\" encoding=\"UTF-8\"?><root a=\"1\"><!-- c --><child xmlns:p=\"urn:x\"><p:leaf>text &amp; more</p:leaf><![CDATA[raw <bits>]]></child><?pi data?></root>",
                 ),
             ],
         ),
-        ("envelope", &[("push", push.as_bytes()), ("fault", fault.as_bytes())]),
+        (
+            "envelope",
+            &[
+                ("push", push.as_bytes()),
+                ("fault", fault.as_bytes()),
+                ("foreign", foreign.as_bytes()),
+            ],
+        ),
         (
             "batch",
             &[
                 ("pair", pair.as_bytes()),
                 ("empty", empty.as_bytes()),
                 ("single", push.as_bytes()),
+                ("leaning", leaning.as_bytes()),
             ],
         ),
         (

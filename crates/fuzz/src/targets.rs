@@ -10,9 +10,9 @@ use wsg_cluster::proto::ClusterMessage;
 use wsg_http::parser::{Parsed, RequestParser, ResponseParser};
 use wsg_http::Request;
 use wsg_soap::batch::{is_batch, parse_wire, unbundle, Unbundled};
-use wsg_soap::Envelope;
+use wsg_soap::{Envelope, Fault, MessageHeaders, SoapError, SOAP_ENV_NS, WSA_NS};
 use wsg_xml::reader::MAX_DEPTH;
-use wsg_xml::{Element, XmlEvent, XmlReader};
+use wsg_xml::{Element, XmlError, XmlEvent, XmlReader};
 
 /// One fuzzable parse path.
 pub trait FuzzTarget: Sync {
@@ -162,10 +162,46 @@ impl FuzzTarget for HttpTarget {
 /// `wsg_xml::XmlReader` + `Element::parse`.
 ///
 /// Oracles: the event stream terminates within a linear bound (no
-/// livelock), open-element depth never exceeds [`MAX_DEPTH`], and a tree
+/// livelock), open-element depth never exceeds [`MAX_DEPTH`], a tree
 /// that parses has an idempotent serialisation
-/// (serialise → parse → serialise is a fixed point).
+/// (serialise → parse → serialise is a fixed point), and
+/// `skip_element` agrees with tree building — same verdict, same error,
+/// same end offset — on the root and on each of its children.
 pub struct XmlTarget;
+
+/// How a consumer leaves the element whose start tag was just read.
+type Consume = fn(&mut XmlReader<'_>, XmlEvent) -> Result<(), XmlError>;
+
+fn skip(reader: &mut XmlReader<'_>, _start: XmlEvent) -> Result<(), XmlError> {
+    reader.skip_element()
+}
+
+fn build(reader: &mut XmlReader<'_>, start: XmlEvent) -> Result<(), XmlError> {
+    match start {
+        XmlEvent::StartElement { name, attributes, .. } => {
+            Element::from_start_event(reader, name, attributes).map(drop)
+        }
+        _ => Ok(()),
+    }
+}
+
+/// Read `text` with `consume` applied to every element at nesting depth
+/// `level` (0 = the root), returning the byte offset after each such
+/// element, or the first error.
+fn element_ends(text: &str, level: usize, consume: Consume) -> Result<Vec<usize>, XmlError> {
+    let mut reader = XmlReader::new(text);
+    let mut ends = Vec::new();
+    loop {
+        match reader.next_event()? {
+            XmlEvent::Eof => return Ok(ends),
+            start @ XmlEvent::StartElement { .. } if reader.depth() == level + 1 => {
+                consume(&mut reader, start)?;
+                ends.push(reader.position());
+            }
+            _ => {}
+        }
+    }
+}
 
 impl FuzzTarget for XmlTarget {
     fn name(&self) -> &'static str {
@@ -177,9 +213,9 @@ impl FuzzTarget for XmlTarget {
         let mut reader = XmlReader::new(&text);
         let bound = 4 * text.len() + 16;
         let mut events = 0usize;
-        loop {
+        let clean = loop {
             match reader.next_event() {
-                Ok(XmlEvent::Eof) => break,
+                Ok(XmlEvent::Eof) => break true,
                 Ok(_) => {
                     events += 1;
                     if events > bound {
@@ -192,7 +228,23 @@ impl FuzzTarget for XmlTarget {
                         return Err(format!("depth {} exceeds MAX_DEPTH", reader.depth()));
                     }
                 }
-                Err(_) => return Ok(()), // clean rejection
+                Err(_) => break false, // clean rejection
+            }
+        };
+
+        for level in [0, 1] {
+            let skipped = element_ends(&text, level, skip);
+            let built = element_ends(&text, level, build);
+            if skipped != built {
+                return Err(format!(
+                    "skip_element and tree building diverge at depth {level}: \
+                     {skipped:?} vs {built:?}"
+                ));
+            }
+            if skipped.is_ok() != clean {
+                return Err(format!(
+                    "skipping at depth {level} says {skipped:?}, the event stream says {clean}"
+                ));
             }
         }
 
@@ -216,11 +268,88 @@ impl FuzzTarget for XmlTarget {
 // SOAP envelope
 // ---------------------------------------------------------------------
 
-/// `wsg_soap::Envelope::parse`.
+/// `wsg_soap::Envelope::parse` vs the eager composition it replaced.
 ///
-/// Oracle: an accepted envelope's serialisation is a fixed point —
+/// Oracles: the header-first parse accepts exactly what building the
+/// whole tree and decoding it accepts, with the same error class; its
+/// headers, `body()` and fault equal the reference's; its serialisation
+/// (which splices the payload bytes when it may) re-parses to the
+/// reference envelope; and that serialisation is a fixed point —
 /// `parse(to_xml(parse(x)))` serialises to the same bytes again.
 pub struct EnvelopeTarget;
+
+/// The reference decode: the whole document as a tree first, then the
+/// envelope parts picked out of it — what `Envelope::parse` did before it
+/// became header-first. Kept here only, as the oracle.
+fn eager_parse(xml: &str) -> Result<Envelope, SoapError> {
+    let root = Element::parse(xml)?;
+    if !root.name().matches(Some(SOAP_ENV_NS), "Envelope") {
+        return Err(SoapError::NotAnEnvelope(format!("root element is {}", root.name())));
+    }
+    let blocks: Vec<Element> = root
+        .child_ns(SOAP_ENV_NS, "Header")
+        .map(|header| header.children().into_iter().cloned().collect())
+        .unwrap_or_default();
+    let addressing = MessageHeaders::from_header_blocks(&blocks)?;
+    let body = root.child_ns(SOAP_ENV_NS, "Body").ok_or(SoapError::MissingPart("Body"))?;
+    let envelope = match body.children().first() {
+        None => Envelope::empty(addressing),
+        Some(first) if first.name().matches(Some(SOAP_ENV_NS), "Fault") => {
+            Envelope::fault(addressing, Fault::from_element(first)?)
+        }
+        Some(first) => Envelope::request(addressing, (*first).clone()),
+    };
+    Ok(blocks
+        .into_iter()
+        .filter(|block| block.name().namespace() != Some(WSA_NS))
+        .fold(envelope, Envelope::with_header))
+}
+
+/// Check a parsed `envelope` against the reference decode of the same
+/// text, and its serialisation against both.
+fn check_against_eager(envelope: &Envelope, reference: &Envelope) -> Result<(), String> {
+    if envelope.addressing() != reference.addressing()
+        || envelope.headers() != reference.headers()
+        || envelope.body() != reference.body()
+        || envelope.as_fault() != reference.as_fault()
+    {
+        return Err(format!("header-first parse differs from the eager one: {envelope:?} vs {reference:?}"));
+    }
+    let serialised = envelope.to_xml();
+    let again = Envelope::parse(&serialised)
+        .map_err(|error| format!("serialised envelope does not reparse: {error}"))?;
+    if again != *reference {
+        return Err(format!(
+            "spliced serialisation re-parses to a different envelope: {serialised:?}"
+        ));
+    }
+    let twice = again.to_xml();
+    if serialised != twice {
+        return Err(format!(
+            "envelope parse→serialise→parse not a fixed point: {serialised:?} vs {twice:?}"
+        ));
+    }
+    Ok(())
+}
+
+/// Both decodes of `text` must agree: same verdict, same error class,
+/// same envelope.
+fn differential_parse(text: &str) -> Result<(), String> {
+    match (Envelope::parse(text), eager_parse(text)) {
+        (Ok(envelope), Ok(reference)) => check_against_eager(&envelope, &reference),
+        (Err(lazy), Err(eager)) => {
+            if std::mem::discriminant(&lazy) != std::mem::discriminant(&eager) {
+                return Err(format!("error class changed: {lazy} vs eager {eager}"));
+            }
+            Ok(()) // agreed rejection
+        }
+        (lazy, eager) => Err(format!(
+            "header-first parse says {:?}, the eager parse {:?}",
+            lazy.map(drop),
+            eager.map(drop)
+        )),
+    }
+}
 
 impl FuzzTarget for EnvelopeTarget {
     fn name(&self) -> &'static str {
@@ -228,20 +357,7 @@ impl FuzzTarget for EnvelopeTarget {
     }
 
     fn run(&self, input: &[u8]) -> Result<(), String> {
-        let text = String::from_utf8_lossy(input);
-        let Ok(envelope) = Envelope::parse(&text) else {
-            return Ok(()); // clean rejection
-        };
-        let serialised = envelope.to_xml();
-        let again = Envelope::parse(&serialised)
-            .map_err(|error| format!("serialised envelope does not reparse: {error}"))?;
-        let twice = again.to_xml();
-        if serialised != twice {
-            return Err(format!(
-                "envelope parse→serialise→parse not a fixed point: {serialised:?} vs {twice:?}"
-            ));
-        }
-        Ok(())
+        differential_parse(&String::from_utf8_lossy(input))
     }
 }
 
@@ -252,10 +368,18 @@ impl FuzzTarget for EnvelopeTarget {
 /// `wsg_soap::batch::parse_wire` vs the tree path (`Element::parse` +
 /// `unbundle`).
 ///
-/// Oracles: the streaming classifier agrees with the tree walk; each
-/// streamed message's `raw` is the sender's bytes and reparses to the
-/// same envelope (byte-identity recovery).
+/// Oracles: the streaming classifier — which builds no tree — agrees with
+/// the tree walk on what is a batch, on every message's target and on the
+/// envelope-shape verdict; each streamed message's `raw` is a standalone
+/// document that decodes exactly as the tree walk's re-serialisation
+/// does (byte-identity recovery), under the envelope differential.
 pub struct BatchTarget;
+
+/// The envelope shape `parse_wire` checks by skipping, read off a tree.
+fn has_envelope_shape(root: &Element) -> bool {
+    root.name().matches(Some(SOAP_ENV_NS), "Envelope")
+        && root.child_ns(SOAP_ENV_NS, "Body").is_some()
+}
 
 impl FuzzTarget for BatchTarget {
     fn name(&self) -> &'static str {
@@ -270,12 +394,12 @@ impl FuzzTarget for BatchTarget {
             (Ok(_), Err(error)) => Err(format!(
                 "parse_wire accepted a document Element::parse rejects: {error}"
             )),
-            (Ok(Unbundled::Single(root)), Ok(parsed)) => {
+            (Ok(Unbundled::Single(shape)), Ok(parsed)) => {
                 if is_batch(&parsed) {
                     return Err("parse_wire classified a batch as Single".into());
                 }
-                if root != parsed {
-                    return Err("parse_wire Single tree differs from Element::parse".into());
+                if shape.is_ok() != has_envelope_shape(&parsed) {
+                    return Err(format!("parse_wire's shape verdict {shape:?} is not the tree's"));
                 }
                 Ok(())
             }
@@ -291,16 +415,19 @@ impl FuzzTarget for BatchTarget {
                     ));
                 }
                 for (i, (streamed, tree)) in messages.iter().zip(&via_tree).enumerate() {
-                    if streamed.envelope != tree.envelope || streamed.target != tree.target {
-                        return Err(format!("message {i} differs between stream and tree"));
+                    if streamed.target != tree.target {
+                        return Err(format!("message {i} target differs between stream and tree"));
                     }
                     // Byte-identity recovery: the raw slice must itself be
                     // a standalone document for the same envelope.
-                    match Envelope::parse(&streamed.raw) {
-                        Ok(env) if env == streamed.envelope => {}
-                        other => {
+                    differential_parse(&streamed.raw)
+                        .map_err(|error| format!("message {i} raw: {error}"))?;
+                    match (streamed.envelope(), tree.envelope()) {
+                        (Ok(a), Ok(b)) if a == b => {}
+                        (Err(_), Err(_)) => {}
+                        (a, b) => {
                             return Err(format!(
-                                "message {i} raw does not recover its envelope: {other:?}"
+                                "message {i} differs between stream and tree: {a:?} vs {b:?}"
                             ))
                         }
                     }

@@ -34,3 +34,33 @@ fn fixed_bugs_keep_their_minimized_triggers() {
     assert!(!corpus::regressions("xml").unwrap().is_empty());
     assert!(!corpus::regressions("batch").unwrap().is_empty());
 }
+
+#[test]
+fn the_foreign_seeds_reach_the_splice_fallback_branches() {
+    // Edge slots are anonymous, so this is stated as a difference: the
+    // hand-written foreign envelope (a payload leaning on a prefix bound
+    // on env:Envelope) must light probes the serialiser-generated seed
+    // cannot — the leaning-span and tree-fallback branches — or a sweep
+    // seeded from the corpus would never visit them. Needs
+    // `--cfg wsg_cov`; without it no edge exists to compare.
+    if !wsg_net::cov::enabled() {
+        return;
+    }
+    use std::collections::BTreeSet;
+    use wsg_fuzz::targets::{BatchTarget, EnvelopeTarget, FuzzTarget};
+    use wsg_fuzz::{fuzz, FuzzConfig};
+    let edges = |target: &dyn FuzzTarget, seed: Vec<u8>| -> BTreeSet<u32> {
+        let replay_only = FuzzConfig { budget: 0, ..FuzzConfig::default() };
+        fuzz(target, &[seed], &replay_only).coverage.iter().map(|(edge, _)| *edge).collect()
+    };
+    let seed = |target: &str, name: &str| {
+        std::fs::read(corpus::dir_for(target).join(format!("seed-{name}"))).unwrap()
+    };
+    let plain = edges(&EnvelopeTarget, seed("envelope", "push"));
+    let foreign = edges(&EnvelopeTarget, seed("envelope", "foreign"));
+    assert!(!plain.is_empty());
+    assert!(foreign.difference(&plain).count() >= 2, "{:?}", foreign.difference(&plain));
+    let pair = edges(&BatchTarget, seed("batch", "pair"));
+    let leaning = edges(&BatchTarget, seed("batch", "leaning"));
+    assert!(leaning.difference(&pair).next().is_some());
+}

@@ -42,10 +42,62 @@ impl Default for BatchConfig {
 
 /// One queued outbound message: serialised envelope XML plus the route it
 /// dispatches to on the receiver (`None` = the gossip inbox).
+///
+/// The XML is a prefix of `shared`, then `own`, then a suffix of `shared`.
+/// A gossip node hands the sender `f` copies of each notification that
+/// differ in a few dozen header bytes (`To`, `MessageID`), and under load
+/// tens of thousands of messages wait here at once — so a message that
+/// mostly repeats the one queued before it keeps only the bytes of its own
+/// and shares that message's for the rest (see [`SenderQueues::push`]).
 #[derive(Debug)]
 pub(crate) struct QueuedMsg {
     pub(crate) target: Option<String>,
-    pub(crate) xml: String,
+    own: String,
+    shared: Arc<String>,
+    // This message is `shared[..prefix]` + `own` + `shared[suffix_from..]`.
+    prefix: usize,
+    suffix_from: usize,
+}
+
+impl QueuedMsg {
+    /// A message owning all of its bytes.
+    fn whole(target: Option<String>, xml: Arc<String>) -> Self {
+        QueuedMsg { target, own: String::new(), shared: xml, prefix: 0, suffix_from: 0 }
+    }
+
+    /// The XML in its three pieces, in order.
+    pub(crate) fn parts(&self) -> [&str; 3] {
+        [&self.shared[..self.prefix], &self.own, &self.shared[self.suffix_from..]]
+    }
+
+    /// Length of the XML in bytes.
+    pub(crate) fn len(&self) -> usize {
+        self.parts().iter().map(|part| part.len()).sum()
+    }
+}
+
+/// How many leading and (of what is left) trailing bytes `a` and `b` have
+/// in common, each cut back to a character boundary.
+fn common_ends(a: &str, b: &str) -> (usize, usize) {
+    /// Bytes in the leading run of equal chunk pairs: whole 64-byte
+    /// blocks first (slice equality is a memcmp), single bytes to finish.
+    fn equal_run<'a>(pairs: impl Iterator<Item = (&'a [u8], &'a [u8])>) -> usize {
+        pairs.take_while(|(p, q)| p == q).map(|(p, _)| p.len()).sum()
+    }
+    let (x, y) = (a.as_bytes(), b.as_bytes());
+    let mut prefix = equal_run(x.chunks(64).zip(y.chunks(64)));
+    prefix += equal_run(x[prefix..].chunks(1).zip(y[prefix..].chunks(1)));
+    while !a.is_char_boundary(prefix) {
+        prefix -= 1;
+    }
+    let (x, y) = (&x[prefix..], &y[prefix..]);
+    let mut suffix = equal_run(x.rchunks(64).zip(y.rchunks(64)));
+    let (x, y) = (&x[..x.len() - suffix], &y[..y.len() - suffix]);
+    suffix += equal_run(x.rchunks(1).zip(y.rchunks(1)));
+    while !a.is_char_boundary(a.len() - suffix) {
+        suffix -= 1;
+    }
+    (prefix, suffix)
 }
 
 /// The sender thread's wakeup latch: a coalescing wake token plus a
@@ -101,29 +153,65 @@ type UnreachableHook = Arc<dyn Fn(SocketAddr) + Send + Sync>;
 /// any piggybacking producer holding an [`OutboundHandle`].
 #[derive(Default)]
 pub(crate) struct SenderQueues {
-    queues: Mutex<BTreeMap<NodeId, VecDeque<QueuedMsg>>>,
+    queues: Mutex<Queued>,
     /// Called by the sender thread on exhausted connection-refused POSTs —
     /// `wsg_cluster` wires this to `MembershipPlane::note_unreachable` so
     /// gossip traffic feeds the failure detector too.
     unreachable_hook: Mutex<Option<UnreachableHook>>,
 }
 
+#[derive(Default)]
+struct Queued {
+    by_peer: BTreeMap<NodeId, VecDeque<QueuedMsg>>,
+    // The last message pushed whole: what the next one may share bytes
+    // with.
+    last_whole: Option<Arc<String>>,
+}
+
 impl SenderQueues {
-    /// Append for `to`, unconditionally.
+    /// Append for `to`, unconditionally. When at least half of `xml`
+    /// repeats the start and end of the last message queued whole (a
+    /// forward of the same notification to another peer), only the
+    /// differing middle is kept and the rest shared; anything else is
+    /// queued whole.
     pub(crate) fn push(&self, to: NodeId, target: Option<String>, xml: String) {
-        self.queues.lock().entry(to).or_default().push_back(QueuedMsg { target, xml });
+        let mut queued = self.queues.lock();
+        let (mut prefix, mut suffix) =
+            queued.last_whole.as_ref().map_or((0, 0), |last| common_ends(last, &xml));
+        let prologue = wsg_soap::batch::prologue_len(&xml);
+        if prefix < prologue {
+            // The batch writer strips an XML declaration from a message's
+            // first piece: a declaration not shared whole stays whole in
+            // `own`.
+            prefix = 0;
+            suffix = suffix.min(xml.len() - prologue);
+        }
+        let msg = match &queued.last_whole {
+            Some(last) if (prefix + suffix) * 2 >= xml.len() && suffix > 0 => {
+                // A fresh small string, not `xml` cut down in place: the
+                // big block goes back whole, for the next copy to reuse,
+                // instead of being pinned by what is left at its start.
+                let own = xml[prefix..xml.len() - suffix].to_string();
+                let (shared, suffix_from) = (Arc::clone(last), last.len() - suffix);
+                QueuedMsg { target, own, shared, prefix, suffix_from }
+            }
+            _ => {
+                let xml = Arc::new(xml);
+                queued.last_whole = Some(Arc::clone(&xml));
+                QueuedMsg::whole(target, xml)
+            }
+        };
+        queued.by_peer.entry(to).or_default().push_back(msg);
     }
 
     /// Append for `to` only if traffic is already queued there (the clone
     /// happens only on success). Returns whether the message was queued.
     pub(crate) fn piggyback(&self, to: NodeId, target: &str, xml: &str) -> bool {
-        let mut queues = self.queues.lock();
-        match queues.get_mut(&to) {
+        let mut queued = self.queues.lock();
+        match queued.by_peer.get_mut(&to) {
             Some(queue) if !queue.is_empty() => {
-                queue.push_back(QueuedMsg {
-                    target: Some(target.to_string()),
-                    xml: xml.to_string(),
-                });
+                let xml = Arc::new(xml.to_string());
+                queue.push_back(QueuedMsg::whole(Some(target.to_string()), xml));
                 true
             }
             _ => false,
@@ -135,7 +223,7 @@ impl SenderQueues {
     /// empty. Emptied queues are dropped so the map stays bounded by the
     /// live fan-out, not fleet history.
     pub(crate) fn pop_batch(&self, config: &BatchConfig) -> Option<(NodeId, Vec<QueuedMsg>)> {
-        let mut queues = self.queues.lock();
+        let queues = &mut self.queues.lock().by_peer;
         let to = queues.iter().find(|(_, q)| !q.is_empty()).map(|(id, _)| *id)?;
         let mut batch = Vec::new();
         let mut bytes = 0usize;
@@ -143,11 +231,11 @@ impl SenderQueues {
             while let Some(front) = queue.front() {
                 if !batch.is_empty()
                     && (batch.len() >= config.max_batch_msgs.max(1)
-                        || bytes + front.xml.len() > config.max_batch_bytes)
+                        || bytes + front.len() > config.max_batch_bytes)
                 {
                     break;
                 }
-                bytes += front.xml.len();
+                bytes += front.len();
                 match queue.pop_front() {
                     Some(msg) => batch.push(msg),
                     None => break,
@@ -276,7 +364,7 @@ mod model_tests {
         thread::spawn(move || {
             let mut drained = Vec::new();
             sender_loop(&signal, &queues, &BatchConfig::default(), |_, batch| {
-                drained.extend(batch.into_iter().map(|m| m.xml));
+                drained.extend(batch.iter().map(|m| m.parts().concat()));
             });
             drained
         })
@@ -379,7 +467,7 @@ mod tests {
         let (to, batch) = queues.pop_batch(&config).unwrap();
         assert_eq!(to, NodeId(7));
         assert_eq!(
-            batch.iter().map(|m| m.xml.as_str()).collect::<Vec<_>>(),
+            batch.iter().map(|m| m.parts().concat()).collect::<Vec<_>>(),
             vec![msg(1), msg(3)]
         );
         assert!(queues.pop_batch(&config).is_none());
@@ -419,6 +507,68 @@ mod tests {
             .map(|(_, b)| b.len())
             .collect();
         assert_eq!(sizes, vec![1, 1, 1], "each 100-byte message exceeds the next slot");
+    }
+
+    #[test]
+    fn forwards_of_one_notification_share_their_bytes() {
+        let body = "<env:Body>".to_string() + &"payload ".repeat(400) + "é</env:Body>";
+        let forward = |to: usize| format!("<To>node{to}</To><Id>{}</Id>{body}", to * 7919);
+        let queues = SenderQueues::default();
+        for to in 1..=5 {
+            queues.push(NodeId(to), None, forward(to));
+        }
+        queues.push(NodeId(1), None, "<other/>".into());
+        queues.push(NodeId(2), None, forward(2).replace("payload", "another"));
+        let mut own = 0;
+        while let Some((to, batch)) = queues.pop_batch(&BatchConfig::default()) {
+            for (i, msg) in batch.iter().enumerate() {
+                // Whatever is shared, the bytes that come out are the bytes
+                // that went in.
+                match (to.0, i) {
+                    (1, 1) => assert_eq!(msg.parts().concat(), "<other/>"),
+                    (2, 1) => assert!(msg.parts().concat().contains("another")),
+                    _ => assert_eq!(msg.parts().concat(), forward(to.0)),
+                }
+                assert_eq!(msg.len(), msg.parts().concat().len());
+                own += msg.parts()[1].len();
+            }
+        }
+        // One of the five forwards holds the shared bytes; the other four
+        // kept only what differs (a node digit and an id) — never cutting
+        // a two-byte character in half.
+        assert!(own <= 4 * 16 + 8, "{own} bytes kept for four shared forwards and a stranger");
+        assert_eq!(common_ends("éa", "éb"), (2, 0));
+        assert_eq!(common_ends("aé", "bé"), (0, 2));
+        assert_eq!(common_ends("\u{e9}x\u{e9}", "\u{e8}x\u{1e9}"), (0, 0), "shared half-characters do not count");
+        assert_eq!(common_ends("", "x"), (0, 0));
+        assert_eq!(common_ends("same", "same"), (4, 0));
+        assert_eq!(common_ends("abXcd", "abYYcd"), (2, 2));
+    }
+
+    #[test]
+    fn shared_pieces_batch_to_the_same_bytes_as_whole_messages() {
+        use wsg_soap::batch::{write_batch, write_batch_parts, BatchItem};
+        // Declarations that differ half-way through: the common prefix ends
+        // inside one, where the batch writer could no longer strip it.
+        let tail = format!("<a>{}</a>", "x".repeat(200));
+        let xmls = [
+            format!("<?xml version=\"1.0\"?>{tail}"),
+            format!("<?xml version=\"1.1\"?>{tail}"),
+            format!("  <?xml version=\"1.0\"?><b/>{tail}"),
+            tail.clone(),
+        ];
+        let queues = SenderQueues::default();
+        for xml in &xmls {
+            queues.push(NodeId(1), None, xml.clone());
+        }
+        let (_, batch) = queues.pop_batch(&BatchConfig::default()).unwrap();
+        assert!(batch.iter().any(|m| !m.parts()[1].is_empty()), "nothing was shared");
+        let items: Vec<BatchItem<'_>> =
+            xmls.iter().map(|xml| BatchItem { target: None, xml }).collect();
+        let (mut whole, mut pieces) = (String::new(), String::new());
+        write_batch(&items, &mut whole);
+        write_batch_parts(batch.iter().map(|m| (m.target.as_deref(), m.parts())), &mut pieces);
+        assert_eq!(pieces, whole);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! Every `Protocol<Message = String>` node added to a [`NetRuntime`] gets
 //! three things:
 //!
-//! * an HTTP **server** on `127.0.0.1:0` whose service parses each POSTed
-//!   SOAP envelope and enqueues it on the node's inbox;
+//! * an HTTP **server** on `127.0.0.1:0` whose service enqueues each
+//!   POSTed SOAP envelope — checked for well-formedness and shape, not
+//!   decoded — on the node's inbox as the bytes it arrived in;
 //! * a **node loop** thread — the same loop `ThreadNet` runs (timers on
 //!   the runtime's [`WallClock`], deterministic per-node RNG) — whose
 //!   outgoing `ctx.send(to, xml)` calls go to...
@@ -53,7 +54,7 @@ use wsg_net::sync::{AtomicUsize, Mutex, Ordering};
 use wsg_net::threads::{run_node, Inbox};
 use wsg_net::time::WallClock;
 use wsg_obs::{Counter, HistogramMetric, Registry};
-use wsg_soap::batch::{write_batch, BatchItem, BATCH_ACTION};
+use wsg_soap::batch::{write_batch_parts, BATCH_ACTION};
 use wsg_soap::{Envelope, Fault, FaultCode};
 
 use crate::batch::{sender_loop, BatchConfig, OutboundHandle, SenderQueues, WakeSignal};
@@ -297,7 +298,7 @@ where
         let (inbox_tx, inbox_rx) = channel();
 
         // Server: route-matched targets go to their service; everything
-        // else decodes and enqueues for the node's own thread.
+        // else is enqueued as received for the node's own thread to parse.
         let server = listener.map(|listener| {
             let inbox = inbox_tx.clone();
             let service: Service = Arc::new(move |request: SoapRequest| {
@@ -571,16 +572,15 @@ fn run_sender(
             // A lone message is posted bare — byte-identical to the
             // unbatched wire format (no wrapper, same target and action).
             let target = only.target.as_deref().unwrap_or(GOSSIP_TARGET);
-            let action = Envelope::parse(&only.xml)
+            scratch.clear();
+            only.parts().iter().for_each(|part| scratch.push_str(part));
+            let action = Envelope::parse(&scratch)
                 .ok()
                 .and_then(|e| e.addressing().action().map(str::to_string));
-            client.post(addr, target, action.as_deref(), &node_header, only.xml.as_bytes())
+            client.post(addr, target, action.as_deref(), &node_header, scratch.as_bytes())
         } else {
-            let items: Vec<BatchItem<'_>> = batch
-                .iter()
-                .map(|m| BatchItem { target: m.target.as_deref(), xml: &m.xml })
-                .collect();
-            write_batch(&items, &mut scratch);
+            let items = batch.iter().map(|m| (m.target.as_deref(), m.parts()));
+            write_batch_parts(items, &mut scratch);
             client.post(addr, GOSSIP_TARGET, Some(BATCH_ACTION), &node_header, scratch.as_bytes())
         };
         match outcome {
@@ -617,6 +617,7 @@ mod tests {
     use wsg_net::protocol::{Context, TimerTag};
     use wsg_net::threads::ThreadNet;
     use wsg_net::time::{SimDuration, SimTime};
+    use wsg_soap::batch::{write_batch, BatchItem};
     use wsg_soap::MessageHeaders;
     use wsg_xml::Element;
 
@@ -869,7 +870,7 @@ mod tests {
         let route_hits: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
         let hits = Arc::clone(&route_hits);
         let route: Service = Arc::new(move |request: SoapRequest| {
-            hits.lock().push(request.envelope.body().map(|b| b.text()).unwrap_or_default());
+            hits.lock().push(request.envelope()?.body().map(|b| b.text()).unwrap_or_default());
             Ok(SoapReply::Accepted)
         });
         let mut net = NetRuntime::new(99, quick_config());

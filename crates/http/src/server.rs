@@ -7,15 +7,20 @@
 //! pull from the shared receiver and run the connection until it closes,
 //! idles out, or the server shuts down.
 //!
-//! Every POSTed body is parsed as a SOAP [`Envelope`] and handed to the
-//! [`Service`] closure. The HTTP status mapping follows the SOAP 1.2 HTTP
-//! binding:
+//! Every POSTed body is checked — well-formed XML with the shape of a SOAP
+//! envelope (root `env:Envelope`, an `env:Body`), or a `urn:ws-gossip:batch`
+//! of them — in one streaming pass that builds no tree, and handed to the
+//! [`Service`] closure as the sender's bytes. A service that needs the
+//! decoded message asks [`SoapRequest::envelope`] for it; one that only
+//! relays the bytes (the gossip route) never pays for a parse. The HTTP
+//! status mapping follows the SOAP 1.2 HTTP binding:
 //!
 //! | service outcome              | HTTP response                        |
 //! |------------------------------|--------------------------------------|
 //! | `Ok(SoapReply::Accepted)`    | `202 Accepted`, empty body           |
 //! | `Ok(SoapReply::Envelope(_))` | `200 OK`, response envelope          |
-//! | `Err(Fault)`                 | `500`, fault envelope in the body    |
+//! | `Err(Fault)`, code `Sender`  | `400`, fault envelope in the body    |
+//! | `Err(Fault)`, any other code | `500`, fault envelope in the body    |
 //! | body is not an envelope      | `400`, `Sender` fault envelope       |
 //! | `GET /metrics`               | `200`, metric registry exposition    |
 //! | `GET` anything else          | `404 Not Found`                      |
@@ -33,7 +38,8 @@ use std::time::{Duration, Instant};
 use wsg_net::sync::Mutex;
 use wsg_obs::{Counter, Family, HistogramMetric, Registry};
 use wsg_soap::handler::Direction;
-use wsg_soap::{Envelope, Fault, FaultCode, HandlerChain, MessageHeaders};
+use wsg_soap::batch::{parse_wire, Unbundled};
+use wsg_soap::{Envelope, Fault, FaultCode, HandlerChain, MessageHeaders, SoapError};
 
 use crate::message::Response;
 use crate::parser::{Parsed, RequestParser};
@@ -67,22 +73,38 @@ impl Default for HttpServerConfig {
     }
 }
 
-/// A decoded SOAP request as handed to the [`Service`].
+/// One SOAP message as handed to the [`Service`]: checked for the shape
+/// of an envelope, not decoded.
 #[derive(Debug, Clone)]
 pub struct SoapRequest {
     /// Request target path with any query string stripped (`"/gossip"`,
     /// `"/membership"`, ...) — services route multi-endpoint nodes on it.
     pub target: String,
-    /// `SOAPAction` header, quotes stripped.
-    pub action: Option<String>,
     /// Sending node id from the [`NODE_HEADER`] header, when present.
     pub from_node: Option<usize>,
     /// Peer socket address of the connection.
     pub peer: SocketAddr,
-    /// The parsed envelope.
-    pub envelope: Envelope,
-    /// The raw XML body as received.
+    /// The envelope XML as received (a batched message: as a standalone
+    /// document).
     pub raw: String,
+}
+
+impl SoapRequest {
+    /// Decode the message.
+    ///
+    /// # Errors
+    ///
+    /// The `Sender` fault (HTTP 400) for an envelope whose headers or
+    /// fault body cannot be decoded.
+    #[allow(clippy::result_large_err)] // the Err is what a Service returns
+    pub fn envelope(&self) -> Result<Envelope, Fault> {
+        Envelope::parse(&self.raw).map_err(not_an_envelope)
+    }
+}
+
+/// The `Sender` fault answering a POST that is not a SOAP envelope.
+fn not_an_envelope(err: SoapError) -> Fault {
+    Fault::new(FaultCode::Sender, format!("body is not a SOAP envelope: {err}"))
 }
 
 /// What the service wants sent back.
@@ -568,58 +590,28 @@ fn handle_request(
     // each is dispatched through the service exactly as if it had arrived
     // alone (inner `target` attributes override the POST target for
     // piggybacked routes), and the whole batch is answered once — 202 on
-    // success, the first fault otherwise. Inner reply envelopes are
-    // dropped: a batch is a one-way transport frame. `parse_wire` streams
-    // the document once, slicing each inner envelope's `raw` bytes back
-    // out of the request body instead of re-serialising trees.
-    let root = match wsg_soap::batch::parse_wire(&raw) {
-        Ok(wsg_soap::batch::Unbundled::Batch(messages)) => {
+    // success, the first fault otherwise. Every message is dispatched
+    // even after one faults: the sender books the whole POST as delivered,
+    // so stopping early would lose the rest silently. Inner reply
+    // envelopes are dropped: a batch is a one-way transport frame.
+    // `parse_wire` streams the document once, slicing each inner
+    // envelope's `raw` bytes back out of the request body.
+    let soap_request = |target: String, raw: String| SoapRequest { target, from_node, peer, raw };
+    let outcome = match parse_wire(&raw) {
+        Ok(Unbundled::Batch(messages)) => {
+            let mut first_fault = None;
             for message in messages {
-                let action = message.envelope.addressing().action().map(str::to_string);
-                let soap_request = SoapRequest {
-                    target: message.target.unwrap_or_else(|| post_target.clone()),
-                    action,
-                    from_node,
-                    peer,
-                    envelope: message.envelope,
-                    raw: message.raw,
-                };
-                if let Err(fault) = service(soap_request) {
-                    counters.faults.inc();
-                    return fault_response(500, fault);
+                let target = message.target.unwrap_or_else(|| post_target.clone());
+                if let Err(fault) = service(soap_request(target, message.raw)) {
+                    first_fault.get_or_insert(fault);
                 }
             }
-            return Response::new(202, "Accepted");
+            first_fault.map_or(Ok(SoapReply::Accepted), Err)
         }
-        Ok(wsg_soap::batch::Unbundled::Single(root)) => root,
-        Err(err) => {
-            counters.faults.inc();
-            return fault_response(
-                400,
-                Fault::new(FaultCode::Sender, format!("body is not a SOAP envelope: {err}")),
-            );
-        }
+        Ok(Unbundled::Single(Ok(()))) => service(soap_request(post_target, raw)),
+        Ok(Unbundled::Single(Err(err))) | Err(err) => Err(not_an_envelope(err)),
     };
-
-    let envelope = match Envelope::from_element(&root) {
-        Ok(envelope) => envelope,
-        Err(err) => {
-            counters.faults.inc();
-            return fault_response(
-                400,
-                Fault::new(FaultCode::Sender, format!("body is not a SOAP envelope: {err}")),
-            );
-        }
-    };
-    let soap_request = SoapRequest {
-        target: post_target,
-        action: request.soap_action().map(str::to_string),
-        from_node,
-        peer,
-        envelope,
-        raw,
-    };
-    match service(soap_request) {
+    match outcome {
         Ok(SoapReply::Accepted) => Response::new(202, "Accepted"),
         Ok(SoapReply::Envelope(envelope)) => Response::with_body(
             200,
@@ -629,7 +621,8 @@ fn handle_request(
         ),
         Err(fault) => {
             counters.faults.inc();
-            fault_response(500, fault)
+            let status = if fault.code() == FaultCode::Sender { 400 } else { 500 };
+            fault_response(status, fault)
         }
     }
 }
@@ -644,7 +637,7 @@ fn fault_response(status: u16, fault: Fault) -> Response {
 ///
 /// Inbound envelopes run through the chain exactly as in the simulated
 /// runtimes: `Deliver` hands the processed envelope to `app`, `Consumed`
-/// maps to `202 Accepted`, and a chain fault becomes the HTTP 500 fault
+/// maps to `202 Accepted`, and a chain fault becomes the HTTP fault
 /// path. Envelopes the chain wants re-routed (`ChainResult::sends`) go to
 /// `out`, which the caller connects to its client transport.
 pub fn chain_service(
@@ -656,8 +649,8 @@ pub fn chain_service(
     let chain = Mutex::new(chain);
     let local_address = local_address.into();
     Arc::new(move |request: SoapRequest| {
-        let result =
-            chain.lock().process(Direction::Inbound, request.envelope, local_address.as_str());
+        let envelope = request.envelope()?;
+        let result = chain.lock().process(Direction::Inbound, envelope, local_address.as_str());
         for send in result.sends {
             out(send);
         }
@@ -695,7 +688,7 @@ mod tests {
     }
 
     fn echo_service() -> Service {
-        Arc::new(|req: SoapRequest| Ok(SoapReply::Envelope(req.envelope)))
+        Arc::new(|req: SoapRequest| Ok(SoapReply::Envelope(req.envelope()?)))
     }
 
     fn raw_exchange(addr: SocketAddr, wire: &[u8]) -> String {
@@ -838,6 +831,68 @@ mod tests {
         );
         assert!(reply.starts_with("HTTP/1.1 400 "), "got: {reply}");
         assert!(reply.contains("Sender"), "fault code missing: {reply}");
+        assert!(reply.contains("body is not a SOAP envelope: invalid xml: "), "got: {reply}");
+        assert_eq!(server.faults_served(), 1);
+        // Well-formed, but not an envelope: same status, the shape named.
+        for (body, reason) in [
+            ("<a/>", "not a soap 1.2 envelope: root element is a"),
+            (
+                "<e:Envelope xmlns:e=\"http://www.w3.org/2003/05/soap-envelope\"/>",
+                "envelope missing Body",
+            ),
+        ] {
+            let wire = format!(
+                "POST / HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+                body.len()
+            );
+            let reply = raw_exchange(server.local_addr(), wire.as_bytes());
+            assert!(reply.starts_with("HTTP/1.1 400 "), "got: {reply}");
+            assert!(
+                reply.contains(&format!("body is not a SOAP envelope: {reason}")),
+                "got: {reply}"
+            );
+        }
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_fault_mid_batch_still_dispatches_the_rest() {
+        // The sender books every message of a POST it got any answer to as
+        // delivered, so the server owes each of them a dispatch.
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&seen);
+        let service: Service = Arc::new(move |req: SoapRequest| {
+            let tick = req.envelope()?.body().map(|b| b.text()).unwrap_or_default();
+            log.lock().push(tick.clone());
+            match tick.as_str() {
+                "1" => Err(Fault::new(FaultCode::Receiver, "inbox closed at 1")),
+                "2" => Err(Fault::new(FaultCode::Receiver, "inbox closed at 2")),
+                _ => Ok(SoapReply::Accepted),
+            }
+        });
+        let mut server =
+            SoapHttpServer::bind("127.0.0.1:0", service, HttpServerConfig::default()).unwrap();
+        let xmls: Vec<String> = (0..4)
+            .map(|i| {
+                Envelope::request(
+                    MessageHeaders::request("http://node1/gossip", "urn:svc:Notify"),
+                    wsg_xml::Element::text_node("tick", i.to_string()),
+                )
+                .to_xml()
+            })
+            .collect();
+        let items: Vec<wsg_soap::batch::BatchItem<'_>> =
+            xmls.iter().map(|xml| wsg_soap::batch::BatchItem { target: None, xml }).collect();
+        let mut body = String::new();
+        wsg_soap::batch::write_batch(&items, &mut body);
+        let wire = format!(
+            "POST /gossip HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+            body.len()
+        );
+        let reply = raw_exchange(server.local_addr(), wire.as_bytes());
+        assert!(reply.starts_with("HTTP/1.1 500 "), "got: {reply}");
+        assert!(reply.contains("inbox closed at 1"), "the first fault answers: {reply}");
+        assert_eq!(*seen.lock(), ["0", "1", "2", "3"], "every message is dispatched");
         assert_eq!(server.faults_served(), 1);
         server.shutdown();
     }
@@ -938,10 +993,8 @@ mod tests {
         );
         let request = SoapRequest {
             target: "/gossip".into(),
-            action: Some("urn:svc:Notify".into()),
             from_node: Some(1),
             peer: "127.0.0.1:1".parse().unwrap(),
-            envelope: sample_envelope(),
             raw: sample_envelope().to_xml(),
         };
         assert!(matches!(service(request), Ok(SoapReply::Accepted)));

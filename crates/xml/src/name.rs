@@ -142,8 +142,8 @@ impl From<String> for QName {
     }
 }
 
-/// A stack of in-scope namespace declarations used by both the reader and
-/// the writer to resolve prefixes.
+/// A stack of in-scope namespace declarations the writer resolves and
+/// allocates prefixes against (the reader keeps its own borrowed form).
 #[derive(Debug, Clone, Default)]
 pub struct NamespaceScope {
     // (depth, prefix, uri); "" prefix is the default namespace.
@@ -185,19 +185,11 @@ impl NamespaceScope {
     /// `None` when nothing is declared, and `Some("")` is normalised to
     /// `None` by callers treating it as "no namespace".
     pub fn resolve(&self, prefix: &str) -> Option<&str> {
-        self.resolve_with_depth(prefix).map(|(_, uri)| uri)
-    }
-
-    /// Like [`resolve`](Self::resolve), but also reporting the scope depth
-    /// the winning binding was declared at (0 = the implicit `xml`
-    /// binding). Lets callers distinguish bindings inherited from ancestor
-    /// elements from ones declared within a subtree of interest.
-    pub fn resolve_with_depth(&self, prefix: &str) -> Option<(usize, &str)> {
         self.bindings
             .iter()
             .rev()
             .find(|(_, p, _)| p == prefix)
-            .map(|(depth, _, uri)| (*depth, uri.as_str()))
+            .map(|(_, _, uri)| uri.as_str())
     }
 
     /// Find a prefix already bound to `uri`, preferring the innermost.
@@ -207,11 +199,6 @@ impl NamespaceScope {
             .rev()
             .find(|(_, p, u)| u == uri && self.resolve(p) == Some(uri))
             .map(|(_, p, _)| p.as_str())
-    }
-
-    /// Nesting depth of the current scope.
-    pub fn depth(&self) -> usize {
-        self.depth
     }
 }
 

@@ -1,14 +1,79 @@
 //! A namespace-aware pull parser.
+//!
+//! Two layers share one grammar. The **token layer** ([`XmlReader`]'s
+//! private `next_token`) recognises every construct as slices of the
+//! input and enforces all well-formedness and namespace rules without
+//! building a `String` or a [`QName`]. On top of it sit two consumers:
+//! [`XmlReader::next_event`] turns tokens into owned [`XmlEvent`]s, and
+//! [`XmlReader::skip_element`] discards them — same accept/reject
+//! decisions, same end offset, no allocation.
+
+use std::borrow::Cow;
 
 use wsg_net::cov;
 
 use crate::error::{XmlError, XmlErrorKind};
-use crate::escape::{is_name_char, is_name_start, unescape, validate_qname};
+use crate::escape::{check_refs, is_name_char, is_name_start, unescape, validate_qname};
 use crate::event::{Attribute, XmlEvent};
-use crate::name::{NamespaceScope, QName};
+use crate::name::QName;
 
 /// Maximum element nesting depth accepted by the reader.
 pub const MAX_DEPTH: usize = 512;
+
+/// One lexical construct, as slices of the input.
+enum Token<'a> {
+    /// `<?xml ...?>` at the document start; the pseudo-attribute text.
+    Declaration(&'a str),
+    Pi { target: &'a str, data: &'a str },
+    Comment(&'a str),
+    CData(&'a str),
+    /// Character data, still escaped; the consumer resolves or checks its
+    /// references (`unescape` / `check_refs`) from byte offset `at`.
+    Text { raw: &'a str, at: usize },
+    /// A start tag. The element is open, its scope pushed and its
+    /// attributes (validated) sit in `XmlReader::attrs`.
+    Start { lexical: &'a str, empty: bool },
+    /// A matched end tag (or the synthetic one after `<a/>`). The element
+    /// stays open until the consumer calls `close_element`, so its own
+    /// namespace declarations can still resolve its name.
+    End { lexical: &'a str },
+    Eof,
+}
+
+/// An attribute as written: lexical name and still-escaped value.
+#[derive(Debug)]
+struct RawAttr<'a> {
+    name: &'a str,
+    raw: &'a str,
+    // Byte offset of `raw` in the input, for error positions.
+    at: usize,
+}
+
+/// In-scope namespace bindings over borrowed input: `(depth, prefix,
+/// uri)`, innermost last; the empty prefix is the default namespace.
+#[derive(Debug)]
+struct Bindings<'a> {
+    entries: Vec<(usize, &'a str, Cow<'a, str>)>,
+    depth: usize,
+}
+
+impl<'a> Bindings<'a> {
+    fn pop_scope(&mut self) {
+        while matches!(self.entries.last(), Some((d, _, _)) if *d == self.depth) {
+            self.entries.pop();
+        }
+        self.depth = self.depth.saturating_sub(1);
+    }
+
+    /// The winning binding for `prefix` and the depth it was declared at.
+    fn resolve(&self, prefix: &str) -> Option<(usize, &str)> {
+        self.entries
+            .iter()
+            .rev()
+            .find(|(_, p, _)| *p == prefix)
+            .map(|(depth, _, uri)| (*depth, uri.as_ref()))
+    }
+}
 
 /// A pull parser over an in-memory document.
 ///
@@ -32,30 +97,42 @@ pub const MAX_DEPTH: usize = 512;
 pub struct XmlReader<'a> {
     input: &'a str,
     pos: usize,
-    scope: NamespaceScope,
-    // Stack of open element lexical names (for close-tag matching) plus the
-    // resolved QName to emit on EndElement.
-    open: Vec<(String, QName)>,
-    // A pending synthetic EndElement for a self-closing tag.
-    pending_end: Option<QName>,
+    scope: Bindings<'a>,
+    // Lexical names of the open elements, for close-tag matching.
+    open: Vec<&'a str>,
+    // Attributes of the start tag last tokenized; reused across tags.
+    attrs: Vec<RawAttr<'a>>,
+    // The last start tag was self-closing: its synthetic End is next.
+    pending_end: bool,
     seen_root: bool,
     finished: bool,
     // Shallowest scope depth a namespace resolution consulted since the
     // last `reset_binding_watermark` (`usize::MAX` = none). Depth-0
-    // bindings (the implicit `xml` prefix) never count: they exist in
-    // every document, so relying on them keeps a slice self-contained.
+    // bindings (the implicit `xml` prefix, a fragment's outer bindings)
+    // never count: they are in scope wherever the subtree goes.
     binding_watermark: usize,
 }
 
 impl<'a> XmlReader<'a> {
     /// Create a reader over `input`.
     pub fn new(input: &'a str) -> Self {
+        Self::with_bindings(input, &[])
+    }
+
+    /// A reader over a fragment cut out of a larger document: `outer`
+    /// lists the `(prefix, uri)` bindings that were in scope where the
+    /// fragment stood, outermost first (later entries shadow earlier
+    /// ones; the empty prefix is the default namespace).
+    pub fn with_bindings(input: &'a str, outer: &'a [(String, String)]) -> Self {
+        let mut entries = vec![(0, "xml", Cow::Borrowed(crate::XML_NS))];
+        entries.extend(outer.iter().map(|(p, u)| (0, p.as_str(), Cow::Borrowed(u.as_str()))));
         XmlReader {
             input,
             pos: 0,
-            scope: NamespaceScope::new(),
+            scope: Bindings { entries, depth: 0 },
             open: Vec::new(),
-            pending_end: None,
+            attrs: Vec::new(),
+            pending_end: false,
             seen_root: false,
             finished: false,
             binding_watermark: usize::MAX,
@@ -69,7 +146,20 @@ impl<'a> XmlReader<'a> {
 
     /// Depth of the current namespace scope (one level per open element).
     pub fn scope_depth(&self) -> usize {
-        self.scope.depth()
+        self.scope.depth
+    }
+
+    /// The `(prefix, uri)` bindings declared by the open elements,
+    /// outermost first (shadowed ones included, before their shadowers) —
+    /// what [`XmlReader::with_bindings`] needs to read a subtree cut out
+    /// at this point.
+    pub fn in_scope_bindings(&self) -> Vec<(String, String)> {
+        self.scope
+            .entries
+            .iter()
+            .filter(|(depth, _, _)| *depth > 0)
+            .map(|(_, prefix, uri)| (prefix.to_string(), uri.to_string()))
+            .collect()
     }
 
     /// Start tracking which namespace bindings the following events consult.
@@ -87,12 +177,6 @@ impl<'a> XmlReader<'a> {
         self.binding_watermark
     }
 
-    fn note_binding_depth(&mut self, depth: usize) {
-        if depth > 0 {
-            self.binding_watermark = self.binding_watermark.min(depth);
-        }
-    }
-
     /// Depth of currently open elements.
     pub fn depth(&self) -> usize {
         self.open.len()
@@ -105,28 +189,97 @@ impl<'a> XmlReader<'a> {
     /// Returns an [`XmlError`] on malformed input; the reader should not be
     /// used further after an error.
     pub fn next_event(&mut self) -> Result<XmlEvent, XmlError> {
-        if let Some(name) = self.pending_end.take() {
-            cov!();
-            self.open.pop();
-            self.scope.pop_scope();
-            return Ok(XmlEvent::EndElement { name });
-        }
-        if self.finished {
-            cov!();
-            return Ok(XmlEvent::Eof);
-        }
-        if self.pos >= self.input.len() {
-            cov!();
-            return self.at_eof();
-        }
+        Ok(match self.next_token()? {
+            Token::Declaration(data) => XmlEvent::Declaration {
+                version: pseudo_attr(data, "version").unwrap_or_else(|| "1.0".to_string()),
+                encoding: pseudo_attr(data, "encoding"),
+            },
+            Token::Pi { target, data } => XmlEvent::ProcessingInstruction {
+                target: target.to_string(),
+                data: data.to_string(),
+            },
+            Token::Comment(text) => XmlEvent::Comment(text.to_string()),
+            Token::CData(text) => XmlEvent::CData(text.to_string()),
+            Token::Text { raw, at } => XmlEvent::Text(unescape(raw, at)?.into_owned()),
+            Token::Start { lexical, empty } => {
+                let name = self.qname(lexical, true);
+                let raw_attrs = std::mem::take(&mut self.attrs);
+                let mut attributes = Vec::with_capacity(raw_attrs.len());
+                for attr in &raw_attrs {
+                    if declared_prefix(attr.name).is_some() {
+                        continue;
+                    }
+                    attributes.push(Attribute {
+                        // Per the namespaces spec, unprefixed attributes are
+                        // in no namespace (the default does not apply).
+                        name: self.qname(attr.name, false),
+                        value: attr_value(attr)?.into_owned(),
+                    });
+                }
+                self.attrs = raw_attrs;
+                XmlEvent::StartElement { name, attributes, empty }
+            }
+            Token::End { lexical } => {
+                let name = self.qname(lexical, true);
+                self.close_element();
+                XmlEvent::EndElement { name }
+            }
+            Token::Eof => XmlEvent::Eof,
+        })
+    }
 
-        let rest = &self.input[self.pos..];
-        if rest.starts_with('<') {
-            cov!();
-            self.parse_markup()
-        } else {
-            cov!();
-            self.parse_text()
+    /// Advance past the end tag of the innermost open element — after a
+    /// [`XmlEvent::StartElement`], past that element's whole subtree —
+    /// enforcing every rule [`next_event`](Self::next_event) enforces
+    /// (it drives the same tokenizer) while building no event, name or
+    /// text: the fast path for subtrees a consumer only needs to frame.
+    /// With no element open it does nothing.
+    ///
+    /// # Errors
+    ///
+    /// Exactly the error `next_event` would have raised in the subtree.
+    pub fn skip_element(&mut self) -> Result<(), XmlError> {
+        let target = self.open.len();
+        if target == 0 {
+            return Ok(());
+        }
+        loop {
+            match self.next_token()? {
+                Token::Text { raw, at } => {
+                    cov!();
+                    check_refs(raw, at)?;
+                }
+                Token::End { .. } => {
+                    cov!();
+                    self.close_element();
+                    if self.open.len() < target {
+                        return Ok(());
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Consume the epilogue once the root element has closed: only
+    /// comments, processing instructions and whitespace may follow, so
+    /// trailing junk (a second root, stray text) is rejected rather than
+    /// silently ignored.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the tokenizer raises for the trailing content.
+    pub fn finish(&mut self) -> Result<(), XmlError> {
+        loop {
+            match self.next_token()? {
+                Token::Eof => return Ok(()),
+                Token::Comment(_) | Token::Pi { .. } => {}
+                _ => {
+                    return Err(self.err(XmlErrorKind::Malformed(
+                        "content after root element".into(),
+                    )))
+                }
+            }
         }
     }
 
@@ -149,8 +302,57 @@ impl<'a> XmlReader<'a> {
         }
     }
 
-    fn at_eof(&mut self) -> Result<XmlEvent, XmlError> {
-        if let Some((lexical, _)) = self.open.last() {
+    /// The resolved name for a lexical one the tokenizer already accepted
+    /// (so every prefix is bound). `element`: the default namespace
+    /// applies to unprefixed element names, never to attributes.
+    fn qname(&self, lexical: &str, element: bool) -> QName {
+        let (prefix, local) = QName::split_lexical(lexical);
+        match prefix {
+            Some(p) => {
+                let uri = self.scope.resolve(p).map_or("", |(_, uri)| uri);
+                QName::with_ns(uri, local).with_prefix(p)
+            }
+            None => match self.scope.resolve("").filter(|_| element) {
+                Some((_, uri)) if !uri.is_empty() => QName::with_ns(uri, local),
+                _ => QName::new(local),
+            },
+        }
+    }
+
+    /// Leave the element whose `End` token was just handled.
+    fn close_element(&mut self) {
+        self.open.pop();
+        self.scope.pop_scope();
+    }
+
+    fn next_token(&mut self) -> Result<Token<'a>, XmlError> {
+        if self.pending_end {
+            cov!();
+            self.pending_end = false;
+            let lexical = self.open.last().copied().unwrap_or_default();
+            return Ok(Token::End { lexical });
+        }
+        if self.finished {
+            cov!();
+            return Ok(Token::Eof);
+        }
+        if self.pos >= self.input.len() {
+            cov!();
+            return self.at_eof();
+        }
+
+        let rest = &self.input[self.pos..];
+        if rest.starts_with('<') {
+            cov!();
+            self.parse_markup()
+        } else {
+            cov!();
+            self.parse_text()
+        }
+    }
+
+    fn at_eof(&mut self) -> Result<Token<'a>, XmlError> {
+        if let Some(lexical) = self.open.last() {
             cov!();
             return Err(XmlError::new(
                 XmlErrorKind::Malformed(format!("unclosed element <{lexical}>")),
@@ -162,14 +364,14 @@ impl<'a> XmlReader<'a> {
             return Err(self.err(XmlErrorKind::UnexpectedEof));
         }
         self.finished = true;
-        Ok(XmlEvent::Eof)
+        Ok(Token::Eof)
     }
 
     fn err(&self, kind: XmlErrorKind) -> XmlError {
         XmlError::new(kind, self.pos)
     }
 
-    fn parse_text(&mut self) -> Result<XmlEvent, XmlError> {
+    fn parse_text(&mut self) -> Result<Token<'a>, XmlError> {
         let start = self.pos;
         let rest = &self.input[start..];
         let end = rest.find('<').map(|i| start + i).unwrap_or(self.input.len());
@@ -182,7 +384,7 @@ impl<'a> XmlReader<'a> {
                 return if self.pos >= self.input.len() {
                     self.at_eof()
                 } else {
-                    self.next_event()
+                    self.next_token()
                 };
             }
             cov!();
@@ -199,11 +401,10 @@ impl<'a> XmlReader<'a> {
             ));
         }
         cov!();
-        let text = unescape(raw, start)?;
-        Ok(XmlEvent::Text(text.into_owned()))
+        Ok(Token::Text { raw, at: start })
     }
 
-    fn parse_markup(&mut self) -> Result<XmlEvent, XmlError> {
+    fn parse_markup(&mut self) -> Result<Token<'a>, XmlError> {
         let rest = &self.input[self.pos..];
         if let Some(r) = rest.strip_prefix("<?") {
             cov!();
@@ -231,7 +432,7 @@ impl<'a> XmlReader<'a> {
         self.parse_start_tag()
     }
 
-    fn parse_pi(&mut self, after: &str) -> Result<XmlEvent, XmlError> {
+    fn parse_pi(&mut self, after: &'a str) -> Result<Token<'a>, XmlError> {
         let close = after
             .find("?>")
             .ok_or_else(|| self.err(XmlErrorKind::UnexpectedEof))?;
@@ -252,17 +453,12 @@ impl<'a> XmlReader<'a> {
                 ));
             }
             cov!();
-            let version = pseudo_attr(data, "version").unwrap_or_else(|| "1.0".to_string());
-            let encoding = pseudo_attr(data, "encoding");
-            return Ok(XmlEvent::Declaration { version, encoding });
+            return Ok(Token::Declaration(data));
         }
-        Ok(XmlEvent::ProcessingInstruction {
-            target: target.to_string(),
-            data: data.to_string(),
-        })
+        Ok(Token::Pi { target, data })
     }
 
-    fn parse_comment(&mut self) -> Result<XmlEvent, XmlError> {
+    fn parse_comment(&mut self) -> Result<Token<'a>, XmlError> {
         let body = &self.input[self.pos + 4..];
         let close = body
             .find("-->")
@@ -273,10 +469,10 @@ impl<'a> XmlReader<'a> {
             return Err(self.err(XmlErrorKind::Malformed("'--' inside comment".into())));
         }
         self.pos += 4 + close + 3;
-        Ok(XmlEvent::Comment(text.to_string()))
+        Ok(Token::Comment(text))
     }
 
-    fn parse_cdata(&mut self) -> Result<XmlEvent, XmlError> {
+    fn parse_cdata(&mut self) -> Result<Token<'a>, XmlError> {
         if self.open.is_empty() {
             cov!();
             return Err(self.err(XmlErrorKind::Malformed(
@@ -288,12 +484,11 @@ impl<'a> XmlReader<'a> {
         let close = body
             .find("]]>")
             .ok_or_else(|| self.err(XmlErrorKind::UnexpectedEof))?;
-        let text = body[..close].to_string();
         self.pos += 9 + close + 3;
-        Ok(XmlEvent::CData(text))
+        Ok(Token::CData(&body[..close]))
     }
 
-    fn parse_end_tag(&mut self) -> Result<XmlEvent, XmlError> {
+    fn parse_end_tag(&mut self) -> Result<Token<'a>, XmlError> {
         let tag_start = self.pos;
         let body = &self.input[self.pos + 2..];
         let close = body
@@ -301,34 +496,36 @@ impl<'a> XmlReader<'a> {
             .ok_or_else(|| self.err(XmlErrorKind::UnexpectedEof))?;
         let lexical = body[..close].trim_end();
         self.pos += 2 + close + 1;
-        let (open_lexical, qname) = self.open.pop().ok_or_else(|| {
+        let Some(&open_lexical) = self.open.last() else {
             cov!();
-            XmlError::new(
+            return Err(XmlError::new(
                 XmlErrorKind::Malformed(format!("close tag </{lexical}> with no open element")),
                 tag_start,
-            )
-        })?;
+            ));
+        };
         if open_lexical != lexical {
             cov!();
             return Err(XmlError::new(
-                XmlErrorKind::MismatchedTag { expected: open_lexical, found: lexical.to_string() },
+                XmlErrorKind::MismatchedTag {
+                    expected: open_lexical.to_string(),
+                    found: lexical.to_string(),
+                },
                 tag_start,
             ));
         }
         cov!();
-        self.scope.pop_scope();
-        Ok(XmlEvent::EndElement { name: qname })
+        Ok(Token::End { lexical })
     }
 
-    fn parse_start_tag(&mut self) -> Result<XmlEvent, XmlError> {
+    fn parse_start_tag(&mut self) -> Result<Token<'a>, XmlError> {
         let tag_start = self.pos;
         self.pos += 1; // consume '<'
         let lexical = self.read_name()?;
-        if validate_qname(&lexical).is_err() {
+        if validate_qname(lexical).is_err() {
             cov!();
-            return Err(XmlError::new(XmlErrorKind::InvalidName(lexical), tag_start));
+            return Err(XmlError::new(XmlErrorKind::InvalidName(lexical.to_string()), tag_start));
         }
-        let mut raw_attrs: Vec<(String, String)> = Vec::new();
+        self.attrs.clear();
         let empty;
         loop {
             self.skip_whitespace();
@@ -349,13 +546,16 @@ impl<'a> XmlReader<'a> {
                 cov!();
                 return Err(self.err(XmlErrorKind::UnexpectedEof));
             }
-            let (name, value) = self.read_attribute()?;
-            if raw_attrs.iter().any(|(n, _)| *n == name) {
+            let attr = self.read_attribute()?;
+            if self.attrs.iter().any(|seen| seen.name == attr.name) {
                 cov!();
-                return Err(XmlError::new(XmlErrorKind::DuplicateAttribute(name), tag_start));
+                return Err(XmlError::new(
+                    XmlErrorKind::DuplicateAttribute(attr.name.to_string()),
+                    tag_start,
+                ));
             }
             cov!();
-            raw_attrs.push((name, value));
+            self.attrs.push(attr);
         }
 
         if self.open.is_empty() {
@@ -377,85 +577,61 @@ impl<'a> XmlReader<'a> {
         }
 
         // Namespace processing: declarations first, then resolution.
-        self.scope.push_scope();
-        for (name, value) in &raw_attrs {
-            if name == "xmlns" {
-                cov!();
-                self.scope.declare("", value);
-            } else if let Some(prefix) = name.strip_prefix("xmlns:") {
-                cov!();
-                if value.is_empty() {
-                    cov!();
-                    return Err(XmlError::new(
-                        XmlErrorKind::Malformed(format!(
-                            "cannot bind prefix '{prefix}' to empty namespace"
-                        )),
-                        tag_start,
-                    ));
-                }
-                self.scope.declare(prefix, value);
-            }
-        }
-
-        let name = self.resolve_element(&lexical, tag_start)?;
-        let mut attributes = Vec::with_capacity(raw_attrs.len());
-        for (raw_name, value) in raw_attrs {
-            if raw_name == "xmlns" || raw_name.starts_with("xmlns:") {
-                continue;
-            }
-            let (prefix, local) = QName::split_lexical(&raw_name);
-            let qname = match prefix {
-                // Per the namespaces spec, unprefixed attributes are in no
-                // namespace (the default namespace does not apply).
-                None => QName::new(local),
-                Some(p) => {
-                    let (depth, uri) = self.scope.resolve_with_depth(p).ok_or_else(|| {
-                        cov!();
-                        XmlError::new(XmlErrorKind::UndeclaredPrefix(p.to_string()), tag_start)
-                    })?;
-                    let name = QName::with_ns(uri, local).with_prefix(p);
-                    self.note_binding_depth(depth);
-                    name
-                }
-            };
-            attributes.push(Attribute { name: qname, value });
-        }
-
-        if empty {
+        self.scope.depth += 1;
+        for attr in &self.attrs {
+            let Some(prefix) = declared_prefix(attr.name) else { continue };
             cov!();
-            self.pending_end = Some(name.clone());
-            self.open.push((lexical, name.clone()));
-        } else {
-            cov!();
-            self.open.push((lexical, name.clone()));
-        }
-        Ok(XmlEvent::StartElement { name, attributes, empty })
-    }
-
-    fn resolve_element(&mut self, lexical: &str, at: usize) -> Result<QName, XmlError> {
-        let (prefix, local) = QName::split_lexical(lexical);
-        match prefix {
-            Some(p) => {
-                let (depth, uri) = self
-                    .scope
-                    .resolve_with_depth(p)
-                    .ok_or_else(|| XmlError::new(XmlErrorKind::UndeclaredPrefix(p.to_string()), at))?;
-                let name = QName::with_ns(uri, local).with_prefix(p);
-                self.note_binding_depth(depth);
-                Ok(name)
+            let uri = attr_value(attr)?;
+            if !prefix.is_empty() && uri.is_empty() {
+                cov!();
+                return Err(XmlError::new(
+                    XmlErrorKind::Malformed(format!(
+                        "cannot bind prefix '{prefix}' to empty namespace"
+                    )),
+                    tag_start,
+                ));
             }
-            None => match self.scope.resolve_with_depth("") {
-                Some((depth, uri)) if !uri.is_empty() => {
-                    let name = QName::with_ns(uri, local);
-                    self.note_binding_depth(depth);
-                    Ok(name)
-                }
-                _ => Ok(QName::new(local)),
+            self.scope.entries.push((self.scope.depth, prefix, uri));
+        }
+
+        // Depth-0 bindings never move the watermark.
+        let mut watermark = self.binding_watermark;
+        let mut consult = |depth: usize| {
+            if depth > 0 {
+                watermark = watermark.min(depth);
+            }
+        };
+        let undeclared = |prefix: &str| {
+            XmlError::new(XmlErrorKind::UndeclaredPrefix(prefix.to_string()), tag_start)
+        };
+        match QName::split_lexical(lexical).0 {
+            Some(prefix) => consult(self.scope.resolve(prefix).ok_or_else(|| undeclared(prefix))?.0),
+            None => match self.scope.resolve("") {
+                Some((depth, uri)) if !uri.is_empty() => consult(depth),
+                _ => {}
             },
         }
+        for attr in &self.attrs {
+            if declared_prefix(attr.name).is_some() {
+                continue;
+            }
+            if let Some(prefix) = QName::split_lexical(attr.name).0 {
+                let (depth, _) = self.scope.resolve(prefix).ok_or_else(|| {
+                    cov!();
+                    undeclared(prefix)
+                })?;
+                consult(depth);
+            }
+        }
+        self.binding_watermark = watermark;
+
+        self.open.push(lexical);
+        self.pending_end = empty;
+        cov!();
+        Ok(Token::Start { lexical, empty })
     }
 
-    fn read_name(&mut self) -> Result<String, XmlError> {
+    fn read_name(&mut self) -> Result<&'a str, XmlError> {
         let rest = &self.input[self.pos..];
         let mut chars = rest.char_indices();
         match chars.next() {
@@ -473,16 +649,15 @@ impl<'a> XmlReader<'a> {
             .find(|&(_, c)| !is_name_char(c))
             .map(|(i, _)| i)
             .unwrap_or(rest.len());
-        let name = &rest[..end];
         self.pos += end;
-        Ok(name.to_string())
+        Ok(&rest[..end])
     }
 
-    fn read_attribute(&mut self) -> Result<(String, String), XmlError> {
+    fn read_attribute(&mut self) -> Result<RawAttr<'a>, XmlError> {
         let name = self.read_name()?;
-        if validate_qname(&name).is_err() {
+        if validate_qname(name).is_err() {
             cov!();
-            return Err(self.err(XmlErrorKind::InvalidName(name)));
+            return Err(self.err(XmlErrorKind::InvalidName(name.to_string())));
         }
         self.skip_whitespace();
         if !self.input[self.pos..].starts_with('=') {
@@ -518,20 +693,10 @@ impl<'a> XmlReader<'a> {
                 "'<' not allowed in attribute value".into(),
             )));
         }
-        let value_start = self.pos + 1;
+        let at = self.pos + 1;
         self.pos += 1 + close + 1;
-        let value = unescape(raw, value_start)?;
-        // Attribute-value normalisation: whitespace characters become
-        // spaces. Almost no value needs it, so only rebuild when one does.
-        let normalised: String = if value.contains(['\t', '\n', '\r']) {
-            value
-                .chars()
-                .map(|c| if matches!(c, '\t' | '\n' | '\r') { ' ' } else { c })
-                .collect()
-        } else {
-            value.into_owned()
-        };
-        Ok((name, normalised))
+        check_refs(raw, at)?;
+        Ok(RawAttr { name, raw, at })
     }
 
     fn skip_whitespace(&mut self) {
@@ -539,6 +704,31 @@ impl<'a> XmlReader<'a> {
         let skip = rest.len() - rest.trim_start().len();
         self.pos += skip;
     }
+}
+
+/// The prefix an `xmlns` / `xmlns:p` attribute declares (empty for the
+/// default namespace); `None` for every other attribute.
+fn declared_prefix(attr_name: &str) -> Option<&str> {
+    match attr_name.strip_prefix("xmlns")? {
+        "" => Some(""),
+        rest => rest.strip_prefix(':'),
+    }
+}
+
+/// An attribute's value: references resolved, then attribute-value
+/// normalisation (whitespace characters become spaces). Almost no value
+/// needs either, so the input is borrowed unless one does.
+fn attr_value<'a>(attr: &RawAttr<'a>) -> Result<Cow<'a, str>, XmlError> {
+    let value = unescape(attr.raw, attr.at)?;
+    if !value.contains(['\t', '\n', '\r']) {
+        return Ok(value);
+    }
+    Ok(Cow::Owned(
+        value
+            .chars()
+            .map(|c| if matches!(c, '\t' | '\n' | '\r') { ' ' } else { c })
+            .collect(),
+    ))
 }
 
 fn pseudo_attr(data: &str, name: &str) -> Option<String> {
@@ -745,5 +935,92 @@ mod tests {
         let mut r = XmlReader::new("<a/>");
         while r.next_event().unwrap() != XmlEvent::Eof {}
         assert_eq!(r.next_event().unwrap(), XmlEvent::Eof);
+    }
+
+    /// Read to the root start tag, leave the root by `skip_element` or by
+    /// building its tree, and report where that ended (or the error).
+    fn leave_root(input: &str, skip: bool) -> Result<usize, XmlError> {
+        let mut reader = XmlReader::new(input);
+        loop {
+            if let XmlEvent::StartElement { name, attributes, .. } = reader.next_event()? {
+                if skip {
+                    reader.skip_element()?;
+                } else {
+                    crate::tree::Element::from_start_event(&mut reader, name, attributes)?;
+                }
+                let end = reader.position();
+                reader.finish()?;
+                return Ok(end);
+            }
+        }
+    }
+
+    #[test]
+    fn skip_element_agrees_with_tree_building_on_verdict_error_and_offset() {
+        for input in [
+            "<a/>",
+            "<?xml version=\"1.0\"?><a x=\"1\"><b>t &amp; u</b><![CDATA[<raw>]]><!-- c --><?pi d?></a> ",
+            "<p:a xmlns:p=\"urn:p\"><p:b p:k=\"v\"/></p:a>",
+            // Every rule the event layer enforces, broken once.
+            "<a><b></a></b>",
+            "<a><b>",
+            "<a><b x=\"1\" x=\"2\"/></a>",
+            "<a>&nope;</a>",
+            "<a>&#xD800;</a>",
+            "<a k=\"&nope;\"/>",
+            "<a>x]]>y</a>",
+            "<a><p:b/></a>",
+            "<a><b p:k=\"v\"/></a>",
+            "<a><!DOCTYPE b></a>",
+            "<a><wsa:0 xmlns:wsa=\"urn:w\"/></a>",
+            "<a><b xmlns:p=\"\"/></a>",
+            "<a><!-- a -- b --></a>",
+            "<a/><b/>",
+            "<a/>junk",
+        ] {
+            assert_eq!(leave_root(input, true), leave_root(input, false), "{input}");
+        }
+        let deep = format!("<r>{}</r>", "<a>".repeat(MAX_DEPTH + 8));
+        assert_eq!(leave_root(&deep, true), leave_root(&deep, false));
+        assert!(leave_root(&deep, true).is_err());
+    }
+
+    #[test]
+    fn skip_element_leaves_the_cursor_after_the_subtree() {
+        let mut r = XmlReader::new("<a><b><c/>text</b><d/></a>");
+        r.next_event().unwrap(); // <a>
+        r.next_event().unwrap(); // <b>
+        r.skip_element().unwrap();
+        assert_eq!(r.depth(), 1);
+        assert!(r.next_event().unwrap().is_start_of(None, "d"));
+        r.skip_element().unwrap(); // self-closing: only the synthetic end
+        assert!(r.next_event().unwrap().is_end_of(None, "a"));
+        r.skip_element().unwrap(); // nothing open: a no-op
+        assert_eq!(r.next_event().unwrap(), XmlEvent::Eof);
+    }
+
+    #[test]
+    fn skipping_moves_the_binding_watermark_like_reading() {
+        let mut r = XmlReader::new("<r xmlns:o=\"urn:o\"><a xmlns:i=\"urn:i\"><i:x/></a><b><o:x/></b></r>");
+        r.next_event().unwrap(); // <r>
+        r.next_event().unwrap(); // <a>
+        r.reset_binding_watermark();
+        r.skip_element().unwrap();
+        assert!(r.binding_watermark() > 1, "<a> resolves i: from its own declaration");
+        r.next_event().unwrap(); // <b>
+        r.reset_binding_watermark();
+        r.skip_element().unwrap();
+        assert_eq!(r.binding_watermark(), 1, "<b> leans on the root's o: binding");
+        assert_eq!(r.in_scope_bindings(), [("o".to_string(), "urn:o".to_string())]);
+    }
+
+    #[test]
+    fn a_fragment_reads_in_the_scope_it_was_cut_from() {
+        let outer = [("o".to_string(), "urn:o".to_string()), (String::new(), "urn:d".to_string())];
+        let mut r = XmlReader::with_bindings("<o:x><y/></o:x>", &outer);
+        assert!(r.next_event().unwrap().is_start_of(Some("urn:o"), "x"));
+        assert!(r.next_event().unwrap().is_start_of(Some("urn:d"), "y"));
+        assert_eq!(r.binding_watermark(), usize::MAX, "outer bindings sit at depth 0");
+        assert!(XmlReader::new("<o:x/>").next_event().is_err());
     }
 }

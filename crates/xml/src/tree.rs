@@ -254,7 +254,18 @@ impl Element {
     ///
     /// Returns the underlying [`XmlError`] for malformed documents.
     pub fn parse(input: &str) -> Result<Element, XmlError> {
-        let mut reader = XmlReader::new(input);
+        Self::parse_in_scope(input, &[])
+    }
+
+    /// Parse an element cut out of a larger document, given the
+    /// `(prefix, uri)` bindings that were in scope around it (see
+    /// [`XmlReader::with_bindings`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying [`XmlError`] for malformed input.
+    pub fn parse_in_scope(input: &str, outer: &[(String, String)]) -> Result<Element, XmlError> {
+        let mut reader = XmlReader::with_bindings(input, outer);
         let root = loop {
             match reader.next_event()? {
                 XmlEvent::StartElement { name, attributes, .. } => {
@@ -269,22 +280,8 @@ impl Element {
                 _ => {}
             }
         };
-        // Drain the epilogue so trailing junk (a second root, stray text)
-        // is rejected rather than silently ignored.
-        loop {
-            match reader.next_event()? {
-                XmlEvent::Eof => return Ok(root),
-                XmlEvent::Comment(_) | XmlEvent::ProcessingInstruction { .. } => {}
-                other => {
-                    return Err(XmlError::new(
-                        crate::error::XmlErrorKind::Malformed(format!(
-                            "content after root element: {other:?}"
-                        )),
-                        reader.position(),
-                    ))
-                }
-            }
-        }
+        reader.finish()?;
+        Ok(root)
     }
 
     /// Build the subtree for a [`XmlEvent::StartElement`] the caller has
@@ -316,15 +313,20 @@ impl Element {
             match reader.next_event()? {
                 XmlEvent::StartElement { name, attributes, .. } => {
                     let child = Self::from_reader(reader, name, attributes)?;
-                    element.content.push(Node::Element(child));
+                    element.push_parsed(Node::Element(child));
                 }
-                XmlEvent::EndElement { .. } => return Ok(element),
+                XmlEvent::EndElement { .. } => {
+                    // Parsed trees get kept (a delivered payload, a
+                    // header block): leave no growth slack behind.
+                    element.content.shrink_to_fit();
+                    return Ok(element);
+                }
                 XmlEvent::Text(t) | XmlEvent::CData(t) => {
                     // Merge adjacent text runs for a canonical tree.
                     if let Some(Node::Text(prev)) = element.content.last_mut() {
                         prev.push_str(&t);
                     } else {
-                        element.content.push(Node::Text(t));
+                        element.push_parsed(Node::Text(t));
                     }
                 }
                 XmlEvent::Comment(_) | XmlEvent::ProcessingInstruction { .. } => {}
@@ -337,6 +339,16 @@ impl Element {
                 }
             }
         }
+    }
+
+    /// Append a node while parsing. Most elements hold exactly one — a
+    /// text run — so the first gets room for one, not `Vec`'s default
+    /// four (a `Node` is as wide as an `Element`).
+    fn push_parsed(&mut self, node: Node) {
+        if self.content.is_empty() {
+            self.content.reserve_exact(1);
+        }
+        self.content.push(node);
     }
 
     /// Serialise this element as a compact document string.

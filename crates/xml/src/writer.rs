@@ -195,6 +195,43 @@ impl XmlWriter {
         Ok(())
     }
 
+    /// Splice `xml` — one or more already-serialised, well-formed elements
+    /// — in as content of the open element, byte for byte. The caller
+    /// vouches for it: every prefix it uses must be declared inside it or
+    /// bound in this writer's current scope with the same meaning.
+    ///
+    /// # Errors
+    ///
+    /// Fails outside the root element.
+    pub fn raw(&mut self, xml: &str) -> Result<(), XmlError> {
+        self.close_pending_tag(false)?;
+        if self.open.is_empty() {
+            return Err(self.misuse("raw content outside root element"));
+        }
+        if let Some(m) = self.mixed.last_mut() {
+            *m = true;
+        }
+        self.out.push_str(xml);
+        Ok(())
+    }
+
+    /// Run `write` and return exactly the bytes it appended (the open
+    /// start tag is closed first), so a caller can keep the serialised
+    /// form of content it will write again — see [`XmlWriter::raw`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates the error `write` returns.
+    pub fn capture(
+        &mut self,
+        write: impl FnOnce(&mut Self) -> Result<(), XmlError>,
+    ) -> Result<&str, XmlError> {
+        self.close_pending_tag(false)?;
+        let start = self.out.len();
+        write(self)?;
+        Ok(&self.out[start..])
+    }
+
     /// Write a CDATA section. The content must not contain `]]>`.
     ///
     /// # Errors

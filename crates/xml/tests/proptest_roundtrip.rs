@@ -114,22 +114,58 @@ fn pretty_output_preserves_names_and_attrs() {
     });
 }
 
-#[test]
-fn escape_unescape_text_roundtrip() {
-    run("escape_unescape_text_roundtrip", 64, |g| {
-        let s = xml_text(g);
-        let escaped = escape::escape_text(&s);
-        prop_assert_eq!(escape::unescape(&escaped, 0).unwrap().into_owned(), s);
-        Ok(())
-    });
+/// Text dense in everything either escaping mode rewrites, between clean
+/// runs of varying length (multi-byte characters included).
+fn special_heavy_text(g: &mut Gen) -> String {
+    const SPECIALS: &[char] = &['&', '<', '>', '"', '\'', '\t', '\n', '\r', ';', '#'];
+    let mut out = String::new();
+    for _ in 0..g.len_in(12) {
+        out.push_str(&xml_text(g));
+        for _ in 0..g.len_in(4) {
+            out.push(*g.pick(SPECIALS));
+        }
+    }
+    out
+}
+
+/// The escaping loop as it was before clean runs were copied whole: one
+/// `char` at a time. Kept as the byte-identity reference.
+fn escape_char_by_char(input: &str, attr: bool) -> String {
+    let mut out = String::new();
+    for c in input.chars() {
+        match c {
+            '&' => out.push_str("&amp;"),
+            '<' => out.push_str("&lt;"),
+            '>' => out.push_str("&gt;"),
+            '"' if attr => out.push_str("&quot;"),
+            '\t' if attr => out.push_str("&#9;"),
+            '\n' if attr => out.push_str("&#10;"),
+            '\r' if attr => out.push_str("&#13;"),
+            other => out.push(other),
+        }
+    }
+    out
 }
 
 #[test]
-fn escape_unescape_attr_roundtrip() {
-    run("escape_unescape_attr_roundtrip", 64, |g| {
-        let s = xml_text(g);
-        let escaped = escape::escape_attr(&s);
-        prop_assert_eq!(escape::unescape(&escaped, 0).unwrap().into_owned(), s);
+fn escaping_matches_the_reference_loop_and_roundtrips_in_both_modes() {
+    run("escaping_matches_the_reference_loop_and_roundtrips_in_both_modes", 128, |g| {
+        let s = if g.bool(0.5) { special_heavy_text(g) } else { xml_text(g) };
+        for attr in [false, true] {
+            let mut escaped = String::from("kept:");
+            if attr {
+                escape::escape_attr_into(&mut escaped, &s);
+                prop_assert_eq!(&escaped[5..], &*escape::escape_attr(&s));
+            } else {
+                escape::escape_text_into(&mut escaped, &s);
+                prop_assert_eq!(&escaped[5..], &*escape::escape_text(&s));
+            }
+            prop_assert_eq!(&escaped[5..], escape_char_by_char(&s, attr));
+            prop_assert_eq!(escape::unescape(&escaped[5..], 0).unwrap(), s.as_str());
+            // Validation without building the text agrees with building it.
+            prop_assert!(escape::check_refs(&escaped[5..], 0).is_ok());
+            prop_assert_eq!(escape::check_refs(&s, 7).err(), escape::unescape(&s, 7).err());
+        }
         Ok(())
     });
 }

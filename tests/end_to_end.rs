@@ -412,3 +412,114 @@ fn wildcard_subscription_spans_topics() {
     assert_eq!(got(5), ["market/lse", "market/nyse"], "market/* sees both");
     assert!(got(6).is_empty(), "weather/** sees neither");
 }
+
+/// A notification for the initiator's active context on topic `t`, as a
+/// foreign SOAP stack might write it: `body` verbatim inside `env:Body`,
+/// `root_attrs` verbatim on `env:Envelope`.
+fn foreign_notification(
+    net: &SimNet<WsGossipNode>,
+    to: NodeId,
+    seq: u64,
+    root_attrs: &str,
+    body: &str,
+) -> String {
+    use ws_gossip::endpoint::endpoint_of;
+    let context = net.node(INITIATOR).context_for("t").expect("context active").clone();
+    let gossip = ws_gossip::GossipHeader {
+        context_id: context.identifier().to_string(),
+        topic: "t".into(),
+        origin: endpoint_of(INITIATOR),
+        seq,
+        round: 1,
+    };
+    let template = wsg_soap::Envelope::request(
+        wsg_soap::MessageHeaders::request(endpoint_of(to), ws_gossip::actions::notify())
+            .with_message_id(format!("urn:uuid:foreign-{seq}")),
+        Element::new("placeholder"),
+    )
+    .with_header(context.to_header())
+    .with_header(gossip.to_element())
+    .to_xml();
+    assert!(template.contains("<placeholder/>"));
+    template
+        .replacen("<env:Envelope", &format!("<env:Envelope{root_attrs}"), 1)
+        .replace("<placeholder/>", body)
+}
+
+#[test]
+fn a_foreign_payload_reaches_every_subscriber_as_it_was_written() {
+    let mut net = saturating_network(8, 11);
+    scenario::subscribe_all(&mut net, "t");
+    net.run_to_quiescence();
+    scenario::activate(&mut net, "t");
+    net.run_to_quiescence();
+    scenario::notify(&mut net, "t", Element::text_node("op", "warm-up")); // seq 0
+    net.run_to_quiescence();
+
+    let entry = NodeId(2); // a disseminator
+    let payload = "k=\"a&#x26;b\"><![CDATA[1 < 2]]> &#x26; more</app:op>";
+    // seq 1 leans on a prefix bound on env:Envelope (forwarded from its
+    // tree); seq 2 declares it itself (forwarded as the bytes it came in).
+    let leaning = foreign_notification(
+        &net,
+        entry,
+        1,
+        " xmlns:app=\"urn:app\"",
+        &format!("<app:op {payload}"),
+    );
+    let contained = foreign_notification(
+        &net,
+        entry,
+        2,
+        "",
+        &format!("<app:op xmlns:app=\"urn:app\" {payload}"),
+    );
+    net.send_external(INITIATOR, entry, leaning);
+    net.send_external(INITIATOR, entry, contained);
+    net.run_to_quiescence();
+
+    for id in net.node_ids() {
+        let node = net.node(id);
+        if !matches!(node.role(), Role::Disseminator | Role::Consumer) {
+            continue;
+        }
+        assert_eq!(node.stats().parse_errors, 0, "{id}");
+        for seq in [1, 2] {
+            let op = node
+                .distinct_ops()
+                .into_iter()
+                .find(|op| op.seq == seq)
+                .unwrap_or_else(|| panic!("{id} never delivered seq {seq}"));
+            assert_eq!(op.payload.name().namespace(), Some("urn:app"), "{id} seq {seq}");
+            assert_eq!(op.payload.attr("k"), Some("a&b"), "{id} seq {seq}");
+            assert_eq!(op.payload.text(), "1 < 2 & more", "{id} seq {seq}");
+        }
+    }
+}
+
+#[test]
+fn a_malformed_body_on_a_duplicate_is_a_parse_error_and_goes_nowhere() {
+    let mut net = saturating_network(8, 12);
+    scenario::subscribe_all(&mut net, "t");
+    net.run_to_quiescence();
+    scenario::activate(&mut net, "t");
+    net.run_to_quiescence();
+    scenario::notify(&mut net, "t", Element::text_node("op", "x")); // seq 0
+    net.run_to_quiescence();
+
+    let entry = NodeId(2);
+    let delivered = net.node(entry).ops().len();
+    let duplicates = net.node(entry).layer_stats().unwrap().duplicates_suppressed;
+    let sent = net.stats().sent;
+    // Same (origin, seq) as the publication everyone has seen: only the
+    // header would be needed to drop it — the body is checked all the same.
+    let broken = foreign_notification(&net, entry, 0, "", "<op>&nope;</op>");
+    net.send_external(INITIATOR, entry, broken);
+    net.run_to_quiescence();
+
+    assert_eq!(net.node(entry).stats().parse_errors, 1);
+    assert_eq!(net.node(entry).ops().len(), delivered);
+    // Unparseable: it never reached the gossip layer's duplicate count.
+    assert_eq!(net.node(entry).layer_stats().unwrap().duplicates_suppressed, duplicates);
+    assert_eq!(net.stats().sent, sent + 1, "only the injected message moved");
+}
