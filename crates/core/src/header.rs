@@ -7,6 +7,8 @@
 //! process the notification unchanged (paper §3, "completely unchanged and
 //! unaffected").
 
+use std::borrow::Cow;
+
 use wsg_coord::WSGOSSIP_NS;
 use wsg_xml::{Element, QName};
 
@@ -46,7 +48,8 @@ impl GossipHeader {
         header
     }
 
-    /// Decode from the SOAP header element, if it is one.
+    /// Decode from the SOAP header element, if it is one: a `wsg:Gossip`
+    /// with all five children, `Seq` and `Round` numbers.
     pub fn from_element(element: &Element) -> Option<GossipHeader> {
         if !element.name().matches(Some(WSGOSSIP_NS), "Gossip") {
             return None;
@@ -60,16 +63,58 @@ impl GossipHeader {
         })
     }
 
-    /// Find and decode the gossip header of an envelope.
+    /// Find and decode the gossip header of an envelope — what
+    /// [`GossipHeader::from_element`] makes of its first `wsg:Gossip`
+    /// block, read off the bytes the block arrived as without building it.
     pub fn from_envelope(envelope: &wsg_soap::Envelope) -> Option<GossipHeader> {
-        envelope
-            .header(WSGOSSIP_NS, "Gossip")
-            .and_then(GossipHeader::from_element)
+        GossipHeaderRef::from_envelope(envelope).map(|header| header.to_header())
     }
 
     /// A copy of this header with the hop count incremented.
     pub fn next_round(&self) -> GossipHeader {
         GossipHeader { round: self.round + 1, ..self.clone() }
+    }
+}
+
+/// The `wsg:Gossip` header of a parsed envelope, read off the bytes it
+/// arrived as: a duplicate is decided from this, before a tree or a
+/// [`GossipHeader`] is built for the message.
+#[derive(Debug)]
+pub(crate) struct GossipHeaderRef<'a> {
+    context_id: Cow<'a, str>,
+    topic: Cow<'a, str>,
+    pub(crate) origin: Cow<'a, str>,
+    pub(crate) seq: u64,
+    round: u32,
+}
+
+impl<'a> GossipHeaderRef<'a> {
+    /// What [`GossipHeader::from_envelope`] decodes, with the text still
+    /// borrowed from the envelope.
+    pub(crate) fn from_envelope(envelope: &'a wsg_soap::Envelope) -> Option<Self> {
+        let [context_id, topic, origin, seq, round] = envelope.header_texts(
+            WSGOSSIP_NS,
+            "Gossip",
+            ["Context", "Topic", "Origin", "Seq", "Round"],
+        )?;
+        Some(GossipHeaderRef {
+            context_id: context_id?,
+            topic: topic?,
+            origin: origin?,
+            seq: seq?.parse().ok()?,
+            round: round?.parse().ok()?,
+        })
+    }
+
+    /// The owned header, for a message that is going somewhere.
+    pub(crate) fn to_header(&self) -> GossipHeader {
+        GossipHeader {
+            context_id: self.context_id.to_string(),
+            topic: self.topic.to_string(),
+            origin: self.origin.to_string(),
+            seq: self.seq,
+            round: self.round,
+        }
     }
 }
 
@@ -114,16 +159,31 @@ mod tests {
         assert_eq!((&next.origin, next.seq), (&header.origin, header.seq));
     }
 
+    /// What every decoder makes of `block`: the tree one, and the envelope
+    /// one over a block held as a tree and as the bytes it arrived in.
+    fn decoded(block: Element) -> Option<GossipHeader> {
+        let built = wsg_soap::Envelope::request(wsg_soap::MessageHeaders::new(), Element::new("op"))
+            .with_header(block.clone());
+        let parsed = wsg_soap::Envelope::parse(&built.to_xml()).unwrap();
+        let header = GossipHeader::from_element(&block);
+        assert_eq!(GossipHeader::from_envelope(&built), header);
+        assert_eq!(GossipHeader::from_envelope(&parsed), header);
+        header
+    }
+
     #[test]
     fn foreign_header_ignored() {
-        let foreign = Element::in_ns("x", "urn:other", "Gossip");
-        assert_eq!(GossipHeader::from_element(&foreign), None);
+        assert_eq!(decoded(Element::in_ns("x", "urn:other", "Gossip")), None);
     }
 
     #[test]
     fn malformed_header_rejected() {
         let mut el = sample().to_element();
         el.child_mut("Seq").unwrap().set_text("not-a-number");
-        assert_eq!(GossipHeader::from_element(&el), None);
+        assert_eq!(decoded(el), None);
+        let mut el = sample().to_element();
+        assert_eq!(el.remove_children("Topic"), 1);
+        assert_eq!(decoded(el), None);
+        assert_eq!(decoded(sample().to_element()), Some(sample()));
     }
 }

@@ -18,7 +18,7 @@
 //!   `RegisterResponse` grant arrives.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 use wsg_coord::{CoordinationContext, GossipGrant, RegistrationService, WSCOOR_NS, WSGOSSIP_NS};
 use wsg_net::sync::Mutex;
@@ -29,7 +29,10 @@ use wsg_soap::{
 use wsg_xml::QName;
 
 use crate::actions;
-use crate::header::GossipHeader;
+use crate::header::{GossipHeader, GossipHeaderRef};
+
+// Every inbound message's action is compared against this one.
+static REGISTER_RESPONSE: LazyLock<String> = LazyLock::new(actions::register_response);
 
 /// Counters exposed by the gossip layer (experiment E1/E7 bookkeeping).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -221,7 +224,7 @@ impl GossipHandler {
             return Vec::new(); // round budget exhausted
         }
         let mut template = envelope.clone();
-        template.take_header(WSGOSSIP_NS, "Gossip");
+        template.remove_header(WSGOSSIP_NS, "Gossip");
         template.push_header(header.next_round().to_element());
         template.addressing_mut().set_from(EndpointReference::new(state.me.clone()));
         let peers = state.sample_peers(grant);
@@ -239,19 +242,17 @@ impl GossipHandler {
     }
 
     /// Forward `envelope` under the context's grant, or — for an unknown
-    /// interaction — queue it and register with the context's
-    /// Registration service if we have not yet. Returns what to send.
+    /// interaction — register with the context's Registration service if
+    /// we have not yet, and queue the message until the grant arrives.
+    /// Returns what to send.
     fn route(state: &mut LayerState, envelope: &Envelope, header: &GossipHeader) -> Vec<Envelope> {
         if let Some(grant) = state.grants.get(&header.context_id).cloned() {
             return Self::forward(state, envelope, header, &grant);
         }
-        state
-            .pending
-            .entry(header.context_id.clone())
-            .or_default()
-            .push(envelope.clone());
-        if !state.registering.insert(header.context_id.clone()) {
-            return Vec::new(); // register already in flight
+        if state.registering.contains(&header.context_id) {
+            // Register already in flight: its grant flushes the queue.
+            state.pending.entry(header.context_id.clone()).or_default().push(envelope.clone());
+            return Vec::new();
         }
         // The registration address travels in the CoordinationContext
         // header of the message itself.
@@ -260,8 +261,12 @@ impl GossipHandler {
             .and_then(|h| CoordinationContext::from_header(h).ok())
             .map(|c| c.registration_service().to_string());
         let Some(registration) = registration else {
-            return Vec::new(); // no context header: nothing we can do
+            // No context header: it cannot register, so no grant would
+            // ever flush it from the queue — it is not queued.
+            return Vec::new();
         };
+        state.registering.insert(header.context_id.clone());
+        state.pending.entry(header.context_id.clone()).or_default().push(envelope.clone());
         let me = state.me.clone();
         let body = RegistrationService::encode_register(&header.context_id, &me);
         let headers = MessageHeaders::request(registration, actions::register())
@@ -315,18 +320,18 @@ impl Handler for GossipHandler {
 
         // Grant arrivals are middleware-level traffic.
         if ctx.direction == Direction::Inbound
-            && ctx.envelope.addressing().action() == Some(actions::register_response().as_str())
+            && ctx.envelope.addressing().action() == Some(REGISTER_RESPONSE.as_str())
         {
             return self.handle_register_response(ctx);
         }
 
-        let Some(header) = GossipHeader::from_envelope(&ctx.envelope) else {
+        let Some(header) = GossipHeaderRef::from_envelope(&ctx.envelope) else {
             return HandlerOutcome::Continue; // not gossip traffic
         };
 
         let mut state = self.state.lock();
-        // The header alone decides a duplicate: nothing else of the
-        // message has been looked at, let alone copied.
+        // The header alone decides a duplicate, and it is read in place:
+        // nothing of the message has been built, let alone copied.
         let new = state.mark_seen(&header.origin, header.seq);
         let outcome = match ctx.direction {
             // Interception at the origin: never let the original (which
@@ -341,7 +346,7 @@ impl Handler for GossipHandler {
             }
             Direction::Inbound => HandlerOutcome::Continue, // deliver to the application too
         };
-        let sends = Self::route(&mut state, &ctx.envelope, &header);
+        let sends = Self::route(&mut state, &ctx.envelope, &header.to_header());
         drop(state);
         for send in sends {
             ctx.send_envelope(send);
@@ -473,6 +478,51 @@ mod tests {
     }
 
     #[test]
+    fn a_forward_carries_the_coordination_context_as_it_arrived_or_as_it_meant() {
+        let handle = GossipLayerHandle::new("http://node2/gossip", 13);
+        handle.set_grant("ctx", grant(&["http://node3/gossip", "http://node4/gossip"]));
+        let mut chain = chain_with(&handle);
+        let wire = notification("ctx", "http://node1/gossip", 0, 1).to_xml();
+        let context = |envelope: &Envelope| {
+            let header = envelope.header(WSCOOR_NS, "CoordinationContext").expect("carried on");
+            CoordinationContext::from_header(header).expect("decodes")
+        };
+        let expected = context(&Envelope::parse(&wire).unwrap());
+        let forward_of = |chain: &mut HandlerChain, wire: &str| {
+            let inbound = Envelope::parse(wire).unwrap();
+            let result = chain.process(Direction::Inbound, inbound, "http://node2/gossip");
+            assert_eq!(result.sends.len(), 2);
+            result.sends[0].to_xml()
+        };
+
+        // A foreign stack's spelling of the block — a comment, a CDATA
+        // section — goes out byte for byte: the block is never a tree here.
+        let foreign = wire.replace(
+            "<wscoor:Identifier>ctx</wscoor:Identifier>",
+            "<!-- theirs --><wscoor:Identifier><![CDATA[ctx]]></wscoor:Identifier>",
+        );
+        assert_ne!(foreign, wire);
+        let forwarded = forward_of(&mut chain, &foreign);
+        assert!(forwarded.contains("<!-- theirs --><wscoor:Identifier><![CDATA[ctx]]>"), "{forwarded}");
+        assert_eq!(context(&Envelope::parse(&forwarded).unwrap()), expected);
+
+        // With its prefix declared on env:Envelope the block's bytes would
+        // mean nothing in the envelope the forward writes: it is written
+        // from its tree, which declares what it uses.
+        let decl = format!(" xmlns:wscoor=\"{WSCOOR_NS}\"");
+        let leaning = wire
+            .replace("<wsg:Seq>0</wsg:Seq>", "<wsg:Seq>1</wsg:Seq>")
+            .replace(&decl, "")
+            .replacen("<env:Envelope", &format!("<env:Envelope{decl}"), 1);
+        assert!(leaning.contains("<wscoor:CoordinationContext><wscoor:Identifier>"), "{leaning}");
+        let forwarded = forward_of(&mut chain, &leaning);
+        assert!(forwarded.contains(&format!("<wscoor:CoordinationContext{decl}>")), "{forwarded}");
+        let next_hop = Envelope::parse(&forwarded).unwrap();
+        assert_eq!(context(&next_hop), expected);
+        assert_eq!(GossipHeader::from_envelope(&next_hop).unwrap().round, 2);
+    }
+
+    #[test]
     fn round_budget_stops_forwarding() {
         let handle = GossipLayerHandle::new("http://node2/gossip", 5);
         handle.set_grant("ctx", grant(&["http://node3/gossip"])); // rounds = 4
@@ -510,6 +560,50 @@ mod tests {
         assert!(matches!(result.disposition, Disposition::Consumed));
         assert_eq!(result.sends.len(), 2, "queued message forwarded to 2 peers");
         assert!(handle.grant("ctx").is_some());
+    }
+
+    #[test]
+    fn a_message_without_a_context_header_neither_registers_nor_blocks_the_one_that_can() {
+        let handle = GossipLayerHandle::new("http://node2/gossip", 12);
+        let mut chain = chain_with(&handle);
+        let bare = |seq| {
+            let mut envelope = notification("ctx", "http://node1/gossip", seq, 1);
+            assert!(envelope.remove_header(WSCOOR_NS, "CoordinationContext"));
+            envelope
+        };
+        // It names no Registration service: delivered, but nothing to send
+        // and — no grant being on its way — nothing to wait for.
+        let first = chain.process(Direction::Inbound, bare(0), "http://node2/gossip");
+        assert!(matches!(first.disposition, Disposition::Deliver(_)));
+        assert!(first.sends.is_empty());
+        // The next message of the interaction carries the context: it
+        // registers (the bare one used to mark the register as in flight,
+        // so this one queued behind it forever).
+        let second = chain.process(
+            Direction::Inbound,
+            notification("ctx", "http://node1/gossip", 1, 1),
+            "http://node2/gossip",
+        );
+        assert_eq!(second.sends.len(), 1);
+        assert_eq!(second.sends[0].addressing().action(), Some(actions::register().as_str()));
+        // With the register in flight a bare message waits for the grant too.
+        let third = chain.process(Direction::Inbound, bare(2), "http://node2/gossip");
+        assert!(third.sends.is_empty());
+        assert_eq!(handle.stats().registers_sent, 1);
+
+        let mut body = grant(&["http://node5/gossip", "http://node6/gossip"]).to_register_response();
+        body.push_child(Element::in_ns("wsg", WSGOSSIP_NS, "ContextIdentifier").with_text("ctx"));
+        let response = Envelope::request(
+            MessageHeaders::request("http://node2/gossip", actions::register_response()),
+            body,
+        );
+        let result = chain.process(Direction::Inbound, response, "http://node2/gossip");
+        let mut forwarded: Vec<u64> =
+            result.sends.iter().map(|copy| GossipHeader::from_envelope(copy).unwrap().seq).collect();
+        forwarded.dedup();
+        assert_eq!(forwarded, [1, 2], "both queued messages forward, each to the fanout");
+        assert_eq!(result.sends.len(), 4);
+        assert_eq!(handle.stats().registers_sent, 1);
     }
 
     #[test]

@@ -202,6 +202,57 @@ fn write_seeds() -> std::io::Result<usize> {
             "<app:state k=\"a&#x26;b\"><![CDATA[1 < 2]]> &#x26; more</app:state>",
         );
 
+    // A notification as the gossip layer reads it — `wsg:Origin` and
+    // `wsg:Seq` straight off the header block's bytes — and the ways a
+    // foreign stack may spell the same header.
+    let wsg = |local: &str, text: &str| {
+        Element::in_ns("wsg", "urn:ws-gossip:2008", local).with_text(text)
+    };
+    let gossip = Envelope::request(
+        MessageHeaders::request("http://node2/gossip", "urn:ws-gossip:2008:Notify")
+            .with_message_id("urn:uuid:0001"),
+        Element::text_node("tick", "ACME"),
+    )
+    .with_header(
+        Element::in_ns("wsg", "urn:ws-gossip:2008", "Gossip")
+            .with_child(wsg("Context", "urn:ws-gossip:ctx:0"))
+            .with_child(wsg("Topic", "quotes"))
+            .with_child(wsg("Origin", "http://node1/gossip"))
+            .with_child(wsg("Seq", "12"))
+            .with_child(wsg("Round", "1")),
+    )
+    .to_xml();
+    let wsg_decl = " xmlns:wsg=\"urn:ws-gossip:2008\"";
+    assert!(gossip.contains(&format!("<wsg:Gossip{wsg_decl}>")));
+    // The namespace under another prefix, and as the default namespace.
+    let gossip_prefix = gossip.replace("wsg:", "g:").replace("xmlns:wsg=", "xmlns:g=");
+    let gossip_default = gossip
+        .replace(&format!("<wsg:Gossip{wsg_decl}>"), "<Gossip xmlns=\"urn:ws-gossip:2008\">")
+        .replace("wsg:", "");
+    // The block leaning on a prefix declared on env:Envelope.
+    let gossip_leaning = gossip
+        .replace(wsg_decl, "")
+        .replacen("<env:Envelope", &format!("<env:Envelope{wsg_decl}"), 1);
+    // CDATA and a character reference inside wsg:Origin, whitespace
+    // around wsg:Seq, a nested same-name child.
+    let gossip_text = gossip
+        .replace(
+            "<wsg:Origin>http://node1/gossip</wsg:Origin>",
+            "<wsg:Origin><![CDATA[http://node1]]>/a&#x26;b<wsg:Origin>inner</wsg:Origin></wsg:Origin>",
+        )
+        .replace("<wsg:Seq>12</wsg:Seq>", "<wsg:Seq> 12\n</wsg:Seq>");
+    // Two wsg:Gossip blocks: the first one decides.
+    let block = &gossip[gossip.find("<wsg:Gossip").unwrap()..gossip.find("</env:Header>").unwrap()];
+    let gossip_twice = gossip
+        .replace("</env:Header>", &format!("{}</env:Header>", block.replace(">12<", ">13<")));
+    // A block that must be understood, and one whose namespace URI is no
+    // slice of the text (kept as a tree).
+    let flagged = gossip.replace(
+        "</env:Header>",
+        "<h:Lock xmlns:h=\"urn:a&#x26;b\" env:mustUnderstand=\"1\"><h:Key>k</h:Key></h:Lock>\
+         <t:Trace xmlns:t=\"urn:t\" env:mustUnderstand=\"true\"/></env:Header>",
+    );
+
     let entry = |id: usize, port: u16, heartbeat: u64| MemberEntry {
         id: NodeId(id),
         addr: format!("10.0.0.{}:{port}", id + 1).parse().unwrap(),
@@ -263,6 +314,13 @@ fn write_seeds() -> std::io::Result<usize> {
                 ("push", push.as_bytes()),
                 ("fault", fault.as_bytes()),
                 ("foreign", foreign.as_bytes()),
+                ("gossip", gossip.as_bytes()),
+                ("gossip-prefix", gossip_prefix.as_bytes()),
+                ("gossip-default", gossip_default.as_bytes()),
+                ("gossip-leaning", gossip_leaning.as_bytes()),
+                ("gossip-text", gossip_text.as_bytes()),
+                ("gossip-twice", gossip_twice.as_bytes()),
+                ("flagged", flagged.as_bytes()),
             ],
         ),
         (

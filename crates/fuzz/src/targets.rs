@@ -10,9 +10,11 @@ use wsg_cluster::proto::ClusterMessage;
 use wsg_http::parser::{Parsed, RequestParser, ResponseParser};
 use wsg_http::Request;
 use wsg_soap::batch::{is_batch, parse_wire, unbundle, Unbundled};
-use wsg_soap::{Envelope, Fault, MessageHeaders, SoapError, SOAP_ENV_NS, WSA_NS};
+use wsg_soap::{
+    EndpointReference, Envelope, Fault, MessageHeaders, SoapError, SOAP_ENV_NS, WSA_NS,
+};
 use wsg_xml::reader::MAX_DEPTH;
-use wsg_xml::{Element, XmlError, XmlEvent, XmlReader};
+use wsg_xml::{Element, QName, XmlError, XmlEvent, XmlReader};
 
 /// One fuzzable parse path.
 pub trait FuzzTarget: Sync {
@@ -270,17 +272,21 @@ impl FuzzTarget for XmlTarget {
 
 /// `wsg_soap::Envelope::parse` vs the eager composition it replaced.
 ///
-/// Oracles: the header-first parse accepts exactly what building the
-/// whole tree and decoding it accepts, with the same error class; its
+/// Oracles: the span-recording parse accepts exactly what building the
+/// whole tree and decoding it accepts, with the same error class; before
+/// it has built anything, what it recorded of each header block — name,
+/// `env:mustUnderstand` flag, and every `header_text` answer read off the
+/// block's bytes — equals what the reference's trees say; its addressing,
 /// headers, `body()` and fault equal the reference's; its serialisation
-/// (which splices the payload bytes when it may) re-parses to the
-/// reference envelope; and that serialisation is a fixed point —
-/// `parse(to_xml(parse(x)))` serialises to the same bytes again.
+/// (which splices header blocks and the payload as bytes when it may)
+/// re-parses to the reference envelope; that serialisation is a fixed
+/// point — `parse(to_xml(parse(x)))` serialises to the same bytes again;
+/// and `Envelope::addressing_of` agrees with the parse.
 pub struct EnvelopeTarget;
 
 /// The reference decode: the whole document as a tree first, then the
 /// envelope parts picked out of it — what `Envelope::parse` did before it
-/// became header-first. Kept here only, as the oracle.
+/// recorded spans. Kept here only, as the oracle.
 fn eager_parse(xml: &str) -> Result<Envelope, SoapError> {
     let root = Element::parse(xml)?;
     if !root.name().matches(Some(SOAP_ENV_NS), "Envelope") {
@@ -290,7 +296,7 @@ fn eager_parse(xml: &str) -> Result<Envelope, SoapError> {
         .child_ns(SOAP_ENV_NS, "Header")
         .map(|header| header.children().into_iter().cloned().collect())
         .unwrap_or_default();
-    let addressing = MessageHeaders::from_header_blocks(&blocks)?;
+    let addressing = eager_addressing(&blocks)?;
     let body = root.child_ns(SOAP_ENV_NS, "Body").ok_or(SoapError::MissingPart("Body"))?;
     let envelope = match body.children().first() {
         None => Envelope::empty(addressing),
@@ -305,15 +311,89 @@ fn eager_parse(xml: &str) -> Result<Envelope, SoapError> {
         .fold(envelope, Envelope::with_header))
 }
 
+/// The reference decode of the WS-Addressing properties, off the header
+/// blocks' trees: the last block of a name sets its property.
+fn eager_addressing(blocks: &[Element]) -> Result<MessageHeaders, SoapError> {
+    let mut headers = MessageHeaders::new();
+    for block in blocks.iter().filter(|block| block.name().namespace() == Some(WSA_NS)) {
+        headers = match block.local_name() {
+            "RelatesTo" => headers.with_relates_to(block.text()),
+            "From" => headers.with_from(eager_epr(block)?),
+            "ReplyTo" => headers.with_reply_to(eager_epr(block)?),
+            "FaultTo" => headers.with_fault_to(eager_epr(block)?),
+            other => {
+                match other {
+                    "To" => headers.set_to(block.text()),
+                    "Action" => headers.set_action(block.text()),
+                    "MessageID" => headers.set_message_id(block.text()),
+                    _ => {}
+                }
+                headers
+            }
+        };
+    }
+    Ok(headers)
+}
+
+/// The reference decode of an EPR-typed header block, off its tree.
+fn eager_epr(block: &Element) -> Result<EndpointReference, SoapError> {
+    let address = block
+        .child_ns(WSA_NS, "Address")
+        .ok_or_else(|| SoapError::Addressing("EndpointReference without Address".into()))?;
+    let parameters = block.child_ns(WSA_NS, "ReferenceParameters");
+    Ok(parameters
+        .map(|parameters| parameters.children())
+        .unwrap_or_default()
+        .into_iter()
+        .cloned()
+        .fold(EndpointReference::new(address.text()), EndpointReference::with_parameter))
+}
+
+/// Check what a freshly parsed `envelope` — no tree built yet — recorded
+/// of its header blocks against the reference's trees.
+fn check_recorded_blocks(envelope: &Envelope, reference: &Envelope) -> Result<(), String> {
+    let flagged = |block: &&Element| {
+        matches!(block.attr_ns(SOAP_ENV_NS, "mustUnderstand"), Some("true" | "1"))
+    };
+    let expected: Vec<QName> =
+        reference.headers().into_iter().filter(flagged).map(|b| b.name().clone()).collect();
+    let recorded: Vec<QName> = envelope.must_understand().collect();
+    if recorded != expected {
+        return Err(format!("mustUnderstand blocks {recorded:?}, the trees say {expected:?}"));
+    }
+    for block in reference.headers() {
+        // Blocks are looked up by namespace + local name; the first of a
+        // name answers, in the tree as in the recording.
+        let Some(ns) = block.name().namespace() else { continue };
+        let first = reference.header(ns, block.local_name()).expect("it is one of them");
+        if envelope.header_texts(ns, block.local_name(), []).is_none() {
+            return Err(format!("no block recorded under the name {}", block.name()));
+        }
+        for child in first.children() {
+            let read = envelope.header_text(ns, block.local_name(), child.local_name());
+            let tree = first.child_ns(ns, child.local_name()).map(Element::text);
+            if read.as_deref() != tree.as_deref() {
+                return Err(format!(
+                    "header_text({}, {}) reads {read:?}, the tree says {tree:?}",
+                    block.name(),
+                    child.local_name()
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Check a parsed `envelope` against the reference decode of the same
 /// text, and its serialisation against both.
 fn check_against_eager(envelope: &Envelope, reference: &Envelope) -> Result<(), String> {
+    check_recorded_blocks(envelope, reference)?;
     if envelope.addressing() != reference.addressing()
         || envelope.headers() != reference.headers()
         || envelope.body() != reference.body()
         || envelope.as_fault() != reference.as_fault()
     {
-        return Err(format!("header-first parse differs from the eager one: {envelope:?} vs {reference:?}"));
+        return Err(format!("span-recording parse differs from the eager one: {envelope:?} vs {reference:?}"));
     }
     let serialised = envelope.to_xml();
     let again = Envelope::parse(&serialised)
@@ -332,10 +412,32 @@ fn check_against_eager(envelope: &Envelope, reference: &Envelope) -> Result<(), 
     Ok(())
 }
 
+/// `Envelope::addressing_of` is the parse's pass with nothing recorded: it
+/// must say what `parsed` says — the same properties or the same error
+/// class — except of a body whose `env:Fault` is none, which it does not
+/// look into.
+fn check_addressing_only(text: &str, parsed: &Result<Envelope, SoapError>) -> Result<(), String> {
+    let bad_fault = || {
+        let root = Element::parse(text).ok()?;
+        let first = root.child_ns(SOAP_ENV_NS, "Body")?.children().first().copied()?.clone();
+        Some(first.name().matches(Some(SOAP_ENV_NS), "Fault") && Fault::from_element(&first).is_err())
+    };
+    match (Envelope::addressing_of(text), parsed) {
+        (Ok(addressing), Ok(envelope)) if addressing == *envelope.addressing() => Ok(()),
+        (Err(only), Err(full)) if std::mem::discriminant(&only) == std::mem::discriminant(full) => {
+            Ok(())
+        }
+        (Ok(_), Err(_)) if bad_fault() == Some(true) => Ok(()),
+        (only, full) => Err(format!("addressing_of says {only:?}, the parse {full:?}")),
+    }
+}
+
 /// Both decodes of `text` must agree: same verdict, same error class,
 /// same envelope.
 fn differential_parse(text: &str) -> Result<(), String> {
-    match (Envelope::parse(text), eager_parse(text)) {
+    let parsed = Envelope::parse(text);
+    check_addressing_only(text, &parsed)?;
+    match (parsed, eager_parse(text)) {
         (Ok(envelope), Ok(reference)) => check_against_eager(&envelope, &reference),
         (Err(lazy), Err(eager)) => {
             if std::mem::discriminant(&lazy) != std::mem::discriminant(&eager) {
@@ -344,7 +446,7 @@ fn differential_parse(text: &str) -> Result<(), String> {
             Ok(()) // agreed rejection
         }
         (lazy, eager) => Err(format!(
-            "header-first parse says {:?}, the eager parse {:?}",
+            "span-recording parse says {:?}, the eager parse {:?}",
             lazy.map(drop),
             eager.map(drop)
         )),

@@ -60,6 +60,15 @@ fn the_foreign_seeds_reach_the_splice_fallback_branches() {
     let foreign = edges(&EnvelopeTarget, seed("envelope", "foreign"));
     assert!(!plain.is_empty());
     assert!(foreign.difference(&plain).count() >= 2, "{:?}", foreign.difference(&plain));
+    // Likewise for what the parse records of header blocks: a block
+    // leaning on env:Envelope's bindings (foreign scope, written from its
+    // tree), header text that needs a reference resolved (owned, not
+    // borrowed), and a flagged block plus one kept as a tree.
+    let gossip = edges(&EnvelopeTarget, seed("envelope", "gossip"));
+    for (name, fresh) in [("gossip-leaning", 2), ("gossip-text", 1), ("flagged", 2)] {
+        let lit = edges(&EnvelopeTarget, seed("envelope", name));
+        assert!(lit.difference(&gossip).count() >= fresh, "{name}: {:?}", lit.difference(&gossip));
+    }
     let pair = edges(&BatchTarget, seed("batch", "pair"));
     let leaning = edges(&BatchTarget, seed("batch", "leaning"));
     assert!(leaning.difference(&pair).next().is_some());

@@ -344,6 +344,10 @@ impl SoapHttpClient {
         wire: &[u8],
     ) -> std::io::Result<(TcpStream, Response)> {
         let stream = TcpStream::connect_timeout(&addr, self.config.connect_timeout)?;
+        // Armed once, for as long as the connection lives in the pool:
+        // every exchange over it is bounded by these two.
+        stream.set_write_timeout(Some(self.config.write_timeout))?;
+        stream.set_read_timeout(Some(self.config.read_timeout))?;
         // wsg_lint: allow(E2) — Nagle is a latency tuning; a socket that rejects it still serves
         let _ = stream.set_nodelay(true);
         let response = self.exchange(&stream, wire)?;
@@ -351,8 +355,7 @@ impl SoapHttpClient {
     }
 
     fn exchange(&self, mut stream: &TcpStream, wire: &[u8]) -> std::io::Result<Response> {
-        stream.set_write_timeout(Some(self.config.write_timeout))?;
-        stream.set_read_timeout(Some(self.config.read_timeout))?;
+        // wsg_lint: allow(T1) — both timeouts armed where the stream is created (connect_and_exchange)
         stream.write_all(wire)?;
         let mut parser = ResponseParser::new();
         let mut chunk = [0u8; 4096];
@@ -448,6 +451,29 @@ mod tests {
             .unwrap();
         assert_eq!(second.response.status, 202);
         assert_eq!(client.pool_hits(), 1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_pooled_connection_keeps_the_timeouts_it_was_opened_with() {
+        // The timeouts are set where the stream is created, not per post:
+        // a stream that comes back out of the pool must still carry both.
+        let mut server =
+            SoapHttpServer::bind("127.0.0.1:0", accept_service(), HttpServerConfig::default())
+                .unwrap();
+        let config = HttpClientConfig::default();
+        let client = SoapHttpClient::new(7, config.clone());
+        let xml = sample_xml();
+        for _ in 0..2 {
+            client.post(server.local_addr(), "/gossip", None, &[], xml.as_bytes()).unwrap();
+        }
+        assert_eq!(client.pool_hits(), 1);
+        let pooled = client.take_pooled(server.local_addr()).expect("kept alive");
+        // The OS may round a timeout up to its timer granularity.
+        let read = pooled.read_timeout().unwrap().expect("read timeout armed");
+        assert!(read >= config.read_timeout, "{read:?}");
+        let write = pooled.write_timeout().unwrap().expect("write timeout armed");
+        assert!(write >= config.write_timeout, "{write:?}");
         server.shutdown();
     }
 

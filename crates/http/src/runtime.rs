@@ -574,10 +574,11 @@ fn run_sender(
             let target = only.target.as_deref().unwrap_or(GOSSIP_TARGET);
             scratch.clear();
             only.parts().iter().for_each(|part| scratch.push_str(part));
-            let action = Envelope::parse(&scratch)
-                .ok()
-                .and_then(|e| e.addressing().action().map(str::to_string));
-            client.post(addr, target, action.as_deref(), &node_header, scratch.as_bytes())
+            // `SOAPAction` repeats `wsa:Action`: the envelope parse's pass
+            // over the text, keeping the addressing properties only. A
+            // text that is no envelope goes out unlabelled.
+            let addressing = Envelope::addressing_of(&scratch).unwrap_or_default();
+            client.post(addr, target, addressing.action(), &node_header, scratch.as_bytes())
         } else {
             let items = batch.iter().map(|m| (m.target.as_deref(), m.parts()));
             write_batch_parts(items, &mut scratch);

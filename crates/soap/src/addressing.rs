@@ -1,6 +1,6 @@
 //! WS-Addressing 1.0 message addressing properties.
 
-use wsg_xml::{Element, QName, XmlError, XmlWriter};
+use wsg_xml::{Element, QName, RawEvent, XmlError, XmlReader, XmlWriter};
 
 use crate::error::SoapError;
 use crate::{qnames, WSA_ANONYMOUS, WSA_NS};
@@ -81,23 +81,52 @@ impl EndpointReference {
         w.end_element()
     }
 
-    /// Parse an EPR from its element form.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the mandatory `Address` child is missing.
-    pub fn from_element(element: &Element) -> Result<Self, SoapError> {
-        let address = element
-            .child_ns(WSA_NS, "Address")
-            .map(|a| a.text())
-            .ok_or_else(|| SoapError::Addressing("EndpointReference without Address".into()))?;
-        let mut epr = EndpointReference::new(address);
-        if let Some(params) = element.child_ns(WSA_NS, "ReferenceParameters") {
-            for child in params.children() {
-                epr.reference_parameters.push(child.clone());
+    /// Decode the EPR-typed element `reader` just started straight from
+    /// its tokens into `slot` — its first `wsa:Address` (mandatory) and
+    /// the children of its first `wsa:ReferenceParameters` — consuming
+    /// through its end tag. The outer error is the document's, the inner
+    /// one the EPR's.
+    fn read_into(
+        slot: &mut Option<Self>,
+        reader: &mut XmlReader<'_>,
+    ) -> Result<Result<(), SoapError>, XmlError> {
+        let (mut address, mut parameters) = (None, None);
+        loop {
+            match reader.next_raw()? {
+                RawEvent::Start => match reader.element_name() {
+                    (Some(WSA_NS), "Address") if address.is_none() => {
+                        address = Some(reader.direct_text()?.into_owned());
+                    }
+                    (Some(WSA_NS), "ReferenceParameters") if parameters.is_none() => {
+                        parameters = Some(read_children(reader)?);
+                    }
+                    _ => reader.skip_element()?,
+                },
+                RawEvent::End => break,
+                _ => {}
             }
         }
-        Ok(epr)
+        let Some(address) = address else {
+            return Ok(Err(SoapError::Addressing("EndpointReference without Address".into())));
+        };
+        *slot = Some(EndpointReference {
+            address,
+            reference_parameters: parameters.unwrap_or_default(),
+        });
+        Ok(Ok(()))
+    }
+}
+
+/// Build the child elements of the element `reader` just started,
+/// consuming through its end tag.
+fn read_children(reader: &mut XmlReader<'_>) -> Result<Vec<Element>, XmlError> {
+    let mut children = Vec::new();
+    loop {
+        match reader.next_raw()? {
+            RawEvent::Start => children.push(Element::from_open(reader)?),
+            RawEvent::End => return Ok(children),
+            _ => {}
+        }
     }
 }
 
@@ -209,6 +238,11 @@ impl MessageHeaders {
         self.to = Some(to.into());
     }
 
+    /// Set the action URI.
+    pub fn set_action(&mut self, action: impl Into<String>) {
+        self.action = Some(action.into());
+    }
+
     /// Rewrite the source endpoint.
     pub fn set_from(&mut self, from: EndpointReference) {
         self.from = Some(from);
@@ -297,30 +331,27 @@ impl MessageHeaders {
         Ok(())
     }
 
-    /// Extract addressing properties from a set of SOAP header blocks,
-    /// ignoring non-addressing headers.
-    ///
-    /// # Errors
-    ///
-    /// Fails when an EPR-typed header is structurally invalid.
-    pub fn from_header_blocks(blocks: &[Element]) -> Result<Self, SoapError> {
-        let mut headers = MessageHeaders::new();
-        for block in blocks {
-            if block.name().namespace() != Some(WSA_NS) {
-                continue;
-            }
-            match block.local_name() {
-                "To" => headers.to = Some(block.text()),
-                "Action" => headers.action = Some(block.text()),
-                "MessageID" => headers.message_id = Some(block.text()),
-                "RelatesTo" => headers.relates_to = Some(block.text()),
-                "From" => headers.from = Some(EndpointReference::from_element(block)?),
-                "ReplyTo" => headers.reply_to = Some(EndpointReference::from_element(block)?),
-                "FaultTo" => headers.fault_to = Some(EndpointReference::from_element(block)?),
-                _ => {}
-            }
-        }
-        Ok(headers)
+    /// Decode the `wsa:` header block `reader` just started straight from
+    /// its tokens, consuming through its end tag: a property block sets
+    /// its property (the last of a name wins), any other `wsa:` block is
+    /// skipped. The outer error is the document's; the inner one says why
+    /// an EPR-typed block is no endpoint reference.
+    pub(crate) fn read_block(
+        &mut self,
+        reader: &mut XmlReader<'_>,
+    ) -> Result<Result<(), SoapError>, XmlError> {
+        let slot = match reader.element_name().1 {
+            "To" => &mut self.to,
+            "Action" => &mut self.action,
+            "MessageID" => &mut self.message_id,
+            "RelatesTo" => &mut self.relates_to,
+            "From" => return EndpointReference::read_into(&mut self.from, reader),
+            "ReplyTo" => return EndpointReference::read_into(&mut self.reply_to, reader),
+            "FaultTo" => return EndpointReference::read_into(&mut self.fault_to, reader),
+            _ => return reader.skip_element().map(Ok),
+        };
+        *slot = Some(reader.direct_text()?.into_owned());
+        Ok(Ok(()))
     }
 }
 
@@ -341,6 +372,13 @@ mod tests {
         assert_eq!(h.message_id(), None);
     }
 
+    /// The addressing properties an envelope parse decodes from `h`'s
+    /// header blocks.
+    fn over_the_wire(h: &MessageHeaders) -> MessageHeaders {
+        let wire = crate::Envelope::empty(h.clone()).to_xml();
+        crate::Envelope::parse(&wire).unwrap().addressing().clone()
+    }
+
     #[test]
     fn header_blocks_roundtrip() {
         let h = MessageHeaders::request("http://dest", "urn:op")
@@ -349,31 +387,34 @@ mod tests {
             .with_from(EndpointReference::new("http://src"))
             .with_reply_to(EndpointReference::anonymous())
             .with_fault_to(EndpointReference::new("http://faults"));
-        let blocks = h.to_header_blocks();
-        let parsed = MessageHeaders::from_header_blocks(&blocks).unwrap();
-        assert_eq!(parsed, h);
+        assert_eq!(h.to_header_blocks().len(), 7);
+        assert_eq!(over_the_wire(&h), h);
     }
 
     #[test]
     fn non_wsa_headers_ignored() {
         let foreign = Element::in_ns("x", "urn:other", "To").with_text("nope");
-        let parsed = MessageHeaders::from_header_blocks(&[foreign]).unwrap();
-        assert_eq!(parsed.to(), None);
+        let wire = crate::Envelope::empty(MessageHeaders::new()).with_header(foreign).to_xml();
+        let parsed = crate::Envelope::parse(&wire).unwrap();
+        assert_eq!(parsed.addressing().to(), None);
+        assert_eq!(parsed.headers().len(), 1);
     }
 
     #[test]
     fn epr_with_reference_parameters_roundtrips() {
         let epr = EndpointReference::new("http://node")
             .with_parameter(Element::text_node("shard", "3"));
-        let el = epr.to_element("ReplyTo");
-        let parsed = EndpointReference::from_element(&el).unwrap();
-        assert_eq!(parsed, epr);
+        let h = MessageHeaders::new().with_reply_to(epr.clone());
+        assert_eq!(over_the_wire(&h).reply_to(), Some(&epr));
     }
 
     #[test]
     fn epr_without_address_rejected() {
-        let el = Element::in_ns("wsa", WSA_NS, "ReplyTo");
-        assert!(EndpointReference::from_element(&el).is_err());
+        let wire = format!(
+            r#"<env:Envelope xmlns:env="{}" xmlns:wsa="{WSA_NS}"><env:Header><wsa:ReplyTo/></env:Header><env:Body/></env:Envelope>"#,
+            crate::SOAP_ENV_NS
+        );
+        assert!(matches!(crate::Envelope::parse(&wire), Err(SoapError::Addressing(_))));
     }
 
     #[test]

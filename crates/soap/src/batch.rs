@@ -25,7 +25,7 @@
 
 use wsg_net::cov;
 use wsg_xml::escape::escape_attr_into;
-use wsg_xml::{Element, QName, XmlEvent, XmlReader};
+use wsg_xml::{Element, QName, RawEvent, XmlReader};
 
 use crate::envelope::{read_root, walk};
 use crate::{Envelope, SoapError, SOAP_ENV_NS};
@@ -168,33 +168,31 @@ pub enum Unbundled {
 /// that is not an envelope. Never panics, whatever the input looks like.
 pub fn parse_wire(wire: &str) -> Result<Unbundled, SoapError> {
     let mut reader = XmlReader::new(wire);
-    let root = read_root(&mut reader)?;
-    if !root.matches(Some(BATCH_NS), "Batch") {
+    read_root(&mut reader)?;
+    if reader.element_name() != (Some(BATCH_NS), "Batch") {
         cov!();
-        let shape = envelope_shape(&mut reader, &root)?;
+        let shape = envelope_shape(&mut reader)?;
         reader.finish()?;
         return Ok(Unbundled::Single(shape));
     }
 
     let mut out = Vec::new();
     loop {
-        match reader.next_event()? {
-            XmlEvent::StartElement { name, attributes, .. } => {
-                if !name.matches(Some(BATCH_NS), "Msg") {
+        match reader.next_raw()? {
+            RawEvent::Start => {
+                if reader.element_name() != (Some(BATCH_NS), "Msg") {
                     cov!();
+                    let name = reader.element_qname();
                     return Err(SoapError::Batch(format!("batch carries a {name}")));
                 }
                 cov!();
-                let target = attributes
-                    .into_iter()
-                    .find(|a| a.name.namespace().is_none() && a.name.local() == "target")
-                    .map(|a| a.value);
+                let target = reader.attribute(None, "target").map(|target| target.into_owned());
                 let raw = read_msg(&mut reader, wire)?;
                 out.push(BatchedEnvelope { target, raw });
             }
             // `</wsgb:Batch>` — the reader itself balances tags, so an
-            // EndElement at this depth can only be the wrapper's.
-            XmlEvent::EndElement { .. } => break,
+            // `End` at this depth can only be the wrapper's.
+            RawEvent::End => break,
             // Text and comments between messages are ignored, exactly
             // as the tree walk in `unbundle` ignores non-element nodes.
             _ => {}
@@ -208,13 +206,10 @@ pub fn parse_wire(wire: &str) -> Result<Unbundled, SoapError> {
     Ok(Unbundled::Batch(out))
 }
 
-/// Skip through the document element `root` (start tag already read),
-/// reporting what keeps it from having the shape of an envelope.
-fn envelope_shape(
-    reader: &mut XmlReader<'_>,
-    root: &QName,
-) -> Result<Result<(), SoapError>, SoapError> {
-    let shape = walk(reader, root, XmlReader::skip_element, XmlReader::skip_element)?;
+/// Skip through the element just started, reporting what keeps it from
+/// having the shape of an envelope.
+fn envelope_shape(reader: &mut XmlReader<'_>) -> Result<Result<(), SoapError>, SoapError> {
+    let shape = walk(reader, XmlReader::skip_element, XmlReader::skip_element)?;
     Ok(shape.is_envelope().and_then(|()| shape.has_body()))
 }
 
@@ -232,8 +227,8 @@ fn read_msg(reader: &mut XmlReader<'_>, wire: &str) -> Result<String, SoapError>
         // offset of its `<`.
         let start = reader.position();
         reader.reset_binding_watermark();
-        match reader.next_event()? {
-            XmlEvent::StartElement { name, .. } => {
+        match reader.next_raw()? {
+            RawEvent::Start => {
                 if inner.is_some() {
                     cov!();
                     return Err(SoapError::Batch(
@@ -241,7 +236,7 @@ fn read_msg(reader: &mut XmlReader<'_>, wire: &str) -> Result<String, SoapError>
                     ));
                 }
                 cov!();
-                envelope_shape(reader, &name)??;
+                envelope_shape(reader)??;
                 let slice = &wire[start..reader.position()];
                 let mut raw = String::with_capacity(XML_DECL.len() + slice.len());
                 raw.push_str(XML_DECL);
@@ -264,7 +259,7 @@ fn read_msg(reader: &mut XmlReader<'_>, wire: &str) -> Result<String, SoapError>
                 }
                 inner = Some(raw);
             }
-            XmlEvent::EndElement { .. } => break, // `</wsgb:Msg>`
+            RawEvent::End => break, // `</wsgb:Msg>`
             _ => {} // text/comments alongside the envelope are ignored
         }
     }

@@ -1,10 +1,11 @@
-//! The SOAP 1.2 envelope: headers first, body on demand.
+//! The SOAP 1.2 envelope: one recording pass, trees on demand.
 
+use std::borrow::Cow;
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, LazyLock, OnceLock};
 
 use wsg_net::cov;
-use wsg_xml::{Element, QName, XmlError, XmlEvent, XmlReader, XmlWriter};
+use wsg_xml::{Element, QName, RawEvent, XmlError, XmlReader, XmlWriter};
 
 use crate::addressing::MessageHeaders;
 use crate::error::SoapError;
@@ -15,12 +16,14 @@ use crate::{qnames, SOAP_ENV_NS, WSA_NS};
 /// and a body.
 ///
 /// The body is either one application payload element or a [`Fault`].
-/// Headers are what intermediaries route on, so they are always decoded;
-/// the payload is opaque freight to every hop but the last, so a parsed
-/// envelope keeps it as the sender's bytes and builds its tree only when
-/// [`Envelope::body`] is first asked for it. Clones share the payload and,
-/// until one edits them, the header blocks: a clone costs the addressing
-/// properties.
+/// The addressing properties are what intermediaries route on, so a parse
+/// always decodes them; every other header block and the payload are
+/// opaque freight to most hops, so a parsed envelope keeps them as the
+/// sender's bytes — where each starts and ends, what it is called, whether
+/// it must be understood — and builds a tree only when one is asked for
+/// ([`Envelope::header`], [`Envelope::body`]). Clones share the text, the
+/// payload and, until one edits them, the header blocks: a clone costs the
+/// addressing properties.
 ///
 /// ```
 /// use wsg_soap::{Envelope, MessageHeaders};
@@ -36,14 +39,24 @@ use crate::{qnames, SOAP_ENV_NS, WSA_NS};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Envelope {
     addressing: MessageHeaders,
     // Shared across clones until one of them edits its blocks: a forward
     // to `f` peers rewrites addressing `f` times, the blocks once.
-    extra_headers: Arc<Vec<Element>>,
+    blocks: Arc<Vec<Block>>,
     body: Body,
 }
+
+impl PartialEq for Envelope {
+    fn eq(&self, other: &Self) -> bool {
+        self.addressing == other.addressing
+            && self.headers() == other.headers()
+            && self.body == other.body
+    }
+}
+
+impl Eq for Envelope {}
 
 #[derive(Debug, Clone)]
 enum Body {
@@ -65,6 +78,59 @@ impl PartialEq for Body {
 
 impl Eq for Body {}
 
+/// An element as serialised XML: a span of the document it arrived in (or
+/// was first written into), which every fragment cut from it shares.
+#[derive(Debug, Clone)]
+struct Fragment {
+    source: Arc<String>,
+    span: Range<usize>,
+    scope: Scope,
+}
+
+/// What a fragment needs of the namespace bindings that were in scope
+/// around it.
+#[derive(Debug, Clone)]
+enum Scope {
+    /// Nothing but the `env` / `wsa` bindings [`Envelope::write_into`]
+    /// declares: the bytes mean the same inside any envelope this module
+    /// writes.
+    Envelope,
+    /// The `(prefix, uri)` bindings it was cut out of, outermost first.
+    Foreign(Vec<(String, String)>),
+}
+
+/// The bindings around a [`Scope::Envelope`] fragment.
+static ENVELOPE_BINDINGS: LazyLock<[(String, String); 2]> = LazyLock::new(|| {
+    [("env".into(), SOAP_ENV_NS.into()), ("wsa".into(), WSA_NS.into())]
+});
+
+const PASSED: &str = "a fragment passed the same tokenizer when it was cut";
+
+impl Fragment {
+    fn xml(&self) -> &str {
+        &self.source[self.span.clone()]
+    }
+
+    fn portable(&self) -> bool {
+        matches!(self.scope, Scope::Envelope)
+    }
+
+    /// A reader over the fragment in the scope it was cut from.
+    fn reader(&self) -> XmlReader<'_> {
+        let outer = match &self.scope {
+            Scope::Envelope => ENVELOPE_BINDINGS.as_slice(),
+            Scope::Foreign(outer) => outer,
+        };
+        XmlReader::with_bindings(self.xml(), outer)
+    }
+
+    fn to_tree(&self) -> Element {
+        let mut reader = self.reader();
+        reader.next_raw().expect(PASSED);
+        Element::from_open(&mut reader).expect(PASSED)
+    }
+}
+
 /// The application payload in whichever forms have been needed so far —
 /// an envelope built from a tree starts with `tree`, a parsed one with
 /// `wire`; the other is derived at most once, for every clone at once.
@@ -72,38 +138,6 @@ impl Eq for Body {}
 struct Payload {
     tree: OnceLock<Element>,
     wire: OnceLock<Fragment>,
-}
-
-/// A payload element as serialised XML: a span of the document it
-/// arrived in (or was first written into).
-#[derive(Debug)]
-struct Fragment {
-    source: String,
-    span: Range<usize>,
-    // The `(prefix, uri)` bindings in scope around the span, outermost
-    // first — empty when it resolves every prefix from its own
-    // declarations.
-    outer: Vec<(String, String)>,
-}
-
-impl Fragment {
-    fn xml(&self) -> &str {
-        &self.source[self.span.clone()]
-    }
-
-    /// Whether `xml` means the same inside any envelope this module
-    /// writes: self-contained, or leaning on nothing but the `env` / `wsa`
-    /// bindings [`Envelope::write_into`] re-declares.
-    fn portable(&self) -> bool {
-        self.outer.iter().all(|(prefix, uri)| {
-            matches!((prefix.as_str(), uri.as_str()), ("env", SOAP_ENV_NS) | ("wsa", WSA_NS))
-        })
-    }
-
-    fn to_tree(&self) -> Element {
-        Element::parse_in_scope(self.xml(), &self.outer)
-            .expect("a fragment passed the same tokenizer when it was cut")
-    }
 }
 
 impl Payload {
@@ -142,9 +176,9 @@ impl Payload {
                 // more to come (a publication's `f` forwards): keep the
                 // bytes, every clone splices them from now on.
                 cov!();
-                let source = w.capture(|w| self.tree().write_into(w))?.to_string();
+                let source = Arc::new(w.capture(|w| self.tree().write_into(w))?.to_string());
                 let span = 0..source.len();
-                self.wire.get_or_init(|| Fragment { source, span, outer: Vec::new() });
+                self.wire.get_or_init(|| Fragment { source, span, scope: Scope::Envelope });
                 Ok(())
             }
             _ => {
@@ -158,24 +192,152 @@ impl Payload {
     }
 }
 
+/// One non-addressing header block: a tree (built locally, or built from
+/// `wire` the first time someone asked), the bytes it arrived as, or both.
+#[derive(Debug, Clone)]
+struct Block {
+    // Boxed: most blocks of most messages are never looked into, and the
+    // list of them is allocated per message.
+    tree: OnceLock<Box<Element>>,
+    wire: Option<Recorded>,
+}
+
+/// What the parse kept of a header block instead of building it.
+#[derive(Debug, Clone)]
+struct Recorded {
+    xml: Fragment,
+    // The block's resolved name, as spans of `xml.source`.
+    namespace: Option<Range<usize>>,
+    local: Range<usize>,
+    must_understand: bool,
+}
+
+impl Block {
+    fn from_tree(tree: Element) -> Self {
+        Block { tree: OnceLock::from(Box::new(tree)), wire: None }
+    }
+
+    fn tree(&self) -> &Element {
+        self.tree.get_or_init(|| {
+            let wire = self.wire.as_ref().expect("a block holds a tree or a fragment");
+            Box::new(wire.xml.to_tree())
+        })
+    }
+
+    fn is(&self, ns: &str, local: &str) -> bool {
+        match &self.wire {
+            Some(wire) => {
+                let source = wire.xml.source.as_str();
+                wire.namespace.clone().map(|span| &source[span]) == Some(ns)
+                    && &source[wire.local.clone()] == local
+            }
+            None => self.tree().name().matches(Some(ns), local),
+        }
+    }
+
+    /// The block's name when it carries a true `env:mustUnderstand`.
+    fn must_be_understood(&self) -> Option<QName> {
+        match &self.wire {
+            Some(wire) => wire.must_understand.then(|| {
+                cov!();
+                let source = wire.xml.source.as_str();
+                let local = &source[wire.local.clone()];
+                match wire.namespace.clone() {
+                    Some(span) => QName::with_ns(&source[span], local),
+                    None => QName::new(local),
+                }
+            }),
+            None => {
+                let tree = self.tree();
+                let flag = tree.attr_ns(SOAP_ENV_NS, "mustUnderstand");
+                flag.is_some_and(is_true).then(|| tree.name().clone())
+            }
+        }
+    }
+
+    /// Write the block as content of the open `env:Header`; `fresh` as
+    /// for [`Payload::write_into`].
+    fn write_into(&self, w: &mut XmlWriter, fresh: bool) -> Result<(), XmlError> {
+        match &self.wire {
+            Some(wire) if fresh && wire.xml.portable() => {
+                cov!();
+                w.raw(wire.xml.xml())
+            }
+            _ => {
+                cov!();
+                self.tree().write_into(w)
+            }
+        }
+    }
+
+    /// For each of `children`, the text of the block's first child element
+    /// `(ns, child)` — read off the block's bytes when it has no tree.
+    fn child_texts<const N: usize>(
+        &self,
+        ns: &str,
+        children: [&str; N],
+    ) -> [Option<Cow<'_, str>>; N] {
+        let mut found = std::array::from_fn(|_| None);
+        let wire = match (self.tree.get(), &self.wire) {
+            (None, Some(wire)) => wire,
+            _ => {
+                let tree = self.tree();
+                return children.map(|child| tree.child_ns(ns, child).map(|c| Cow::Owned(c.text())));
+            }
+        };
+        let mut reader = wire.xml.reader();
+        reader.next_raw().expect(PASSED); // the block's own start tag
+        loop {
+            match reader.next_raw().expect(PASSED) {
+                RawEvent::Start => {
+                    let (child_ns, local) = reader.element_name();
+                    let wanted = children
+                        .iter()
+                        .position(|child| *child == local)
+                        .filter(|i| child_ns == Some(ns) && found[*i].is_none());
+                    match wanted {
+                        Some(i) => {
+                            let text = reader.direct_text().expect(PASSED);
+                            if let Cow::Owned(_) = text {
+                                // A reference resolved, or runs joined:
+                                // not a slice of the text any more.
+                                cov!();
+                            }
+                            found[i] = Some(text);
+                        }
+                        None => reader.skip_element().expect(PASSED),
+                    }
+                }
+                RawEvent::End | RawEvent::Eof => return found,
+                _ => {}
+            }
+        }
+    }
+}
+
+/// The two spellings of a true `xs:boolean`.
+fn is_true(value: &str) -> bool {
+    value == "true" || value == "1"
+}
+
 impl Envelope {
     /// A request/notification message with the given addressing and payload.
     pub fn request(addressing: MessageHeaders, payload: Element) -> Self {
         Envelope {
             addressing,
-            extra_headers: Arc::default(),
+            blocks: Arc::default(),
             body: Body::Payload(Payload::from_tree(payload)),
         }
     }
 
     /// A fault message.
     pub fn fault(addressing: MessageHeaders, fault: Fault) -> Self {
-        Envelope { addressing, extra_headers: Arc::default(), body: Body::Fault(fault) }
+        Envelope { addressing, blocks: Arc::default(), body: Body::Fault(fault) }
     }
 
     /// A message with an empty body (e.g. an acknowledgement).
     pub fn empty(addressing: MessageHeaders) -> Self {
-        Envelope { addressing, extra_headers: Arc::default(), body: Body::Empty }
+        Envelope { addressing, blocks: Arc::default(), body: Body::Empty }
     }
 
     /// Builder: attach a non-addressing header block (e.g. a
@@ -196,30 +358,60 @@ impl Envelope {
         &mut self.addressing
     }
 
-    /// Non-addressing header blocks.
-    pub fn headers(&self) -> &[Element] {
-        &self.extra_headers
+    /// Non-addressing header blocks, in document order. On a parsed
+    /// envelope the first call builds their trees.
+    pub fn headers(&self) -> Vec<&Element> {
+        self.blocks.iter().map(Block::tree).collect()
     }
 
-    /// First header block matching namespace + local name.
+    /// First header block matching namespace + local name. On a parsed
+    /// envelope the first call builds that block's tree.
     pub fn header(&self, ns: &str, local: &str) -> Option<&Element> {
-        self.extra_headers
-            .iter()
-            .find(|h| h.name().matches(Some(ns), local))
+        self.blocks.iter().find(|block| block.is(ns, local)).map(Block::tree)
+    }
+
+    /// For each of `children`, the text of the first child element
+    /// `(ns, child)` of the first header block `(ns, block)` — exactly
+    /// `header(ns, block)?.child_ns(ns, child).map(|c| c.text())`, but on
+    /// a parsed envelope read through the tokenizer off the bytes the
+    /// block arrived as: no tree is built, and text that needed no
+    /// reference resolved is borrowed. `None` when there is no such block.
+    pub fn header_texts<const N: usize>(
+        &self,
+        ns: &str,
+        block: &str,
+        children: [&str; N],
+    ) -> Option<[Option<Cow<'_, str>>; N]> {
+        let block = self.blocks.iter().find(|candidate| candidate.is(ns, block))?;
+        Some(block.child_texts(ns, children))
+    }
+
+    /// [`Envelope::header_texts`] for one child.
+    pub fn header_text(&self, ns: &str, block: &str, child: &str) -> Option<Cow<'_, str>> {
+        let [text] = self.header_texts(ns, block, [child])?;
+        text
+    }
+
+    /// Names of the header blocks that carry a true `env:mustUnderstand`,
+    /// in document order.
+    pub fn must_understand(&self) -> impl Iterator<Item = QName> + '_ {
+        self.blocks.iter().filter_map(Block::must_be_understood)
     }
 
     /// Add a header block.
     pub fn push_header(&mut self, header: Element) {
-        Arc::make_mut(&mut self.extra_headers).push(header);
+        Arc::make_mut(&mut self.blocks).push(Block::from_tree(header));
     }
 
-    /// Remove and return the first header matching namespace + local name.
-    pub fn take_header(&mut self, ns: &str, local: &str) -> Option<Element> {
-        let idx = self
-            .extra_headers
-            .iter()
-            .position(|h| h.name().matches(Some(ns), local))?;
-        Some(Arc::make_mut(&mut self.extra_headers).remove(idx))
+    /// Remove the first header block matching namespace + local name;
+    /// whether there was one. The other blocks stay as they are — a block
+    /// still held as the bytes it arrived in is forwarded as those bytes.
+    pub fn remove_header(&mut self, ns: &str, local: &str) -> bool {
+        let Some(idx) = self.blocks.iter().position(|block| block.is(ns, local)) else {
+            return false;
+        };
+        Arc::make_mut(&mut self.blocks).remove(idx);
+        true
     }
 
     /// The payload element, unless this is a fault or an empty message.
@@ -262,7 +454,7 @@ impl Envelope {
             .with_namespace("env", SOAP_ENV_NS)
             .with_namespace("wsa", WSA_NS);
         let addressing_blocks = self.addressing.to_header_blocks();
-        if !addressing_blocks.is_empty() || !self.extra_headers.is_empty() {
+        if !addressing_blocks.is_empty() || !self.blocks.is_empty() {
             let mut header = Element::in_ns("env", SOAP_ENV_NS, "Header");
             for block in addressing_blocks {
                 header.push_child(block);
@@ -285,9 +477,11 @@ impl Envelope {
     /// Stream this envelope into an open [`XmlWriter`] — byte-identical to
     /// serialising [`Envelope::to_element`] for every envelope built here
     /// or parsed from this writer's output, without building the tree. A
-    /// payload that already exists as bytes is spliced in verbatim, so a
-    /// foreign sender's CDATA sections and character references travel on
-    /// as written.
+    /// header block or payload that already exists as bytes is spliced in
+    /// verbatim when it is self-contained or leans only on the `env` /
+    /// `wsa` bindings declared here, so a foreign sender's CDATA sections
+    /// and character references travel on as written; one that leans on
+    /// anything else is written from its tree.
     ///
     /// # Errors
     ///
@@ -297,11 +491,11 @@ impl Envelope {
         w.start_element(&qnames::ENVELOPE)?;
         w.declare_namespace("env", SOAP_ENV_NS)?;
         w.declare_namespace("wsa", WSA_NS)?;
-        if !self.addressing.is_empty() || !self.extra_headers.is_empty() {
+        if !self.addressing.is_empty() || !self.blocks.is_empty() {
             w.start_element(&qnames::HEADER)?;
             self.addressing.write_header_blocks(w)?;
-            for block in self.headers() {
-                block.write_into(w)?;
+            for block in self.blocks.iter() {
+                block.write_into(w, fresh)?;
             }
             w.end_element()?;
         }
@@ -337,9 +531,11 @@ impl Envelope {
         self.to_xml().len()
     }
 
-    /// Parse an envelope from its XML form: the whole document is checked
-    /// for well-formedness, `env:Header` is decoded, and the payload is
-    /// kept as the bytes it arrived in (a `env:Fault` body is decoded).
+    /// Parse an envelope from its XML form, in one pass of the tokenizer
+    /// that checks the whole document for well-formedness, decodes the
+    /// WS-Addressing properties (and a `env:Fault` body) and records where
+    /// every other header block and the payload lie. The envelope keeps
+    /// its own copy of the text.
     ///
     /// # Errors
     ///
@@ -347,60 +543,27 @@ impl Envelope {
     /// [`SoapError::NotAnEnvelope`]/[`SoapError::MissingPart`] for documents
     /// that are not SOAP 1.2 messages.
     pub fn parse(xml: &str) -> Result<Self, SoapError> {
-        Parts::read(xml)?.assemble(|span| (xml[span.clone()].to_string(), 0..span.len()))
+        Self::parse_owned(xml.to_string())
     }
 
     /// [`Envelope::parse`] for a caller that is done with the text: the
-    /// envelope keeps `xml` itself as its payload bytes instead of copying
-    /// them out — what a receive path wants, where most messages are
-    /// duplicates whose payload nobody will look at.
+    /// envelope keeps `xml` itself instead of a copy — what a receive
+    /// path wants, where most messages are duplicates nobody will look
+    /// into. The text lives as long as the envelope (and its clones) do.
     ///
     /// # Errors
     ///
     /// As [`Envelope::parse`].
     pub fn parse_owned(xml: String) -> Result<Self, SoapError> {
-        Parts::read(&xml)?.assemble(|span| (xml, span))
-    }
-}
-
-/// What the one pass over a document found, before the payload bytes are
-/// given an owner.
-struct Parts {
-    addressing: MessageHeaders,
-    blocks: Vec<Element>,
-    first: Option<FirstChild>,
-}
-
-impl Parts {
-    fn read(xml: &str) -> Result<Self, SoapError> {
-        let mut reader = XmlReader::new(xml);
-        let root = read_root(&mut reader)?;
+        let source = Arc::new(xml);
         let mut blocks = Vec::new();
         let mut first = None;
-        let shape = walk(
-            &mut reader,
-            &root,
-            |reader| read_children(reader, &mut blocks),
-            |reader| read_body(reader, &mut first),
+        let addressing = read_parts(
+            &mut XmlReader::new(&source),
+            |reader, start, around| record_block(reader, &source, start, around, &mut blocks),
+            |reader| read_body(reader, &source, &mut first),
         )?;
-        reader.finish()?;
-
-        // The document is well-formed; now the order a tree walk would
-        // find structural faults in: root, headers, body.
-        shape.is_envelope()?;
-        let addressing = MessageHeaders::from_header_blocks(&blocks)?;
-        blocks.retain(|block| block.name().namespace() != Some(WSA_NS));
-        shape.has_body()?;
-        Ok(Parts { addressing, blocks, first })
-    }
-
-    /// `keep` turns the payload's span of the document into the owned
-    /// `(source, span)` the envelope holds on to.
-    fn assemble(
-        self,
-        keep: impl FnOnce(Range<usize>) -> (String, Range<usize>),
-    ) -> Result<Envelope, SoapError> {
-        let body = match self.first {
+        let body = match first {
             None => {
                 cov!();
                 Body::Empty
@@ -409,27 +572,65 @@ impl Parts {
                 cov!();
                 Body::Fault(Fault::from_element(&fault)?)
             }
-            Some(FirstChild::Payload { span, outer }) => {
+            Some(FirstChild::Payload(fragment)) => {
                 cov!();
-                let (source, span) = keep(span);
-                Body::Payload(Payload::from_wire(Fragment { source, span, outer }))
+                Body::Payload(Payload::from_wire(fragment))
             }
         };
-        Ok(Envelope {
-            addressing: self.addressing,
-            extra_headers: Arc::new(self.blocks),
-            body,
-        })
+        Ok(Envelope { addressing, blocks: Arc::new(blocks), body })
+    }
+
+    /// The addressing properties [`Envelope::parse`] would decode from
+    /// `xml`, for a caller that wants nothing else of the message (the
+    /// transport labelling a lone POST with its `wsa:Action`): the same
+    /// pass with nothing recorded, so nothing of the text is copied but
+    /// the properties.
+    ///
+    /// # Errors
+    ///
+    /// As [`Envelope::parse`], except that the body is only checked for
+    /// well-formedness: an `env:Fault` that is none goes unreported.
+    pub fn addressing_of(xml: &str) -> Result<MessageHeaders, SoapError> {
+        let skip = |reader: &mut XmlReader<'_>, _, _| reader.skip_element();
+        read_parts(&mut XmlReader::new(xml), skip, XmlReader::skip_element)
     }
 }
 
-/// Read the prologue up to and including the root start tag.
-pub(crate) fn read_root(reader: &mut XmlReader<'_>) -> Result<QName, XmlError> {
-    loop {
-        if let XmlEvent::StartElement { name, .. } = reader.next_event()? {
-            return Ok(name);
-        }
-    }
+/// The one pass over an envelope document: check all of it for
+/// well-formedness, decode the WS-Addressing properties, and hand every
+/// other header block (its start tag read; with the offset of its `<` and
+/// the scope depth it stands in) to `on_block` and `env:Body` (its start
+/// tag read) to `on_body` — each must consume its element through the end
+/// tag.
+fn read_parts<'a>(
+    reader: &mut XmlReader<'a>,
+    mut on_block: impl FnMut(&mut XmlReader<'a>, usize, usize) -> Result<(), XmlError>,
+    on_body: impl FnMut(&mut XmlReader<'a>) -> Result<(), XmlError>,
+) -> Result<MessageHeaders, SoapError> {
+    read_root(reader)?;
+    let mut addressing = MessageHeaders::new();
+    let mut undecodable = None;
+    let shape = walk(
+        reader,
+        |reader| read_header(reader, &mut addressing, &mut undecodable, &mut on_block),
+        on_body,
+    )?;
+    reader.finish()?;
+
+    // The document is well-formed; now the order a tree walk would find
+    // structural faults in: root, headers, body.
+    shape.is_envelope()?;
+    undecodable.map_or(Ok(()), Err)?;
+    shape.has_body()?;
+    Ok(addressing)
+}
+
+/// Read the prologue up to and including the root start tag, which
+/// [`XmlReader::element_name`] then names.
+pub(crate) fn read_root(reader: &mut XmlReader<'_>) -> Result<(), XmlError> {
+    // Without a root element the tokenizer errors before it reports `Eof`.
+    while reader.next_raw()? != RawEvent::Start {}
+    Ok(())
 }
 
 /// What a walk over a document found of the SOAP envelope shape.
@@ -459,64 +660,151 @@ impl Shape {
     }
 }
 
-/// Walk the document element `root` (its start tag already read) through
-/// its end tag: the first `env:Header` child goes to `on_header`, the
-/// first `env:Body` child to `on_body` — each must consume that element
-/// through its end tag — and everything else is skipped. This is the one
-/// place that knows where an envelope keeps its parts; the full parse and
-/// the transport's shape check differ only in what the callbacks build.
+/// Walk the document element (its start tag already read) through its end
+/// tag: the first `env:Header` child goes to `on_header`, the first
+/// `env:Body` child to `on_body` — each must consume that element through
+/// its end tag — and everything else is skipped. This is the one place
+/// that knows where an envelope keeps its parts; the full parse and the
+/// transport's shape check differ only in what the callbacks record.
 pub(crate) fn walk<'a>(
     reader: &mut XmlReader<'a>,
-    root: &QName,
     mut on_header: impl FnMut(&mut XmlReader<'a>) -> Result<(), XmlError>,
     mut on_body: impl FnMut(&mut XmlReader<'a>) -> Result<(), XmlError>,
 ) -> Result<Shape, XmlError> {
-    if !root.matches(Some(SOAP_ENV_NS), "Envelope") {
+    if reader.element_name() != (Some(SOAP_ENV_NS), "Envelope") {
+        let root = reader.element_qname().to_string();
         reader.skip_element()?;
-        return Ok(Shape { foreign_root: Some(root.to_string()), body: false });
+        return Ok(Shape { foreign_root: Some(root), body: false });
     }
     let (mut header, mut body) = (false, false);
     loop {
-        match reader.next_event()? {
-            XmlEvent::StartElement { name, .. } => {
-                if !header && name.matches(Some(SOAP_ENV_NS), "Header") {
+        match reader.next_raw()? {
+            RawEvent::Start => match reader.element_name() {
+                (Some(SOAP_ENV_NS), "Header") if !header => {
                     cov!();
                     header = true;
                     on_header(reader)?;
-                } else if !body && name.matches(Some(SOAP_ENV_NS), "Body") {
+                }
+                (Some(SOAP_ENV_NS), "Body") if !body => {
                     cov!();
                     body = true;
                     on_body(reader)?;
-                } else {
+                }
+                _ => {
                     cov!();
                     reader.skip_element()?;
                 }
-            }
-            XmlEvent::EndElement { .. } => return Ok(Shape { foreign_root: None, body }),
+            },
+            RawEvent::End => return Ok(Shape { foreign_root: None, body }),
             _ => {}
         }
     }
 }
 
-/// Build the child elements of the element just started (an `env:Header`'s
-/// blocks), consuming through its end tag.
-fn read_children(reader: &mut XmlReader<'_>, out: &mut Vec<Element>) -> Result<(), XmlError> {
+/// Where `part` lies in `source`, when it is a slice of it.
+fn span_in(source: &str, part: &str) -> Option<Range<usize>> {
+    let start = (part.as_ptr() as usize).checked_sub(source.as_ptr() as usize)?;
+    let end = start.checked_add(part.len())?;
+    (end <= source.len()).then_some(start..end)
+}
+
+/// Frame the element `reader` just started — its `<` at byte `start` of
+/// `source`, the binding watermark reset before its start tag was read —
+/// skipping through its end tag. `around` is the scope depth the element
+/// stands in.
+fn cut(
+    reader: &mut XmlReader<'_>,
+    source: &Arc<String>,
+    start: usize,
+    around: usize,
+) -> Result<Fragment, XmlError> {
+    reader.skip_element()?;
+    // A watermark above the surrounding depth: every prefix resolved
+    // inside the element itself.
+    let contained = reader.binding_watermark() > around;
+    let scope = if contained
+        || reader.bindings().all(|b| matches!(b, ("env", SOAP_ENV_NS) | ("wsa", WSA_NS)))
+    {
+        cov!();
+        Scope::Envelope
+    } else {
+        cov!();
+        Scope::Foreign(reader.in_scope_bindings())
+    };
+    Ok(Fragment { source: Arc::clone(source), span: start..reader.position(), scope })
+}
+
+/// Go through the blocks of the `env:Header` just started, consuming
+/// through its end tag: `wsa:` blocks are decoded into `addressing` (the
+/// first one that cannot be is kept in `undecodable`, for the caller to
+/// report once the whole document has proved well-formed), every other
+/// block goes to `on_block`.
+fn read_header<'a>(
+    reader: &mut XmlReader<'a>,
+    addressing: &mut MessageHeaders,
+    undecodable: &mut Option<SoapError>,
+    mut on_block: impl FnMut(&mut XmlReader<'a>, usize, usize) -> Result<(), XmlError>,
+) -> Result<(), XmlError> {
+    let around = reader.scope_depth();
     loop {
-        match reader.next_event()? {
-            XmlEvent::StartElement { name, attributes, .. } => {
-                out.push(Element::from_start_event(reader, name, attributes)?);
+        // After the previous event the cursor sits exactly on the next
+        // construct: for a start tag, the offset of its `<`.
+        let start = reader.position();
+        reader.reset_binding_watermark();
+        match reader.next_raw()? {
+            RawEvent::Start if reader.element_name().0 == Some(WSA_NS) => {
+                if let Err(error) = addressing.read_block(reader)? {
+                    undecodable.get_or_insert(error);
+                }
             }
-            XmlEvent::EndElement { .. } => return Ok(()),
+            RawEvent::Start => on_block(reader, start, around)?,
+            RawEvent::End => return Ok(()),
             _ => {}
         }
     }
+}
+
+/// Record the header block `reader` just started — `start` and `around`
+/// as for [`cut`] — in `blocks`, skipping through its end tag.
+fn record_block(
+    reader: &mut XmlReader<'_>,
+    source: &Arc<String>,
+    start: usize,
+    around: usize,
+    blocks: &mut Vec<Block>,
+) -> Result<(), XmlError> {
+    let (ns, local) = reader.element_name();
+    let name = span_in(source, local).zip(match ns {
+        Some(ns) => span_in(source, ns).map(Some),
+        None => Some(None),
+    });
+    let flag = reader.attribute(Some(SOAP_ENV_NS), "mustUnderstand");
+    let must_understand = flag.is_some_and(|value| is_true(&value));
+    let xml = cut(reader, source, start, around)?;
+    if blocks.is_empty() {
+        // A notification carries two: its coordination context and its
+        // gossip header.
+        blocks.reserve_exact(2);
+    }
+    blocks.push(match name {
+        Some((local, namespace)) => {
+            cov!();
+            let wire = Recorded { xml, namespace, local, must_understand };
+            Block { tree: OnceLock::new(), wire: Some(wire) }
+        }
+        // A namespace URI written with a character reference is no slice
+        // of the text: keep the tree instead.
+        None => {
+            cov!();
+            Block::from_tree(xml.to_tree())
+        }
+    });
+    Ok(())
 }
 
 /// The first child element of `env:Body`, as far as the parse decodes it.
 enum FirstChild {
-    /// Its byte span of the document, and the bindings in scope around it
-    /// when it leans on them.
-    Payload { span: Range<usize>, outer: Vec<(String, String)> },
+    Payload(Fragment),
     Fault(Element),
 }
 
@@ -524,37 +812,28 @@ enum FirstChild {
 /// its end tag: a leading `env:Fault` is built, any other first child is
 /// skipped over and kept as its byte span of the document; later children
 /// are skipped and dropped.
-fn read_body(reader: &mut XmlReader<'_>, first: &mut Option<FirstChild>) -> Result<(), XmlError> {
-    let body_scope = reader.scope_depth();
+fn read_body(
+    reader: &mut XmlReader<'_>,
+    source: &Arc<String>,
+    first: &mut Option<FirstChild>,
+) -> Result<(), XmlError> {
+    let around = reader.scope_depth();
     loop {
-        // After the previous event the cursor sits exactly on the next
-        // construct: for a start tag, the offset of its `<`.
         let start = reader.position();
         reader.reset_binding_watermark();
-        match reader.next_event()? {
-            XmlEvent::StartElement { name, attributes, .. } => {
+        match reader.next_raw()? {
+            RawEvent::Start => {
                 if first.is_some() {
                     cov!();
                     reader.skip_element()?;
-                } else if name.matches(Some(SOAP_ENV_NS), "Fault") {
+                } else if reader.element_name() == (Some(SOAP_ENV_NS), "Fault") {
                     cov!();
-                    let fault = Element::from_start_event(reader, name, attributes)?;
-                    *first = Some(FirstChild::Fault(fault));
+                    *first = Some(FirstChild::Fault(Element::from_open(reader)?));
                 } else {
-                    reader.skip_element()?;
-                    // A watermark above the body's scope depth: every
-                    // prefix resolved inside the payload itself.
-                    let outer = if reader.binding_watermark() > body_scope {
-                        cov!();
-                        Vec::new()
-                    } else {
-                        cov!();
-                        reader.in_scope_bindings()
-                    };
-                    *first = Some(FirstChild::Payload { span: start..reader.position(), outer });
+                    *first = Some(FirstChild::Payload(cut(reader, source, start, around)?));
                 }
             }
-            XmlEvent::EndElement { .. } => return Ok(()),
+            RawEvent::End => return Ok(()),
             _ => {}
         }
     }
@@ -662,10 +941,11 @@ mod tests {
     }
 
     #[test]
-    fn take_header_removes() {
+    fn remove_header_removes() {
         let mut env = sample().with_header(Element::in_ns("g", "urn:g", "Gossip"));
-        assert!(env.take_header("urn:g", "Gossip").is_some());
+        assert!(env.remove_header("urn:g", "Gossip"));
         assert!(env.header("urn:g", "Gossip").is_none());
+        assert!(!env.remove_header("urn:g", "Gossip"));
     }
 
     #[test]
@@ -775,6 +1055,99 @@ mod tests {
         assert_eq!(reply_to.name().namespace(), Some(crate::WSA_NS));
     }
 
+    /// An envelope with `blocks` verbatim inside `env:Header` and
+    /// `root_attrs` verbatim on `env:Envelope`.
+    fn with_blocks(root_attrs: &str, blocks: &str) -> String {
+        format!(
+            "<env:Envelope xmlns:env=\"{ENV}\"{root_attrs}><env:Header>\
+             <wsa:To xmlns:wsa=\"{}\">http://a</wsa:To>{blocks}\
+             </env:Header><env:Body><op/></env:Body></env:Envelope>",
+            crate::WSA_NS
+        )
+    }
+
+    #[test]
+    fn header_blocks_are_read_in_place_and_built_one_at_a_time() {
+        let parsed = Envelope::parse(&with_blocks(
+            "",
+            "<g:Gossip xmlns:g=\"urn:g\"><g:Origin>http://n1</g:Origin>\
+             <g:Seq> 7 </g:Seq><g:Origin>second</g:Origin>\
+             <g:Note>a &amp; <![CDATA[<b>]]><g:Note>nested</g:Note></g:Note>\
+             <o:Seq xmlns:o=\"urn:o\">other</o:Seq></g:Gossip>\
+             <c:Ctx xmlns:c=\"urn:c\"><c:Id>1</c:Id></c:Ctx>",
+        ))
+        .unwrap();
+        assert_eq!(parsed.addressing().to(), Some("http://a"));
+        let [origin, seq, note, missing] =
+            parsed.header_texts("urn:g", "Gossip", ["Origin", "Seq", "Note", "Missing"]).unwrap();
+        assert!(matches!(origin, Some(Cow::Borrowed("http://n1"))), "first child, borrowed");
+        assert!(matches!(seq, Some(Cow::Borrowed(" 7 "))), "verbatim, whitespace and all");
+        assert_eq!(note.as_deref(), Some("a & <b>"), "direct text only, references resolved");
+        assert_eq!(missing, None);
+        assert_eq!(parsed.header_text("urn:c", "Ctx", "Id").as_deref(), Some("1"));
+        assert_eq!(parsed.header_texts("urn:g", "Ctx", ["Id"]), None, "names are resolved");
+        assert!(parsed.blocks.iter().all(|block| block.tree.get().is_none()), "nothing built");
+
+        // Asking for one block builds that block, and answers do not change.
+        let gossip = parsed.header("urn:g", "Gossip").unwrap();
+        assert_eq!(gossip.child_ns("urn:g", "Seq").unwrap().text(), " 7 ");
+        assert!(parsed.blocks[1].tree.get().is_none());
+        assert_eq!(parsed.header_text("urn:g", "Gossip", "Note").as_deref(), Some("a & <b>"));
+        assert_eq!(parsed.headers().len(), 2);
+    }
+
+    #[test]
+    fn the_must_understand_flags_are_recorded_by_the_parse() {
+        let wire = with_blocks(
+            "",
+            "<a:One xmlns:a=\"urn:a\" env:mustUnderstand=\"1\"/>\
+             <a:Two xmlns:a=\"urn:a\" env:mustUnderstand=\"false\"/>\
+             <Three env:mustUnderstand=\"true\"/>\
+             <a:Four xmlns:a=\"urn:a\" mustUnderstand=\"1\"/>\
+             <a:Five xmlns:a=\"urn:a&#x26;b\" env:mustUnderstand=\"1\"/>",
+        );
+        let parsed = Envelope::parse(&wire).unwrap();
+        let expected =
+            [QName::with_ns("urn:a", "One"), QName::new("Three"), QName::with_ns("urn:a&b", "Five")];
+        assert_eq!(parsed.must_understand().collect::<Vec<_>>(), expected);
+        assert!(parsed.blocks[..4].iter().all(|block| block.tree.get().is_none()));
+        // A namespace written with a reference is no slice of the text:
+        // that block is kept as its tree.
+        assert!(parsed.blocks[4].wire.is_none());
+        // Locally built envelopes answer from their trees.
+        let flag = QName::with_ns(ENV, "mustUnderstand").with_prefix("env");
+        let built = sample().with_header(Element::in_ns("a", "urn:a", "One").with_attr(flag, "1"));
+        assert_eq!(built.must_understand().collect::<Vec<_>>(), expected[..1]);
+    }
+
+    #[test]
+    fn unedited_header_blocks_are_spliced_and_edits_leave_clones_alone() {
+        // Self-contained, or leaning on the env / wsa bindings every
+        // envelope declares: forwarded as written, comment and all.
+        let contained = "<c:Ctx xmlns:c=\"urn:c\" env:mustUnderstand=\"0\"><!-- theirs -->\
+                         <c:Id><![CDATA[1]]></c:Id></c:Ctx><g:Gossip xmlns:g=\"urn:g\"/>";
+        let parsed = Envelope::parse(&with_blocks("", contained)).unwrap();
+        let mut forward = parsed.clone();
+        assert!(forward.remove_header("urn:g", "Gossip"));
+        forward.push_header(Element::in_ns("g", "urn:g", "Gossip").with_text("next"));
+        let wire = forward.to_xml();
+        assert!(wire.contains("<!-- theirs --><c:Id><![CDATA[1]]></c:Id></c:Ctx><g:Gossip"), "{wire}");
+        assert!(forward.blocks[0].tree.get().is_none(), "spliced, never built");
+        assert!(parsed.header("urn:g", "Gossip").unwrap().is_empty(), "the original keeps its own");
+        assert_eq!(Envelope::parse(&wire).unwrap(), forward);
+
+        // Leaning on a prefix only the source document declared: written
+        // from the tree, which declares it on the block.
+        let leaning = Envelope::parse(&with_blocks(
+            " xmlns:c=\"urn:c\"",
+            "<c:Ctx><c:Id><![CDATA[1]]></c:Id></c:Ctx>",
+        ))
+        .unwrap();
+        let wire = leaning.to_xml();
+        assert!(wire.contains("<c:Ctx xmlns:c=\"urn:c\"><c:Id>1</c:Id></c:Ctx>"), "{wire}");
+        assert_eq!(Envelope::parse(&wire).unwrap(), leaning);
+    }
+
     #[test]
     fn structural_faults_surface_in_tree_walk_order_after_well_formedness() {
         let envelope = |content: &str| {
@@ -805,5 +1178,19 @@ mod tests {
         let parsed = Envelope::parse(&shuffled).unwrap();
         assert_eq!(parsed.addressing().to(), Some("http://a"));
         assert_eq!(parsed.body().unwrap().local_name(), "first");
+
+        // The addressing-only pass is the same pass: same properties, same
+        // error — short of looking into the body.
+        let same = |a: &SoapError, b: &SoapError| std::mem::discriminant(a) == std::mem::discriminant(b);
+        for doc in ["<a><b></a>", "<a/><b/>", "<a/>", &bad_body, &bad_epr, &envelope("<env:Header/>"), &shuffled] {
+            match (Envelope::addressing_of(doc), Envelope::parse(doc)) {
+                (Ok(addressing), Ok(parsed)) => assert_eq!(&addressing, parsed.addressing()),
+                (Err(a), Err(b)) => assert!(same(&a, &b), "{doc}: {a} vs {b}"),
+                (a, b) => panic!("{doc}: {a:?} vs {b:?}"),
+            }
+        }
+        assert_eq!(Envelope::addressing_of(&bad_fault), Ok(MessageHeaders::new()));
+        let full = sample().with_header(Element::in_ns("x", "urn:x", "Block")).to_xml();
+        assert_eq!(Envelope::addressing_of(&full).as_ref(), Ok(sample().addressing()));
     }
 }

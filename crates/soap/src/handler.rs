@@ -14,7 +14,6 @@ use wsg_xml::QName;
 
 use crate::envelope::Envelope;
 use crate::fault::{Fault, FaultCode};
-use crate::SOAP_ENV_NS;
 
 /// Direction a message is travelling through the stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -238,23 +237,14 @@ impl HandlerChain {
     }
 
     fn check_must_understand(&self, envelope: &Envelope) -> Option<Fault> {
-        for header in envelope.headers() {
-            let must = header
-                .attr_ns(SOAP_ENV_NS, "mustUnderstand")
-                .map(|v| v == "true" || v == "1")
-                .unwrap_or(false);
-            if !must {
-                continue;
-            }
-            let understood = self.handlers.iter().any(|h| h.understands(header.name()));
-            if !understood {
-                return Some(Fault::new(
-                    FaultCode::MustUnderstand,
-                    format!("header {} not understood", header.name()),
-                ));
-            }
-        }
-        None
+        // The parse recorded which blocks carry the flag: an envelope
+        // with none (every gossip message) is not looked into.
+        envelope
+            .must_understand()
+            .find(|header| !self.handlers.iter().any(|h| h.understands(header)))
+            .map(|header| {
+                Fault::new(FaultCode::MustUnderstand, format!("header {header} not understood"))
+            })
     }
 }
 
@@ -262,6 +252,7 @@ impl HandlerChain {
 mod tests {
     use super::*;
     use crate::addressing::MessageHeaders;
+    use crate::SOAP_ENV_NS;
     use wsg_xml::Element;
 
     fn env() -> Envelope {

@@ -119,3 +119,63 @@ fn parser_survives_arbitrary_bytes() {
         Ok(())
     });
 }
+
+/// One child of the generated header block: `<b:local>` (or the same
+/// local name in another namespace) around runs of text written every way
+/// XML allows, comments, and nested children of the same names.
+fn arb_block_child(g: &mut Gen, depth: usize) -> String {
+    const LOCALS: &[&str] = &["A", "B", "C"];
+    const RUNS: &[&str] = &[
+        "plain",
+        " 12\n",
+        "x &amp; y",
+        "&#x26;&lt;",
+        "<![CDATA[raw <&> ]]>",
+        "<![CDATA[]]>",
+        "<!-- aside -->",
+        "<?pi data?>",
+    ];
+    let local = *g.pick(LOCALS);
+    let (open, close) = if g.bool(0.2) {
+        (format!("<o:{local} xmlns:o=\"urn:other\">"), format!("</o:{local}>"))
+    } else {
+        (format!("<b:{local}>"), format!("</b:{local}>"))
+    };
+    let mut out = open;
+    for _ in 0..g.len_in(4) {
+        if depth < 2 && g.bool(0.3) {
+            out.push_str(&arb_block_child(g, depth + 1));
+        } else {
+            let run = *g.pick(RUNS);
+            out.push_str(run);
+        }
+    }
+    out + &close
+}
+
+#[test]
+fn header_text_reads_what_the_tree_holds() {
+    const ENV: &str = "http://www.w3.org/2003/05/soap-envelope";
+    run("header_text_reads_what_the_tree_holds", 128, |g| {
+        let children: String = (0..g.len_in(5)).map(|_| arb_block_child(g, 0)).collect();
+        let wire = format!(
+            "<env:Envelope xmlns:env=\"{ENV}\"><env:Header>\
+             <b:Block xmlns:b=\"urn:b\">{children}</b:Block>\
+             </env:Header><env:Body/></env:Envelope>"
+        );
+        // One envelope answers from the bytes, the other from its tree.
+        let read = Envelope::parse(&wire).expect("generated envelope parses");
+        let built = Envelope::parse(&wire).expect("generated envelope parses");
+        let block = built.header("urn:b", "Block").expect("the block is there");
+        for child in ["A", "B", "C", "D"] {
+            let tree = block.child_ns("urn:b", child).map(|c| c.text());
+            let text = read.header_text("urn:b", "Block", child);
+            prop_assert_eq!(text.as_deref(), tree.as_deref());
+            // Answering from its tree, an envelope says the same.
+            prop_assert_eq!(built.header_text("urn:b", "Block", child), text);
+        }
+        prop_assert!(read.header_text("urn:b", "Other", "A").is_none());
+        prop_assert!(read.header_text("urn:other", "Block", "A").is_none());
+        Ok(())
+    });
+}

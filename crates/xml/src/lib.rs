@@ -41,7 +41,7 @@ mod error;
 pub use error::XmlError;
 pub use event::XmlEvent;
 pub use name::QName;
-pub use reader::XmlReader;
+pub use reader::{RawEvent, XmlReader};
 pub use tree::Element;
 pub use writer::XmlWriter;
 

@@ -3,10 +3,13 @@
 //! Two layers share one grammar. The **token layer** ([`XmlReader`]'s
 //! private `next_token`) recognises every construct as slices of the
 //! input and enforces all well-formedness and namespace rules without
-//! building a `String` or a [`QName`]. On top of it sit two consumers:
-//! [`XmlReader::next_event`] turns tokens into owned [`XmlEvent`]s, and
-//! [`XmlReader::skip_element`] discards them — same accept/reject
-//! decisions, same end offset, no allocation.
+//! building a `String` or a [`QName`]. On top of it sit three consumers:
+//! [`XmlReader::next_event`] turns tokens into owned [`XmlEvent`]s,
+//! [`XmlReader::next_raw`] hands them over as slices of the input (a
+//! [`RawEvent`]; the name and attributes of a start tag are asked of the
+//! reader), and [`XmlReader::skip_element`] discards them — same
+//! accept/reject decisions, same end offset, and for the last two no
+//! allocation.
 
 use std::borrow::Cow;
 
@@ -30,13 +33,34 @@ enum Token<'a> {
     /// Character data, still escaped; the consumer resolves or checks its
     /// references (`unescape` / `check_refs`) from byte offset `at`.
     Text { raw: &'a str, at: usize },
-    /// A start tag. The element is open, its scope pushed and its
-    /// attributes (validated) sit in `XmlReader::attrs`.
-    Start { lexical: &'a str, empty: bool },
+    /// A start tag. The element is open (its lexical name is the last of
+    /// `XmlReader::open`), its scope pushed and its attributes (validated)
+    /// sit in `XmlReader::attrs`.
+    Start { empty: bool },
     /// A matched end tag (or the synthetic one after `<a/>`). The element
     /// stays open until the consumer calls `close_element`, so its own
     /// namespace declarations can still resolve its name.
     End { lexical: &'a str },
+    Eof,
+}
+
+/// One event as slices of the input — what [`XmlReader::next_event`] would
+/// have copied, before anything is.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RawEvent<'a> {
+    /// A start tag. The element is now the innermost open one: its name is
+    /// [`XmlReader::element_name`], its attributes [`XmlReader::attribute`].
+    /// As with [`XmlEvent::StartElement`], `<a/>` is followed by its `End`.
+    Start,
+    /// An end tag; the element is closed.
+    End,
+    /// Character data with its references resolved, or a CDATA section
+    /// verbatim — what a tree's text node would hold. Borrowed unless a
+    /// reference had to be resolved.
+    Text(Cow<'a, str>),
+    /// A declaration, comment or processing instruction.
+    Markup,
+    /// End of the document.
     Eof,
 }
 
@@ -124,13 +148,16 @@ impl<'a> XmlReader<'a> {
     /// fragment stood, outermost first (later entries shadow earlier
     /// ones; the empty prefix is the default namespace).
     pub fn with_bindings(input: &'a str, outer: &'a [(String, String)]) -> Self {
-        let mut entries = vec![(0, "xml", Cow::Borrowed(crate::XML_NS))];
+        // Room for a SOAP message's bindings and nesting: the two vectors
+        // are sized once, not grown a step at a time per message.
+        let mut entries = Vec::with_capacity(outer.len() + 6);
+        entries.push((0, "xml", Cow::Borrowed(crate::XML_NS)));
         entries.extend(outer.iter().map(|(p, u)| (0, p.as_str(), Cow::Borrowed(u.as_str()))));
         XmlReader {
             input,
             pos: 0,
             scope: Bindings { entries, depth: 0 },
-            open: Vec::new(),
+            open: Vec::with_capacity(8),
             attrs: Vec::new(),
             pending_end: false,
             seen_root: false,
@@ -154,12 +181,16 @@ impl<'a> XmlReader<'a> {
     /// what [`XmlReader::with_bindings`] needs to read a subtree cut out
     /// at this point.
     pub fn in_scope_bindings(&self) -> Vec<(String, String)> {
+        self.bindings().map(|(prefix, uri)| (prefix.to_string(), uri.to_string())).collect()
+    }
+
+    /// [`in_scope_bindings`](Self::in_scope_bindings), borrowed.
+    pub fn bindings(&self) -> impl Iterator<Item = (&str, &str)> {
         self.scope
             .entries
             .iter()
             .filter(|(depth, _, _)| *depth > 0)
-            .map(|(_, prefix, uri)| (prefix.to_string(), uri.to_string()))
-            .collect()
+            .map(|(_, prefix, uri)| (*prefix, uri.as_ref()))
     }
 
     /// Start tracking which namespace bindings the following events consult.
@@ -201,22 +232,8 @@ impl<'a> XmlReader<'a> {
             Token::Comment(text) => XmlEvent::Comment(text.to_string()),
             Token::CData(text) => XmlEvent::CData(text.to_string()),
             Token::Text { raw, at } => XmlEvent::Text(unescape(raw, at)?.into_owned()),
-            Token::Start { lexical, empty } => {
-                let name = self.qname(lexical, true);
-                let raw_attrs = std::mem::take(&mut self.attrs);
-                let mut attributes = Vec::with_capacity(raw_attrs.len());
-                for attr in &raw_attrs {
-                    if declared_prefix(attr.name).is_some() {
-                        continue;
-                    }
-                    attributes.push(Attribute {
-                        // Per the namespaces spec, unprefixed attributes are
-                        // in no namespace (the default does not apply).
-                        name: self.qname(attr.name, false),
-                        value: attr_value(attr)?.into_owned(),
-                    });
-                }
-                self.attrs = raw_attrs;
+            Token::Start { empty, .. } => {
+                let (name, attributes) = self.start_tag();
                 XmlEvent::StartElement { name, attributes, empty }
             }
             Token::End { lexical } => {
@@ -226,6 +243,97 @@ impl<'a> XmlReader<'a> {
             }
             Token::Eof => XmlEvent::Eof,
         })
+    }
+
+    /// Pull the next event without copying it: the zero-allocation form
+    /// of [`next_event`](Self::next_event), for consumers that compare
+    /// names and keep at most a few pieces of text.
+    ///
+    /// # Errors
+    ///
+    /// Exactly the error `next_event` would have raised.
+    pub fn next_raw(&mut self) -> Result<RawEvent<'a>, XmlError> {
+        Ok(match self.next_token()? {
+            Token::Start { .. } => RawEvent::Start,
+            Token::End { .. } => {
+                self.close_element();
+                RawEvent::End
+            }
+            Token::Text { raw, at } => RawEvent::Text(unescape(raw, at)?),
+            Token::CData(text) => RawEvent::Text(Cow::Borrowed(text)),
+            Token::Eof => RawEvent::Eof,
+            Token::Declaration(_) | Token::Pi { .. } | Token::Comment(_) => RawEvent::Markup,
+        })
+    }
+
+    /// Owned name and attributes (namespace declarations excluded) of the
+    /// start tag last read — what [`XmlEvent::StartElement`] carries.
+    pub fn start_tag(&self) -> (QName, Vec<Attribute>) {
+        let attributes = self
+            .attrs
+            .iter()
+            .filter(|attr| declared_prefix(attr.name).is_none())
+            .map(|attr| Attribute {
+                // Per the namespaces spec, unprefixed attributes are
+                // in no namespace (the default does not apply).
+                name: self.qname(attr.name, false),
+                value: checked_value(attr).into_owned(),
+            })
+            .collect();
+        (self.element_qname(), attributes)
+    }
+
+    /// Resolved namespace and local name of the innermost open element —
+    /// after a [`RawEvent::Start`], the element just started. The local
+    /// name is a slice of the input, and so is the namespace unless its
+    /// declaration needed a reference resolved.
+    pub fn element_name(&self) -> (Option<&str>, &'a str) {
+        let lexical = self.open.last().copied().unwrap_or_default();
+        let (prefix, local) = QName::split_lexical(lexical);
+        let uri = self.scope.resolve(prefix.unwrap_or("")).map(|(_, uri)| uri);
+        (uri.filter(|uri| !uri.is_empty()), local)
+    }
+
+    /// [`element_name`](Self::element_name) as an owned [`QName`].
+    pub fn element_qname(&self) -> QName {
+        self.qname(self.open.last().copied().unwrap_or_default(), true)
+    }
+
+    /// Value of the attribute `(ns, local)` on the start tag last read
+    /// (the first, should two prefixes make two attributes one name), as
+    /// a tree would hold it: references resolved, whitespace normalised.
+    pub fn attribute(&self, ns: Option<&str>, local: &str) -> Option<Cow<'a, str>> {
+        let attr = self.attrs.iter().find(|attr| {
+            let (prefix, name) = QName::split_lexical(attr.name);
+            // The default namespace never applies to attributes.
+            name == local
+                && declared_prefix(attr.name).is_none()
+                && prefix.and_then(|p| self.scope.resolve(p)).map(|(_, uri)| uri) == ns
+        })?;
+        Some(checked_value(attr))
+    }
+
+    /// The character data directly inside the innermost open element —
+    /// what [`Element::text`](crate::Element::text) returns for its tree:
+    /// text and CDATA runs concatenated, child elements skipped over —
+    /// consuming through the element's end tag. Borrowed when it is one
+    /// run that needed no reference resolved.
+    ///
+    /// # Errors
+    ///
+    /// Exactly the error `next_event` would have raised in the subtree.
+    pub fn direct_text(&mut self) -> Result<Cow<'a, str>, XmlError> {
+        let mut text = Cow::Borrowed("");
+        loop {
+            match self.next_raw()? {
+                RawEvent::Text(run) if text.is_empty() => text = run,
+                RawEvent::Text(run) => text.to_mut().push_str(&run),
+                RawEvent::Start => self.skip_element()?,
+                RawEvent::End => return Ok(text),
+                RawEvent::Eof => return Err(self.err(XmlErrorKind::UnexpectedEof)),
+                RawEvent::Markup => {}
+            }
+        }
     }
 
     /// Advance past the end tag of the innermost open element — after a
@@ -284,8 +392,10 @@ impl<'a> XmlReader<'a> {
     }
 
     /// Iterate events until the matching end of the element that was just
-    /// started, collecting the concatenated text content and discarding
-    /// markup. Useful for simple leaf elements.
+    /// started, collecting the concatenated text content — descendants'
+    /// included — and discarding markup. Useful for simple leaf elements;
+    /// [`direct_text`](Self::direct_text) is the one that matches
+    /// [`Element::text`](crate::Element::text).
     pub fn read_text_content(&mut self) -> Result<String, XmlError> {
         let target_depth = self.open.len();
         let mut out = String::new();
@@ -628,7 +738,7 @@ impl<'a> XmlReader<'a> {
         self.open.push(lexical);
         self.pending_end = empty;
         cov!();
-        Ok(Token::Start { lexical, empty })
+        Ok(Token::Start { empty })
     }
 
     fn read_name(&mut self) -> Result<&'a str, XmlError> {
@@ -731,6 +841,11 @@ fn attr_value<'a>(attr: &RawAttr<'a>) -> Result<Cow<'a, str>, XmlError> {
     ))
 }
 
+/// [`attr_value`] of an attribute the tokenizer has accepted.
+fn checked_value<'a>(attr: &RawAttr<'a>) -> Cow<'a, str> {
+    attr_value(attr).expect("references were checked when the tag was tokenized")
+}
+
 fn pseudo_attr(data: &str, name: &str) -> Option<String> {
     let idx = data.find(name)?;
     let rest = data[idx + name.len()..].trim_start();
@@ -747,6 +862,7 @@ fn pseudo_attr(data: &str, name: &str) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Element;
 
     fn events(input: &str) -> Vec<XmlEvent> {
         let mut reader = XmlReader::new(input);
@@ -913,6 +1029,111 @@ mod tests {
         let mut r = XmlReader::new("<a>x<b>skip</b>y<![CDATA[z]]></a>");
         r.next_event().unwrap();
         assert_eq!(r.read_text_content().unwrap(), "xskipyz");
+    }
+
+    #[test]
+    fn direct_text_is_what_the_tree_holds() {
+        // Descendant text is not the element's own: unlike
+        // `read_text_content`, and like `Element::text`.
+        for doc in [
+            "<a>x<b>skip</b>y<![CDATA[z]]></a>",
+            "<a>plain</a>",
+            "<a> x &amp; y </a>",
+            "<a><?pi data?>x<!-- c -->y</a>",
+            "<a/>",
+            "<a><b>only</b></a>",
+        ] {
+            let mut r = XmlReader::new(doc);
+            assert_eq!(r.next_raw().unwrap(), RawEvent::Start);
+            let text = r.direct_text().unwrap();
+            assert_eq!(text, Element::parse(doc).unwrap().text(), "{doc}");
+            assert_eq!(r.next_raw().unwrap(), RawEvent::Eof, "{doc}");
+        }
+        // One run with nothing to resolve is a slice of the input.
+        let mut r = XmlReader::new("<a>plain</a>");
+        r.next_raw().unwrap();
+        assert!(matches!(r.direct_text().unwrap(), Cow::Borrowed("plain")));
+        let mut r = XmlReader::new("<a>x<b>skip</b>y</a>");
+        r.next_raw().unwrap();
+        assert!(matches!(r.direct_text().unwrap(), Cow::Owned(text) if text == "xy"));
+        // The subtree's errors are the reader's.
+        let mut r = XmlReader::new("<a>x<b></c></a>");
+        r.next_raw().unwrap();
+        let mut events = XmlReader::new("<a>x<b></c></a>");
+        let error = std::iter::repeat_with(|| events.next_event()).find_map(Result::err);
+        assert_eq!(r.direct_text().err(), error);
+        let mut r = XmlReader::new("<a>x");
+        r.next_raw().unwrap();
+        assert!(r.direct_text().is_err());
+    }
+
+    #[test]
+    fn raw_events_mirror_owned_events() {
+        let doc = r#"<?xml version="1.0"?><!-- c --><p:a xmlns:p="urn:p" xmlns="urn:d" k="v &lt; w">
+            t &#x26; u<b/><![CDATA[<raw>]]><?pi data?><p:c p:k="1">x</p:c></p:a>"#;
+        let (mut raw, mut owned) = (XmlReader::new(doc), XmlReader::new(doc));
+        loop {
+            let event = owned.next_event().unwrap();
+            let got = raw.next_raw().unwrap();
+            match event {
+                XmlEvent::StartElement { name, attributes, .. } => {
+                    assert_eq!(got, RawEvent::Start);
+                    assert_eq!(raw.element_qname(), name);
+                    assert_eq!(raw.element_name(), (name.namespace(), name.local()));
+                    assert_eq!(raw.start_tag(), (name, attributes.clone()));
+                    for a in &attributes {
+                        let value = raw.attribute(a.name.namespace(), a.name.local());
+                        assert_eq!(value.as_deref(), Some(a.value.as_str()));
+                    }
+                }
+                XmlEvent::EndElement { .. } => assert_eq!(got, RawEvent::End),
+                XmlEvent::Text(text) | XmlEvent::CData(text) => {
+                    assert_eq!(got, RawEvent::Text(text.into()));
+                }
+                XmlEvent::Eof => {
+                    assert_eq!(got, RawEvent::Eof);
+                    break;
+                }
+                _ => assert_eq!(got, RawEvent::Markup),
+            }
+            assert_eq!(raw.position(), owned.position());
+        }
+        // Text that needed nothing resolved is a slice of the input.
+        let mut r = XmlReader::new("<a>plain<![CDATA[&amp;]]>x &amp; y</a>");
+        r.next_raw().unwrap();
+        assert!(matches!(r.next_raw().unwrap(), RawEvent::Text(Cow::Borrowed("plain"))));
+        assert!(matches!(r.next_raw().unwrap(), RawEvent::Text(Cow::Borrowed("&amp;"))));
+        assert!(matches!(r.next_raw().unwrap(), RawEvent::Text(Cow::Owned(text)) if text == "x & y"));
+        // And the two readers fail alike.
+        for bad in ["<a><b></a>", "<a>&bogus;</a>", "<a x='1' x='2'/>", "<p:a/>", "<a>"] {
+            let (mut raw, mut owned) = (XmlReader::new(bad), XmlReader::new(bad));
+            let raw_error = std::iter::repeat_with(|| raw.next_raw()).find_map(Result::err);
+            let owned_error = std::iter::repeat_with(|| owned.next_event()).find_map(Result::err);
+            assert_eq!(raw_error, owned_error, "{bad}");
+            assert!(raw_error.is_some(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn attribute_resolves_names_the_way_a_tree_does() {
+        let doc = r#"<a xmlns="urn:d" xmlns:p="urn:p" xmlns:q="urn:p" k="plain" p:k=" a&#x9;b " q:k="second" xmlns:r="urn:r"/>"#;
+        let mut r = XmlReader::new(doc);
+        r.next_raw().unwrap();
+        let tree = Element::parse(doc).unwrap();
+        // Unprefixed: no namespace, whatever the default is.
+        assert!(matches!(r.attribute(None, "k"), Some(Cow::Borrowed("plain"))));
+        assert_eq!(r.attribute(Some("urn:d"), "k"), None);
+        // Prefixed: by namespace, not by prefix; the first of two wins;
+        // references resolved as in the tree.
+        assert_eq!(r.attribute(Some("urn:p"), "k").as_deref(), tree.attr_ns("urn:p", "k"));
+        assert_eq!(r.attribute(Some("urn:p"), "k").as_deref(), Some(" a b "));
+        // Namespace declarations are not attributes.
+        assert_eq!(r.attribute(None, "xmlns"), None);
+        assert_eq!(r.attribute(None, "p"), None);
+        assert_eq!(r.attribute(Some(crate::XMLNS_NS), "r"), None);
+        assert_eq!(r.attribute(Some("urn:r"), "k"), None);
+        // Nothing open: nothing named.
+        assert_eq!(XmlReader::new("<a/>").element_name(), (None, ""));
     }
 
     #[test]

@@ -302,6 +302,18 @@ impl Element {
         Self::from_reader(reader, name, attributes)
     }
 
+    /// [`Element::from_start_event`] for a start tag pulled with
+    /// [`XmlReader::next_raw`]: build the subtree of the element `reader`
+    /// just started.
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying [`XmlError`] for malformed content.
+    pub fn from_open(reader: &mut XmlReader<'_>) -> Result<Element, XmlError> {
+        let (name, attributes) = reader.start_tag();
+        Self::from_reader(reader, name, attributes)
+    }
+
     fn from_reader(
         reader: &mut XmlReader<'_>,
         name: QName,

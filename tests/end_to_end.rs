@@ -523,3 +523,72 @@ fn a_malformed_body_on_a_duplicate_is_a_parse_error_and_goes_nowhere() {
     assert_eq!(net.node(entry).layer_stats().unwrap().duplicates_suppressed, duplicates);
     assert_eq!(net.stats().sent, sent + 1, "only the injected message moved");
 }
+
+/// A network where publication seq 0 on topic `t` has reached everyone,
+/// and the disseminator the following tests inject duplicates of it into.
+fn network_after_one_publication(seed: u64) -> (SimNet<WsGossipNode>, NodeId) {
+    let mut net = saturating_network(8, seed);
+    scenario::subscribe_all(&mut net, "t");
+    net.run_to_quiescence();
+    scenario::activate(&mut net, "t");
+    net.run_to_quiescence();
+    scenario::notify(&mut net, "t", Element::text_node("op", "x")); // seq 0
+    net.run_to_quiescence();
+    (net, NodeId(2))
+}
+
+#[test]
+fn a_duplicate_nobody_may_ignore_is_a_fault_not_a_silent_drop() {
+    let (mut net, entry) = network_after_one_publication(13);
+    let faults = net.node(entry).stats().faults;
+    let duplicates = net.node(entry).layer_stats().unwrap().duplicates_suppressed;
+    let sent = net.stats().sent;
+    // The gossip header alone would drop it as seen — but it carries a
+    // block no handler understands, flagged mustUnderstand.
+    let flagged = foreign_notification(&net, entry, 0, "", "<op>x</op>").replace(
+        "</env:Header>",
+        "<x:Lock xmlns:x=\"urn:x\" env:mustUnderstand=\"1\"/></env:Header>",
+    );
+    net.send_external(INITIATOR, entry, flagged);
+    net.run_to_quiescence();
+
+    assert_eq!(net.node(entry).stats().faults, faults + 1);
+    assert_eq!(net.node(entry).stats().parse_errors, 0);
+    assert_eq!(net.node(entry).layer_stats().unwrap().duplicates_suppressed, duplicates);
+    assert_eq!(net.stats().sent, sent + 1, "only the injected message moved");
+}
+
+#[test]
+fn a_duplicate_is_recognised_whatever_prefix_spells_its_gossip_header() {
+    let (mut net, entry) = network_after_one_publication(14);
+    let delivered = net.node(entry).ops().len();
+    let duplicates = net.node(entry).layer_stats().unwrap().duplicates_suppressed;
+    let seen = net.node(entry).layer_stats().unwrap();
+    let sent = net.stats().sent;
+    // The same (origin, seq) under another prefix, and as the default
+    // namespace of the block: names are compared resolved, not as written.
+    let plain = foreign_notification(&net, entry, 0, "", "<op>x</op>");
+    let prefixed = plain.replace("wsg:", "g:").replace("xmlns:wsg=", "xmlns:g=");
+    let defaulted = plain
+        .replace("<wsg:Gossip xmlns:wsg=", "<Gossip xmlns=")
+        .replace("</wsg:Gossip>", "</Gossip>");
+    let block = defaulted.find("<Gossip").unwrap()..defaulted.find("</Gossip>").unwrap();
+    let defaulted = format!(
+        "{}{}{}",
+        &defaulted[..block.start],
+        defaulted[block.clone()].replace("wsg:", ""),
+        &defaulted[block.end..]
+    );
+    assert!(prefixed.contains("<g:Seq>0</g:Seq>") && defaulted.contains("<Seq>0</Seq>"));
+    net.send_external(INITIATOR, entry, prefixed);
+    net.send_external(INITIATOR, entry, defaulted);
+    net.run_to_quiescence();
+
+    assert_eq!(net.node(entry).stats().parse_errors, 0);
+    assert_eq!(net.node(entry).stats().faults, 0);
+    assert_eq!(net.node(entry).ops().len(), delivered);
+    let after = net.node(entry).layer_stats().unwrap();
+    assert_eq!(after.duplicates_suppressed, duplicates + 2);
+    assert_eq!(after.forwards_sent, seen.forwards_sent);
+    assert_eq!(net.stats().sent, sent + 2, "only the injected messages moved");
+}
