@@ -13,8 +13,11 @@
 //!   copies are re-routed to `fanout` peers from the current grant;
 //! * **inbound** gossip messages are deduplicated, delivered to the
 //!   application (`Continue`), and forwarded another round;
+//! * a forward draws `fanout` peers and then skips the ones that provably
+//!   hold the message — its origin, and the peer that delivered this copy;
 //! * the first message of an unknown interaction triggers a `Register`
-//!   call to the context's Registration service; messages queue until the
+//!   call to the context's Registration service; messages queue (bounded,
+//!   shedding oldest-first and re-sending the `Register`) until the
 //!   `RegisterResponse` grant arrives.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -41,10 +44,31 @@ pub struct GossipLayerStats {
     pub intercepted: u64,
     /// Forward copies re-routed to peers.
     pub forwards_sent: u64,
+    /// Sampled forward targets dropped because they provably hold the
+    /// message already: its origin, and the peer that handed it to us.
+    /// `forwards_sent + forwards_suppressed` is the number of targets drawn.
+    pub forwards_suppressed: u64,
     /// `Register` calls issued for unknown interactions.
     pub registers_sent: u64,
     /// Inbound copies suppressed as duplicates.
     pub duplicates_suppressed: u64,
+    /// Queued messages dropped, oldest first, from a context whose grant
+    /// had not arrived when its queue reached its cap (1024 messages).
+    pub pending_shed: u64,
+}
+
+/// Messages one context queues while its `Register` is unanswered. A live
+/// fleet's closed loops keep up to 1024 publications outstanding, all of
+/// which can reach a subscriber inside its first registration round trip;
+/// beyond that the coordinator's reply is taken for lost.
+const PENDING_CAP: usize = 1024;
+
+/// A context whose `Register` is in flight: what waits for the grant, and
+/// how many messages have queued since the `Register` last went out.
+#[derive(Debug, Default)]
+struct Registering {
+    queue: VecDeque<Envelope>,
+    since_register: usize,
 }
 
 #[derive(Debug)]
@@ -58,9 +82,8 @@ struct LayerState {
     // Arrival order, for eviction; kept only once a cap is set.
     seen_order: VecDeque<(String, u64)>,
     seen_cap: usize,
-    grants: BTreeMap<String, GossipGrant>,
-    pending: BTreeMap<String, Vec<Envelope>>,
-    registering: BTreeSet<String>,
+    grants: BTreeMap<String, Arc<GossipGrant>>,
+    registering: BTreeMap<String, Registering>,
     // Liveness oracle consulted when sampling forward targets; grants can
     // outlive their peers, so dead members are filtered out per round
     // instead of waiting for the coordinator to re-issue the grant.
@@ -104,22 +127,49 @@ impl LayerState {
         }
     }
 
-    fn sample_peers(&mut self, grant: &GossipGrant) -> Vec<String> {
-        let mut pool: Vec<String> = grant
+    fn sample_peers<'g>(&mut self, grant: &'g GossipGrant) -> Vec<&'g str> {
+        let mut pool: Vec<&str> = grant
             .peers
             .iter()
-            .filter(|p| p.as_str() != self.me)
+            .map(String::as_str)
+            .filter(|p| *p != self.me)
             .filter(|p| {
                 // Endpoints that don't map to a node id (external URIs)
                 // are not the liveness plane's to veto.
                 crate::endpoint::node_of(p).is_none_or(|id| self.liveness.is_live(id))
             })
-            .cloned()
             .collect();
         self.rng.shuffle(&mut pool);
         pool.truncate(grant.fanout);
         pool
     }
+
+    /// The `Register` call for `context_id`, addressed to `registration`.
+    fn register(&mut self, registration: String, context_id: &str) -> Envelope {
+        let body = RegistrationService::encode_register(context_id, &self.me);
+        let headers = MessageHeaders::request(registration, actions::register())
+            .with_message_id(self.fresh_message_id())
+            .with_from(EndpointReference::new(self.me.clone()))
+            .with_reply_to(EndpointReference::new(self.me.clone()));
+        self.stats.registers_sent += 1;
+        Envelope::request(headers, body)
+    }
+}
+
+/// Whether `peer` is known to hold the message `envelope` carries: it
+/// published it (`wsg:Origin`), or it is the `wsa:From` of this very copy.
+/// Nothing is remembered — a push-once node decides about a message once,
+/// at its first receipt, when it has heard from exactly one peer.
+fn provably_holds(envelope: &Envelope, header: &GossipHeader, peer: &str) -> bool {
+    peer == header.origin || envelope.addressing().from().is_some_and(|from| from.address() == peer)
+}
+
+/// The Registration service a message names — the address travels in its
+/// `CoordinationContext` header — if it carries one.
+fn registration_of(envelope: &Envelope) -> Option<String> {
+    let header = envelope.header(WSCOOR_NS, "CoordinationContext")?;
+    let context = CoordinationContext::from_header(header).ok()?;
+    Some(context.registration_service().to_string())
 }
 
 /// Shared handle onto the gossip layer: the node keeps one clone (to seed
@@ -142,8 +192,7 @@ impl GossipLayerHandle {
                 seen_order: VecDeque::new(),
                 seen_cap: usize::MAX,
                 grants: BTreeMap::new(),
-                pending: BTreeMap::new(),
-                registering: BTreeSet::new(),
+                registering: BTreeMap::new(),
                 liveness: Arc::new(AllLive),
                 stats: GossipLayerStats::default(),
             })),
@@ -185,12 +234,12 @@ impl GossipLayerHandle {
     /// Install a grant (e.g. the one returned by Activation) — present
     /// interactions forward immediately instead of registering first.
     pub fn set_grant(&self, context_id: &str, grant: GossipGrant) {
-        self.state.lock().grants.insert(context_id.to_string(), grant);
+        self.state.lock().grants.insert(context_id.to_string(), Arc::new(grant));
     }
 
     /// The grant for a context, if known.
     pub fn grant(&self, context_id: &str) -> Option<GossipGrant> {
-        self.state.lock().grants.get(context_id).cloned()
+        self.state.lock().grants.get(context_id).map(|grant| grant.as_ref().clone())
     }
 
     /// Layer counters.
@@ -212,8 +261,13 @@ pub struct GossipHandler {
 
 impl GossipHandler {
     /// The forward copies of `envelope` for the next round: one per
-    /// sampled peer, differing in `To`, `MessageID`, `From` and
-    /// `wsg:Round` and sharing the payload.
+    /// sampled peer that does not provably hold the message, differing in
+    /// `To`, `MessageID`, `From` and `wsg:Round` and sharing the payload.
+    ///
+    /// The targets are drawn first, exactly as if every one were sent to,
+    /// and the holders dropped afterwards: the copies that remain are the
+    /// ones an unfiltered forward sends, so the epidemic's reach is its
+    /// reach, and the effective fanout is not silently raised.
     fn forward(
         state: &mut LayerState,
         envelope: &Envelope,
@@ -223,11 +277,17 @@ impl GossipHandler {
         if header.round >= grant.rounds {
             return Vec::new(); // round budget exhausted
         }
+        let mut peers = state.sample_peers(grant);
+        let sampled = peers.len();
+        peers.retain(|peer| !provably_holds(envelope, header, peer));
+        state.stats.forwards_suppressed += (sampled - peers.len()) as u64;
+        if peers.is_empty() {
+            return Vec::new();
+        }
         let mut template = envelope.clone();
         template.remove_header(WSGOSSIP_NS, "Gossip");
         template.push_header(header.next_round().to_element());
         template.addressing_mut().set_from(EndpointReference::new(state.me.clone()));
-        let peers = state.sample_peers(grant);
         let mut copies = Vec::with_capacity(peers.len());
         for peer in peers {
             let mut copy = template.clone();
@@ -246,35 +306,38 @@ impl GossipHandler {
     /// we have not yet, and queue the message until the grant arrives.
     /// Returns what to send.
     fn route(state: &mut LayerState, envelope: &Envelope, header: &GossipHeader) -> Vec<Envelope> {
-        if let Some(grant) = state.grants.get(&header.context_id).cloned() {
+        if let Some(grant) = state.grants.get(&header.context_id).map(Arc::clone) {
             return Self::forward(state, envelope, header, &grant);
         }
-        if state.registering.contains(&header.context_id) {
-            // Register already in flight: its grant flushes the queue.
-            state.pending.entry(header.context_id.clone()).or_default().push(envelope.clone());
+        let Some(waiting) = state.registering.get_mut(&header.context_id) else {
+            let Some(registration) = registration_of(envelope) else {
+                // No context header: it cannot register, so no grant would
+                // ever flush it from the queue — it is not queued.
+                return Vec::new();
+            };
+            let waiting = Registering { queue: VecDeque::from([envelope.clone()]), since_register: 1 };
+            state.registering.insert(header.context_id.clone(), waiting);
+            return vec![state.register(registration, &header.context_id)];
+        };
+        // Register already in flight: its grant flushes the queue.
+        if waiting.queue.len() >= PENDING_CAP {
+            waiting.queue.pop_front();
+            state.stats.pending_shed += 1;
+        }
+        waiting.queue.push_back(envelope.clone());
+        waiting.since_register += 1;
+        if waiting.since_register <= PENDING_CAP {
             return Vec::new();
         }
-        // The registration address travels in the CoordinationContext
-        // header of the message itself.
-        let registration = envelope
-            .header(WSCOOR_NS, "CoordinationContext")
-            .and_then(|h| CoordinationContext::from_header(h).ok())
-            .map(|c| c.registration_service().to_string());
-        let Some(registration) = registration else {
-            // No context header: it cannot register, so no grant would
-            // ever flush it from the queue — it is not queued.
-            return Vec::new();
+        // More than the queue holds has gone by since the Register went
+        // out, so this message shed one: the reply is taken for lost, and
+        // the traffic itself is the retry — once per queue's worth of
+        // messages, not once per message.
+        let Some(registration) = registration_of(envelope) else {
+            return Vec::new(); // the next message that names the service retries
         };
-        state.registering.insert(header.context_id.clone());
-        state.pending.entry(header.context_id.clone()).or_default().push(envelope.clone());
-        let me = state.me.clone();
-        let body = RegistrationService::encode_register(&header.context_id, &me);
-        let headers = MessageHeaders::request(registration, actions::register())
-            .with_message_id(state.fresh_message_id())
-            .with_from(EndpointReference::new(me))
-            .with_reply_to(EndpointReference::new(state.me.clone()));
-        state.stats.registers_sent += 1;
-        vec![Envelope::request(headers, body)]
+        waiting.since_register = 1;
+        vec![state.register(registration, &header.context_id)]
     }
 
     fn handle_register_response(&self, ctx: &mut MessageContext) -> HandlerOutcome {
@@ -291,10 +354,10 @@ impl GossipHandler {
         else {
             return HandlerOutcome::Consumed;
         };
-        state.grants.insert(context_id.clone(), grant.clone());
-        state.registering.remove(&context_id);
-        let queued = state.pending.remove(&context_id).unwrap_or_default();
-        for envelope in queued {
+        let grant = Arc::new(grant);
+        state.grants.insert(context_id.clone(), Arc::clone(&grant));
+        let waiting = state.registering.remove(&context_id).unwrap_or_default();
+        for envelope in waiting.queue {
             if let Some(header) = GossipHeader::from_envelope(&envelope) {
                 for copy in Self::forward(&mut state, &envelope, &header, &grant) {
                     ctx.send_envelope(copy);
@@ -394,6 +457,30 @@ mod tests {
         }
     }
 
+    /// `envelope` as the copy `sender` hands on: its `wsa:From` names it.
+    fn sent_by(mut envelope: Envelope, sender: &str) -> Envelope {
+        envelope.addressing_mut().set_from(EndpointReference::new(sender));
+        envelope
+    }
+
+    /// Publication `seq` of node 1 as node 3 hands it on.
+    fn from_node3(seq: u64) -> Envelope {
+        sent_by(notification("ctx", "http://node1/gossip", seq, 1), "http://node3/gossip")
+    }
+
+    fn register_response(ctx_id: &str, grant: &GossipGrant) -> Envelope {
+        let mut body = grant.to_register_response();
+        body.push_child(Element::in_ns("wsg", WSGOSSIP_NS, "ContextIdentifier").with_text(ctx_id));
+        Envelope::request(
+            MessageHeaders::request("http://node2/gossip", actions::register_response()),
+            body,
+        )
+    }
+
+    fn targets(sends: &[Envelope]) -> Vec<&str> {
+        sends.iter().map(|copy| copy.addressing().to().expect("a forward names its peer")).collect()
+    }
+
     fn chain_with(handle: &GossipLayerHandle) -> HandlerChain {
         let mut chain = HandlerChain::new();
         chain.push(Box::new(handle.handler()));
@@ -420,6 +507,8 @@ mod tests {
         }
         assert_eq!(handle.stats().intercepted, 1);
         assert_eq!(handle.stats().forwards_sent, 2);
+        // At the origin nobody else holds the message yet.
+        assert_eq!(handle.stats().forwards_suppressed, 0);
     }
 
     #[test]
@@ -548,14 +637,7 @@ mod tests {
         );
         assert_eq!(first.sends.len(), 1, "register only");
         // Now the RegisterResponse arrives.
-        let mut body = grant(&["http://node5/gossip", "http://node6/gossip"]).to_register_response();
-        body.push_child(
-            Element::in_ns("wsg", WSGOSSIP_NS, "ContextIdentifier").with_text("ctx"),
-        );
-        let response = Envelope::request(
-            MessageHeaders::request("http://node2/gossip", actions::register_response()),
-            body,
-        );
+        let response = register_response("ctx", &grant(&["http://node5/gossip", "http://node6/gossip"]));
         let result = chain.process(Direction::Inbound, response, "http://node2/gossip");
         assert!(matches!(result.disposition, Disposition::Consumed));
         assert_eq!(result.sends.len(), 2, "queued message forwarded to 2 peers");
@@ -591,12 +673,7 @@ mod tests {
         assert!(third.sends.is_empty());
         assert_eq!(handle.stats().registers_sent, 1);
 
-        let mut body = grant(&["http://node5/gossip", "http://node6/gossip"]).to_register_response();
-        body.push_child(Element::in_ns("wsg", WSGOSSIP_NS, "ContextIdentifier").with_text("ctx"));
-        let response = Envelope::request(
-            MessageHeaders::request("http://node2/gossip", actions::register_response()),
-            body,
-        );
+        let response = register_response("ctx", &grant(&["http://node5/gossip", "http://node6/gossip"]));
         let result = chain.process(Direction::Inbound, response, "http://node2/gossip");
         let mut forwarded: Vec<u64> =
             result.sends.iter().map(|copy| GossipHeader::from_envelope(copy).unwrap().seq).collect();
@@ -604,6 +681,184 @@ mod tests {
         assert_eq!(forwarded, [1, 2], "both queued messages forward, each to the fanout");
         assert_eq!(result.sends.len(), 4);
         assert_eq!(handle.stats().registers_sent, 1);
+    }
+
+    /// A grant whose fanout covers its whole pool: every peer is sampled.
+    fn everyone(peers: &[&str]) -> GossipGrant {
+        GossipGrant { fanout: peers.len(), ..grant(peers) }
+    }
+
+    const PEERS: [&str; 4] =
+        ["http://node1/gossip", "http://node3/gossip", "http://node4/gossip", "http://node5/gossip"];
+
+    #[test]
+    fn a_forward_skips_the_origin_and_the_peer_that_delivered_the_copy() {
+        let handle = GossipLayerHandle::new("http://node2/gossip", 14);
+        handle.set_grant("ctx", everyone(&PEERS));
+        let mut chain = chain_with(&handle);
+        let result = chain.process(Direction::Inbound, from_node3(0), "http://node2/gossip");
+        assert!(matches!(result.disposition, Disposition::Deliver(_)));
+        let mut to = targets(&result.sends);
+        to.sort_unstable();
+        assert_eq!(to, ["http://node4/gossip", "http://node5/gossip"]);
+        let stats = handle.stats();
+        assert_eq!((stats.forwards_sent, stats.forwards_suppressed), (2, 2));
+    }
+
+    #[test]
+    fn a_copy_that_names_no_sender_spares_the_origin_only() {
+        let handle = GossipLayerHandle::new("http://node2/gossip", 15);
+        handle.set_grant("ctx", everyone(&PEERS));
+        let mut chain = chain_with(&handle);
+        let inbound = notification("ctx", "http://node1/gossip", 0, 1);
+        assert!(inbound.addressing().from().is_none());
+        let result = chain.process(Direction::Inbound, inbound, "http://node2/gossip");
+        let mut to = targets(&result.sends);
+        to.sort_unstable();
+        assert_eq!(to, ["http://node3/gossip", "http://node4/gossip", "http://node5/gossip"]);
+        let stats = handle.stats();
+        assert_eq!((stats.forwards_sent, stats.forwards_suppressed), (3, 1));
+    }
+
+    #[test]
+    fn a_forward_whose_every_target_holds_the_message_sends_nothing() {
+        let handle = GossipLayerHandle::new("http://node2/gossip", 16);
+        handle.set_grant("ctx", everyone(&PEERS[..2]));
+        let mut chain = chain_with(&handle);
+        let result = chain.process(Direction::Inbound, from_node3(0), "http://node2/gossip");
+        assert!(matches!(result.disposition, Disposition::Deliver(_)), "still delivered here");
+        assert!(result.sends.is_empty());
+        let stats = handle.stats();
+        assert_eq!((stats.forwards_sent, stats.forwards_suppressed), (0, 2));
+    }
+
+    #[test]
+    fn the_pending_flush_spares_each_queued_copy_its_own_sender() {
+        let handle = GossipLayerHandle::new("http://node2/gossip", 17);
+        let mut chain = chain_with(&handle);
+        for (seq, sender) in [(0, "http://node3/gossip"), (1, "http://node4/gossip")] {
+            let inbound = sent_by(notification("ctx", "http://node1/gossip", seq, 1), sender);
+            chain.process(Direction::Inbound, inbound, "http://node2/gossip");
+        }
+        assert_eq!(handle.stats().registers_sent, 1);
+        let response = register_response("ctx", &everyone(&PEERS));
+        let result = chain.process(Direction::Inbound, response, "http://node2/gossip");
+        let seq_of = |copy: &Envelope| GossipHeader::from_envelope(copy).unwrap().seq;
+        let mut forwarded: Vec<(u64, &str)> =
+            result.sends.iter().map(seq_of).zip(targets(&result.sends)).collect();
+        forwarded.sort_unstable();
+        assert_eq!(
+            forwarded,
+            [
+                (0, "http://node4/gossip"),
+                (0, "http://node5/gossip"),
+                (1, "http://node3/gossip"),
+                (1, "http://node5/gossip"),
+            ]
+        );
+        let stats = handle.stats();
+        assert_eq!((stats.forwards_sent, stats.forwards_suppressed), (4, 4));
+    }
+
+    #[test]
+    fn a_lost_register_response_is_retried_by_the_traffic_and_the_queue_is_bounded() {
+        let handle = GossipLayerHandle::new("http://node2/gossip", 18);
+        let mut chain = chain_with(&handle);
+        let mut receive = |seq: u64| {
+            chain.process(Direction::Inbound, from_node3(seq), "http://node2/gossip").sends
+        };
+        let registers = |sends: &[Envelope]| {
+            let register = actions::register();
+            assert!(sends.iter().all(|s| s.addressing().action() == Some(register.as_str())));
+            sends.len()
+        };
+        let queued = |handle: &GossipLayerHandle| handle.state.lock().registering["ctx"].queue.len();
+
+        assert_eq!(registers(&receive(0)), 1);
+        // The reply never comes. The queue fills without a word...
+        let cap = PENDING_CAP as u64;
+        for seq in 1..cap {
+            assert_eq!(registers(&receive(seq)), 0);
+        }
+        assert_eq!((queued(&handle), handle.stats().pending_shed), (PENDING_CAP, 0));
+        // ...and the message that does not fit sheds the oldest and asks again.
+        assert_eq!(registers(&receive(cap)), 1);
+        assert_eq!((queued(&handle), handle.stats().pending_shed), (PENDING_CAP, 1));
+        assert_eq!(handle.stats().registers_sent, 2);
+        // Once per queue's worth of messages, not once per message.
+        for seq in cap + 1..2 * cap {
+            assert_eq!(registers(&receive(seq)), 0);
+        }
+        assert_eq!(registers(&receive(2 * cap)), 1);
+        assert_eq!((queued(&handle), handle.stats().pending_shed), (PENDING_CAP, cap + 1));
+
+        // The grant arrives after all: what is still queued goes out, under
+        // the same rule as any forward (node1 published, node3 delivered).
+        let response = register_response("ctx", &everyone(&PEERS));
+        let sends = chain.process(Direction::Inbound, response, "http://node2/gossip").sends;
+        assert_eq!(sends.len(), 2 * PENDING_CAP);
+        assert!(targets(&sends).iter().all(|to| PEERS[2..].contains(to)), "neither node1 nor node3");
+        let oldest = sends.iter().map(|copy| GossipHeader::from_envelope(copy).unwrap().seq).min();
+        assert_eq!(oldest, Some(cap + 1), "the oldest were shed");
+        assert!(handle.state.lock().registering.is_empty());
+        assert_eq!(handle.stats().forwards_suppressed, 2 * cap);
+    }
+
+    #[test]
+    fn suppression_only_ever_removes_targets_from_the_sample() {
+        use wsg_net::check::{run, Gen};
+        use wsg_net::{prop_assert, prop_assert_eq};
+
+        let suppressing = std::cell::Cell::new(0);
+        run("suppression_only_ever_removes_targets_from_the_sample", 192, |g: &mut Gen| {
+            let me = "http://node0/gossip";
+            // A random grant, now and then naming this node too.
+            let mut peers: Vec<String> =
+                (1..=g.usize(1..=12)).map(|i| format!("http://node{i}/gossip")).collect();
+            if g.bool(0.3) {
+                let at = g.usize(0..=peers.len());
+                peers.insert(at, me.to_string());
+            }
+            let grant = GossipGrant { fanout: g.usize(0..=peers.len() + 1), rounds: 4, peers };
+            let seed = g.next_u64();
+            let members: Vec<&String> = grant.peers.iter().filter(|p| *p != me).collect();
+            let origin = g.pick(&members).to_string();
+            let sender = g.bool(0.8).then(|| g.pick(&members).to_string());
+
+            // The same layer (same seed, same grant, so the same draws)
+            // forwards the notification once as published and handed on by
+            // strangers to the grant, once by two of its members.
+            let forwards = |origin: &str, sender: Option<&str>| {
+                let handle = GossipLayerHandle::new(me, seed);
+                handle.set_grant("ctx", grant.clone());
+                let mut inbound = notification("ctx", origin, 0, 1);
+                if let Some(sender) = sender {
+                    inbound = sent_by(inbound, sender);
+                }
+                let sends = chain_with(&handle).process(Direction::Inbound, inbound, me).sends;
+                let to: Vec<String> = targets(&sends).into_iter().map(str::to_string).collect();
+                (to, handle.stats())
+            };
+            let stranger = sender.as_ref().map(|_| "http://stranger/gossip");
+            let (sample, unfiltered) = forwards("http://elsewhere/gossip", stranger);
+            let (sent, filtered) = forwards(&origin, sender.as_deref());
+
+            prop_assert_eq!(unfiltered.forwards_suppressed, 0);
+            prop_assert_eq!(unfiltered.forwards_sent as usize, sample.len());
+            prop_assert!(sample.len() <= grant.fanout && !sample.iter().any(|to| to == me));
+            let expected: Vec<String> = sample
+                .iter()
+                .filter(|to| **to != origin && Some(to.as_str()) != sender.as_deref())
+                .cloned()
+                .collect();
+            // Never adds, reorders or re-draws a target.
+            prop_assert_eq!(&sent, &expected);
+            let drawn = filtered.forwards_sent + filtered.forwards_suppressed;
+            prop_assert_eq!(drawn as usize, sample.len());
+            suppressing.set(suppressing.get() + usize::from(sent.len() < sample.len()));
+            Ok(())
+        });
+        assert!(suppressing.get() > 0, "no case drew a holder: the property was never exercised");
     }
 
     #[test]

@@ -398,6 +398,11 @@ impl WsGossipNode {
                 layer.forwards_sent,
             );
             set(
+                "wsg_layer_forwards_suppressed_total",
+                "Sampled forward targets skipped because they provably hold the message.",
+                layer.forwards_suppressed,
+            );
+            set(
                 "wsg_layer_registers_sent_total",
                 "Register calls issued for unknown gossip interactions.",
                 layer.registers_sent,
@@ -406,6 +411,11 @@ impl WsGossipNode {
                 "wsg_layer_duplicates_suppressed_total",
                 "Inbound copies suppressed as duplicates by the gossip layer.",
                 layer.duplicates_suppressed,
+            );
+            set(
+                "wsg_layer_pending_shed_total",
+                "Queued messages shed from a context still waiting for its grant.",
+                layer.pending_shed,
             );
         }
         if let Some(coord) = &self.coord {

@@ -313,6 +313,56 @@ mod tests {
     }
 
     #[test]
+    fn nobody_is_sent_a_notification_it_provably_holds() {
+        use std::collections::BTreeMap;
+        use wsg_net::TraceKind;
+
+        // The live fleet's shape: eight subscribers, fanout 5 of a pool of 8.
+        let shape = Figure1Shape { disseminators: 8, consumers: 0 };
+        let seeds = 50;
+        let mut covered = 0.0;
+        for seed in 0..seeds {
+            let mut net = build_figure1_network(SimConfig::default().seed(seed), shape);
+            let notifications: Arc<Mutex<Vec<(TraceKind, NodeId, NodeId)>>> = Arc::default();
+            let sink = Arc::clone(&notifications);
+            net.set_label_fn(Box::new(label_for));
+            net.set_tracer(Box::new(move |event: &TraceEvent| {
+                if event.label.starts_with("Notify[") {
+                    sink.lock().expect("tracer lock").push((event.kind, event.from, event.to));
+                }
+            }));
+            subscribe_all(&mut net, "quotes");
+            net.run_to_quiescence();
+            activate(&mut net, "quotes");
+            net.run_to_quiescence();
+            notify(&mut net, "quotes", Element::text_node("tick", "ACME 101.25"));
+            net.run_to_quiescence();
+            covered += coverage(&net, 1);
+
+            // An origin never receives its own notification...
+            let origin = net.node(INITIATOR).layer_stats().expect("initiator has a gossip layer");
+            assert_eq!(origin.duplicates_suppressed, 0, "seed {seed}");
+            // ...and nobody returns a copy to the peer it first heard from.
+            let mut heard_from: BTreeMap<NodeId, NodeId> = BTreeMap::new();
+            for (kind, from, to) in notifications.lock().expect("tracer lock").iter().copied() {
+                match kind {
+                    TraceKind::Deliver => {
+                        heard_from.entry(to).or_insert(from);
+                    }
+                    TraceKind::Send => {
+                        assert_ne!(heard_from.get(&from), Some(&to), "seed {seed}: {from} -> {to}")
+                    }
+                    _ => {}
+                }
+            }
+            assert!(heard_from.len() > 1, "seed {seed}: the notification went nowhere");
+        }
+        // Suppression removes no copy that could inform: a subscriber is
+        // missed with probability (3/8)^8, as without it.
+        assert!(covered / seeds as f64 >= 0.995, "mean coverage {}", covered / seeds as f64);
+    }
+
+    #[test]
     fn wire_bytes_accounted() {
         let net = run_basic(8, Figure1Shape { disseminators: 2, consumers: 1 });
         assert!(net.stats().bytes_sent > 0, "size_fn installed by builder");

@@ -85,6 +85,15 @@ fn full_dissemination_over_loopback_sockets_with_a_refused_peer() {
         );
     }
 
+    // Nobody returned a tick to the node that published it: with a
+    // saturating fanout every disseminator drew the initiator, and dropped it.
+    let origin = finished[1].protocol.layer_stats().expect("the initiator has a gossip layer");
+    assert_eq!(origin.duplicates_suppressed, 0, "the origin was sent its own notification");
+    for node in &finished[2..7] {
+        let layer = node.protocol.layer_stats().expect("disseminators have a gossip layer");
+        assert!(layer.forwards_suppressed >= total as u64, "{layer:?}");
+    }
+
     // The refused consumer received nothing...
     assert!(finished[9].protocol.distinct_ops().is_empty());
 

@@ -321,4 +321,15 @@ fn live_runtime_node_serves_its_own_metrics() {
         finished[2].protocol.distinct_ops().len() == 1,
         "dissemination happened during the live window"
     );
+    // A disseminator's layer families say what it did not send: its sample
+    // is the initiator and the other disseminator, and the initiator
+    // published the tick.
+    let registry = Registry::new();
+    finished[2].protocol.export_metrics(&registry, SimTime::ZERO);
+    let layer = parse_exposition(&registry.render()).expect("layer exposition parses");
+    let suppressed = layer
+        .iter()
+        .find(|(k, _)| k == "wsg_layer_forwards_suppressed_total")
+        .map(|(_, v)| *v);
+    assert!(suppressed >= Some(1.0), "{layer:?}");
 }
