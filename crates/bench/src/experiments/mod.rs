@@ -7,9 +7,6 @@ pub mod e4_resilience;
 pub mod e5_throughput;
 pub mod e6_coordinator;
 pub mod e7_overhead;
-pub mod e8_transport;
-pub mod e9_churn;
-pub mod e10_batching;
 
 use wsg_gossip::{GossipConfig, GossipEngine, GossipParams, GossipStyle};
 use wsg_net::sim::{SimConfig, SimNet};

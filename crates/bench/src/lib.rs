@@ -1,8 +1,8 @@
 //! # wsg-bench — the experiment harness
 //!
 //! One module per experiment (see `DESIGN.md` §2 for the mapping from the
-//! paper's claims to experiments E1–E8) plus a tiny fixed-width [`table`]
-//! renderer. Each `src/bin/eN_*.rs` binary is a thin wrapper that runs the
+//! paper's claims to experiments E1–E7, A1 and E11) plus a tiny
+//! fixed-width [`table`] renderer. Each `src/bin/eN_*.rs` binary is a thin wrapper that runs the
 //! corresponding module and prints its rows, so the experiment logic is
 //! unit-testable here.
 

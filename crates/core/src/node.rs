@@ -330,7 +330,9 @@ impl WsGossipNode {
             .collect()
     }
 
-    /// Human-readable application/middleware event log (the Figure 1 trace).
+    /// Human-readable control-plane log: subscriptions, activations,
+    /// registrations, contexts becoming ready, faults. Publications and
+    /// deliveries are not logged here — [`ops`](Self::ops) records them.
     pub fn events(&self) -> &[String] {
         &self.events
     }
@@ -567,7 +569,6 @@ impl WsGossipNode {
         let envelope = Envelope::request(headers, payload)
             .with_header(context.to_header())
             .with_header(gossip.to_element());
-        self.log(ctx.now(), format!("notify topic={topic} seq={seq}"));
         // The outbound middleware stack intercepts and re-routes.
         let result = self.chain.process(Direction::Outbound, envelope, self.endpoint.clone());
         for send in result.sends {
@@ -948,20 +949,16 @@ impl WsGossipNode {
                 let origin = node_of(&op.origin).unwrap_or(NodeId(usize::MAX - 1));
                 let released = fifo.accept(wsg_gossip::MsgId::new(origin, op.seq), op);
                 for (_, op) in released {
-                    self.deliver(now, op, " (fifo)");
+                    self.deliver(op);
                 }
             }
-            None => self.deliver(now, op, ""),
+            None => self.deliver(op),
         }
     }
 
-    /// Hand one notification to the application: count it, log it, keep it.
-    fn deliver(&mut self, now: SimTime, op: DeliveredOp, how: &str) {
+    /// Hand one notification to the application: count it, keep it.
+    fn deliver(&mut self, op: DeliveredOp) {
         self.stats.ops_delivered += 1;
-        self.log(now, format!(
-            "op delivered topic={} origin={} seq={} round={}{how}",
-            op.topic, op.origin, op.seq, op.round
-        ));
         // `ops` keeps every delivery for the node's lifetime: grow it by a
         // quarter at a time — `Vec`'s doubling would leave up to half of
         // the largest thing a busy node owns unused.

@@ -926,26 +926,38 @@ mod tests {
                 }
             }
         }
-        let net = NetRuntime::spawn(vec![Role::Burst, Role::Sink(Vec::new())], 11, quick_config());
-        let registry = net.registry_of(NodeId(0));
-        let nodes = net.shutdown_after(Duration::from_millis(700));
-        let transport = nodes[0].transport;
-        assert_eq!(transport.msgs_ok, 8, "every envelope delivered: {transport:?}");
-        assert!(
-            (1..=8).contains(&transport.posts_ok),
-            "posts bounded by message count: {transport:?}"
-        );
-        assert_eq!(transport.posts_saved, transport.msgs_ok - transport.posts_ok);
-        let Role::Sink(seen) = &nodes[1].protocol else {
-            panic!("node 1 is the sink");
-        };
-        // FIFO per peer survives coalescing: delivery order == send order,
-        // whatever batch boundaries the drain produced.
-        let want: Vec<String> = (0..8).map(|n| format!("burst-{n}")).collect();
-        assert_eq!(*seen, want);
-        let rendered = registry.render();
-        assert!(rendered.contains("wsg_transport_batch_msgs_count"), "{rendered}");
-        assert!(rendered.contains("wsg_transport_posts_saved_total"), "{rendered}");
+        let default_cap = BatchConfig::default().max_batch_msgs;
+        for cap in [1, default_cap] {
+            let config = NetRuntimeConfig {
+                batch: BatchConfig { max_batch_msgs: cap, ..BatchConfig::default() },
+                ..quick_config()
+            };
+            let net = NetRuntime::spawn(vec![Role::Burst, Role::Sink(Vec::new())], 11, config);
+            let registry = net.registry_of(NodeId(0));
+            let nodes = net.shutdown_after(Duration::from_millis(700));
+            let transport = nodes[0].transport;
+            assert_eq!(transport.msgs_ok, 8, "every envelope delivered: {transport:?}");
+            assert!(
+                (1..=8).contains(&transport.posts_ok),
+                "posts bounded by message count: {transport:?}"
+            );
+            assert_eq!(transport.posts_saved, transport.msgs_ok - transport.posts_ok);
+            if cap == 1 {
+                // Cap 1 disables coalescing: one POST per envelope.
+                assert_eq!(transport.posts_saved, 0, "{transport:?}");
+                assert_eq!(transport.msgs_ok, transport.posts_ok, "{transport:?}");
+            }
+            let Role::Sink(seen) = &nodes[1].protocol else {
+                panic!("node 1 is the sink");
+            };
+            // FIFO per peer survives coalescing: delivery order == send
+            // order, whatever batch boundaries the drain produced.
+            let want: Vec<String> = (0..8).map(|n| format!("burst-{n}")).collect();
+            assert_eq!(*seen, want);
+            let rendered = registry.render();
+            assert!(rendered.contains("wsg_transport_batch_msgs_count"), "{rendered}");
+            assert!(rendered.contains("wsg_transport_posts_saved_total"), "{rendered}");
+        }
     }
 
     #[test]

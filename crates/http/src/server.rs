@@ -66,7 +66,7 @@ pub struct HttpServerConfig {
     /// keep-alive connection waits on average `connections * read_slice
     /// / (2 * workers)` for attention: shrink this (and/or raise
     /// `workers`) for latency-sensitive fleets with many idle
-    /// connections, at the cost of more wakeups.
+    /// connections, at the cost of more wakeups. Floored at 1 ms.
     pub read_slice: Duration,
 }
 
@@ -270,6 +270,12 @@ impl SoapHttpServer {
         registry: Arc<Registry>,
     ) -> std::io::Result<Self> {
         let local_addr = listener.local_addr()?;
+        // A zero slice is not a socket timeout the OS accepts, would never
+        // add up to `keep_alive`, and would spin the workers: floor it once.
+        let config = HttpServerConfig {
+            read_slice: config.read_slice.max(Duration::from_millis(1)),
+            ..config
+        };
         let stop = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(ServerMetrics::new(registry));
         let (conn_tx, conn_rx): (SyncSender<Conn>, Receiver<Conn>) =
@@ -437,7 +443,7 @@ const QUEUE_DEPTH: usize = 64;
 /// instead of parking a worker in `write_all` forever. False when the
 /// socket refuses (already dead) — the caller sheds it.
 fn arm_stream_timeouts(stream: &TcpStream, config: &HttpServerConfig) -> bool {
-    if stream.set_read_timeout(Some(config.read_slice.max(Duration::from_millis(1)))).is_err() {
+    if stream.set_read_timeout(Some(config.read_slice)).is_err() {
         return false;
     }
     if stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err() {
@@ -692,7 +698,7 @@ mod tests {
         // assert "armed, and no shorter than configured" rather than
         // exact equality.
         let read = accepted.read_timeout().unwrap().expect("read timeout armed");
-        assert!(read >= config.read_slice.max(Duration::from_millis(1)), "{read:?}");
+        assert!(read >= config.read_slice, "{read:?}");
         let write = accepted.write_timeout().unwrap().expect("write timeout armed");
         assert!(write >= WRITE_TIMEOUT, "{write:?}");
     }
@@ -1044,19 +1050,21 @@ mod tests {
 
     #[test]
     fn idle_connections_time_out() {
-        let config = HttpServerConfig {
-            keep_alive: Duration::from_millis(100),
-            ..HttpServerConfig::default()
-        };
-        let mut server = SoapHttpServer::bind("127.0.0.1:0", echo_service(), config).unwrap();
-        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let mut buf = [0u8; 16];
-        let started = Instant::now();
-        // The server should close the idle connection, yielding EOF.
-        let n = stream.read(&mut buf).unwrap();
-        assert_eq!(n, 0, "expected EOF from idle timeout");
-        assert!(started.elapsed() >= Duration::from_millis(80));
-        server.shutdown();
+        // The default slice, and a zero slice (floored where the server is
+        // built: it must still add up to `keep_alive`).
+        let ms = Duration::from_millis;
+        for (read_slice, keep_alive) in [(READ_SLICE, ms(100)), (Duration::ZERO, ms(50))] {
+            let config = HttpServerConfig { keep_alive, read_slice, ..HttpServerConfig::default() };
+            let mut server = SoapHttpServer::bind("127.0.0.1:0", echo_service(), config).unwrap();
+            let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+            stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            let mut buf = [0u8; 16];
+            let started = Instant::now();
+            // The server should close the idle connection, yielding EOF.
+            let n = stream.read(&mut buf).unwrap();
+            assert_eq!(n, 0, "expected EOF from idle timeout");
+            assert!(started.elapsed() >= keep_alive * 4 / 5);
+            server.shutdown();
+        }
     }
 }

@@ -205,6 +205,8 @@ pub(crate) struct RunResult {
 
 pub(crate) struct Execution {
     pub(crate) epoch: u64,
+    /// The OS thread that drives this execution's exploration.
+    pub(crate) explorer: std::thread::ThreadId,
     state: StdMutex<ExecState>,
     cv: Condvar,
 }
@@ -283,6 +285,7 @@ impl Execution {
         main.clock.tick(0);
         Execution {
             epoch: EPOCH.fetch_add(1, RealOrdering::SeqCst) + 1,
+            explorer: std::thread::current().id(),
             state: StdMutex::new(ExecState {
                 threads: vec![main],
                 active: 0,

@@ -403,6 +403,16 @@ where
     Explorer::new().check(name, body);
 }
 
+/// The OS thread driving the exploration the calling modeled thread
+/// belongs to; `None` outside one. One thread drives every execution of
+/// an exploration and concurrent explorations run on different threads,
+/// so this keys per-exploration instances of what would otherwise be one
+/// `static` shim object — a shim object registers with one execution at a
+/// time and cannot be shared by explorations that run concurrently.
+pub fn explorer() -> Option<std::thread::ThreadId> {
+    exec::current().map(|ctx| ctx.exec.explorer)
+}
+
 /// Run `f`, catching an *expected* panic and returning its message as
 /// `Err` — for model tests that assert a structure panics deliberately
 /// (e.g. the lock-order detector reporting a cycle) without failing the

@@ -63,7 +63,9 @@ mod order {
     use std::collections::BTreeMap;
     use std::panic::Location;
 
-    use super::{AtomicU64, Ordering};
+    // `std`'s, not the `wsg_model` shim: the id counter is a `static`, and
+    // a shim object cannot be shared by concurrent explorations.
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     type Site = &'static Location<'static>;
 
@@ -82,16 +84,33 @@ mod order {
     /// detector's internal synchronization is itself explored.
     #[cfg(not(wsg_model))]
     static GRAPH: std::sync::Mutex<Adjacency> = std::sync::Mutex::new(BTreeMap::new());
-    #[cfg(wsg_model)]
-    static GRAPH: wsg_model::sync::Mutex<Adjacency> = wsg_model::sync::Mutex::new(BTreeMap::new());
 
     #[cfg(not(wsg_model))]
     fn graph() -> std::sync::MutexGuard<'static, Adjacency> {
         GRAPH.lock().unwrap_or_else(|e| e.into_inner())
     }
+
+    /// One graph per exploration, keyed by the thread driving it (`None`:
+    /// threads outside any), because a model mutex cannot be shared by
+    /// explorations that run concurrently in one test binary. Leaked: a
+    /// test binary runs a handful of explorations.
     #[cfg(wsg_model)]
     fn graph() -> wsg_model::sync::MutexGuard<'static, Adjacency> {
-        GRAPH.lock()
+        type Graph = &'static wsg_model::sync::Mutex<Adjacency>;
+        static GRAPHS: std::sync::Mutex<Vec<(Option<std::thread::ThreadId>, Graph)>> =
+            std::sync::Mutex::new(Vec::new());
+        let key = wsg_model::explorer();
+        let mut graphs = GRAPHS.lock().unwrap_or_else(|e| e.into_inner());
+        let graph = match graphs.iter().find(|(k, _)| *k == key) {
+            Some(&(_, graph)) => graph,
+            None => {
+                let graph: Graph = Box::leak(Box::default());
+                graphs.push((key, graph));
+                graph
+            }
+        };
+        drop(graphs);
+        graph.lock()
     }
 
     thread_local! {

@@ -63,10 +63,13 @@ fn main() {
             all_complete = false;
         }
     }
-    println!("\nsample of one consumer's event log:");
+    println!("\nsample of one consumer's control-plane log and first deliveries:");
     if let Some(consumer) = finished.iter().find(|n| n.role() == Role::Consumer) {
-        for line in consumer.events().iter().take(8) {
+        for line in consumer.events() {
             println!("  {line}");
+        }
+        for op in consumer.ops().iter().take(6) {
+            println!("  [{}] op delivered topic={} seq={} round={}", op.at, op.topic, op.seq, op.round);
         }
     }
     assert!(all_complete, "every live subscriber should get the full feed");

@@ -44,12 +44,18 @@ fn main() {
         println!("  {line}");
     }
 
-    println!("\n-- per-node event logs --");
+    println!("\n-- per-node control-plane logs and deliveries --");
     for id in net.node_ids() {
         let node = net.node(id);
         println!("{id} ({}):", node.role());
         for event in node.events() {
             println!("    {event}");
+        }
+        for op in node.ops() {
+            println!(
+                "    [{}] op delivered topic={} origin={} seq={} round={}",
+                op.at, op.topic, op.origin, op.seq, op.round
+            );
         }
     }
 

@@ -213,8 +213,9 @@ fn self_driving_deployment_runs_without_external_invokes() {
     use ws_gossip::WsGossipNode as Node;
     use wsg_net::SimDuration;
     let coordinator = NodeId(0);
+    const TICKS: usize = 120;
     let ticks: Vec<Element> =
-        (0..3).map(|i| Element::text_node("tick", i.to_string())).collect();
+        (0..TICKS).map(|i| Element::text_node("tick", i.to_string())).collect();
     let mut net = SimNet::new(SimConfig::default().seed(10));
     net.add_nodes(7, |id| match id.index() {
         0 => Node::coordinator(id)
@@ -229,7 +230,16 @@ fn self_driving_deployment_runs_without_external_invokes() {
     });
     net.start(); // everything from here is timer-driven
     net.run_to_quiescence();
-    assert_eq!(scenario::coverage(&net, 3), 1.0, "all 3 scheduled ticks everywhere");
+    assert_eq!(scenario::coverage(&net, TICKS), 1.0, "all scheduled ticks everywhere");
+    // The text log is control plane only: after >= 100 deliveries a
+    // subscriber's log holds its subscribe and the acknowledgement, while
+    // `ops()` and the delivery counter record every delivery.
+    for id in (2..7).map(NodeId) {
+        let node = net.node(id);
+        assert!(node.ops().len() >= TICKS, "{id}");
+        assert_eq!(node.stats().ops_delivered as usize, node.ops().len(), "{id}");
+        assert_eq!(node.events().len(), 2, "{id}: {:?}", node.events());
+    }
 }
 
 #[test]

@@ -111,6 +111,14 @@ fn full_dissemination_over_loopback_sockets_with_a_refused_peer() {
     // And the dissemination itself was real traffic, not channel luck.
     let ok: u64 = finished.iter().map(|n| n.transport.posts_ok).sum();
     assert!(ok as usize >= total * 7, "expected at least one post per tick per subscriber");
+
+    // Batching accounts exactly on every node: it never inflates POSTs,
+    // and what it saved is envelopes minus POSTs.
+    for (i, node) in finished.iter().enumerate() {
+        let t = node.transport;
+        assert!(t.msgs_ok >= t.posts_ok, "node {i}: {t:?}");
+        assert_eq!(t.posts_saved, t.msgs_ok - t.posts_ok, "node {i}: {t:?}");
+    }
 }
 
 /// A node's socket survives hostile bytes: raw garbage gets an HTTP 400
