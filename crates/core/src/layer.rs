@@ -567,6 +567,54 @@ mod tests {
     }
 
     #[test]
+    fn header_order_is_the_senders_business() {
+        // One notification as builds before the conversation-first header
+        // order wrote it — `To`, `Action`, `MessageID`, then the blocks —
+        // and as this one does: the same message to every layer above the
+        // text, in both directions.
+        let old = include_str!("../../../fuzz/corpus/envelope/seed-gossip-old-order");
+        let new = include_str!("../../../fuzz/corpus/envelope/seed-gossip");
+        let gossip_at = |xml: &str| xml.find("<wsg:Gossip").unwrap();
+        assert!(old.find("<wsa:To>").unwrap() < gossip_at(old), "{old}");
+        assert!(new.find("<wsa:To>").unwrap() > gossip_at(new), "{new}");
+        assert!(new.find("<wsa:Action>").unwrap() < gossip_at(new), "{new}");
+        assert_eq!(old.len(), new.len(), "order moves no byte count");
+        let parsed = Envelope::parse(old).unwrap();
+        assert_eq!(parsed, Envelope::parse(new).unwrap());
+        assert_eq!(parsed.to_xml(), new, "whatever came in, this order goes out");
+
+        for (first, twin) in [(old, new), (new, old)] {
+            let handle = GossipLayerHandle::new("http://node2/gossip", 21);
+            handle.set_grant(
+                "urn:ws-gossip:ctx:0",
+                grant(&["http://node3/gossip", "http://node4/gossip", "http://node5/gossip"]),
+            );
+            let mut chain = chain_with(&handle);
+            let inbound = Envelope::parse(first).unwrap();
+            let result = chain.process(Direction::Inbound, inbound, "http://node2/gossip");
+            assert!(matches!(result.disposition, Disposition::Deliver(_)));
+            assert_eq!(result.sends.len(), 2);
+            for copy in &result.sends {
+                // The forward says the conversation first, and parses back
+                // to what was sent.
+                let wire = copy.to_xml();
+                assert!(wire.find("<wsa:From>").unwrap() < gossip_at(&wire), "{wire}");
+                assert!(wire.find("<wsa:MessageID>").unwrap() > gossip_at(&wire), "{wire}");
+                let again = Envelope::parse(&wire).unwrap();
+                assert_eq!(&again, copy);
+                let header = GossipHeader::from_envelope(&again).unwrap();
+                assert_eq!((header.seq, header.round), (12, 2));
+                assert_eq!(again.body().unwrap().text(), "ACME");
+            }
+            let twin = Envelope::parse(twin).unwrap();
+            let second = chain.process(Direction::Inbound, twin, "http://node2/gossip");
+            assert!(matches!(second.disposition, Disposition::Consumed));
+            assert!(second.sends.is_empty());
+            assert_eq!(handle.stats().duplicates_suppressed, 1);
+        }
+    }
+
+    #[test]
     fn a_forward_carries_the_coordination_context_as_it_arrived_or_as_it_meant() {
         let handle = GossipLayerHandle::new("http://node2/gossip", 13);
         handle.set_grant("ctx", grant(&["http://node3/gossip", "http://node4/gossip"]));

@@ -208,20 +208,35 @@ fn write_seeds() -> std::io::Result<usize> {
     let wsg = |local: &str, text: &str| {
         Element::in_ns("wsg", "urn:ws-gossip:2008", local).with_text(text)
     };
-    let gossip = Envelope::request(
-        MessageHeaders::request("http://node2/gossip", "urn:ws-gossip:2008:Notify")
-            .with_message_id("urn:uuid:0001"),
-        Element::text_node("tick", "ACME"),
-    )
-    .with_header(
-        Element::in_ns("wsg", "urn:ws-gossip:2008", "Gossip")
-            .with_child(wsg("Context", "urn:ws-gossip:ctx:0"))
-            .with_child(wsg("Topic", "quotes"))
-            .with_child(wsg("Origin", "http://node1/gossip"))
-            .with_child(wsg("Seq", "12"))
-            .with_child(wsg("Round", "1")),
-    )
-    .to_xml();
+    let notification = |seq: u32| {
+        Envelope::request(
+            MessageHeaders::request("http://node2/gossip", "urn:ws-gossip:2008:Notify")
+                .with_message_id(format!("urn:uuid:{:04}", seq - 11)),
+            Element::text_node("tick", if seq == 12 { "ACME" } else { "ACME &c." }),
+        )
+        .with_header(
+            Element::in_ns("wsg", "urn:ws-gossip:2008", "Gossip")
+                .with_child(wsg("Context", "urn:ws-gossip:ctx:0"))
+                .with_child(wsg("Topic", "quotes"))
+                .with_child(wsg("Origin", "http://node1/gossip"))
+                .with_child(wsg("Seq", &seq.to_string()))
+                .with_child(wsg("Round", "1")),
+        )
+        .to_xml()
+    };
+    let gossip = notification(12);
+    // The same notification as builds before the conversation-first
+    // header order wrote it, byte for byte (and as any other stack may
+    // order it): `To` and `MessageID` ahead of the header blocks.
+    let gossip_old_order = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\
+        <env:Envelope xmlns:env=\"http://www.w3.org/2003/05/soap-envelope\" \
+        xmlns:wsa=\"http://www.w3.org/2005/08/addressing\"><env:Header>\
+        <wsa:To>http://node2/gossip</wsa:To><wsa:Action>urn:ws-gossip:2008:Notify</wsa:Action>\
+        <wsa:MessageID>urn:uuid:0001</wsa:MessageID><wsg:Gossip xmlns:wsg=\"urn:ws-gossip:2008\">\
+        <wsg:Context>urn:ws-gossip:ctx:0</wsg:Context><wsg:Topic>quotes</wsg:Topic>\
+        <wsg:Origin>http://node1/gossip</wsg:Origin><wsg:Seq>12</wsg:Seq>\
+        <wsg:Round>1</wsg:Round></wsg:Gossip></env:Header><env:Body><tick>ACME</tick></env:Body>\
+        </env:Envelope>";
     let wsg_decl = " xmlns:wsg=\"urn:ws-gossip:2008\"";
     assert!(gossip.contains(&format!("<wsg:Gossip{wsg_decl}>")));
     // The namespace under another prefix, and as the default namespace.
@@ -280,6 +295,14 @@ fn write_seeds() -> std::io::Result<usize> {
     );
     let mut empty = String::new();
     write_batch(&[], &mut empty);
+    // Three notifications forwarded to one peer, as the sender's drain
+    // writes them: the first whole, the others front-coded — and a `pre`
+    // that counts past the message before it.
+    let forwards = [notification(12), notification(13), notification(14)];
+    let mut front_coded = String::new();
+    write_batch(&forwards.each_ref().map(|xml| BatchItem { target: None, xml }), &mut front_coded);
+    assert_eq!(front_coded.matches(" pre=\"").count(), 2);
+    let pre_hostile = front_coded.replacen(" pre=\"", " pre=\"9", 1);
 
     type TargetSeeds<'a> = (&'a str, &'a [(&'a str, &'a [u8])]);
     let seeds: &[TargetSeeds<'_>] = &[
@@ -315,6 +338,7 @@ fn write_seeds() -> std::io::Result<usize> {
                 ("fault", fault.as_bytes()),
                 ("foreign", foreign.as_bytes()),
                 ("gossip", gossip.as_bytes()),
+                ("gossip-old-order", gossip_old_order.as_bytes()),
                 ("gossip-prefix", gossip_prefix.as_bytes()),
                 ("gossip-default", gossip_default.as_bytes()),
                 ("gossip-leaning", gossip_leaning.as_bytes()),
@@ -330,6 +354,8 @@ fn write_seeds() -> std::io::Result<usize> {
                 ("empty", empty.as_bytes()),
                 ("single", push.as_bytes()),
                 ("leaning", leaning.as_bytes()),
+                ("front-coded", front_coded.as_bytes()),
+                ("pre-hostile", pre_hostile.as_bytes()),
             ],
         ),
         (

@@ -474,7 +474,9 @@ impl FuzzTarget for EnvelopeTarget {
 /// the tree walk on what is a batch, on every message's target and on the
 /// envelope-shape verdict; each streamed message's `raw` is a standalone
 /// document that decodes exactly as the tree walk's re-serialisation
-/// does (byte-identity recovery), under the envelope differential.
+/// does (byte-identity recovery), under the envelope differential; and a
+/// front-coded message's `raw` is, byte for byte, what the tree walk puts
+/// together from the `pre` and the text its tree holds.
 pub struct BatchTarget;
 
 /// The envelope shape `parse_wire` checks by skipping, read off a tree.
@@ -506,7 +508,7 @@ impl FuzzTarget for BatchTarget {
                 Ok(())
             }
             (Ok(Unbundled::Batch(messages)), Ok(parsed)) => {
-                let via_tree = unbundle(&parsed).map_err(|error| {
+                let via_tree = unbundle(&text).map_err(|error| {
                     format!("parse_wire accepted a batch unbundle rejects: {error}")
                 })?;
                 if messages.len() != via_tree.len() {
@@ -516,9 +518,18 @@ impl FuzzTarget for BatchTarget {
                         via_tree.len()
                     ));
                 }
-                for (i, (streamed, tree)) in messages.iter().zip(&via_tree).enumerate() {
+                let coded = parsed.children().into_iter().map(|msg| msg.attr("pre").is_some());
+                for (i, ((streamed, tree), coded)) in
+                    messages.iter().zip(&via_tree).zip(coded).enumerate()
+                {
                     if streamed.target != tree.target {
                         return Err(format!("message {i} target differs between stream and tree"));
+                    }
+                    if coded && streamed.raw != tree.raw {
+                        return Err(format!(
+                            "coded message {i} unwraps to {:?}, by its tree to {:?}",
+                            streamed.raw, tree.raw
+                        ));
                     }
                     // Byte-identity recovery: the raw slice must itself be
                     // a standalone document for the same envelope.
@@ -540,7 +551,7 @@ impl FuzzTarget for BatchTarget {
                 // A structural rejection must be one the tree walk makes
                 // too — otherwise parse_wire dropped a valid document.
                 if is_batch(&parsed) {
-                    if unbundle(&parsed).is_ok() {
+                    if unbundle(&text).is_ok() {
                         return Err("parse_wire rejected a batch unbundle accepts".into());
                     }
                     Ok(())

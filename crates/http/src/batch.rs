@@ -169,11 +169,14 @@ struct Queued {
 }
 
 impl SenderQueues {
-    /// Append for `to`, unconditionally. When at least half of `xml`
-    /// repeats the start and end of the last message queued whole (a
+    /// Append for `to`, unconditionally. When at least three quarters of
+    /// `xml` repeat the start and end of the last message queued whole (a
     /// forward of the same notification to another peer), only the
     /// differing middle is kept and the rest shared; anything else is
-    /// queued whole.
+    /// queued whole. (Half is not enough to tell: the *next* notification
+    /// of the conversation repeats the ~950 bytes of header that come
+    /// before `wsg:Seq`, two thirds of a small message — and had better go
+    /// whole, for its own copies to share all but ~100 bytes with.)
     pub(crate) fn push(&self, to: NodeId, target: Option<String>, xml: String) {
         let mut queued = self.queues.lock();
         let (mut prefix, mut suffix) =
@@ -187,7 +190,7 @@ impl SenderQueues {
             suffix = suffix.min(xml.len() - prologue);
         }
         let msg = match &queued.last_whole {
-            Some(last) if (prefix + suffix) * 2 >= xml.len() && suffix > 0 => {
+            Some(last) if (prefix + suffix) * 4 >= xml.len() * 3 && suffix > 0 => {
                 // A fresh small string, not `xml` cut down in place: the
                 // big block goes back whole, for the next copy to reuse,
                 // instead of being pinned by what is left at its start.
@@ -543,6 +546,81 @@ mod tests {
         assert_eq!(common_ends("", "x"), (0, 0));
         assert_eq!(common_ends("same", "same"), (4, 0));
         assert_eq!(common_ends("abXcd", "abYYcd"), (2, 2));
+    }
+
+    #[test]
+    fn forwards_the_gossip_layer_hands_over_keep_a_short_run_of_their_own() {
+        use ws_gossip::layer::GossipLayerHandle;
+        use ws_gossip::GossipHeader;
+        use wsg_coord::{CoordinationContext, GossipGrant, GossipPolicy, GossipProtocol};
+        use wsg_soap::handler::Direction;
+        use wsg_soap::{Envelope, HandlerChain, MessageHeaders};
+
+        // A live fleet's notification: loopback endpoints, a 256-byte
+        // payload, the coordination context and gossip header.
+        let peer = |n: usize| format!("http://127.0.0.1:{}/gossip", 41000 + 137 * n);
+        let context = CoordinationContext::new(
+            "urn:ws-gossip:ctx:3f2a",
+            GossipProtocol::Push,
+            "http://127.0.0.1:41000/registration",
+            GossipPolicy::default(),
+        );
+        let gossip = |seq| GossipHeader {
+            context_id: "urn:ws-gossip:ctx:3f2a".into(),
+            topic: "quotes".into(),
+            origin: peer(1),
+            seq,
+            round: 1,
+        };
+        let notification = |seq| {
+            Envelope::request(
+                MessageHeaders::request(peer(2), ws_gossip::actions::notify())
+                    .with_message_id(format!("urn:uuid:{seq:032x}")),
+                wsg_xml::Element::text_node("tick", format!("{seq}+").repeat(128)),
+            )
+            .with_header(context.to_header())
+            .with_header(gossip(seq).to_element())
+        };
+        let handle = GossipLayerHandle::new(peer(2), 5);
+        let grant = GossipGrant { fanout: 6, rounds: 4, peers: (1..=8).map(peer).collect() };
+        handle.set_grant("urn:ws-gossip:ctx:3f2a", grant);
+        let mut chain = HandlerChain::new();
+        chain.push(Box::new(handle.handler()));
+
+        let queues = SenderQueues::default();
+        let mut sent = Vec::new();
+        for seq in 0..3 {
+            let arrived = Envelope::parse(&notification(seq).to_xml()).unwrap();
+            let forwards = chain.process(Direction::Inbound, arrived, peer(2)).sends;
+            assert!(forwards.len() >= 4, "{} forwards", forwards.len());
+            for (to, forward) in forwards.iter().enumerate() {
+                sent.push((to, forward.to_xml()));
+                queues.push(NodeId(to), None, forward.to_xml());
+            }
+        }
+        let (mut own, mut whole, mut coded) = (Vec::new(), 0, 0);
+        let mut wire = String::new();
+        while let Some((to, batch)) = queues.pop_batch(&BatchConfig::default()) {
+            let queued: Vec<&String> = sent.iter().filter(|(t, _)| *t == to.0).map(|(_, x)| x).collect();
+            assert_eq!(batch.len(), queued.len());
+            for (msg, xml) in batch.iter().zip(queued) {
+                assert_eq!(&msg.parts().concat(), xml);
+                match msg.parts()[1].len() {
+                    0 => whole += 1,
+                    kept => own.push(kept),
+                }
+            }
+            // And to one peer the three notifications say their ~950
+            // bytes of conversation once.
+            let parts = batch.iter().map(|m| (m.target.as_deref(), m.parts()));
+            coded += wsg_soap::batch::write_batch_parts(parts, &mut wire) / (batch.len() - 1);
+        }
+        // One copy of each notification holds its bytes; every other one
+        // kept its `To` and `MessageID` — the port digits through the id —
+        // and shares the rest, front and back.
+        assert_eq!(whole, 3, "{own:?}");
+        assert!(own.iter().all(|kept| (40..=110).contains(kept)), "{own:?}");
+        assert!(coded / whole >= 900, "{coded} bytes shared in {whole} batches");
     }
 
     #[test]

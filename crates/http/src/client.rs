@@ -175,10 +175,12 @@ impl SoapHttpClient {
 
     /// POST a SOAP envelope (as raw XML bytes) to `addr`.
     ///
-    /// `action` becomes the quoted `SOAPAction` header; `extra_headers`
-    /// are appended verbatim (the runtime uses this for the node-id
-    /// header). Returns the response for **any** HTTP status; [`Err`] means
-    /// the bytes never made it across despite `1 + retries` attempts.
+    /// `action` becomes the quoted `SOAPAction` header — unless it holds a
+    /// control byte or a `"`, which no quoted header value can carry: then
+    /// none is sent. `extra_headers` are appended verbatim (the runtime
+    /// uses this for the node-id header). Returns the response for **any**
+    /// HTTP status; [`Err`] means the bytes never made it across despite
+    /// `1 + retries` attempts.
     ///
     /// # Errors
     ///
@@ -210,7 +212,11 @@ impl SoapHttpClient {
         wire.extend_from_slice(b"\r\nContent-Type: ");
         wire.extend_from_slice(SOAP_CONTENT_TYPE.as_bytes());
         wire.extend_from_slice(b"\r\n");
-        if let Some(action) = action {
+        // A forwarded envelope's `wsa:Action` is whatever its sender wrote,
+        // decoded: one that would end the quoted string or the header
+        // line is not repeated here (the envelope carries it regardless).
+        let quotable = |action: &&str| !action.bytes().any(|b| b.is_ascii_control() || b == b'"');
+        if let Some(action) = action.filter(quotable) {
             wire.extend_from_slice(b"SOAPAction: \"");
             wire.extend_from_slice(action.as_bytes());
             wire.extend_from_slice(b"\"\r\n");
@@ -683,6 +689,62 @@ mod tests {
                 "post {round} diverged from the builder wire format"
             );
         }
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn an_action_that_cannot_be_quoted_is_not_sent() {
+        // `wsa:Action` values a forwarded envelope may carry (`&#13;&#10;`
+        // and `&quot;` are legal XML): written into the head raw they
+        // would add a header line, end the head early, or close the
+        // quoted string. The head must hold exactly the expected lines.
+        let xml = sample_xml();
+        let hostile = [
+            "urn:svc:Notify\r\nX-Injected: yes",
+            "urn:svc:Notify\r\n\r\nPOST /admin HTTP/1.1",
+            "urn:svc:\"Notify\"",
+            "urn:svc:Notify\n",
+            "urn:svc:\0Notify\x7f",
+        ];
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (tx, rx) = std::sync::mpsc::channel::<Vec<u8>>();
+        let body = xml.clone().into_bytes();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            for _ in 0..hostile.len() + 1 {
+                // However the head came out, the body ends the request.
+                let (mut buf, mut chunk) = (Vec::new(), [0u8; 4096]);
+                while !buf.ends_with(&body) {
+                    let n = stream.read(&mut chunk).unwrap();
+                    assert!(n > 0, "client closed early");
+                    buf.extend_from_slice(&chunk[..n]);
+                }
+                stream.write_all(b"HTTP/1.1 202 Accepted\r\nContent-Length: 0\r\n\r\n").unwrap();
+                tx.send(buf).unwrap();
+            }
+        });
+
+        let client = SoapHttpClient::new(1, HttpClientConfig::default());
+        let node_header = [("X-WSG-Node".to_string(), "3".to_string())];
+        let head_of = |action: &str| {
+            let outcome =
+                client.post(addr, "/gossip", Some(action), &node_header, xml.as_bytes()).unwrap();
+            assert_eq!(outcome.response.status, 202);
+            let captured = String::from_utf8(rx.recv().unwrap()).unwrap();
+            captured.strip_suffix(xml.as_str()).expect("the body closes the request").to_string()
+        };
+        let expected = format!(
+            "POST /gossip HTTP/1.1\r\nContent-Length: {}\r\nHost: {addr}\r\n\
+             Content-Type: {SOAP_CONTENT_TYPE}\r\nX-WSG-Node: 3\r\n\r\n",
+            xml.len()
+        );
+        for action in hostile {
+            assert_eq!(head_of(action), expected, "{action:?}");
+        }
+        // An ordinary action is quoted as ever.
+        let labelled = expected.replace("X-WSG", "SOAPAction: \"urn:svc:Notify\"\r\nX-WSG");
+        assert_eq!(head_of("urn:svc:Notify"), labelled);
         server.join().unwrap();
     }
 

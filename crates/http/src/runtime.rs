@@ -13,8 +13,8 @@
 //! * a **sender** thread owning a pooled, retrying [`SoapHttpClient`]
 //!   that drains everything queued per destination into one POST — a
 //!   `urn:ws-gossip:batch` wrapper when more than one envelope is
-//!   waiting, the bare envelope (byte-identical to the unbatched wire
-//!   format) when only one is (see [`crate::batch`] and DESIGN.md §12).
+//!   waiting, the bare envelope (the unbatched wire format) when only
+//!   one is (see [`crate::batch`] and DESIGN.md §12).
 //!
 //! Because the node's view of the world is still just `wsg_net::Context`, the
 //! gossip protocols run here byte-for-byte unchanged from the simulator —
@@ -510,6 +510,7 @@ struct TransportMetrics {
     posts_failed: Arc<Counter>,
     batch_msgs: Arc<HistogramMetric>,
     posts_saved: Arc<Counter>,
+    batch_shared_bytes: Arc<Counter>,
     attempts: Arc<Counter>,
     unroutable: Arc<Counter>,
 }
@@ -532,6 +533,10 @@ impl TransportMetrics {
             posts_saved: registry.register_counter(
                 "wsg_transport_posts_saved_total",
                 "POSTs avoided by coalescing queued envelopes into batches",
+            ),
+            batch_shared_bytes: registry.register_counter(
+                "wsg_transport_batch_shared_bytes_total",
+                "Bytes a batched message left out because the message before it already carried them",
             ),
             attempts: registry.register_counter(
                 "wsg_transport_attempts_total",
@@ -568,9 +573,10 @@ fn run_sender(
             metrics.unroutable.add(count);
             return;
         };
+        let mut shared_bytes = 0;
         let outcome = if let [only] = batch.as_slice() {
-            // A lone message is posted bare — byte-identical to the
-            // unbatched wire format (no wrapper, same target and action).
+            // A lone message is posted bare — the unbatched wire format
+            // (no wrapper, same target and action).
             let target = only.target.as_deref().unwrap_or(GOSSIP_TARGET);
             scratch.clear();
             only.parts().iter().for_each(|part| scratch.push_str(part));
@@ -581,7 +587,7 @@ fn run_sender(
             client.post(addr, target, addressing.action(), &node_header, scratch.as_bytes())
         } else {
             let items = batch.iter().map(|m| (m.target.as_deref(), m.parts()));
-            write_batch_parts(items, &mut scratch);
+            shared_bytes = write_batch_parts(items, &mut scratch) as u64;
             client.post(addr, GOSSIP_TARGET, Some(BATCH_ACTION), &node_header, scratch.as_bytes())
         };
         match outcome {
@@ -593,6 +599,7 @@ fn run_sender(
                 metrics.posts_ok.inc();
                 metrics.batch_msgs.observe(count);
                 metrics.posts_saved.add(count - 1);
+                metrics.batch_shared_bytes.add(shared_bytes);
                 metrics.attempts.add(u64::from(outcome.attempts));
             }
             Err(err) => {
@@ -957,6 +964,22 @@ mod tests {
             let rendered = registry.render();
             assert!(rendered.contains("wsg_transport_batch_msgs_count"), "{rendered}");
             assert!(rendered.contains("wsg_transport_posts_saved_total"), "{rendered}");
+            // Eight envelopes that differ in one digit: whatever batches
+            // the drain formed, each message after a batch's first left
+            // nearly all of itself out — and a lone POST leaves out nothing.
+            let shared = rendered
+                .lines()
+                .find_map(|line| line.strip_prefix("wsg_transport_batch_shared_bytes_total "))
+                .and_then(|value| value.parse::<u64>().ok())
+                .unwrap_or_else(|| panic!("{rendered}"));
+            if cap == 1 {
+                assert_eq!(shared, 0, "{transport:?}");
+            } else {
+                let each = envelope_xml("burst-0", "urn:test:Burst").len() as u64;
+                assert!(transport.posts_saved > 0, "the burst outran the sender: {transport:?}");
+                assert!(shared > transport.posts_saved * each / 2, "{shared} of {transport:?}");
+                assert!(shared < transport.posts_saved * each, "{shared} of {transport:?}");
+            }
         }
     }
 

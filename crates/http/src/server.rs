@@ -914,6 +914,77 @@ mod tests {
     }
 
     #[test]
+    fn a_hostile_batch_is_a_400_on_a_connection_that_lives_on() {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&seen);
+        let service: Service = Arc::new(move |req: SoapRequest| {
+            log.lock().push(req.raw);
+            Ok(SoapReply::Accepted)
+        });
+        let mut server =
+            SoapHttpServer::bind("127.0.0.1:0", service, HttpServerConfig::default()).unwrap();
+        let xmls: Vec<String> = (0..3)
+            .map(|i| {
+                Envelope::request(
+                    MessageHeaders::request("http://node1/gossip", "urn:svc:Notify"),
+                    wsg_xml::Element::text_node("tick", format!("é{i}")),
+                )
+                .to_xml()
+            })
+            .collect();
+        let items: Vec<wsg_soap::batch::BatchItem<'_>> =
+            xmls.iter().map(|xml| wsg_soap::batch::BatchItem { target: None, xml }).collect();
+        let mut good = String::new();
+        assert!(wsg_soap::batch::write_batch(&items, &mut good) > 0, "{good}");
+        let pre = good.find(" pre=\"").unwrap() + 6;
+        let hostile = [
+            // Past the message before, into the middle of its `é`, not a
+            // number, on the first message, beside an element; a rebuilt
+            // text that is no document; one with nothing but a prefix.
+            good.replacen(" pre=\"", " pre=\"9", 1),
+            format!("{}{}{}", &good[..pre], xmls[0].find('é').unwrap() - 37, &good[good[pre..].find('"').unwrap() + pre..]),
+            good.replacen(" pre=\"", " pre=\"x", 1),
+            good.replacen("<wsgb:Msg>", "<wsgb:Msg pre=\"0\">", 1),
+            good.replacen("<![CDATA[", "<a/><![CDATA[", 1),
+            good.replacen("<![CDATA[", "<![CDATA[<", 1),
+            good.replacen("]]></wsgb:Msg>", "]]></wsgb:Msg><wsgb:Msg pre=\"40\"/>", 1),
+        ];
+        assert_eq!(wsg_soap::batch::MAX_UNWRAPPED_BYTES, crate::parser::MAX_BODY_BYTES);
+
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        let mut exchange = |body: &str| {
+            let wire =
+                format!("POST /gossip HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}", body.len());
+            stream.write_all(wire.as_bytes()).unwrap();
+            let mut parser = crate::parser::ResponseParser::new();
+            let mut chunk = [0u8; 1024];
+            loop {
+                let n = stream.read(&mut chunk).unwrap();
+                assert!(n > 0, "server closed the connection after {body}");
+                parser.feed(&chunk[..n]);
+                if let Parsed::Complete(response) = parser.parse().unwrap() {
+                    break response;
+                }
+            }
+        };
+        for body in &hostile {
+            let response = exchange(body);
+            let fault = String::from_utf8_lossy(&response.body).into_owned();
+            assert_eq!(response.status, 400, "{body}: {fault}");
+            assert!(fault.contains("Sender"), "{body}: {fault}");
+            assert!(fault.contains("body is not a SOAP envelope: "), "{body}: {fault}");
+        }
+        assert!(seen.lock().is_empty(), "a refused batch dispatches nothing");
+        // The same connection, the batch as written, then one of its
+        // messages alone: a service cannot tell how a message travelled.
+        assert_eq!(exchange(&good).status, 202);
+        assert_eq!(exchange(&xmls[1]).status, 202);
+        assert_eq!(*seen.lock(), [0, 1, 2, 1].map(|i| xmls[i].clone()));
+        assert_eq!(server.faults_served(), hostile.len() as u64);
+        server.shutdown();
+    }
+
+    #[test]
     fn service_fault_is_500_with_fault_envelope() {
         let service: Service =
             Arc::new(|_req| Err(Fault::new(FaultCode::Receiver, "handler exploded")));

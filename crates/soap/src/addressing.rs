@@ -253,20 +253,26 @@ impl MessageHeaders {
         self.message_id = Some(id.into());
     }
 
-    /// Serialise the present properties as SOAP header blocks.
+    /// Serialise the present properties as SOAP header blocks, in the
+    /// order [`Envelope::write_into`](crate::Envelope::write_into) emits
+    /// them: what names the conversation (`Action`, `From`, `ReplyTo`,
+    /// `FaultTo`), then what names the copy (`To`, `MessageID`,
+    /// `RelatesTo`). An envelope's other header blocks stand between the
+    /// two groups.
     pub fn to_header_blocks(&self) -> Vec<Element> {
+        let mut blocks = self.conversation_blocks();
+        blocks.append(&mut self.copy_blocks());
+        blocks
+    }
+
+    /// The blocks that name the conversation — `Action`, `From`, `ReplyTo`,
+    /// `FaultTo`: the same on every message one sender puts into one
+    /// exchange, so they lead the header and consecutive messages to a
+    /// peer start with the same bytes (see [`crate::batch`]).
+    pub(crate) fn conversation_blocks(&self) -> Vec<Element> {
         let mut blocks = Vec::new();
-        if let Some(to) = &self.to {
-            blocks.push(Element::in_ns("wsa", WSA_NS, "To").with_text(to.clone()));
-        }
         if let Some(action) = &self.action {
             blocks.push(Element::in_ns("wsa", WSA_NS, "Action").with_text(action.clone()));
-        }
-        if let Some(id) = &self.message_id {
-            blocks.push(Element::in_ns("wsa", WSA_NS, "MessageID").with_text(id.clone()));
-        }
-        if let Some(rel) = &self.relates_to {
-            blocks.push(Element::in_ns("wsa", WSA_NS, "RelatesTo").with_text(rel.clone()));
         }
         if let Some(from) = &self.from {
             blocks.push(from.to_element("From"));
@@ -276,6 +282,23 @@ impl MessageHeaders {
         }
         if let Some(fault_to) = &self.fault_to {
             blocks.push(fault_to.to_element("FaultTo"));
+        }
+        blocks
+    }
+
+    /// The blocks that name this copy — `To`, `MessageID`, `RelatesTo`:
+    /// they close the header. `To` travels with `MessageID` so that the
+    /// `f` copies of one notification differ in one short run of bytes.
+    pub(crate) fn copy_blocks(&self) -> Vec<Element> {
+        let mut blocks = Vec::new();
+        if let Some(to) = &self.to {
+            blocks.push(Element::in_ns("wsa", WSA_NS, "To").with_text(to.clone()));
+        }
+        if let Some(id) = &self.message_id {
+            blocks.push(Element::in_ns("wsa", WSA_NS, "MessageID").with_text(id.clone()));
+        }
+        if let Some(rel) = &self.relates_to {
+            blocks.push(Element::in_ns("wsa", WSA_NS, "RelatesTo").with_text(rel.clone()));
         }
         blocks
     }
@@ -292,32 +315,12 @@ impl MessageHeaders {
             && self.fault_to.is_none()
     }
 
-    /// Stream the present properties as SOAP header blocks into an open
-    /// writer — byte-identical to serialising the elements from
-    /// [`MessageHeaders::to_header_blocks`] in order, without building them.
-    pub fn write_header_blocks(&self, w: &mut XmlWriter) -> Result<(), XmlError> {
-        // Text blocks mirror the tree form exactly: `with_text` always
-        // pushes a text node, so `w.text` is called even for empty values
-        // (`<wsa:To></wsa:To>`, never self-closed).
-        if let Some(to) = &self.to {
-            w.start_element(&qnames::WSA_TO)?;
-            w.text(to)?;
-            w.end_element()?;
-        }
+    /// Stream [`Self::conversation_blocks`] into an open writer —
+    /// byte-identical to serialising those elements in order, without
+    /// building them.
+    pub(crate) fn write_conversation_blocks(&self, w: &mut XmlWriter) -> Result<(), XmlError> {
         if let Some(action) = &self.action {
-            w.start_element(&qnames::WSA_ACTION)?;
-            w.text(action)?;
-            w.end_element()?;
-        }
-        if let Some(id) = &self.message_id {
-            w.start_element(&qnames::WSA_MESSAGE_ID)?;
-            w.text(id)?;
-            w.end_element()?;
-        }
-        if let Some(rel) = &self.relates_to {
-            w.start_element(&qnames::WSA_RELATES_TO)?;
-            w.text(rel)?;
-            w.end_element()?;
+            write_text_block(w, &qnames::WSA_ACTION, action)?;
         }
         if let Some(from) = &self.from {
             from.write_into(&qnames::WSA_FROM, w)?;
@@ -327,6 +330,20 @@ impl MessageHeaders {
         }
         if let Some(fault_to) = &self.fault_to {
             fault_to.write_into(&qnames::WSA_FAULT_TO, w)?;
+        }
+        Ok(())
+    }
+
+    /// Stream [`Self::copy_blocks`] into an open writer, likewise.
+    pub(crate) fn write_copy_blocks(&self, w: &mut XmlWriter) -> Result<(), XmlError> {
+        if let Some(to) = &self.to {
+            write_text_block(w, &qnames::WSA_TO, to)?;
+        }
+        if let Some(id) = &self.message_id {
+            write_text_block(w, &qnames::WSA_MESSAGE_ID, id)?;
+        }
+        if let Some(rel) = &self.relates_to {
+            write_text_block(w, &qnames::WSA_RELATES_TO, rel)?;
         }
         Ok(())
     }
@@ -358,6 +375,15 @@ impl MessageHeaders {
 /// The qualified name of a WS-Addressing header block.
 pub fn wsa_name(local: &str) -> QName {
     QName::with_ns(WSA_NS, local).with_prefix("wsa")
+}
+
+/// Write `<name>text</name>` exactly as the tree form does: `with_text`
+/// always pushes a text node, so `w.text` is called even for an empty
+/// value (`<wsa:To></wsa:To>`, never self-closed).
+fn write_text_block(w: &mut XmlWriter, name: &QName, text: &str) -> Result<(), XmlError> {
+    w.start_element(name)?;
+    w.text(text)?;
+    w.end_element()
 }
 
 #[cfg(test)]

@@ -7,6 +7,7 @@
 //! <?xml version="1.0" encoding="UTF-8"?>
 //! <wsgb:Batch xmlns:wsgb="urn:ws-gossip:batch">
 //!   <wsgb:Msg>…env:Envelope…</wsgb:Msg>
+//!   <wsgb:Msg pre="951"><![CDATA[…the rest of an envelope…]]></wsgb:Msg>
 //!   <wsgb:Msg target="/membership">…env:Envelope…</wsgb:Msg>
 //! </wsgb:Batch>
 //! ```
@@ -16,12 +17,24 @@
 //! service route than the POST's own target (heartbeats riding a gossip
 //! batch); absent, the message dispatches to the POST target itself.
 //!
+//! A `Msg` holds its envelope whole, as an element, or **front-coded**: a
+//! `pre="N"` attribute and character data only, meaning "the first `N`
+//! bytes of the text of the `Msg` before this one, then this text". The
+//! *text* of a `Msg` is what stands between its tags (for a coded one,
+//! what it expands to). Consecutive messages to one peer repeat their
+//! `Action`, `From`, coordination context and gossip header — the envelope
+//! writer puts those first — so a batch says them once.
+//!
 //! Building a batch never re-parses: the sender already holds each inner
 //! envelope as serialised XML, so [`write_batch`] splices the strings
-//! (declarations stripped) into a caller-owned scratch buffer. A batch of
+//! (declarations stripped) into a caller-owned scratch buffer. Unwrapping
+//! gives every message back as the standalone document it was: a coded
+//! one is rebuilt and then checked exactly as a lone POST is. A batch of
 //! one message is **never** wrapped by the transport — it posts the inner
-//! XML verbatim, byte-identical to the pre-batching wire format (see
-//! `wsg_http::runtime`).
+//! XML verbatim (see `wsg_http::runtime`).
+
+use std::fmt::Write as _;
+use std::ops::Range;
 
 use wsg_net::cov;
 use wsg_xml::escape::escape_attr_into;
@@ -43,6 +56,30 @@ pub static BATCH: QName = QName::interned(BATCH_NS, "wsgb", "Batch");
 pub static MSG: QName = QName::interned(BATCH_NS, "wsgb", "Msg");
 
 const XML_DECL: &str = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>";
+
+/// Fewest bytes a message must share with the one before it to travel
+/// front-coded. Coding costs ` pre="951"` (10 bytes at three digits) plus
+/// `<![CDATA[` and `]]>` (12): 22 bytes. Three times that keeps the form
+/// for messages that share real header content — two envelopes of this
+/// stack share ~150 bytes in their root start tag alone, two forwards to
+/// one peer ~950 — and out of the way of strangers.
+const MIN_SHARED: usize = 64;
+
+/// ...and the smallest share of the message those bytes must be: one in
+/// `MIN_SHARE`. Coding costs the sender and the receiver one more pass
+/// each over what is *not* shared (for a `]]>`; for the CDATA section's
+/// end), so it has to leave out a fair part. A 16 KiB notification shares
+/// the same ~950 header bytes a 256-byte one does — 5 % of it: coded,
+/// `saturate_large` paid +5 % `cpu_ms_per_op` for −4 % `wire_bytes_per_op`
+/// (EXPERIMENTS.md §E12, issue 22); whole, it costs what it did.
+const MIN_SHARE: usize = 8;
+
+/// Most bytes the messages of one batch may unwrap to, whole and coded
+/// together: the HTTP body limit (`wsg_http::parser::MAX_BODY_BYTES`,
+/// 8 MiB), so a batch can ask the receiver for no more memory than a POST
+/// of whole messages could. Without it a 250 KB message followed by ten
+/// thousand `pre`-only items would expand to 2.5 GB.
+pub const MAX_UNWRAPPED_BYTES: usize = 8 * 1024 * 1024;
 
 /// One message to be wrapped: already-serialised envelope XML plus the
 /// route it should dispatch to (`None` = the POST's own target).
@@ -79,10 +116,11 @@ impl BatchedEnvelope {
 }
 
 /// Serialise `items` into `out` (cleared first, allocation reused) as one
-/// batch document. The inner XML strings are spliced verbatim minus their
-/// declarations; order is preserved.
-pub fn write_batch(items: &[BatchItem<'_>], out: &mut String) {
-    write_batch_parts(items.iter().map(|item| (item.target, [item.xml, "", ""])), out);
+/// batch document: order is preserved, declarations are stripped, and a
+/// message that starts like the one before it is front-coded. Returns the
+/// bytes coding left out.
+pub fn write_batch(items: &[BatchItem<'_>], out: &mut String) -> usize {
+    write_batch_parts(items.iter().map(|item| (item.target, [item.xml, "", ""])), out)
 }
 
 /// [`write_batch`] over messages held in pieces — `(target, parts)`, the
@@ -92,7 +130,7 @@ pub fn write_batch(items: &[BatchItem<'_>], out: &mut String) {
 pub fn write_batch_parts<'a>(
     items: impl Iterator<Item = (Option<&'a str>, [&'a str; 3])> + Clone,
     out: &mut String,
-) {
+) -> usize {
     out.clear();
     let body: usize =
         items.clone().map(|(_, parts)| parts.iter().map(|p| p.len()).sum::<usize>() + 24).sum();
@@ -101,31 +139,98 @@ pub fn write_batch_parts<'a>(
     out.push_str("<wsgb:Batch xmlns:wsgb=\"");
     out.push_str(BATCH_NS);
     out.push_str("\">");
+    let mut before: Option<[&str; 3]> = None;
+    let mut left_out = 0;
     for (target, parts) in items {
-        match target {
-            None => out.push_str("<wsgb:Msg>"),
-            Some(target) => {
-                out.push_str("<wsgb:Msg target=\"");
-                escape_attr_into(out, target);
-                out.push_str("\">");
-            }
+        let text = without_declaration(parts);
+        out.push_str("<wsgb:Msg");
+        if let Some(target) = target {
+            out.push_str(" target=\"");
+            escape_attr_into(out, target);
+            out.push('"');
         }
-        // A declaration sits at the very start: in the first part that
-        // has any bytes (see `prologue_len`).
-        let mut leading = true;
-        for part in parts.into_iter().filter(|part| !part.is_empty()) {
-            out.push_str(if leading { strip_declaration(part) } else { part });
-            leading = false;
+        let whole_from = out.len();
+        let (pre, piece, offset) = before.map_or((0, 0, 0), |before| shared_start(&before, &text));
+        let mut coded = pre >= MIN_SHARED
+            && pre * MIN_SHARE >= text.iter().map(|part| part.len()).sum::<usize>();
+        if coded {
+            // wsg_lint: allow(E2) — fmt::Write to a String is infallible
+            let _ = write!(out, " pre=\"{pre}\"><![CDATA[");
+            let tail_from = out.len();
+            out.push_str(&text[piece][offset..]);
+            text[piece + 1..].iter().for_each(|part| out.push_str(part));
+            // A foreign sender's CDATA section in the tail would end ours
+            // early: that message goes whole.
+            coded = !out[tail_from..].contains("]]>");
         }
-        out.push_str("</wsgb:Msg>");
+        if coded {
+            cov!();
+            out.push_str("]]></wsgb:Msg>");
+            left_out += pre;
+        } else {
+            out.truncate(whole_from);
+            out.push('>');
+            text.iter().for_each(|part| out.push_str(part));
+            out.push_str("</wsgb:Msg>");
+        }
+        before = Some(text);
     }
     out.push_str("</wsgb:Batch>");
+    left_out
 }
 
-/// Drop a leading `<?xml …?>` declaration (and surrounding whitespace) so
-/// the envelope can be embedded inside the batch document.
-fn strip_declaration(xml: &str) -> &str {
-    xml[prologue_len(xml)..].trim_start()
+/// `parts` without a leading `<?xml …?>` declaration — all of it in the
+/// first part that has any bytes (see [`prologue_len`]) — and the
+/// whitespace around it, so the envelope can stand inside the batch
+/// document.
+fn without_declaration(mut parts: [&str; 3]) -> [&str; 3] {
+    let mut declaration = true;
+    for part in &mut parts {
+        if declaration && !part.is_empty() {
+            *part = &part[prologue_len(part)..];
+            declaration = false;
+        }
+        *part = part.trim_start();
+        if !part.is_empty() {
+            break;
+        }
+    }
+    parts
+}
+
+/// How `b` starts like `a` — each the concatenation of its pieces: the
+/// bytes they have in common at the start, cut back to a character
+/// boundary, and where in `b` (piece, offset) the rest begins.
+fn shared_start(a: &[&str; 3], b: &[&str; 3]) -> (usize, usize, usize) {
+    let (mut shared, mut ai, mut ao, mut bi, mut bo) = (0, 0, 0, 0, 0);
+    loop {
+        while ai < a.len() && ao == a[ai].len() {
+            (ai, ao) = (ai + 1, 0);
+        }
+        while bi < b.len() - 1 && bo == b[bi].len() {
+            (bi, bo) = (bi + 1, 0);
+        }
+        if ai == a.len() || bo == b[bi].len() {
+            break;
+        }
+        let (x, y) = (&a[ai].as_bytes()[ao..], &b[bi].as_bytes()[bo..]);
+        let span = x.len().min(y.len());
+        let (x, y) = (&x[..span], &y[..span]);
+        // Whole 64-byte blocks first (slice equality is a memcmp), single
+        // bytes to finish.
+        let mut run: usize =
+            x.chunks(64).zip(y.chunks(64)).take_while(|(p, q)| p == q).map(|(p, _)| p.len()).sum();
+        run += x[run..].iter().zip(&y[run..]).take_while(|(p, q)| p == q).count();
+        (shared, ao, bo) = (shared + run, ao + run, bo + run);
+        if run < span {
+            break;
+        }
+    }
+    // A piece is a `str`: no character straddles two of them.
+    while !b[bi].is_char_boundary(bo) {
+        (shared, bo) = (shared - 1, bo - 1);
+    }
+    (shared, bi, bo)
 }
 
 /// Bytes of `xml` up to the end of a leading `<?xml …?>` declaration
@@ -157,15 +262,20 @@ pub enum Unbundled {
 /// streamed once with [`XmlReader::skip_element`] doing the well-formedness
 /// work, every envelope is checked for its shape only (root is
 /// `env:Envelope`, has an `env:Body`), and each batched message's `raw`
-/// form is the sender's exact bytes sliced back out of `wire` — one
-/// exact-capacity allocation per message.
+/// form is the sender's exact bytes — sliced back out of `wire`, or for a
+/// front-coded message put together from the text before it and its own
+/// and then checked as a document of its own — in one exact-capacity
+/// allocation per message.
 ///
 /// # Errors
 ///
 /// [`SoapError::Xml`] for malformed XML (including trailing content after
 /// the root, matching [`Element::parse`]), [`SoapError::Batch`] for a
-/// malformed wrapper, and the envelope-shape errors for a batched message
-/// that is not an envelope. Never panics, whatever the input looks like.
+/// malformed wrapper — a `pre` that counts past, or into a character of,
+/// the text before it, or stands on the first message or beside an
+/// element; messages unwrapping to more than [`MAX_UNWRAPPED_BYTES`] —
+/// and the envelope-shape errors for a batched message that is not an
+/// envelope. Never panics, whatever the input looks like.
 pub fn parse_wire(wire: &str) -> Result<Unbundled, SoapError> {
     let mut reader = XmlReader::new(wire);
     read_root(&mut reader)?;
@@ -176,7 +286,11 @@ pub fn parse_wire(wire: &str) -> Result<Unbundled, SoapError> {
         return Ok(Unbundled::Single(shape));
     }
 
-    let mut out = Vec::new();
+    let mut out: Vec<BatchedEnvelope> = Vec::new();
+    // Where in `wire` the text of the message before lies, when it was
+    // sent whole; a coded one's text is its `raw` past the declaration.
+    let mut sent: Option<Range<usize>> = None;
+    let mut room = MAX_UNWRAPPED_BYTES;
     loop {
         match reader.next_raw()? {
             RawEvent::Start => {
@@ -185,9 +299,30 @@ pub fn parse_wire(wire: &str) -> Result<Unbundled, SoapError> {
                     let name = reader.element_qname();
                     return Err(SoapError::Batch(format!("batch carries a {name}")));
                 }
-                cov!();
                 let target = reader.attribute(None, "target").map(|target| target.into_owned());
-                let raw = read_msg(&mut reader, wire)?;
+                let raw = match reader.attribute(None, "pre") {
+                    None => {
+                        cov!();
+                        let (raw, text) = read_msg(&mut reader, wire)?;
+                        room = spend(room, text.len())?;
+                        sent = Some(text);
+                        raw
+                    }
+                    Some(pre) => {
+                        cov!();
+                        let before = match (sent.take(), out.last()) {
+                            (Some(text), _) => &wire[text],
+                            (None, Some(coded)) => &coded.raw[XML_DECL.len()..],
+                            (None, None) => {
+                                cov!();
+                                return Err(SoapError::Batch(
+                                    "the first Msg has a pre and nothing before it".into(),
+                                ));
+                            }
+                        };
+                        read_coded(&mut reader, &pre, before, &mut room)?
+                    }
+                };
                 out.push(BatchedEnvelope { target, raw });
             }
             // `</wsgb:Batch>` — the reader itself balances tags, so an
@@ -206,6 +341,14 @@ pub fn parse_wire(wire: &str) -> Result<Unbundled, SoapError> {
     Ok(Unbundled::Batch(out))
 }
 
+/// `room` less the `bytes` one more message unwraps to.
+fn spend(room: usize, bytes: usize) -> Result<usize, SoapError> {
+    room.checked_sub(bytes).ok_or_else(|| {
+        cov!();
+        SoapError::Batch(format!("batch unwraps to more than {MAX_UNWRAPPED_BYTES} bytes"))
+    })
+}
+
 /// Skip through the element just started, reporting what keeps it from
 /// having the shape of an envelope.
 fn envelope_shape(reader: &mut XmlReader<'_>) -> Result<Result<(), SoapError>, SoapError> {
@@ -213,18 +356,20 @@ fn envelope_shape(reader: &mut XmlReader<'_>) -> Result<Result<(), SoapError>, S
     Ok(shape.is_envelope().and_then(|()| shape.has_body()))
 }
 
-/// Read one `wsgb:Msg`'s content — exactly one inner element, shaped like
-/// an envelope — and return its standalone `raw` form.
-fn read_msg(reader: &mut XmlReader<'_>, wire: &str) -> Result<String, SoapError> {
+/// Read one whole `wsgb:Msg`'s content — exactly one inner element, shaped
+/// like an envelope — and return its standalone `raw` form, and where in
+/// `wire` the message's text (all that stands between its tags) lies.
+fn read_msg(reader: &mut XmlReader<'_>, wire: &str) -> Result<(String, Range<usize>), SoapError> {
     let mut inner: Option<String> = None;
     // Bindings declared at or below this scope depth (the batch wrapper's
     // xmlns:wsgb, or anything else on the outer elements) are invisible to
     // a message slice replayed standalone.
     let outer_scope = reader.scope_depth();
+    let text_from = reader.position();
     loop {
         // After the previous event is consumed the cursor sits exactly
-        // on the next construct, so for a start tag this is the byte
-        // offset of its `<`.
+        // on the next construct, so for a tag this is the byte offset of
+        // its `<`.
         let start = reader.position();
         reader.reset_binding_watermark();
         match reader.next_raw()? {
@@ -259,14 +404,66 @@ fn read_msg(reader: &mut XmlReader<'_>, wire: &str) -> Result<String, SoapError>
                 }
                 inner = Some(raw);
             }
-            RawEvent::End => break, // `</wsgb:Msg>`
+            // `</wsgb:Msg>`, with at least the element before it.
+            RawEvent::End => {
+                let raw = inner.ok_or_else(|| {
+                    cov!();
+                    SoapError::Batch("Msg wraps 0 elements (want exactly 1)".into())
+                })?;
+                return Ok((raw, text_from..start));
+            }
             _ => {} // text/comments alongside the envelope are ignored
         }
     }
-    inner.ok_or_else(|| {
+}
+
+/// Read one front-coded `wsgb:Msg`'s content — character data only — and
+/// return its standalone `raw` form: the declaration, the first `pre`
+/// bytes of `before`, the message's own text — taken out of `room` before
+/// anything is allocated, and checked as a lone POST's body is.
+fn read_coded(
+    reader: &mut XmlReader<'_>,
+    pre: &str,
+    before: &str,
+    room: &mut usize,
+) -> Result<String, SoapError> {
+    // `is_char_boundary` is false past the end, too.
+    let shared = pre.parse().ok().filter(|&shared| before.is_char_boundary(shared));
+    let Some(shared) = shared else {
         cov!();
-        SoapError::Batch("Msg wraps 0 elements (want exactly 1)".into())
-    })
+        return Err(SoapError::Batch(format!(
+            "Msg pre=\"{pre}\" is no character boundary of the {} bytes before it",
+            before.len()
+        )));
+    };
+    let mut tail = std::borrow::Cow::Borrowed("");
+    loop {
+        match reader.next_raw()? {
+            RawEvent::Text(run) if tail.is_empty() => tail = run,
+            // Not what `write_batch` writes: text in several runs.
+            RawEvent::Text(run) => {
+                cov!();
+                tail.to_mut().push_str(&run);
+            }
+            RawEvent::Start => {
+                cov!();
+                return Err(SoapError::Batch("a Msg with a pre wraps an element".into()));
+            }
+            RawEvent::End => break,
+            _ => {}
+        }
+    }
+    *room = spend(*room, shared + tail.len())?;
+    let mut raw = String::with_capacity(XML_DECL.len() + shared + tail.len());
+    raw.push_str(XML_DECL);
+    raw.push_str(&before[..shared]);
+    raw.push_str(&tail);
+
+    let mut rebuilt = XmlReader::new(&raw);
+    read_root(&mut rebuilt)?;
+    envelope_shape(&mut rebuilt)??;
+    rebuilt.finish()?;
+    Ok(raw)
 }
 
 /// Whether a parsed document root is a batch wrapper.
@@ -274,17 +471,24 @@ pub fn is_batch(root: &Element) -> bool {
     root.name().matches(Some(BATCH_NS), "Batch")
 }
 
-/// Unwrap an already-built batch tree into its messages, in wire order —
-/// the tree-walk reference [`parse_wire`] is tested and fuzzed against.
+/// Unwrap a batch document by building its tree and walking it, messages
+/// in wire order — the reference [`parse_wire`] is tested and fuzzed
+/// against. (It takes the text, not the tree: a `pre` counts bytes of the
+/// text, which no tree keeps.)
 ///
 /// # Errors
 ///
+/// [`SoapError::Xml`] when `wire` is no XML document;
 /// [`SoapError::Batch`] when the root is not a `wsgb:Batch`, a child is
-/// not a `wsgb:Msg`, a `Msg` does not carry exactly one child element, or
-/// the batch is empty; [`SoapError::NotAnEnvelope`] /
-/// [`SoapError::MissingPart`] for a message without the envelope shape.
-/// Never panics, whatever the input tree looks like.
-pub fn unbundle(root: &Element) -> Result<Vec<BatchedEnvelope>, SoapError> {
+/// not a `wsgb:Msg`, a whole `Msg` does not carry exactly one child
+/// element, a coded one carries any or has a `pre` that fits nothing
+/// before it, the batch is empty or unwraps to more than
+/// [`MAX_UNWRAPPED_BYTES`]; [`SoapError::NotAnEnvelope`] /
+/// [`SoapError::MissingPart`] for a message without the envelope shape;
+/// [`SoapError::Xml`] for a coded message that unwraps to no document.
+/// Never panics, whatever the input looks like.
+pub fn unbundle(wire: &str) -> Result<Vec<BatchedEnvelope>, SoapError> {
+    let root = &Element::parse(wire)?;
     if !is_batch(root) {
         cov!();
         return Err(SoapError::Batch(format!("root element is {}", root.name())));
@@ -294,23 +498,45 @@ pub fn unbundle(root: &Element) -> Result<Vec<BatchedEnvelope>, SoapError> {
         cov!();
         return Err(SoapError::Batch("batch carries no messages".into()));
     }
+    let texts = child_texts(wire)?;
     let mut out = Vec::with_capacity(children.len());
-    for child in children {
+    let mut before: Option<String> = None;
+    let mut room = MAX_UNWRAPPED_BYTES;
+    for (child, sent) in children.into_iter().zip(texts) {
         if !child.name().matches(Some(BATCH_NS), "Msg") {
             cov!();
             return Err(SoapError::Batch(format!("batch carries a {}", child.name())));
         }
         let wrapped = child.children();
-        let inner = match wrapped.as_slice() {
-            [only] => *only,
-            _ => {
+        // A whole message as the tree has it; a coded one as it was sent.
+        let (text, inner, raw) = match (child.attr("pre"), wrapped.as_slice()) {
+            (None, [only]) => {
+                let raw = format!("{XML_DECL}{}", only.to_xml_string());
+                (wire[sent].to_string(), (*only).clone(), raw)
+            }
+            (None, _) => {
                 cov!();
                 return Err(SoapError::Batch(format!(
                     "Msg wraps {} elements (want exactly 1)",
                     wrapped.len()
                 )));
             }
+            (Some(pre), []) => {
+                let shared = pre.parse::<usize>().ok().and_then(|shared| before.as_ref()?.get(..shared));
+                let Some(shared) = shared else {
+                    cov!();
+                    return Err(SoapError::Batch(format!("Msg pre=\"{pre}\" fits nothing before it")));
+                };
+                let text = format!("{shared}{}", child.text());
+                let raw = format!("{XML_DECL}{text}");
+                (text, Element::parse(&raw)?, raw)
+            }
+            (Some(_), _) => {
+                cov!();
+                return Err(SoapError::Batch("a Msg with a pre wraps an element".into()));
+            }
         };
+        room = spend(room, text.len())?;
         cov!();
         if !inner.name().matches(Some(SOAP_ENV_NS), "Envelope") {
             return Err(SoapError::NotAnEnvelope(format!("root element is {}", inner.name())));
@@ -318,19 +544,38 @@ pub fn unbundle(root: &Element) -> Result<Vec<BatchedEnvelope>, SoapError> {
         if inner.child_ns(SOAP_ENV_NS, "Body").is_none() {
             return Err(SoapError::MissingPart("Body"));
         }
-        let serialised = inner.to_xml_string();
-        let mut raw = String::with_capacity(XML_DECL.len() + serialised.len());
-        raw.push_str(XML_DECL);
-        raw.push_str(&serialised);
         out.push(BatchedEnvelope { target: child.attr("target").map(str::to_string), raw });
+        before = Some(text);
     }
     Ok(out)
+}
+
+/// Where in `wire` the text of each child of the document element lies:
+/// what stands between the child's tags.
+fn child_texts(wire: &str) -> Result<Vec<Range<usize>>, SoapError> {
+    let mut reader = XmlReader::new(wire);
+    read_root(&mut reader)?;
+    let mut texts = Vec::new();
+    loop {
+        match reader.next_raw()? {
+            RawEvent::Start => {
+                let from = reader.position();
+                reader.skip_element()?;
+                // An end tag holds one `<`, its first byte; `<a/>` has no
+                // end tag, and the `<` found is its own, before `from`.
+                let to = wire[..reader.position()].rfind('<').map_or(from, |to| to.max(from));
+                texts.push(from..to);
+            }
+            RawEvent::End => return Ok(texts),
+            _ => {}
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addressing::MessageHeaders;
+    use crate::addressing::{EndpointReference, MessageHeaders};
 
     fn sample(n: usize) -> Envelope {
         Envelope::request(
@@ -338,6 +583,38 @@ mod tests {
                 .with_message_id(format!("urn:uuid:{n}")),
             Element::text_node("tick", format!("payload-{n}")),
         )
+    }
+
+    /// The `n`-th notification one node forwards to one peer: everything
+    /// but the ids and the payload repeats.
+    fn forward(n: usize) -> String {
+        let context = Element::in_ns("wscoor", "urn:wscoor", "CoordinationContext")
+            .with_child(Element::text_node("Identifier", "urn:ctx:7"))
+            .with_child(Element::text_node("Expires", "86400000"));
+        Envelope::request(
+            MessageHeaders::request("http://127.0.0.1:4100/gossip", "urn:ws-gossip:2008:Notify")
+                .with_from(EndpointReference::new("http://127.0.0.1:4200/gossip"))
+                .with_message_id(format!("urn:uuid:{n:032x}")),
+            Element::text_node("tick", format!("ACME {n} é")),
+        )
+        .with_header(context)
+        .with_header(Element::text_node("Seq", n.to_string()))
+        .to_xml()
+    }
+
+    fn batch_of(xmls: &[String]) -> (String, usize) {
+        let items: Vec<BatchItem<'_>> =
+            xmls.iter().map(|xml| BatchItem { target: None, xml }).collect();
+        let mut wire = String::new();
+        let left_out = write_batch(&items, &mut wire);
+        (wire, left_out)
+    }
+
+    fn streamed(wire: &str) -> Vec<BatchedEnvelope> {
+        match parse_wire(wire).unwrap() {
+            Unbundled::Batch(messages) => messages,
+            other => panic!("batch wire classified as {other:?}"),
+        }
     }
 
     #[test]
@@ -355,9 +632,8 @@ mod tests {
         let mut wire = String::new();
         write_batch(&items, &mut wire);
 
-        let root = Element::parse(&wire).unwrap();
-        assert!(is_batch(&root));
-        let unpacked = unbundle(&root).unwrap();
+        assert!(is_batch(&Element::parse(&wire).unwrap()));
+        let unpacked = unbundle(&wire).unwrap();
         assert_eq!(unpacked.len(), 4);
         for (i, msg) in unpacked.iter().enumerate() {
             assert_eq!(msg.envelope().unwrap(), envelopes[i], "message {i} round-trips");
@@ -384,6 +660,7 @@ mod tests {
 
     #[test]
     fn declaration_is_stripped_once_regardless_of_form() {
+        let strip_declaration = |xml| without_declaration([xml, "", ""]).concat();
         assert_eq!(strip_declaration("<a/>"), "<a/>");
         assert_eq!(
             strip_declaration("<?xml version=\"1.0\" encoding=\"UTF-8\"?><a/>"),
@@ -392,6 +669,10 @@ mod tests {
         assert_eq!(strip_declaration("  <?xml version=\"1.0\"?>\n  <a/>"), "<a/>");
         // A truncated declaration is left alone (the parse will reject it).
         assert_eq!(strip_declaration("<?xml version"), "<?xml version");
+        // In pieces: the declaration in the first that has bytes, the
+        // whitespace after it wherever it falls.
+        assert_eq!(without_declaration(["", " <?xml version=\"1.0\"?> ", "\n<a/> "]).concat(), "<a/> ");
+        assert_eq!(without_declaration(["<a>", " <?xml?>", ""]).concat(), "<a> <?xml?>");
     }
 
     #[test]
@@ -409,11 +690,8 @@ mod tests {
         let mut wire = String::new();
         write_batch(&items, &mut wire);
 
-        let via_tree = unbundle(&Element::parse(&wire).unwrap()).unwrap();
-        let streamed = match parse_wire(&wire).unwrap() {
-            Unbundled::Batch(messages) => messages,
-            other => panic!("batch wire classified as {other:?}"),
-        };
+        let via_tree = unbundle(&wire).unwrap();
+        let streamed = streamed(&wire);
         assert_eq!(streamed.len(), via_tree.len());
         for (i, (s, t)) in streamed.iter().zip(&via_tree).enumerate() {
             assert_eq!(s.envelope(), t.envelope(), "message {i} envelope");
@@ -421,6 +699,201 @@ mod tests {
             // The streamed raw is the sender's own serialisation, byte for
             // byte — not a re-serialisation of the parsed tree.
             assert_eq!(s.raw, xmls[i], "message {i} raw");
+        }
+    }
+
+    #[test]
+    fn forwards_to_one_peer_are_said_once_and_come_back_byte_for_byte() {
+        let xmls: Vec<String> = (0..5).map(forward).collect();
+        let (wire, left_out) = batch_of(&xmls);
+        // The first goes whole, the rest as what they add to it.
+        assert_eq!(wire.matches("<wsgb:Msg>").count(), 1, "{wire}");
+        assert_eq!(wire.matches("<wsgb:Msg pre=\"").count(), 4, "{wire}");
+        assert_eq!(wire.matches("<wscoor:CoordinationContext").count(), 1, "{wire}");
+        let whole: usize = xmls.iter().map(|xml| xml.len() - XML_DECL.len() + 21).sum();
+        assert!(left_out > whole / 2, "{left_out} bytes left out of {whole}");
+        // Per coded message: ` pre="NNN"` and the CDATA brackets.
+        assert_eq!(wire.len(), XML_DECL.len() + 58 + whole - left_out + 4 * 22);
+        for (message, xml) in streamed(&wire).iter().zip(&xmls) {
+            assert_eq!(&message.raw, xml);
+        }
+        // (The reference gives a whole message back re-serialised.)
+        for (message, xml) in unbundle(&wire).unwrap().iter().zip(&xmls).skip(1) {
+            assert_eq!(&message.raw, xml, "the reference rebuilds the same bytes");
+        }
+
+        // What is shared has to be an eighth of the message: the same
+        // ~400 header bytes before a 16 KiB payload go whole, before 2 KiB
+        // coded.
+        let with_payload = |bytes: usize| {
+            let payload = Element::text_node("tick", "é".repeat(bytes / 2));
+            let grown = Envelope::parse(&xmls[1]).unwrap();
+            let mut headers = Envelope::request(grown.addressing().clone(), payload);
+            grown.headers().into_iter().for_each(|block| headers.push_header(block.clone()));
+            headers.to_xml()
+        };
+        for (bytes, coded) in [(16 * 1024, 0), (2 * 1024, 1)] {
+            let pair = [xmls[0].clone(), with_payload(bytes)];
+            let (wire, left_out) = batch_of(&pair);
+            assert_eq!(wire.matches(" pre=\"").count(), coded, "{bytes}-byte payload");
+            assert_eq!(left_out > 0, coded > 0);
+            assert_eq!(streamed(&wire)[1].raw, pair[1]);
+        }
+
+        // A lone message shares with nobody, a stranger with no one
+        // either; identical neighbours share everything.
+        assert_eq!(batch_of(&xmls[..1]).1, 0);
+        let stranger = format!("<e:Envelope xmlns:e=\"{SOAP_ENV_NS}\"><e:Body/></e:Envelope>");
+        let (wire, left_out) = batch_of(&[stranger, xmls[0].clone(), xmls[0].clone()]);
+        assert_eq!(left_out, xmls[0].len() - XML_DECL.len());
+        assert!(wire.ends_with("\"><![CDATA[]]></wsgb:Msg></wsgb:Batch>"), "{wire}");
+        let back = streamed(&wire);
+        assert_eq!(back[1].raw, back[2].raw);
+        assert_eq!(back[2].raw, xmls[0]);
+    }
+
+    #[test]
+    fn the_shared_start_is_cut_on_a_character_and_found_across_pieces() {
+        let long = "x".repeat(70);
+        // `é` and `è` share their first byte: the cut falls before it.
+        let (a, b) = (format!("{long}é1"), format!("{long}è2"));
+        assert_eq!(shared_start(&[&a, "", ""], &[&b, "", ""]), (70, 0, 70));
+        assert_eq!(shared_start(&[&a, "", ""], &["", &b[..30], &b[30..]]), (70, 2, 40));
+        assert_eq!(shared_start(&[&a[..10], &a[10..72], &a[72..]], &[&b, "", ""]), (70, 0, 70));
+        assert_eq!(shared_start(&[&a, "", ""], &[&a[..5], "", &a[5..]]), (a.len(), 2, a.len() - 5));
+        assert_eq!(shared_start(&[&a, "", ""], &[&a[..5], "", ""]), (5, 2, 0));
+        assert_eq!(shared_start(&["", "", ""], &[&a, "", ""]), (0, 0, 0));
+        assert_eq!(shared_start(&[&a, "", ""], &["", "", ""]), (0, 2, 0));
+
+        // Messages in three pieces, as a sender's queue hands them over,
+        // batch to the bytes whole messages batch to.
+        let xmls: Vec<String> = (0..4).map(forward).collect();
+        let pieces = xmls.iter().enumerate().map(|(i, xml)| {
+            let (cut, end) = (xml.len() * i / 4, xml.len() - 9 * i);
+            (None, [&xml[..cut], &xml[cut..end], &xml[end..]])
+        });
+        let mut in_pieces = String::new();
+        let left_out = write_batch_parts(pieces, &mut in_pieces);
+        assert_eq!((in_pieces, left_out), batch_of(&xmls));
+    }
+
+    #[test]
+    fn a_tail_that_would_end_the_cdata_section_goes_whole() {
+        let head = format!("<env:Envelope xmlns:env=\"{SOAP_ENV_NS}\"><env:Body><!--{}-->", "x".repeat(80));
+        let plain = format!("{head}<a>1</a></env:Body></env:Envelope>");
+        let foreign = format!("{head}<a><![CDATA[2]]></a></env:Body></env:Envelope>");
+        let split = format!("{head}<a>3]]</a></env:Body></env:Envelope>");
+        let xmls = [plain.clone(), foreign.clone(), plain.clone(), split.clone()];
+        let (wire, left_out) = batch_of(&xmls);
+        assert_eq!(wire.matches(" pre=\"").count(), 2, "{wire}");
+        assert!(wire.contains(&format!("<wsgb:Msg>{foreign}</wsgb:Msg>")), "{wire}");
+        // `]]` alone is text like any other.
+        assert!(wire.ends_with("<![CDATA[3]]</a></env:Body></env:Envelope>]]></wsgb:Msg></wsgb:Batch>"));
+        assert_eq!(left_out, 2 * (head.len() + 3));
+        for (message, xml) in streamed(&wire).iter().zip(&xmls) {
+            assert_eq!(message.raw, format!("{XML_DECL}{xml}"));
+        }
+        // Split over two pieces, the `]]>` is found all the same.
+        let (to_brackets, rest) = foreign.split_at(foreign.find("]]>").unwrap() + 2);
+        let pieces = [(None, [plain.as_str(), "", ""]), (None, [to_brackets, rest, ""])];
+        let mut wire = String::new();
+        assert_eq!(write_batch_parts(pieces.into_iter(), &mut wire), 0);
+        assert_eq!(streamed(&wire)[1].raw, format!("{XML_DECL}{foreign}"));
+    }
+
+    #[test]
+    fn coded_messages_written_by_others_unwrap_the_same() {
+        let first = forward(1);
+        let first = &first[XML_DECL.len()..];
+        let cut = first.find("<wsa:To>").unwrap();
+        let rest = &first[cut..];
+        // Escaped text instead of a CDATA section, several runs, a
+        // comment, the message before with whitespace around it.
+        let escaped = rest.replace('&', "&amp;").replace('<', "&lt;");
+        let (half, other) = rest.split_at(rest.len() / 2);
+        let wire = format!(
+            "<b:Batch xmlns:b=\"{BATCH_NS}\"><b:Msg>\n{first}\n</b:Msg>\
+             <b:Msg pre=\"{0}\" target=\"/x\">{escaped}</b:Msg>\
+             <b:Msg pre=\"{0}\"><![CDATA[{half}]]><!-- and --><![CDATA[{other}]]></b:Msg>\
+             <b:Msg pre='{1}'/></b:Batch>",
+            cut + 1,
+            first.len() + 1
+        );
+        let messages = streamed(&wire);
+        assert_eq!(messages.len(), 4);
+        // `pre` counts the text between the tags, the newline included.
+        for message in &messages[1..] {
+            assert_eq!(message.raw, format!("{XML_DECL}\n{first}"));
+        }
+        assert_eq!(messages[0].raw, format!("{XML_DECL}{first}"));
+        assert_eq!(messages[1].target.as_deref(), Some("/x"));
+        let reference = unbundle(&wire).unwrap();
+        assert_eq!(messages[1..], reference[1..]);
+        assert_eq!(messages[0].envelope(), reference[0].envelope());
+    }
+
+    #[test]
+    fn hostile_wrappers_are_errors_never_panics() {
+        let envelope = forward(1);
+        let envelope = &envelope[XML_DECL.len()..];
+        let body = envelope.find("<env:Body>").unwrap();
+        let batch = |msgs: &str| format!("<wsgb:Batch xmlns:wsgb=\"{BATCH_NS}\">{msgs}</wsgb:Batch>");
+        let after = |msg: &str| batch(&format!("<wsgb:Msg>{envelope}é</wsgb:Msg>{msg}"));
+        let len = envelope.len();
+        type Class = fn(&SoapError) -> bool;
+        let wrapper: Class = |e| matches!(e, SoapError::Batch(_));
+        let xml: Class = |e| matches!(e, SoapError::Xml(_));
+        let table: Vec<(&str, String, Class)> = vec![
+            ("pre on the first Msg", batch("<wsgb:Msg pre=\"0\"><![CDATA[<a/>]]></wsgb:Msg>"), wrapper),
+            ("pre past the text before", after(&format!("<wsgb:Msg pre=\"{}\"/>", len + 3)), wrapper),
+            ("pre inside a character", after(&format!("<wsgb:Msg pre=\"{}\"/>", len + 1)), wrapper),
+            ("pre not a number", after("<wsgb:Msg pre=\"12x\"/>"), wrapper),
+            ("pre negative", after("<wsgb:Msg pre=\"-1\"/>"), wrapper),
+            ("pre empty", after("<wsgb:Msg pre=\"\"/>"), wrapper),
+            ("pre beyond usize", after("<wsgb:Msg pre=\"99999999999999999999999\"/>"), wrapper),
+            ("an element in a coded Msg", after(&format!("<wsgb:Msg pre=\"0\">{envelope}</wsgb:Msg>")), wrapper),
+            ("an element beside the tail", after("<wsgb:Msg pre=\"5\">x<a/></wsgb:Msg>"), wrapper),
+            ("rebuilt text is no XML", after("<wsgb:Msg pre=\"30\"/>"), xml),
+            ("rebuilt text with content after its root", after(&format!("<wsgb:Msg pre=\"{len}\">&lt;a/></wsgb:Msg>")), xml),
+            ("rebuilt text with a second declaration", after(&format!("<wsgb:Msg pre=\"0\">&lt;?xml version=\"1.0\"?>{}</wsgb:Msg>", envelope.replace('<', "&lt;"))), xml),
+            ("rebuilt text is no envelope", after("<wsgb:Msg pre=\"0\">&lt;a/></wsgb:Msg>"), |e| matches!(e, SoapError::NotAnEnvelope(_))),
+            (
+                "rebuilt text has no env:Body",
+                after(&format!("<wsgb:Msg pre=\"{body}\">&lt;/env:Envelope></wsgb:Msg>")),
+                |e| matches!(e, SoapError::MissingPart("Body")),
+            ),
+            ("a coded Msg leaning on the wrapper's prefix", after("<wsgb:Msg pre=\"0\">&lt;wsgb:a/></wsgb:Msg>"), xml),
+        ];
+        for (what, wire, class) in table {
+            let error = parse_wire(&wire).expect_err(what);
+            assert!(class(&error), "{what}: {error}");
+            let reference = unbundle(&wire).expect_err(what);
+            assert!(class(&reference), "{what}, by the tree walk: {reference}");
+        }
+        // The same text before it, `pre` on the boundary: accepted.
+        let fine = after(&format!("<wsgb:Msg pre=\"{len}\"/>"));
+        assert_eq!(streamed(&fine)[1].raw, format!("{XML_DECL}{envelope}"));
+    }
+
+    #[test]
+    fn a_batch_cannot_unwrap_to_more_than_a_body_may_hold() {
+        // 250 KB once, then "the same again" ten thousand times: 2.5 GB
+        // asked for in 400 KB.
+        let big = format!(
+            "<env:Envelope xmlns:env=\"{SOAP_ENV_NS}\"><env:Body><a>{}</a></env:Body></env:Envelope>",
+            "x".repeat(250_000)
+        );
+        let bomb = |copies: usize| {
+            let again = format!("<wsgb:Msg pre=\"{}\"/>", big.len()).repeat(copies);
+            format!("<wsgb:Batch xmlns:wsgb=\"{BATCH_NS}\"><wsgb:Msg>{big}</wsgb:Msg>{again}</wsgb:Batch>")
+        };
+        let fits = MAX_UNWRAPPED_BYTES / big.len() - 1;
+        assert_eq!(streamed(&bomb(fits)).len(), fits + 1);
+        for copies in [fits + 1, 10_000] {
+            let wire = bomb(copies);
+            assert!(wire.len() < 500_000);
+            assert!(matches!(parse_wire(&wire), Err(SoapError::Batch(_))), "{copies} copies");
+            assert!(matches!(unbundle(&wire), Err(SoapError::Batch(_))), "{copies} copies");
         }
     }
 
@@ -462,32 +935,17 @@ mod tests {
 
     #[test]
     fn rejects_malformed_wrappers() {
-        let not_batch = Element::parse("<x/>").unwrap();
-        assert!(matches!(unbundle(&not_batch), Err(SoapError::Batch(_))));
-
-        let empty =
-            Element::parse("<wsgb:Batch xmlns:wsgb=\"urn:ws-gossip:batch\"/>").unwrap();
-        assert!(matches!(unbundle(&empty), Err(SoapError::Batch(_))));
-
-        let wrong_child = Element::parse(
+        for bad in [
+            "<x/>",
+            "<wsgb:Batch xmlns:wsgb=\"urn:ws-gossip:batch\"/>",
             "<wsgb:Batch xmlns:wsgb=\"urn:ws-gossip:batch\"><other/></wsgb:Batch>",
-        )
-        .unwrap();
-        assert!(matches!(unbundle(&wrong_child), Err(SoapError::Batch(_))));
-
-        let empty_msg = Element::parse(
             "<wsgb:Batch xmlns:wsgb=\"urn:ws-gossip:batch\"><wsgb:Msg/></wsgb:Batch>",
-        )
-        .unwrap();
-        assert!(matches!(unbundle(&empty_msg), Err(SoapError::Batch(_))));
-
-        let not_envelope = Element::parse(
-            "<wsgb:Batch xmlns:wsgb=\"urn:ws-gossip:batch\"><wsgb:Msg><x/></wsgb:Msg></wsgb:Batch>",
-        )
-        .unwrap();
-        assert!(matches!(
-            unbundle(&not_envelope),
-            Err(SoapError::NotAnEnvelope(_))
-        ));
+        ] {
+            assert!(matches!(unbundle(bad), Err(SoapError::Batch(_))), "{bad}");
+        }
+        let not_envelope =
+            "<wsgb:Batch xmlns:wsgb=\"urn:ws-gossip:batch\"><wsgb:Msg><x/></wsgb:Msg></wsgb:Batch>";
+        assert!(matches!(unbundle(not_envelope), Err(SoapError::NotAnEnvelope(_))));
+        assert!(matches!(unbundle("<unclosed"), Err(SoapError::Xml(_))));
     }
 }

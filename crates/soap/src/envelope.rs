@@ -453,14 +453,12 @@ impl Envelope {
         let mut envelope = Element::in_ns("env", SOAP_ENV_NS, "Envelope")
             .with_namespace("env", SOAP_ENV_NS)
             .with_namespace("wsa", WSA_NS);
-        let addressing_blocks = self.addressing.to_header_blocks();
-        if !addressing_blocks.is_empty() || !self.blocks.is_empty() {
+        if !self.addressing.is_empty() || !self.blocks.is_empty() {
             let mut header = Element::in_ns("env", SOAP_ENV_NS, "Header");
-            for block in addressing_blocks {
+            let conversation = self.addressing.conversation_blocks().into_iter();
+            let blocks = self.headers().into_iter().cloned();
+            for block in conversation.chain(blocks).chain(self.addressing.copy_blocks()) {
                 header.push_child(block);
-            }
-            for block in self.headers() {
-                header.push_child(block.clone());
             }
             envelope.push_child(header);
         }
@@ -492,11 +490,18 @@ impl Envelope {
         w.declare_namespace("env", SOAP_ENV_NS)?;
         w.declare_namespace("wsa", WSA_NS)?;
         if !self.addressing.is_empty() || !self.blocks.is_empty() {
+            // What names the conversation before what names the copy:
+            // header order is free, and this one lets consecutive
+            // messages to a peer start with the same bytes (the batch
+            // wrapper sends them once) while the `f` copies of one
+            // notification still differ in one short run (`To` next to
+            // `MessageID`), which is what the sender queues share on.
             w.start_element(&qnames::HEADER)?;
-            self.addressing.write_header_blocks(w)?;
+            self.addressing.write_conversation_blocks(w)?;
             for block in self.blocks.iter() {
                 block.write_into(w, fresh)?;
             }
+            self.addressing.write_copy_blocks(w)?;
             w.end_element()?;
         }
         w.start_element(&qnames::BODY)?;

@@ -16,7 +16,7 @@ use wsg_coord::GossipPolicy;
 use wsg_gossip::GossipParams;
 use wsg_http::client::HttpClientConfig;
 use wsg_http::runtime::{NetRuntime, NetRuntimeConfig};
-use wsg_net::{NodeId, SimDuration};
+use wsg_net::{Context, NodeId, Protocol, SimDuration};
 use wsg_xml::Element;
 
 /// Snappy transport settings for loopback: refused connections fail fast
@@ -118,6 +118,114 @@ fn full_dissemination_over_loopback_sockets_with_a_refused_peer() {
         let t = node.transport;
         assert!(t.msgs_ok >= t.posts_ok, "node {i}: {t:?}");
         assert_eq!(t.posts_saved, t.msgs_ok - t.posts_ok, "node {i}: {t:?}");
+    }
+}
+
+/// A [`WsGossipNode`], unmodified, whose outgoing notifications have their
+/// `wsa:Action` rewritten on the way to the transport: what a foreign (or
+/// hostile) publisher's stack might put there.
+struct ForeignAction {
+    node: WsGossipNode,
+    /// Escaped text appended to the action of what this node sends.
+    suffix: &'static str,
+}
+
+struct Rewriting<'a> {
+    inner: &'a mut dyn Context<String>,
+    suffix: &'static str,
+}
+
+impl Context<String> for Rewriting<'_> {
+    fn now(&self) -> wsg_net::SimTime {
+        self.inner.now()
+    }
+    fn self_id(&self) -> NodeId {
+        self.inner.self_id()
+    }
+    fn node_count(&self) -> usize {
+        self.inner.node_count()
+    }
+    fn send(&mut self, to: NodeId, msg: String) {
+        let rewritten = format!(":Notify{}</wsa:Action>", self.suffix);
+        self.inner.send(to, msg.replace(":Notify</wsa:Action>", &rewritten));
+    }
+    fn set_timer(&mut self, delay: SimDuration, tag: wsg_net::TimerTag) {
+        self.inner.set_timer(delay, tag);
+    }
+    fn rng(&mut self) -> &mut dyn wsg_net::rng::Rng64 {
+        self.inner.rng()
+    }
+}
+
+impl Protocol for ForeignAction {
+    type Message = String;
+    fn on_start(&mut self, ctx: &mut dyn Context<String>) {
+        self.node.on_start(&mut Rewriting { inner: ctx, suffix: self.suffix });
+    }
+    fn on_message(&mut self, from: NodeId, msg: String, ctx: &mut dyn Context<String>) {
+        self.node.on_message(from, msg, &mut Rewriting { inner: ctx, suffix: self.suffix });
+    }
+    fn on_timer(&mut self, tag: wsg_net::TimerTag, ctx: &mut dyn Context<String>) {
+        self.node.on_timer(tag, &mut Rewriting { inner: ctx, suffix: self.suffix });
+    }
+}
+
+/// A notification whose `wsa:Action` decodes to line breaks and a quote —
+/// legal XML, carried through every hop as written — still reaches every
+/// subscriber: no hop's `SOAPAction` line ends a request head early, adds
+/// a header to it, or gets a POST refused.
+#[test]
+fn an_action_no_http_header_can_carry_still_disseminates() {
+    let coordinator = NodeId(0);
+    let ticks: Vec<Element> =
+        (0..3).map(|i| Element::text_node("tick", format!("ACME {}", 100 + i))).collect();
+    let total = ticks.len() as u64;
+    let mut nodes = vec![
+        WsGossipNode::coordinator(coordinator)
+            .with_policy(GossipPolicy::new(GossipParams::new(10, 6))),
+        WsGossipNode::initiator(NodeId(1), coordinator).with_publish_schedule(
+            "quotes",
+            ticks,
+            SimDuration::from_millis(150),
+        ),
+    ];
+    for i in 2..6 {
+        nodes.push(WsGossipNode::disseminator(NodeId(i), coordinator).with_auto_subscribe("quotes"));
+    }
+    for i in 6..8 {
+        nodes.push(WsGossipNode::consumer(NodeId(i), coordinator).with_auto_subscribe("quotes"));
+    }
+    // Only the publisher's stack is foreign; every forward repeats what
+    // it decoded.
+    let nodes: Vec<ForeignAction> = (nodes.into_iter().enumerate())
+        .map(|(i, node)| ForeignAction {
+            node,
+            suffix: if i == 1 { "&#13;&#10;&#13;&#10;X-Injected: &quot;yes" } else { "" },
+        })
+        .collect();
+
+    let net = NetRuntime::spawn(nodes, 2026, loopback_config());
+    let registries: Vec<_> = (0..8).map(|i| net.registry_of(NodeId(i))).collect();
+    let finished = net.shutdown_after(Duration::from_millis(2500));
+
+    for (i, node) in finished.iter().enumerate() {
+        let stats = node.protocol.node.stats();
+        assert_eq!(stats.parse_errors, 0, "node {i}: {stats:?}");
+        assert_eq!(node.transport.posts_failed, 0, "node {i}: {:?}", node.transport);
+        let served = registries[i].render();
+        assert!(!served.contains("wsg_http_server_responses_total{class=\"4xx\"}"), "node {i}: {served}");
+        assert!(served.contains("wsg_http_server_parse_errors_total 0"), "node {i}: {served}");
+        if !matches!(node.protocol.node.role(), Role::Disseminator | Role::Consumer) {
+            continue;
+        }
+        // The action names no operation of this middleware, so the
+        // application is not handed the message — it got there all the same,
+        // once per tick where a gossip layer drops the duplicates.
+        assert!(stats.unroutable >= total, "node {i} missed ticks: {stats:?}");
+        if let Some(layer) = node.protocol.node.layer_stats() {
+            assert_eq!(stats.unroutable, total, "node {i}: {stats:?} {layer:?}");
+            assert!(layer.forwards_sent > 0, "node {i} forwarded nothing: {layer:?}");
+        }
     }
 }
 

@@ -308,6 +308,11 @@ fn live_runtime_node_serves_its_own_metrics() {
         batch_sum - batch_count,
         "saved POSTs are exactly envelopes minus POSTs: {body}"
     );
+    // Beside it, what those batches did not have to say twice: every
+    // envelope of this stack starts like every other, so a node that
+    // batched at all left bytes out — and one that never did, none.
+    let shared = get("wsg_transport_batch_shared_bytes_total");
+    assert_eq!(shared > 0.0, batch_sum > batch_count, "{body}");
 
     // After shutdown, the finished protocol enriches the same registry
     // with node/coordinator families — the full per-node picture.

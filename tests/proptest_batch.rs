@@ -1,14 +1,19 @@
 //! Property-based tests for the `urn:ws-gossip:batch` wire wrapper on
 //! the in-tree `wsg_net::check` harness: random envelope runs must
 //! round-trip through `write_batch` → parse → `unbundle` with count,
-//! order, per-message targets, headers and bodies intact — and the
-//! unbundler must answer malformed wrappers with a typed error, never a
-//! panic (the server turns it into a 400).
+//! order, per-message targets, headers and bodies intact; whatever a
+//! message shares with the one before it, a receiver gets back the
+//! sender's text byte for byte — and the unbundler must answer malformed
+//! wrappers with a typed error, never a panic (the server turns it into
+//! a 400).
 
 use wsg_net::check::{run, Gen};
 use wsg_net::{prop_assert, prop_assert_eq};
 
-use wsg_soap::batch::{is_batch, parse_wire, unbundle, write_batch, BatchItem, Unbundled};
+use wsg_soap::batch::{
+    is_batch, parse_wire, prologue_len, unbundle, write_batch, write_batch_parts, BatchItem,
+    Unbundled,
+};
 use wsg_soap::{Envelope, MessageHeaders};
 use wsg_xml::Element;
 
@@ -49,7 +54,7 @@ fn batches_roundtrip_count_order_targets_and_content() {
 
         let root = Element::parse(&wire).map_err(|e| e.to_string())?;
         prop_assert!(is_batch(&root), "written batch must be recognised as one");
-        let messages = unbundle(&root).map_err(|e| e.to_string())?;
+        let messages = unbundle(&wire).map_err(|e| e.to_string())?;
         prop_assert_eq!(messages.len(), count);
         for ((message, envelope), target) in messages.iter().zip(&envelopes).zip(&targets) {
             prop_assert_eq!(&message.target, target);
@@ -88,6 +93,123 @@ fn batches_roundtrip_count_order_targets_and_content() {
     });
 }
 
+const DECLARATION: &str = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>";
+
+/// A message of one of a few conversations: the header (long, with
+/// characters of every width) repeats within a conversation, the id starts
+/// with one of two characters that share their first byte, the payload may
+/// hold a CDATA section of its own, and the declaration is there or not.
+fn random_message(g: &mut Gen, conversations: &[String]) -> String {
+    let declaration =
+        *g.pick(&["", DECLARATION, "<?xml version=\"1.0\"?>", " \n<?xml version=\"1.1\"?>\n"]);
+    let header = g.pick(conversations);
+    let id = format!("{}{}", g.pick(&['é', 'è', 'e']), g.usize(0..=3));
+    let payload = match g.usize(0..=3) {
+        0 => format!("<![CDATA[<{}]]>", g.ascii_string(12).replace(']', "")),
+        1 => format!("]] &gt;{}", g.string_from(&['a', '漢', '😀', ']'], 20)),
+        _ => g.string_from(&['a', 'b', 'é', ' '], 40),
+    };
+    format!(
+        "{declaration}<env:Envelope xmlns:env=\"http://www.w3.org/2003/05/soap-envelope\">\
+         <env:Header><h>{header}</h><id>{id}</id></env:Header><env:Body><p>{payload}</p></env:Body>\
+         </env:Envelope>"
+    )
+}
+
+/// Whatever consecutive messages share — nothing, a prefix that ends inside
+/// a character, everything — and however the sender holds them (whole or in
+/// three pieces), every message comes out of the batch as the declaration
+/// plus the text that went in, and the batch says what it left out.
+#[test]
+fn every_unwrapped_message_is_the_text_its_sender_queued() {
+    run("every_unwrapped_message_is_the_text_its_sender_queued", 192, |g| {
+        let conversations: Vec<String> = (0..g.usize(1..=3))
+            .map(|_| g.string_from(&['h', 'é', '漢', '😀', '-'], 30) + &"=".repeat(g.usize(0..=80)))
+            .collect();
+        let heartbeat = random_envelope(g).to_xml();
+        let mut xmls: Vec<String> = Vec::new();
+        let mut targets: Vec<Option<&str>> = Vec::new();
+        for _ in 0..g.usize(2..=9) {
+            let (xml, target) = match g.usize(0..=9) {
+                // A piggybacked heartbeat between gossip messages.
+                0 => (heartbeat.clone(), Some("/membership")),
+                // The message before, again: nothing of its own to send.
+                1 if !xmls.is_empty() => (xmls[xmls.len() - 1].clone(), None),
+                _ => (random_message(g, &conversations), None),
+            };
+            xmls.push(xml);
+            targets.push(target);
+        }
+        // What the sender means by each: its text past the declaration.
+        let texts: Vec<&str> =
+            xmls.iter().map(|xml| xml[prologue_len(xml)..].trim_start()).collect();
+
+        let items: Vec<BatchItem<'_>> =
+            xmls.iter().zip(&targets).map(|(xml, target)| BatchItem { target: *target, xml }).collect();
+        let mut wire = String::new();
+        let left_out = write_batch(&items, &mut wire);
+
+        // In pieces — cut on characters, the declaration in the first
+        // piece that has bytes, as `QueuedMsg::parts` hands messages over
+        // — the same document comes out.
+        let cuts: Vec<(usize, usize)> = xmls
+            .iter()
+            .map(|xml| {
+                let mut cut = || {
+                    let mut at = g.usize(prologue_len(xml)..=xml.len());
+                    while !xml.is_char_boundary(at) {
+                        at -= 1;
+                    }
+                    at.max(prologue_len(xml))
+                };
+                let (a, b) = (cut(), cut());
+                (a.min(b), a.max(b))
+            })
+            .collect();
+        let pieces = xmls.iter().zip(&targets).zip(&cuts).map(|((xml, target), (a, b))| {
+            let first = if a % 2 == 0 { &xml[..*a] } else { "" };
+            (*target, [first, &xml[first.len()..*b], &xml[*b..]])
+        });
+        let mut in_pieces = String::new();
+        prop_assert_eq!(write_batch_parts(pieces, &mut in_pieces), left_out);
+        prop_assert_eq!(&in_pieces, &wire);
+
+        let root = Element::parse(&wire).map_err(|e| e.to_string())?;
+        let pres: Vec<Option<usize>> = root
+            .children()
+            .iter()
+            .map(|msg| msg.attr("pre").and_then(|pre| pre.parse().ok()))
+            .collect();
+        prop_assert_eq!(pres.iter().flatten().sum::<usize>(), left_out);
+        prop_assert_eq!(pres[0], None);
+
+        let streamed = match parse_wire(&wire).map_err(|e| e.to_string())? {
+            Unbundled::Batch(streamed) => streamed,
+            Unbundled::Single(_) => return Err("batch wire classified as a single document".into()),
+        };
+        let reference = unbundle(&wire).map_err(|e| e.to_string())?;
+        prop_assert_eq!(streamed.len(), xmls.len());
+        prop_assert_eq!(reference.len(), xmls.len());
+        for (i, text) in texts.iter().enumerate() {
+            let expected = format!("{DECLARATION}{text}");
+            prop_assert!(streamed[i].raw == expected, "message {i} of {wire}: {}", streamed[i].raw);
+            prop_assert_eq!(streamed[i].target.as_deref(), targets[i]);
+            prop_assert_eq!(reference[i].target.as_deref(), targets[i]);
+            prop_assert_eq!(streamed[i].envelope(), reference[i].envelope());
+            if let Some(pre) = pres[i] {
+                // Coded: the reference rebuilds the very bytes, a tail
+                // that would close the CDATA section never is, and the
+                // cut falls on a character of the message before.
+                prop_assert_eq!(&reference[i].raw, &expected);
+                prop_assert!(!text[pre..].contains("]]>"), "message {i} of {wire}");
+                prop_assert!(pre >= 64 && pre * 8 >= text.len(), "message {i} of {wire}");
+                prop_assert!(texts[i - 1].is_char_boundary(pre), "message {i} of {wire}");
+            }
+        }
+        Ok(())
+    });
+}
+
 /// Structural corruption of a valid batch — truncation, byte flips,
 /// spliced-in garbage — must never panic: either the XML parser rejects
 /// it or `unbundle` returns a typed error (or, rarely, the mutation was
@@ -95,15 +217,18 @@ fn batches_roundtrip_count_order_targets_and_content() {
 #[test]
 fn corrupted_batches_error_instead_of_panicking() {
     run("corrupted_batches_error_instead_of_panicking", 96, |g| {
-        let envelope = random_envelope(g).to_xml();
+        // Whole, front-coded with nothing of its own, front-coded.
+        let (envelope, other) = (random_envelope(g).to_xml(), random_envelope(g).to_xml());
         let mut wire = String::new();
         write_batch(
             &[
                 BatchItem { target: Some("/membership"), xml: &envelope },
                 BatchItem { target: None, xml: &envelope },
+                BatchItem { target: None, xml: &other },
             ],
             &mut wire,
         );
+        prop_assert_eq!(wire.matches(" pre=\"").count(), 2);
 
         let corrupted = match g.usize(0..=2) {
             0 => wire[..g.usize(1..=wire.len())].to_string(),
@@ -118,10 +243,7 @@ fn corrupted_batches_error_instead_of_panicking() {
                 format!("{}{}{}", &wire[..at], g.ascii_string(12), &wire[at..])
             }
         };
-        if let Ok(root) = Element::parse(&corrupted) {
-            let _ = is_batch(&root);
-            let _ = unbundle(&root);
-        }
+        let _ = unbundle(&corrupted);
         let _ = parse_wire(&corrupted);
         Ok(())
     });
@@ -141,7 +263,7 @@ fn non_batch_documents_are_rejected() {
         let doc = Element::text_node(&name, g.ascii_string(16));
         let root = Element::parse(&doc.to_xml_string()).map_err(|e| e.to_string())?;
         prop_assert!(!is_batch(&root), "a plain {name} element is not a batch");
-        prop_assert!(unbundle(&root).is_err());
+        prop_assert!(unbundle(&doc.to_xml_string()).is_err());
         prop_assert!(
             matches!(parse_wire(&doc.to_xml_string()), Ok(Unbundled::Single(_))),
             "a non-batch document streams through as a single root"
