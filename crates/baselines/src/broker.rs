@@ -7,7 +7,7 @@ use wsg_net::{Context, NodeId, Protocol, SimDuration, TimerTag};
 use crate::Delivery;
 
 /// Timer tag for the broker's retransmission sweep.
-pub const RETRANSMIT_TICK: TimerTag = TimerTag(0xB20C);
+pub(crate) const RETRANSMIT_TICK: TimerTag = TimerTag(0xB20C);
 
 /// Wire messages of the broker protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -116,11 +116,6 @@ impl<T: Clone> BrokerNode<T> {
         assert!(window > 0, "window must be positive");
         self.window = window;
         self
-    }
-
-    /// Broker: messages queued behind the send window.
-    pub fn backlog_len(&self) -> usize {
-        self.backlog.len()
     }
 
     /// Deliveries at this node (subscribers only).

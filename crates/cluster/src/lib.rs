@@ -27,5 +27,5 @@ pub mod proto;
 pub mod runtime;
 
 pub use plane::{ClusterConfig, MembershipPlane};
-pub use proto::{membership_uri, ClusterMessage, MemberEntry, ProtoError, MEMBERSHIP_TARGET, WSCLUSTER_NS};
+pub use proto::{membership_uri, ClusterMessage, MemberEntry, ProtoError};
 pub use runtime::ClusterRuntime;

@@ -182,7 +182,7 @@ impl MembershipPlane {
 
     /// Register the `wsg_membership_*` metrics in `registry` and start
     /// mirroring the view's status counts into them.
-    pub fn attach_registry(&self, registry: &Registry) {
+    pub(crate) fn attach_registry(&self, registry: &Registry) {
         let state = self.state.lock();
         let mut metrics = self.metrics.lock();
         *metrics = Some(PlaneMetrics::new(registry));
@@ -196,7 +196,7 @@ impl MembershipPlane {
     /// # Panics
     ///
     /// Panics if [`MembershipPlane::register_self`] has not run.
-    pub fn self_entry(&self) -> MemberEntry {
+    pub(crate) fn self_entry(&self) -> MemberEntry {
         let state = self.state.lock();
         MemberEntry {
             id: self.me,

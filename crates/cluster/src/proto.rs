@@ -1,5 +1,5 @@
 //! The membership SOAP binding: `Join` / `JoinResponse` / `Heartbeat` /
-//! `Leave` envelopes, served at every node's [`MEMBERSHIP_TARGET`].
+//! `Leave` envelopes, served at every node's `/membership` target.
 //!
 //! The wire shape mirrors WS-Membership's spirit through the workspace's
 //! own SOAP stack: one body wrapper element per operation, each carrying
@@ -15,11 +15,11 @@ use wsg_soap::{Envelope, MessageHeaders};
 use wsg_xml::Element;
 
 /// Namespace of the cluster membership operations.
-pub const WSCLUSTER_NS: &str = "urn:ws-membership:2008";
+pub(crate) const WSCLUSTER_NS: &str = "urn:ws-membership:2008";
 
 /// The request target every cluster node's HTTP server answers membership
 /// envelopes on (`/gossip` stays reserved for the application protocol).
-pub const MEMBERSHIP_TARGET: &str = "/membership";
+pub(crate) const MEMBERSHIP_TARGET: &str = "/membership";
 
 /// One member's identity, address and heartbeat evidence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

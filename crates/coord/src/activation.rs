@@ -7,7 +7,7 @@ use wsg_xml::Element;
 
 use crate::context::{CoordinationContext, GossipPolicy, GossipProtocol};
 use crate::error::CoordError;
-use crate::{WSCOOR_NS, WSGOSSIP_NS};
+use crate::WSCOOR_NS;
 
 /// The WS-Coordination Activation service, specialised for gossip
 /// coordination types.
@@ -124,7 +124,7 @@ impl ActivationService {
     }
 
     /// Number of active contexts.
-    pub fn active_count(&self) -> usize {
+    pub(crate) fn active_count(&self) -> usize {
         self.active.len()
     }
 
@@ -186,11 +186,6 @@ impl ActivationService {
             .ok_or_else(|| CoordError::Codec("missing CoordinationContext".into()))?;
         CoordinationContext::from_header(ctx)
     }
-}
-
-/// Action URI of the CreateCoordinationContext operation.
-pub fn create_context_action() -> String {
-    format!("{WSGOSSIP_NS}:CreateCoordinationContext")
 }
 
 #[cfg(test)]

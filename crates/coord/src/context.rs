@@ -25,7 +25,7 @@ pub enum GossipProtocol {
 
 impl GossipProtocol {
     /// The coordination-type URI carried in contexts.
-    pub fn coordination_type(&self) -> String {
+    pub(crate) fn coordination_type(&self) -> String {
         format!("{WSGOSSIP_NS}:{}", self.suffix())
     }
 
@@ -40,7 +40,7 @@ impl GossipProtocol {
     }
 
     /// Parse back from a coordination-type URI.
-    pub fn from_coordination_type(uri: &str) -> Result<Self, CoordError> {
+    pub(crate) fn from_coordination_type(uri: &str) -> Result<Self, CoordError> {
         let suffix = uri
             .strip_prefix(WSGOSSIP_NS)
             .and_then(|rest| rest.strip_prefix(':'))
@@ -134,11 +134,6 @@ impl CoordinationContext {
         &self.identifier
     }
 
-    /// The coordination-type URI.
-    pub fn coordination_type(&self) -> &str {
-        &self.coordination_type
-    }
-
     /// The gossip protocol, decoded from the coordination type.
     ///
     /// # Errors
@@ -151,11 +146,6 @@ impl CoordinationContext {
     /// Address of the Registration service for this context.
     pub fn registration_service(&self) -> &str {
         &self.registration_service
-    }
-
-    /// Expiry in milliseconds, if bounded.
-    pub fn expires_millis(&self) -> Option<u64> {
-        self.expires_millis
     }
 
     /// The gossip policy (parameters) fixed at activation.
@@ -257,7 +247,7 @@ impl CoordinationContext {
 
     /// Whether this context has expired at virtual time `now`, counting
     /// from `created_at`.
-    pub fn is_expired(&self, created_at: SimTime, now: SimTime) -> bool {
+    pub(crate) fn is_expired(&self, created_at: SimTime, now: SimTime) -> bool {
         match self.expires_millis {
             Some(millis) => now.since(created_at).as_millis() >= millis,
             None => false,

@@ -30,7 +30,7 @@
 //!     GossipPolicy::default(),
 //!     SimTime::ZERO,
 //! );
-//! assert_eq!(ctx.coordination_type(), GossipProtocol::Push.coordination_type());
+//! assert_eq!(ctx.protocol().unwrap(), GossipProtocol::Push);
 //! let header = ctx.to_header();
 //! let parsed = wsg_coord::CoordinationContext::from_header(&header).unwrap();
 //! assert_eq!(parsed.identifier(), ctx.identifier());

@@ -237,11 +237,6 @@ impl RegistrationService {
     }
 }
 
-/// Action URI of the Register operation.
-pub fn register_action() -> String {
-    format!("{WSGOSSIP_NS}:Register")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -260,11 +260,6 @@ impl SubscriptionList {
     }
 }
 
-/// Action URI of the Subscribe operation.
-pub fn subscribe_action() -> String {
-    format!("{WSGOSSIP_NS}:Subscribe")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

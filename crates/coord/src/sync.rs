@@ -126,11 +126,6 @@ impl CoordinatorSync {
     }
 }
 
-/// Action URI of the CoordinatorSync operation.
-pub fn sync_action() -> String {
-    format!("{WSGOSSIP_NS}:CoordinatorSync")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

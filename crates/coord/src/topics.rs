@@ -42,12 +42,6 @@ enum Segment {
 }
 
 impl TopicFilter {
-    /// Whether this filter contains any wildcard.
-    pub fn is_pattern(&self) -> bool {
-        self.segments
-            .iter()
-            .any(|s| !matches!(s, Segment::Literal(_)))
-    }
 
     /// Whether `topic` (a concrete path) matches this filter.
     pub fn matches(&self, topic: &str) -> bool {
@@ -154,7 +148,6 @@ mod tests {
     #[test]
     fn exact_paths_match_only_themselves() {
         let f = filter("market/nyse/ACME");
-        assert!(!f.is_pattern());
         assert!(f.matches("market/nyse/ACME"));
         assert!(!f.matches("market/nyse"));
         assert!(!f.matches("market/nyse/ACME/trades"));
@@ -164,7 +157,6 @@ mod tests {
     #[test]
     fn single_level_wildcard() {
         let f = filter("market/*/trades");
-        assert!(f.is_pattern());
         assert!(f.matches("market/nyse/trades"));
         assert!(f.matches("market/lse/trades"));
         assert!(!f.matches("market/trades"));

@@ -1,69 +1,59 @@
-//! WS-Addressing Action URIs of the WS-Gossip operations.
-
-use wsg_coord::WSGOSSIP_NS;
+//! WS-Addressing Action URIs of the WS-Gossip operations — each
+//! `WSGOSSIP_NS` + `:` + the operation's name, spelled out because a
+//! `const` cannot be concatenated from another (a test holds them to it).
 
 /// Action of a `CreateCoordinationContext` request.
-pub fn create_context() -> String {
-    format!("{WSGOSSIP_NS}:CreateCoordinationContext")
-}
+pub(crate) const CREATE_CONTEXT: &str = "urn:ws-gossip:2008:CreateCoordinationContext";
 
 /// Action of a `CreateCoordinationContextResponse`.
-pub fn create_context_response() -> String {
-    format!("{WSGOSSIP_NS}:CreateCoordinationContextResponse")
-}
+pub(crate) const CREATE_CONTEXT_RESPONSE: &str =
+    "urn:ws-gossip:2008:CreateCoordinationContextResponse";
 
 /// Action of a `Register` request.
-pub fn register() -> String {
-    format!("{WSGOSSIP_NS}:Register")
-}
+pub(crate) const REGISTER: &str = "urn:ws-gossip:2008:Register";
 
 /// Action of a `RegisterResponse`.
-pub fn register_response() -> String {
-    format!("{WSGOSSIP_NS}:RegisterResponse")
-}
+pub const REGISTER_RESPONSE: &str = "urn:ws-gossip:2008:RegisterResponse";
 
 /// Action of a `Subscribe` request.
-pub fn subscribe() -> String {
-    format!("{WSGOSSIP_NS}:Subscribe")
-}
+pub(crate) const SUBSCRIBE: &str = "urn:ws-gossip:2008:Subscribe";
 
 /// Action of a `SubscribeResponse` acknowledgement.
-pub fn subscribe_response() -> String {
-    format!("{WSGOSSIP_NS}:SubscribeResponse")
-}
+pub(crate) const SUBSCRIBE_RESPONSE: &str = "urn:ws-gossip:2008:SubscribeResponse";
 
 /// Action of an application notification (the `op` of Figure 1).
-pub fn notify() -> String {
-    format!("{WSGOSSIP_NS}:Notify")
-}
+pub const NOTIFY: &str = "urn:ws-gossip:2008:Notify";
 
 /// Action of an `Unsubscribe` request.
-pub fn unsubscribe() -> String {
-    format!("{WSGOSSIP_NS}:Unsubscribe")
-}
+pub(crate) const UNSUBSCRIBE: &str = "urn:ws-gossip:2008:Unsubscribe";
 
 /// Action of a coordinator-to-coordinator state sync (distributed
 /// coordinator mode).
-pub fn coordinator_sync() -> String {
-    format!("{WSGOSSIP_NS}:CoordinatorSync")
-}
+pub(crate) const COORDINATOR_SYNC: &str = "urn:ws-gossip:2008:CoordinatorSync";
 
 #[cfg(test)]
 mod tests {
+    use super::*;
+    use wsg_coord::WSGOSSIP_NS;
+
     #[test]
     fn actions_are_distinct() {
         let all = [
-            super::create_context(),
-            super::create_context_response(),
-            super::register(),
-            super::register_response(),
-            super::subscribe(),
-            super::subscribe_response(),
-            super::notify(),
-            super::coordinator_sync(),
-            super::unsubscribe(),
+            CREATE_CONTEXT,
+            CREATE_CONTEXT_RESPONSE,
+            REGISTER,
+            REGISTER_RESPONSE,
+            SUBSCRIBE,
+            SUBSCRIBE_RESPONSE,
+            NOTIFY,
+            UNSUBSCRIBE,
+            COORDINATOR_SYNC,
         ];
-        let unique: std::collections::HashSet<&String> = all.iter().collect();
+        for action in all {
+            let operation = action.strip_prefix(WSGOSSIP_NS).and_then(|rest| rest.strip_prefix(':'));
+            assert!(operation.is_some_and(|op| !op.is_empty()), "{action} is not in {WSGOSSIP_NS}");
+        }
+        let unique: std::collections::HashSet<&str> = all.into_iter().collect();
         assert_eq!(unique.len(), all.len());
     }
 }

@@ -34,7 +34,7 @@ pub fn node_of(endpoint: &str) -> Option<NodeId> {
 }
 
 /// The Activation service endpoint hosted by a coordinator node.
-pub fn activation_endpoint(coordinator: NodeId) -> String {
+pub(crate) fn activation_endpoint(coordinator: NodeId) -> String {
     format!("http://node{}/activation", coordinator.index())
 }
 
@@ -45,7 +45,7 @@ pub fn registration_endpoint(coordinator: NodeId) -> String {
 
 /// The topic pseudo-destination a notification is logically addressed to
 /// before the gossip layer re-routes it.
-pub fn topic_uri(topic: &str) -> String {
+pub(crate) fn topic_uri(topic: &str) -> String {
     format!("urn:ws-gossip:topic:{topic}")
 }
 

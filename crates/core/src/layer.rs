@@ -11,8 +11,10 @@
 //!
 //! * **outbound** messages carrying a `wsg:Gossip` header are intercepted;
 //!   copies are re-routed to `fanout` peers from the current grant;
-//! * **inbound** gossip messages are deduplicated, delivered to the
-//!   application (`Continue`), and forwarded another round;
+//! * **inbound** gossip messages are deduplicated — against the newest
+//!   65 536 sequence numbers remembered per origin; anything older counts
+//!   as seen — delivered to the application (`Continue`), and forwarded
+//!   another round;
 //! * a forward draws `fanout` peers and then skips the ones that provably
 //!   hold the message — its origin, and the peer that delivered this copy;
 //! * the first message of an unknown interaction triggers a `Register`
@@ -21,7 +23,7 @@
 //!   `RegisterResponse` grant arrives.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::{Arc, LazyLock};
+use std::sync::Arc;
 
 use wsg_coord::{CoordinationContext, GossipGrant, RegistrationService, WSCOOR_NS, WSGOSSIP_NS};
 use wsg_net::sync::Mutex;
@@ -33,9 +35,6 @@ use wsg_xml::QName;
 
 use crate::actions;
 use crate::header::{GossipHeader, GossipHeaderRef};
-
-// Every inbound message's action is compared against this one.
-static REGISTER_RESPONSE: LazyLock<String> = LazyLock::new(actions::register_response);
 
 /// Counters exposed by the gossip layer (experiment E1/E7 bookkeeping).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -71,17 +70,29 @@ struct Registering {
     since_register: usize,
 }
 
+/// Sequence numbers one origin's dedup memory holds at most (≈ 1 MB);
+/// anything that arrives this far behind the newest is taken for a
+/// duplicate. A closed loop keeps 1 024 notifications outstanding, but the
+/// slowest copies of `saturate_small` arrive ~9 000 publications late
+/// (p99.9 16 s at 550/s through the unbounded sender queues): a 4 096
+/// window lost 0.2 % of first deliveries there, this one none.
+const SEEN_WINDOW: usize = 65_536;
+
+/// What has been seen from one origin: the newest [`SEEN_WINDOW`] sequence
+/// numbers, and a floor below which every number counts as seen — such a
+/// message is suppressed, never delivered twice.
+#[derive(Debug, Default)]
+struct SeenWindow {
+    floor: u64,
+    seqs: BTreeSet<u64>,
+}
+
 #[derive(Debug)]
 struct LayerState {
     me: String,
     rng: Pcg32,
-    // Dedup memory: per origin, the sequence numbers seen — one `u64` a
-    // message, and a lookup that borrows the origin from the header.
-    seen: BTreeMap<String, BTreeSet<u64>>,
-    seen_count: usize,
-    // Arrival order, for eviction; kept only once a cap is set.
-    seen_order: VecDeque<(String, u64)>,
-    seen_cap: usize,
+    // Dedup memory, per origin; a lookup borrows the origin from the header.
+    seen: BTreeMap<String, SeenWindow>,
     grants: BTreeMap<String, Arc<GossipGrant>>,
     registering: BTreeMap<String, Registering>,
     // Liveness oracle consulted when sampling forward targets; grants can
@@ -96,35 +107,22 @@ impl LayerState {
         Uuid::random(&mut self.rng).to_urn()
     }
 
-    /// Record a message key in the dedup set, evicting the oldest entries
-    /// beyond the configured cap. Returns `true` when the key was new.
+    /// Record a message key in the dedup memory. Returns `true` when the
+    /// key was new — neither remembered nor below its origin's floor.
     fn mark_seen(&mut self, origin: &str, seq: u64) -> bool {
-        let new = match self.seen.get_mut(origin) {
-            Some(seqs) => seqs.insert(seq),
-            None => self.seen.entry(origin.to_string()).or_default().insert(seq),
+        let seen = match self.seen.get_mut(origin) {
+            Some(seen) => seen,
+            None => self.seen.entry(origin.to_string()).or_default(),
         };
-        if !new {
+        if seq < seen.floor || !seen.seqs.insert(seq) {
             return false;
         }
-        self.seen_count += 1;
-        if self.seen_cap != usize::MAX {
-            self.seen_order.push_back((origin.to_string(), seq));
-            self.evict_beyond_cap();
+        if seen.seqs.len() > SEEN_WINDOW {
+            if let Some(oldest) = seen.seqs.pop_first() {
+                seen.floor = oldest + 1;
+            }
         }
         true
-    }
-
-    fn evict_beyond_cap(&mut self) {
-        while self.seen_order.len() > self.seen_cap {
-            let Some((origin, seq)) = self.seen_order.pop_front() else { break };
-            if let Some(seqs) = self.seen.get_mut(&origin) {
-                seqs.remove(&seq);
-                if seqs.is_empty() {
-                    self.seen.remove(&origin);
-                }
-            }
-            self.seen_count -= 1;
-        }
     }
 
     fn sample_peers<'g>(&mut self, grant: &'g GossipGrant) -> Vec<&'g str> {
@@ -147,13 +145,17 @@ impl LayerState {
     /// The `Register` call for `context_id`, addressed to `registration`.
     fn register(&mut self, registration: String, context_id: &str) -> Envelope {
         let body = RegistrationService::encode_register(context_id, &self.me);
-        let headers = MessageHeaders::request(registration, actions::register())
+        let headers = MessageHeaders::request(registration, actions::REGISTER)
             .with_message_id(self.fresh_message_id())
             .with_from(EndpointReference::new(self.me.clone()))
             .with_reply_to(EndpointReference::new(self.me.clone()));
         self.stats.registers_sent += 1;
         Envelope::request(headers, body)
     }
+}
+
+fn sampling_rng(seed: u64) -> Pcg32 {
+    Pcg32::new(seed, 0x60551)
 }
 
 /// Whether `peer` is known to hold the message `envelope` carries: it
@@ -186,11 +188,8 @@ impl GossipLayerHandle {
         GossipLayerHandle {
             state: Arc::new(Mutex::new(LayerState {
                 me: me.into(),
-                rng: Pcg32::new(seed, 0x60551),
+                rng: sampling_rng(seed),
                 seen: BTreeMap::new(),
-                seen_count: 0,
-                seen_order: VecDeque::new(),
-                seen_cap: usize::MAX,
                 grants: BTreeMap::new(),
                 registering: BTreeMap::new(),
                 liveness: Arc::new(AllLive),
@@ -199,36 +198,21 @@ impl GossipLayerHandle {
         }
     }
 
+    /// Restart the peer-sampling stream from `seed`, as [`Self::new`] seeds it.
+    pub(crate) fn reseed(&self, seed: u64) {
+        self.state.lock().rng = sampling_rng(seed);
+    }
+
     /// Install a liveness oracle (e.g. a `wsg_cluster` membership plane):
     /// per-round peer sampling skips members it reports dead, so gossip
     /// stops dialing crashed nodes even while grants still name them.
-    pub fn set_liveness(&self, liveness: Arc<dyn PeerLiveness>) {
+    pub(crate) fn set_liveness(&self, liveness: Arc<dyn PeerLiveness>) {
         self.state.lock().liveness = liveness;
     }
 
     /// Build the chain handler sharing this state.
     pub fn handler(&self) -> GossipHandler {
         GossipHandler { state: self.state.clone() }
-    }
-
-    /// Bound the duplicate-suppression memory to the most recent `cap`
-    /// message keys (FIFO eviction). Unbounded by default; long-running
-    /// deployments should set a cap and accept that a message older than
-    /// the window could, in principle, be re-delivered.
-    pub fn set_seen_cap(&self, cap: usize) {
-        assert!(cap > 0, "seen cap must be positive");
-        let mut state = self.state.lock();
-        if state.seen_cap == usize::MAX {
-            // Arrival order was not kept while unbounded: age what is
-            // already there per origin, oldest sequence number first.
-            state.seen_order = state
-                .seen
-                .iter()
-                .flat_map(|(origin, seqs)| seqs.iter().map(move |seq| (origin.clone(), *seq)))
-                .collect();
-        }
-        state.seen_cap = cap;
-        state.evict_beyond_cap();
     }
 
     /// Install a grant (e.g. the one returned by Activation) — present
@@ -247,9 +231,10 @@ impl GossipLayerHandle {
         self.state.lock().stats.clone()
     }
 
-    /// Number of distinct messages seen.
-    pub fn seen_count(&self) -> usize {
-        self.state.lock().seen_count
+    /// Number of message keys the dedup memory holds.
+    #[cfg(test)]
+    fn seen_count(&self) -> usize {
+        self.state.lock().seen.values().map(|seen| seen.seqs.len()).sum()
     }
 }
 
@@ -383,7 +368,7 @@ impl Handler for GossipHandler {
 
         // Grant arrivals are middleware-level traffic.
         if ctx.direction == Direction::Inbound
-            && ctx.envelope.addressing().action() == Some(REGISTER_RESPONSE.as_str())
+            && ctx.envelope.addressing().action() == Some(actions::REGISTER_RESPONSE)
         {
             return self.handle_register_response(ctx);
         }
@@ -441,7 +426,7 @@ mod tests {
             round,
         };
         Envelope::request(
-            MessageHeaders::request(crate::endpoint::topic_uri("quotes"), actions::notify())
+            MessageHeaders::request(crate::endpoint::topic_uri("quotes"), actions::NOTIFY)
                 .with_message_id("urn:uuid:test-1"),
             Element::text_node("tick", "ACME"),
         )
@@ -472,7 +457,7 @@ mod tests {
         let mut body = grant.to_register_response();
         body.push_child(Element::in_ns("wsg", WSGOSSIP_NS, "ContextIdentifier").with_text(ctx_id));
         Envelope::request(
-            MessageHeaders::request("http://node2/gossip", actions::register_response()),
+            MessageHeaders::request("http://node2/gossip", actions::REGISTER_RESPONSE),
             body,
         )
     }
@@ -503,7 +488,7 @@ mod tests {
             let header = GossipHeader::from_envelope(copy).unwrap();
             assert_eq!(header.round, 1);
             assert_ne!(copy.addressing().to(), Some("http://node1/gossip"));
-            assert_eq!(copy.addressing().action(), Some(actions::notify().as_str()));
+            assert_eq!(copy.addressing().action(), Some(actions::NOTIFY));
         }
         assert_eq!(handle.stats().intercepted, 1);
         assert_eq!(handle.stats().forwards_sent, 2);
@@ -523,7 +508,7 @@ mod tests {
         assert!(matches!(result.disposition, Disposition::Consumed));
         assert_eq!(result.sends.len(), 1);
         let register = &result.sends[0];
-        assert_eq!(register.addressing().action(), Some(actions::register().as_str()));
+        assert_eq!(register.addressing().action(), Some(actions::REGISTER));
         assert_eq!(register.addressing().to(), Some("http://node0/registration"));
         assert_eq!(handle.stats().registers_sent, 1);
     }
@@ -715,7 +700,7 @@ mod tests {
             "http://node2/gossip",
         );
         assert_eq!(second.sends.len(), 1);
-        assert_eq!(second.sends[0].addressing().action(), Some(actions::register().as_str()));
+        assert_eq!(second.sends[0].addressing().action(), Some(actions::REGISTER));
         // With the register in flight a bare message waits for the grant too.
         let third = chain.process(Direction::Inbound, bare(2), "http://node2/gossip");
         assert!(third.sends.is_empty());
@@ -816,8 +801,7 @@ mod tests {
             chain.process(Direction::Inbound, from_node3(seq), "http://node2/gossip").sends
         };
         let registers = |sends: &[Envelope]| {
-            let register = actions::register();
-            assert!(sends.iter().all(|s| s.addressing().action() == Some(register.as_str())));
+            assert!(sends.iter().all(|s| s.addressing().action() == Some(actions::REGISTER)));
             sends.len()
         };
         let queued = |handle: &GossipLayerHandle| handle.state.lock().registering["ctx"].queue.len();
@@ -939,33 +923,44 @@ mod tests {
     }
 
     #[test]
-    fn seen_cap_bounds_memory_with_fifo_eviction() {
+    fn dedup_memory_is_one_bounded_window_per_origin() {
         let handle = GossipLayerHandle::new("http://node2/gossip", 10);
-        handle.set_seen_cap(3);
         handle.set_grant("ctx", grant(&["http://node3/gossip"]));
-        let mut chain = chain_with(&handle);
-        for seq in 0..10 {
-            chain.process(
-                Direction::Inbound,
-                notification("ctx", "http://node1/gossip", seq, 1),
-                "http://node2/gossip",
-            );
+        let origin = "http://node1/gossip";
+        let sent = 10 * SEEN_WINDOW as u64;
+        {
+            let mut state = handle.state.lock();
+            for seq in 0..sent {
+                assert!(state.mark_seen(origin, seq));
+                assert!(state.seen[origin].seqs.len() <= SEEN_WINDOW);
+            }
+            // Another origin's numbers are its own.
+            assert!(state.mark_seen("http://node4/gossip", 0));
         }
-        assert_eq!(handle.seen_count(), 3, "bounded at the cap");
-        // A message inside the window is still deduplicated...
-        let result = chain.process(
-            Direction::Inbound,
-            notification("ctx", "http://node1/gossip", 9, 2),
-            "http://node2/gossip",
-        );
-        assert!(matches!(result.disposition, Disposition::Consumed));
-        // ...one outside the window is (by design) re-admitted.
-        let result = chain.process(
-            Direction::Inbound,
-            notification("ctx", "http://node1/gossip", 0, 2),
-            "http://node2/gossip",
-        );
-        assert!(matches!(result.disposition, Disposition::Deliver(_)));
+        assert_eq!(handle.seen_count(), SEEN_WINDOW + 1);
+        let mut chain = chain_with(&handle);
+        let mut receive = |seq: u64| {
+            chain.process(Direction::Inbound, notification("ctx", origin, seq, 2), "http://node2/gossip")
+        };
+        // Inside the window a duplicate is a duplicate, as ever...
+        assert!(matches!(receive(sent - 1).disposition, Disposition::Consumed));
+        // ...below the floor everything is one: a late copy is suppressed,
+        // not delivered a second time, and forwarded to nobody.
+        let late = receive(0);
+        assert!(matches!(late.disposition, Disposition::Consumed));
+        assert!(late.sends.is_empty());
+        // What is new is delivered and moves the window on.
+        assert!(matches!(receive(sent).disposition, Disposition::Deliver(_)));
+        assert_eq!(handle.seen_count(), SEEN_WINDOW + 1);
+    }
+
+    #[test]
+    fn reseeding_restarts_the_stream_a_new_layer_would_draw() {
+        let reseeded = GossipLayerHandle::new("http://node2/gossip", 0);
+        reseeded.state.lock().fresh_message_id();
+        reseeded.reseed(7);
+        let fresh = GossipLayerHandle::new("http://node2/gossip", 7);
+        assert_eq!(reseeded.state.lock().fresh_message_id(), fresh.state.lock().fresh_message_id());
     }
 
     #[test]

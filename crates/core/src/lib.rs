@@ -20,6 +20,8 @@
 //! deployment. The gossip layer ([`layer::GossipHandler`]) intercepts
 //! outgoing notifications and re-routes copies to peers obtained from the
 //! WS-Coordination Registration service, exactly as Figure 1 describes.
+//! The operations' WS-Addressing Action URIs are the constants of
+//! [`actions`].
 //!
 //! ## Quickstart
 //!

@@ -33,7 +33,7 @@ pub const PUBLISH_TICK: TimerTag = TimerTag(0x9B71);
 pub const RENEW_TICK: TimerTag = TimerTag(0x2E4E);
 
 /// Interval between coordinator replication gossips.
-pub const COORD_SYNC_INTERVAL: SimDuration = SimDuration::from_millis(250);
+pub(crate) const COORD_SYNC_INTERVAL: SimDuration = SimDuration::from_millis(250);
 
 /// The four roles of paper §3 / Figure 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -160,13 +160,10 @@ pub struct WsGossipNode {
 }
 
 impl WsGossipNode {
-    fn new(me: NodeId, role: Role, coordinator: NodeId, seed: u64) -> Self {
+    fn new(me: NodeId, role: Role, coordinator: NodeId) -> Self {
         let endpoint = endpoint_of(me);
-        let mut seeder = SplitMix64::new(seed ^ (me.index() as u64).wrapping_mul(0x9E37));
         let layer = match role {
-            Role::Initiator | Role::Disseminator => {
-                Some(GossipLayerHandle::new(endpoint.clone(), seeder.next()))
-            }
+            Role::Initiator | Role::Disseminator => Some(GossipLayerHandle::new(endpoint.clone(), 0)),
             _ => None,
         };
         let mut chain = HandlerChain::new();
@@ -200,37 +197,43 @@ impl WsGossipNode {
             ops: Vec::new(),
             events: Vec::new(),
             stats: NodeStats::default(),
-            rng: Pcg32::new(seeder.next(), me.index() as u64),
+            rng: Pcg32::new(0, 0), // `with_seed` below draws the real stream
             drive: SelfDrive::default(),
             fifo: None,
             scratch: String::new(),
             liveness: Arc::new(AllLive),
         }
+        .with_seed(0)
     }
 
     /// A Coordinator node.
     pub fn coordinator(me: NodeId) -> Self {
-        Self::new(me, Role::Coordinator, me, 0)
+        Self::new(me, Role::Coordinator, me)
     }
 
     /// An Initiator whose coordinator is `coordinator`.
     pub fn initiator(me: NodeId, coordinator: NodeId) -> Self {
-        Self::new(me, Role::Initiator, coordinator, 0)
+        Self::new(me, Role::Initiator, coordinator)
     }
 
     /// A Disseminator (gossip handler in the stack, app oblivious).
     pub fn disseminator(me: NodeId, coordinator: NodeId) -> Self {
-        Self::new(me, Role::Disseminator, coordinator, 0)
+        Self::new(me, Role::Disseminator, coordinator)
     }
 
     /// A Consumer (completely unchanged service).
     pub fn consumer(me: NodeId, coordinator: NodeId) -> Self {
-        Self::new(me, Role::Consumer, coordinator, 0)
+        Self::new(me, Role::Consumer, coordinator)
     }
 
     /// Builder: replace the deterministic seed (varies peer-sampling).
-    pub fn with_seed(self, seed: u64) -> Self {
-        Self::new(self.me, self.role, self.coordinator, seed)
+    pub(crate) fn with_seed(mut self, seed: u64) -> Self {
+        let mut seeder = SplitMix64::new(seed ^ (self.me.index() as u64).wrapping_mul(0x9E37));
+        if let Some(layer) = &self.layer {
+            layer.reseed(seeder.next());
+        }
+        self.rng = Pcg32::new(seeder.next(), self.me.index() as u64);
+        self
     }
 
     /// Builder (coordinator only): fix the gossip policy handed to new
@@ -283,8 +286,7 @@ impl WsGossipNode {
     /// plane in live deployments) when building gossip grants and when
     /// the gossip layer samples per-round forward targets — members the
     /// oracle reports dead stop being gossip destinations immediately,
-    /// without waiting for their subscription lease to expire. Apply
-    /// *after* [`WsGossipNode::with_seed`] (which rebuilds the node).
+    /// without waiting for their subscription lease to expire.
     pub fn with_liveness(mut self, liveness: Arc<dyn PeerLiveness>) -> Self {
         if let Some(layer) = &self.layer {
             layer.set_liveness(Arc::clone(&liveness));
@@ -298,7 +300,7 @@ impl WsGossipNode {
     /// maintained in a distributed fashion as proposed by WS-Membership"
     /// (paper §3). State replicates by periodic gossip; see
     /// [`wsg_coord::CoordinatorSync`].
-    pub fn with_coordinator_peers(mut self, peers: Vec<NodeId>) -> Self {
+    pub(crate) fn with_coordinator_peers(mut self, peers: Vec<NodeId>) -> Self {
         if let Some(coord) = &mut self.coord {
             coord.peers = peers.into_iter().filter(|p| *p != self.me).collect();
         }
@@ -489,16 +491,13 @@ impl WsGossipNode {
         if !self.drive.subscribed_topics.iter().any(|t| t == topic) {
             self.drive.subscribed_topics.push(topic.to_string());
             if let Some(ttl) = self.drive.subscription_ttl {
-                ctx.set_timer(
-                    SimDuration::from_micros(ttl.as_micros() / 2),
-                    RENEW_TICK,
-                );
+                ctx.set_timer(ttl.div(2), RENEW_TICK);
             }
         }
         let body = SubscriptionList::encode_subscribe(topic, &self.endpoint, expiry);
         let headers = MessageHeaders::request(
             endpoint_of(self.coordinator),
-            actions::subscribe(),
+            actions::SUBSCRIBE,
         )
         .with_message_id(self.fresh_id())
         .with_from(EndpointReference::new(self.endpoint.clone()))
@@ -512,7 +511,7 @@ impl WsGossipNode {
         let body = SubscriptionList::encode_unsubscribe(topic, &self.endpoint);
         let headers = MessageHeaders::request(
             endpoint_of(self.coordinator),
-            actions::unsubscribe(),
+            actions::UNSUBSCRIBE,
         )
         .with_message_id(self.fresh_id())
         .with_from(EndpointReference::new(self.endpoint.clone()));
@@ -527,7 +526,7 @@ impl WsGossipNode {
         body.push_child(Element::in_ns("wsg", WSGOSSIP_NS, "Topic").with_text(topic.to_string()));
         let headers = MessageHeaders::request(
             endpoint_of(self.coordinator),
-            actions::create_context(),
+            actions::CREATE_CONTEXT,
         )
         .with_message_id(self.fresh_id())
         .with_from(EndpointReference::new(self.endpoint.clone()))
@@ -563,7 +562,7 @@ impl WsGossipNode {
             seq,
             round: 0,
         };
-        let headers = MessageHeaders::request(topic_uri(&topic), actions::notify())
+        let headers = MessageHeaders::request(topic_uri(&topic), actions::NOTIFY)
             .with_message_id(self.fresh_id())
             .with_from(EndpointReference::new(self.endpoint.clone()));
         let envelope = Envelope::request(headers, payload)
@@ -601,7 +600,7 @@ impl WsGossipNode {
                 .collect(),
         };
         let peer = *self.rng.choose(&coord.peers).expect("non-empty");
-        let headers = MessageHeaders::request(endpoint_of(peer), actions::coordinator_sync())
+        let headers = MessageHeaders::request(endpoint_of(peer), actions::COORDINATOR_SYNC)
             .with_message_id(self.fresh_id())
             .with_from(EndpointReference::new(self.endpoint.clone()));
         self.transmit(Envelope::request(headers, snapshot.to_element()), ctx);
@@ -647,7 +646,7 @@ impl WsGossipNode {
         ctx.send(to, self.scratch.clone());
     }
 
-    fn reply_headers(&mut self, request: &Envelope, action: String) -> Option<MessageHeaders> {
+    fn reply_headers(&mut self, request: &Envelope, action: &str) -> Option<MessageHeaders> {
         let to = request
             .addressing()
             .reply_to()
@@ -669,26 +668,29 @@ impl WsGossipNode {
             self.log(ctx.now(), format!("fault received: {code}"));
             return;
         }
-        let action = envelope.addressing().action().unwrap_or("").to_string();
-        match action.as_str() {
-            a if a == actions::create_context() => self.handle_create_context(envelope, ctx),
-            a if a == actions::register() => self.handle_register(envelope, ctx),
-            a if a == actions::subscribe() => self.handle_subscribe(envelope, ctx),
-            a if a == actions::unsubscribe() => self.handle_unsubscribe(envelope, ctx),
-            a if a == actions::create_context_response() => {
-                self.handle_context_response(envelope, ctx)
-            }
-            a if a == actions::subscribe_response() => {
-                self.log(ctx.now(), "subscription acknowledged".to_string());
-            }
-            a if a == actions::notify() => self.handle_notify(envelope, ctx),
-            a if a == actions::coordinator_sync() => self.handle_coordinator_sync(envelope, ctx),
-            _ => {
-                // Unknown action: a fault back to the sender would be the
-                // full WS behaviour; counting suffices for the experiments.
-                self.stats.unroutable += 1;
-            }
-        }
+        // The action borrows the envelope; pick the handler, then hand
+        // the envelope over.
+        let handle: fn(&mut Self, Envelope, &mut dyn Context<String>) =
+            match envelope.addressing().action().unwrap_or("") {
+                actions::CREATE_CONTEXT => Self::handle_create_context,
+                actions::REGISTER => Self::handle_register,
+                actions::SUBSCRIBE => Self::handle_subscribe,
+                actions::UNSUBSCRIBE => Self::handle_unsubscribe,
+                actions::CREATE_CONTEXT_RESPONSE => Self::handle_context_response,
+                actions::SUBSCRIBE_RESPONSE => {
+                    self.log(ctx.now(), "subscription acknowledged".to_string());
+                    return;
+                }
+                actions::NOTIFY => Self::handle_notify,
+                actions::COORDINATOR_SYNC => Self::handle_coordinator_sync,
+                _ => {
+                    // Unknown action: a fault back to the sender would be the
+                    // full WS behaviour; counting suffices for the experiments.
+                    self.stats.unroutable += 1;
+                    return;
+                }
+            };
+        handle(self, envelope, ctx);
     }
 
     fn handle_create_context(&mut self, envelope: Envelope, ctx: &mut dyn Context<String>) {
@@ -739,7 +741,7 @@ impl WsGossipNode {
             "created context {} (topic={topic}, subscribers={subscriber_count})",
             context.identifier()
         ));
-        if let Some(headers) = self.reply_headers(&envelope, actions::create_context_response()) {
+        if let Some(headers) = self.reply_headers(&envelope, actions::CREATE_CONTEXT_RESPONSE) {
             self.transmit(Envelope::request(headers, body), ctx);
         }
     }
@@ -780,7 +782,7 @@ impl WsGossipNode {
             Element::in_ns("wsg", WSGOSSIP_NS, "ContextIdentifier").with_text(context_id.clone()),
         );
         self.log(now, format!("registered {participant} in {context_id}"));
-        if let Some(headers) = self.reply_headers(&envelope, actions::register_response()) {
+        if let Some(headers) = self.reply_headers(&envelope, actions::REGISTER_RESPONSE) {
             self.transmit(Envelope::request(headers, body), ctx);
         }
     }
@@ -819,7 +821,7 @@ impl WsGossipNode {
             self.push_grant_updates(&concrete, ctx);
         }
         let ack = Element::in_ns("wsg", WSGOSSIP_NS, "SubscribeResponse");
-        if let Some(headers) = self.reply_headers(&envelope, actions::subscribe_response()) {
+        if let Some(headers) = self.reply_headers(&envelope, actions::SUBSCRIBE_RESPONSE) {
             self.transmit(Envelope::request(headers, ack), ctx);
         }
     }
@@ -889,7 +891,7 @@ impl WsGossipNode {
             }
         }
         for (participant, body) in updates {
-            let headers = MessageHeaders::request(participant, actions::register_response())
+            let headers = MessageHeaders::request(participant, actions::REGISTER_RESPONSE)
                 .with_message_id(self.fresh_id())
                 .with_from(EndpointReference::new(self.endpoint.clone()));
             self.transmit(Envelope::request(headers, body), ctx);
@@ -994,13 +996,13 @@ impl Protocol for WsGossipNode {
                         SubscriptionList::encode_subscribe(&topic, &self.endpoint, expiry);
                     let headers = MessageHeaders::request(
                         endpoint_of(self.coordinator),
-                        actions::subscribe(),
+                        actions::SUBSCRIBE,
                     )
                     .with_message_id(self.fresh_id())
                     .with_from(EndpointReference::new(self.endpoint.clone()));
                     self.transmit(Envelope::request(headers, body), ctx);
                 }
-                ctx.set_timer(SimDuration::from_micros(ttl.as_micros() / 2), RENEW_TICK);
+                ctx.set_timer(ttl.div(2), RENEW_TICK);
             }
             return;
         }
@@ -1068,6 +1070,47 @@ mod tests {
         assert!(disseminator.layer_stats().is_some());
         assert!(consumer.layer_stats().is_none(), "consumers are unchanged");
         assert_eq!(consumer.role(), Role::Consumer);
+        // The gossip layer is the one handler a role adds to its stack.
+        assert_eq!((initiator.chain.len(), disseminator.chain.len()), (1, 1));
+        assert!(coordinator.chain.is_empty() && consumer.chain.is_empty());
+    }
+
+    #[test]
+    fn with_seed_keeps_earlier_builder_calls() {
+        #[derive(Debug)]
+        struct NobodyLive;
+        impl PeerLiveness for NobodyLive {
+            fn is_live(&self, _: NodeId) -> bool {
+                false
+            }
+        }
+        let ttl = SimDuration::from_secs(3);
+        let configured = || {
+            WsGossipNode::disseminator(NodeId(2), NodeId(0))
+                .with_subscription_ttl(ttl)
+                .with_fifo_delivery()
+                .with_auto_subscribe("quotes")
+                .with_liveness(Arc::new(NobodyLive))
+        };
+        let mut node = configured().with_seed(9);
+        assert_eq!(node.drive.subscription_ttl, Some(ttl));
+        assert_eq!(node.drive.subscribe, ["quotes"]);
+        assert!(node.fifo.is_some());
+        assert!(!node.liveness.is_live(NodeId(1)));
+
+        let peers = vec![NodeId(1), NodeId(2)];
+        let coordinator = WsGossipNode::coordinator(NodeId(0))
+            .with_policy(GossipPolicy::default())
+            .with_coordinator_peers(peers.clone())
+            .with_seed(9);
+        let coord = coordinator.coord.as_ref().unwrap();
+        assert!(coord.policy.is_some());
+        assert_eq!(coord.peers, peers);
+
+        // ...and the seed took, exactly as if it had been set first.
+        let mut seeded_first = WsGossipNode::disseminator(NodeId(2), NodeId(0)).with_seed(9);
+        assert_eq!(node.fresh_id(), seeded_first.fresh_id());
+        assert_ne!(node.fresh_id(), configured().fresh_id());
     }
 
     #[test]

@@ -143,8 +143,6 @@ pub fn build_distributed_network(
     net.add_nodes(total, |id| {
         let i = id.index();
         if i < k {
-            // `with_seed` rebuilds the node, so it must precede other
-            // builder calls.
             WsGossipNode::coordinator(id)
                 .with_seed(seed)
                 .with_coordinator_peers(coordinator_ids.clone())
@@ -173,14 +171,14 @@ pub fn distributed_initiator(shape: DistributedShape) -> NodeId {
 
 /// Terse label for a serialized envelope (used in traces).
 #[allow(clippy::ptr_arg)] // signature fixed by SimNet's LabelFn
-pub fn label_for(xml: &String) -> String {
+pub(crate) fn label_for(xml: &String) -> String {
     let Ok(envelope) = wsg_soap::Envelope::parse(xml) else {
         return "<unparseable>".into();
     };
     let action = envelope.addressing().action().unwrap_or("?");
     let short = action.rsplit(':').next().unwrap_or(action);
     match GossipHeader::from_envelope(&envelope) {
-        Some(h) if action == actions::notify() => {
+        Some(h) if action == actions::NOTIFY => {
             format!("{short}[{} seq={} r={}]", h.topic, h.seq, h.round)
         }
         _ => short.to_string(),

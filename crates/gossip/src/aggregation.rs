@@ -16,7 +16,7 @@
 use wsg_net::{Context, NodeId, Protocol, RngExt, SimDuration, TimerTag};
 
 /// Timer tag for the periodic aggregation tick.
-pub const AGGREGATE_TICK: TimerTag = TimerTag(0xA66);
+pub(crate) const AGGREGATE_TICK: TimerTag = TimerTag(0xA66);
 
 /// Wire message: a (sum, weight) share.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,11 +70,6 @@ impl PushSum {
         } else {
             self.sum / self.weight
         }
-    }
-
-    /// Current (sum, weight) mass held locally — conserved globally.
-    pub fn mass(&self) -> (f64, f64) {
-        (self.sum, self.weight)
     }
 
     /// Number of shares sent.
@@ -178,7 +173,7 @@ mod tests {
         // Drain in-flight deliveries without letting new ticks fire by
         // advancing a hair beyond the last delivery.
         net.run_until(net.now() + wsg_net::SimDuration::from_micros(1));
-        let held: f64 = net.node_ids().iter().map(|id| net.node(*id).mass().0).sum();
+        let held: f64 = net.node_ids().iter().map(|id| net.node(*id).sum).sum();
         // In-flight shares exist (ticks keep firing), so held <= total;
         // the deficit must be non-negative and bounded by what one tick
         // round can put in flight (each node sends at most half its mass).

@@ -145,7 +145,7 @@ pub fn rounds_to_coverage(n: usize, fanout: usize, threshold: f64) -> u32 {
 /// gossip: every node that becomes infected forwards `fanout` copies
 /// (except forwards suppressed by the round cap — ignored here, upper
 /// bound), so ≈ `coverage · n · fanout`.
-pub fn expected_messages(n: usize, fanout: usize, rounds: u32) -> f64 {
+pub(crate) fn expected_messages(n: usize, fanout: usize, rounds: u32) -> f64 {
     expected_coverage(n, fanout, rounds) * n as f64 * fanout as f64
 }
 

@@ -123,7 +123,8 @@ impl Digest {
     }
 
     /// Total number of message ids covered.
-    pub fn id_count(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn id_count(&self) -> u64 {
         self.entries
             .values()
             .map(|(contiguous, extras)| contiguous + extras.len() as u64)
@@ -137,7 +138,7 @@ impl Digest {
 /// Seen-set semantics are permanent (ids are remembered after payload
 /// eviction) so the engine never re-delivers an evicted message.
 #[derive(Debug, Clone)]
-pub struct MessageBuffer<T> {
+pub(crate) struct MessageBuffer<T> {
     capacity: usize,
     payloads: BTreeMap<MsgId, (u32, T)>,
     order: VecDeque<MsgId>,
@@ -191,16 +192,6 @@ impl<T: Clone> MessageBuffer<T> {
     /// The digest of everything ever seen.
     pub fn digest(&self) -> &Digest {
         &self.digest
-    }
-
-    /// Number of payloads currently retained.
-    pub fn retained(&self) -> usize {
-        self.payloads.len()
-    }
-
-    /// Number of distinct ids ever seen.
-    pub fn seen_count(&self) -> usize {
-        self.seen.len()
     }
 }
 
@@ -257,7 +248,7 @@ mod tests {
         let mut buf = MessageBuffer::new(8);
         assert!(buf.insert(id(0, 0), 0, "a"));
         assert!(!buf.insert(id(0, 0), 1, "a"));
-        assert_eq!(buf.seen_count(), 1);
+        assert_eq!(buf.seen.len(), 1);
     }
 
     #[test]
@@ -266,7 +257,7 @@ mod tests {
         buf.insert(id(0, 0), 0, "a");
         buf.insert(id(0, 1), 0, "b");
         buf.insert(id(0, 2), 0, "c");
-        assert_eq!(buf.retained(), 2);
+        assert_eq!(buf.payloads.len(), 2);
         assert!(buf.get(&id(0, 0)).is_none(), "evicted payload gone");
         assert!(buf.seen(&id(0, 0)), "seen survives eviction");
         assert!(!buf.insert(id(0, 0), 0, "a"), "evicted message not re-admitted");

@@ -11,10 +11,10 @@ use crate::params::{ForwardDiscipline, GossipParams, GossipStyle, DEFAULT_GOSSIP
 pub const TICK: TimerTag = TimerTag(0xA11CE);
 
 /// Timer tag used to retry outstanding lazy-push payload requests.
-pub const RETRY: TimerTag = TimerTag(0x3E782);
+pub(crate) const RETRY: TimerTag = TimerTag(0x3E782);
 
 /// Timer tag driving the infect-forever per-round re-forwarding.
-pub const FOREVER: TimerTag = TimerTag(0xF03E);
+pub(crate) const FOREVER: TimerTag = TimerTag(0xF03E);
 
 /// Configuration of one [`GossipEngine`].
 #[derive(Debug, Clone)]

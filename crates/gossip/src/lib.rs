@@ -49,7 +49,7 @@ pub mod order;
 pub mod params;
 
 pub use aggregation::{PushSum, PushSumShare};
-pub use buffer::{Digest, MessageBuffer, MsgId};
+pub use buffer::{Digest, MsgId};
 pub use engine::{DeliveredMessage, EngineStats, GossipConfig, GossipEngine, GossipMessage};
 pub use order::FifoBuffer;
 pub use params::{ForwardDiscipline, GossipParams, GossipStyle};

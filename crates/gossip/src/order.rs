@@ -62,7 +62,8 @@ impl<T> FifoBuffer<T> {
     }
 
     /// Number of messages currently held back (all origins).
-    pub fn held_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn held_count(&self) -> usize {
         self.held.values().map(BTreeMap::len).sum()
     }
 

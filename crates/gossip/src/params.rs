@@ -90,13 +90,8 @@ pub enum GossipStyle {
 
 impl GossipStyle {
     /// Whether the style needs a periodic timer (pull-flavoured styles).
-    pub fn is_periodic(&self) -> bool {
+    pub(crate) fn is_periodic(&self) -> bool {
         matches!(self, GossipStyle::Pull | GossipStyle::PushPull | GossipStyle::AntiEntropy)
-    }
-
-    /// Whether the style pushes payloads eagerly on first receipt.
-    pub fn pushes_eagerly(&self) -> bool {
-        matches!(self, GossipStyle::EagerPush | GossipStyle::PushPull)
     }
 
     /// Stable underscore name, used as the `style` label value in
@@ -149,7 +144,7 @@ pub enum ForwardDiscipline {
 }
 
 /// Default interval between periodic gossip exchanges.
-pub const DEFAULT_GOSSIP_INTERVAL: SimDuration = SimDuration::from_millis(100);
+pub(crate) const DEFAULT_GOSSIP_INTERVAL: SimDuration = SimDuration::from_millis(100);
 
 #[cfg(test)]
 mod tests {
@@ -181,11 +176,9 @@ mod tests {
 
     #[test]
     fn style_classification() {
-        assert!(GossipStyle::EagerPush.pushes_eagerly());
         assert!(!GossipStyle::EagerPush.is_periodic());
         assert!(GossipStyle::Pull.is_periodic());
         assert!(GossipStyle::PushPull.is_periodic());
-        assert!(GossipStyle::PushPull.pushes_eagerly());
         assert!(GossipStyle::AntiEntropy.is_periodic());
         assert!(!GossipStyle::LazyPush.is_periodic());
     }

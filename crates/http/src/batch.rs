@@ -574,7 +574,7 @@ mod tests {
         };
         let notification = |seq| {
             Envelope::request(
-                MessageHeaders::request(peer(2), ws_gossip::actions::notify())
+                MessageHeaders::request(peer(2), ws_gossip::actions::NOTIFY)
                     .with_message_id(format!("urn:uuid:{seq:032x}")),
                 wsg_xml::Element::text_node("tick", format!("{seq}+").repeat(128)),
             )

@@ -393,18 +393,15 @@ impl SoapHttpClient {
     }
 
     /// Transport-level retries performed (sleeps taken).
-    pub fn retries_performed(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn retries_performed(&self) -> u64 {
         self.counters.retries.get()
     }
 
     /// Posts answered over a pooled (kept-alive) connection.
-    pub fn pool_hits(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn pool_hits(&self) -> u64 {
         self.counters.pool_hits.get()
-    }
-
-    /// Posts that had to open a fresh connection.
-    pub fn pool_misses(&self) -> u64 {
-        self.counters.pool_misses.get()
     }
 
     /// Idle pooled connections for `addr` right now (test visibility).
@@ -413,7 +410,8 @@ impl SoapHttpClient {
     }
 
     /// Idle pooled connections dropped by [`SoapHttpClient::evict`].
-    pub fn pool_evictions(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn pool_evictions(&self) -> u64 {
         self.counters.pool_evictions.get()
     }
 }

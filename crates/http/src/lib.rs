@@ -14,9 +14,10 @@
 //!   a panic (the server answers 400).
 //! * [`server`] — [`server::SoapHttpServer`]: accept loop + bounded worker
 //!   thread pool, keep-alive with a per-connection idle timeout, graceful
-//!   shutdown, and dispatch of POSTed envelopes through a
-//!   `wsg_soap::HandlerChain` with faults mapped to
-//!   500-with-SOAP-fault responses.
+//!   shutdown, and dispatch of each POSTed envelope — a batch's one by one,
+//!   as the sender's exact bytes — to the route's [`server::Service`], with
+//!   faults mapped to 400/500-with-SOAP-fault responses. (The handler
+//!   chain runs in the node behind the service, not in the server.)
 //! * [`client`] — [`client::SoapHttpClient`]: keyed keep-alive connection
 //!   pool, connect/read/write timeouts, bounded retry with seeded
 //!   jittered exponential backoff (`wsg_net::rng`, so tests replay

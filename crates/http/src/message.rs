@@ -165,7 +165,7 @@ impl Response {
 
     /// A response carrying `body` with the given content type
     /// (`Content-Length` is set from the body).
-    pub fn with_body(status: u16, reason: impl Into<String>, content_type: &str, body: Vec<u8>) -> Self {
+    pub(crate) fn with_body(status: u16, reason: impl Into<String>, content_type: &str, body: Vec<u8>) -> Self {
         let mut headers = Headers::new();
         headers.push("Content-Type", content_type);
         headers.push("Content-Length", body.len().to_string());

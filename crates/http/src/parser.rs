@@ -19,7 +19,7 @@ use wsg_net::cov;
 use crate::message::{Headers, Request, Response};
 
 /// Hard cap on the head (request/status line + headers) in bytes.
-pub const MAX_HEAD_BYTES: usize = 16 * 1024;
+pub(crate) const MAX_HEAD_BYTES: usize = 16 * 1024;
 
 /// Hard cap on a message body in bytes.
 pub const MAX_BODY_BYTES: usize = 8 * 1024 * 1024;

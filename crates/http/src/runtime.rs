@@ -64,11 +64,11 @@ use crate::server::{
 };
 
 /// The request target every gossip node serves.
-pub const GOSSIP_TARGET: &str = "/gossip";
+pub(crate) const GOSSIP_TARGET: &str = "/gossip";
 
 /// `from` reported to a protocol when the sender did not identify itself
 /// with the [`NODE_HEADER`] header (e.g. an external test client).
-pub const EXTERNAL_SENDER: NodeId = NodeId(usize::MAX);
+pub(crate) const EXTERNAL_SENDER: NodeId = NodeId(usize::MAX);
 
 /// Tuning knobs for [`NetRuntime`].
 #[derive(Debug, Clone, Default)]
@@ -132,11 +132,6 @@ impl NodeDirectory {
     /// Where `id` is currently listening, if deployed.
     fn addr_of(&self, id: NodeId) -> Option<SocketAddr> {
         self.entries.lock().get(&id).copied()
-    }
-
-    /// Number of currently-routable nodes.
-    fn len(&self) -> usize {
-        self.entries.lock().len()
     }
 
     /// One past the highest node id ever deployed (ids are never reused).
@@ -439,13 +434,14 @@ where
     }
 
     /// Nodes currently deployed and routable.
-    pub fn live_count(&self) -> usize {
-        self.directory.len()
+    #[cfg(test)]
+    pub(crate) fn live_count(&self) -> usize {
+        self.directory.entries.lock().len()
     }
 
     /// POST an envelope to node `to` over a real socket, as an external
-    /// client (no node-id header, so the protocol sees
-    /// [`EXTERNAL_SENDER`]). Targets `to`'s historical address, so posting
+    /// client (no node-id header, so the protocol sees the external
+    /// sender, `NodeId(usize::MAX)`). Targets `to`'s historical address, so posting
     /// to a crashed node fails like any dead peer.
     ///
     /// # Errors
@@ -461,12 +457,10 @@ where
     }
 
     /// Inject a message into node `to`'s inbox directly (no socket), as if
-    /// sent by `from`. Useful for deterministic unit tests; integration
-    /// tests should prefer [`NetRuntime::post_external`]. Silently dropped
-    /// if `to` was removed.
-    pub fn send_local(&self, from: NodeId, to: NodeId, xml: String) {
+    /// sent by `from`. Silently dropped if `to` was removed.
+    #[cfg(test)]
+    pub(crate) fn send_local(&self, from: NodeId, to: NodeId, xml: String) {
         if let Some(slot) = self.slots.get(to.0) {
-            // wsg_lint: allow(E2) — documented above: messages to removed nodes are silently dropped
             let _ = slot.inbox.send(Inbox::Message { from, msg: xml });
         }
     }

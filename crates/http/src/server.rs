@@ -37,9 +37,8 @@ use std::time::{Duration, Instant};
 
 use wsg_net::sync::Mutex;
 use wsg_obs::{Counter, Family, HistogramMetric, Registry};
-use wsg_soap::handler::Direction;
 use wsg_soap::batch::{parse_wire, Unbundled};
-use wsg_soap::{Envelope, Fault, FaultCode, HandlerChain, MessageHeaders, SoapError};
+use wsg_soap::{Envelope, Fault, FaultCode, MessageHeaders, SoapError};
 
 use crate::message::Response;
 use crate::parser::{Parsed, RequestParser};
@@ -263,7 +262,7 @@ impl SoapHttpServer {
     /// # Errors
     ///
     /// Fails if the listener's local address cannot be read.
-    pub fn serve_observed(
+    pub(crate) fn serve_observed(
         listener: TcpListener,
         service: Service,
         config: HttpServerConfig,
@@ -326,12 +325,14 @@ impl SoapHttpServer {
     }
 
     /// Requests answered so far (any status).
-    pub fn requests_served(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn requests_served(&self) -> u64 {
         self.metrics.requests.get()
     }
 
     /// Requests that produced a fault envelope (400 or 500).
-    pub fn faults_served(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn faults_served(&self) -> u64 {
         self.metrics.faults.get()
     }
 
@@ -647,35 +648,6 @@ fn fault_response(status: u16, fault: Fault) -> Response {
     let reason = if status == 400 { "Bad Request" } else { "Internal Server Error" };
     let envelope = Envelope::fault(MessageHeaders::new(), fault);
     Response::with_body(status, reason, SOAP_CONTENT_TYPE, envelope.to_xml().into_bytes())
-}
-
-/// Wrap a [`HandlerChain`] as a [`Service`].
-///
-/// Inbound envelopes run through the chain exactly as in the simulated
-/// runtimes: `Deliver` hands the processed envelope to `app`, `Consumed`
-/// maps to `202 Accepted`, and a chain fault becomes the HTTP fault
-/// path. Envelopes the chain wants re-routed (`ChainResult::sends`) go to
-/// `out`, which the caller connects to its client transport.
-pub fn chain_service(
-    chain: HandlerChain,
-    local_address: impl Into<String>,
-    out: impl Fn(Envelope) + Send + Sync + 'static,
-    app: impl Fn(Envelope) -> Result<SoapReply, Fault> + Send + Sync + 'static,
-) -> Service {
-    let chain = Mutex::new(chain);
-    let local_address = local_address.into();
-    Arc::new(move |request: SoapRequest| {
-        let envelope = request.envelope()?;
-        let result = chain.lock().process(Direction::Inbound, envelope, local_address.as_str());
-        for send in result.sends {
-            out(send);
-        }
-        match result.disposition {
-            wsg_soap::Disposition::Deliver(envelope) => app(envelope),
-            wsg_soap::Disposition::Consumed => Ok(SoapReply::Accepted),
-            wsg_soap::Disposition::Faulted(fault) => Err(fault),
-        }
-    })
 }
 
 #[cfg(test)]
@@ -1088,35 +1060,6 @@ mod tests {
             // The OS may still accept briefly; a write must then fail.
             true
         });
-    }
-
-    #[test]
-    fn chain_service_maps_dispositions() {
-        use std::sync::atomic::AtomicUsize;
-        let delivered = Arc::new(AtomicUsize::new(0));
-        let forwarded = Arc::new(AtomicUsize::new(0));
-        let delivered2 = Arc::clone(&delivered);
-        let forwarded2 = Arc::clone(&forwarded);
-        let service = chain_service(
-            HandlerChain::new(),
-            "http://node0/gossip",
-            move |_envelope| {
-                forwarded2.fetch_add(1, Ordering::Relaxed);
-            },
-            move |_envelope| {
-                delivered2.fetch_add(1, Ordering::Relaxed);
-                Ok(SoapReply::Accepted)
-            },
-        );
-        let request = SoapRequest {
-            target: "/gossip".into(),
-            from_node: Some(1),
-            peer: "127.0.0.1:1".parse().unwrap(),
-            raw: sample_envelope().to_xml(),
-        };
-        assert!(matches!(service(request), Ok(SoapReply::Accepted)));
-        assert_eq!(delivered.load(Ordering::Relaxed), 1);
-        assert_eq!(forwarded.load(Ordering::Relaxed), 0);
     }
 
     #[test]

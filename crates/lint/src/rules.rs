@@ -336,7 +336,6 @@ pub const A2_RELAXED_FILES: &[&str] = &[
     "crates/obs/src/lib.rs",
     "crates/bench/src/timing.rs",
     "crates/bench/src/sweep.rs",
-    "crates/soap/src/handlers.rs",
     // Coverage hit counters: monotonic per-edge tallies read only after
     // the fuzz loop quiesces — classic stats-counter Relaxed.
     "crates/net/src/cov.rs",

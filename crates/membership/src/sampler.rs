@@ -10,7 +10,7 @@
 use wsg_net::{Context, NodeId, Protocol, Rng64, RngExt, SimDuration, TimerTag};
 
 /// Timer tag for the periodic shuffle.
-pub const SHUFFLE_TICK: TimerTag = TimerTag(0x5A3F);
+pub(crate) const SHUFFLE_TICK: TimerTag = TimerTag(0x5A3F);
 
 /// Configuration of the sampler.
 #[derive(Debug, Clone)]
@@ -39,11 +39,6 @@ impl SamplerConfig {
         assert!(shuffle_len > 0, "shuffle length must be positive");
         assert!(shuffle_len <= view_size, "shuffle length cannot exceed view size");
         SamplerConfig { view_size, shuffle_len, interval }
-    }
-
-    /// Partial view capacity.
-    pub fn view_size(&self) -> usize {
-        self.view_size
     }
 }
 
@@ -227,7 +222,7 @@ mod tests {
         net.run_until(SimTime::from_secs(20));
         for id in net.node_ids() {
             let view = net.node(id).view();
-            assert!(view.len() >= SamplerConfig::default().view_size() / 2, "thin view at {id}");
+            assert!(view.len() >= SamplerConfig::default().view_size / 2, "thin view at {id}");
             assert!(!view.contains(&id), "self-reference at {id}");
             let unique: HashSet<_> = view.iter().collect();
             assert_eq!(unique.len(), view.len(), "duplicates at {id}");

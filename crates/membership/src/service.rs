@@ -85,7 +85,8 @@ impl MembershipGossip {
     }
 
     /// A member with an explicit contact list.
-    pub fn with_contacts(config: MembershipConfig, me: NodeId, contacts: Vec<NodeId>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_contacts(config: MembershipConfig, me: NodeId, contacts: Vec<NodeId>) -> Self {
         MembershipGossip { config, me, heartbeat: 0, view: MembershipView::new(), contacts }
     }
 

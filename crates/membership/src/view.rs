@@ -20,7 +20,7 @@ pub enum MemberStatus {
 
 /// What one node believes about one member.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MemberInfo {
+pub(crate) struct MemberInfo {
     /// The member's heartbeat counter (monotonic at the member itself).
     pub heartbeat: u64,
     /// Local time at which `heartbeat` last increased.

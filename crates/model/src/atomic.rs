@@ -13,7 +13,7 @@
 //! across executions.
 //!
 //! Every operation falls back to the real atomic when the execution has
-//! already been torn down ([`Execution::aborted`]) so destructors running
+//! already been torn down (`Execution::aborted`) so destructors running
 //! during the `ExecAbort` unwind never re-enter the scheduler.
 
 pub use std::sync::atomic::Ordering;

@@ -28,11 +28,8 @@
 use crate::rng::{RngExt, SplitMix64};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Default number of random cases per property.
-pub const DEFAULT_CASES: u32 = 64;
-
 /// Default size bound for generated collections/strings.
-pub const DEFAULT_SIZE: u32 = 32;
+const DEFAULT_SIZE: u32 = 32;
 
 /// A source of random test data for one property case.
 pub struct Gen {
@@ -131,7 +128,7 @@ impl Gen {
 
 /// One property case: returns `Err(reason)` (usually via
 /// [`prop_assert!`](crate::prop_assert)) when the property is violated.
-pub type CaseResult = Result<(), String>;
+type CaseResult = Result<(), String>;
 
 fn env_u64(name: &str) -> Option<u64> {
     std::env::var(name).ok()?.trim().parse().ok()

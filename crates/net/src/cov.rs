@@ -36,7 +36,7 @@
 /// hand-placed edges in a 65 536-slot table, collisions are possible
 /// but vanishingly rare, and (as in AFL) a collision only merges two
 /// edges' counters — it never misattributes a crash.
-pub const MAP_SIZE: usize = 1 << 16;
+pub(crate) const MAP_SIZE: usize = 1 << 16;
 
 /// Compile-time callsite id: FNV-1a over the file path mixed with the
 /// line and column, reduced into the table.
@@ -140,11 +140,6 @@ pub fn snapshot() -> Vec<(u32, u8)> {
     }
 }
 
-/// Number of distinct edges hit since the last [`reset`].
-pub fn edges_hit() -> usize {
-    snapshot().len()
-}
-
 /// Mark an edge in a wire parser's branch structure.
 ///
 /// Expands to a constant-id atomic increment under `--cfg wsg_cov` and
@@ -208,6 +203,6 @@ mod tests {
             assert!(snap.is_empty());
         }
         reset();
-        assert_eq!(edges_hit(), 0);
+        assert!(snapshot().is_empty());
     }
 }

@@ -58,14 +58,6 @@ impl LatencyModel {
         }
     }
 
-    /// Exponential latency: `floor_ms` + Exp(mean = `mean_ms`).
-    pub fn exponential_millis(floor_ms: u64, mean_ms: u64) -> Self {
-        LatencyModel::Exponential {
-            floor: SimDuration::from_millis(floor_ms),
-            mean: SimDuration::from_millis(mean_ms),
-        }
-    }
-
     /// Draw one latency sample.
     pub fn sample<R: Rng64 + ?Sized>(&self, rng: &mut R) -> SimDuration {
         let raw = match self {
@@ -117,6 +109,13 @@ impl Default for LatencyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn exponential_millis(floor_ms: u64, mean_ms: u64) -> LatencyModel {
+        LatencyModel::Exponential {
+            floor: SimDuration::from_millis(floor_ms),
+            mean: SimDuration::from_millis(mean_ms),
+        }
+    }
     use crate::rng::Pcg32;
 
     #[test]
@@ -140,7 +139,7 @@ mod tests {
 
     #[test]
     fn exponential_respects_floor() {
-        let model = LatencyModel::exponential_millis(3, 10);
+        let model = exponential_millis(3, 10);
         let mut rng = Pcg32::new(1, 0);
         for _ in 0..1000 {
             assert!(model.sample(&mut rng) >= SimDuration::from_millis(3));
@@ -149,7 +148,7 @@ mod tests {
 
     #[test]
     fn exponential_mean_roughly_right() {
-        let model = LatencyModel::exponential_millis(0, 10);
+        let model = exponential_millis(0, 10);
         let mut rng = Pcg32::new(42, 0);
         let n = 20_000;
         let total: f64 = (0..n).map(|_| model.sample(&mut rng).as_secs_f64()).sum();
@@ -169,7 +168,7 @@ mod tests {
         assert_eq!(LatencyModel::constant_millis(4).mean(), SimDuration::from_millis(4));
         assert_eq!(LatencyModel::uniform_millis(2, 4).mean(), SimDuration::from_millis(3));
         assert_eq!(
-            LatencyModel::exponential_millis(1, 2).mean(),
+            exponential_millis(1, 2).mean(),
             SimDuration::from_millis(3)
         );
     }

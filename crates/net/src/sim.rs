@@ -15,7 +15,7 @@ use crate::trace::{TraceEvent, TraceKind, Tracer};
 pub type LabelFn<M> = Box<dyn Fn(&M) -> String>;
 
 /// Computes the wire size of a message for bandwidth accounting.
-pub type SizeFn<M> = Box<dyn Fn(&M) -> usize>;
+pub(crate) type SizeFn<M> = Box<dyn Fn(&M) -> usize>;
 
 /// Configuration for a simulation run.
 ///
@@ -26,7 +26,7 @@ pub type SizeFn<M> = Box<dyn Fn(&M) -> usize>;
 ///     .seed(42)
 ///     .latency(LatencyModel::uniform_millis(1, 10))
 ///     .drop_probability(0.05);
-/// assert_eq!(config.drop_prob(), 0.05);
+/// assert_eq!(config.master_seed(), 42);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -82,17 +82,6 @@ impl SimConfig {
         assert!((0.0..=1.0).contains(&p), "duplicate probability must be in [0,1]");
         self.duplicate_probability = p;
         self
-    }
-
-    /// Safety limit on processed events (runaway-protocol backstop).
-    pub fn max_events(mut self, max: u64) -> Self {
-        self.max_events = max;
-        self
-    }
-
-    /// Configured drop probability.
-    pub fn drop_prob(&self) -> f64 {
-        self.drop_probability
     }
 
     /// The configured master seed. Node builders that keep their own
@@ -414,15 +403,6 @@ impl<P: Protocol> SimNet<P> {
         &self.stats
     }
 
-    /// Reset counters (e.g. after a warm-up phase).
-    pub fn reset_stats(&mut self) {
-        let n = self.nodes.len();
-        self.stats = SimStats::default();
-        if n > 0 {
-            self.stats.ensure_node(NodeId(n - 1));
-        }
-    }
-
     /// Process a single event. Returns its time, or `None` when idle.
     pub fn step(&mut self) -> Option<SimTime> {
         let event = self.queue.pop()?;
@@ -473,11 +453,6 @@ impl<P: Protocol> SimNet<P> {
             self.now = deadline;
         }
         self.events_processed - start
-    }
-
-    /// Whether any events remain queued.
-    pub fn has_pending_events(&self) -> bool {
-        !self.queue.is_empty()
     }
 
     fn trace(&mut self, kind: TraceKind, from: NodeId, to: NodeId, label: String) {
@@ -723,7 +698,7 @@ mod tests {
         assert_eq!(net.now(), SimTime::from_micros(1));
         // With >= 1ms latency nothing can have been delivered yet.
         assert_eq!(net.stats().delivered, 0);
-        assert!(net.has_pending_events());
+        assert!(!net.queue.is_empty());
     }
 
     #[test]
@@ -840,12 +815,14 @@ mod tests {
                 ctx.send(from, ()); // infinite ping-pong
             }
         }
-        let mut net = SimNet::new(SimConfig::default().seed(13).max_events(1000));
+        let mut config = SimConfig::default().seed(13);
+        config.max_events = 1000;
+        let mut net = SimNet::new(config);
         let a = net.add_node(PingPong);
         let b = net.add_node(PingPong);
         net.send_external(a, b, ());
         let processed = net.run_to_quiescence();
         assert_eq!(processed, 1000);
-        assert!(net.has_pending_events());
+        assert!(!net.queue.is_empty());
     }
 }

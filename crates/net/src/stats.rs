@@ -59,30 +59,9 @@ impl SimStats {
         merge_per_node(&mut self.sent_per_node, &other.sent_per_node);
     }
 
-    /// Total messages that failed to be delivered, for any reason.
-    pub fn dropped_total(&self) -> u64 {
-        self.dropped_loss + self.dropped_crashed + self.dropped_partitioned
-    }
-
-    /// The maximum number of messages any single node received — the "hot
-    /// spot" metric used to compare broker vs gossip load (experiment E6).
-    pub fn max_received(&self) -> u64 {
-        self.received_per_node.iter().copied().max().unwrap_or(0)
-    }
-
     /// The maximum number of messages any single node sent.
     pub fn max_sent(&self) -> u64 {
         self.sent_per_node.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Mean messages received per node.
-    pub fn mean_received(&self) -> f64 {
-        if self.received_per_node.is_empty() {
-            0.0
-        } else {
-            self.received_per_node.iter().sum::<u64>() as f64
-                / self.received_per_node.len() as f64
-        }
     }
 }
 
@@ -103,21 +82,14 @@ mod tests {
     fn totals_and_maxima() {
         let mut s = SimStats::default();
         s.ensure_node(NodeId(2));
-        s.received_per_node = vec![1, 5, 2];
         s.sent_per_node = vec![3, 0, 0];
-        s.dropped_loss = 2;
-        s.dropped_crashed = 1;
-        assert_eq!(s.dropped_total(), 3);
-        assert_eq!(s.max_received(), 5);
         assert_eq!(s.max_sent(), 3);
-        assert!((s.mean_received() - 8.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_stats_safe() {
         let s = SimStats::default();
-        assert_eq!(s.max_received(), 0);
-        assert_eq!(s.mean_received(), 0.0);
+        assert_eq!(s.max_sent(), 0);
     }
 
     #[test]
@@ -156,7 +128,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.sent, 15);
         assert_eq!(a.delivered, 12);
-        assert_eq!(a.dropped_total(), 3);
+        assert_eq!((a.dropped_loss, a.dropped_crashed), (1, 2));
         assert_eq!(a.timers_fired, 7);
         assert_eq!(a.bytes_sent, 100);
         assert_eq!(a.received_per_node, vec![11, 22, 30]);

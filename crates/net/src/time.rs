@@ -20,12 +20,12 @@
 //!
 //! ## Sim-vs-wall conversions
 //!
-//! [`SimDuration::to_std`] / [`SimDuration::from_std`] are the one pair
-//! of sanctioned conversion helpers between virtual durations and
-//! `std::time::Duration`. Both are exact at microsecond granularity
-//! (`from_std` truncates sub-microsecond precision and saturates at
-//! `u64::MAX` microseconds), so converting back and forth never drifts
-//! by more than a microsecond.
+//! [`SimDuration::to_std`] is the one sanctioned conversion from a virtual
+//! duration to a `std::time::Duration`; the way back is [`WallClock`]'s
+//! alone. Both are exact at microsecond granularity (a wall-clock reading
+//! truncates sub-microsecond precision and saturates at `u64::MAX`
+//! microseconds), so converting back and forth never drifts by more than
+//! a microsecond.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
@@ -149,7 +149,7 @@ impl SimDuration {
 
     /// The virtual equivalent of a `std::time::Duration`, truncating to
     /// microsecond granularity and saturating at `u64::MAX` microseconds.
-    pub const fn from_std(duration: std::time::Duration) -> Self {
+    const fn from_std(duration: std::time::Duration) -> Self {
         let micros = duration.as_micros();
         if micros > u64::MAX as u128 {
             SimDuration(u64::MAX)

@@ -77,7 +77,7 @@ impl std::fmt::Display for TraceEvent {
 
 /// A sink receiving trace events; installed on the simulator with
 /// [`crate::sim::SimNet::set_tracer`].
-pub type Tracer = Box<dyn FnMut(&TraceEvent)>;
+pub(crate) type Tracer = Box<dyn FnMut(&TraceEvent)>;
 
 #[cfg(test)]
 mod tests {

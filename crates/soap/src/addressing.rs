@@ -42,11 +42,6 @@ impl EndpointReference {
         &self.address
     }
 
-    /// Reference parameters, in order.
-    pub fn reference_parameters(&self) -> &[Element] {
-        &self.reference_parameters
-    }
-
     /// Serialise as the content of an EPR-typed element named `name`.
     pub fn to_element(&self, local: &str) -> Element {
         let mut epr = Element::in_ns("wsa", WSA_NS, local);
@@ -227,11 +222,6 @@ impl MessageHeaders {
         self.reply_to.as_ref()
     }
 
-    /// Fault endpoint.
-    pub fn fault_to(&self) -> Option<&EndpointReference> {
-        self.fault_to.as_ref()
-    }
-
     /// Rewrite the destination — used by the gossip layer when re-routing
     /// an intercepted message to a selected peer.
     pub fn set_to(&mut self, to: impl Into<String>) {
@@ -253,22 +243,13 @@ impl MessageHeaders {
         self.message_id = Some(id.into());
     }
 
-    /// Serialise the present properties as SOAP header blocks, in the
-    /// order [`Envelope::write_into`](crate::Envelope::write_into) emits
-    /// them: what names the conversation (`Action`, `From`, `ReplyTo`,
-    /// `FaultTo`), then what names the copy (`To`, `MessageID`,
-    /// `RelatesTo`). An envelope's other header blocks stand between the
-    /// two groups.
-    pub fn to_header_blocks(&self) -> Vec<Element> {
-        let mut blocks = self.conversation_blocks();
-        blocks.append(&mut self.copy_blocks());
-        blocks
-    }
-
     /// The blocks that name the conversation — `Action`, `From`, `ReplyTo`,
     /// `FaultTo`: the same on every message one sender puts into one
     /// exchange, so they lead the header and consecutive messages to a
-    /// peer start with the same bytes (see [`crate::batch`]).
+    /// peer start with the same bytes (see [`crate::batch`]). An envelope's
+    /// other header blocks stand between these and
+    /// [`copy_blocks`](Self::copy_blocks), in the order
+    /// [`Envelope::write_into`](crate::Envelope::write_into) emits them.
     pub(crate) fn conversation_blocks(&self) -> Vec<Element> {
         let mut blocks = Vec::new();
         if let Some(action) = &self.action {
@@ -303,8 +284,8 @@ impl MessageHeaders {
         blocks
     }
 
-    /// Whether any addressing property is set (i.e. whether
-    /// [`MessageHeaders::to_header_blocks`] would be non-empty).
+    /// Whether no addressing property is set (no header block would be
+    /// written for it).
     pub fn is_empty(&self) -> bool {
         self.to.is_none()
             && self.action.is_none()
@@ -372,11 +353,6 @@ impl MessageHeaders {
     }
 }
 
-/// The qualified name of a WS-Addressing header block.
-pub fn wsa_name(local: &str) -> QName {
-    QName::with_ns(WSA_NS, local).with_prefix("wsa")
-}
-
 /// Write `<name>text</name>` exactly as the tree form does: `with_text`
 /// always pushes a text node, so `w.text` is called even for an empty
 /// value (`<wsa:To></wsa:To>`, never self-closed).
@@ -413,7 +389,7 @@ mod tests {
             .with_from(EndpointReference::new("http://src"))
             .with_reply_to(EndpointReference::anonymous())
             .with_fault_to(EndpointReference::new("http://faults"));
-        assert_eq!(h.to_header_blocks().len(), 7);
+        assert_eq!(h.conversation_blocks().len() + h.copy_blocks().len(), 7);
         assert_eq!(over_the_wire(&h), h);
     }
 

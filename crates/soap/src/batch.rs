@@ -38,22 +38,16 @@ use std::ops::Range;
 
 use wsg_net::cov;
 use wsg_xml::escape::escape_attr_into;
-use wsg_xml::{Element, QName, RawEvent, XmlReader};
+use wsg_xml::{Element, RawEvent, XmlReader};
 
 use crate::envelope::{read_root, walk};
 use crate::{Envelope, SoapError, SOAP_ENV_NS};
 
 /// Namespace of the batch wrapper vocabulary.
-pub const BATCH_NS: &str = "urn:ws-gossip:batch";
+const BATCH_NS: &str = "urn:ws-gossip:batch";
 
 /// SOAPAction carried by a multi-message batch POST.
 pub const BATCH_ACTION: &str = "urn:ws-gossip:batch/Batch";
-
-/// `wsgb:Batch` (document root).
-pub static BATCH: QName = QName::interned(BATCH_NS, "wsgb", "Batch");
-
-/// `wsgb:Msg` (one wrapped envelope).
-pub static MSG: QName = QName::interned(BATCH_NS, "wsgb", "Msg");
 
 const XML_DECL: &str = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>";
 

@@ -91,11 +91,6 @@ impl Fault {
         &self.reason
     }
 
-    /// Application detail, if present.
-    pub fn detail(&self) -> Option<&Element> {
-        self.detail.as_ref()
-    }
-
     /// Serialise as the `env:Fault` body element.
     pub fn to_element(&self) -> Element {
         let mut fault = Element::in_ns("env", SOAP_ENV_NS, "Fault");
@@ -168,7 +163,7 @@ mod tests {
         let fault = Fault::new(FaultCode::Sender, "bad context")
             .with_detail(Element::text_node("ContextId", "ctx-9"));
         let parsed = Fault::from_element(&fault.to_element()).unwrap();
-        assert_eq!(parsed.detail().unwrap().text(), "ctx-9");
+        assert_eq!(parsed.detail.unwrap().text(), "ctx-9");
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //! message passes in both directions, with handlers able to pass, consume,
 //! fault, or intercept-and-reroute.
 
-use std::collections::HashMap;
-
 use wsg_xml::QName;
 
 use crate::envelope::Envelope;
@@ -24,7 +22,7 @@ pub enum Direction {
     Outbound,
 }
 
-/// The message being processed plus cross-handler state.
+/// The message being processed, and what handlers asked to send with it.
 #[derive(Debug)]
 pub struct MessageContext {
     /// Which way the message is travelling.
@@ -33,7 +31,6 @@ pub struct MessageContext {
     pub envelope: Envelope,
     /// Address of the local endpoint processing the message.
     pub local_address: String,
-    properties: HashMap<String, String>,
     sends: Vec<Envelope>,
 }
 
@@ -44,7 +41,6 @@ impl MessageContext {
             direction,
             envelope,
             local_address: local_address.into(),
-            properties: HashMap::new(),
             sends: Vec::new(),
         }
     }
@@ -55,16 +51,6 @@ impl MessageContext {
     /// peers, then either lets the original continue or consumes it.
     pub fn send_envelope(&mut self, envelope: Envelope) {
         self.sends.push(envelope);
-    }
-
-    /// Set a cross-handler property (e.g. "gossip.round").
-    pub fn set_property(&mut self, key: impl Into<String>, value: impl Into<String>) {
-        self.properties.insert(key.into(), value.into());
-    }
-
-    /// Read a cross-handler property.
-    pub fn property(&self, key: &str) -> Option<&str> {
-        self.properties.get(key).map(String::as_str)
     }
 }
 
@@ -136,7 +122,7 @@ pub struct ChainResult {
 /// impl Handler for Tag {
 ///     fn name(&self) -> &str { "tag" }
 ///     fn process(&mut self, ctx: &mut MessageContext) -> HandlerOutcome {
-///         ctx.set_property("seen", "yes");
+///         ctx.envelope.push_header(Element::new("seen"));
 ///         HandlerOutcome::Continue
 ///     }
 /// }
@@ -145,7 +131,10 @@ pub struct ChainResult {
 /// chain.push(Box::new(Tag));
 /// let env = Envelope::request(MessageHeaders::new(), Element::new("op"));
 /// let result = chain.process(Direction::Outbound, env, "http://me");
-/// assert!(matches!(result.disposition, wsg_soap::handler::Disposition::Deliver(_)));
+/// let wsg_soap::handler::Disposition::Deliver(delivered) = result.disposition else {
+///     panic!("nothing consumed it");
+/// };
+/// assert_eq!(delivered.headers().len(), 1);
 /// assert!(result.sends.is_empty());
 /// ```
 #[derive(Default)]
@@ -172,12 +161,6 @@ impl HandlerChain {
         self.handlers.push(handler);
     }
 
-    /// Insert a handler at the front of the chain (closest to the
-    /// application).
-    pub fn push_front(&mut self, handler: Box<dyn Handler>) {
-        self.handlers.insert(0, handler);
-    }
-
     /// Number of installed handlers.
     pub fn len(&self) -> usize {
         self.handlers.len()
@@ -186,11 +169,6 @@ impl HandlerChain {
     /// Whether the chain has no handlers.
     pub fn is_empty(&self) -> bool {
         self.handlers.is_empty()
-    }
-
-    /// Names of installed handlers, in order.
-    pub fn handler_names(&self) -> Vec<&str> {
-        self.handlers.iter().map(|h| h.name()).collect()
     }
 
     /// Push a message through the chain.
@@ -260,20 +238,6 @@ mod tests {
             MessageHeaders::request("http://dest", "urn:op"),
             Element::new("op"),
         )
-    }
-
-    struct Counter {
-        seen: usize,
-    }
-
-    impl Handler for Counter {
-        fn name(&self) -> &str {
-            "counter"
-        }
-        fn process(&mut self, _ctx: &mut MessageContext) -> HandlerOutcome {
-            self.seen += 1;
-            HandlerOutcome::Continue
-        }
     }
 
     struct Sink;
@@ -399,30 +363,30 @@ mod tests {
     }
 
     #[test]
-    fn handlers_run_in_order_and_share_properties() {
-        struct SetP;
-        impl Handler for SetP {
+    fn handlers_run_in_order_and_share_the_message() {
+        struct Mark;
+        impl Handler for Mark {
             fn name(&self) -> &str {
-                "set"
+                "mark"
             }
             fn process(&mut self, ctx: &mut MessageContext) -> HandlerOutcome {
-                ctx.set_property("k", "v");
+                ctx.envelope.push_header(Element::new("marked"));
                 HandlerOutcome::Continue
             }
         }
-        struct CheckP;
-        impl Handler for CheckP {
+        struct Check;
+        impl Handler for Check {
             fn name(&self) -> &str {
                 "check"
             }
             fn process(&mut self, ctx: &mut MessageContext) -> HandlerOutcome {
-                assert_eq!(ctx.property("k"), Some("v"));
+                assert_eq!(ctx.envelope.headers().len(), 1, "the handler before this one ran");
                 HandlerOutcome::Consumed
             }
         }
         let mut chain = HandlerChain::new();
-        chain.push(Box::new(SetP));
-        chain.push(Box::new(CheckP));
+        chain.push(Box::new(Mark));
+        chain.push(Box::new(Check));
         let result = chain.process(Direction::Inbound, env(), "http://me");
         assert!(matches!(result.disposition, Disposition::Consumed));
     }
@@ -445,13 +409,5 @@ mod tests {
         let result = chain.process(Direction::Inbound, env(), "http://me");
         assert!(matches!(result.disposition, Disposition::Faulted(_)));
         assert_eq!(result.sends.len(), 1);
-    }
-
-    #[test]
-    fn push_front_reorders() {
-        let mut chain = HandlerChain::new();
-        chain.push(Box::new(Counter { seen: 0 }));
-        chain.push_front(Box::new(Sink));
-        assert_eq!(chain.handler_names(), ["sink", "counter"]);
     }
 }

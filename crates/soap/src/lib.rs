@@ -7,7 +7,8 @@
 //! middleware stack* of the paper's §3, an ordered set of handlers through
 //! which every inbound and outbound message flows, and which a handler (the
 //! gossip layer) may use to intercept and **re-route** messages to selected
-//! destinations.
+//! destinations. The crate ships the chain and the [`Handler`] trait, not
+//! handlers: the one this workspace installs is `ws_gossip`'s gossip layer.
 //!
 //! ## Example
 //!
@@ -31,8 +32,7 @@ pub mod batch;
 pub mod envelope;
 pub mod fault;
 pub mod handler;
-pub mod handlers;
-pub mod qnames;
+mod qnames;
 pub mod uuid;
 
 mod error;
@@ -51,7 +51,4 @@ pub const SOAP_ENV_NS: &str = "http://www.w3.org/2003/05/soap-envelope";
 pub const WSA_NS: &str = "http://www.w3.org/2005/08/addressing";
 
 /// WS-Addressing anonymous endpoint URI (reply to the connection peer).
-pub const WSA_ANONYMOUS: &str = "http://www.w3.org/2005/08/addressing/anonymous";
-
-/// WS-Addressing "none" endpoint URI (discard replies).
-pub const WSA_NONE: &str = "http://www.w3.org/2005/08/addressing/none";
+pub(crate) const WSA_ANONYMOUS: &str = "http://www.w3.org/2005/08/addressing/anonymous";

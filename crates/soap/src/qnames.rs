@@ -10,38 +10,38 @@ use wsg_xml::QName;
 use crate::{SOAP_ENV_NS, WSA_NS};
 
 /// `env:Envelope`.
-pub static ENVELOPE: QName = QName::interned(SOAP_ENV_NS, "env", "Envelope");
+pub(crate) static ENVELOPE: QName = QName::interned(SOAP_ENV_NS, "env", "Envelope");
 
 /// `env:Header`.
-pub static HEADER: QName = QName::interned(SOAP_ENV_NS, "env", "Header");
+pub(crate) static HEADER: QName = QName::interned(SOAP_ENV_NS, "env", "Header");
 
 /// `env:Body`.
-pub static BODY: QName = QName::interned(SOAP_ENV_NS, "env", "Body");
+pub(crate) static BODY: QName = QName::interned(SOAP_ENV_NS, "env", "Body");
 
 /// `wsa:To`.
-pub static WSA_TO: QName = QName::interned(WSA_NS, "wsa", "To");
+pub(crate) static WSA_TO: QName = QName::interned(WSA_NS, "wsa", "To");
 
 /// `wsa:Action`.
-pub static WSA_ACTION: QName = QName::interned(WSA_NS, "wsa", "Action");
+pub(crate) static WSA_ACTION: QName = QName::interned(WSA_NS, "wsa", "Action");
 
 /// `wsa:MessageID`.
-pub static WSA_MESSAGE_ID: QName = QName::interned(WSA_NS, "wsa", "MessageID");
+pub(crate) static WSA_MESSAGE_ID: QName = QName::interned(WSA_NS, "wsa", "MessageID");
 
 /// `wsa:RelatesTo`.
-pub static WSA_RELATES_TO: QName = QName::interned(WSA_NS, "wsa", "RelatesTo");
+pub(crate) static WSA_RELATES_TO: QName = QName::interned(WSA_NS, "wsa", "RelatesTo");
 
 /// `wsa:From`.
-pub static WSA_FROM: QName = QName::interned(WSA_NS, "wsa", "From");
+pub(crate) static WSA_FROM: QName = QName::interned(WSA_NS, "wsa", "From");
 
 /// `wsa:ReplyTo`.
-pub static WSA_REPLY_TO: QName = QName::interned(WSA_NS, "wsa", "ReplyTo");
+pub(crate) static WSA_REPLY_TO: QName = QName::interned(WSA_NS, "wsa", "ReplyTo");
 
 /// `wsa:FaultTo`.
-pub static WSA_FAULT_TO: QName = QName::interned(WSA_NS, "wsa", "FaultTo");
+pub(crate) static WSA_FAULT_TO: QName = QName::interned(WSA_NS, "wsa", "FaultTo");
 
 /// `wsa:Address`.
-pub static WSA_ADDRESS: QName = QName::interned(WSA_NS, "wsa", "Address");
+pub(crate) static WSA_ADDRESS: QName = QName::interned(WSA_NS, "wsa", "Address");
 
 /// `wsa:ReferenceParameters`.
-pub static WSA_REFERENCE_PARAMETERS: QName =
+pub(crate) static WSA_REFERENCE_PARAMETERS: QName =
     QName::interned(WSA_NS, "wsa", "ReferenceParameters");

@@ -10,7 +10,7 @@ use wsg_net::Rng64;
 /// ```
 /// use wsg_soap::Uuid;
 ///
-/// let id = Uuid::from_u128(0x0123_4567_89ab_cdef_0123_4567_89ab_cdef);
+/// let id = Uuid::random(&mut wsg_net::SplitMix64::new(7));
 /// let text = id.to_string();
 /// assert_eq!(text.parse::<Uuid>().unwrap(), id);
 /// ```
@@ -20,7 +20,7 @@ pub struct Uuid(u128);
 impl Uuid {
     /// Build from raw bits, forcing the RFC 4122 version (4) and variant
     /// bits so the result is always a well-formed v4 UUID.
-    pub fn from_u128(bits: u128) -> Self {
+    fn from_u128(bits: u128) -> Self {
         let versioned = (bits & !(0xF << 76)) | (0x4 << 76);
         let varianted = (versioned & !(0x3 << 62)) | (0x2 << 62);
         Uuid(varianted)
@@ -32,11 +32,6 @@ impl Uuid {
         let hi = rng.next_u64() as u128;
         let lo = rng.next_u64() as u128;
         Uuid::from_u128((hi << 64) | lo)
-    }
-
-    /// The raw 128 bits.
-    pub fn as_u128(&self) -> u128 {
-        self.0
     }
 
     /// Render as a `urn:uuid:...` URI, the form WS-Addressing uses for
@@ -148,7 +143,7 @@ mod tests {
             (hi << 64) | lo
         });
         for raw in corners.into_iter().chain(randoms) {
-            let bits = Uuid::from_u128(raw).as_u128();
+            let bits = Uuid::from_u128(raw).0;
             assert_eq!((bits >> 76) & 0xF, 0x4, "version nibble for {raw:#x}");
             assert_eq!((bits >> 62) & 0x3, 0x2, "variant bits for {raw:#x}");
             // Everything outside the forced bits is preserved verbatim.

@@ -34,15 +34,15 @@ pub enum ArrivalProcess {
 ///
 /// ```
 /// use wsg_workloads::{ArrivalProcess, Arrivals};
-/// use wsg_net::{Pcg32, SimDuration};
+/// use wsg_net::{Pcg32, SimDuration, SimTime};
 ///
 /// let mut arrivals = Arrivals::new(ArrivalProcess::Constant {
 ///     period: SimDuration::from_millis(10),
 /// });
 /// let mut rng = Pcg32::new(1, 0);
-/// let first = arrivals.next_arrival(&mut rng);
-/// let second = arrivals.next_arrival(&mut rng);
-/// assert_eq!((second - first).as_millis(), 10);
+/// let times = arrivals.schedule_until(SimTime::from_millis(25), &mut rng);
+/// assert_eq!(times.len(), 2);
+/// assert_eq!((times[1] - times[0]).as_millis(), 10);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Arrivals {
@@ -58,7 +58,7 @@ impl Arrivals {
     }
 
     /// The time of the next event (strictly increasing).
-    pub fn next_arrival<R: Rng64 + ?Sized>(&mut self, rng: &mut R) -> SimTime {
+    fn next_arrival<R: Rng64 + ?Sized>(&mut self, rng: &mut R) -> SimTime {
         let gap = match &self.process {
             ArrivalProcess::Constant { period } => *period,
             ArrivalProcess::Poisson { rate_per_sec } => {

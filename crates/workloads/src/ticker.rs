@@ -74,13 +74,8 @@ impl StockTicker {
         }
     }
 
-    /// Number of symbols.
-    pub fn symbol_count(&self) -> usize {
-        self.prices.len()
-    }
-
     /// The symbol name of a rank.
-    pub fn symbol_name(rank: usize) -> String {
+    fn symbol_name(rank: usize) -> String {
         format!("SYM{rank:02}")
     }
 

@@ -216,7 +216,7 @@ pub fn is_xml_char(c: char) -> bool {
 
 /// Whether `c` may start an XML name (`NameStartChar`, minus the rarely
 /// used supplementary ranges kept for simplicity).
-pub fn is_name_start(c: char) -> bool {
+pub(crate) fn is_name_start(c: char) -> bool {
     c == ':' || c == '_' || c.is_ascii_alphabetic() || matches!(c,
         '\u{C0}'..='\u{D6}' | '\u{D8}'..='\u{F6}' | '\u{F8}'..='\u{2FF}'
         | '\u{370}'..='\u{37D}' | '\u{37F}'..='\u{1FFF}' | '\u{200C}'..='\u{200D}'
@@ -225,7 +225,7 @@ pub fn is_name_start(c: char) -> bool {
 }
 
 /// Whether `c` may continue an XML name (`NameChar`).
-pub fn is_name_char(c: char) -> bool {
+pub(crate) fn is_name_char(c: char) -> bool {
     is_name_start(c)
         || c == '-'
         || c == '.'
@@ -239,7 +239,7 @@ pub fn is_name_char(c: char) -> bool {
 /// (per XML 1.0), so it accepts `wsa:0` — whose local part the writer
 /// then refuses to serialise. Parsers that resolve prefixes must use this
 /// instead (regression: fuzz/corpus/regressions/xml/79758a29844b826c).
-pub fn validate_qname(lexical: &str) -> Result<(), XmlError> {
+pub(crate) fn validate_qname(lexical: &str) -> Result<(), XmlError> {
     let invalid = || XmlError::new(XmlErrorKind::InvalidName(lexical.to_string()), 0);
     let (prefix, local) = match lexical.split_once(':') {
         Some((prefix, local)) => (Some(prefix), local),
@@ -255,7 +255,7 @@ pub fn validate_qname(lexical: &str) -> Result<(), XmlError> {
 }
 
 /// Validate that `name` is a legal XML name.
-pub fn validate_name(name: &str) -> Result<(), XmlError> {
+pub(crate) fn validate_name(name: &str) -> Result<(), XmlError> {
     let mut chars = name.chars();
     match chars.next() {
         Some(c) if is_name_start(c) => {}

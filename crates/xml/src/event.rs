@@ -63,7 +63,8 @@ impl XmlEvent {
 
     /// Convenience: is this an end of the element with the given resolved
     /// namespace + local name?
-    pub fn is_end_of(&self, ns: Option<&str>, local: &str) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_end_of(&self, ns: Option<&str>, local: &str) -> bool {
         matches!(self, XmlEvent::EndElement { name } if name.matches(ns, local))
     }
 }

@@ -46,7 +46,4 @@ pub use tree::Element;
 pub use writer::XmlWriter;
 
 /// The XML namespace URI bound to the reserved `xml` prefix.
-pub const XML_NS: &str = "http://www.w3.org/XML/1998/namespace";
-
-/// The namespace URI bound to the reserved `xmlns` prefix.
-pub const XMLNS_NS: &str = "http://www.w3.org/2000/xmlns/";
+pub(crate) const XML_NS: &str = "http://www.w3.org/XML/1998/namespace";

@@ -57,11 +57,6 @@ impl QName {
         }
     }
 
-    /// A statically known name with no namespace (see [`QName::interned`]).
-    pub const fn interned_local(local: &'static str) -> Self {
-        QName { namespace: None, prefix: None, local: Cow::Borrowed(local) }
-    }
-
     /// Attach a suggested prefix (presentation only).
     pub fn with_prefix(mut self, prefix: impl Into<String>) -> Self {
         self.prefix = Some(Cow::Owned(prefix.into()));
@@ -70,7 +65,7 @@ impl QName {
 
     /// Split a lexical `prefix:local` form into `(Some(prefix), local)` or
     /// `(None, name)`.
-    pub fn split_lexical(lexical: &str) -> (Option<&str>, &str) {
+    pub(crate) fn split_lexical(lexical: &str) -> (Option<&str>, &str) {
         match lexical.split_once(':') {
             Some((p, l)) => (Some(p), l),
             None => (None, lexical),
@@ -95,14 +90,6 @@ impl QName {
     /// True when namespace URI and local part both match.
     pub fn matches(&self, ns: Option<&str>, local: &str) -> bool {
         self.namespace.as_deref() == ns && self.local == local
-    }
-
-    /// The lexical form as written in a document (`prefix:local` or `local`).
-    pub fn lexical(&self) -> String {
-        match &self.prefix {
-            Some(p) => format!("{p}:{}", self.local),
-            None => self.local.clone().into_owned(),
-        }
     }
 }
 
@@ -145,7 +132,7 @@ impl From<String> for QName {
 /// A stack of in-scope namespace declarations the writer resolves and
 /// allocates prefixes against (the reader keeps its own borrowed form).
 #[derive(Debug, Clone, Default)]
-pub struct NamespaceScope {
+pub(crate) struct NamespaceScope {
     // (depth, prefix, uri); "" prefix is the default namespace.
     bindings: Vec<(usize, String, String)>,
     depth: usize,
@@ -161,12 +148,12 @@ impl NamespaceScope {
     }
 
     /// Enter an element scope.
-    pub fn push_scope(&mut self) {
+    pub(crate) fn push_scope(&mut self) {
         self.depth += 1;
     }
 
     /// Leave an element scope, dropping its declarations.
-    pub fn pop_scope(&mut self) {
+    pub(crate) fn pop_scope(&mut self) {
         while matches!(self.bindings.last(), Some((d, _, _)) if *d == self.depth) {
             self.bindings.pop();
         }
@@ -193,7 +180,7 @@ impl NamespaceScope {
     }
 
     /// Find a prefix already bound to `uri`, preferring the innermost.
-    pub fn prefix_for(&self, uri: &str) -> Option<&str> {
+    pub(crate) fn prefix_for(&self, uri: &str) -> Option<&str> {
         self.bindings
             .iter()
             .rev()

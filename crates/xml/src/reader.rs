@@ -268,7 +268,7 @@ impl<'a> XmlReader<'a> {
 
     /// Owned name and attributes (namespace declarations excluded) of the
     /// start tag last read — what [`XmlEvent::StartElement`] carries.
-    pub fn start_tag(&self) -> (QName, Vec<Attribute>) {
+    pub(crate) fn start_tag(&self) -> (QName, Vec<Attribute>) {
         let attributes = self
             .attrs
             .iter()
@@ -1130,7 +1130,7 @@ mod tests {
         // Namespace declarations are not attributes.
         assert_eq!(r.attribute(None, "xmlns"), None);
         assert_eq!(r.attribute(None, "p"), None);
-        assert_eq!(r.attribute(Some(crate::XMLNS_NS), "r"), None);
+        assert_eq!(r.attribute(Some("http://www.w3.org/2000/xmlns/"), "r"), None);
         assert_eq!(r.attribute(Some("urn:r"), "k"), None);
         // Nothing open: nothing named.
         assert_eq!(XmlReader::new("<a/>").element_name(), (None, ""));

@@ -199,21 +199,6 @@ impl Element {
         before - self.content.len()
     }
 
-    /// Replace the first child with local name `local`, or append when
-    /// absent. Returns the previous child if one was replaced.
-    pub fn replace_child(&mut self, child: Element) -> Option<Element> {
-        let local = child.local_name().to_string();
-        for node in &mut self.content {
-            if let Node::Element(existing) = node {
-                if existing.local_name() == local {
-                    return Some(std::mem::replace(existing, child));
-                }
-            }
-        }
-        self.push_child(child);
-        None
-    }
-
     /// Concatenated text content of this element (direct text nodes only).
     pub fn text(&self) -> String {
         let mut out = String::new();
@@ -234,18 +219,6 @@ impl Element {
     /// True when the element has no content.
     pub fn is_empty(&self) -> bool {
         self.content.is_empty()
-    }
-
-    /// Total number of elements in this subtree, including self.
-    pub fn subtree_size(&self) -> usize {
-        1 + self
-            .content
-            .iter()
-            .map(|n| match n {
-                Node::Element(e) => e.subtree_size(),
-                Node::Text(_) => 0,
-            })
-            .sum::<usize>()
     }
 
     /// Parse a document and return its root element.
@@ -441,11 +414,6 @@ impl Element {
         }
         current
     }
-
-    /// Text of the first element matched by [`Element::select`], if any.
-    pub fn select_text(&self, path: &str) -> Option<String> {
-        self.select(path).first().map(|e| e.text())
-    }
 }
 
 impl std::fmt::Display for Element {
@@ -467,7 +435,6 @@ mod tests {
         assert_eq!(tick.attr("seq"), Some("9"));
         assert_eq!(tick.child("price").unwrap().text(), "101.25");
         assert_eq!(tick.children().len(), 2);
-        assert_eq!(tick.subtree_size(), 3);
     }
 
     #[test]
@@ -530,12 +497,11 @@ mod tests {
         let mut e = Element::parse("<a><b>1</b><c/><b>2</b></a>").unwrap();
         assert_eq!(e.remove_children("b"), 2);
         assert_eq!(e.children().len(), 1);
-        let old = e.replace_child(Element::text_node("c", "new"));
-        assert!(old.is_some());
+        // To replace is to remove, then add.
+        assert_eq!(e.remove_children("c"), 1);
+        e.push_child(Element::text_node("c", "new"));
         assert_eq!(e.child("c").unwrap().text(), "new");
-        let none = e.replace_child(Element::text_node("d", "x"));
-        assert!(none.is_none());
-        assert_eq!(e.children().len(), 2);
+        assert_eq!(e.remove_children("d"), 0);
     }
 
     #[test]
@@ -546,7 +512,7 @@ mod tests {
         .unwrap();
         assert_eq!(doc.select("body/tick").len(), 2);
         assert_eq!(doc.select("body/tick/symbol")[0].text(), "ACME");
-        assert_eq!(doc.select_text("body/tick/price").as_deref(), Some("10"));
+        assert_eq!(doc.select("body/tick/price")[0].text(), "10");
         assert_eq!(doc.select("*/*/symbol").len(), 2);
         assert!(doc.select("nope").is_empty());
         assert!(doc.select("").is_empty(), "empty path selects nothing");

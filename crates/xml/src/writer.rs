@@ -305,19 +305,6 @@ impl XmlWriter {
         Ok(())
     }
 
-    /// Convenience: `start_element` + `text` + `end_element`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying writer errors.
-    pub fn text_element(&mut self, name: &QName, text: &str) -> Result<(), XmlError> {
-        self.start_element(name)?;
-        if !text.is_empty() {
-            self.text(text)?;
-        }
-        self.end_element()
-    }
-
     /// Finish the document and return the XML string.
     ///
     /// # Errors
@@ -541,7 +528,9 @@ mod tests {
         let env = QName::with_ns("urn:env", "Envelope").with_prefix("env");
         w.start_element(&env).unwrap();
         w.attribute(&QName::new("version"), "1.0").unwrap();
-        w.text_element(&QName::with_ns("urn:env", "Body"), "payload & more").unwrap();
+        w.start_element(&QName::with_ns("urn:env", "Body")).unwrap();
+        w.text("payload & more").unwrap();
+        w.end_element().unwrap();
         w.end_element().unwrap();
         let xml = w.finish().unwrap();
         let root = crate::tree::Element::parse(&xml).unwrap();

@@ -443,7 +443,7 @@ fn foreign_notification(
         round: 1,
     };
     let template = wsg_soap::Envelope::request(
-        wsg_soap::MessageHeaders::request(endpoint_of(to), ws_gossip::actions::notify())
+        wsg_soap::MessageHeaders::request(endpoint_of(to), ws_gossip::actions::NOTIFY)
             .with_message_id(format!("urn:uuid:foreign-{seq}")),
         Element::new("placeholder"),
     )
