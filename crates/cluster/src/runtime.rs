@@ -268,10 +268,11 @@ fn stop_pump(slot: &mut ClusterSlot) {
 /// The heartbeat pump: every `interval`, advance the plane one round and
 /// push the heartbeat to its chosen targets — piggybacked onto an
 /// outbound gossip batch already forming for that peer when there is one
-/// (no extra request at all), POSTed directly otherwise. Refused direct
-/// targets are reported back ([`MembershipPlane::note_unreachable`]) and
-/// their pooled connections evicted, as are all currently-dead members'
-/// addresses.
+/// (no extra request at all), POSTed directly otherwise, as a batch of one
+/// front-coded against the last heartbeat the pump's connection to that
+/// peer carried. Refused direct targets are reported back
+/// ([`MembershipPlane::note_unreachable`]) and their pooled connections
+/// evicted, as are all currently-dead members' addresses.
 fn spawn_pump(
     plane: Arc<MembershipPlane>,
     stop: Arc<AtomicBool>,
@@ -288,7 +289,6 @@ fn spawn_pump(
                     break;
                 }
                 let (message, targets) = plane.tick();
-                let action = message.action();
                 for (member, addr) in targets {
                     let xml = message.to_envelope(membership_uri(addr)).to_xml();
                     // A batch already headed to this peer carries the
@@ -299,7 +299,8 @@ fn spawn_pump(
                     if outbound.piggyback(member, MEMBERSHIP_TARGET, &xml) {
                         continue;
                     }
-                    match client.post(addr, MEMBERSHIP_TARGET, Some(&action), &[], xml.as_bytes()) {
+                    let heartbeat = std::iter::once((None, [xml.as_str(), "", ""]));
+                    match client.post_batch(addr, MEMBERSHIP_TARGET, &[], heartbeat) {
                         Ok(_) => {}
                         // Refused means nobody is listening — condemn. A
                         // timeout is only load (the φ detector will catch

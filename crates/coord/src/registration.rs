@@ -162,28 +162,6 @@ impl RegistrationService {
         self.participants(context).len()
     }
 
-    /// Build the grant for `participant`: everyone else in the context.
-    /// The caller (the coordinator node) trims the peer list to `fanout`
-    /// random picks per round, or hands out the full list and lets the
-    /// gossip layer sample — both are supported by the protocol; handing
-    /// the full list trades registration-message size for coordinator
-    /// statelessness between rounds.
-    pub fn grant_for(
-        &self,
-        context: &str,
-        participant: &str,
-        fanout: usize,
-        rounds: u32,
-    ) -> GossipGrant {
-        let peers = self
-            .participants(context)
-            .iter()
-            .filter(|p| p.as_str() != participant)
-            .cloned()
-            .collect();
-        GossipGrant { fanout, rounds, peers }
-    }
-
     /// All (context, participant) pairs — the replication snapshot.
     pub fn snapshot(&self) -> Vec<(String, String)> {
         let mut out: Vec<(String, String)> = self
@@ -250,18 +228,6 @@ mod tests {
     }
 
     #[test]
-    fn grants_exclude_the_requester() {
-        let mut reg = RegistrationService::new();
-        for node in ["http://n1", "http://n2", "http://n3"] {
-            reg.register("ctx", node);
-        }
-        let grant = reg.grant_for("ctx", "http://n2", 2, 5);
-        assert_eq!(grant.peers, vec!["http://n1".to_string(), "http://n3".to_string()]);
-        assert_eq!(grant.fanout, 2);
-        assert_eq!(grant.rounds, 5);
-    }
-
-    #[test]
     fn deregister_removes() {
         let mut reg = RegistrationService::new();
         reg.register("ctx", "http://n1");
@@ -278,7 +244,7 @@ mod tests {
         reg.register("b", "http://n2");
         assert_eq!(reg.participant_count("a"), 1);
         assert_eq!(reg.participant_count("b"), 1);
-        assert!(reg.grant_for("a", "http://n1", 3, 3).peers.is_empty());
+        assert_eq!(reg.participants("a"), ["http://n1".to_string()]);
     }
 
     #[test]

@@ -1076,6 +1076,32 @@ mod tests {
     }
 
     #[test]
+    fn the_coordinator_grants_everyone_but_the_registering_node() {
+        use crate::scenario::{activate, build_figure1_network, notify, subscribe_all, Figure1Shape};
+        let shape = Figure1Shape { disseminators: 3, consumers: 1 };
+        let mut net = build_figure1_network(wsg_net::sim::SimConfig::default().seed(5), shape);
+        subscribe_all(&mut net, "quotes");
+        net.run_to_quiescence();
+        activate(&mut net, "quotes");
+        net.run_to_quiescence();
+        notify(&mut net, "quotes", Element::text_node("tick", "ACME 101.25"));
+        net.run_to_quiescence();
+        let context = net.node(NodeId(1)).context_for("quotes").expect("activated");
+        let context = context.identifier().to_string();
+        // Every node with a gossip layer registered; its grant names the
+        // other participants and subscribers, never itself.
+        for id in (1..5).map(NodeId) {
+            let node = net.node(id);
+            let grant = node.layer.as_ref().and_then(|layer| layer.grant(&context)).expect("granted");
+            let others: Vec<String> =
+                (1..6).filter(|&n| n != id.index()).map(|n| endpoint_of(NodeId(n))).collect();
+            let mut peers = grant.peers.clone();
+            peers.sort();
+            assert_eq!(peers, others, "{id}");
+        }
+    }
+
+    #[test]
     fn with_seed_keeps_earlier_builder_calls() {
         #[derive(Debug)]
         struct NobodyLive;

@@ -173,7 +173,7 @@ fn main() -> ExitCode {
 fn write_seeds() -> std::io::Result<usize> {
     use wsg_cluster::proto::{ClusterMessage, MemberEntry};
     use wsg_net::NodeId;
-    use wsg_soap::batch::{write_batch, BatchItem};
+    use wsg_soap::batch::{text_of, write_batch, write_batch_parts, BatchItem};
     use wsg_soap::{Envelope, Fault, FaultCode, MessageHeaders};
     use wsg_xml::Element;
 
@@ -303,6 +303,17 @@ fn write_seeds() -> std::io::Result<usize> {
     write_batch(&forwards.each_ref().map(|xml| BatchItem { target: None, xml }), &mut front_coded);
     assert_eq!(front_coded.matches(" pre=\"").count(), 2);
     let pre_hostile = front_coded.replacen(" pre=\"", " pre=\"9", 1);
+    // The next request on that connection: its one message coded against
+    // the last one of the request before — the reference, then a NUL, then
+    // the document. Without the reference (a fresh connection) the same
+    // document must be refused.
+    let said = text_of(&forwards[2]);
+    let mut next = String::new();
+    let fifteen = notification(15);
+    let item = std::iter::once((None, [fifteen.as_str(), "", ""]));
+    write_batch_parts(item, &mut said.to_string(), &mut next);
+    assert!(next.contains("<wsgb:Msg pre=\""), "{next}");
+    let connection_pre = format!("{said}\0{next}");
 
     type TargetSeeds<'a> = (&'a str, &'a [(&'a str, &'a [u8])]);
     let seeds: &[TargetSeeds<'_>] = &[
@@ -356,6 +367,8 @@ fn write_seeds() -> std::io::Result<usize> {
                 ("leaning", leaning.as_bytes()),
                 ("front-coded", front_coded.as_bytes()),
                 ("pre-hostile", pre_hostile.as_bytes()),
+                ("connection-pre", connection_pre.as_bytes()),
+                ("pre-fresh-connection", next.as_bytes()),
             ],
         ),
         (

@@ -9,7 +9,7 @@
 use wsg_cluster::proto::ClusterMessage;
 use wsg_http::parser::{Parsed, RequestParser, ResponseParser};
 use wsg_http::Request;
-use wsg_soap::batch::{is_batch, parse_wire, unbundle, Unbundled};
+use wsg_soap::batch::{is_batch, parse_wire, parse_wire_after, text_of, unbundle, Unbundled};
 use wsg_soap::{
     EndpointReference, Envelope, Fault, MessageHeaders, SoapError, SOAP_ENV_NS, WSA_NS,
 };
@@ -279,9 +279,8 @@ impl FuzzTarget for XmlTarget {
 /// block's bytes — equals what the reference's trees say; its addressing,
 /// headers, `body()` and fault equal the reference's; its serialisation
 /// (which splices header blocks and the payload as bytes when it may)
-/// re-parses to the reference envelope; that serialisation is a fixed
-/// point — `parse(to_xml(parse(x)))` serialises to the same bytes again;
-/// and `Envelope::addressing_of` agrees with the parse.
+/// re-parses to the reference envelope; and that serialisation is a fixed
+/// point — `parse(to_xml(parse(x)))` serialises to the same bytes again.
 pub struct EnvelopeTarget;
 
 /// The reference decode: the whole document as a tree first, then the
@@ -412,32 +411,10 @@ fn check_against_eager(envelope: &Envelope, reference: &Envelope) -> Result<(), 
     Ok(())
 }
 
-/// `Envelope::addressing_of` is the parse's pass with nothing recorded: it
-/// must say what `parsed` says — the same properties or the same error
-/// class — except of a body whose `env:Fault` is none, which it does not
-/// look into.
-fn check_addressing_only(text: &str, parsed: &Result<Envelope, SoapError>) -> Result<(), String> {
-    let bad_fault = || {
-        let root = Element::parse(text).ok()?;
-        let first = root.child_ns(SOAP_ENV_NS, "Body")?.children().first().copied()?.clone();
-        Some(first.name().matches(Some(SOAP_ENV_NS), "Fault") && Fault::from_element(&first).is_err())
-    };
-    match (Envelope::addressing_of(text), parsed) {
-        (Ok(addressing), Ok(envelope)) if addressing == *envelope.addressing() => Ok(()),
-        (Err(only), Err(full)) if std::mem::discriminant(&only) == std::mem::discriminant(full) => {
-            Ok(())
-        }
-        (Ok(_), Err(_)) if bad_fault() == Some(true) => Ok(()),
-        (only, full) => Err(format!("addressing_of says {only:?}, the parse {full:?}")),
-    }
-}
-
 /// Both decodes of `text` must agree: same verdict, same error class,
 /// same envelope.
 fn differential_parse(text: &str) -> Result<(), String> {
-    let parsed = Envelope::parse(text);
-    check_addressing_only(text, &parsed)?;
-    match (parsed, eager_parse(text)) {
+    match (Envelope::parse(text), eager_parse(text)) {
         (Ok(envelope), Ok(reference)) => check_against_eager(&envelope, &reference),
         (Err(lazy), Err(eager)) => {
             if std::mem::discriminant(&lazy) != std::mem::discriminant(&eager) {
@@ -467,16 +444,20 @@ impl FuzzTarget for EnvelopeTarget {
 // Batch wire
 // ---------------------------------------------------------------------
 
-/// `wsg_soap::batch::parse_wire` vs the tree path (`Element::parse` +
-/// `unbundle`).
+/// `wsg_soap::batch::parse_wire_after` vs the tree path (`Element::parse`,
+/// then `unbundle`). The input is a connection's reference text and a
+/// wire document, split at the first NUL (no NUL: a fresh connection).
 ///
 /// Oracles: the streaming classifier — which builds no tree — agrees with
 /// the tree walk on what is a batch, on every message's target and on the
 /// envelope-shape verdict; each streamed message's `raw` is a standalone
 /// document that decodes exactly as the tree walk's re-serialisation
-/// does (byte-identity recovery), under the envelope differential; and a
-/// front-coded message's `raw` is, byte for byte, what the tree walk puts
-/// together from the `pre` and the text its tree holds.
+/// does (byte-identity recovery), under the envelope differential; a
+/// front-coded message's `raw` — the first one coded against the
+/// reference — is, byte for byte, what the tree walk puts together from
+/// the `pre` and the text its tree holds; both leave the same reference
+/// behind; and on a fresh connection `parse_wire` says what
+/// `parse_wire_after` does.
 pub struct BatchTarget;
 
 /// The envelope shape `parse_wire` checks by skipping, read off a tree.
@@ -491,8 +472,17 @@ impl FuzzTarget for BatchTarget {
     }
 
     fn run(&self, input: &[u8]) -> Result<(), String> {
-        let text = String::from_utf8_lossy(input);
-        let streamed = parse_wire(&text);
+        let (reference, wire) = match input.iter().position(|&byte| byte == 0) {
+            Some(nul) => (&input[..nul], &input[nul + 1..]),
+            None => (&b""[..], input),
+        };
+        let reference = String::from_utf8_lossy(reference).into_owned();
+        let text = String::from_utf8_lossy(wire);
+        let mut left = reference.clone();
+        let streamed = parse_wire_after(&text, &mut left);
+        if reference.is_empty() && parse_wire(&text) != streamed {
+            return Err("parse_wire and parse_wire_after an empty reference disagree".into());
+        }
         let tree = Element::parse(&text);
         match (streamed, tree) {
             (Ok(_), Err(error)) => Err(format!(
@@ -505,12 +495,21 @@ impl FuzzTarget for BatchTarget {
                 if shape.is_ok() != has_envelope_shape(&parsed) {
                     return Err(format!("parse_wire's shape verdict {shape:?} is not the tree's"));
                 }
+                if left != text_of(&text) {
+                    return Err(format!("a bare document left {left:?} as the reference"));
+                }
                 Ok(())
             }
             (Ok(Unbundled::Batch(messages)), Ok(parsed)) => {
-                let via_tree = unbundle(&text).map_err(|error| {
+                let mut walked = reference.clone();
+                let via_tree = unbundle(&text, &mut walked).map_err(|error| {
                     format!("parse_wire accepted a batch unbundle rejects: {error}")
                 })?;
+                if walked != left {
+                    return Err(format!(
+                        "the stream left {left:?} as the reference, the tree walk {walked:?}"
+                    ));
+                }
                 if messages.len() != via_tree.len() {
                     return Err(format!(
                         "streamed {} messages, tree walk {}",
@@ -551,7 +550,7 @@ impl FuzzTarget for BatchTarget {
                 // A structural rejection must be one the tree walk makes
                 // too — otherwise parse_wire dropped a valid document.
                 if is_batch(&parsed) {
-                    if unbundle(&text).is_ok() {
+                    if unbundle(&text, &mut reference.clone()).is_ok() {
                         return Err("parse_wire rejected a batch unbundle accepts".into());
                     }
                     Ok(())

@@ -72,4 +72,25 @@ fn the_foreign_seeds_reach_the_splice_fallback_branches() {
     let pair = edges(&BatchTarget, seed("batch", "pair"));
     let leaning = edges(&BatchTarget, seed("batch", "leaning"));
     assert!(leaning.difference(&pair).next().is_some());
+    // A first message coded against the request before it is a probe of
+    // its own, which a batch coded only within itself never lights.
+    let within = edges(&BatchTarget, seed("batch", "front-coded"));
+    let across = edges(&BatchTarget, seed("batch", "connection-pre"));
+    assert!(across.difference(&within).next().is_some());
+}
+
+#[test]
+fn a_pre_on_the_first_message_needs_the_request_before_it() {
+    use wsg_soap::batch::{parse_wire, parse_wire_after, Unbundled};
+    use wsg_soap::SoapError;
+    let seed = |name: &str| {
+        std::fs::read(corpus::dir_for("batch").join(format!("seed-{name}"))).unwrap()
+    };
+    let connection = seed("connection-pre");
+    let nul = connection.iter().position(|&byte| byte == 0).expect("reference, NUL, document");
+    let said = std::str::from_utf8(&connection[..nul]).unwrap();
+    let wire = std::str::from_utf8(&connection[nul + 1..]).unwrap();
+    assert_eq!(wire.as_bytes(), seed("pre-fresh-connection"));
+    assert!(matches!(parse_wire_after(wire, &mut said.to_string()), Ok(Unbundled::Batch(_))));
+    assert!(matches!(parse_wire(wire), Err(SoapError::Batch(_))), "a fresh connection");
 }

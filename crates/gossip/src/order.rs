@@ -66,30 +66,6 @@ impl<T> FifoBuffer<T> {
     pub(crate) fn held_count(&self) -> usize {
         self.held.values().map(BTreeMap::len).sum()
     }
-
-    /// Next expected sequence number for `origin`.
-    pub fn next_seq(&self, origin: NodeId) -> u64 {
-        self.next.get(&origin).copied().unwrap_or(0)
-    }
-
-    /// Skip ahead for `origin` (e.g. after deciding a gap is permanent —
-    /// a paid message loss). Releases whatever becomes contiguous.
-    pub fn skip_to(&mut self, origin: NodeId, seq: u64) -> Vec<(MsgId, T)> {
-        let next = self.next.entry(origin).or_insert(0);
-        if seq <= *next {
-            return Vec::new();
-        }
-        let held = self.held.entry(origin).or_default();
-        // Drop anything below the new floor.
-        *held = held.split_off(&seq);
-        *next = seq;
-        let mut released = Vec::new();
-        while let Some(payload) = held.remove(next) {
-            released.push((MsgId::new(origin, *next), payload));
-            *next += 1;
-        }
-        released
-    }
 }
 
 #[cfg(test)]
@@ -138,25 +114,5 @@ mod tests {
         assert!(fifo.accept(id(0, 0), "a").is_empty(), "released duplicate");
         assert!(fifo.accept(id(0, 2), "c").is_empty());
         assert!(fifo.accept(id(0, 2), "c").is_empty(), "held duplicate");
-    }
-
-    #[test]
-    fn skip_to_unblocks_after_permanent_loss() {
-        let mut fifo = FifoBuffer::new();
-        assert!(fifo.accept(id(0, 5), "f").is_empty());
-        assert!(fifo.accept(id(0, 6), "g").is_empty());
-        // seq 0..=4 declared lost:
-        let out = fifo.skip_to(NodeId(0), 5);
-        let seqs: Vec<u64> = out.iter().map(|(i, _)| i.seq()).collect();
-        assert_eq!(seqs, [5, 6]);
-        assert_eq!(fifo.next_seq(NodeId(0)), 7);
-    }
-
-    #[test]
-    fn skip_backwards_is_a_no_op() {
-        let mut fifo = FifoBuffer::new();
-        fifo.accept(id(0, 0), "a");
-        assert!(fifo.skip_to(NodeId(0), 0).is_empty());
-        assert_eq!(fifo.next_seq(NodeId(0)), 1);
     }
 }

@@ -11,9 +11,10 @@
 //!
 //! Flush-on-idle is implicit in the wakeup protocol: every push sends a
 //! wake token, and the sender drains on each one, so under light load a
-//! message is posted alone immediately (batch of one, byte-identical to
-//! the unbatched wire format). Batches only form while the sender is busy
-//! posting — exactly when coalescing pays.
+//! message is posted alone immediately — a batch of one, front-coded
+//! against the last message its keep-alive connection carried, so it costs
+//! about what a message inside a batch does. Several messages share a POST
+//! only while the sender is busy posting — exactly when coalescing pays.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::net::SocketAddr;
@@ -25,8 +26,9 @@ use wsg_net::sync::{AtomicBool, Mutex, Notify, Ordering};
 /// Drain-policy knobs for the sender thread's per-peer batches.
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
-    /// Most messages coalesced into one POST. `1` disables wrapping
-    /// entirely (every message posts alone); `0` is treated as `1`.
+    /// Most messages coalesced into one POST. `1` means one message per
+    /// POST — still a one-`Msg` batch, coded against the connection; `0`
+    /// is treated as `1`.
     pub max_batch_msgs: usize,
     /// Soft cap on summed inner-envelope bytes per POST: a batch stops
     /// growing before the message that would cross it. The first message
@@ -613,7 +615,8 @@ mod tests {
             // And to one peer the three notifications say their ~950
             // bytes of conversation once.
             let parts = batch.iter().map(|m| (m.target.as_deref(), m.parts()));
-            coded += wsg_soap::batch::write_batch_parts(parts, &mut wire) / (batch.len() - 1);
+            let fresh = &mut String::new();
+            coded += wsg_soap::batch::write_batch_parts(parts, fresh, &mut wire) / (batch.len() - 1);
         }
         // One copy of each notification holds its bytes; every other one
         // kept its `To` and `MessageID` — the port digits through the id —
@@ -645,7 +648,8 @@ mod tests {
             xmls.iter().map(|xml| BatchItem { target: None, xml }).collect();
         let (mut whole, mut pieces) = (String::new(), String::new());
         write_batch(&items, &mut whole);
-        write_batch_parts(batch.iter().map(|m| (m.target.as_deref(), m.parts())), &mut pieces);
+        let parts = batch.iter().map(|m| (m.target.as_deref(), m.parts()));
+        write_batch_parts(parts, &mut String::new(), &mut pieces);
         assert_eq!(pieces, whole);
     }
 

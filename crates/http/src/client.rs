@@ -13,6 +13,13 @@
 //! so a failing test replays with identical sleep schedules. An HTTP-level
 //! error (a 4xx/5xx response) is **not** retried: the bytes made it across,
 //! which is all the transport promises.
+//!
+//! Every pooled connection remembers the text of the last message it
+//! carried, as the server at its other end does: a
+//! [`SoapHttpClient::post_batch`] front-codes its first message against
+//! it (`wsg_soap::batch`). Each attempt is encoded for the connection it
+//! is about to be written to, so a retry on a fresh connection — whose
+//! reference is empty — goes whole.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -23,6 +30,7 @@ use std::time::{Duration, Instant};
 use wsg_net::rng::{Pcg32, RngExt};
 use wsg_net::sync::Mutex;
 use wsg_obs::{Counter, Family, HistogramMetric, Registry};
+use wsg_soap::batch::{text_of, write_batch_parts, BATCH_ACTION};
 
 use crate::message::Response;
 use crate::parser::{Parsed, ResponseParser};
@@ -65,6 +73,9 @@ pub struct PostOutcome {
     pub response: Response,
     /// Connect attempts made, counting the successful one.
     pub attempts: u32,
+    /// Bytes the request left out because its connection had carried them
+    /// already (0 for a bare [`SoapHttpClient::post`]).
+    pub left_out: usize,
 }
 
 /// All attempts failed at the transport level.
@@ -141,16 +152,29 @@ impl ClientMetrics {
     }
 }
 
+/// A kept-alive connection and the text of the last message it carried:
+/// what the next batch written to it is front-coded against.
+struct Conn {
+    stream: TcpStream,
+    said: String,
+}
+
+/// Reused buffers: each post formats its head and body into `wire` instead
+/// of building a `Request` + `to_bytes` pair (a batch's body is written to
+/// `body` first), then hands them back for the next post.
+#[derive(Default)]
+struct Scratch {
+    wire: Vec<u8>,
+    body: String,
+}
+
 /// A pooled, retrying SOAP-over-HTTP client.
 pub struct SoapHttpClient {
     config: HttpClientConfig,
-    pool: Mutex<HashMap<SocketAddr, Vec<TcpStream>>>,
+    pool: Mutex<HashMap<SocketAddr, Vec<Conn>>>,
     rng: Mutex<Pcg32>,
     counters: ClientMetrics,
-    /// Reused wire buffer: each post formats its head and body into this
-    /// one allocation instead of building a `Request` + `to_bytes` pair,
-    /// then hands it back for the next post.
-    scratch: Mutex<Vec<u8>>,
+    scratch: Mutex<Scratch>,
 }
 
 impl SoapHttpClient {
@@ -169,18 +193,18 @@ impl SoapHttpClient {
             pool: Mutex::new(HashMap::new()),
             rng: Mutex::new(Pcg32::new(seed, 0x5350_4f54)),
             counters: ClientMetrics::new(registry),
-            scratch: Mutex::new(Vec::new()),
+            scratch: Mutex::new(Scratch::default()),
         }
     }
 
-    /// POST a SOAP envelope (as raw XML bytes) to `addr`.
+    /// POST a SOAP envelope (as raw XML bytes) to `addr`, bare.
     ///
     /// `action` becomes the quoted `SOAPAction` header — unless it holds a
     /// control byte or a `"`, which no quoted header value can carry: then
-    /// none is sent. `extra_headers` are appended verbatim (the runtime
-    /// uses this for the node-id header). Returns the response for **any**
-    /// HTTP status; [`Err`] means the bytes never made it across despite
-    /// `1 + retries` attempts.
+    /// none is sent. `extra_headers` are appended verbatim. Returns the
+    /// response for **any** HTTP status; [`Err`] means the bytes never made
+    /// it across despite `1 + retries` attempts. The envelope's text is
+    /// what the connection carried last, for the next batch on it.
     ///
     /// # Errors
     ///
@@ -193,54 +217,63 @@ impl SoapHttpClient {
         extra_headers: &[(String, String)],
         body: &[u8],
     ) -> Result<PostOutcome, PostError> {
+        let text = std::str::from_utf8(body).map_or("", text_of);
+        self.send(addr, |said, scratch| {
+            said.clear();
+            said.push_str(text);
+            frame(&mut scratch.wire, addr, target, action, extra_headers, body);
+            0
+        })
+    }
+
+    /// POST `items` — `(target, parts)` as `wsg_soap::batch::write_batch_parts`
+    /// takes them — to `addr` as one `wsgb:Batch` with the batch
+    /// `SOAPAction`, its first message front-coded against the last one the
+    /// connection carried: a pooled connection's, nothing on a fresh one.
+    /// [`PostOutcome::left_out`] is what coding saved on the attempt that
+    /// got across. Otherwise as [`SoapHttpClient::post`].
+    ///
+    /// # Errors
+    ///
+    /// [`PostError`] carries the final attempt's I/O error.
+    pub fn post_batch<'a>(
+        &self,
+        addr: SocketAddr,
+        target: &str,
+        extra_headers: &[(String, String)],
+        items: impl Iterator<Item = (Option<&'a str>, [&'a str; 3])> + Clone,
+    ) -> Result<PostOutcome, PostError> {
+        self.send(addr, |said, scratch| {
+            let left_out = write_batch_parts(items.clone(), said, &mut scratch.body);
+            let body = scratch.body.as_bytes();
+            frame(&mut scratch.wire, addr, target, Some(BATCH_ACTION), extra_headers, body);
+            left_out
+        })
+    }
+
+    /// Run one post: `encode` writes the request into `wire` for the
+    /// connection about to carry it — advancing that connection's reference
+    /// — and returns the bytes it left out.
+    fn send(
+        &self,
+        addr: SocketAddr,
+        mut encode: impl FnMut(&mut String, &mut Scratch) -> usize,
+    ) -> Result<PostOutcome, PostError> {
         self.counters.posts.inc();
         let started = Instant::now();
-        // Format head + body straight into the reused scratch buffer —
-        // byte-identical to `Request::post(..).with_header(..).to_bytes()`
-        // (regression-tested below) without an allocation per post, and
-        // written by a single `write_all`.
-        let mut wire = std::mem::take(&mut *self.scratch.lock());
-        wire.clear();
-        wire.extend_from_slice(b"POST ");
-        wire.extend_from_slice(target.as_bytes());
-        wire.extend_from_slice(b" HTTP/1.1\r\nContent-Length: ");
-        // wsg_lint: allow(E2) — io::Write to a Vec is infallible
-        let _ = write!(wire, "{}", body.len());
-        wire.extend_from_slice(b"\r\nHost: ");
-        // wsg_lint: allow(E2) — io::Write to a Vec is infallible
-        let _ = write!(wire, "{addr}");
-        wire.extend_from_slice(b"\r\nContent-Type: ");
-        wire.extend_from_slice(SOAP_CONTENT_TYPE.as_bytes());
-        wire.extend_from_slice(b"\r\n");
-        // A forwarded envelope's `wsa:Action` is whatever its sender wrote,
-        // decoded: one that would end the quoted string or the header
-        // line is not repeated here (the envelope carries it regardless).
-        let quotable = |action: &&str| !action.bytes().any(|b| b.is_ascii_control() || b == b'"');
-        if let Some(action) = action.filter(quotable) {
-            wire.extend_from_slice(b"SOAPAction: \"");
-            wire.extend_from_slice(action.as_bytes());
-            wire.extend_from_slice(b"\"\r\n");
-        }
-        for (name, value) in extra_headers {
-            wire.extend_from_slice(name.as_bytes());
-            wire.extend_from_slice(b": ");
-            wire.extend_from_slice(value.as_bytes());
-            wire.extend_from_slice(b"\r\n");
-        }
-        wire.extend_from_slice(b"\r\n");
-        wire.extend_from_slice(body);
-
-        let result = self.drive(addr, &wire, started);
-        *self.scratch.lock() = wire;
+        let mut scratch = std::mem::take(&mut *self.scratch.lock());
+        let result = self.drive(addr, &mut scratch, &mut encode, started);
+        *self.scratch.lock() = scratch;
         result
     }
 
-    /// The retry loop behind [`SoapHttpClient::post`], over finished wire
-    /// bytes.
+    /// The retry loop behind [`SoapHttpClient::send`]: every attempt is
+    /// encoded for the connection it is written to.
     fn drive(
         &self,
         addr: SocketAddr,
-        wire: &[u8],
+        scratch: &mut Scratch,
+        encode: &mut impl FnMut(&mut String, &mut Scratch) -> usize,
         started: Instant,
     ) -> Result<PostOutcome, PostError> {
         let mut attempts = 0u32;
@@ -248,21 +281,22 @@ impl SoapHttpClient {
             // Pooled connections first. A dead one costs nothing: the
             // server may have idled it out, which says nothing about
             // whether the peer is reachable now.
-            while let Some(stream) = self.take_pooled(addr) {
-                if let Ok(outcome) = self.exchange(&stream, wire) {
+            while let Some(mut conn) = self.take_pooled(addr) {
+                let left_out = encode(&mut conn.said, scratch);
+                if let Ok(response) = self.exchange(&conn.stream, &scratch.wire) {
                     self.counters.pool_hits.inc();
-                    self.maybe_pool(addr, stream, &outcome);
-                    return Ok(self.finish(outcome, attempts.max(1), started));
+                    self.maybe_pool(addr, conn, &response);
+                    return Ok(self.finish(response, attempts.max(1), left_out, started));
                 }
             }
             attempts += 1;
-            match self.connect_and_exchange(addr, wire) {
-                Ok((stream, response)) => {
+            match self.connect_and_exchange(addr, scratch, encode) {
+                Ok((conn, response, left_out)) => {
                     if attempts == 1 {
                         self.counters.pool_misses.inc();
                     }
-                    self.maybe_pool(addr, stream, &response);
-                    return Ok(self.finish(response, attempts, started));
+                    self.maybe_pool(addr, conn, &response);
+                    return Ok(self.finish(response, attempts, left_out, started));
                 }
                 Err(err) => {
                     // A fresh connect failed, so any idle streams to this
@@ -285,7 +319,13 @@ impl SoapHttpClient {
     }
 
     // Record the per-post metrics a delivered exchange contributes.
-    fn finish(&self, response: Response, attempts: u32, started: Instant) -> PostOutcome {
+    fn finish(
+        &self,
+        response: Response,
+        attempts: u32,
+        left_out: usize,
+        started: Instant,
+    ) -> PostOutcome {
         let class = match response.status / 100 {
             2 => "2xx",
             3 => "3xx",
@@ -296,7 +336,7 @@ impl SoapHttpClient {
         self.counters
             .post_micros
             .observe(started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-        PostOutcome { response, attempts }
+        PostOutcome { response, attempts, left_out }
     }
 
     /// Nominal exponential backoff before retry `n` (1-based), jittered
@@ -311,7 +351,7 @@ impl SoapHttpClient {
         nominal.mul_f64(jitter)
     }
 
-    fn take_pooled(&self, addr: SocketAddr) -> Option<TcpStream> {
+    fn take_pooled(&self, addr: SocketAddr) -> Option<Conn> {
         self.pool.lock().get_mut(&addr)?.pop()
     }
 
@@ -333,22 +373,26 @@ impl SoapHttpClient {
     /// Idle connections kept per peer address.
     const POOL_PER_HOST: usize = 2;
 
-    fn maybe_pool(&self, addr: SocketAddr, stream: TcpStream, response: &Response) {
+    /// Keep `conn` for the next post to `addr` — unless the server closes
+    /// it (as it does after a request it could not unwrap), and with it
+    /// the reference the two ends shared.
+    fn maybe_pool(&self, addr: SocketAddr, conn: Conn, response: &Response) {
         if !response.keep_alive() {
             return;
         }
         let mut pool = self.pool.lock();
         let idle = pool.entry(addr).or_default();
         if idle.len() < Self::POOL_PER_HOST {
-            idle.push(stream);
+            idle.push(conn);
         }
     }
 
     fn connect_and_exchange(
         &self,
         addr: SocketAddr,
-        wire: &[u8],
-    ) -> std::io::Result<(TcpStream, Response)> {
+        scratch: &mut Scratch,
+        encode: &mut impl FnMut(&mut String, &mut Scratch) -> usize,
+    ) -> std::io::Result<(Conn, Response, usize)> {
         let stream = TcpStream::connect_timeout(&addr, self.config.connect_timeout)?;
         // Armed once, for as long as the connection lives in the pool:
         // every exchange over it is bounded by these two.
@@ -356,8 +400,11 @@ impl SoapHttpClient {
         stream.set_read_timeout(Some(self.config.read_timeout))?;
         // wsg_lint: allow(E2) — Nagle is a latency tuning; a socket that rejects it still serves
         let _ = stream.set_nodelay(true);
-        let response = self.exchange(&stream, wire)?;
-        Ok((stream, response))
+        // A fresh connection has carried nothing to code against.
+        let mut conn = Conn { stream, said: String::new() };
+        let left_out = encode(&mut conn.said, scratch);
+        let response = self.exchange(&conn.stream, &scratch.wire)?;
+        Ok((conn, response, left_out))
     }
 
     fn exchange(&self, mut stream: &TcpStream, wire: &[u8]) -> std::io::Result<Response> {
@@ -416,6 +463,48 @@ impl SoapHttpClient {
     }
 }
 
+/// Format the POST of `body` into `wire` — byte-identical to
+/// `Request::post(..).with_header(..).to_bytes()` (regression-tested below)
+/// without an allocation per post, and written by a single `write_all`.
+fn frame(
+    wire: &mut Vec<u8>,
+    addr: SocketAddr,
+    target: &str,
+    action: Option<&str>,
+    extra_headers: &[(String, String)],
+    body: &[u8],
+) {
+    wire.clear();
+    wire.extend_from_slice(b"POST ");
+    wire.extend_from_slice(target.as_bytes());
+    wire.extend_from_slice(b" HTTP/1.1\r\nContent-Length: ");
+    // wsg_lint: allow(E2) — io::Write to a Vec is infallible
+    let _ = write!(wire, "{}", body.len());
+    wire.extend_from_slice(b"\r\nHost: ");
+    // wsg_lint: allow(E2) — io::Write to a Vec is infallible
+    let _ = write!(wire, "{addr}");
+    wire.extend_from_slice(b"\r\nContent-Type: ");
+    wire.extend_from_slice(SOAP_CONTENT_TYPE.as_bytes());
+    wire.extend_from_slice(b"\r\n");
+    // A forwarded envelope's `wsa:Action` is whatever its sender wrote,
+    // decoded: one that would end the quoted string or the header line is
+    // not repeated here (the envelope carries it regardless).
+    let quotable = |action: &&str| !action.bytes().any(|b| b.is_ascii_control() || b == b'"');
+    if let Some(action) = action.filter(quotable) {
+        wire.extend_from_slice(b"SOAPAction: \"");
+        wire.extend_from_slice(action.as_bytes());
+        wire.extend_from_slice(b"\"\r\n");
+    }
+    for (name, value) in extra_headers {
+        wire.extend_from_slice(name.as_bytes());
+        wire.extend_from_slice(b": ");
+        wire.extend_from_slice(value.as_bytes());
+        wire.extend_from_slice(b"\r\n");
+    }
+    wire.extend_from_slice(b"\r\n");
+    wire.extend_from_slice(body);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -472,7 +561,7 @@ mod tests {
             client.post(server.local_addr(), "/gossip", None, &[], xml.as_bytes()).unwrap();
         }
         assert_eq!(client.pool_hits(), 1);
-        let pooled = client.take_pooled(server.local_addr()).expect("kept alive");
+        let pooled = client.take_pooled(server.local_addr()).expect("kept alive").stream;
         // The OS may round a timeout up to its timer granularity.
         let read = pooled.read_timeout().unwrap().expect("read timeout armed");
         assert!(read >= config.read_timeout, "{read:?}");
@@ -535,6 +624,54 @@ mod tests {
         assert_eq!(outcome.response.status, 202);
         assert_eq!(outcome.attempts, 1, "stale pool entry must not count as an attempt");
         assert_eq!(client.retries_performed(), 0);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_retry_on_a_fresh_connection_codes_its_first_message_against_nothing() {
+        // A server that idles connections out after 80 ms, recording every
+        // message as it unwrapped it.
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&seen);
+        let service: Service = Arc::new(move |req: SoapRequest| {
+            log.lock().push(req.raw);
+            Ok(SoapReply::Accepted)
+        });
+        let config = HttpServerConfig {
+            keep_alive: Duration::from_millis(80),
+            ..HttpServerConfig::default()
+        };
+        let mut server = SoapHttpServer::bind("127.0.0.1:0", service, config).unwrap();
+        let addr = server.local_addr();
+        let client = SoapHttpClient::new(3, HttpClientConfig::default());
+        let xmls: Vec<String> = (0..4)
+            .map(|n| {
+                Envelope::request(
+                    MessageHeaders::request("http://node1/gossip", "urn:svc:Notify"),
+                    Element::text_node("tick", format!("ACME 101.2{n}")),
+                )
+                .to_xml()
+            })
+            .collect();
+        let post = |xml: &String| {
+            let outcome = client
+                .post_batch(addr, "/gossip", &[], std::iter::once((None, [xml.as_str(), "", ""])))
+                .unwrap();
+            assert_eq!(outcome.response.status, 202);
+            outcome
+        };
+        // A fresh connection carried nothing; the pooled one, the first.
+        assert_eq!(post(&xmls[0]).left_out, 0);
+        assert!(post(&xmls[1]).left_out > xmls[1].len() / 2);
+        assert_eq!(client.pool_hits(), 1);
+        // The server closes the pooled connection: the attempt written to
+        // it was coded against the second message, the retry on a fresh
+        // connection — the one that gets across — goes whole.
+        std::thread::sleep(Duration::from_millis(300));
+        let after_close = post(&xmls[2]);
+        assert_eq!((after_close.attempts, after_close.left_out), (1, 0));
+        assert!(post(&xmls[3]).left_out > 0);
+        assert_eq!(*seen.lock(), xmls, "every message unwrapped as it was sent");
         server.shutdown();
     }
 
@@ -635,10 +772,9 @@ mod tests {
         // Capture what post() actually writes with a raw listener and
         // compare against the builder path the client used before the
         // scratch-buffer rewrite. Two posts over one kept-alive stream
-        // prove the reused buffer is cleared between posts. This also
-        // pins the batch-of-1 transport guarantee: a lone queued envelope
-        // is posted through this exact path, so its wire bytes equal the
-        // pre-batching single-envelope POST.
+        // prove the reused buffer is cleared between posts, and that a
+        // bare post is the envelope's own bytes whatever the connection
+        // carried before.
         use crate::parser::RequestParser;
 
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();

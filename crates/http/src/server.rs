@@ -10,10 +10,12 @@
 //! Every POSTed body is checked — well-formed XML with the shape of a SOAP
 //! envelope (root `env:Envelope`, an `env:Body`), or a `urn:ws-gossip:batch`
 //! of them — in one streaming pass that builds no tree, and handed to the
-//! [`Service`] closure as the sender's bytes. A service that needs the
-//! decoded message asks [`SoapRequest::envelope`] for it; one that only
-//! relays the bytes (the gossip route) never pays for a parse. The HTTP
-//! status mapping follows the SOAP 1.2 HTTP binding:
+//! [`Service`] closure as the sender's bytes. A batch's first message may
+//! be front-coded against the last message the connection carried, so each
+//! connection keeps that text between requests (`wsg_soap::batch`). A
+//! service that needs the decoded message asks [`SoapRequest::envelope`]
+//! for it; one that only relays the bytes (the gossip route) never pays for
+//! a parse. The HTTP status mapping follows the SOAP 1.2 HTTP binding:
 //!
 //! | service outcome              | HTTP response                        |
 //! |------------------------------|--------------------------------------|
@@ -21,11 +23,14 @@
 //! | `Ok(SoapReply::Envelope(_))` | `200 OK`, response envelope          |
 //! | `Err(Fault)`, code `Sender`  | `400`, fault envelope in the body    |
 //! | `Err(Fault)`, any other code | `500`, fault envelope in the body    |
-//! | body is not an envelope      | `400`, `Sender` fault envelope       |
+//! | body is not an envelope      | `400`, `Sender` fault, conn. closed  |
 //! | `GET /metrics`               | `200`, metric registry exposition    |
 //! | `GET` anything else          | `404 Not Found`                      |
 //! | other method                 | `405`, `Allow` from the route table  |
 //! | unparseable HTTP             | `400 Bad Request`, connection closed |
+//!
+//! A body that does not unwrap closes the connection: both ends then drop
+//! the text they shared, and the sender's next request starts afresh.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -37,7 +42,7 @@ use std::time::{Duration, Instant};
 
 use wsg_net::sync::Mutex;
 use wsg_obs::{Counter, Family, HistogramMetric, Registry};
-use wsg_soap::batch::{parse_wire, Unbundled};
+use wsg_soap::batch::{parse_wire_after, Unbundled};
 use wsg_soap::{Envelope, Fault, FaultCode, MessageHeaders, SoapError};
 
 use crate::message::Response;
@@ -369,13 +374,15 @@ impl Drop for SoapHttpServer {
     }
 }
 
-/// A live connection with its accumulated parse state and idle time,
-/// passed between workers through the connection queue.
+/// A live connection with its accumulated parse state, idle time and the
+/// text of the last message it carried, passed between workers through the
+/// connection queue.
 struct Conn {
     stream: TcpStream,
     peer: SocketAddr,
     parser: RequestParser,
     idle: Duration,
+    said: String,
 }
 
 fn accept_loop(
@@ -406,6 +413,7 @@ fn accept_loop(
             peer,
             parser: RequestParser::new(),
             idle: Duration::ZERO,
+            said: String::new(),
         };
         match conn_tx.try_send(conn) {
             Ok(()) => {}
@@ -514,7 +522,8 @@ fn serve_slice(
                     conn.idle = Duration::ZERO;
                     let keep = request.keep_alive();
                     let started = Instant::now();
-                    let response = handle_request(request, conn.peer, service, counters);
+                    let response =
+                        handle_request(request, conn.peer, service, counters, &mut conn.said);
                     counters
                         .request_micros
                         .observe(started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
@@ -527,7 +536,7 @@ fn serve_slice(
                         counters.write_errors.inc();
                         return None;
                     }
-                    if !keep {
+                    if !keep || !response.keep_alive() {
                         return None;
                     }
                 }
@@ -574,11 +583,14 @@ fn serve_slice(
     }
 }
 
+/// Answer one request on a connection whose last message said `said`
+/// (advanced to this request's last message).
 fn handle_request(
     mut request: crate::message::Request,
     peer: SocketAddr,
     service: &Service,
     counters: &ServerMetrics,
+    said: &mut String,
 ) -> Response {
     if request.method == "GET" {
         let path = request.target.split('?').next().unwrap_or(request.target.as_str());
@@ -595,9 +607,14 @@ fn handle_request(
     if request.method != "POST" {
         return Response::new(405, "Method Not Allowed").with_header("Allow", allowed_methods());
     }
-    let Ok(raw) = String::from_utf8(std::mem::take(&mut request.body)) else {
+    // A body that does not unwrap leaves the two ends of the connection
+    // disagreeing about what it carried last: answer, and close it.
+    let refuse = |fault: Fault| {
         counters.faults.inc();
-        return fault_response(400, Fault::new(FaultCode::Sender, "body is not valid UTF-8"));
+        fault_response(400, fault).with_header("Connection", "close")
+    };
+    let Ok(raw) = String::from_utf8(std::mem::take(&mut request.body)) else {
+        return refuse(Fault::new(FaultCode::Sender, "body is not valid UTF-8"));
     };
     let post_target =
         request.target.split('?').next().unwrap_or(request.target.as_str()).to_string();
@@ -611,10 +628,10 @@ fn handle_request(
     // even after one faults: the sender books the whole POST as delivered,
     // so stopping early would lose the rest silently. Inner reply
     // envelopes are dropped: a batch is a one-way transport frame.
-    // `parse_wire` streams the document once, slicing each inner
+    // `parse_wire_after` streams the document once, slicing each inner
     // envelope's `raw` bytes back out of the request body.
     let soap_request = |target: String, raw: String| SoapRequest { target, from_node, peer, raw };
-    let outcome = match parse_wire(&raw) {
+    let outcome = match parse_wire_after(&raw, said) {
         Ok(Unbundled::Batch(messages)) => {
             let mut first_fault = None;
             for message in messages {
@@ -626,7 +643,7 @@ fn handle_request(
             first_fault.map_or(Ok(SoapReply::Accepted), Err)
         }
         Ok(Unbundled::Single(Ok(()))) => service(soap_request(post_target, raw)),
-        Ok(Unbundled::Single(Err(err))) | Err(err) => Err(not_an_envelope(err)),
+        Ok(Unbundled::Single(Err(err))) | Err(err) => return refuse(not_an_envelope(err)),
     };
     match outcome {
         Ok(SoapReply::Accepted) => Response::new(202, "Accepted"),
@@ -886,7 +903,7 @@ mod tests {
     }
 
     #[test]
-    fn a_hostile_batch_is_a_400_on_a_connection_that_lives_on() {
+    fn a_hostile_batch_is_a_400_that_closes_the_connection() {
         let seen = Arc::new(Mutex::new(Vec::new()));
         let log = Arc::clone(&seen);
         let service: Service = Arc::new(move |req: SoapRequest| {
@@ -923,8 +940,7 @@ mod tests {
         ];
         assert_eq!(wsg_soap::batch::MAX_UNWRAPPED_BYTES, crate::parser::MAX_BODY_BYTES);
 
-        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-        let mut exchange = |body: &str| {
+        let exchange = |stream: &mut TcpStream, body: &str| {
             let wire =
                 format!("POST /gossip HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}", body.len());
             stream.write_all(wire.as_bytes()).unwrap();
@@ -939,20 +955,37 @@ mod tests {
                 }
             }
         };
-        for body in &hostile {
-            let response = exchange(body);
+        let connect = || TcpStream::connect(server.local_addr()).unwrap();
+        // Refused, and the connection with it: the two ends may no longer
+        // agree on what it carried last.
+        let refused = |body: &str| {
+            let mut stream = connect();
+            let response = exchange(&mut stream, body);
             let fault = String::from_utf8_lossy(&response.body).into_owned();
             assert_eq!(response.status, 400, "{body}: {fault}");
+            assert_eq!(response.header("Connection"), Some("close"), "{body}");
             assert!(fault.contains("Sender"), "{body}: {fault}");
             assert!(fault.contains("body is not a SOAP envelope: "), "{body}: {fault}");
-        }
+            assert_eq!(stream.read(&mut [0u8; 16]).unwrap(), 0, "{body}: still open");
+        };
+        hostile.iter().for_each(|body| refused(body));
         assert!(seen.lock().is_empty(), "a refused batch dispatches nothing");
-        // The same connection, the batch as written, then one of its
-        // messages alone: a service cannot tell how a message travelled.
-        assert_eq!(exchange(&good).status, 202);
-        assert_eq!(exchange(&xmls[1]).status, 202);
-        assert_eq!(*seen.lock(), [0, 1, 2, 1].map(|i| xmls[i].clone()));
-        assert_eq!(server.faults_served(), hostile.len() as u64);
+        // One connection: the batch as written; a batch whose first message
+        // is coded against the last message of that one; one message alone.
+        // A service cannot tell how a message travelled.
+        let mut stream = connect();
+        assert_eq!(exchange(&mut stream, &good).status, 202);
+        let mut said = wsg_soap::batch::text_of(&xmls[2]).to_string();
+        let mut next = String::new();
+        let items = [xmls[0].as_str(), &xmls[1]].map(|xml| (None, [xml, "", ""]));
+        assert!(wsg_soap::batch::write_batch_parts(items.into_iter(), &mut said, &mut next) > 0);
+        assert!(next[next.find("<wsgb:Msg").unwrap()..].starts_with("<wsgb:Msg pre=\""), "{next}");
+        assert_eq!(exchange(&mut stream, &next).status, 202);
+        assert_eq!(exchange(&mut stream, &xmls[1]).status, 202);
+        assert_eq!(*seen.lock(), [0, 1, 2, 0, 1, 1].map(|i| xmls[i].clone()));
+        // The coded one on a fresh connection: nothing before it.
+        refused(&next);
+        assert_eq!(server.faults_served(), hostile.len() as u64 + 1);
         server.shutdown();
     }
 

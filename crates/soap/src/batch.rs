@@ -19,19 +19,28 @@
 //!
 //! A `Msg` holds its envelope whole, as an element, or **front-coded**: a
 //! `pre="N"` attribute and character data only, meaning "the first `N`
-//! bytes of the text of the `Msg` before this one, then this text". The
-//! *text* of a `Msg` is what stands between its tags (for a coded one,
-//! what it expands to). Consecutive messages to one peer repeat their
-//! `Action`, `From`, coordination context and gossip header — the envelope
-//! writer puts those first — so a batch says them once.
+//! bytes of the text before this one, then this text". The *text* of a
+//! `Msg` is what stands between its tags (for a coded one, what it expands
+//! to). Consecutive messages to one peer repeat their `Action`, `From`,
+//! coordination context and gossip header — the envelope writer puts those
+//! first — so a connection says them once.
+//!
+//! The text before a `Msg` is that of the previous message **on the same
+//! keep-alive connection**: the `Msg` before it in this document or, for
+//! the first, the last message of the previous request on the connection
+//! (a bare envelope's is its body past the prologue). Each end keeps that
+//! text between requests — the *reference* [`write_batch_parts`] and
+//! [`parse_wire_after`] take and advance; on a fresh connection it is
+//! empty, and a `pre` on the first `Msg` there is refused. [`write_batch`]
+//! and [`parse_wire`] are the fresh-connection forms.
 //!
 //! Building a batch never re-parses: the sender already holds each inner
 //! envelope as serialised XML, so [`write_batch`] splices the strings
 //! (declarations stripped) into a caller-owned scratch buffer. Unwrapping
 //! gives every message back as the standalone document it was: a coded
-//! one is rebuilt and then checked exactly as a lone POST is. A batch of
-//! one message is **never** wrapped by the transport — it posts the inner
-//! XML verbatim (see `wsg_http::runtime`).
+//! one is rebuilt and then checked exactly as a bare POST is. The
+//! transport's sender posts every message this way, one or many to a
+//! batch (see `wsg_http::runtime`).
 
 use std::fmt::Write as _;
 use std::ops::Range;
@@ -46,7 +55,7 @@ use crate::{Envelope, SoapError, SOAP_ENV_NS};
 /// Namespace of the batch wrapper vocabulary.
 const BATCH_NS: &str = "urn:ws-gossip:batch";
 
-/// SOAPAction carried by a multi-message batch POST.
+/// SOAPAction carried by a batch POST, of one message or many.
 pub const BATCH_ACTION: &str = "urn:ws-gossip:batch/Batch";
 
 const XML_DECL: &str = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>";
@@ -93,7 +102,7 @@ pub struct BatchedEnvelope {
     /// Dispatch route override (the `target` attribute), if any.
     pub target: Option<String>,
     /// The inner envelope as a standalone document (declaration + compact
-    /// XML), so downstream services see the same shape as a lone POST.
+    /// XML), so downstream services see the same shape as a bare POST.
     pub raw: String,
 }
 
@@ -109,22 +118,41 @@ impl BatchedEnvelope {
     }
 }
 
-/// Serialise `items` into `out` (cleared first, allocation reused) as one
-/// batch document: order is preserved, declarations are stripped, and a
-/// message that starts like the one before it is front-coded. Returns the
-/// bytes coding left out.
+/// Serialise `items` into `out` (cleared first, allocation reused) as the
+/// first batch document on a fresh connection: order is preserved,
+/// declarations are stripped, and a message that starts like the one
+/// before it is front-coded. Returns the bytes coding left out.
 pub fn write_batch(items: &[BatchItem<'_>], out: &mut String) -> usize {
-    write_batch_parts(items.iter().map(|item| (item.target, [item.xml, "", ""])), out)
+    write_coded(items.iter().map(|item| (item.target, [item.xml, "", ""])), "", out).0
 }
 
-/// [`write_batch`] over messages held in pieces — `(target, parts)`, the
-/// inner XML being the parts in order — so a sender whose queued copies of
-/// one notification share most of their bytes can splice them without
-/// joining each first.
+/// [`write_batch`] mid-connection, over messages held in pieces —
+/// `(target, parts)`, the inner XML being the parts in order — so a sender
+/// whose queued copies of one notification share most of their bytes can
+/// splice them without joining each first. The first message may be coded
+/// against `reference`, the text of the last message said on the
+/// connection (empty on a fresh one), which then becomes the text of the
+/// last message written here.
 pub fn write_batch_parts<'a>(
     items: impl Iterator<Item = (Option<&'a str>, [&'a str; 3])> + Clone,
+    reference: &mut String,
     out: &mut String,
 ) -> usize {
+    let (left_out, last) = write_coded(items, reference, out);
+    if let Some(last) = last {
+        reference.clear();
+        last.iter().for_each(|part| reference.push_str(part));
+    }
+    left_out
+}
+
+/// The writer behind both: the batch of `items`, the first coded against
+/// `reference`, into `out`; the bytes left out and the last message's text.
+fn write_coded<'a>(
+    items: impl Iterator<Item = (Option<&'a str>, [&'a str; 3])> + Clone,
+    reference: &str,
+    out: &mut String,
+) -> (usize, Option<[&'a str; 3]>) {
     out.clear();
     let body: usize =
         items.clone().map(|(_, parts)| parts.iter().map(|p| p.len()).sum::<usize>() + 24).sum();
@@ -133,7 +161,7 @@ pub fn write_batch_parts<'a>(
     out.push_str("<wsgb:Batch xmlns:wsgb=\"");
     out.push_str(BATCH_NS);
     out.push_str("\">");
-    let mut before: Option<[&str; 3]> = None;
+    let mut before: Option<[&'a str; 3]> = None;
     let mut left_out = 0;
     for (target, parts) in items {
         let text = without_declaration(parts);
@@ -144,7 +172,7 @@ pub fn write_batch_parts<'a>(
             out.push('"');
         }
         let whole_from = out.len();
-        let (pre, piece, offset) = before.map_or((0, 0, 0), |before| shared_start(&before, &text));
+        let (pre, piece, offset) = shared_start(&before.unwrap_or([reference, "", ""]), &text);
         let mut coded = pre >= MIN_SHARED
             && pre * MIN_SHARE >= text.iter().map(|part| part.len()).sum::<usize>();
         if coded {
@@ -170,7 +198,7 @@ pub fn write_batch_parts<'a>(
         before = Some(text);
     }
     out.push_str("</wsgb:Batch>");
-    left_out
+    (left_out, before)
 }
 
 /// `parts` without a leading `<?xml …?>` declaration — all of it in the
@@ -240,6 +268,13 @@ pub fn prologue_len(xml: &str) -> usize {
     }
 }
 
+/// The text a document has as a whole `Msg`: `xml` past its prologue and
+/// the whitespace after it. What a bare POST of `xml` leaves as its
+/// connection's reference.
+pub fn text_of(xml: &str) -> &str {
+    xml[prologue_len(xml)..].trim_start()
+}
+
 /// A wire document classified by [`parse_wire`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Unbundled {
@@ -250,7 +285,21 @@ pub enum Unbundled {
     Single(Result<(), SoapError>),
 }
 
-/// Check a wire document, unwrapping it when it is a batch.
+/// Check a wire document — the first request on a fresh connection —
+/// unwrapping it when it is a batch: [`parse_wire_after`] an empty
+/// reference, which it leaves alone.
+///
+/// # Errors
+///
+/// As [`parse_wire_after`].
+pub fn parse_wire(wire: &str) -> Result<Unbundled, SoapError> {
+    unwrap_wire(wire, "").map(|(unbundled, _)| unbundled)
+}
+
+/// Check a wire document that follows `reference` on its connection — the
+/// text of the last message said there, empty on a fresh one — unwrapping
+/// it when it is a batch. On success `reference` becomes the text of the
+/// document's last message (of a bare envelope, [`text_of`] it).
 ///
 /// This is the receive hot path, and it builds no tree: the document is
 /// streamed once with [`XmlReader::skip_element`] doing the well-formedness
@@ -266,18 +315,40 @@ pub enum Unbundled {
 /// [`SoapError::Xml`] for malformed XML (including trailing content after
 /// the root, matching [`Element::parse`]), [`SoapError::Batch`] for a
 /// malformed wrapper — a `pre` that counts past, or into a character of,
-/// the text before it, or stands on the first message or beside an
-/// element; messages unwrapping to more than [`MAX_UNWRAPPED_BYTES`] —
-/// and the envelope-shape errors for a batched message that is not an
-/// envelope. Never panics, whatever the input looks like.
-pub fn parse_wire(wire: &str) -> Result<Unbundled, SoapError> {
+/// the text before it, stands on the first message with an empty
+/// `reference`, or beside an element; messages unwrapping to more than
+/// [`MAX_UNWRAPPED_BYTES`] — and the envelope-shape errors for a batched
+/// message that is not an envelope. Never panics, whatever the input looks
+/// like.
+pub fn parse_wire_after(wire: &str, reference: &mut String) -> Result<Unbundled, SoapError> {
+    let (unbundled, last) = unwrap_wire(wire, reference)?;
+    let text = match (&unbundled, last) {
+        (_, Some(text)) => &wire[text],
+        (Unbundled::Batch(messages), None) => {
+            messages.last().map_or("", |coded| &coded.raw[XML_DECL.len()..])
+        }
+        (Unbundled::Single(_), None) => text_of(wire),
+    };
+    reference.clear();
+    reference.push_str(text);
+    Ok(unbundled)
+}
+
+/// The reader behind both: the document unwrapped against `reference`, and
+/// where in `wire` its last message's text lies when it was sent whole
+/// (`None` for a coded one, whose text is its `raw` past the declaration,
+/// and for a bare envelope).
+fn unwrap_wire(
+    wire: &str,
+    reference: &str,
+) -> Result<(Unbundled, Option<Range<usize>>), SoapError> {
     let mut reader = XmlReader::new(wire);
     read_root(&mut reader)?;
     if reader.element_name() != (Some(BATCH_NS), "Batch") {
         cov!();
         let shape = envelope_shape(&mut reader)?;
         reader.finish()?;
-        return Ok(Unbundled::Single(shape));
+        return Ok((Unbundled::Single(shape), None));
     }
 
     let mut out: Vec<BatchedEnvelope> = Vec::new();
@@ -307,6 +378,11 @@ pub fn parse_wire(wire: &str) -> Result<Unbundled, SoapError> {
                         let before = match (sent.take(), out.last()) {
                             (Some(text), _) => &wire[text],
                             (None, Some(coded)) => &coded.raw[XML_DECL.len()..],
+                            (None, None) if !reference.is_empty() => {
+                                // Coded against the request before.
+                                cov!();
+                                reference
+                            }
                             (None, None) => {
                                 cov!();
                                 return Err(SoapError::Batch(
@@ -332,7 +408,7 @@ pub fn parse_wire(wire: &str) -> Result<Unbundled, SoapError> {
         cov!();
         return Err(SoapError::Batch("batch carries no messages".into()));
     }
-    Ok(Unbundled::Batch(out))
+    Ok((Unbundled::Batch(out), sent))
 }
 
 /// `room` less the `bytes` one more message unwraps to.
@@ -414,7 +490,7 @@ fn read_msg(reader: &mut XmlReader<'_>, wire: &str) -> Result<(String, Range<usi
 /// Read one front-coded `wsgb:Msg`'s content — character data only — and
 /// return its standalone `raw` form: the declaration, the first `pre`
 /// bytes of `before`, the message's own text — taken out of `room` before
-/// anything is allocated, and checked as a lone POST's body is.
+/// anything is allocated, and checked as a bare POST's body is.
 fn read_coded(
     reader: &mut XmlReader<'_>,
     pre: &str,
@@ -465,10 +541,11 @@ pub fn is_batch(root: &Element) -> bool {
     root.name().matches(Some(BATCH_NS), "Batch")
 }
 
-/// Unwrap a batch document by building its tree and walking it, messages
-/// in wire order — the reference [`parse_wire`] is tested and fuzzed
-/// against. (It takes the text, not the tree: a `pre` counts bytes of the
-/// text, which no tree keeps.)
+/// Unwrap a batch document that follows `reference` on its connection by
+/// building its tree and walking it, messages in wire order — the
+/// reference [`parse_wire_after`] is tested and fuzzed against, advancing
+/// `reference` as it does. (It takes the text, not the tree: a `pre`
+/// counts bytes of the text, which no tree keeps.)
 ///
 /// # Errors
 ///
@@ -481,7 +558,7 @@ pub fn is_batch(root: &Element) -> bool {
 /// [`SoapError::MissingPart`] for a message without the envelope shape;
 /// [`SoapError::Xml`] for a coded message that unwraps to no document.
 /// Never panics, whatever the input looks like.
-pub fn unbundle(wire: &str) -> Result<Vec<BatchedEnvelope>, SoapError> {
+pub fn unbundle(wire: &str, reference: &mut String) -> Result<Vec<BatchedEnvelope>, SoapError> {
     let root = &Element::parse(wire)?;
     if !is_batch(root) {
         cov!();
@@ -494,7 +571,7 @@ pub fn unbundle(wire: &str) -> Result<Vec<BatchedEnvelope>, SoapError> {
     }
     let texts = child_texts(wire)?;
     let mut out = Vec::with_capacity(children.len());
-    let mut before: Option<String> = None;
+    let mut before = (!reference.is_empty()).then(|| reference.clone());
     let mut room = MAX_UNWRAPPED_BYTES;
     for (child, sent) in children.into_iter().zip(texts) {
         if !child.name().matches(Some(BATCH_NS), "Msg") {
@@ -541,6 +618,7 @@ pub fn unbundle(wire: &str) -> Result<Vec<BatchedEnvelope>, SoapError> {
         out.push(BatchedEnvelope { target: child.attr("target").map(str::to_string), raw });
         before = Some(text);
     }
+    *reference = before.unwrap_or_default();
     Ok(out)
 }
 
@@ -611,6 +689,60 @@ mod tests {
         }
     }
 
+    /// The tree walk on a fresh connection.
+    fn fresh(wire: &str) -> Result<Vec<BatchedEnvelope>, SoapError> {
+        unbundle(wire, &mut String::new())
+    }
+
+    #[test]
+    fn the_first_message_of_a_request_is_coded_against_the_request_before() {
+        let xmls: Vec<String> = (0..4).map(forward).collect();
+        let (mut sent, mut received, mut walked) = (String::new(), String::new(), String::new());
+        let post = |xmls: &[String], sent: &mut String| {
+            let mut wire = String::new();
+            let left_out = write_batch_parts(
+                xmls.iter().map(|xml| (None, [xml.as_str(), "", ""])),
+                sent,
+                &mut wire,
+            );
+            (wire, left_out)
+        };
+        // One message per request: the first goes whole, every later one
+        // as what it adds to the one the connection carried before it.
+        for (n, xml) in xmls.iter().enumerate() {
+            let (wire, left_out) = post(std::slice::from_ref(xml), &mut sent);
+            assert_eq!(wire.contains(" pre=\""), n > 0, "{wire}");
+            assert_eq!(left_out > xml.len() / 2, n > 0, "{left_out} of {wire}");
+            let Unbundled::Batch(messages) = parse_wire_after(&wire, &mut received).unwrap() else {
+                panic!("{wire}");
+            };
+            assert_eq!(messages[0].raw, *xml);
+            // (The tree walk gives a whole message back re-serialised.)
+            let walk = unbundle(&wire, &mut walked).unwrap();
+            assert_eq!(walk[0].envelope(), messages[0].envelope());
+            assert_eq!(sent, xml[XML_DECL.len()..]);
+            assert_eq!((&received, &walked), (&sent, &sent));
+            // Without the request before, the same document is refused.
+            if n > 0 {
+                assert!(matches!(parse_wire(&wire), Err(SoapError::Batch(_))), "{wire}");
+                assert!(matches!(fresh(&wire), Err(SoapError::Batch(_))), "{wire}");
+            }
+        }
+        // A bare envelope leaves its text past the prologue as the
+        // reference, whitespace after the declaration trimmed.
+        let bare = format!("{XML_DECL}\n {}", &xmls[0][XML_DECL.len()..]);
+        assert_eq!(parse_wire_after(&bare, &mut received).unwrap(), Unbundled::Single(Ok(())));
+        assert_eq!(received, text_of(&bare));
+        assert_eq!(received, xmls[0][XML_DECL.len()..]);
+        let (wire, left_out) = post(&xmls[1..3], &mut received.clone());
+        assert!(left_out > 0 && wire.matches(" pre=\"").count() == 2, "{wire}");
+        let Unbundled::Batch(messages) = parse_wire_after(&wire, &mut received).unwrap() else {
+            panic!("{wire}");
+        };
+        assert_eq!([messages[0].raw.as_str(), &messages[1].raw], [&xmls[1], &xmls[2]]);
+        assert_eq!(received, xmls[2][XML_DECL.len()..]);
+    }
+
     #[test]
     fn round_trips_order_targets_and_content() {
         let envelopes: Vec<Envelope> = (0..4).map(sample).collect();
@@ -627,7 +759,7 @@ mod tests {
         write_batch(&items, &mut wire);
 
         assert!(is_batch(&Element::parse(&wire).unwrap()));
-        let unpacked = unbundle(&wire).unwrap();
+        let unpacked = fresh(&wire).unwrap();
         assert_eq!(unpacked.len(), 4);
         for (i, msg) in unpacked.iter().enumerate() {
             assert_eq!(msg.envelope().unwrap(), envelopes[i], "message {i} round-trips");
@@ -684,7 +816,7 @@ mod tests {
         let mut wire = String::new();
         write_batch(&items, &mut wire);
 
-        let via_tree = unbundle(&wire).unwrap();
+        let via_tree = fresh(&wire).unwrap();
         let streamed = streamed(&wire);
         assert_eq!(streamed.len(), via_tree.len());
         for (i, (s, t)) in streamed.iter().zip(&via_tree).enumerate() {
@@ -712,7 +844,7 @@ mod tests {
             assert_eq!(&message.raw, xml);
         }
         // (The reference gives a whole message back re-serialised.)
-        for (message, xml) in unbundle(&wire).unwrap().iter().zip(&xmls).skip(1) {
+        for (message, xml) in fresh(&wire).unwrap().iter().zip(&xmls).skip(1) {
             assert_eq!(&message.raw, xml, "the reference rebuilds the same bytes");
         }
 
@@ -767,7 +899,7 @@ mod tests {
             (None, [&xml[..cut], &xml[cut..end], &xml[end..]])
         });
         let mut in_pieces = String::new();
-        let left_out = write_batch_parts(pieces, &mut in_pieces);
+        let left_out = write_batch_parts(pieces, &mut String::new(), &mut in_pieces);
         assert_eq!((in_pieces, left_out), batch_of(&xmls));
     }
 
@@ -791,7 +923,7 @@ mod tests {
         let (to_brackets, rest) = foreign.split_at(foreign.find("]]>").unwrap() + 2);
         let pieces = [(None, [plain.as_str(), "", ""]), (None, [to_brackets, rest, ""])];
         let mut wire = String::new();
-        assert_eq!(write_batch_parts(pieces.into_iter(), &mut wire), 0);
+        assert_eq!(write_batch_parts(pieces.into_iter(), &mut String::new(), &mut wire), 0);
         assert_eq!(streamed(&wire)[1].raw, format!("{XML_DECL}{foreign}"));
     }
 
@@ -821,7 +953,7 @@ mod tests {
         }
         assert_eq!(messages[0].raw, format!("{XML_DECL}{first}"));
         assert_eq!(messages[1].target.as_deref(), Some("/x"));
-        let reference = unbundle(&wire).unwrap();
+        let reference = fresh(&wire).unwrap();
         assert_eq!(messages[1..], reference[1..]);
         assert_eq!(messages[0].envelope(), reference[0].envelope());
     }
@@ -861,7 +993,7 @@ mod tests {
         for (what, wire, class) in table {
             let error = parse_wire(&wire).expect_err(what);
             assert!(class(&error), "{what}: {error}");
-            let reference = unbundle(&wire).expect_err(what);
+            let reference = fresh(&wire).expect_err(what);
             assert!(class(&reference), "{what}, by the tree walk: {reference}");
         }
         // The same text before it, `pre` on the boundary: accepted.
@@ -887,7 +1019,7 @@ mod tests {
             let wire = bomb(copies);
             assert!(wire.len() < 500_000);
             assert!(matches!(parse_wire(&wire), Err(SoapError::Batch(_))), "{copies} copies");
-            assert!(matches!(unbundle(&wire), Err(SoapError::Batch(_))), "{copies} copies");
+            assert!(matches!(fresh(&wire), Err(SoapError::Batch(_))), "{copies} copies");
         }
     }
 
@@ -935,11 +1067,11 @@ mod tests {
             "<wsgb:Batch xmlns:wsgb=\"urn:ws-gossip:batch\"><other/></wsgb:Batch>",
             "<wsgb:Batch xmlns:wsgb=\"urn:ws-gossip:batch\"><wsgb:Msg/></wsgb:Batch>",
         ] {
-            assert!(matches!(unbundle(bad), Err(SoapError::Batch(_))), "{bad}");
+            assert!(matches!(fresh(bad), Err(SoapError::Batch(_))), "{bad}");
         }
         let not_envelope =
             "<wsgb:Batch xmlns:wsgb=\"urn:ws-gossip:batch\"><wsgb:Msg><x/></wsgb:Msg></wsgb:Batch>";
-        assert!(matches!(unbundle(not_envelope), Err(SoapError::NotAnEnvelope(_))));
-        assert!(matches!(unbundle("<unclosed"), Err(SoapError::Xml(_))));
+        assert!(matches!(fresh(not_envelope), Err(SoapError::NotAnEnvelope(_))));
+        assert!(matches!(fresh("<unclosed"), Err(SoapError::Xml(_))));
     }
 }

@@ -584,21 +584,6 @@ impl Envelope {
         };
         Ok(Envelope { addressing, blocks: Arc::new(blocks), body })
     }
-
-    /// The addressing properties [`Envelope::parse`] would decode from
-    /// `xml`, for a caller that wants nothing else of the message (the
-    /// transport labelling a lone POST with its `wsa:Action`): the same
-    /// pass with nothing recorded, so nothing of the text is copied but
-    /// the properties.
-    ///
-    /// # Errors
-    ///
-    /// As [`Envelope::parse`], except that the body is only checked for
-    /// well-formedness: an `env:Fault` that is none goes unreported.
-    pub fn addressing_of(xml: &str) -> Result<MessageHeaders, SoapError> {
-        let skip = |reader: &mut XmlReader<'_>, _, _| reader.skip_element();
-        read_parts(&mut XmlReader::new(xml), skip, XmlReader::skip_element)
-    }
 }
 
 /// The one pass over an envelope document: check all of it for
@@ -1183,19 +1168,5 @@ mod tests {
         let parsed = Envelope::parse(&shuffled).unwrap();
         assert_eq!(parsed.addressing().to(), Some("http://a"));
         assert_eq!(parsed.body().unwrap().local_name(), "first");
-
-        // The addressing-only pass is the same pass: same properties, same
-        // error — short of looking into the body.
-        let same = |a: &SoapError, b: &SoapError| std::mem::discriminant(a) == std::mem::discriminant(b);
-        for doc in ["<a><b></a>", "<a/><b/>", "<a/>", &bad_body, &bad_epr, &envelope("<env:Header/>"), &shuffled] {
-            match (Envelope::addressing_of(doc), Envelope::parse(doc)) {
-                (Ok(addressing), Ok(parsed)) => assert_eq!(&addressing, parsed.addressing()),
-                (Err(a), Err(b)) => assert!(same(&a, &b), "{doc}: {a} vs {b}"),
-                (a, b) => panic!("{doc}: {a:?} vs {b:?}"),
-            }
-        }
-        assert_eq!(Envelope::addressing_of(&bad_fault), Ok(MessageHeaders::new()));
-        let full = sample().with_header(Element::in_ns("x", "urn:x", "Block")).to_xml();
-        assert_eq!(Envelope::addressing_of(&full).as_ref(), Ok(sample().addressing()));
     }
 }

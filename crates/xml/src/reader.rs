@@ -391,27 +391,6 @@ impl<'a> XmlReader<'a> {
         }
     }
 
-    /// Iterate events until the matching end of the element that was just
-    /// started, collecting the concatenated text content — descendants'
-    /// included — and discarding markup. Useful for simple leaf elements;
-    /// [`direct_text`](Self::direct_text) is the one that matches
-    /// [`Element::text`](crate::Element::text).
-    pub fn read_text_content(&mut self) -> Result<String, XmlError> {
-        let target_depth = self.open.len();
-        let mut out = String::new();
-        loop {
-            match self.next_event()? {
-                XmlEvent::Text(t) => out.push_str(&t),
-                XmlEvent::CData(t) => out.push_str(&t),
-                XmlEvent::EndElement { .. } if self.open.len() < target_depth => return Ok(out),
-                XmlEvent::Eof => {
-                    return Err(self.err(XmlErrorKind::UnexpectedEof));
-                }
-                _ => {}
-            }
-        }
-    }
-
     /// The resolved name for a lexical one the tokenizer already accepted
     /// (so every prefix is bound). `element`: the default namespace
     /// applies to unprefixed element names, never to attributes.
@@ -1025,16 +1004,8 @@ mod tests {
     }
 
     #[test]
-    fn read_text_content_concatenates() {
-        let mut r = XmlReader::new("<a>x<b>skip</b>y<![CDATA[z]]></a>");
-        r.next_event().unwrap();
-        assert_eq!(r.read_text_content().unwrap(), "xskipyz");
-    }
-
-    #[test]
     fn direct_text_is_what_the_tree_holds() {
-        // Descendant text is not the element's own: unlike
-        // `read_text_content`, and like `Element::text`.
+        // Descendant text is not the element's own, as in `Element::text`.
         for doc in [
             "<a>x<b>skip</b>y<![CDATA[z]]></a>",
             "<a>plain</a>",

@@ -229,6 +229,130 @@ fn an_action_no_http_header_can_carry_still_disseminates() {
     }
 }
 
+/// A [`WsGossipNode`], unmodified, that counts what it is handed and, if it
+/// publishes, does so in bursts: every `BURST`-th publication waits `GAP`
+/// instead of the schedule's interval (the first one too, so the context
+/// is ready before anything is published).
+struct Bursts {
+    node: WsGossipNode,
+    received: u64,
+    armed: u32,
+}
+
+const BURST: u32 = 4;
+const GAP: SimDuration = SimDuration::from_millis(500);
+
+struct Paced<'a> {
+    inner: &'a mut dyn Context<String>,
+    armed: &'a mut u32,
+}
+
+impl Context<String> for Paced<'_> {
+    fn now(&self) -> wsg_net::SimTime {
+        self.inner.now()
+    }
+    fn self_id(&self) -> NodeId {
+        self.inner.self_id()
+    }
+    fn node_count(&self) -> usize {
+        self.inner.node_count()
+    }
+    fn send(&mut self, to: NodeId, msg: String) {
+        self.inner.send(to, msg);
+    }
+    fn set_timer(&mut self, delay: SimDuration, tag: wsg_net::TimerTag) {
+        let mut delay = delay;
+        if tag == ws_gossip::node::PUBLISH_TICK {
+            if self.armed.is_multiple_of(BURST) {
+                delay = GAP;
+            }
+            *self.armed += 1;
+        }
+        self.inner.set_timer(delay, tag);
+    }
+    fn rng(&mut self) -> &mut dyn wsg_net::rng::Rng64 {
+        self.inner.rng()
+    }
+}
+
+impl Protocol for Bursts {
+    type Message = String;
+    fn on_start(&mut self, ctx: &mut dyn Context<String>) {
+        self.node.on_start(&mut Paced { inner: ctx, armed: &mut self.armed });
+    }
+    fn on_message(&mut self, from: NodeId, msg: String, ctx: &mut dyn Context<String>) {
+        self.received += 1;
+        self.node.on_message(from, msg, &mut Paced { inner: ctx, armed: &mut self.armed });
+    }
+    fn on_timer(&mut self, tag: wsg_net::TimerTag, ctx: &mut dyn Context<String>) {
+        self.node.on_timer(tag, &mut Paced { inner: ctx, armed: &mut self.armed });
+    }
+}
+
+/// Every POST is coded against the last message its connection carried,
+/// and the server idles connections out between bursts: the sender must
+/// start each fresh connection from nothing, or the receiver refuses what
+/// it cannot unwrap. Nothing is lost or altered either way.
+#[test]
+fn messages_survive_connections_that_idle_out_between_bursts() {
+    let coordinator = NodeId(0);
+    let texts: Vec<String> = (0..12).map(|i| format!("ACME {} & <co> é{i}", 100 + i)).collect();
+    let ticks = texts.iter().map(|text| Element::text_node("tick", text.as_str())).collect();
+    let mut nodes = vec![
+        WsGossipNode::coordinator(coordinator)
+            .with_policy(GossipPolicy::new(GossipParams::new(10, 6))),
+        WsGossipNode::initiator(NodeId(1), coordinator).with_publish_schedule(
+            "quotes",
+            ticks,
+            SimDuration::from_millis(15),
+        ),
+    ];
+    for i in 2..5 {
+        nodes.push(WsGossipNode::disseminator(NodeId(i), coordinator).with_auto_subscribe("quotes"));
+    }
+    nodes.push(WsGossipNode::consumer(NodeId(5), coordinator).with_auto_subscribe("quotes"));
+    let nodes: Vec<Bursts> =
+        nodes.into_iter().map(|node| Bursts { node, received: 0, armed: 0 }).collect();
+
+    let mut config = loopback_config();
+    // Idle for a tenth of a gap and a connection is closed; the bursts'
+    // 15 ms spacing keeps it open.
+    config.server.keep_alive = Duration::from_millis(100);
+    let net = NetRuntime::spawn(nodes, 2025, config);
+    let registries: Vec<_> = (0..6).map(|i| net.registry_of(NodeId(i))).collect();
+    let finished = net.shutdown_after(Duration::from_millis(2600));
+
+    let counter = |i: usize, name: &str| registries[i].register_counter(name, "").get();
+    let sum = |name: &str| (0..6).map(|i| counter(i, name)).sum::<u64>();
+    // Σ msgs_ok = Σ on_message: every envelope a sender booked as
+    // delivered was handed to a node, none twice, none refused.
+    let sent: u64 = finished.iter().map(|node| node.transport.msgs_ok).sum();
+    let received: u64 = finished.iter().map(|node| node.protocol.received).sum();
+    assert_eq!(sent, received);
+    for (i, node) in finished.iter().enumerate() {
+        let stats = node.protocol.node.stats();
+        assert_eq!(stats.parse_errors, 0, "node {i}: {stats:?}");
+        assert_eq!(node.transport.posts_failed, 0, "node {i}: {:?}", node.transport);
+        let served = registries[i].render();
+        assert!(!served.contains("wsg_http_server_responses_total{class=\"4xx\"}"), "node {i}: {served}");
+        // Every subscriber got every tick, as it was published.
+        if matches!(node.protocol.node.role(), Role::Disseminator | Role::Consumer) {
+            let ops = node.protocol.node.distinct_ops();
+            assert_eq!(ops.len(), texts.len(), "node {i}");
+            for op in ops {
+                assert_eq!(op.payload.text(), texts[op.seq as usize], "node {i} seq {}", op.seq);
+            }
+        }
+    }
+    assert_eq!(sum("wsg_http_server_parse_errors_total"), 0);
+    // Messages left out what their connection had carried...
+    assert!(sum("wsg_transport_batch_shared_bytes_total") > 0);
+    // ...and the initiator's connections did idle out: it opened more
+    // than the one to each of the five peers it talks to (13 when every
+    // gap closes all four subscribers' connections).
+    assert!(counter(1, "wsg_http_client_pool_misses_total") > 5, "{}", registries[1].render());
+}
+
 /// A node's socket survives hostile bytes: raw garbage gets an HTTP 400
 /// and the node keeps serving well-formed envelopes afterwards.
 #[test]

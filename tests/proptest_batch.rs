@@ -2,19 +2,19 @@
 //! the in-tree `wsg_net::check` harness: random envelope runs must
 //! round-trip through `write_batch` → parse → `unbundle` with count,
 //! order, per-message targets, headers and bodies intact; whatever a
-//! message shares with the one before it, a receiver gets back the
-//! sender's text byte for byte — and the unbundler must answer malformed
-//! wrappers with a typed error, never a panic (the server turns it into
-//! a 400).
+//! message shares with the one before it on its connection, a receiver
+//! gets back the sender's text byte for byte — and the unbundler must
+//! answer malformed wrappers with a typed error, never a panic (the server
+//! turns it into a 400).
 
 use wsg_net::check::{run, Gen};
 use wsg_net::{prop_assert, prop_assert_eq};
 
 use wsg_soap::batch::{
-    is_batch, parse_wire, prologue_len, unbundle, write_batch, write_batch_parts, BatchItem,
-    Unbundled,
+    is_batch, parse_wire, parse_wire_after, prologue_len, text_of, unbundle, write_batch,
+    write_batch_parts, BatchItem, Unbundled,
 };
-use wsg_soap::{Envelope, MessageHeaders};
+use wsg_soap::{Envelope, MessageHeaders, SoapError};
 use wsg_xml::Element;
 
 /// A random one-way envelope: random action suffix, random payload text
@@ -54,7 +54,7 @@ fn batches_roundtrip_count_order_targets_and_content() {
 
         let root = Element::parse(&wire).map_err(|e| e.to_string())?;
         prop_assert!(is_batch(&root), "written batch must be recognised as one");
-        let messages = unbundle(&wire).map_err(|e| e.to_string())?;
+        let messages = unbundle(&wire, &mut String::new()).map_err(|e| e.to_string())?;
         prop_assert_eq!(messages.len(), count);
         for ((message, envelope), target) in messages.iter().zip(&envelopes).zip(&targets) {
             prop_assert_eq!(&message.target, target);
@@ -171,7 +171,7 @@ fn every_unwrapped_message_is_the_text_its_sender_queued() {
             (*target, [first, &xml[first.len()..*b], &xml[*b..]])
         });
         let mut in_pieces = String::new();
-        prop_assert_eq!(write_batch_parts(pieces, &mut in_pieces), left_out);
+        prop_assert_eq!(write_batch_parts(pieces, &mut String::new(), &mut in_pieces), left_out);
         prop_assert_eq!(&in_pieces, &wire);
 
         let root = Element::parse(&wire).map_err(|e| e.to_string())?;
@@ -187,7 +187,7 @@ fn every_unwrapped_message_is_the_text_its_sender_queued() {
             Unbundled::Batch(streamed) => streamed,
             Unbundled::Single(_) => return Err("batch wire classified as a single document".into()),
         };
-        let reference = unbundle(&wire).map_err(|e| e.to_string())?;
+        let reference = unbundle(&wire, &mut String::new()).map_err(|e| e.to_string())?;
         prop_assert_eq!(streamed.len(), xmls.len());
         prop_assert_eq!(reference.len(), xmls.len());
         for (i, text) in texts.iter().enumerate() {
@@ -206,6 +206,92 @@ fn every_unwrapped_message_is_the_text_its_sender_queued() {
                 prop_assert!(texts[i - 1].is_char_boundary(pre), "message {i} of {wire}");
             }
         }
+        Ok(())
+    });
+}
+
+/// Messages cut at random into requests over one keep-alive connection
+/// that reconnects at random, some posted bare: the sender's and the
+/// receiver's reference advance in lockstep (the tree walk's too), every
+/// message comes out as the declaration plus the text that went in, and
+/// the first `Msg` after a (re)connect never carries a `pre` — one built
+/// by hand is refused there, and taken where its reference is.
+#[test]
+fn a_connection_codes_each_request_against_the_one_before() {
+    run("a_connection_codes_each_request_against_the_one_before", 128, |g| {
+        let conversations: Vec<String> = (0..g.usize(1..=3))
+            .map(|_| g.string_from(&['h', 'é', '漢', '-'], 30) + &"=".repeat(g.usize(0..=80)))
+            .collect();
+        let heartbeat = random_envelope(g).to_xml();
+        let xmls: Vec<String> = (0..g.usize(2..=24))
+            .map(|_| if g.bool(0.1) { heartbeat.clone() } else { random_message(g, &conversations) })
+            .collect();
+        let (mut sender, mut receiver, mut walker) = (String::new(), String::new(), String::new());
+        let mut fresh = true;
+        let mut rest = &xmls[..];
+        while !rest.is_empty() {
+            if g.bool(0.2) {
+                // The connection is gone; both ends start over.
+                (sender, receiver, walker) = Default::default();
+                fresh = true;
+            }
+            let (post, after) = rest.split_at(g.usize(1..=rest.len().min(5)));
+            rest = after;
+            if post.len() == 1 && g.bool(0.2) {
+                // Posted bare: its text is what the connection said last.
+                let bare = format!("{DECLARATION}{}", text_of(&post[0]));
+                let unwrapped = parse_wire_after(&bare, &mut receiver).map_err(|e| e.to_string())?;
+                prop_assert_eq!(unwrapped, Unbundled::Single(Ok(())));
+                sender = text_of(&post[0]).to_string();
+                walker = receiver.clone();
+                prop_assert_eq!(&receiver, &sender);
+                fresh = false;
+                continue;
+            }
+            let items = post.iter().map(|xml| (None, [xml.as_str(), "", ""]));
+            let mut wire = String::new();
+            let left_out = write_batch_parts(items, &mut sender, &mut wire);
+            let root = Element::parse(&wire).map_err(|e| e.to_string())?;
+            let pres: Vec<Option<usize>> = root
+                .children()
+                .iter()
+                .map(|msg| msg.attr("pre").and_then(|pre| pre.parse().ok()))
+                .collect();
+            prop_assert_eq!(pres.iter().flatten().sum::<usize>(), left_out);
+            prop_assert!(!fresh || pres[0].is_none(), "coded against nothing: {wire}");
+            let streamed = match parse_wire_after(&wire, &mut receiver).map_err(|e| e.to_string())? {
+                Unbundled::Batch(streamed) => streamed,
+                Unbundled::Single(_) => return Err("batch wire classified as a single document".into()),
+            };
+            let walked = unbundle(&wire, &mut walker).map_err(|e| e.to_string())?;
+            prop_assert_eq!(streamed.len(), post.len());
+            for (i, xml) in post.iter().enumerate() {
+                let expected = format!("{DECLARATION}{}", text_of(xml));
+                prop_assert!(streamed[i].raw == expected, "message {i} of {wire}: {}", streamed[i].raw);
+                prop_assert_eq!(streamed[i].envelope(), walked[i].envelope());
+            }
+            prop_assert_eq!(&receiver, &sender);
+            prop_assert_eq!(&walker, &sender);
+            fresh = false;
+        }
+
+        // A first `Msg` coded by hand against the last text said.
+        let said = sender.clone();
+        let mut pre = g.usize(0..=said.len());
+        while !said.is_char_boundary(pre) {
+            pre -= 1;
+        }
+        let tail = said[pre..].replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;");
+        let hand = format!(
+            "<wsgb:Batch xmlns:wsgb=\"urn:ws-gossip:batch\"><wsgb:Msg pre=\"{pre}\">{tail}</wsgb:Msg></wsgb:Batch>"
+        );
+        let refused = |result| matches!(result, Err(SoapError::Batch(_)));
+        prop_assert!(refused(parse_wire_after(&hand, &mut String::new()).map(drop)), "{hand}");
+        prop_assert!(refused(unbundle(&hand, &mut String::new()).map(drop)), "{hand}");
+        let taken = parse_wire_after(&hand, &mut receiver).map_err(|e| e.to_string())?;
+        let Unbundled::Batch(taken) = taken else { return Err("no batch".into()) };
+        prop_assert_eq!(&taken[0].raw, &format!("{DECLARATION}{said}"));
+        prop_assert_eq!(&receiver, &said);
         Ok(())
     });
 }
@@ -243,7 +329,7 @@ fn corrupted_batches_error_instead_of_panicking() {
                 format!("{}{}{}", &wire[..at], g.ascii_string(12), &wire[at..])
             }
         };
-        let _ = unbundle(&corrupted);
+        let _ = unbundle(&corrupted, &mut String::new());
         let _ = parse_wire(&corrupted);
         Ok(())
     });
@@ -263,7 +349,7 @@ fn non_batch_documents_are_rejected() {
         let doc = Element::text_node(&name, g.ascii_string(16));
         let root = Element::parse(&doc.to_xml_string()).map_err(|e| e.to_string())?;
         prop_assert!(!is_batch(&root), "a plain {name} element is not a batch");
-        prop_assert!(unbundle(&doc.to_xml_string()).is_err());
+        prop_assert!(unbundle(&doc.to_xml_string(), &mut String::new()).is_err());
         prop_assert!(
             matches!(parse_wire(&doc.to_xml_string()), Ok(Unbundled::Single(_))),
             "a non-batch document streams through as a single root"
