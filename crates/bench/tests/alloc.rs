@@ -17,7 +17,7 @@ use wsg_net::{NodeId, Pcg32, Protocol};
 use wsg_soap::batch::{parse_wire, write_batch, BatchItem, Unbundled};
 use wsg_soap::handler::Direction;
 use wsg_soap::{EndpointReference, Envelope, HandlerChain, MessageHeaders};
-use wsg_xml::Element;
+use wsg_xml::{Element, RawEvent, XmlReader};
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -214,4 +214,23 @@ fn unwrapping_a_batch_builds_no_tree() {
     // shape check looks at — a payload tree alone would be more than that.
     assert!(allocs.calls <= 13 * 24, "{allocs:?}");
     assert!(allocs.bytes <= 13 * (message.len() as u64 + 1024), "{allocs:?}");
+}
+
+#[test]
+fn reading_a_document_through_costs_the_tokenizer_its_scratch_and_no_more() {
+    let _alone = alone();
+    for bytes in [256, 16 * 1024] {
+        let wire = notification(0, bytes);
+        let allocs = floor(|| {
+            let mut reader = XmlReader::new(&wire);
+            while reader.next_raw().expect("a notification parses") != RawEvent::Start {}
+            reader.skip_element().expect("a notification parses");
+            reader.finish().expect("a notification parses");
+        });
+        // What the char-level token layer asked for (measured): the scope
+        // and the open-element stack, sized at construction, and the
+        // attribute list of the first tag with attributes. A faster token
+        // layer may not buy its speed with an allocation per token.
+        assert!(allocs.calls <= 3, "{bytes} B payload: {allocs:?}");
+    }
 }

@@ -340,6 +340,20 @@ fn write_seeds() -> std::io::Result<usize> {
                     "mixed",
                     b"<?xml version=\"1.0\" encoding=\"UTF-8\"?><root a=\"1\"><!-- c --><child xmlns:p=\"urn:x\"><p:leaf>text &amp; more</p:leaf><![CDATA[raw <bits>]]></child><?pi data?></root>",
                 ),
+                // What the byte-level token layer hands to its char-level
+                // paths: names past ASCII, a namespace URI written with a
+                // character reference, and end tags with space before `>`.
+                (
+                    "non-ascii-names",
+                    "<?xml version=\"1.0\"?><名前 xmlns:ü=\"urn:ü\" é·x=\"1\">\
+                     <ü:a ü:ñ=\"2\">t</ü:a><b\u{301}/></名前>"
+                        .as_bytes(),
+                ),
+                (
+                    "prefix-char-ref",
+                    b"<p:a xmlns:p=\"urn:&#x61;b\"><p:b p:k=\"v\">&#65;&lt;</p:b></p:a>",
+                ),
+                ("end-tag-space", b"<a><b>x</b ><c/></a\t\n>"),
             ],
         ),
         (

@@ -14,7 +14,8 @@ use wsg_soap::{
     EndpointReference, Envelope, Fault, MessageHeaders, SoapError, SOAP_ENV_NS, WSA_NS,
 };
 use wsg_xml::reader::MAX_DEPTH;
-use wsg_xml::{Element, QName, XmlError, XmlEvent, XmlReader};
+use wsg_xml::event::Attribute;
+use wsg_xml::{Element, QName, RawEvent, XmlError, XmlEvent, XmlReader};
 
 /// One fuzzable parse path.
 pub trait FuzzTarget: Sync {
@@ -166,7 +167,8 @@ impl FuzzTarget for HttpTarget {
 /// Oracles: the event stream terminates within a linear bound (no
 /// livelock), open-element depth never exceeds [`MAX_DEPTH`], a tree
 /// that parses has an idempotent serialisation
-/// (serialise → parse → serialise is a fixed point), and
+/// (serialise → parse → serialise is a fixed point), `next_raw` agrees
+/// with `next_event` on every event and on the verdict, and
 /// `skip_element` agrees with tree building — same verdict, same error,
 /// same end offset — on the root and on each of its children.
 pub struct XmlTarget;
@@ -205,6 +207,58 @@ fn element_ends(text: &str, level: usize, consume: Consume) -> Result<Vec<usize>
     }
 }
 
+/// Whether the start tag `raw` just read is `name` with `attributes`, as
+/// `next_event` reported it: name and prefix, and each attribute's value
+/// as `attribute` finds it (the first of a resolved name answers).
+fn same_start_tag(raw: &XmlReader<'_>, name: &QName, attributes: &[Attribute]) -> bool {
+    let (ns, local) = raw.element_name();
+    let element = raw.element_qname();
+    element == *name
+        && element.prefix() == name.prefix()
+        && (ns, local) == (name.namespace().filter(|ns| !ns.is_empty()), name.local())
+        && attributes.iter().all(|attribute| {
+            let (ns, local) = (attribute.name.namespace(), attribute.name.local());
+            let first = attributes.iter().find(|a| a.name.matches(ns, local));
+            raw.attribute(ns, local).as_deref() == first.map(|a| a.value.as_str())
+        })
+}
+
+/// Drive `next_event` and `next_raw` over `text` side by side, to the
+/// first error or the end: the same event each time, the cursor in the
+/// same place after it, and the same error.
+fn raw_agrees_with_events(text: &str, bound: usize) -> Result<(), String> {
+    let (mut events, mut raw) = (XmlReader::new(text), XmlReader::new(text));
+    for _ in 0..=bound {
+        let (event, got) = (events.next_event(), raw.next_raw());
+        let same = match (&event, &got) {
+            (Err(expected), Err(error)) if expected == error => return Ok(()),
+            (Ok(XmlEvent::Eof), Ok(RawEvent::Eof)) => return Ok(()),
+            (Ok(XmlEvent::StartElement { name, attributes, .. }), Ok(RawEvent::Start)) => {
+                same_start_tag(&raw, name, attributes)
+            }
+            (Ok(XmlEvent::EndElement { .. }), Ok(RawEvent::End)) => true,
+            (Ok(XmlEvent::Text(text) | XmlEvent::CData(text)), Ok(RawEvent::Text(run))) => {
+                text == run
+            }
+            (
+                Ok(XmlEvent::Declaration { .. }
+                | XmlEvent::Comment(_)
+                | XmlEvent::ProcessingInstruction { .. }),
+                Ok(RawEvent::Markup),
+            ) => true,
+            _ => false,
+        };
+        if !same || events.position() != raw.position() {
+            return Err(format!(
+                "next_event read {event:?} to {}, next_raw {got:?} to {}",
+                events.position(),
+                raw.position()
+            ));
+        }
+    }
+    Err(format!("next_raw emitted over {bound} events for {} bytes", text.len()))
+}
+
 impl FuzzTarget for XmlTarget {
     fn name(&self) -> &'static str {
         "xml"
@@ -233,6 +287,7 @@ impl FuzzTarget for XmlTarget {
                 Err(_) => break false, // clean rejection
             }
         };
+        raw_agrees_with_events(&text, bound)?;
 
         for level in [0, 1] {
             let skipped = element_ends(&text, level, skip);

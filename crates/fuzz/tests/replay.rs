@@ -30,8 +30,15 @@ fn fixed_bugs_keep_their_minimized_triggers() {
     // The two parser bugs this harness found stay pinned by their
     // minimized inputs: the reader accepting `<wsa:0/>` (a QName local
     // part the writer refuses, so serialisation panicked), and a batch
-    // message slice that leaned on the wrapper's xmlns:wsgb binding.
-    assert!(!corpus::regressions("xml").unwrap().is_empty());
+    // message slice that leaned on the wrapper's xmlns:wsgb binding. A
+    // third reader bug sits beside the first: `<a\u{3000}b='1'/>`, read as
+    // if U+3000 were XML whitespace. Each xml input is now refused.
+    let xml = corpus::regressions("xml").unwrap();
+    assert!(xml.len() >= 2);
+    for input in &xml {
+        let text = String::from_utf8_lossy(input);
+        assert!(wsg_xml::Element::parse(&text).is_err(), "{text:?} parses");
+    }
     assert!(!corpus::regressions("batch").unwrap().is_empty());
 }
 
@@ -47,7 +54,7 @@ fn the_foreign_seeds_reach_the_splice_fallback_branches() {
         return;
     }
     use std::collections::BTreeSet;
-    use wsg_fuzz::targets::{BatchTarget, EnvelopeTarget, FuzzTarget};
+    use wsg_fuzz::targets::{BatchTarget, EnvelopeTarget, FuzzTarget, XmlTarget};
     use wsg_fuzz::{fuzz, FuzzConfig};
     let edges = |target: &dyn FuzzTarget, seed: Vec<u8>| -> BTreeSet<u32> {
         let replay_only = FuzzConfig { budget: 0, ..FuzzConfig::default() };
@@ -68,6 +75,14 @@ fn the_foreign_seeds_reach_the_splice_fallback_branches() {
     for (name, fresh) in [("gossip-leaning", 2), ("gossip-text", 1), ("flagged", 2)] {
         let lit = edges(&EnvelopeTarget, seed("envelope", name));
         assert!(lit.difference(&gossip).count() >= fresh, "{name}: {:?}", lit.difference(&gossip));
+    }
+    // The byte-level reader's way back to its char-level code: names past
+    // ASCII, a character reference (in a namespace URI and in text), and
+    // an end tag with space before its `>`.
+    let ascii = edges(&XmlTarget, seed("xml", "envelope"));
+    for (name, fresh) in [("non-ascii-names", 2), ("prefix-char-ref", 2), ("end-tag-space", 1)] {
+        let lit = edges(&XmlTarget, seed("xml", name));
+        assert!(lit.difference(&ascii).count() >= fresh, "{name}: {:?}", lit.difference(&ascii));
     }
     let pair = edges(&BatchTarget, seed("batch", "pair"));
     let leaning = edges(&BatchTarget, seed("batch", "leaning"));

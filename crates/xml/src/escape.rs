@@ -89,7 +89,7 @@ fn escape_into(out: &mut String, input: &str, attr: bool) {
 /// references and `Malformed` for unterminated or out-of-range character
 /// references. `position` in the error is relative to `base_offset`.
 pub fn unescape(input: &str, base_offset: usize) -> Result<Cow<'_, str>, XmlError> {
-    if find_amp(input.as_bytes()).is_none() {
+    if find_byte(input.as_bytes(), 0, b'&').is_none() {
         return Ok(Cow::Borrowed(input));
     }
     let mut out = String::with_capacity(input.len());
@@ -122,20 +122,15 @@ fn scan_refs(
     base_offset: usize,
     mut emit: impl FnMut(&str, Option<char>),
 ) -> Result<(), XmlError> {
-    const PREDEFINED: [(&str, char); 5] =
-        [("amp;", '&'), ("lt;", '<'), ("gt;", '>'), ("quot;", '"'), ("apos;", '\'')];
     let mut rest = input;
     let mut offset = base_offset;
-    while let Some(amp) = find_amp(rest.as_bytes()) {
+    while let Some(amp) = find_byte(rest.as_bytes(), 0, b'&') {
         let after = &rest[amp + 1..];
         // The five predefined entities are nearly every reference there
         // is: match them as literals before looking for the `;` (a second
         // search per reference triples the cost of reference-dense text).
-        let predefined = PREDEFINED
-            .iter()
-            .find_map(|(name, c)| after.strip_prefix(name).map(|tail| (*c, tail)));
-        let (decoded, tail) = match predefined {
-            Some(hit) => hit,
+        let (decoded, tail) = match predefined(after.as_bytes()) {
+            Some((c, len)) => (c, &after[len..]),
             None => {
                 let semi = after.find(';').ok_or_else(|| {
                     XmlError::new(
@@ -161,27 +156,64 @@ fn scan_refs(
     Ok(())
 }
 
-/// Offset of the first `&`, a word at a time. Escaped text carries a
-/// reference every few dozen bytes, and at that density the per-call
-/// set-up of `str::find` is most of its cost (18 KB with 450 references:
-/// 9 µs against 2 µs).
-fn find_amp(bytes: &[u8]) -> Option<usize> {
-    const LO: u64 = 0x0101_0101_0101_0101;
-    const HI: u64 = 0x8080_8080_8080_8080;
-    let mut words = bytes.chunks_exact(8);
-    let mut base = 0;
-    for word in &mut words {
-        // Zero exactly where the input byte is `&`; the lowest flagged
-        // byte of the zero-byte test is always a true hit.
-        let word = u64::from_le_bytes(word.try_into().expect("chunks of 8"))
-            ^ (LO * u64::from(b'&'));
-        let hit = word.wrapping_sub(LO) & !word & HI;
-        if hit != 0 {
-            return Some(base + (hit.trailing_zeros() / 8) as usize);
-        }
-        base += 8;
+/// The predefined entity `after` (the bytes past an `&`) starts with: the
+/// character it stands for and the length of its name and `;`.
+pub(crate) fn predefined(after: &[u8]) -> Option<(char, usize)> {
+    match after {
+        [b'a', b'm', b'p', b';', ..] => Some(('&', 4)),
+        [b'l', b't', b';', ..] => Some(('<', 3)),
+        [b'g', b't', b';', ..] => Some(('>', 3)),
+        [b'q', b'u', b'o', b't', b';', ..] => Some(('"', 5)),
+        [b'a', b'p', b'o', b's', b';', ..] => Some(('\'', 5)),
+        _ => None,
     }
-    words.remainder().iter().position(|&b| b == b'&').map(|i| base + i)
+}
+
+const LO: u64 = 0x0101_0101_0101_0101;
+const HI: u64 = 0x8080_8080_8080_8080;
+
+/// The high bit of every byte of `word` equal to `byte`, and possibly of
+/// bytes above a true match. The lowest flagged byte is always a true
+/// match, and so is the lowest of several such masks OR-ed together.
+#[inline(always)]
+pub(crate) fn flag(word: u64, byte: u8) -> u64 {
+    let word = word ^ (LO * u64::from(byte));
+    word.wrapping_sub(LO) & !word & HI
+}
+
+/// [`flag`] for the bytes of `word` below `' '` (control characters,
+/// among them tab, line feed and carriage return).
+#[inline(always)]
+pub(crate) fn below_space(word: u64) -> u64 {
+    word.wrapping_sub(LO * u64::from(b' ')) & !word & HI
+}
+
+/// Offset of the first byte at or after `from` that `hits` flags (see
+/// [`flag`]) in its word, read eight bytes at a time; `byte_hit` decides
+/// the tail shorter than a word. Markup and references come every few
+/// dozen bytes, and at that density the per-call set-up of `str::find` is
+/// most of its cost (18 KB with 450 references: 9 µs against 2 µs).
+#[inline(always)]
+pub(crate) fn find_by(
+    bytes: &[u8],
+    from: usize,
+    hits: impl Fn(u64) -> u64,
+    byte_hit: impl Fn(u8) -> bool,
+) -> Option<usize> {
+    let mut at = from;
+    while let Some(word) = bytes.get(at..at + 8) {
+        let hit = hits(u64::from_le_bytes(word.try_into().expect("eight bytes")));
+        if hit != 0 {
+            return Some(at + (hit.trailing_zeros() / 8) as usize);
+        }
+        at += 8;
+    }
+    bytes[at..].iter().position(|&b| byte_hit(b)).map(|i| at + i)
+}
+
+/// Offset of the first `byte` at or after `from`.
+pub(crate) fn find_byte(bytes: &[u8], from: usize, byte: u8) -> Option<usize> {
+    find_by(bytes, from, |word| flag(word, byte), |b| b == byte)
 }
 
 fn parse_char_ref(name: &str, position: usize) -> Result<char, XmlError> {

@@ -66,8 +66,9 @@ impl QName {
     /// Split a lexical `prefix:local` form into `(Some(prefix), local)` or
     /// `(None, name)`.
     pub(crate) fn split_lexical(lexical: &str) -> (Option<&str>, &str) {
-        match lexical.split_once(':') {
-            Some((p, l)) => (Some(p), l),
+        // Names are short: a plain byte loop beats a general search.
+        match lexical.bytes().position(|b| b == b':') {
+            Some(colon) => (Some(&lexical[..colon]), &lexical[colon + 1..]),
             None => (None, lexical),
         }
     }

@@ -10,18 +10,100 @@
 //! reader), and [`XmlReader::skip_element`] discards them — same
 //! accept/reject decisions, same end offset, and for the last two no
 //! allocation.
+//!
+//! ## Bytes, not characters
+//!
+//! Every delimiter of the grammar is ASCII, so the token layer reads
+//! bytes: a byte test never splits a UTF-8 sequence. A name is read and
+//! checked as a QName in one loop over a class table. Character data is
+//! scanned once, a word at a time, for the `<` that ends it, for `]]>` and
+//! for references, the five predefined entities being checked as they
+//! pass (a consumer that resolves them checks them itself, so for
+//! `next_event` and `next_raw` the scan only notes that there are some);
+//! an attribute value is scanned once for its quote, `<`, references
+//! and the characters normalisation rewrites. An end tag is compared with
+//! the open element's name before anything is searched, and each prefix of
+//! a start tag is resolved once, the element's binding kept for
+//! [`XmlReader::element_name`]. What falls outside a fast path — a name
+//! with a non-ASCII character, a character reference, an end tag other
+//! than `</name S? >` — takes the `char`-level code the reader had before.
+//!
+//! Whitespace is XML's `S` (`#x20 | #x9 | #xD | #xA`) everywhere the
+//! grammar skips it: between attributes, around `=`, before an end tag's
+//! `>`, in the prolog and epilog, after a processing instruction's target
+//! and inside the declaration. Other Unicode whitespace (`U+3000`,
+//! `U+00A0`, `U+0085`, a vertical tab) separates nothing: in a tag it is a
+//! character no name may hold, outside the root element it is character
+//! data, and a processing-instruction target holding it is rejected.
+//!
+//! ## The reference
+//!
+//! Test builds keep the `char`-level token layer this one replaced
+//! (`reader::reference`). The differential test beside it
+//! (`reader::differential`) drives both with `next_raw`, and through
+//! `skip_element` (where the tokenizer checks references itself), over
+//! 10⁴ generated documents and over truncations and byte flips of every
+//! committed `xml`, `envelope` and `batch` fuzz seed: after every event
+//! both report the same event, element name, attributes, bindings and
+//! position, and every rejection is the same error kind at the same
+//! offset. Inputs holding whitespace outside `S` are the one class left
+//! out — the one place the two readers are meant to differ.
 
 use std::borrow::Cow;
 
 use wsg_net::cov;
 
 use crate::error::{XmlError, XmlErrorKind};
-use crate::escape::{check_refs, is_name_char, is_name_start, unescape, validate_qname};
+use crate::escape::{
+    below_space, check_refs, find_by, find_byte, flag, is_name_char, is_name_start, predefined,
+    unescape, validate_qname,
+};
 use crate::event::{Attribute, XmlEvent};
 use crate::name::QName;
 
+#[cfg(test)]
+mod differential;
+#[cfg(test)]
+mod reference;
+
 /// Maximum element nesting depth accepted by the reader.
 pub const MAX_DEPTH: usize = 512;
+
+/// XML's whitespace, `S`: the only characters the grammar skips.
+const SPACE: [char; 4] = [' ', '\t', '\r', '\n'];
+
+fn is_space(byte: u8) -> bool {
+    matches!(byte, b' ' | b'\t' | b'\r' | b'\n')
+}
+
+// How `read_qname` sees a byte: the ASCII half of `is_name_char` and
+// `is_name_start` as two bits. A non-ASCII byte has neither; it hands the
+// name over to the `char`-level code.
+const NAME_CHAR: u8 = 1;
+const NAME_START: u8 = 2;
+
+static NAME_CLASS: [u8; 256] = {
+    let mut class = [0; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        class[byte] = match byte as u8 {
+            b'A'..=b'Z' | b'a'..=b'z' | b'_' | b':' => NAME_START | NAME_CHAR,
+            b'0'..=b'9' | b'-' | b'.' => NAME_CHAR,
+            _ => 0,
+        };
+        byte += 1;
+    }
+    class
+};
+
+fn name_class(byte: u8) -> u8 {
+    NAME_CLASS[usize::from(byte)]
+}
+
+// Who checks the references of a text run: the consumer, which resolves
+// them (`unescape` checks as it goes), or the tokenizer.
+const RESOLVING: bool = true;
+const CHECKING: bool = false;
 
 /// One lexical construct, as slices of the input.
 enum Token<'a> {
@@ -30,17 +112,18 @@ enum Token<'a> {
     Pi { target: &'a str, data: &'a str },
     Comment(&'a str),
     CData(&'a str),
-    /// Character data, still escaped; the consumer resolves or checks its
-    /// references (`unescape` / `check_refs`) from byte offset `at`.
-    Text { raw: &'a str, at: usize },
-    /// A start tag. The element is open (its lexical name is the last of
-    /// `XmlReader::open`), its scope pushed and its attributes (validated)
-    /// sit in `XmlReader::attrs`.
+    /// Character data from byte offset `at`, still escaped; `refs` says
+    /// whether it holds references. Unless the consumer is resolving them,
+    /// the tokenizer has checked them.
+    Text { raw: &'a str, at: usize, refs: bool },
+    /// A start tag. The element is open (the last of `XmlReader::open`),
+    /// its scope pushed and its attributes (validated) sit in
+    /// `XmlReader::attrs`.
     Start { empty: bool },
     /// A matched end tag (or the synthetic one after `<a/>`). The element
     /// stays open until the consumer calls `close_element`, so its own
     /// namespace declarations can still resolve its name.
-    End { lexical: &'a str },
+    End,
     Eof,
 }
 
@@ -64,13 +147,24 @@ pub enum RawEvent<'a> {
     Eof,
 }
 
+/// An open element: its lexical name and, when the index fits, the scope
+/// entry its prefix — or, unprefixed, the default namespace — resolved to
+/// when its start tag was read (`None`: resolve it again). The entry
+/// outlives the element: entries only leave the scope when an element at
+/// their depth closes.
+#[derive(Debug)]
+struct Open<'a> {
+    name: &'a str,
+    ns: Option<u32>,
+}
+
 /// An attribute as written: lexical name and still-escaped value.
 #[derive(Debug)]
 struct RawAttr<'a> {
     name: &'a str,
     raw: &'a str,
-    // Byte offset of `raw` in the input, for error positions.
-    at: usize,
+    // `raw` is already the value: no reference, nothing to normalise.
+    plain: bool,
 }
 
 /// In-scope namespace bindings over borrowed input: `(depth, prefix,
@@ -89,13 +183,71 @@ impl<'a> Bindings<'a> {
         self.depth = self.depth.saturating_sub(1);
     }
 
-    /// The winning binding for `prefix` and the depth it was declared at.
-    fn resolve(&self, prefix: &str) -> Option<(usize, &str)> {
-        self.entries
-            .iter()
-            .rev()
-            .find(|(_, p, _)| *p == prefix)
-            .map(|(depth, _, uri)| (*depth, uri.as_ref()))
+    /// The entry of the winning binding for `prefix`.
+    fn resolve(&self, prefix: &str) -> Option<usize> {
+        self.entries.iter().rposition(|(_, p, _)| *p == prefix)
+    }
+
+    fn uri(&self, entry: Option<usize>) -> Option<&str> {
+        entry.and_then(|i| self.entries.get(i)).map(|(_, _, uri)| uri.as_ref())
+    }
+}
+
+/// The prefix an `xmlns` / `xmlns:p` attribute declares (empty for the
+/// default namespace); `None` for every other attribute.
+fn declared_prefix(attr_name: &str) -> Option<&str> {
+    match attr_name.strip_prefix("xmlns")? {
+        "" => Some(""),
+        rest => rest.strip_prefix(':'),
+    }
+}
+
+/// An attribute's value: references resolved, then attribute-value
+/// normalisation (whitespace characters become spaces). Almost no value
+/// needs either, so the input is borrowed unless one does.
+fn attr_value<'a>(input: &str, attr: &RawAttr<'a>) -> Result<Cow<'a, str>, XmlError> {
+    if attr.plain {
+        return Ok(Cow::Borrowed(attr.raw));
+    }
+    // Error positions count from the start of the input `raw` is cut from.
+    let at = attr.raw.as_ptr() as usize - input.as_ptr() as usize;
+    let value = unescape(attr.raw, at)?;
+    if !value.contains(['\t', '\n', '\r']) {
+        return Ok(value);
+    }
+    Ok(Cow::Owned(
+        value
+            .chars()
+            .map(|c| if matches!(c, '\t' | '\n' | '\r') { ' ' } else { c })
+            .collect(),
+    ))
+}
+
+/// [`attr_value`] of an attribute the tokenizer has accepted.
+fn checked_value<'a>(input: &str, attr: &RawAttr<'a>) -> Cow<'a, str> {
+    attr_value(input, attr).expect("references were checked when the tag was tokenized")
+}
+
+/// The resolved name for a lexical one: `uri` is what its prefix is bound
+/// to or, unprefixed, the default namespace — which the caller passes for
+/// elements only, never for attributes.
+fn resolved_qname(prefix: Option<&str>, local: &str, uri: Option<&str>) -> QName {
+    match prefix {
+        Some(p) => QName::with_ns(uri.unwrap_or(""), local).with_prefix(p),
+        None => match uri {
+            Some(uri) if !uri.is_empty() => QName::with_ns(uri, local),
+            _ => QName::new(local),
+        },
+    }
+}
+
+/// Character data as a tree holds it: a slice of the input unless a
+/// reference had to be resolved.
+fn resolved_text(raw: &str, at: usize, refs: bool) -> Result<Cow<'_, str>, XmlError> {
+    if refs {
+        unescape(raw, at)
+    } else {
+        Ok(Cow::Borrowed(raw))
     }
 }
 
@@ -122,8 +274,8 @@ pub struct XmlReader<'a> {
     input: &'a str,
     pos: usize,
     scope: Bindings<'a>,
-    // Lexical names of the open elements, for close-tag matching.
-    open: Vec<&'a str>,
+    // The open elements, for close-tag matching and `element_name`.
+    open: Vec<Open<'a>>,
     // Attributes of the start tag last tokenized; reused across tags.
     attrs: Vec<RawAttr<'a>>,
     // The last start tag was self-closing: its synthetic End is next.
@@ -220,7 +372,7 @@ impl<'a> XmlReader<'a> {
     /// Returns an [`XmlError`] on malformed input; the reader should not be
     /// used further after an error.
     pub fn next_event(&mut self) -> Result<XmlEvent, XmlError> {
-        Ok(match self.next_token()? {
+        Ok(match self.next_token(RESOLVING)? {
             Token::Declaration(data) => XmlEvent::Declaration {
                 version: pseudo_attr(data, "version").unwrap_or_else(|| "1.0".to_string()),
                 encoding: pseudo_attr(data, "encoding"),
@@ -231,13 +383,15 @@ impl<'a> XmlReader<'a> {
             },
             Token::Comment(text) => XmlEvent::Comment(text.to_string()),
             Token::CData(text) => XmlEvent::CData(text.to_string()),
-            Token::Text { raw, at } => XmlEvent::Text(unescape(raw, at)?.into_owned()),
-            Token::Start { empty, .. } => {
+            Token::Text { raw, at, refs } => {
+                XmlEvent::Text(resolved_text(raw, at, refs)?.into_owned())
+            }
+            Token::Start { empty } => {
                 let (name, attributes) = self.start_tag();
                 XmlEvent::StartElement { name, attributes, empty }
             }
-            Token::End { lexical } => {
-                let name = self.qname(lexical, true);
+            Token::End => {
+                let name = self.element_qname();
                 self.close_element();
                 XmlEvent::EndElement { name }
             }
@@ -253,13 +407,13 @@ impl<'a> XmlReader<'a> {
     ///
     /// Exactly the error `next_event` would have raised.
     pub fn next_raw(&mut self) -> Result<RawEvent<'a>, XmlError> {
-        Ok(match self.next_token()? {
+        Ok(match self.next_token(RESOLVING)? {
             Token::Start { .. } => RawEvent::Start,
-            Token::End { .. } => {
+            Token::End => {
                 self.close_element();
                 RawEvent::End
             }
-            Token::Text { raw, at } => RawEvent::Text(unescape(raw, at)?),
+            Token::Text { raw, at, refs } => RawEvent::Text(resolved_text(raw, at, refs)?),
             Token::CData(text) => RawEvent::Text(Cow::Borrowed(text)),
             Token::Eof => RawEvent::Eof,
             Token::Declaration(_) | Token::Pi { .. } | Token::Comment(_) => RawEvent::Markup,
@@ -273,11 +427,15 @@ impl<'a> XmlReader<'a> {
             .attrs
             .iter()
             .filter(|attr| declared_prefix(attr.name).is_none())
-            .map(|attr| Attribute {
-                // Per the namespaces spec, unprefixed attributes are
-                // in no namespace (the default does not apply).
-                name: self.qname(attr.name, false),
-                value: checked_value(attr).into_owned(),
+            .map(|attr| {
+                // Per the namespaces spec, unprefixed attributes are in no
+                // namespace (the default does not apply).
+                let (prefix, local) = QName::split_lexical(attr.name);
+                let uri = self.scope.uri(prefix.and_then(|p| self.scope.resolve(p)));
+                Attribute {
+                    name: resolved_qname(prefix, local, uri),
+                    value: checked_value(self.input, attr).into_owned(),
+                }
             })
             .collect();
         (self.element_qname(), attributes)
@@ -288,15 +446,26 @@ impl<'a> XmlReader<'a> {
     /// name is a slice of the input, and so is the namespace unless its
     /// declaration needed a reference resolved.
     pub fn element_name(&self) -> (Option<&str>, &'a str) {
-        let lexical = self.open.last().copied().unwrap_or_default();
-        let (prefix, local) = QName::split_lexical(lexical);
-        let uri = self.scope.resolve(prefix.unwrap_or("")).map(|(_, uri)| uri);
+        let (_, local, uri) = self.innermost();
         (uri.filter(|uri| !uri.is_empty()), local)
     }
 
     /// [`element_name`](Self::element_name) as an owned [`QName`].
     pub fn element_qname(&self) -> QName {
-        self.qname(self.open.last().copied().unwrap_or_default(), true)
+        let (prefix, local, uri) = self.innermost();
+        resolved_qname(prefix, local, uri)
+    }
+
+    /// Prefix, local name and namespace of the innermost open element
+    /// (nothing open: an empty unprefixed name).
+    fn innermost(&self) -> (Option<&'a str>, &'a str, Option<&str>) {
+        let open = self.open.last();
+        let (prefix, local) = QName::split_lexical(open.map_or("", |open| open.name));
+        let entry = match open.and_then(|open| open.ns) {
+            Some(entry) => Some(entry as usize),
+            None => self.scope.resolve(prefix.unwrap_or("")),
+        };
+        (prefix, local, self.scope.uri(entry))
     }
 
     /// Value of the attribute `(ns, local)` on the start tag last read
@@ -308,9 +477,9 @@ impl<'a> XmlReader<'a> {
             // The default namespace never applies to attributes.
             name == local
                 && declared_prefix(attr.name).is_none()
-                && prefix.and_then(|p| self.scope.resolve(p)).map(|(_, uri)| uri) == ns
+                && self.scope.uri(prefix.and_then(|p| self.scope.resolve(p))) == ns
         })?;
-        Some(checked_value(attr))
+        Some(checked_value(self.input, attr))
     }
 
     /// The character data directly inside the innermost open element —
@@ -352,19 +521,13 @@ impl<'a> XmlReader<'a> {
             return Ok(());
         }
         loop {
-            match self.next_token()? {
-                Token::Text { raw, at } => {
-                    cov!();
-                    check_refs(raw, at)?;
+            // Text needs nothing more: the tokenizer checked its references.
+            if let Token::End = self.next_token(CHECKING)? {
+                cov!();
+                self.close_element();
+                if self.open.len() < target {
+                    return Ok(());
                 }
-                Token::End { .. } => {
-                    cov!();
-                    self.close_element();
-                    if self.open.len() < target {
-                        return Ok(());
-                    }
-                }
-                _ => {}
             }
         }
     }
@@ -379,7 +542,7 @@ impl<'a> XmlReader<'a> {
     /// Whatever the tokenizer raises for the trailing content.
     pub fn finish(&mut self) -> Result<(), XmlError> {
         loop {
-            match self.next_token()? {
+            match self.next_token(CHECKING)? {
                 Token::Eof => return Ok(()),
                 Token::Comment(_) | Token::Pi { .. } => {}
                 _ => {
@@ -391,60 +554,45 @@ impl<'a> XmlReader<'a> {
         }
     }
 
-    /// The resolved name for a lexical one the tokenizer already accepted
-    /// (so every prefix is bound). `element`: the default namespace
-    /// applies to unprefixed element names, never to attributes.
-    fn qname(&self, lexical: &str, element: bool) -> QName {
-        let (prefix, local) = QName::split_lexical(lexical);
-        match prefix {
-            Some(p) => {
-                let uri = self.scope.resolve(p).map_or("", |(_, uri)| uri);
-                QName::with_ns(uri, local).with_prefix(p)
-            }
-            None => match self.scope.resolve("").filter(|_| element) {
-                Some((_, uri)) if !uri.is_empty() => QName::with_ns(uri, local),
-                _ => QName::new(local),
-            },
-        }
-    }
-
     /// Leave the element whose `End` token was just handled.
     fn close_element(&mut self) {
         self.open.pop();
         self.scope.pop_scope();
     }
 
-    fn next_token(&mut self) -> Result<Token<'a>, XmlError> {
+    /// The next construct. `resolving`: the caller resolves the references
+    /// of a text run itself, which checks them, so the tokenizer need not.
+    fn next_token(&mut self, resolving: bool) -> Result<Token<'a>, XmlError> {
         if self.pending_end {
             cov!();
             self.pending_end = false;
-            let lexical = self.open.last().copied().unwrap_or_default();
-            return Ok(Token::End { lexical });
+            return Ok(Token::End);
         }
         if self.finished {
             cov!();
             return Ok(Token::Eof);
         }
-        if self.pos >= self.input.len() {
-            cov!();
-            return self.at_eof();
-        }
-
-        let rest = &self.input[self.pos..];
-        if rest.starts_with('<') {
-            cov!();
-            self.parse_markup()
-        } else {
-            cov!();
-            self.parse_text()
+        match self.input.as_bytes().get(self.pos) {
+            None => {
+                cov!();
+                self.at_eof()
+            }
+            Some(b'<') => {
+                cov!();
+                self.parse_markup()
+            }
+            Some(_) => {
+                cov!();
+                self.parse_text(resolving)
+            }
         }
     }
 
     fn at_eof(&mut self) -> Result<Token<'a>, XmlError> {
-        if let Some(lexical) = self.open.last() {
+        if let Some(open) = self.open.last() {
             cov!();
             return Err(XmlError::new(
-                XmlErrorKind::Malformed(format!("unclosed element <{lexical}>")),
+                XmlErrorKind::Malformed(format!("unclosed element <{}>", open.name)),
                 self.pos,
             ));
         }
@@ -460,20 +608,19 @@ impl<'a> XmlReader<'a> {
         XmlError::new(kind, self.pos)
     }
 
-    fn parse_text(&mut self) -> Result<Token<'a>, XmlError> {
+    fn parse_text(&mut self, resolving: bool) -> Result<Token<'a>, XmlError> {
+        let bytes = self.input.as_bytes();
         let start = self.pos;
-        let rest = &self.input[start..];
-        let end = rest.find('<').map(|i| start + i).unwrap_or(self.input.len());
-        let raw = &self.input[start..end];
-        self.pos = end;
         if self.open.is_empty() {
+            let end = find_byte(bytes, start, b'<').unwrap_or(bytes.len());
+            self.pos = end;
             // Only whitespace is allowed outside the root element.
-            if raw.trim().is_empty() {
+            if bytes[start..end].iter().all(|&b| is_space(b)) {
                 cov!();
-                return if self.pos >= self.input.len() {
+                return if self.pos >= bytes.len() {
                     self.at_eof()
                 } else {
-                    self.next_token()
+                    self.next_token(resolving)
                 };
             }
             cov!();
@@ -482,57 +629,109 @@ impl<'a> XmlReader<'a> {
                 start,
             ));
         }
-        if raw.contains("]]>") {
+        // One pass finds the `<` that ends the run and any `]]>` in it, and
+        // checks the predefined entities on the way. The first other
+        // reference leaves the rest of the run to `check_refs`; a resolving
+        // caller needs to know only that there is one.
+        let (mut from, mut refs, mut unchecked, mut cdata_close) = (start, false, None, false);
+        let end = loop {
+            let amps = if unchecked.is_none() && !(resolving && refs) { u64::MAX } else { 0 };
+            let next = find_by(
+                bytes,
+                from,
+                |word| flag(word, b'<') | flag(word, b']') | (flag(word, b'&') & amps),
+                |b| b == b'<' || b == b']' || (b == b'&' && amps != 0),
+            );
+            let Some(at) = next else { break bytes.len() };
+            match bytes[at] {
+                b'<' => break at,
+                b'&' => {
+                    refs = true;
+                    from = at + 1;
+                    if resolving {
+                        continue;
+                    }
+                    match predefined(&bytes[from..]) {
+                        Some((_, len)) => from += len,
+                        None => {
+                            cov!();
+                            unchecked = Some(at);
+                        }
+                    }
+                }
+                _ => {
+                    cdata_close |= bytes[at + 1..].starts_with(b"]>");
+                    from = at + 1;
+                }
+            }
+        };
+        let raw = &self.input[start..end];
+        self.pos = end;
+        if cdata_close {
             cov!();
             return Err(XmlError::new(
                 XmlErrorKind::Malformed("']]>' not allowed in character data".into()),
                 start,
             ));
         }
+        if let Some(at) = unchecked {
+            check_refs(&self.input[at..end], at)?;
+        }
         cov!();
-        Ok(Token::Text { raw, at: start })
+        Ok(Token::Text { raw, at: start, refs })
     }
 
     fn parse_markup(&mut self) -> Result<Token<'a>, XmlError> {
-        let rest = &self.input[self.pos..];
-        if let Some(r) = rest.strip_prefix("<?") {
-            cov!();
-            return self.parse_pi(r);
+        let rest = &self.input.as_bytes()[self.pos..];
+        match rest.get(1) {
+            Some(b'?') => {
+                cov!();
+                self.parse_pi()
+            }
+            Some(b'!') if rest.starts_with(b"<!--") => {
+                cov!();
+                self.parse_comment()
+            }
+            Some(b'!') if rest.starts_with(b"<![CDATA[") => {
+                cov!();
+                self.parse_cdata()
+            }
+            Some(b'!') => {
+                cov!();
+                Err(self.err(XmlErrorKind::Unsupported(
+                    "DTD / declaration markup ('<!') is not supported".into(),
+                )))
+            }
+            Some(b'/') => {
+                cov!();
+                self.parse_end_tag()
+            }
+            _ => {
+                cov!();
+                self.parse_start_tag()
+            }
         }
-        if rest.starts_with("<!--") {
-            cov!();
-            return self.parse_comment();
-        }
-        if rest.starts_with("<![CDATA[") {
-            cov!();
-            return self.parse_cdata();
-        }
-        if rest.starts_with("<!") {
-            cov!();
-            return Err(self.err(XmlErrorKind::Unsupported(
-                "DTD / declaration markup ('<!') is not supported".into(),
-            )));
-        }
-        if rest.starts_with("</") {
-            cov!();
-            return self.parse_end_tag();
-        }
-        cov!();
-        self.parse_start_tag()
     }
 
-    fn parse_pi(&mut self, after: &'a str) -> Result<Token<'a>, XmlError> {
+    fn parse_pi(&mut self) -> Result<Token<'a>, XmlError> {
+        let after = &self.input[self.pos + 2..];
         let close = after
             .find("?>")
             .ok_or_else(|| self.err(XmlErrorKind::UnexpectedEof))?;
         let content = &after[..close];
         let consumed = 2 + close + 2;
-        let (target, data) = match content.find(|c: char| c.is_whitespace()) {
-            Some(i) => (&content[..i], content[i..].trim_start()),
+        let (target, data) = match content.bytes().position(is_space) {
+            Some(i) => (&content[..i], content[i..].trim_start_matches(SPACE)),
             None => (content, ""),
         };
         let start_pos = self.pos;
         self.pos += consumed;
+        if target.contains(char::is_whitespace) {
+            // Whitespace that is not `S` separates nothing, and no target
+            // may hold it.
+            cov!();
+            return Err(XmlError::new(XmlErrorKind::InvalidName(target.to_string()), start_pos));
+        }
         if target.eq_ignore_ascii_case("xml") {
             if start_pos != 0 {
                 cov!();
@@ -569,71 +768,91 @@ impl<'a> XmlReader<'a> {
             )));
         }
         cov!();
-        let body = &self.input[self.pos + 9..];
-        let close = body
-            .find("]]>")
-            .ok_or_else(|| self.err(XmlErrorKind::UnexpectedEof))?;
-        self.pos += 9 + close + 3;
-        Ok(Token::CData(&body[..close]))
+        let bytes = self.input.as_bytes();
+        let body = self.pos + 9;
+        let mut from = body;
+        let close = loop {
+            let bracket = find_byte(bytes, from, b']')
+                .ok_or_else(|| self.err(XmlErrorKind::UnexpectedEof))?;
+            if bytes[bracket + 1..].starts_with(b"]>") {
+                break bracket;
+            }
+            from = bracket + 1;
+        };
+        self.pos = close + 3;
+        Ok(Token::CData(&self.input[body..close]))
     }
 
     fn parse_end_tag(&mut self) -> Result<Token<'a>, XmlError> {
+        let bytes = self.input.as_bytes();
         let tag_start = self.pos;
-        let body = &self.input[self.pos + 2..];
+        // The one end tag that may stand here names the open element.
+        if let Some(open) = self.open.last() {
+            let name_end = tag_start + 2 + open.name.len();
+            if bytes.get(tag_start + 2..name_end) == Some(open.name.as_bytes()) {
+                let spaces = bytes[name_end..].iter().take_while(|&&b| is_space(b)).count();
+                let close = name_end + spaces;
+                if bytes.get(close) == Some(&b'>') {
+                    if spaces > 0 {
+                        cov!();
+                    }
+                    cov!();
+                    self.pos = close + 1;
+                    return Ok(Token::End);
+                }
+            }
+        }
+        // Anything else is an error: find the `>`, then say which.
+        cov!();
+        let body = &self.input[tag_start + 2..];
         let close = body
             .find('>')
             .ok_or_else(|| self.err(XmlErrorKind::UnexpectedEof))?;
-        let lexical = body[..close].trim_end();
+        let lexical = body[..close].trim_end_matches(SPACE);
         self.pos += 2 + close + 1;
-        let Some(&open_lexical) = self.open.last() else {
+        let Some(open) = self.open.last() else {
             cov!();
             return Err(XmlError::new(
                 XmlErrorKind::Malformed(format!("close tag </{lexical}> with no open element")),
                 tag_start,
             ));
         };
-        if open_lexical != lexical {
+        if open.name != lexical {
             cov!();
             return Err(XmlError::new(
                 XmlErrorKind::MismatchedTag {
-                    expected: open_lexical.to_string(),
+                    expected: open.name.to_string(),
                     found: lexical.to_string(),
                 },
                 tag_start,
             ));
         }
-        cov!();
-        Ok(Token::End { lexical })
+        Ok(Token::End)
     }
 
     fn parse_start_tag(&mut self) -> Result<Token<'a>, XmlError> {
         let tag_start = self.pos;
         self.pos += 1; // consume '<'
-        let lexical = self.read_name()?;
-        if validate_qname(lexical).is_err() {
-            cov!();
-            return Err(XmlError::new(XmlErrorKind::InvalidName(lexical.to_string()), tag_start));
-        }
+        let name = self.read_qname(Some(tag_start))?;
         self.attrs.clear();
-        let empty;
-        loop {
+        let empty = loop {
             self.skip_whitespace();
-            let rest = &self.input[self.pos..];
-            if rest.starts_with("/>") {
-                cov!();
-                self.pos += 2;
-                empty = true;
-                break;
-            }
-            if rest.starts_with('>') {
-                cov!();
-                self.pos += 1;
-                empty = false;
-                break;
-            }
-            if rest.is_empty() {
-                cov!();
-                return Err(self.err(XmlErrorKind::UnexpectedEof));
+            match self.input.as_bytes()[self.pos..] {
+                [b'/', b'>', ..] => {
+                    cov!();
+                    self.pos += 2;
+                    break true;
+                }
+                [b'>', ..] => {
+                    cov!();
+                    self.pos += 1;
+                    break false;
+                }
+                [] => {
+                    cov!();
+                    return Err(self.err(XmlErrorKind::UnexpectedEof));
+                }
+                _ => {}
             }
             let attr = self.read_attribute()?;
             if self.attrs.iter().any(|seen| seen.name == attr.name) {
@@ -645,7 +864,7 @@ impl<'a> XmlReader<'a> {
             }
             cov!();
             self.attrs.push(attr);
-        }
+        };
 
         if self.open.is_empty() {
             if self.seen_root {
@@ -670,7 +889,7 @@ impl<'a> XmlReader<'a> {
         for attr in &self.attrs {
             let Some(prefix) = declared_prefix(attr.name) else { continue };
             cov!();
-            let uri = attr_value(attr)?;
+            let uri = attr_value(self.input, attr)?;
             if !prefix.is_empty() && uri.is_empty() {
                 cov!();
                 return Err(XmlError::new(
@@ -683,9 +902,12 @@ impl<'a> XmlReader<'a> {
             self.scope.entries.push((self.scope.depth, prefix, uri));
         }
 
+        // Each prefix is resolved once per tag; the element keeps its entry.
         // Depth-0 bindings never move the watermark.
+        let entries = &self.scope.entries;
         let mut watermark = self.binding_watermark;
-        let mut consult = |depth: usize| {
+        let mut consult = |entry: usize| {
+            let depth = entries[entry].0;
             if depth > 0 {
                 watermark = watermark.min(depth);
             }
@@ -693,63 +915,146 @@ impl<'a> XmlReader<'a> {
         let undeclared = |prefix: &str| {
             XmlError::new(XmlErrorKind::UndeclaredPrefix(prefix.to_string()), tag_start)
         };
-        match QName::split_lexical(lexical).0 {
-            Some(prefix) => consult(self.scope.resolve(prefix).ok_or_else(|| undeclared(prefix))?.0),
-            None => match self.scope.resolve("") {
-                Some((depth, uri)) if !uri.is_empty() => consult(depth),
-                _ => {}
-            },
-        }
+        let element_prefix = QName::split_lexical(name).0;
+        let ns = match element_prefix {
+            Some(prefix) => {
+                let entry = self.scope.resolve(prefix).ok_or_else(|| undeclared(prefix))?;
+                consult(entry);
+                Some(entry)
+            }
+            None => {
+                let entry = self.scope.resolve("");
+                if let Some(entry) = entry.filter(|&i| !entries[i].2.is_empty()) {
+                    consult(entry);
+                }
+                entry
+            }
+        };
         for attr in &self.attrs {
+            let Some(prefix) = QName::split_lexical(attr.name).0 else { continue };
             if declared_prefix(attr.name).is_some() {
                 continue;
             }
-            if let Some(prefix) = QName::split_lexical(attr.name).0 {
-                let (depth, _) = self.scope.resolve(prefix).ok_or_else(|| {
+            let entry = match ns {
+                Some(entry) if element_prefix == Some(prefix) => entry,
+                _ => self.scope.resolve(prefix).ok_or_else(|| {
                     cov!();
                     undeclared(prefix)
-                })?;
-                consult(depth);
-            }
+                })?,
+            };
+            consult(entry);
         }
         self.binding_watermark = watermark;
 
-        self.open.push(lexical);
+        self.open.push(Open { name, ns: ns.and_then(|entry| u32::try_from(entry).ok()) });
         self.pending_end = empty;
         cov!();
         Ok(Token::Start { empty })
     }
 
-    fn read_name(&mut self) -> Result<&'a str, XmlError> {
-        let rest = &self.input[self.pos..];
-        let mut chars = rest.char_indices();
-        match chars.next() {
-            Some((_, c)) if is_name_start(c) => {}
-            Some((_, c)) => {
+    /// Read a name at the cursor, and raise `InvalidName` at `invalid_at`
+    /// (`None`: the cursor after the name) unless it is a QName: at most
+    /// one colon, with a prefix and a local part that each start with a
+    /// name-start character. Over ASCII a class table answers both; a
+    /// non-ASCII character hands the rest to
+    /// [`read_qname_unicode`](Self::read_qname_unicode).
+    fn read_qname(&mut self, invalid_at: Option<usize>) -> Result<&'a str, XmlError> {
+        let bytes = self.input.as_bytes();
+        let start = self.pos;
+        match bytes.get(start) {
+            Some(&b) if name_class(b) & NAME_START != 0 => {}
+            Some(&b) if !b.is_ascii() => {
                 cov!();
-                return Err(self.err(XmlErrorKind::InvalidName(c.to_string())));
+                return self.read_qname_unicode(start, start, invalid_at);
+            }
+            Some(&b) => {
+                cov!();
+                return Err(self.err(XmlErrorKind::InvalidName(char::from(b).to_string())));
             }
             None => {
                 cov!();
                 return Err(self.err(XmlErrorKind::UnexpectedEof));
             }
         }
-        let end = chars
-            .find(|&(_, c)| !is_name_char(c))
-            .map(|(i, _)| i)
-            .unwrap_or(rest.len());
-        self.pos += end;
-        Ok(&rest[..end])
+        // One loop reads the name and counts its colons.
+        let (mut end, mut colons, mut colon) = (start, 0, start);
+        loop {
+            match bytes.get(end) {
+                Some(b':') => {
+                    colons += 1;
+                    if colons == 1 {
+                        colon = end;
+                    }
+                }
+                Some(&b) if name_class(b) & NAME_CHAR != 0 => {}
+                Some(&b) if !b.is_ascii() => {
+                    cov!();
+                    return self.read_qname_unicode(start, end, invalid_at);
+                }
+                _ => break,
+            }
+            end += 1;
+        }
+        let local_start = |b: &u8| name_class(*b) & NAME_START != 0;
+        let qname = match colons {
+            0 => true,
+            1 => colon > start && bytes.get(colon + 1).is_some_and(local_start),
+            _ => false,
+        };
+        self.end_qname(start, end, qname, invalid_at)
+    }
+
+    /// [`read_qname`](Self::read_qname) `char` by `char`, from `from` on:
+    /// the name starts at `start`, and any bytes between are ASCII name
+    /// characters already read.
+    fn read_qname_unicode(
+        &mut self,
+        start: usize,
+        from: usize,
+        invalid_at: Option<usize>,
+    ) -> Result<&'a str, XmlError> {
+        let rest = &self.input[from..];
+        let mut chars = rest.char_indices();
+        if from == start {
+            match chars.next() {
+                Some((_, c)) if is_name_start(c) => {}
+                Some((_, c)) => {
+                    cov!();
+                    return Err(self.err(XmlErrorKind::InvalidName(c.to_string())));
+                }
+                None => return Err(self.err(XmlErrorKind::UnexpectedEof)),
+            }
+        }
+        let end = from + chars.find(|&(_, c)| !is_name_char(c)).map_or(rest.len(), |(i, _)| i);
+        let qname = validate_qname(&self.input[start..end]).is_ok();
+        self.end_qname(start, end, qname, invalid_at)
+    }
+
+    /// Move past the name `start..end`, which may be no QName.
+    fn end_qname(
+        &mut self,
+        start: usize,
+        end: usize,
+        qname: bool,
+        invalid_at: Option<usize>,
+    ) -> Result<&'a str, XmlError> {
+        self.pos = end;
+        let name = &self.input[start..end];
+        if !qname {
+            cov!();
+            return Err(XmlError::new(
+                XmlErrorKind::InvalidName(name.to_string()),
+                invalid_at.unwrap_or(end),
+            ));
+        }
+        Ok(name)
     }
 
     fn read_attribute(&mut self) -> Result<RawAttr<'a>, XmlError> {
-        let name = self.read_name()?;
-        if validate_qname(name).is_err() {
-            cov!();
-            return Err(self.err(XmlErrorKind::InvalidName(name.to_string())));
-        }
+        let name = self.read_qname(None)?;
         self.skip_whitespace();
-        if !self.input[self.pos..].starts_with('=') {
+        let bytes = self.input.as_bytes();
+        if bytes.get(self.pos) != Some(&b'=') {
             cov!();
             return Err(self.err(XmlErrorKind::Malformed(format!(
                 "expected '=' after attribute '{name}'"
@@ -757,11 +1062,11 @@ impl<'a> XmlReader<'a> {
         }
         self.pos += 1;
         self.skip_whitespace();
-        let rest = &self.input[self.pos..];
-        let quote = match rest.chars().next() {
-            Some(q @ ('"' | '\'')) => q,
-            Some(c) => {
+        let quote = match bytes.get(self.pos) {
+            Some(&quote @ (b'"' | b'\'')) => quote,
+            Some(_) => {
                 cov!();
+                let c = self.input[self.pos..].chars().next().unwrap_or_default();
                 return Err(self.err(XmlErrorKind::Malformed(format!(
                     "attribute value must be quoted, found '{c}'"
                 ))));
@@ -771,64 +1076,68 @@ impl<'a> XmlReader<'a> {
                 return Err(self.err(XmlErrorKind::UnexpectedEof));
             }
         };
-        let body = &rest[1..];
-        let close = body
-            .find(quote)
-            .ok_or_else(|| self.err(XmlErrorKind::UnexpectedEof))?;
-        let raw = &body[..close];
-        if raw.contains('<') {
+        // One pass finds the closing quote and notes what the value holds:
+        // a `<` (an error once the value is known to end), references (the
+        // predefined ones checked on the way, as for text) and characters
+        // that normalisation rewrites.
+        let at = self.pos + 1;
+        let (mut from, mut lt, mut plain, mut unchecked) = (at, false, true, None);
+        let close = loop {
+            let next = find_by(
+                bytes,
+                from,
+                |word| flag(word, quote) | flag(word, b'<') | flag(word, b'&') | below_space(word),
+                |b| b == quote || b == b'<' || b == b'&' || b < b' ',
+            );
+            let Some(at) = next else {
+                cov!();
+                return Err(self.err(XmlErrorKind::UnexpectedEof));
+            };
+            from = at + 1;
+            match bytes[at] {
+                b if b == quote => break at,
+                b'<' => lt = true,
+                b'&' => {
+                    plain = false;
+                    if unchecked.is_none() {
+                        match predefined(&bytes[from..]) {
+                            Some((_, len)) => from += len,
+                            None => {
+                                cov!();
+                                unchecked = Some(at);
+                            }
+                        }
+                    }
+                }
+                b'\t' | b'\n' | b'\r' => plain = false,
+                _ => {}
+            }
+        };
+        if lt {
             cov!();
             return Err(self.err(XmlErrorKind::Malformed(
                 "'<' not allowed in attribute value".into(),
             )));
         }
-        let at = self.pos + 1;
-        self.pos += 1 + close + 1;
-        check_refs(raw, at)?;
-        Ok(RawAttr { name, raw, at })
+        self.pos = close + 1;
+        if let Some(amp) = unchecked {
+            check_refs(&self.input[amp..close], amp)?;
+        }
+        Ok(RawAttr { name, raw: &self.input[at..close], plain })
     }
 
     fn skip_whitespace(&mut self) {
-        let rest = &self.input[self.pos..];
-        let skip = rest.len() - rest.trim_start().len();
-        self.pos += skip;
+        let bytes = self.input.as_bytes();
+        while bytes.get(self.pos).is_some_and(|&b| is_space(b)) {
+            self.pos += 1;
+        }
     }
-}
-
-/// The prefix an `xmlns` / `xmlns:p` attribute declares (empty for the
-/// default namespace); `None` for every other attribute.
-fn declared_prefix(attr_name: &str) -> Option<&str> {
-    match attr_name.strip_prefix("xmlns")? {
-        "" => Some(""),
-        rest => rest.strip_prefix(':'),
-    }
-}
-
-/// An attribute's value: references resolved, then attribute-value
-/// normalisation (whitespace characters become spaces). Almost no value
-/// needs either, so the input is borrowed unless one does.
-fn attr_value<'a>(attr: &RawAttr<'a>) -> Result<Cow<'a, str>, XmlError> {
-    let value = unescape(attr.raw, attr.at)?;
-    if !value.contains(['\t', '\n', '\r']) {
-        return Ok(value);
-    }
-    Ok(Cow::Owned(
-        value
-            .chars()
-            .map(|c| if matches!(c, '\t' | '\n' | '\r') { ' ' } else { c })
-            .collect(),
-    ))
-}
-
-/// [`attr_value`] of an attribute the tokenizer has accepted.
-fn checked_value<'a>(attr: &RawAttr<'a>) -> Cow<'a, str> {
-    attr_value(attr).expect("references were checked when the tag was tokenized")
 }
 
 fn pseudo_attr(data: &str, name: &str) -> Option<String> {
     let idx = data.find(name)?;
-    let rest = data[idx + name.len()..].trim_start();
-    let rest = rest.strip_prefix('=')?.trim_start();
+    let rest = data[idx + name.len()..].trim_start_matches(SPACE);
+    let rest = rest.strip_prefix('=')?.trim_start_matches(SPACE);
     let quote = rest.chars().next()?;
     if quote != '"' && quote != '\'' {
         return None;
@@ -1214,5 +1523,48 @@ mod tests {
         assert!(r.next_event().unwrap().is_start_of(Some("urn:d"), "y"));
         assert_eq!(r.binding_watermark(), usize::MAX, "outer bindings sit at depth 0");
         assert!(XmlReader::new("<o:x/>").next_event().is_err());
+    }
+
+    #[test]
+    fn whitespace_is_xml_s_and_nothing_else() {
+        // Unicode calls these whitespace; XML 1.0 does not, so none of them
+        // separates anything.
+        let invalid = |c: &str| XmlErrorKind::InvalidName(c.to_string());
+        let malformed = |what: &str| XmlErrorKind::Malformed(what.to_string());
+        let outside = "character data outside root element";
+        let mismatched =
+            XmlErrorKind::MismatchedTag { expected: "a".into(), found: "a\u{85}".into() };
+        for (input, kind, at) in [
+            ("<a\u{3000}b='1'/>", invalid("\u{3000}"), 2),
+            ("<a\u{a0}b='1'/>", invalid("\u{a0}"), 2),
+            ("<a>x</a\u{85}>", mismatched, 4),
+            ("<a\u{b}/>", invalid("\u{b}"), 2),
+            ("\u{3000}<a/>", malformed(outside), 0),
+            ("<a/>\u{85}", malformed(outside), 4),
+            ("<a b\u{2002}='1'/>", malformed("expected '=' after attribute 'b'"), 4),
+            ("<?pi\u{3000}data?><a/>", invalid("pi\u{3000}data"), 0),
+        ] {
+            let mut reader = XmlReader::new(input);
+            let error = std::iter::repeat_with(|| reader.next_event()).find_map(Result::err);
+            let error = error.unwrap_or_else(|| panic!("{input:?} parsed"));
+            assert_eq!((error.kind(), error.position()), (&kind, at), "{input:?}");
+        }
+
+        // The four characters XML does call whitespace are skipped
+        // wherever the grammar skips any.
+        for s in [" ", "\t", "\r", "\n"] {
+            let doc = format!(
+                "<?xml{s}version{s}={s}'1.0'{s}encoding='UTF-8'?>{s}<?pi{s}data?>\
+                 <a{s}b{s}={s}'1'{s}c='2'{s}>x</a{s}>{s}"
+            );
+            let evs = events(&doc);
+            let declaration =
+                XmlEvent::Declaration { version: "1.0".into(), encoding: Some("UTF-8".into()) };
+            let pi = XmlEvent::ProcessingInstruction { target: "pi".into(), data: "data".into() };
+            assert_eq!(evs[..2], [declaration, pi], "{doc:?}");
+            let root = Element::parse(&doc).unwrap();
+            assert_eq!((root.attr("b"), root.attr("c")), (Some("1"), Some("2")));
+            assert_eq!(root.text(), "x");
+        }
     }
 }
