@@ -53,9 +53,8 @@ pub use registration::{GossipGrant, RegistrationService, RegistrationStats};
 pub use subscription::{SubscriptionList, SubscriptionStats};
 pub use sync::CoordinatorSync;
 pub use topics::TopicFilter;
+/// The WS-Gossip extension namespace, defined beside the envelope.
+pub use wsg_soap::WSGOSSIP_NS;
 
 /// WS-Coordination 1.1 namespace.
 pub const WSCOOR_NS: &str = "http://docs.oasis-open.org/ws-tx/wscoor/2006/06";
-
-/// The WS-Gossip extension namespace.
-pub const WSGOSSIP_NS: &str = "urn:ws-gossip:2008";

@@ -10,6 +10,7 @@ use wsg_cluster::proto::ClusterMessage;
 use wsg_http::parser::{Parsed, RequestParser, ResponseParser};
 use wsg_http::Request;
 use wsg_soap::batch::{is_batch, parse_wire, parse_wire_after, text_of, unbundle, Unbundled};
+use wsg_soap::gossip::{gossip_id, GossipId};
 use wsg_soap::{
     EndpointReference, Envelope, Fault, MessageHeaders, SoapError, SOAP_ENV_NS, WSA_NS,
 };
@@ -511,9 +512,31 @@ impl FuzzTarget for EnvelopeTarget {
 /// front-coded message's `raw` — the first one coded against the
 /// reference — is, byte for byte, what the tree walk puts together from
 /// the `pre` and the text its tree holds; both leave the same reference
-/// behind; and on a fresh connection `parse_wire` says what
-/// `parse_wire_after` does.
+/// behind; on a fresh connection `parse_wire` says what
+/// `parse_wire_after` does; and the gossip identity each message was
+/// unwrapped with is the one a namespace lookup on the decoded envelope
+/// finds (and the tree walk, and the sender's read of its head when that
+/// finds one).
 pub struct BatchTarget;
+
+/// The gossip identity `streamed` was unwrapped with, against the
+/// namespace lookup on `raw` decoded, and the sender's read of its head.
+fn same_identity(streamed: &Option<GossipId<'static>>, raw: &str) -> Result<(), String> {
+    if let Ok(envelope) = Envelope::parse(raw) {
+        let looked_up = envelope.gossip_id().map(GossipId::into_owned);
+        if *streamed != looked_up {
+            return Err(format!("unwrapped with identity {streamed:?}, the envelope has {looked_up:?}"));
+        }
+    }
+    // The sender reads up to `env:Body` only: it may find nothing (a
+    // header after the body), never something else.
+    match gossip_id(raw) {
+        Some((head, _)) if Some(head.clone().into_owned()) != *streamed => {
+            Err(format!("the sender reads identity {head:?}, the unwrap {streamed:?}"))
+        }
+        _ => Ok(()),
+    }
+}
 
 /// The envelope shape `parse_wire` checks by skipping, read off a tree.
 fn has_envelope_shape(root: &Element) -> bool {
@@ -550,6 +573,9 @@ impl FuzzTarget for BatchTarget {
                 if shape.is_ok() != has_envelope_shape(&parsed) {
                     return Err(format!("parse_wire's shape verdict {shape:?} is not the tree's"));
                 }
+                if let Ok(id) = &shape {
+                    same_identity(id, &text)?;
+                }
                 if left != text_of(&text) {
                     return Err(format!("a bare document left {left:?} as the reference"));
                 }
@@ -579,6 +605,14 @@ impl FuzzTarget for BatchTarget {
                     if streamed.target != tree.target {
                         return Err(format!("message {i} target differs between stream and tree"));
                     }
+                    if streamed.gossip != tree.gossip {
+                        return Err(format!(
+                            "message {i} identity {:?} by the stream, {:?} by the tree",
+                            streamed.gossip, tree.gossip
+                        ));
+                    }
+                    same_identity(&streamed.gossip, &streamed.raw)
+                        .map_err(|error| format!("message {i}: {error}"))?;
                     if coded && streamed.raw != tree.raw {
                         return Err(format!(
                             "coded message {i} unwraps to {:?}, by its tree to {:?}",

@@ -9,6 +9,11 @@
 //! to append to a queue that already has traffic instead of opening their
 //! own request.
 //!
+//! A queued gossip copy can also leave without being posted: when the
+//! peer it is for sends this node the same notification first, the
+//! server withdraws it (`SenderQueues::withdraw`) — the peer holds it, and
+//! would only count it as a duplicate.
+//!
 //! Flush-on-idle is implicit in the wakeup protocol: every push sends a
 //! wake token, and the sender drains on each one, so under light load a
 //! message is posted alone immediately — a batch of one, front-coded
@@ -16,12 +21,16 @@
 //! about what a message inside a batch does. Several messages share a POST
 //! only while the sender is busy posting — exactly when coalescing pays.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 use std::net::SocketAddr;
+use std::ops::Range;
 use std::sync::Arc;
 
 use wsg_net::protocol::NodeId;
 use wsg_net::sync::{AtomicBool, Mutex, Notify, Ordering};
+use wsg_obs::Counter;
+use wsg_soap::GossipId;
 
 /// Drain-policy knobs for the sender thread's per-peer batches.
 #[derive(Debug, Clone)]
@@ -59,12 +68,86 @@ pub(crate) struct QueuedMsg {
     // This message is `shared[..prefix]` + `own` + `shared[suffix_from..]`.
     prefix: usize,
     suffix_from: usize,
+    // The gossip notification it is a copy of, if any.
+    gossip: Option<QueuedId>,
+}
+
+/// A queued copy's gossip identity ([`GossipId`]), kept without a copy of
+/// the origin: where in the message its text stands.
+#[derive(Debug, Clone)]
+struct QueuedId {
+    origin: Origin,
+    seq: u64,
+}
+
+#[derive(Debug, Clone)]
+enum Origin {
+    /// The origin is these bytes of the message.
+    At(Range<usize>),
+    /// The origin's text had references resolved: it is no slice of the
+    /// message.
+    Resolved(Box<str>),
+}
+
+/// A gossip copy's identity as [`SenderQueues::push`] read it, and how
+/// many leading bytes of the message decided it.
+type HeadRead = (QueuedId, usize);
+
+impl QueuedId {
+    /// The identity of the gossip envelope `xml`, read off its head.
+    fn read(xml: &str) -> Option<HeadRead> {
+        let (GossipId { origin, seq }, read) = wsg_soap::gossip::gossip_id(xml)?;
+        let origin = match origin {
+            Cow::Borrowed(text) => match span_in(xml, text) {
+                Some(span) => Origin::At(span),
+                // Only an empty text is borrowed from elsewhere.
+                None => Origin::Resolved(text.into()),
+            },
+            Cow::Owned(text) => Origin::Resolved(text.into_boxed_str()),
+        };
+        Some((QueuedId { origin, seq }, read))
+    }
+}
+
+/// Where `part` lies in `source`, when it is a slice of it.
+fn span_in(source: &str, part: &str) -> Option<Range<usize>> {
+    let start = (part.as_ptr() as usize).checked_sub(source.as_ptr() as usize)?;
+    let end = start.checked_add(part.len())?;
+    (end <= source.len()).then_some(start..end)
 }
 
 impl QueuedMsg {
     /// A message owning all of its bytes.
-    fn whole(target: Option<String>, xml: Arc<String>) -> Self {
-        QueuedMsg { target, own: String::new(), shared: xml, prefix: 0, suffix_from: 0 }
+    fn whole(target: Option<String>, xml: Arc<String>, gossip: Option<QueuedId>) -> Self {
+        QueuedMsg { target, own: String::new(), shared: xml, prefix: 0, suffix_from: 0, gossip }
+    }
+
+    /// Whether this is a copy of gossip notification `id`.
+    fn carries(&self, id: &GossipId<'_>) -> bool {
+        match &self.gossip {
+            Some(own) if own.seq == id.seq => match &own.origin {
+                Origin::At(span) => self.text_is(span.clone(), &id.origin),
+                Origin::Resolved(origin) => **origin == *id.origin,
+            },
+            _ => false,
+        }
+    }
+
+    /// Whether the XML's bytes at `span` are `text`, whichever pieces they
+    /// lie in.
+    fn text_is(&self, span: Range<usize>, text: &str) -> bool {
+        if span.len() != text.len() {
+            return false;
+        }
+        let mut at = 0;
+        self.parts().iter().all(|part| {
+            let (from, to) = (span.start.max(at), span.end.min(at + part.len()));
+            let same = from >= to
+                || part.as_bytes()[from - at..to - at]
+                    == text.as_bytes()[from - span.start..to - span.start];
+            at += part.len();
+            same
+        })
     }
 
     /// The XML in its three pieces, in order.
@@ -156,6 +239,9 @@ type UnreachableHook = Arc<dyn Fn(SocketAddr) + Send + Sync>;
 #[derive(Default)]
 pub(crate) struct SenderQueues {
     queues: Mutex<Queued>,
+    /// Messages [withdrawn](SenderQueues::withdraw), counted under the
+    /// queues' lock.
+    withdrawn: Arc<Counter>,
     /// Called by the sender thread on exhausted connection-refused POSTs —
     /// `wsg_cluster` wires this to `MembershipPlane::note_unreachable` so
     /// gossip traffic feeds the failure detector too.
@@ -166,11 +252,16 @@ pub(crate) struct SenderQueues {
 struct Queued {
     by_peer: BTreeMap<NodeId, VecDeque<QueuedMsg>>,
     // The last message pushed whole: what the next one may share bytes
-    // with.
-    last_whole: Option<Arc<String>>,
+    // with, and its identity when it is a gossip copy.
+    last_whole: Option<(Arc<String>, Option<HeadRead>)>,
 }
 
 impl SenderQueues {
+    /// Queues that count what they withdraw in `withdrawn`.
+    pub(crate) fn counting(withdrawn: Arc<Counter>) -> Self {
+        SenderQueues { withdrawn, ..SenderQueues::default() }
+    }
+
     /// Append for `to`, unconditionally. When at least three quarters of
     /// `xml` repeat the start and end of the last message queued whole (a
     /// forward of the same notification to another peer), only the
@@ -179,10 +270,20 @@ impl SenderQueues {
     /// of the conversation repeats the ~950 bytes of header that come
     /// before `wsg:Seq`, two thirds of a small message — and had better go
     /// whole, for its own copies to share all but ~100 bytes with.)
+    ///
+    /// A message for the gossip inbox (`target` `None`) carries the
+    /// identity of the notification it is a copy of, read off its head.
+    /// A copy that shares, with the last message queued whole, every byte
+    /// that decided that message's identity has it too, and is not read
+    /// again: of the `f` copies of one notification only the first is.
+    ///
+    /// Only the look-up of the last message queued whole and the append
+    /// take the lock: comparing and reading happen outside it, on an `Arc`
+    /// that keeps that message's bytes whatever is pushed meanwhile.
     pub(crate) fn push(&self, to: NodeId, target: Option<String>, xml: String) {
-        let mut queued = self.queues.lock();
+        let last = self.queues.lock().last_whole.clone();
         let (mut prefix, mut suffix) =
-            queued.last_whole.as_ref().map_or((0, 0), |last| common_ends(last, &xml));
+            last.as_ref().map_or((0, 0), |(text, _)| common_ends(text, &xml));
         let prologue = wsg_soap::batch::prologue_len(&xml);
         if prefix < prologue {
             // The batch writer strips an XML declaration from a message's
@@ -191,21 +292,31 @@ impl SenderQueues {
             prefix = 0;
             suffix = suffix.min(xml.len() - prologue);
         }
-        let msg = match &queued.last_whole {
-            Some(last) if (prefix + suffix) * 4 >= xml.len() * 3 && suffix > 0 => {
+        let head = match last.as_ref().and_then(|(_, head)| head.as_ref()) {
+            _ if target.is_some() => None,
+            Some((id, read)) if *read <= prefix => Some((id.clone(), *read)),
+            _ => QueuedId::read(&xml),
+        };
+        let gossip = head.as_ref().map(|(id, _)| id.clone());
+        let (msg, whole) = match &last {
+            Some((text, _)) if (prefix + suffix) * 4 >= xml.len() * 3 && suffix > 0 => {
                 // A fresh small string, not `xml` cut down in place: the
                 // big block goes back whole, for the next copy to reuse,
                 // instead of being pinned by what is left at its start.
                 let own = xml[prefix..xml.len() - suffix].to_string();
-                let (shared, suffix_from) = (Arc::clone(last), last.len() - suffix);
-                QueuedMsg { target, own, shared, prefix, suffix_from }
+                let (shared, suffix_from) = (Arc::clone(text), text.len() - suffix);
+                (QueuedMsg { target, own, shared, prefix, suffix_from, gossip }, None)
             }
             _ => {
                 let xml = Arc::new(xml);
-                queued.last_whole = Some(Arc::clone(&xml));
-                QueuedMsg::whole(target, xml)
+                let whole = (Arc::clone(&xml), head);
+                (QueuedMsg::whole(target, xml, gossip), Some(whole))
             }
         };
+        let mut queued = self.queues.lock();
+        if whole.is_some() {
+            queued.last_whole = whole;
+        }
         queued.by_peer.entry(to).or_default().push_back(msg);
     }
 
@@ -216,11 +327,39 @@ impl SenderQueues {
         match queued.by_peer.get_mut(&to) {
             Some(queue) if !queue.is_empty() => {
                 let xml = Arc::new(xml.to_string());
-                queue.push_back(QueuedMsg::whole(Some(target.to_string()), xml));
+                queue.push_back(QueuedMsg::whole(Some(target.to_string()), xml, None));
                 true
             }
             _ => false,
         }
+    }
+
+    /// Drop every copy of gossip notification `id` still queued for
+    /// `from`: `from` just sent this node that notification, so it holds
+    /// it, and a copy posted now would only be counted as its duplicate.
+    /// Other peers' queues are not touched; a copy already taken for a
+    /// POST is past withdrawing. Returns how many were dropped.
+    pub(crate) fn withdraw(&self, from: NodeId, id: &GossipId<'_>) -> usize {
+        let mut queued = self.queues.lock();
+        let Some(queue) = queued.by_peer.get_mut(&from) else {
+            return 0;
+        };
+        let before = queue.len();
+        queue.retain(|msg| !msg.carries(id));
+        let withdrawn = before - queue.len();
+        if withdrawn > 0 {
+            if queue.is_empty() {
+                // As `pop_batch` does: the map holds peers with traffic.
+                queued.by_peer.remove(&from);
+            }
+            self.withdrawn.add(withdrawn as u64);
+        }
+        withdrawn
+    }
+
+    /// Messages withdrawn so far.
+    pub(crate) fn withdrawn(&self) -> u64 {
+        self.withdrawn.get()
     }
 
     /// Take the next batch: the first (ascending id) non-empty peer's
@@ -449,6 +588,56 @@ mod model_tests {
         );
         assert!(outcome.exhausted, "({} schedules run)", outcome.schedules);
     }
+
+    #[test]
+    fn withdraw_races_the_drain() {
+        // The server withdraws a gossip copy while the node queues it and
+        // the sender drains: under every interleaving within the bound,
+        // the copy is posted once or withdrawn — never both, never
+        // stranded — and the message beside it is posted once.
+        const COPY: &str = "<env:Envelope xmlns:env=\"http://www.w3.org/2003/05/soap-envelope\">\
+            <env:Header><wsg:Gossip xmlns:wsg=\"urn:ws-gossip:2008\"><wsg:Context>c</wsg:Context>\
+            <wsg:Topic>t</wsg:Topic><wsg:Origin>o</wsg:Origin><wsg:Seq>1</wsg:Seq>\
+            <wsg:Round>1</wsg:Round></wsg:Gossip></env:Header><env:Body/></env:Envelope>";
+        // Which ends the explored schedules reached: bit 0 posted, bit 1
+        // withdrawn.
+        static OUTCOMES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let outcome = Explorer::new()
+            .preemption_bound(3)
+            .max_schedules(500_000)
+            .samples(16)
+            .explore(|| {
+                let queues = Arc::new(SenderQueues::default());
+                let signal = Arc::new(WakeSignal::default());
+                let out = OutboundHandle::new(Arc::clone(&queues), Arc::clone(&signal));
+                let sender = spawn_sender(Arc::clone(&queues), Arc::clone(&signal));
+                let server = {
+                    let queues = Arc::clone(&queues);
+                    thread::spawn(move || {
+                        let id = GossipId { origin: "o".into(), seq: 1 };
+                        queues.withdraw(NodeId(1), &id)
+                    })
+                };
+                out.send(NodeId(1), COPY.to_string());
+                out.send(NodeId(1), "<m>0</m>".to_string());
+                let withdrawn = server.join().unwrap();
+                out.stop();
+                let drained = sender.join().unwrap();
+                let posted = drained.iter().filter(|xml| *xml == COPY).count();
+                assert_eq!(posted + withdrawn, 1, "posted {posted}, withdrawn {withdrawn}");
+                assert_eq!(drained.len(), 1 + posted, "{drained:?}");
+                assert_eq!(queues.withdrawn(), withdrawn as u64);
+                assert!(queues.pop_batch(&BatchConfig::default()).is_none());
+                OUTCOMES.fetch_or(1 << withdrawn, std::sync::atomic::Ordering::Relaxed);
+            });
+        assert!(
+            outcome.failure.is_none(),
+            "a withdraw raced the drain into a lost or doubled message:\n{}",
+            outcome.failure.map(|f| f.report()).unwrap_or_default()
+        );
+        assert!(outcome.exhausted, "({} schedules run)", outcome.schedules);
+        assert_eq!(OUTCOMES.load(std::sync::atomic::Ordering::Relaxed), 0b11, "both ends reached");
+    }
 }
 
 #[cfg(test)]
@@ -596,8 +785,13 @@ mod tests {
             let forwards = chain.process(Direction::Inbound, arrived, peer(2)).sends;
             assert!(forwards.len() >= 4, "{} forwards", forwards.len());
             for (to, forward) in forwards.iter().enumerate() {
-                sent.push((to, forward.to_xml()));
-                queues.push(NodeId(to), None, forward.to_xml());
+                // The sender reads the identity the layer dedups on.
+                let header = GossipHeader::from_envelope(forward).unwrap();
+                let xml = forward.to_xml();
+                let (id, _) = wsg_soap::gossip::gossip_id(&xml).unwrap();
+                assert_eq!((id.origin.as_ref(), id.seq), (header.origin.as_str(), header.seq));
+                sent.push((to, xml.clone()));
+                queues.push(NodeId(to), None, xml);
             }
         }
         let (mut own, mut whole, mut coded) = (Vec::new(), 0, 0);
@@ -607,6 +801,9 @@ mod tests {
             assert_eq!(batch.len(), queued.len());
             for (msg, xml) in batch.iter().zip(queued) {
                 assert_eq!(&msg.parts().concat(), xml);
+                let id = Envelope::parse(xml).unwrap().gossip_id().unwrap().into_owned();
+                assert!(msg.carries(&id), "{xml}");
+                assert!(!msg.carries(&GossipId { seq: id.seq + 1, ..id.clone() }));
                 match msg.parts()[1].len() {
                     0 => whole += 1,
                     kept => own.push(kept),
@@ -624,6 +821,174 @@ mod tests {
         assert_eq!(whole, 3, "{own:?}");
         assert!(own.iter().all(|kept| (40..=110).contains(kept)), "{own:?}");
         assert!(coded / whole >= 900, "{coded} bytes shared in {whole} batches");
+    }
+
+    /// A gossip copy of notification `(origin, seq)` for peer `to`: what
+    /// the layer hands over, one forward of several that share their bytes.
+    fn copy(origin: &str, seq: u64, to: usize, payload: &str) -> String {
+        use ws_gossip::GossipHeader;
+        use wsg_soap::{Envelope, MessageHeaders};
+        let header = GossipHeader {
+            context_id: "urn:ws-gossip:ctx:9".into(),
+            topic: "quotes".into(),
+            origin: origin.into(),
+            seq,
+            round: 2,
+        };
+        Envelope::request(
+            MessageHeaders::request(format!("http://127.0.0.1:{}/gossip", 41000 + to), ws_gossip::actions::NOTIFY)
+                .with_message_id(format!("urn:uuid:{seq:08x}{to:024x}")),
+            wsg_xml::Element::text_node("tick", payload),
+        )
+        .with_header(header.to_element())
+        .to_xml()
+    }
+
+    fn id(origin: &str, seq: u64) -> GossipId<'static> {
+        GossipId { origin: Cow::Owned(origin.to_string()), seq }
+    }
+
+    #[test]
+    fn withdrawing_the_copy_that_holds_the_bytes_leaves_the_others_whole() {
+        let payload = "payload ".repeat(300) + "é";
+        let origin = "http://127.0.0.1:41001/gossip";
+        let queues = SenderQueues::default();
+        for to in 1..=5 {
+            queues.push(NodeId(to), None, copy(origin, 7, to, &payload));
+        }
+        // Peer 1's copy went whole: the other four share its bytes.
+        assert_eq!(queues.withdraw(NodeId(2), &id(origin, 8)), 0, "another notification");
+        assert_eq!(queues.withdraw(NodeId(2), &id("http://127.0.0.1:41002/gossip", 7)), 0);
+        assert_eq!(queues.withdraw(NodeId(9), &id(origin, 7)), 0, "nothing queued there");
+        assert_eq!(queues.withdraw(NodeId(1), &id(origin, 7)), 1);
+        assert_eq!(queues.withdraw(NodeId(1), &id(origin, 7)), 0, "gone already");
+        assert_eq!(queues.withdrawn(), 1);
+        assert!(!queues.queues.lock().by_peer.contains_key(&NodeId(1)), "an emptied queue is dropped");
+        let mut own = 0;
+        while let Some((to, batch)) = queues.pop_batch(&BatchConfig::default()) {
+            assert_ne!(to, NodeId(1));
+            assert_eq!(batch.len(), 1);
+            assert_eq!(batch[0].parts().concat(), copy(origin, 7, to.0, &payload));
+            own += batch[0].parts()[1].len();
+        }
+        assert!(own <= 4 * 110, "{own} bytes kept for four shared copies");
+    }
+
+    /// The queue contract, over random pushes, piggybacks, withdraws and
+    /// drains across peers, against a model of per-peer FIFOs: what comes
+    /// out is what went in — byte for byte, in per-peer order, in
+    /// ascending peer order — less exactly the gossip copies withdrawn
+    /// from their own peer while queued. A withdraw touches no other peer,
+    /// never takes a message that is not a gossip copy for the inbox, and
+    /// leaves no state behind when it takes nothing.
+    #[test]
+    fn queue_contract_holds_under_random_withdraws() {
+        use wsg_net::check::run;
+        use wsg_net::{prop_assert, prop_assert_eq};
+
+        // Origins a layer writes as they are, and one it escapes.
+        let origins = ["http://127.0.0.1:41001/gossip", "http://127.0.0.1:41002/gossip", "urn:a&b"];
+        // Envelopes that name a notification, but carry no gossip block the
+        // layer decodes: never withdrawn.
+        let strangers = |origin: &str, seq: u64| {
+            let escaped = origin.replace('&', "&amp;");
+            [
+                format!(
+                    "<env:Envelope xmlns:env=\"http://www.w3.org/2003/05/soap-envelope\"><env:Header/>\
+                     <env:Body><wsg:Register xmlns:wsg=\"urn:ws-gossip:2008\"><wsg:Origin>{escaped}</wsg:Origin>\
+                     <wsg:Seq>{seq}</wsg:Seq></wsg:Register></env:Body></env:Envelope>"
+                ),
+                copy(origin, seq, 0, "no round").replace("<wsg:Round>2</wsg:Round>", ""),
+            ]
+        };
+        run("queue_contract_holds_under_random_withdraws", 128, |g| {
+            let queues = SenderQueues::default();
+            // Per peer: (xml, target, identity when withdrawable).
+            type Entry = (String, Option<String>, Option<(usize, u64)>);
+            let mut model: BTreeMap<usize, VecDeque<Entry>> = BTreeMap::new();
+            let mut withdrawn = 0;
+            let payload = "x".repeat(g.usize(0..=600));
+            for _ in 0..g.usize(1..=60) {
+                let (peer, origin, seq) = (g.usize(0..=3), g.usize(0..=2), g.u64(0..=3));
+                match g.usize(0..=9) {
+                    // Copies of one notification to several peers, as a
+                    // first receipt queues them: they share bytes.
+                    0..=3 => {
+                        for to in 0..=3 {
+                            if to == peer || g.bool(0.5) {
+                                let xml = copy(origins[origin], seq, to, &payload);
+                                queues.push(NodeId(to), None, xml.clone());
+                                model.entry(to).or_default().push_back((xml, None, Some((origin, seq))));
+                            }
+                        }
+                    }
+                    4 => {
+                        let xml = g.pick(&strangers(origins[origin], seq)).clone();
+                        queues.push(NodeId(peer), None, xml.clone());
+                        model.entry(peer).or_default().push_back((xml, None, None));
+                    }
+                    5 => {
+                        // A rider with a gossip block: not for the inbox.
+                        let xml = copy(origins[origin], seq, peer, "rider");
+                        let rode = queues.piggyback(NodeId(peer), "/membership", &xml);
+                        prop_assert_eq!(rode, model.contains_key(&peer));
+                        if rode {
+                            let target = Some("/membership".to_string());
+                            model.entry(peer).or_default().push_back((xml, target, None));
+                        }
+                    }
+                    6..=8 => {
+                        let took = queues.withdraw(NodeId(peer), &id(origins[origin], seq));
+                        let mut expected = 0;
+                        if let Some(queue) = model.get_mut(&peer) {
+                            let before = queue.len();
+                            queue.retain(|(_, _, gossip)| *gossip != Some((origin, seq)));
+                            expected = before - queue.len();
+                            if queue.is_empty() {
+                                model.remove(&peer);
+                            }
+                        }
+                        prop_assert_eq!(took, expected);
+                        withdrawn += took as u64;
+                    }
+                    _ => {
+                        let config = BatchConfig { max_batch_msgs: g.usize(1..=4), ..BatchConfig::default() };
+                        let popped = queues.pop_batch(&config);
+                        let first = model.keys().next().copied();
+                        prop_assert_eq!(popped.as_ref().map(|(to, _)| to.0), first);
+                        if let (Some((_, batch)), Some(peer)) = (popped, first) {
+                            let queue = model.get_mut(&peer).unwrap();
+                            for msg in &batch {
+                                let (xml, target, _) = queue.pop_front().unwrap();
+                                prop_assert!(msg.parts().concat() == xml, "peer {peer}: bytes changed");
+                                prop_assert_eq!(msg.target, target);
+                            }
+                            if queue.is_empty() {
+                                model.remove(&peer);
+                            }
+                        }
+                    }
+                }
+                // Only peers with traffic have a queue: a withdraw that
+                // took nothing left nothing behind.
+                let peers: Vec<usize> = queues.queues.lock().by_peer.keys().map(|id| id.0).collect();
+                prop_assert_eq!(peers, model.keys().copied().collect::<Vec<_>>());
+                prop_assert_eq!(queues.withdrawn(), withdrawn);
+            }
+            while let Some((to, batch)) = queues.pop_batch(&BatchConfig::default()) {
+                let queue = model.get_mut(&to.0).unwrap();
+                for msg in &batch {
+                    let (xml, target, _) = queue.pop_front().unwrap();
+                    prop_assert!(msg.parts().concat() == xml, "peer {}: bytes changed", to.0);
+                    prop_assert_eq!(msg.target, target);
+                }
+                if queue.is_empty() {
+                    model.remove(&to.0);
+                }
+            }
+            prop_assert!(model.is_empty(), "never posted: {model:?}");
+            Ok(())
+        });
     }
 
     #[test]

@@ -101,6 +101,9 @@ pub struct TransportStats {
     pub attempts: u64,
     /// Sends to node ids absent from the directory (dropped).
     pub unroutable: u64,
+    /// Queued gossip copies never posted because their peer sent this
+    /// node the same notification first (see `SenderQueues::withdraw`).
+    pub withdrawn: u64,
 }
 
 /// A node's final state after shutdown: protocol + transport counters.
@@ -290,11 +293,18 @@ where
         // on the node's socket shows all of them.
         let registry = Arc::new(Registry::new());
         let (inbox_tx, inbox_rx) = channel();
+        let queues = Arc::new(SenderQueues::counting(registry.register_counter(
+            "wsg_transport_withdrawn_total",
+            "Queued gossip copies dropped unposted because their peer sent this node the notification first",
+        )));
 
         // Server: route-matched targets go to their service; everything
-        // else is enqueued as received for the node's own thread to parse.
+        // else is enqueued as received for the node's own thread to parse
+        // — after this node's queued copies of that notification to its
+        // sender are withdrawn.
         let server = listener.map(|listener| {
             let inbox = inbox_tx.clone();
+            let queues = Arc::clone(&queues);
             let service: Service = Arc::new(move |request: SoapRequest| {
                 for (target, route) in &routes {
                     if request.target == *target {
@@ -302,6 +312,9 @@ where
                     }
                 }
                 let from = request.from_node.map(NodeId).unwrap_or(EXTERNAL_SENDER);
+                if let Some(id) = &request.gossip {
+                    queues.withdraw(from, id);
+                }
                 inbox
                     .send(Inbox::Message { from, msg: request.raw })
                     .map_err(|_| Fault::new(FaultCode::Receiver, "node is shut down"))?;
@@ -319,7 +332,6 @@ where
         // Sender thread: one pooled client per node draining the shared
         // per-destination queues into batched POSTs, routing through the
         // live directory so removed peers become unroutable immediately.
-        let queues = Arc::new(SenderQueues::default());
         let signal = Arc::new(WakeSignal::default());
         let outbound = OutboundHandle::new(Arc::clone(&queues), Arc::clone(&signal));
         let client = SoapHttpClient::new_observed(client_seed, self.config.client.clone(), &registry);
@@ -592,6 +604,7 @@ fn run_sender(
             }
         }
     });
+    stats.withdrawn = queues.withdrawn();
     stats
 }
 

@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 use wsg_net::sync::Mutex;
 use wsg_obs::{Counter, Family, HistogramMetric, Registry};
 use wsg_soap::batch::{parse_wire_after, Unbundled};
-use wsg_soap::{Envelope, Fault, FaultCode, MessageHeaders, SoapError};
+use wsg_soap::{Envelope, Fault, FaultCode, GossipId, MessageHeaders, SoapError};
 
 use crate::message::Response;
 use crate::parser::{Parsed, RequestParser};
@@ -94,6 +94,9 @@ pub struct SoapRequest {
     /// The envelope XML as received (a batched message: as a standalone
     /// document).
     pub raw: String,
+    /// The message's gossip identity, read while the server checked its
+    /// shape: what a runtime needs to know the sender holds it.
+    pub gossip: Option<GossipId<'static>>,
 }
 
 impl SoapRequest {
@@ -630,19 +633,21 @@ fn handle_request(
     // envelopes are dropped: a batch is a one-way transport frame.
     // `parse_wire_after` streams the document once, slicing each inner
     // envelope's `raw` bytes back out of the request body.
-    let soap_request = |target: String, raw: String| SoapRequest { target, from_node, peer, raw };
+    let soap_request = |target: String, raw: String, gossip: Option<GossipId<'static>>| {
+        SoapRequest { target, from_node, peer, raw, gossip }
+    };
     let outcome = match parse_wire_after(&raw, said) {
         Ok(Unbundled::Batch(messages)) => {
             let mut first_fault = None;
             for message in messages {
                 let target = message.target.unwrap_or_else(|| post_target.clone());
-                if let Err(fault) = service(soap_request(target, message.raw)) {
+                if let Err(fault) = service(soap_request(target, message.raw, message.gossip)) {
                     first_fault.get_or_insert(fault);
                 }
             }
             first_fault.map_or(Ok(SoapReply::Accepted), Err)
         }
-        Ok(Unbundled::Single(Ok(()))) => service(soap_request(post_target, raw)),
+        Ok(Unbundled::Single(Ok(gossip))) => service(soap_request(post_target, raw, gossip)),
         Ok(Unbundled::Single(Err(err))) | Err(err) => return refuse(not_an_envelope(err)),
     };
     match outcome {

@@ -50,6 +50,7 @@ use wsg_xml::escape::escape_attr_into;
 use wsg_xml::{Element, RawEvent, XmlReader};
 
 use crate::envelope::{read_root, walk};
+use crate::gossip::{self, GossipId};
 use crate::{Envelope, SoapError, SOAP_ENV_NS};
 
 /// Namespace of the batch wrapper vocabulary.
@@ -104,6 +105,8 @@ pub struct BatchedEnvelope {
     /// The inner envelope as a standalone document (declaration + compact
     /// XML), so downstream services see the same shape as a bare POST.
     pub raw: String,
+    /// The message's gossip identity, read while its shape was checked.
+    pub gossip: Option<GossipId<'static>>,
 }
 
 impl BatchedEnvelope {
@@ -280,9 +283,9 @@ pub fn text_of(xml: &str) -> &str {
 pub enum Unbundled {
     /// The document was a `wsgb:Batch`: its messages, in wire order.
     Batch(Vec<BatchedEnvelope>),
-    /// Not a batch: one well-formed document, with what (if anything)
-    /// keeps it from having the shape of a SOAP envelope.
-    Single(Result<(), SoapError>),
+    /// Not a batch: one well-formed document, with its gossip identity or
+    /// what keeps it from having the shape of a SOAP envelope.
+    Single(Result<Option<GossipId<'static>>, SoapError>),
 }
 
 /// Check a wire document — the first request on a fresh connection —
@@ -365,13 +368,13 @@ fn unwrap_wire(
                     return Err(SoapError::Batch(format!("batch carries a {name}")));
                 }
                 let target = reader.attribute(None, "target").map(|target| target.into_owned());
-                let raw = match reader.attribute(None, "pre") {
+                let (raw, gossip) = match reader.attribute(None, "pre") {
                     None => {
                         cov!();
-                        let (raw, text) = read_msg(&mut reader, wire)?;
+                        let (raw, gossip, text) = read_msg(&mut reader, wire)?;
                         room = spend(room, text.len())?;
                         sent = Some(text);
-                        raw
+                        (raw, gossip)
                     }
                     Some(pre) => {
                         cov!();
@@ -393,7 +396,7 @@ fn unwrap_wire(
                         read_coded(&mut reader, &pre, before, &mut room)?
                     }
                 };
-                out.push(BatchedEnvelope { target, raw });
+                out.push(BatchedEnvelope { target, raw, gossip });
             }
             // `</wsgb:Batch>` — the reader itself balances tags, so an
             // `End` at this depth can only be the wrapper's.
@@ -419,18 +422,33 @@ fn spend(room: usize, bytes: usize) -> Result<usize, SoapError> {
     })
 }
 
-/// Skip through the element just started, reporting what keeps it from
-/// having the shape of an envelope.
-fn envelope_shape(reader: &mut XmlReader<'_>) -> Result<Result<(), SoapError>, SoapError> {
-    let shape = walk(reader, XmlReader::skip_element, XmlReader::skip_element)?;
-    Ok(shape.is_envelope().and_then(|()| shape.has_body()))
+/// Go through the element just started — reading its gossip identity off
+/// the header, skipping everything else — and report that identity, or
+/// what keeps the element from having the shape of an envelope.
+fn envelope_shape(
+    reader: &mut XmlReader<'_>,
+) -> Result<Result<Option<GossipId<'static>>, SoapError>, SoapError> {
+    let mut id = None;
+    let shape = walk(
+        reader,
+        |reader| {
+            id = gossip::read_header(reader)?.map(GossipId::into_owned);
+            Ok(())
+        },
+        XmlReader::skip_element,
+    )?;
+    Ok(shape.is_envelope().and_then(|()| shape.has_body()).map(|()| id))
 }
 
 /// Read one whole `wsgb:Msg`'s content — exactly one inner element, shaped
-/// like an envelope — and return its standalone `raw` form, and where in
-/// `wire` the message's text (all that stands between its tags) lies.
-fn read_msg(reader: &mut XmlReader<'_>, wire: &str) -> Result<(String, Range<usize>), SoapError> {
-    let mut inner: Option<String> = None;
+/// like an envelope — and return its standalone `raw` form, its gossip
+/// identity, and where in `wire` the message's text (all that stands
+/// between its tags) lies.
+fn read_msg(
+    reader: &mut XmlReader<'_>,
+    wire: &str,
+) -> Result<(String, Option<GossipId<'static>>, Range<usize>), SoapError> {
+    let mut inner: Option<(String, Option<GossipId<'static>>)> = None;
     // Bindings declared at or below this scope depth (the batch wrapper's
     // xmlns:wsgb, or anything else on the outer elements) are invisible to
     // a message slice replayed standalone.
@@ -451,7 +469,7 @@ fn read_msg(reader: &mut XmlReader<'_>, wire: &str) -> Result<(String, Range<usi
                     ));
                 }
                 cov!();
-                envelope_shape(reader)??;
+                let gossip = envelope_shape(reader)??;
                 let slice = &wire[start..reader.position()];
                 let mut raw = String::with_capacity(XML_DECL.len() + slice.len());
                 raw.push_str(XML_DECL);
@@ -472,15 +490,15 @@ fn read_msg(reader: &mut XmlReader<'_>, wire: &str) -> Result<(String, Range<usi
                     let tree = Element::parse_in_scope(slice, &reader.in_scope_bindings())?;
                     raw.push_str(&tree.to_xml_string());
                 }
-                inner = Some(raw);
+                inner = Some((raw, gossip));
             }
             // `</wsgb:Msg>`, with at least the element before it.
             RawEvent::End => {
-                let raw = inner.ok_or_else(|| {
+                let (raw, gossip) = inner.ok_or_else(|| {
                     cov!();
                     SoapError::Batch("Msg wraps 0 elements (want exactly 1)".into())
                 })?;
-                return Ok((raw, text_from..start));
+                return Ok((raw, gossip, text_from..start));
             }
             _ => {} // text/comments alongside the envelope are ignored
         }
@@ -490,13 +508,14 @@ fn read_msg(reader: &mut XmlReader<'_>, wire: &str) -> Result<(String, Range<usi
 /// Read one front-coded `wsgb:Msg`'s content — character data only — and
 /// return its standalone `raw` form: the declaration, the first `pre`
 /// bytes of `before`, the message's own text — taken out of `room` before
-/// anything is allocated, and checked as a bare POST's body is.
+/// anything is allocated, and checked as a bare POST's body is — with its
+/// gossip identity.
 fn read_coded(
     reader: &mut XmlReader<'_>,
     pre: &str,
     before: &str,
     room: &mut usize,
-) -> Result<String, SoapError> {
+) -> Result<(String, Option<GossipId<'static>>), SoapError> {
     // `is_char_boundary` is false past the end, too.
     let shared = pre.parse().ok().filter(|&shared| before.is_char_boundary(shared));
     let Some(shared) = shared else {
@@ -531,9 +550,9 @@ fn read_coded(
 
     let mut rebuilt = XmlReader::new(&raw);
     read_root(&mut rebuilt)?;
-    envelope_shape(&mut rebuilt)??;
+    let gossip = envelope_shape(&mut rebuilt)??;
     rebuilt.finish()?;
-    Ok(raw)
+    Ok((raw, gossip))
 }
 
 /// Whether a parsed document root is a batch wrapper.
@@ -615,7 +634,8 @@ pub fn unbundle(wire: &str, reference: &mut String) -> Result<Vec<BatchedEnvelop
         if inner.child_ns(SOAP_ENV_NS, "Body").is_none() {
             return Err(SoapError::MissingPart("Body"));
         }
-        out.push(BatchedEnvelope { target: child.attr("target").map(str::to_string), raw });
+        let gossip = gossip::of_tree(&inner);
+        out.push(BatchedEnvelope { target: child.attr("target").map(str::to_string), raw, gossip });
         before = Some(text);
     }
     *reference = before.unwrap_or_default();
@@ -731,7 +751,7 @@ mod tests {
         // A bare envelope leaves its text past the prologue as the
         // reference, whitespace after the declaration trimmed.
         let bare = format!("{XML_DECL}\n {}", &xmls[0][XML_DECL.len()..]);
-        assert_eq!(parse_wire_after(&bare, &mut received).unwrap(), Unbundled::Single(Ok(())));
+        assert_eq!(parse_wire_after(&bare, &mut received).unwrap(), Unbundled::Single(Ok(None)));
         assert_eq!(received, text_of(&bare));
         assert_eq!(received, xmls[0][XML_DECL.len()..]);
         let (wire, left_out) = post(&xmls[1..3], &mut received.clone());
@@ -1027,7 +1047,7 @@ mod tests {
     fn parse_wire_hands_back_non_batch_documents() {
         let xml = sample(3).to_xml();
         match parse_wire(&xml).unwrap() {
-            Unbundled::Single(shape) => assert_eq!(shape, Ok(())),
+            Unbundled::Single(shape) => assert_eq!(shape, Ok(None)),
             other => panic!("lone envelope classified as {other:?}"),
         }
         // Trailing junk is rejected just as Element::parse rejects it.

@@ -277,7 +277,6 @@ impl Block {
         ns: &str,
         children: [&str; N],
     ) -> [Option<Cow<'_, str>>; N] {
-        let mut found = std::array::from_fn(|_| None);
         let wire = match (self.tree.get(), &self.wire) {
             (None, Some(wire)) => wire,
             _ => {
@@ -287,30 +286,44 @@ impl Block {
         };
         let mut reader = wire.xml.reader();
         reader.next_raw().expect(PASSED); // the block's own start tag
-        loop {
-            match reader.next_raw().expect(PASSED) {
-                RawEvent::Start => {
-                    let (child_ns, local) = reader.element_name();
-                    let wanted = children
-                        .iter()
-                        .position(|child| *child == local)
-                        .filter(|i| child_ns == Some(ns) && found[*i].is_none());
-                    match wanted {
-                        Some(i) => {
-                            let text = reader.direct_text().expect(PASSED);
-                            if let Cow::Owned(_) = text {
-                                // A reference resolved, or runs joined:
-                                // not a slice of the text any more.
-                                cov!();
-                            }
-                            found[i] = Some(text);
+        read_child_texts(&mut reader, ns, children).expect(PASSED)
+    }
+}
+
+/// For each of `children`, the text of the first child element `(ns,
+/// child)` of the element `reader` just started — consuming through its
+/// end tag. What [`Element::child_ns`] and [`Element::text`] find on the
+/// element's tree, read off the tokenizer: text that needed no reference
+/// resolved is borrowed.
+pub(crate) fn read_child_texts<'a, const N: usize>(
+    reader: &mut XmlReader<'a>,
+    ns: &str,
+    children: [&str; N],
+) -> Result<[Option<Cow<'a, str>>; N], XmlError> {
+    let mut found = std::array::from_fn(|_| None);
+    loop {
+        match reader.next_raw()? {
+            RawEvent::Start => {
+                let (child_ns, local) = reader.element_name();
+                let wanted = children
+                    .iter()
+                    .position(|child| *child == local)
+                    .filter(|i| child_ns == Some(ns) && found[*i].is_none());
+                match wanted {
+                    Some(i) => {
+                        let text = reader.direct_text()?;
+                        if let Cow::Owned(_) = text {
+                            // A reference resolved, or runs joined: not a
+                            // slice of the text any more.
+                            cov!();
                         }
-                        None => reader.skip_element().expect(PASSED),
+                        found[i] = Some(text);
                     }
+                    None => reader.skip_element()?,
                 }
-                RawEvent::End | RawEvent::Eof => return found,
-                _ => {}
             }
+            RawEvent::End | RawEvent::Eof => return Ok(found),
+            _ => {}
         }
     }
 }

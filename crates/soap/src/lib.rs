@@ -31,6 +31,7 @@ pub mod addressing;
 pub mod batch;
 pub mod envelope;
 pub mod fault;
+pub mod gossip;
 pub mod handler;
 mod qnames;
 pub mod uuid;
@@ -41,6 +42,7 @@ pub use addressing::{EndpointReference, MessageHeaders};
 pub use envelope::Envelope;
 pub use error::SoapError;
 pub use fault::{Fault, FaultCode};
+pub use gossip::{GossipId, WSGOSSIP_NS};
 pub use handler::{ChainResult, Disposition, Handler, HandlerChain, HandlerOutcome, MessageContext};
 pub use uuid::Uuid;
 

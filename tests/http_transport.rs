@@ -9,7 +9,9 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use ws_gossip::{Role, WsGossipNode};
 use wsg_coord::GossipPolicy;
@@ -118,6 +120,119 @@ fn full_dissemination_over_loopback_sockets_with_a_refused_peer() {
         let t = node.transport;
         assert!(t.msgs_ok >= t.posts_ok, "node {i}: {t:?}");
         assert_eq!(t.posts_saved, t.msgs_ok - t.posts_ok, "node {i}: {t:?}");
+    }
+}
+
+/// Under a stream of publications every node queues a copy of each
+/// notification for every peer, and many of those peers send it their own
+/// copy first: the runtime withdraws the queued one. Nothing a node would
+/// deliver is ever withdrawn — every subscriber delivers every publication
+/// exactly once — and what was withdrawn was never posted, so every
+/// envelope a sender booked as delivered still reached a node.
+#[test]
+fn a_live_fleet_withdraws_what_peers_sent_first_and_still_delivers_everything() {
+    let coordinator = NodeId(0);
+    let total = 240;
+    let ticks = (0..total).map(|i| Element::text_node("tick", format!("ACME {i}"))).collect();
+    // n0 coordinator, n1 initiator, n2-n9 subscribers. A saturating
+    // fanout: at first receipt a node queues a copy for every peer that
+    // does not provably hold the notification already.
+    let mut nodes = vec![
+        WsGossipNode::coordinator(coordinator)
+            .with_policy(GossipPolicy::new(GossipParams::new(10, 6))),
+        WsGossipNode::initiator(NodeId(1), coordinator).with_publish_schedule(
+            "quotes",
+            ticks,
+            SimDuration::from_millis(4),
+        ),
+    ];
+    for i in 2..10 {
+        nodes.push(WsGossipNode::disseminator(NodeId(i), coordinator).with_auto_subscribe("quotes"));
+    }
+    let tallies: Vec<Arc<AtomicUsize>> = nodes.iter().map(|_| Arc::default()).collect();
+    let nodes = nodes
+        .into_iter()
+        .zip(&tallies)
+        .map(|(node, delivered)| Tallied { node, delivered: Arc::clone(delivered) })
+        .collect();
+    let net = NetRuntime::spawn(nodes, 2028, loopback_config());
+    let registries: Vec<_> = (0..10).map(|i| net.registry_of(NodeId(i))).collect();
+    // However slow the machine, the fleet runs until every subscriber has
+    // every publication, and no longer than the deadline.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while tallies[2..].iter().any(|tally| tally.load(Ordering::Relaxed) < total)
+        && Instant::now() < deadline
+    {
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    let finished = net.shutdown_after(Duration::from_millis(300));
+
+    let withdrawn: u64 = finished.iter().map(|node| node.transport.withdrawn).sum();
+    assert!(withdrawn > 0, "no queued copy was withdrawn");
+    let scraped: u64 = registries
+        .iter()
+        .map(|registry| registry.register_counter("wsg_transport_withdrawn_total", "").get())
+        .sum();
+    assert_eq!(scraped, withdrawn);
+    for (i, node) in finished.iter().enumerate().skip(2) {
+        let ops = node.protocol.node.ops();
+        assert_eq!(ops.len(), total, "node {i} delivered {} of {total}", ops.len());
+        assert_eq!(node.protocol.node.distinct_ops().len(), total, "node {i} delivered twice");
+    }
+    // Σ msgs_ok = Σ messages_received: a withdrawn copy was never posted,
+    // and every posted one was handed to a node.
+    let sent: u64 = finished.iter().map(|node| node.transport.msgs_ok).sum();
+    let received: u64 =
+        finished.iter().map(|node| node.protocol.node.stats().messages_received).sum();
+    assert_eq!(sent, received, "{withdrawn} withdrawn");
+    assert!(finished.iter().all(|node| node.transport.posts_failed == 0));
+}
+
+/// A [`WsGossipNode`], unmodified, that keeps a count of what it has
+/// delivered where the test can watch it, and — an initiator — publishes
+/// its first notification only once every subscription is in: a grant
+/// names the subscribers known when it is handed out, for good.
+struct Tallied {
+    node: WsGossipNode,
+    delivered: Arc<AtomicUsize>,
+}
+
+/// The context `on_start` sees: the first publication is held back.
+struct HeldBack<'a>(&'a mut dyn Context<String>);
+
+impl Context<String> for HeldBack<'_> {
+    fn now(&self) -> wsg_net::SimTime {
+        self.0.now()
+    }
+    fn self_id(&self) -> NodeId {
+        self.0.self_id()
+    }
+    fn node_count(&self) -> usize {
+        self.0.node_count()
+    }
+    fn send(&mut self, to: NodeId, msg: String) {
+        self.0.send(to, msg);
+    }
+    fn set_timer(&mut self, delay: SimDuration, tag: wsg_net::TimerTag) {
+        let held = if tag == ws_gossip::node::PUBLISH_TICK { SimDuration::from_millis(1000) } else { delay };
+        self.0.set_timer(held, tag);
+    }
+    fn rng(&mut self) -> &mut dyn wsg_net::rng::Rng64 {
+        self.0.rng()
+    }
+}
+
+impl Protocol for Tallied {
+    type Message = String;
+    fn on_start(&mut self, ctx: &mut dyn Context<String>) {
+        self.node.on_start(&mut HeldBack(ctx));
+    }
+    fn on_message(&mut self, from: NodeId, msg: String, ctx: &mut dyn Context<String>) {
+        self.node.on_message(from, msg, ctx);
+        self.delivered.store(self.node.ops().len(), Ordering::Relaxed);
+    }
+    fn on_timer(&mut self, tag: wsg_net::TimerTag, ctx: &mut dyn Context<String>) {
+        self.node.on_timer(tag, ctx);
     }
 }
 

@@ -316,6 +316,10 @@ fn live_runtime_node_serves_its_own_metrics() {
     let shared = get("wsg_transport_batch_shared_bytes_total");
     let reused = get("wsg_http_client_pool_hits_total") > 0.0 || batch_sum > batch_count;
     assert_eq!(shared > 0.0, reused, "{body}");
+    // And what the sender dropped unposted because the peer sent the same
+    // notification first: the coordinator queues grants and responses,
+    // no gossip copy, so it never withdraws any.
+    assert_eq!(get("wsg_transport_withdrawn_total"), 0.0, "{body}");
 
     // After shutdown, the finished protocol enriches the same registry
     // with node/coordinator families — the full per-node picture.

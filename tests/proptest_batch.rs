@@ -241,7 +241,7 @@ fn a_connection_codes_each_request_against_the_one_before() {
                 // Posted bare: its text is what the connection said last.
                 let bare = format!("{DECLARATION}{}", text_of(&post[0]));
                 let unwrapped = parse_wire_after(&bare, &mut receiver).map_err(|e| e.to_string())?;
-                prop_assert_eq!(unwrapped, Unbundled::Single(Ok(())));
+                prop_assert_eq!(unwrapped, Unbundled::Single(Ok(None)));
                 sender = text_of(&post[0]).to_string();
                 walker = receiver.clone();
                 prop_assert_eq!(&receiver, &sender);

@@ -158,3 +158,61 @@ fn fault_envelopes_roundtrip_between_subsystems() {
     assert_eq!(parsed.as_fault(), Some(&fault));
     assert_eq!(parsed.addressing().relates_to(), Some("urn:uuid:req-1"));
 }
+
+/// The identity the transport reads off a message — while unwrapping it
+/// on receipt, and off its head when queueing it — is the `(origin, seq)`
+/// the gossip layer decodes from the same envelope, on every committed
+/// envelope and batch fuzz seed; and none where the layer decodes none.
+#[test]
+fn the_transport_reads_the_identity_the_layer_decodes_on_every_seed() {
+    use wsg_soap::batch::{parse_wire_after, Unbundled};
+    use wsg_soap::gossip::gossip_id;
+
+    let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../fuzz/corpus");
+    let (mut identified, mut read_seeds) = (Vec::new(), Vec::new());
+    for target in ["envelope", "batch"] {
+        let mut seeds: Vec<_> =
+            std::fs::read_dir(corpus.join(target)).unwrap().map(|entry| entry.unwrap().path()).collect();
+        seeds.sort();
+        for path in seeds {
+            let bytes = std::fs::read(&path).unwrap();
+            // A batch seed may hold its connection's reference first.
+            let (reference, wire) = match bytes.iter().position(|&b| b == 0) {
+                Some(nul) => (&bytes[..nul], &bytes[nul + 1..]),
+                None => (&b""[..], &bytes[..]),
+            };
+            let mut reference = String::from_utf8(reference.to_vec()).unwrap();
+            let wire = String::from_utf8(wire.to_vec()).unwrap();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            let messages = match parse_wire_after(&wire, &mut reference) {
+                Ok(Unbundled::Single(Ok(id))) => vec![(wire.clone(), id)],
+                Ok(Unbundled::Batch(messages)) => {
+                    messages.into_iter().map(|message| (message.raw, message.gossip)).collect()
+                }
+                _ => continue,
+            };
+            for (raw, read) in messages {
+                let Ok(envelope) = Envelope::parse(&raw) else { continue };
+                read_seeds.push(name.clone());
+                let decoded = GossipHeader::from_envelope(&envelope).map(|h| (h.origin, h.seq));
+                let read = read.map(|id| (id.origin.into_owned(), id.seq));
+                assert_eq!(read, decoded, "{name}: the unwrap's identity");
+                let queued = gossip_id(&raw).map(|(id, _)| (id.origin.into_owned(), id.seq));
+                assert_eq!(queued, decoded, "{name}: the sender's identity");
+                if let Some(id) = decoded {
+                    identified.push((name.clone(), id));
+                }
+            }
+        }
+    }
+    let named = |seed: &str| identified.iter().filter(|(name, _)| name == seed).count();
+    assert_eq!(named("seed-gossip-prefix"), 1, "{identified:?}");
+    // A foreign prefix and a default namespace name the block; a lookalike
+    // in another namespace does not.
+    assert_eq!(named("seed-gossip-foreign-prefix"), 2, "{identified:?}");
+    assert!(identified.contains(&("seed-gossip-foreign-prefix".into(), ("http://127.0.0.1:41001/gossip".into(), 14))));
+    // `wsg:Origin` and `wsg:Seq` in a body are no gossip header.
+    assert!(read_seeds.iter().any(|name| name == "seed-gossip-in-body"), "{read_seeds:?}");
+    assert_eq!(named("seed-gossip-in-body"), 0, "{identified:?}");
+    assert!(identified.len() >= 6, "{identified:?}");
+}
