@@ -12,19 +12,15 @@
 //!   whose throughput collapses under perturbation — experiment E5);
 //! * [`direct::DirectNode`] — best-effort sender-unicasts-to-all (no
 //!   retransmission; the cheapest centralized scheme);
-//! * [`flooding::FloodNode`] — forward every new message to *all* peers:
-//!   maximal reliability, O(n²) traffic;
 //! * [`tree::TreeNode`] — static k-ary spanning-tree multicast: optimal
 //!   message count, loses whole subtrees to a single crash.
 
 pub mod broker;
 pub mod direct;
-pub mod flooding;
 pub mod tree;
 
 pub use broker::{BrokerMsg, BrokerNode};
 pub use direct::{DirectMsg, DirectNode};
-pub use flooding::{FloodMsg, FloodNode};
 pub use tree::{TreeMsg, TreeNode};
 
 /// A record of one application-level delivery, shared by all baselines.

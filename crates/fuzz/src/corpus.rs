@@ -34,7 +34,7 @@ pub fn regressions_for(target: &str) -> PathBuf {
 
 /// Load every file in `dir`, sorted by filename for determinism.
 /// A missing directory is an empty corpus, not an error.
-pub fn load_dir(dir: &Path) -> io::Result<Vec<Vec<u8>>> {
+fn load_dir(dir: &Path) -> io::Result<Vec<Vec<u8>>> {
     let mut paths: Vec<PathBuf> = match fs::read_dir(dir) {
         Ok(entries) => entries
             .filter_map(|entry| entry.ok().map(|e| e.path()))

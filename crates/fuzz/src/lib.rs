@@ -15,7 +15,7 @@
 //!   An input that lights up a new `(edge, count-bucket)` pair joins the
 //!   corpus. Without the cfg the engine still runs (mutation + oracles),
 //!   it just never grows the corpus beyond the seeds.
-//! * **Mutation** ([`mutate`]) is deterministic on `wsg_net::rng`: byte
+//! * **Mutation** (`mutate`) is deterministic on `wsg_net::rng`: byte
 //!   mutators (bitflips, splices, repeats, truncation, interesting
 //!   values) plus structure-aware ones that work at token granularity
 //!   (swap/duplicate XML tags, corrupt `Content-Length`, shuffle batch
@@ -37,7 +37,7 @@
 //! | `WSG_FUZZ_INPUT` | path of one input to replay (CLI, with --target) |
 
 pub mod corpus;
-pub mod mutate;
+mod mutate;
 pub mod targets;
 
 use std::collections::BTreeSet;
@@ -48,7 +48,7 @@ use wsg_net::cov;
 use wsg_net::rng::RngExt;
 use wsg_net::SplitMix64;
 
-pub use targets::{all_targets, FuzzTarget};
+use targets::FuzzTarget;
 
 /// FNV-1a over a byte string — used for stable input fingerprints in the
 /// admission trajectory and for per-target RNG streams (same constants as
@@ -152,7 +152,7 @@ pub struct FuzzOutcome {
     pub corpus: Vec<Vec<u8>>,
     /// `(iteration, fnv64(input))` for every admission — the corpus
     /// trajectory the determinism test compares.
-    pub admissions: Vec<(u64, u64)>,
+    pub(crate) admissions: Vec<(u64, u64)>,
     /// Aggregate `(edge, bucket)` coverage map over the whole run.
     pub coverage: BTreeSet<(u32, u8)>,
     /// Coverage pairs first reached by a *mutated* input (i.e. beyond

@@ -314,6 +314,8 @@ fn write_seeds() -> std::io::Result<usize> {
     write_batch_parts(item, &mut said.to_string(), &mut next);
     assert!(next.contains("<wsgb:Msg pre=\""), "{next}");
     let connection_pre = format!("{said}\0{next}");
+    // A character no XML document may hold, in a front-coded tail.
+    let not_char_coded = front_coded.replacen("<![CDATA[", "<![CDATA[\u{1}", 1);
 
     type TargetSeeds<'a> = (&'a str, &'a [(&'a str, &'a [u8])]);
     let seeds: &[TargetSeeds<'_>] = &[
@@ -354,6 +356,11 @@ fn write_seeds() -> std::io::Result<usize> {
                     b"<p:a xmlns:p=\"urn:&#x61;b\"><p:b p:k=\"v\">&#65;&lt;</p:b></p:a>",
                 ),
                 ("end-tag-space", b"<a><b>x</b ><c/></a\t\n>"),
+                // Characters XML 1.0's `Char` leaves out, the first in text.
+                (
+                    "not-char",
+                    "<a k=\"v\"><b>x\u{FFFE}</b><!-- \u{1} --><![CDATA[\u{1F}]]></a>".as_bytes(),
+                ),
             ],
         ),
         (
@@ -383,6 +390,7 @@ fn write_seeds() -> std::io::Result<usize> {
                 ("pre-hostile", pre_hostile.as_bytes()),
                 ("connection-pre", connection_pre.as_bytes()),
                 ("pre-fresh-connection", next.as_bytes()),
+                ("not-char-coded", not_char_coded.as_bytes()),
             ],
         ),
         (

@@ -13,7 +13,7 @@ use wsg_net::SplitMix64;
 
 /// Grammar fragments of the five wire formats, spliced in wholesale so a
 /// mutation can introduce a well-formed token the parsers dispatch on.
-pub const DICTIONARY: &[&[u8]] = &[
+const DICTIONARY: &[&[u8]] = &[
     b"<?xml version=\"1.0\" encoding=\"UTF-8\"?>",
     b"<wsgb:Batch xmlns:wsgb=\"urn:ws-gossip:batch\">",
     b"</wsgb:Batch>",
@@ -49,7 +49,7 @@ pub const DICTIONARY: &[&[u8]] = &[
 ];
 
 /// Boundary numbers for length fields and numeric attributes.
-pub const INTERESTING: &[&[u8]] = &[
+const INTERESTING: &[&[u8]] = &[
     b"0",
     b"1",
     b"-1",
@@ -63,7 +63,12 @@ pub const INTERESTING: &[&[u8]] = &[
 
 /// Apply a random stack of 1–4 mutations to `input` in place, truncating
 /// to `max_len` at the end.
-pub fn mutate(input: &mut Vec<u8>, corpus: &[Vec<u8>], rng: &mut SplitMix64, max_len: usize) {
+pub(crate) fn mutate(
+    input: &mut Vec<u8>,
+    corpus: &[Vec<u8>],
+    rng: &mut SplitMix64,
+    max_len: usize,
+) {
     let stack = rng.gen_range(1..=4usize);
     for _ in 0..stack {
         mutate_once(input, corpus, rng);

@@ -54,7 +54,7 @@ pub fn target_by_name(name: &str) -> Option<Box<dyn FuzzTarget>> {
 /// left in `Partial` never buffers more than head cap + body cap
 /// (limits actually bound allocation); completed messages survive a
 /// parse → serialise → parse round trip.
-pub struct HttpTarget;
+pub(crate) struct HttpTarget;
 
 /// Drive a request parser to its terminal state: completed messages,
 /// then either a clean `Partial` (`None`) or the first error.
@@ -660,7 +660,7 @@ impl FuzzTarget for BatchTarget {
 ///
 /// Oracle: a decoded membership message re-encodes to an envelope that
 /// decodes to the same message.
-pub struct MembershipTarget;
+pub(crate) struct MembershipTarget;
 
 impl FuzzTarget for MembershipTarget {
     fn name(&self) -> &'static str {

@@ -92,6 +92,13 @@ fn the_foreign_seeds_reach_the_splice_fallback_branches() {
     let within = edges(&BatchTarget, seed("batch", "front-coded"));
     let across = edges(&BatchTarget, seed("batch", "connection-pre"));
     assert!(across.difference(&within).next().is_some());
+    // A character XML 1.0's `Char` leaves out is refused where it stands:
+    // in a document, and in a front-coded tail.
+    let mixed = edges(&XmlTarget, seed("xml", "mixed"));
+    let not_char = edges(&XmlTarget, seed("xml", "not-char"));
+    assert!(not_char.difference(&mixed).next().is_some());
+    let refused = edges(&BatchTarget, seed("batch", "not-char-coded"));
+    assert!(refused.difference(&within).next().is_some());
 }
 
 #[test]

@@ -64,30 +64,6 @@ pub fn expected_coverage_lossy(n: usize, fanout: usize, rounds: u32, loss: f64) 
     (infected / n_f).min(1.0)
 }
 
-/// Expected coverage for **infect-forever** gossip: every infected node
-/// forwards `fanout` copies *each round* (not only the round it was
-/// infected), so the forwarder pool is the whole infected set. Converges
-/// to full coverage for any `fanout >= 1` given enough rounds — the
-/// trade-off is ~`r·f·n` messages instead of `f·n`.
-pub fn expected_coverage_forever(n: usize, fanout: usize, rounds: u32) -> f64 {
-    assert!(n > 0, "n must be positive");
-    if n == 1 {
-        return 1.0;
-    }
-    let n_f = n as f64;
-    let mut infected = 1.0_f64;
-    for _ in 0..rounds {
-        if infected >= n_f - 1e-9 {
-            break;
-        }
-        let susceptible = n_f - infected;
-        let p_escape_one = 1.0 - fanout as f64 / (n_f - 1.0);
-        let p_escape = if p_escape_one <= 0.0 { 0.0 } else { p_escape_one.powf(infected) };
-        infected += susceptible * (1.0 - p_escape);
-    }
-    (infected / n_f).min(1.0)
-}
-
 /// Probability that push gossip with per-node `fanout` infects the whole
 /// system, from the Erdős–Rényi-style connectivity threshold used by
 /// Eugster et al.: with `f = ln n + c`, `P(atomic) → exp(-exp(-c))`.
@@ -237,17 +213,6 @@ mod tests {
         assert!(r_big > r_small);
         // log-ish growth: 1000x nodes should cost far fewer than 1000x rounds.
         assert!(r_big < r_small * 6, "r_small={r_small} r_big={r_big}");
-    }
-
-    #[test]
-    fn infect_forever_dominates_infect_and_die() {
-        for &(n, f, r) in &[(100, 2, 8), (1000, 3, 10)] {
-            let die = expected_coverage(n, f, r);
-            let forever = expected_coverage_forever(n, f, r);
-            assert!(forever >= die - 1e-12, "n={n} f={f} r={r}: {forever} < {die}");
-        }
-        // With enough rounds, infect-forever reaches everyone even at f=1.
-        assert!(expected_coverage_forever(1000, 1, 60) > 0.999);
     }
 
     #[test]

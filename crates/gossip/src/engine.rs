@@ -270,11 +270,6 @@ impl<T: Clone> GossipEngine<T> {
         &self.delivered
     }
 
-    /// Drain delivered messages (the application has consumed them).
-    pub fn take_delivered(&mut self) -> Vec<DeliveredMessage<T>> {
-        std::mem::take(&mut self.delivered)
-    }
-
     /// Protocol counters.
     pub fn stats(&self) -> &EngineStats {
         &self.stats
@@ -763,17 +758,6 @@ mod tests {
         let b = publish(&mut net, NodeId(2), 2);
         assert_eq!(a, MsgId::new(NodeId(2), 0));
         assert_eq!(b, MsgId::new(NodeId(2), 1));
-    }
-
-    #[test]
-    fn take_delivered_drains() {
-        let n = 4;
-        let mut net = build(n, GossipStyle::EagerPush, GossipParams::default(), SimConfig::default().seed(10));
-        publish(&mut net, NodeId(0), 1);
-        net.run_to_quiescence();
-        let first = net.node_mut(NodeId(1)).take_delivered();
-        assert_eq!(first.len(), 1);
-        assert!(net.node(NodeId(1)).delivered().is_empty());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 /// What a [`Token`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     /// Identifier or keyword (`HashMap`, `fn`, `r#type`).
     Ident,
     /// Numeric literal (loosely scanned; rules ignore these).
@@ -38,25 +38,25 @@ pub enum TokenKind {
 
 /// One lexed token: kind, source text and 1-based start line.
 #[derive(Debug, Clone, Copy)]
-pub struct Token<'a> {
-    pub kind: TokenKind,
-    pub text: &'a str,
-    pub line: u32,
+pub(crate) struct Token<'a> {
+    pub(crate) kind: TokenKind,
+    pub(crate) text: &'a str,
+    pub(crate) line: u32,
 }
 
 impl<'a> Token<'a> {
     /// True for comment trivia (line or block).
-    pub fn is_comment(&self) -> bool {
+    pub(crate) fn is_comment(&self) -> bool {
         matches!(self.kind, TokenKind::LineComment | TokenKind::BlockComment)
     }
 
     /// True when this token is the identifier `word`.
-    pub fn is_ident(&self, word: &str) -> bool {
+    pub(crate) fn is_ident(&self, word: &str) -> bool {
         self.kind == TokenKind::Ident && self.text == word
     }
 
     /// True when this token is the punctuation character `ch`.
-    pub fn is_punct(&self, ch: char) -> bool {
+    pub(crate) fn is_punct(&self, ch: char) -> bool {
         self.kind == TokenKind::Punct && self.text.starts_with(ch)
     }
 }
@@ -71,7 +71,7 @@ fn is_ident_continue(b: u8) -> bool {
 
 /// Scan `src` into tokens. Never fails: unterminated literals simply run
 /// to end of input, which is good enough for lint scoping.
-pub fn lex(src: &str) -> Vec<Token<'_>> {
+pub(crate) fn lex(src: &str) -> Vec<Token<'_>> {
     Lexer { src, bytes: src.as_bytes(), pos: 0, line: 1, out: Vec::new() }.run()
 }
 

@@ -5,17 +5,17 @@
 //! runs, and a hermetic zero-registry-dependency build) used to be
 //! enforced by convention plus a one-off CI shell step. This crate makes
 //! them machine-checkable: a zero-dependency static-analysis tool with
-//! its own Rust token scanner ([`lexer`]) that walks every workspace
+//! its own Rust token scanner (`lexer`) that walks every workspace
 //! `.rs` file and `Cargo.toml` and enforces the invariants as lint rules
-//! with `file:line` diagnostics ([`rules`], [`manifest`]).
+//! with `file:line` diagnostics ([`rules`], `manifest`).
 //!
 //! Run it as `cargo run -p wsg_lint` from anywhere in the workspace; CI
 //! runs it with `--deny-all`, which additionally fails on stale allow
 //! comments. See DESIGN.md "Static analysis" for the rule catalogue and
 //! the allow-comment grammar.
 
-pub mod lexer;
-pub mod manifest;
+mod lexer;
+mod manifest;
 pub mod rules;
 
 use rules::{Diagnostic, StaleAllow};

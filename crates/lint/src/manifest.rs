@@ -47,7 +47,7 @@ enum DepSection {
 }
 
 /// Scan one manifest. `rel_path` is workspace-relative for diagnostics.
-pub fn check_manifest(rel_path: &str, src: &str) -> Vec<Diagnostic> {
+pub(crate) fn check_manifest(rel_path: &str, src: &str) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let mut section: Option<DepSection> = None;
     // State for an open sub-table: (header line, saw path/workspace, bad key).

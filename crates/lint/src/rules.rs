@@ -28,7 +28,7 @@
 //!   grammar `[a-z][a-z0-9_]*`, so a misnamed metric fails the build
 //!   instead of panicking at first registration in production.
 //! * **A2 `atomic-ordering`** — `Ordering::Relaxed` only in the audited
-//!   stats-counter modules ([`A2_RELAXED_FILES`]). Relaxed provides no
+//!   stats-counter modules (`A2_RELAXED_FILES`). Relaxed provides no
 //!   inter-thread synchronization; anywhere data is published across
 //!   threads it silently reorders, so every other use must carry an
 //!   audit note in an allow comment.
@@ -43,12 +43,12 @@
 //!   with a `set_*_timeout` call or another timeout-named identifier,
 //!   so a hung peer cannot park a worker thread forever.
 //! * **F1 `cov-scope`** — the `cov!()` edge-instrumentation macro only
-//!   in the designated wire-parser modules ([`F1_COV_FILES`]). Edge ids
+//!   in the designated wire-parser modules (`F1_COV_FILES`). Edge ids
 //!   are compile-time hashes of their callsite, so scattered probes
 //!   dilute the fuzzer's coverage map and drag the `wsg_cov` cfg into
 //!   crates that should not know about it.
 //!
-//! Rules run on the [`crate::lexer`] token stream, never on raw text, so
+//! Rules run on the `lexer` token stream, never on raw text, so
 //! occurrences inside strings, raw strings, char literals and comments
 //! cannot fire. Code under `#[cfg(test)]` / `#[test]` is exempt: tests
 //! may use wall-clock timeouts and hash sets freely.
@@ -135,7 +135,7 @@ pub const RULES: &[Rule] = &[
 ];
 
 /// Look a rule up by id or name.
-pub fn rule(id_or_name: &str) -> Option<&'static Rule> {
+pub(crate) fn rule(id_or_name: &str) -> Option<&'static Rule> {
     RULES.iter().find(|r| r.id == id_or_name || r.name == id_or_name)
 }
 
@@ -169,9 +169,9 @@ pub struct StaleAllow {
 
 /// Result of linting one `.rs` source file.
 #[derive(Debug, Default)]
-pub struct FileReport {
-    pub diagnostics: Vec<Diagnostic>,
-    pub stale_allows: Vec<StaleAllow>,
+pub(crate) struct FileReport {
+    pub(crate) diagnostics: Vec<Diagnostic>,
+    pub(crate) stale_allows: Vec<StaleAllow>,
 }
 
 struct Allow {
@@ -183,7 +183,7 @@ struct Allow {
 
 /// Lint one source file. `rel_path` is the workspace-relative path with
 /// `/` separators; rule scoping keys off it.
-pub fn check_source(rel_path: &str, src: &str) -> FileReport {
+pub(crate) fn check_source(rel_path: &str, src: &str) -> FileReport {
     let tokens = lex(src);
     let code: Vec<Token<'_>> = tokens.iter().copied().filter(|t| !t.is_comment()).collect();
 
@@ -333,7 +333,7 @@ const P1_FILES: &[&str] = &[
 /// Audited stats-counter modules where `Ordering::Relaxed` is the point:
 /// monotone counters read for human display, never used to publish other
 /// data across threads. Everywhere else Relaxed needs an audit note.
-pub const A2_RELAXED_FILES: &[&str] = &[
+const A2_RELAXED_FILES: &[&str] = &[
     "crates/obs/src/lib.rs",
     "crates/bench/src/timing.rs",
     "crates/bench/src/sweep.rs",
@@ -353,7 +353,7 @@ fn in_t1_scope(path: &str) -> bool {
 /// `cov!()` edge-hit macro may appear (plus its defining module). The
 /// list is the fuzzer's instrumentation contract — extending coverage to
 /// a new parse path means extending this list in the same change.
-pub const F1_COV_FILES: &[&str] = &[
+const F1_COV_FILES: &[&str] = &[
     "crates/net/src/cov.rs",
     "crates/http/src/parser.rs",
     "crates/xml/src/reader.rs",

@@ -13,10 +13,9 @@
 //!   each member's heartbeat rhythm instead of using fixed timeouts;
 //! * [`service::MembershipGossip`] — the van Renesse-style protocol: each
 //!   node periodically bumps its own heartbeat and gossips its view to a
-//!   few random live peers;
-//! * [`sampler::PeerSampler`] — a Cyclon-lite partial-view shuffle giving
-//!   each node a small, continuously refreshed random peer sample, the
-//!   scalable alternative to full views.
+//!   few random live peers. Each node holds a full view, which is paper
+//!   §3's subscriber list "maintained in a distributed fashion"; the
+//!   integration tests drive a `GossipEngine`'s peer list from it.
 //!
 //! ## Example
 //!
@@ -37,12 +36,10 @@
 
 pub mod accrual;
 pub mod detector;
-pub mod sampler;
 pub mod service;
 pub mod view;
 
 pub use accrual::PhiAccrual;
 pub use detector::FailureDetectorConfig;
-pub use sampler::{PeerSampler, SamplerConfig};
 pub use service::{MembershipConfig, MembershipGossip, MembershipMessage};
 pub use view::{MemberStatus, MembershipView, Round};

@@ -60,7 +60,6 @@ mod opcode {
     pub(super) const RMW: u64 = 7;
     pub(super) const SPAWN: u64 = 8;
     pub(super) const JOIN: u64 = 9;
-    pub(super) const YIELD: u64 = 10;
     pub(super) const FINISH: u64 = 11;
 }
 
@@ -422,7 +421,7 @@ impl Execution {
                 &mut st,
                 format!(
                     "depth limit exceeded: more than {max} scheduling points \
-                     (possible livelock; raise Explorer::max_depth if the test is this deep)"
+                     (possible livelock; raise wsg_model's MAX_DEPTH if the test is this deep)"
                 ),
             );
             drop(st);
@@ -777,10 +776,6 @@ impl Execution {
             }
             st = self.block_me(st, me, BlockOn::Join(target));
         }
-    }
-
-    pub(crate) fn yield_now(&self, me: usize) {
-        self.schedule_point(me, None, opcode::YIELD);
     }
 
     pub(crate) fn thread_finished(&self, me: usize) {

@@ -103,7 +103,7 @@ pub struct Outcome {
 
 impl Outcome {
     /// Panic with the full report if the exploration failed.
-    pub fn assert_ok(&self, name: &str) {
+    fn assert_ok(&self, name: &str) {
         if let Some(failure) = &self.failure {
             panic!(
                 "wsg_model: `{name}` failed after {} schedule(s)\n{}",
@@ -123,9 +123,12 @@ pub struct Explorer {
     max_schedules: usize,
     samples: usize,
     seed: u64,
-    max_depth: usize,
     dfs: bool,
 }
+
+/// Scheduling points allowed per execution before the run is failed as a
+/// livelock.
+const MAX_DEPTH: usize = 10_000;
 
 impl Default for Explorer {
     fn default() -> Self {
@@ -140,7 +143,6 @@ impl Explorer {
             max_schedules: 50_000,
             samples: 64,
             seed: 0x5753_5f47_6f73_7369, // "WS_Gossi"
-            max_depth: 10_000,
             dfs: true,
         };
         if let Some(budget) = env_parse::<usize>("WSG_MODEL_BUDGET") {
@@ -177,13 +179,6 @@ impl Explorer {
     /// it, so one number replays the whole phase).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Scheduling points allowed per execution before the run is failed
-    /// as a livelock.
-    pub fn max_depth(mut self, depth: usize) -> Self {
-        self.max_depth = depth.max(1);
         self
     }
 
@@ -230,7 +225,7 @@ impl Explorer {
                     prescribed.clone(),
                     Mode::Dfs,
                     self.preemption_bound,
-                    self.max_depth,
+                    MAX_DEPTH,
                     false,
                 );
                 schedules += 1;
@@ -260,7 +255,7 @@ impl Explorer {
                     Vec::new(),
                     Mode::Sample(SplitMix64::new(sample_seed)),
                     usize::MAX,
-                    self.max_depth,
+                    MAX_DEPTH,
                     false,
                 );
                 schedules += 1;
@@ -294,7 +289,7 @@ impl Explorer {
             schedule.0.clone(),
             Mode::Replay,
             usize::MAX,
-            self.max_depth,
+            MAX_DEPTH,
             true,
         );
         let failed = run.failure.is_some();
@@ -327,7 +322,7 @@ impl Explorer {
             schedule.0.clone(),
             Mode::Replay,
             usize::MAX,
-            self.max_depth,
+            MAX_DEPTH,
             true,
         );
         *schedules += 1;
@@ -379,7 +374,7 @@ impl Explorer {
                 let mut prescribed: Vec<u32> = best.iter().map(|c| c.index).collect();
                 prescribed[i] = 0;
                 let run =
-                    run_one(body, prescribed, Mode::Replay, usize::MAX, self.max_depth, false);
+                    run_one(body, prescribed, Mode::Replay, usize::MAX, MAX_DEPTH, false);
                 *schedules += 1;
                 if run.failure.is_some() {
                     best = run.recorded;

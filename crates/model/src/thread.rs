@@ -68,12 +68,3 @@ where
         _ => JoinHandle(Inner::Real(std::thread::spawn(f))),
     }
 }
-
-/// A pure scheduling point under exploration; [`std::thread::yield_now`]
-/// otherwise.
-pub fn yield_now() {
-    match current() {
-        Some(ctx) if !ctx.exec.aborted() => ctx.exec.yield_now(ctx.id),
-        _ => std::thread::yield_now(),
-    }
-}

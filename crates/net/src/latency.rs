@@ -1,4 +1,6 @@
-//! Link latency models.
+//! Link latency models: a constant delay, or one drawn uniformly from a
+//! range. These are the two the experiments configure; the simulator's
+//! default is uniform 1–5 ms.
 
 use crate::rng::{Rng64, RngExt};
 use crate::time::SimDuration;
@@ -27,15 +29,6 @@ pub enum LatencyModel {
         min: SimDuration,
         /// Upper bound.
         max: SimDuration,
-    },
-    /// Exponentially distributed around `mean`, shifted by `floor` so the
-    /// minimum physical propagation delay is respected — a common model for
-    /// LAN/WAN message delay tails.
-    Exponential {
-        /// Minimum (propagation) delay added to every sample.
-        floor: SimDuration,
-        /// Mean of the exponential component.
-        mean: SimDuration,
     },
 }
 
@@ -71,30 +64,12 @@ impl LatencyModel {
                     SimDuration::from_micros(rng.gen_range(lo..=hi))
                 }
             }
-            LatencyModel::Exponential { floor, mean } => {
-                // Inverse-CDF sampling; clamp u away from 0 to avoid inf.
-                let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                let exp = -(u.ln()) * mean.as_secs_f64();
-                *floor + SimDuration::from_secs_f64(exp)
-            }
         };
         // Enforce causality: at least one microsecond on the wire.
         if raw.as_micros() == 0 {
             SimDuration::from_micros(1)
         } else {
             raw
-        }
-    }
-
-    /// The mean of the distribution (used for analytic expectations in the
-    /// benchmark harness).
-    pub fn mean(&self) -> SimDuration {
-        match self {
-            LatencyModel::Constant(d) => *d,
-            LatencyModel::Uniform { min, max } => {
-                SimDuration::from_micros((min.as_micros() + max.as_micros()) / 2)
-            }
-            LatencyModel::Exponential { floor, mean } => *floor + *mean,
         }
     }
 }
@@ -109,13 +84,6 @@ impl Default for LatencyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn exponential_millis(floor_ms: u64, mean_ms: u64) -> LatencyModel {
-        LatencyModel::Exponential {
-            floor: SimDuration::from_millis(floor_ms),
-            mean: SimDuration::from_millis(mean_ms),
-        }
-    }
     use crate::rng::Pcg32;
 
     #[test]
@@ -138,39 +106,10 @@ mod tests {
     }
 
     #[test]
-    fn exponential_respects_floor() {
-        let model = exponential_millis(3, 10);
-        let mut rng = Pcg32::new(1, 0);
-        for _ in 0..1000 {
-            assert!(model.sample(&mut rng) >= SimDuration::from_millis(3));
-        }
-    }
-
-    #[test]
-    fn exponential_mean_roughly_right() {
-        let model = exponential_millis(0, 10);
-        let mut rng = Pcg32::new(42, 0);
-        let n = 20_000;
-        let total: f64 = (0..n).map(|_| model.sample(&mut rng).as_secs_f64()).sum();
-        let mean_ms = total / n as f64 * 1000.0;
-        assert!((8.5..11.5).contains(&mean_ms), "observed mean {mean_ms} ms");
-    }
-
-    #[test]
     fn zero_latency_clamped_to_one_microsecond() {
         let model = LatencyModel::Constant(SimDuration::ZERO);
         let mut rng = Pcg32::new(1, 0);
         assert_eq!(model.sample(&mut rng), SimDuration::from_micros(1));
-    }
-
-    #[test]
-    fn means() {
-        assert_eq!(LatencyModel::constant_millis(4).mean(), SimDuration::from_millis(4));
-        assert_eq!(LatencyModel::uniform_millis(2, 4).mean(), SimDuration::from_millis(3));
-        assert_eq!(
-            exponential_millis(1, 2).mean(),
-            SimDuration::from_millis(3)
-        );
     }
 
     #[test]

@@ -184,8 +184,45 @@ pub(crate) fn flag(word: u64, byte: u8) -> u64 {
 /// [`flag`] for the bytes of `word` below `' '` (control characters,
 /// among them tab, line feed and carriage return).
 #[inline(always)]
-pub(crate) fn below_space(word: u64) -> u64 {
+fn below_space(word: u64) -> u64 {
     word.wrapping_sub(LO * u64::from(b' ')) & !word & HI
+}
+
+/// [`flag`] for the bytes of `word` that may start a character XML 1.0's
+/// `Char` production leaves out: a byte below `' '`, or 0xEF, the first
+/// byte of U+FFFE and U+FFFF — the only code points above U+007F a `str`
+/// can hold that `Char` excludes. Tab, line feed and carriage return are
+/// flagged too; [`not_char_at`] lets them through.
+#[inline(always)]
+pub(crate) fn maybe_not_char(word: u64) -> u64 {
+    below_space(word) | flag(word, 0xEF)
+}
+
+/// [`maybe_not_char`] for one byte.
+#[inline(always)]
+pub(crate) fn maybe_not_char_byte(byte: u8) -> bool {
+    byte < b' ' || byte == 0xEF
+}
+
+/// Whether the character starting at `bytes[at]` is outside `Char`.
+pub(crate) fn not_char_at(bytes: &[u8], at: usize) -> bool {
+    match bytes[at] {
+        b'\t' | b'\n' | b'\r' => false,
+        0xEF => matches!(bytes[at + 1..], [0xBF, 0xBE | 0xBF, ..]),
+        byte => byte < b' ',
+    }
+}
+
+/// Offset of the first character of `bytes` outside `Char`.
+pub(crate) fn find_not_char(bytes: &[u8]) -> Option<usize> {
+    let mut from = 0;
+    loop {
+        let at = find_by(bytes, from, maybe_not_char, maybe_not_char_byte)?;
+        if not_char_at(bytes, at) {
+            return Some(at);
+        }
+        from = at + 1;
+    }
 }
 
 /// Offset of the first byte at or after `from` that `hits` flags (see

@@ -57,7 +57,8 @@ pub enum XmlEvent {
 impl XmlEvent {
     /// Convenience: is this a start of the element with the given resolved
     /// namespace + local name?
-    pub fn is_start_of(&self, ns: Option<&str>, local: &str) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_start_of(&self, ns: Option<&str>, local: &str) -> bool {
         matches!(self, XmlEvent::StartElement { name, .. } if name.matches(ns, local))
     }
 

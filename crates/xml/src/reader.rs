@@ -16,12 +16,14 @@
 //! Every delimiter of the grammar is ASCII, so the token layer reads
 //! bytes: a byte test never splits a UTF-8 sequence. A name is read and
 //! checked as a QName in one loop over a class table. Character data is
-//! scanned once, a word at a time, for the `<` that ends it, for `]]>` and
-//! for references, the five predefined entities being checked as they
-//! pass (a consumer that resolves them checks them itself, so for
-//! `next_event` and `next_raw` the scan only notes that there are some);
-//! an attribute value is scanned once for its quote, `<`, references
-//! and the characters normalisation rewrites. An end tag is compared with
+//! scanned once, a word at a time, for the `<` that ends it, for `]]>`,
+//! for characters XML 1.0's `Char` leaves out and for references, the
+//! five predefined entities being checked as they pass (a consumer that
+//! resolves them checks them itself, so for `next_event` and `next_raw`
+//! the scan only notes that there are some); an attribute value is
+//! scanned once for its quote, `<`, references, the characters
+//! normalisation rewrites and those `Char` leaves out, a CDATA section
+//! for its `]]>` and those. An end tag is compared with
 //! the open element's name before anything is searched, and each prefix of
 //! a start tag is resolved once, the element's binding kept for
 //! [`XmlReader::element_name`]. What falls outside a fast path — a name
@@ -55,8 +57,8 @@ use wsg_net::cov;
 
 use crate::error::{XmlError, XmlErrorKind};
 use crate::escape::{
-    below_space, check_refs, find_by, find_byte, flag, is_name_char, is_name_start, predefined,
-    unescape, validate_qname,
+    check_refs, find_by, find_byte, find_not_char, flag, is_name_char, is_name_start,
+    maybe_not_char, maybe_not_char_byte, not_char_at, predefined, unescape, validate_qname,
 };
 use crate::event::{Attribute, XmlEvent};
 use crate::name::QName;
@@ -264,8 +266,10 @@ fn resolved_text(raw: &str, at: usize, refs: bool) -> Result<Cow<'_, str>, XmlEr
 ///
 /// # fn main() -> Result<(), wsg_xml::XmlError> {
 /// let mut reader = XmlReader::new("<a xmlns='urn:x'><b>hi</b></a>");
-/// let first = reader.next_event()?;
-/// assert!(first.is_start_of(Some("urn:x"), "a"));
+/// match reader.next_event()? {
+///     XmlEvent::StartElement { name, .. } => assert!(name.matches(Some("urn:x"), "a")),
+///     other => panic!("expected <a>, got {other:?}"),
+/// }
 /// # Ok(())
 /// # }
 /// ```
@@ -608,6 +612,18 @@ impl<'a> XmlReader<'a> {
         XmlError::new(kind, self.pos)
     }
 
+    /// The character at byte `at` is one XML 1.0's `Char` production
+    /// leaves out. No character reference stands for it either, so a
+    /// document holding it has no well-formed spelling.
+    fn not_char(&self, at: usize) -> XmlError {
+        cov!();
+        let c = self.input[at..].chars().next().unwrap_or_default();
+        XmlError::new(
+            XmlErrorKind::Malformed(format!("character U+{:04X} not allowed", u32::from(c))),
+            at,
+        )
+    }
+
     fn parse_text(&mut self, resolving: bool) -> Result<Token<'a>, XmlError> {
         let bytes = self.input.as_bytes();
         let start = self.pos;
@@ -629,18 +645,25 @@ impl<'a> XmlReader<'a> {
                 start,
             ));
         }
-        // One pass finds the `<` that ends the run and any `]]>` in it, and
-        // checks the predefined entities on the way. The first other
-        // reference leaves the rest of the run to `check_refs`; a resolving
-        // caller needs to know only that there is one.
+        // One pass finds the `<` that ends the run, any `]]>` in it and
+        // the first character outside `Char`, and checks the predefined
+        // entities on the way. The first other reference leaves the rest of
+        // the run to `check_refs`; a resolving caller needs to know only
+        // that there is one.
         let (mut from, mut refs, mut unchecked, mut cdata_close) = (start, false, None, false);
+        let mut not_char = None;
         let end = loop {
             let amps = if unchecked.is_none() && !(resolving && refs) { u64::MAX } else { 0 };
             let next = find_by(
                 bytes,
                 from,
-                |word| flag(word, b'<') | flag(word, b']') | (flag(word, b'&') & amps),
-                |b| b == b'<' || b == b']' || (b == b'&' && amps != 0),
+                |word| {
+                    flag(word, b'<')
+                        | flag(word, b']')
+                        | (flag(word, b'&') & amps)
+                        | maybe_not_char(word)
+                },
+                |b| b == b'<' || b == b']' || (b == b'&' && amps != 0) || maybe_not_char_byte(b),
             );
             let Some(at) = next else { break bytes.len() };
             match bytes[at] {
@@ -659,8 +682,14 @@ impl<'a> XmlReader<'a> {
                         }
                     }
                 }
-                _ => {
+                b']' => {
                     cdata_close |= bytes[at + 1..].starts_with(b"]>");
+                    from = at + 1;
+                }
+                _ => {
+                    if not_char.is_none() && not_char_at(bytes, at) {
+                        not_char = Some(at);
+                    }
                     from = at + 1;
                 }
             }
@@ -673,6 +702,9 @@ impl<'a> XmlReader<'a> {
                 XmlErrorKind::Malformed("']]>' not allowed in character data".into()),
                 start,
             ));
+        }
+        if let Some(at) = not_char {
+            return Err(self.not_char(at));
         }
         if let Some(at) = unchecked {
             check_refs(&self.input[at..end], at)?;
@@ -732,6 +764,9 @@ impl<'a> XmlReader<'a> {
             cov!();
             return Err(XmlError::new(XmlErrorKind::InvalidName(target.to_string()), start_pos));
         }
+        if let Some(at) = find_not_char(content.as_bytes()) {
+            return Err(self.not_char(start_pos + 2 + at));
+        }
         if target.eq_ignore_ascii_case("xml") {
             if start_pos != 0 {
                 cov!();
@@ -756,6 +791,9 @@ impl<'a> XmlReader<'a> {
             cov!();
             return Err(self.err(XmlErrorKind::Malformed("'--' inside comment".into())));
         }
+        if let Some(at) = find_not_char(text.as_bytes()) {
+            return Err(self.not_char(self.pos + 4 + at));
+        }
         self.pos += 4 + close + 3;
         Ok(Token::Comment(text))
     }
@@ -770,15 +808,27 @@ impl<'a> XmlReader<'a> {
         cov!();
         let bytes = self.input.as_bytes();
         let body = self.pos + 9;
-        let mut from = body;
+        let (mut from, mut not_char) = (body, None);
         let close = loop {
-            let bracket = find_byte(bytes, from, b']')
-                .ok_or_else(|| self.err(XmlErrorKind::UnexpectedEof))?;
-            if bytes[bracket + 1..].starts_with(b"]>") {
-                break bracket;
+            let at = find_by(
+                bytes,
+                from,
+                |word| flag(word, b']') | maybe_not_char(word),
+                |b| b == b']' || maybe_not_char_byte(b),
+            )
+            .ok_or_else(|| self.err(XmlErrorKind::UnexpectedEof))?;
+            from = at + 1;
+            if bytes[at] != b']' {
+                if not_char.is_none() && not_char_at(bytes, at) {
+                    not_char = Some(at);
+                }
+            } else if bytes[from..].starts_with(b"]>") {
+                break at;
             }
-            from = bracket + 1;
         };
+        if let Some(at) = not_char {
+            return Err(self.not_char(at));
+        }
         self.pos = close + 3;
         Ok(Token::CData(&self.input[body..close]))
     }
@@ -1077,17 +1127,20 @@ impl<'a> XmlReader<'a> {
             }
         };
         // One pass finds the closing quote and notes what the value holds:
-        // a `<` (an error once the value is known to end), references (the
-        // predefined ones checked on the way, as for text) and characters
-        // that normalisation rewrites.
+        // a `<` and a character outside `Char` (errors once the value is
+        // known to end), references (the predefined ones checked on the way,
+        // as for text) and characters that normalisation rewrites.
         let at = self.pos + 1;
         let (mut from, mut lt, mut plain, mut unchecked) = (at, false, true, None);
+        let mut not_char = None;
         let close = loop {
             let next = find_by(
                 bytes,
                 from,
-                |word| flag(word, quote) | flag(word, b'<') | flag(word, b'&') | below_space(word),
-                |b| b == quote || b == b'<' || b == b'&' || b < b' ',
+                |word| {
+                    flag(word, quote) | flag(word, b'<') | flag(word, b'&') | maybe_not_char(word)
+                },
+                |b| b == quote || b == b'<' || b == b'&' || maybe_not_char_byte(b),
             );
             let Some(at) = next else {
                 cov!();
@@ -1110,7 +1163,11 @@ impl<'a> XmlReader<'a> {
                     }
                 }
                 b'\t' | b'\n' | b'\r' => plain = false,
-                _ => {}
+                _ => {
+                    if not_char.is_none() && not_char_at(bytes, at) {
+                        not_char = Some(at);
+                    }
+                }
             }
         };
         if lt {
@@ -1118,6 +1175,9 @@ impl<'a> XmlReader<'a> {
             return Err(self.err(XmlErrorKind::Malformed(
                 "'<' not allowed in attribute value".into(),
             )));
+        }
+        if let Some(at) = not_char {
+            return Err(self.not_char(at));
         }
         self.pos = close + 1;
         if let Some(amp) = unchecked {
@@ -1523,6 +1583,45 @@ mod tests {
         assert!(r.next_event().unwrap().is_start_of(Some("urn:d"), "y"));
         assert_eq!(r.binding_watermark(), usize::MAX, "outer bindings sit at depth 0");
         assert!(XmlReader::new("<o:x/>").next_event().is_err());
+    }
+
+    #[test]
+    fn characters_outside_xml_char_are_rejected_wherever_they_stand() {
+        // `@` marks the spot: text, an attribute value, CDATA, a comment,
+        // a processing instruction.
+        let places = [
+            "<a>x@y</a>",
+            "<a b='x@y'/>",
+            "<a><![CDATA[x@y]]></a>",
+            "<a><!--x@y--></a>",
+            "<a><?pi x@y?></a>",
+        ];
+        let rejected = ['\u{1}', '\u{B}', '\u{1F}', '\u{FFFE}', '\u{FFFF}'];
+        let accepted =
+            ['\u{9}', '\u{A}', '\u{D}', '\u{85}', '\u{D7FF}', '\u{E000}', '\u{10000}'];
+        for place in places {
+            let at = place.find('@').unwrap();
+            for c in rejected {
+                let input = place.replace('@', c.encode_utf8(&mut [0; 4]));
+                let kind = XmlErrorKind::Malformed(format!(
+                    "character U+{:04X} not allowed",
+                    u32::from(c)
+                ));
+                for skip in [false, true] {
+                    let error = leave_root(&input, skip).unwrap_err();
+                    assert_eq!((error.kind(), error.position()), (&kind, at), "{input:?}");
+                }
+            }
+            for c in accepted {
+                let input = place.replace('@', c.encode_utf8(&mut [0; 4]));
+                assert_eq!(leave_root(&input, true), Ok(input.len()), "{input:?}");
+                assert!(Element::parse(&input).is_ok(), "{input:?}");
+            }
+        }
+        // Past the first word of a long run, and in the declaration.
+        let long = format!("<a>{}\u{FFFF}</a>", "x".repeat(40));
+        assert_eq!(Element::parse(&long).unwrap_err().position(), 43);
+        assert_eq!(Element::parse("<?xml version='1.0\u{1}'?><a/>").unwrap_err().position(), 18);
     }
 
     #[test]

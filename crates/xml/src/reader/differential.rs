@@ -129,6 +129,8 @@ const VALUES: &[&str] = &[
     "&amp",
     "&#;",
     "x]]>y",
+    "a\u{2}b",
+    "\u{FFFF}",
 ];
 const TEXTS: &[&str] = &[
     "hi",
@@ -148,6 +150,8 @@ const TEXTS: &[&str] = &[
     "&amp",
     "&#x;",
     "\u{1}",
+    "x\u{FFFE}",
+    "]]>\u{1F}",
     "tab\tnl\n",
     "&#10;",
     "long text with nothing special in it at all, more than a word or two",
@@ -209,7 +213,14 @@ fn misc(g: &mut Gen, out: &mut String) {
         8 => "<!-- a -- b -->",
         _ => pick(
             g,
-            &["<?xml version='1.0'?>", "<!DOCTYPE a>", "<?pi", "<!-- open"],
+            &[
+                "<?xml version='1.0'?>",
+                "<!DOCTYPE a>",
+                "<?pi",
+                "<!-- open",
+                "<!-- \u{FFFF} -->",
+                "<?pi \u{2}?>",
+            ],
         ),
     });
 }
@@ -259,7 +270,7 @@ fn element(g: &mut Gen, out: &mut String, depth: u32, scope: &mut Vec<&'static s
                 4..=6 => out.push_str(pick(g, TEXTS)),
                 7 => {
                     out.push_str("<![CDATA[");
-                    out.push_str(pick(g, &["<raw> & stuff", "", "]]", "a]b", "ü"]));
+                    out.push_str(pick(g, &["<raw> & stuff", "", "]]", "a]b", "ü", "\u{1}]"]));
                     out.push_str(if g.bool(0.97) { "]]>" } else { "]>" });
                 }
                 _ => misc(g, out),
@@ -319,8 +330,9 @@ fn mangled(input: &[u8], at: usize, flip: Option<u8>) -> String {
 }
 
 /// What a flipped byte becomes: every delimiter of the grammar, a
-/// whitespace, a name character and a byte that breaks UTF-8.
-const FLIPS: &[u8] = b"<>&;'\"/:=?![]-# \tx9\xc3\xff";
+/// whitespace, a name character, a byte that breaks UTF-8 and a control
+/// character.
+const FLIPS: &[u8] = b"<>&;'\"/:=?![]-# \tx9\xc3\xff\x01";
 
 #[test]
 fn the_byte_reader_agrees_with_the_char_reader_on_generated_documents() {

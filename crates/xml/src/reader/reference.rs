@@ -12,7 +12,11 @@
 //! copied below as it was.
 //!
 //! Test-only. Do not "fix" this code: it is the specification the byte
-//! layer is checked against, bugs and all.
+//! layer is checked against, bugs and all. One rule was added to it on
+//! purpose, the same as to the reader: a character XML 1.0's `Char`
+//! production leaves out is rejected wherever it stands in text, an
+//! attribute value, CDATA, a comment or a processing instruction
+//! (`not_char`).
 
 use std::borrow::Cow;
 
@@ -272,6 +276,7 @@ impl<'a> XmlReader<'a> {
                 start,
             ));
         }
+        not_char(raw, start)?;
         Ok(Token::Text { raw, at: start })
     }
 
@@ -309,6 +314,7 @@ impl<'a> XmlReader<'a> {
         };
         let start_pos = self.pos;
         self.pos += consumed;
+        not_char(content, start_pos + 2)?;
         if target.eq_ignore_ascii_case("xml") {
             if start_pos != 0 {
                 return Err(XmlError::new(
@@ -330,6 +336,7 @@ impl<'a> XmlReader<'a> {
         if text.contains("--") {
             return Err(self.err(XmlErrorKind::Malformed("'--' inside comment".into())));
         }
+        not_char(text, self.pos + 4)?;
         self.pos += 4 + close + 3;
         Ok(Token::Comment)
     }
@@ -342,6 +349,7 @@ impl<'a> XmlReader<'a> {
         let close = body
             .find("]]>")
             .ok_or_else(|| self.err(XmlErrorKind::UnexpectedEof))?;
+        not_char(&body[..close], self.pos + 9)?;
         self.pos += 9 + close + 3;
         Ok(Token::CData(&body[..close]))
     }
@@ -542,6 +550,7 @@ impl<'a> XmlReader<'a> {
             )));
         }
         let at = self.pos + 1;
+        not_char(raw, at)?;
         self.pos += 1 + close + 1;
         check_refs(raw, at)?;
         Ok(RawAttr { name, raw, at })
@@ -551,6 +560,18 @@ impl<'a> XmlReader<'a> {
         let rest = &self.input[self.pos..];
         let skip = rest.len() - rest.trim_start().len();
         self.pos += skip;
+    }
+}
+
+/// Reject the first character of `text` (which starts at byte `at`) that
+/// XML 1.0's `Char` production leaves out.
+fn not_char(text: &str, at: usize) -> Result<(), XmlError> {
+    match text.char_indices().find(|&(_, c)| !is_xml_char(c)) {
+        Some((i, c)) => Err(XmlError::new(
+            XmlErrorKind::Malformed(format!("character U+{:04X} not allowed", u32::from(c))),
+            at + i,
+        )),
+        None => Ok(()),
     }
 }
 

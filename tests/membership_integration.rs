@@ -189,134 +189,3 @@ fn rejoining_node_catches_up_via_pull() {
         "rejoined node must catch up via pull"
     );
 }
-
-/// Scalable deployment: gossip over *partial views* from the peer
-/// sampler, instead of full membership — O(view) state per node.
-mod partial_views {
-    use super::{GossipCtx};
-    use wsg_gossip::{GossipConfig, GossipEngine, GossipParams, GossipStyle};
-    use wsg_membership::{PeerSampler, SamplerConfig};
-    use wsg_net::sim::{SimConfig, SimNet};
-    use wsg_net::{Context, NodeId, Protocol, SimDuration, SimTime, TimerTag};
-
-    pub struct SampledNode {
-        pub sampler: PeerSampler,
-        pub engine: GossipEngine<u32>,
-    }
-
-    #[derive(Debug, Clone)]
-    pub enum Msg {
-        Sampler(wsg_membership::sampler::SamplerMessage),
-        Gossip(wsg_gossip::GossipMessage<u32>),
-    }
-
-    struct SamplerCtx<'a> {
-        inner: &'a mut dyn Context<Msg>,
-    }
-
-    impl Context<wsg_membership::sampler::SamplerMessage> for SamplerCtx<'_> {
-        fn now(&self) -> SimTime {
-            self.inner.now()
-        }
-        fn self_id(&self) -> NodeId {
-            self.inner.self_id()
-        }
-        fn node_count(&self) -> usize {
-            self.inner.node_count()
-        }
-        fn send(&mut self, to: NodeId, msg: wsg_membership::sampler::SamplerMessage) {
-            self.inner.send(to, Msg::Sampler(msg));
-        }
-        fn set_timer(&mut self, delay: SimDuration, tag: TimerTag) {
-            self.inner.set_timer(delay, tag);
-        }
-        fn rng(&mut self) -> &mut dyn wsg_net::Rng64 {
-            self.inner.rng()
-        }
-    }
-
-    struct EngineCtx<'a> {
-        inner: &'a mut dyn Context<Msg>,
-    }
-
-    impl Context<wsg_gossip::GossipMessage<u32>> for EngineCtx<'_> {
-        fn now(&self) -> SimTime {
-            self.inner.now()
-        }
-        fn self_id(&self) -> NodeId {
-            self.inner.self_id()
-        }
-        fn node_count(&self) -> usize {
-            self.inner.node_count()
-        }
-        fn send(&mut self, to: NodeId, msg: wsg_gossip::GossipMessage<u32>) {
-            self.inner.send(to, Msg::Gossip(msg));
-        }
-        fn set_timer(&mut self, delay: SimDuration, tag: TimerTag) {
-            self.inner.set_timer(delay, tag);
-        }
-        fn rng(&mut self) -> &mut dyn wsg_net::Rng64 {
-            self.inner.rng()
-        }
-    }
-
-    impl Protocol for SampledNode {
-        type Message = Msg;
-
-        fn on_start(&mut self, ctx: &mut dyn Context<Self::Message>) {
-            self.sampler.on_start(&mut SamplerCtx { inner: ctx });
-            self.engine.on_start(&mut EngineCtx { inner: ctx });
-        }
-
-        fn on_message(&mut self, from: NodeId, msg: Self::Message, ctx: &mut dyn Context<Self::Message>) {
-            match msg {
-                Msg::Sampler(m) => self.sampler.on_message(from, m, &mut SamplerCtx { inner: ctx }),
-                Msg::Gossip(m) => self.engine.on_message(from, m, &mut EngineCtx { inner: ctx }),
-            }
-        }
-
-        fn on_timer(&mut self, tag: TimerTag, ctx: &mut dyn Context<Self::Message>) {
-            self.sampler.on_timer(tag, &mut SamplerCtx { inner: ctx });
-            // Refresh the engine's peers from the current partial view.
-            self.engine.set_peers(self.sampler.view());
-            self.engine.on_timer(tag, &mut EngineCtx { inner: ctx });
-        }
-    }
-
-    #[test]
-    fn dissemination_over_partial_views_covers_large_networks() {
-        let n = 256;
-        let view = SamplerConfig::default(); // 8-entry partial views
-        let mut net = SimNet::new(SimConfig::default().seed(5));
-        net.add_nodes(n, |id| {
-            let seeds = vec![NodeId((id.0 + 1) % n), NodeId((id.0 + 7) % n)];
-            SampledNode {
-                sampler: PeerSampler::new(view.clone(), id, seeds),
-                engine: GossipEngine::new(
-                    GossipConfig::new(GossipStyle::PushPull, GossipParams::new(4, 12))
-                        .interval(SimDuration::from_millis(100)),
-                    Vec::new(), // peers come from the sampler
-                ),
-            }
-        });
-        net.start();
-        // Let shuffling randomise the overlay first.
-        net.run_until(SimTime::from_secs(3));
-        net.invoke(NodeId(0), |node, ctx| {
-            node.engine.publish(99, &mut EngineCtx { inner: ctx });
-        });
-        net.run_until(SimTime::from_secs(10));
-        let reached = (0..n)
-            .filter(|i| !net.node(NodeId(*i)).engine.delivered().is_empty())
-            .count();
-        assert_eq!(reached, n, "partial-view gossip must still cover: {reached}/{n}");
-        // And nobody ever held more than the partial view.
-        for id in net.node_ids() {
-            assert!(net.node(id).sampler.view().len() <= 8);
-        }
-    }
-
-    // Silence unused-import warning from the parent module glue.
-    #[allow(dead_code)]
-    fn _touch(_: Option<GossipCtx>) {}
-}
