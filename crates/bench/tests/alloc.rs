@@ -119,7 +119,7 @@ fn a_duplicate_receive_never_pays_for_the_payload() {
     // The addressing strings and two tokenizers' scratch, whatever the
     // payload size: the node keeps the text it was handed, and a duplicate
     // is decided from `wsg:Origin` / `wsg:Seq` read in place — no header
-    // tree (one `wsg:Gossip` block is ~65 calls), no `GossipHeader`.
+    // tree (one `wsg:Gossip` block is ~65 calls), no owned `GossipHeader`.
     assert_eq!(small, large);
     assert!(large.calls <= 16, "{large:?}");
     assert!(large.bytes <= 2 * 1024, "{large:?}");

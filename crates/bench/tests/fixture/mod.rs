@@ -2,9 +2,10 @@
 //! it, shared by the allocation budgets and the wire-bytes pins.
 
 use ws_gossip::endpoint::{endpoint_of, registration_endpoint};
-use ws_gossip::{actions, GossipHeader, WsGossipNode};
-use wsg_coord::{CoordinationContext, GossipGrant, GossipPolicy, GossipProtocol, WSGOSSIP_NS};
+use ws_gossip::{actions, WsGossipNode};
+use wsg_coord::{CoordinationContext, GossipGrant, GossipPolicy, GossipProtocol};
 use wsg_net::{Context, NodeId, Pcg32, Protocol, Rng64, SimDuration, SimTime, TimerTag};
+use wsg_soap::gossip::GossipHeader;
 use wsg_soap::{EndpointReference, Envelope, MessageHeaders};
 use wsg_xml::Element;
 
@@ -55,7 +56,7 @@ pub fn notification_via(origin: NodeId, sender: NodeId, seq: u64, bytes: usize) 
     let gossip = GossipHeader {
         context_id: CONTEXT.into(),
         topic: "quotes".into(),
-        origin: endpoint_of(origin),
+        origin: endpoint_of(origin).into(),
         seq,
         round: 1,
     };
@@ -82,11 +83,9 @@ pub fn subscriber_granted(
         rounds: GossipPolicy::atomic_for(8).params().rounds(),
         peers: peers.map(endpoint_of).collect(),
     };
-    let mut body = grant.to_register_response();
-    body.push_child(Element::in_ns("wsg", WSGOSSIP_NS, "ContextIdentifier").with_text(CONTEXT));
     let response = Envelope::request(
         MessageHeaders::request(endpoint_of(SUBSCRIBER), actions::REGISTER_RESPONSE),
-        body,
+        grant.to_register_response(CONTEXT),
     );
     let mut node = WsGossipNode::disseminator(SUBSCRIBER, NodeId(0));
     node.on_message(NodeId(0), response.to_xml(), ctx);

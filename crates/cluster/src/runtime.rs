@@ -266,9 +266,9 @@ fn stop_pump(slot: &mut ClusterSlot) {
 }
 
 /// The heartbeat pump: every `interval`, advance the plane one round and
-/// push the heartbeat to its chosen targets — piggybacked onto an
-/// outbound gossip batch already forming for that peer when there is one
-/// (no extra request at all), POSTed directly otherwise, as a batch of one
+/// push the heartbeat to its chosen targets — piggybacked onto the next
+/// outbound gossip batch for that peer when that has room for it (no
+/// extra request at all), POSTed directly otherwise, as a batch of one
 /// front-coded against the last heartbeat the pump's connection to that
 /// peer carried. Refused direct targets are reported back
 /// ([`MembershipPlane::note_unreachable`]) and their pooled connections
@@ -291,8 +291,8 @@ fn spawn_pump(
                 let (message, targets) = plane.tick();
                 for (member, addr) in targets {
                     let xml = message.to_envelope(membership_uri(addr)).to_xml();
-                    // A batch already headed to this peer carries the
-                    // heartbeat for free. Only the direct path below can
+                    // The next batch headed to this peer carries the
+                    // heartbeat for free, if it has room. Only the direct path below can
                     // observe a refusal, but batch failures reach the
                     // plane through the sender's unreachable hook, so no
                     // detection signal is lost.

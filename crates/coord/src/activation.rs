@@ -7,7 +7,8 @@ use wsg_xml::Element;
 
 use crate::context::{CoordinationContext, GossipPolicy, GossipProtocol};
 use crate::error::CoordError;
-use crate::WSCOOR_NS;
+use crate::registration::GossipGrant;
+use crate::{WSCOOR_NS, WSGOSSIP_NS};
 
 /// The WS-Coordination Activation service, specialised for gossip
 /// coordination types.
@@ -128,12 +129,14 @@ impl ActivationService {
         self.active.len()
     }
 
-    /// Decode a `CreateCoordinationContext` request body.
+    /// Decode a `CreateCoordinationContext` request body: the protocol
+    /// requested, and the topic its `wsg:Topic` names — `default` when it
+    /// names none, as a plain WS-Coordination activation does.
     ///
     /// # Errors
     ///
     /// Fails when the element is not a well-formed request.
-    pub fn decode_request(body: &Element) -> Result<GossipProtocol, CoordError> {
+    pub fn decode_request(body: &Element) -> Result<(GossipProtocol, String), CoordError> {
         if !body.name().matches(Some(WSCOOR_NS), "CreateCoordinationContext") {
             return Err(CoordError::Codec(format!(
                 "expected CreateCoordinationContext, found {}",
@@ -144,34 +147,41 @@ impl ActivationService {
             .child_ns(WSCOOR_NS, "CoordinationType")
             .map(|e| e.text())
             .ok_or_else(|| CoordError::Codec("missing CoordinationType".into()))?;
-        GossipProtocol::from_coordination_type(&uri)
+        Ok((GossipProtocol::from_coordination_type(&uri)?, topic_of(body)))
     }
 
-    /// Encode a `CreateCoordinationContext` request body.
-    pub fn encode_request(protocol: GossipProtocol) -> Element {
+    /// Encode a `CreateCoordinationContext` request body for `topic`.
+    pub fn encode_request(protocol: GossipProtocol, topic: &str) -> Element {
         let mut req = Element::in_ns("wscoor", WSCOOR_NS, "CreateCoordinationContext");
         req.push_child(
             Element::in_ns("wscoor", WSCOOR_NS, "CoordinationType")
                 .with_text(protocol.coordination_type()),
         );
+        req.push_child(topic_element(topic));
         req
     }
 
-    /// Encode the `CreateCoordinationContextResponse` body embedding the
-    /// context.
-    pub fn encode_response(context: &CoordinationContext) -> Element {
+    /// Encode the `CreateCoordinationContextResponse` body: the context,
+    /// the Initiator's first grant, and the topic it was activated for.
+    pub fn encode_response(context: &CoordinationContext, grant: &GossipGrant, topic: &str) -> Element {
         let mut resp =
             Element::in_ns("wscoor", WSCOOR_NS, "CreateCoordinationContextResponse");
         resp.push_child(context.to_header());
+        resp.push_child(grant.to_element());
+        resp.push_child(topic_element(topic));
         resp
     }
 
-    /// Decode a `CreateCoordinationContextResponse` body.
+    /// Decode a `CreateCoordinationContextResponse` body: the context, the
+    /// grant when it carries a well-formed one, and the topic (`default`
+    /// when it names none).
     ///
     /// # Errors
     ///
     /// Fails when the embedded context is missing or malformed.
-    pub fn decode_response(body: &Element) -> Result<CoordinationContext, CoordError> {
+    pub fn decode_response(
+        body: &Element,
+    ) -> Result<(CoordinationContext, Option<GossipGrant>, String), CoordError> {
         if !body
             .name()
             .matches(Some(WSCOOR_NS), "CreateCoordinationContextResponse")
@@ -184,8 +194,19 @@ impl ActivationService {
         let ctx = body
             .child_ns(WSCOOR_NS, "CoordinationContext")
             .ok_or_else(|| CoordError::Codec("missing CoordinationContext".into()))?;
-        CoordinationContext::from_header(ctx)
+        let context = CoordinationContext::from_header(ctx)?;
+        Ok((context, GossipGrant::in_body(body).ok(), topic_of(body)))
     }
+}
+
+/// The `wsg:Topic` child an activation names its topic in.
+fn topic_element(topic: &str) -> Element {
+    Element::in_ns("wsg", WSGOSSIP_NS, "Topic").with_text(topic.to_string())
+}
+
+/// The topic an activation body names, `default` when it names none.
+fn topic_of(body: &Element) -> String {
+    body.child_ns(WSGOSSIP_NS, "Topic").map_or_else(|| "default".to_string(), |t| t.text())
 }
 
 #[cfg(test)]
@@ -238,11 +259,29 @@ mod tests {
 
     #[test]
     fn request_codec_roundtrip() {
-        let req = ActivationService::encode_request(GossipProtocol::LazyPush);
+        let req = ActivationService::encode_request(GossipProtocol::LazyPush, "quotes");
         assert_eq!(
             ActivationService::decode_request(&req).unwrap(),
-            GossipProtocol::LazyPush
+            (GossipProtocol::LazyPush, "quotes".to_string())
         );
+    }
+
+    #[test]
+    fn a_plain_ws_coordination_activation_is_for_the_default_topic() {
+        let mut req = ActivationService::encode_request(GossipProtocol::Push, "quotes");
+        assert_eq!(req.remove_children("Topic"), 1);
+        assert_eq!(
+            ActivationService::decode_request(&req).unwrap(),
+            (GossipProtocol::Push, "default".to_string())
+        );
+    }
+
+    fn grant() -> GossipGrant {
+        GossipGrant {
+            fanout: 3,
+            rounds: 5,
+            peers: vec!["http://node2/gossip".into(), "http://node3/gossip".into()],
+        }
     }
 
     #[test]
@@ -253,10 +292,29 @@ mod tests {
             GossipPolicy::new(GossipParams::new(6, 9)),
             SimTime::ZERO,
         );
-        let resp = ActivationService::encode_response(&ctx);
-        let parsed = ActivationService::decode_response(&resp).unwrap();
-        assert_eq!(parsed, ctx);
+        let resp = ActivationService::encode_response(&ctx, &grant(), "quotes");
+        let (parsed, granted, topic) = ActivationService::decode_response(&resp).unwrap();
+        assert_eq!((&parsed, granted, topic.as_str()), (&ctx, Some(grant()), "quotes"));
         assert_eq!(parsed.policy().params().fanout(), 6);
+        // Neither the grant nor the topic is required.
+        let mut bare = resp.clone();
+        assert_eq!(bare.remove_children("GossipGrant") + bare.remove_children("Topic"), 2);
+        assert_eq!(ActivationService::decode_response(&bare).unwrap(), (ctx, None, "default".to_string()));
+    }
+
+    #[test]
+    fn activation_bodies_keep_their_bytes() {
+        let req = ActivationService::encode_request(GossipProtocol::Push, "quotes");
+        assert_eq!(
+            req.to_xml_string(),
+            "<wscoor:CreateCoordinationContext xmlns:wscoor=\"http://docs.oasis-open.org/ws-tx/wscoor/2006/06\"><wscoor:CoordinationType>urn:ws-gossip:2008:push</wscoor:CoordinationType><wsg:Topic xmlns:wsg=\"urn:ws-gossip:2008\">quotes</wsg:Topic></wscoor:CreateCoordinationContext>"
+        );
+        let mut s = ActivationService::new("http://node0/activation", "http://node0/registration");
+        let ctx = s.create_context(GossipProtocol::Push, GossipPolicy::atomic_for(4), SimTime::ZERO);
+        assert_eq!(
+            ActivationService::encode_response(&ctx, &grant(), "quotes").to_xml_string(),
+            "<wscoor:CreateCoordinationContextResponse xmlns:wscoor=\"http://docs.oasis-open.org/ws-tx/wscoor/2006/06\"><wscoor:CoordinationContext><wscoor:Identifier>urn:ws-gossip:ctx:0</wscoor:Identifier><wscoor:CoordinationType>urn:ws-gossip:2008:push</wscoor:CoordinationType><wscoor:RegistrationService><wsa:Address xmlns:wsa=\"http://www.w3.org/2005/08/addressing\">http://node0/registration</wsa:Address></wscoor:RegistrationService><wsg:GossipPolicy xmlns:wsg=\"urn:ws-gossip:2008\"><wsg:Fanout>4</wsg:Fanout><wsg:Rounds>6</wsg:Rounds></wsg:GossipPolicy></wscoor:CoordinationContext><wsg:GossipGrant xmlns:wsg=\"urn:ws-gossip:2008\"><wsg:Fanout>3</wsg:Fanout><wsg:Rounds>5</wsg:Rounds><wsg:Peers><wsg:Peer>http://node2/gossip</wsg:Peer><wsg:Peer>http://node3/gossip</wsg:Peer></wsg:Peers></wsg:GossipGrant><wsg:Topic xmlns:wsg=\"urn:ws-gossip:2008\">quotes</wsg:Topic></wscoor:CreateCoordinationContextResponse>"
+        );
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub struct GossipGrant {
 impl GossipGrant {
     /// Encode as a bare `wsg:GossipGrant` element (embeddable in a
     /// `RegisterResponse` or a `CreateCoordinationContextResponse`).
-    pub fn to_element(&self) -> Element {
+    pub(crate) fn to_element(&self) -> Element {
         let mut grant = Element::in_ns("wsg", WSGOSSIP_NS, "GossipGrant");
         grant.push_child(
             Element::in_ns("wsg", WSGOSSIP_NS, "Fanout").with_text(self.fanout.to_string()),
@@ -40,20 +40,34 @@ impl GossipGrant {
         grant
     }
 
-    /// Wrap the grant in a `RegisterResponse` body.
-    pub fn to_register_response(&self) -> Element {
+    /// The `RegisterResponse` body granting this to a participant of
+    /// context `context_id`.
+    pub fn to_register_response(&self, context_id: &str) -> Element {
         let mut resp = Element::in_ns("wscoor", WSCOOR_NS, "RegisterResponse");
         resp.push_child(self.to_element());
+        resp.push_child(
+            Element::in_ns("wsg", WSGOSSIP_NS, "ContextIdentifier").with_text(context_id.to_string()),
+        );
         resp
     }
 
-    /// Decode from a body element containing a `wsg:GossipGrant` child
-    /// (e.g. a `RegisterResponse`).
+    /// Decode a `RegisterResponse` body: the context it grants for, and
+    /// the grant.
     ///
     /// # Errors
     ///
     /// Fails on structurally invalid responses.
-    pub fn from_parent(body: &Element) -> Result<Self, CoordError> {
+    pub fn from_register_response(body: &Element) -> Result<(String, Self), CoordError> {
+        let grant = Self::in_body(body)?;
+        let context_id = body
+            .child_ns(WSGOSSIP_NS, "ContextIdentifier")
+            .map(|c| c.text())
+            .ok_or_else(|| CoordError::Codec("missing ContextIdentifier".into()))?;
+        Ok((context_id, grant))
+    }
+
+    /// Decode the `wsg:GossipGrant` child of a body.
+    pub(crate) fn in_body(body: &Element) -> Result<Self, CoordError> {
         let grant = body
             .child_ns(WSGOSSIP_NS, "GossipGrant")
             .ok_or_else(|| CoordError::Codec("missing GossipGrant".into()))?;
@@ -65,7 +79,7 @@ impl GossipGrant {
     /// # Errors
     ///
     /// Fails on structurally invalid grants.
-    pub fn from_element(grant: &Element) -> Result<Self, CoordError> {
+    pub(crate) fn from_element(grant: &Element) -> Result<Self, CoordError> {
         if !grant.name().matches(Some(WSGOSSIP_NS), "GossipGrant") {
             return Err(CoordError::Codec(format!(
                 "expected GossipGrant, found {}",
@@ -264,8 +278,24 @@ mod tests {
         };
         let parsed = GossipGrant::from_element(&grant.to_element()).unwrap();
         assert_eq!(parsed, grant);
-        let wrapped = GossipGrant::from_parent(&grant.to_register_response()).unwrap();
-        assert_eq!(wrapped, grant);
+        let wrapped = GossipGrant::from_register_response(&grant.to_register_response("urn:ctx:1")).unwrap();
+        assert_eq!(wrapped, ("urn:ctx:1".to_string(), grant));
+    }
+
+    #[test]
+    fn register_response_keeps_its_bytes() {
+        let grant = GossipGrant {
+            fanout: 3,
+            rounds: 5,
+            peers: vec!["http://node2/gossip".into(), "http://node3/gossip".into()],
+        };
+        assert_eq!(
+            grant.to_register_response("urn:ws-gossip:ctx:0").to_xml_string(),
+            "<wscoor:RegisterResponse xmlns:wscoor=\"http://docs.oasis-open.org/ws-tx/wscoor/2006/06\"><wsg:GossipGrant xmlns:wsg=\"urn:ws-gossip:2008\"><wsg:Fanout>3</wsg:Fanout><wsg:Rounds>5</wsg:Rounds><wsg:Peers><wsg:Peer>http://node2/gossip</wsg:Peer><wsg:Peer>http://node3/gossip</wsg:Peer></wsg:Peers></wsg:GossipGrant><wsg:ContextIdentifier xmlns:wsg=\"urn:ws-gossip:2008\">urn:ws-gossip:ctx:0</wsg:ContextIdentifier></wscoor:RegisterResponse>"
+        );
+        let mut anonymous = grant.to_register_response("urn:ws-gossip:ctx:0");
+        assert_eq!(anonymous.remove_children("ContextIdentifier"), 1);
+        assert!(GossipGrant::from_register_response(&anonymous).is_err(), "for no context");
     }
 
     #[test]

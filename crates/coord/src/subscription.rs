@@ -197,6 +197,11 @@ impl SubscriptionList {
         req
     }
 
+    /// Encode the `SubscribeResponse` acknowledgement body.
+    pub fn encode_subscribe_response() -> Element {
+        Element::in_ns("wsg", WSGOSSIP_NS, "SubscribeResponse")
+    }
+
     /// Decode a `Subscribe` request into `(topic, endpoint, expiry)`.
     ///
     /// # Errors

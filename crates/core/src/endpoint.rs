@@ -4,7 +4,7 @@
 //! synthesised as `http://node{N}/gossip` so the mapping is bijective and
 //! needs no registry.
 
-use wsg_net::NodeId;
+use wsg_net::{NodeId, PeerLiveness};
 
 /// The service endpoint URI of a node.
 ///
@@ -31,6 +31,13 @@ pub fn node_of(endpoint: &str) -> Option<NodeId> {
     let rest = endpoint.strip_prefix("http://node")?;
     let digits_end = rest.find('/').unwrap_or(rest.len());
     rest[..digits_end].parse::<usize>().ok().map(NodeId)
+}
+
+/// Whether `endpoint` is a usable gossip destination per `liveness`:
+/// endpoints outside the node-id scheme (external URIs) are not the
+/// liveness plane's to veto.
+pub(crate) fn is_live(liveness: &dyn PeerLiveness, endpoint: &str) -> bool {
+    node_of(endpoint).is_none_or(|id| liveness.is_live(id))
 }
 
 /// The Activation service endpoint hosted by a coordinator node.

@@ -28,13 +28,13 @@ use std::sync::Arc;
 use wsg_coord::{CoordinationContext, GossipGrant, RegistrationService, WSCOOR_NS, WSGOSSIP_NS};
 use wsg_net::sync::Mutex;
 use wsg_net::{AllLive, Pcg32, PeerLiveness, RngExt};
+use wsg_soap::gossip::GossipHeader;
 use wsg_soap::{
     Envelope, EndpointReference, Handler, HandlerOutcome, MessageContext, MessageHeaders, Uuid,
 };
 use wsg_xml::QName;
 
 use crate::actions;
-use crate::header::{GossipHeader, GossipHeaderRef};
 
 /// Counters exposed by the gossip layer (experiment E1/E7 bookkeeping).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -130,12 +130,7 @@ impl LayerState {
             .peers
             .iter()
             .map(String::as_str)
-            .filter(|p| *p != self.me)
-            .filter(|p| {
-                // Endpoints that don't map to a node id (external URIs)
-                // are not the liveness plane's to veto.
-                crate::endpoint::node_of(p).is_none_or(|id| self.liveness.is_live(id))
-            })
+            .filter(|p| *p != self.me && crate::endpoint::is_live(&*self.liveness, p))
             .collect();
         self.rng.shuffle(&mut pool);
         pool.truncate(grant.fanout);
@@ -162,7 +157,7 @@ fn sampling_rng(seed: u64) -> Pcg32 {
 /// published it (`wsg:Origin`), or it is the `wsa:From` of this very copy.
 /// Nothing is remembered — a push-once node decides about a message once,
 /// at its first receipt, when it has heard from exactly one peer.
-fn provably_holds(envelope: &Envelope, header: &GossipHeader, peer: &str) -> bool {
+fn provably_holds(envelope: &Envelope, header: &GossipHeader<'_>, peer: &str) -> bool {
     peer == header.origin || envelope.addressing().from().is_some_and(|from| from.address() == peer)
 }
 
@@ -256,7 +251,7 @@ impl GossipHandler {
     fn forward(
         state: &mut LayerState,
         envelope: &Envelope,
-        header: &GossipHeader,
+        header: &GossipHeader<'_>,
         grant: &GossipGrant,
     ) -> Vec<Envelope> {
         if header.round >= grant.rounds {
@@ -271,7 +266,7 @@ impl GossipHandler {
         }
         let mut template = envelope.clone();
         template.remove_header(WSGOSSIP_NS, "Gossip");
-        template.push_header(header.next_round().to_element());
+        template.push_header(GossipHeader { round: header.round + 1, ..header.clone() }.to_element());
         template.addressing_mut().set_from(EndpointReference::new(state.me.clone()));
         let mut copies = Vec::with_capacity(peers.len());
         for peer in peers {
@@ -290,18 +285,18 @@ impl GossipHandler {
     /// interaction — register with the context's Registration service if
     /// we have not yet, and queue the message until the grant arrives.
     /// Returns what to send.
-    fn route(state: &mut LayerState, envelope: &Envelope, header: &GossipHeader) -> Vec<Envelope> {
-        if let Some(grant) = state.grants.get(&header.context_id).map(Arc::clone) {
+    fn route(state: &mut LayerState, envelope: &Envelope, header: &GossipHeader<'_>) -> Vec<Envelope> {
+        if let Some(grant) = state.grants.get(&*header.context_id).map(Arc::clone) {
             return Self::forward(state, envelope, header, &grant);
         }
-        let Some(waiting) = state.registering.get_mut(&header.context_id) else {
+        let Some(waiting) = state.registering.get_mut(&*header.context_id) else {
             let Some(registration) = registration_of(envelope) else {
                 // No context header: it cannot register, so no grant would
                 // ever flush it from the queue — it is not queued.
                 return Vec::new();
             };
             let waiting = Registering { queue: VecDeque::from([envelope.clone()]), since_register: 1 };
-            state.registering.insert(header.context_id.clone(), waiting);
+            state.registering.insert(header.context_id.to_string(), waiting);
             return vec![state.register(registration, &header.context_id)];
         };
         // Register already in flight: its grant flushes the queue.
@@ -330,13 +325,7 @@ impl GossipHandler {
         let Some(body) = ctx.envelope.body() else {
             return HandlerOutcome::Consumed;
         };
-        let Ok(grant) = GossipGrant::from_parent(body) else {
-            return HandlerOutcome::Consumed;
-        };
-        let Some(context_id) = body
-            .child_ns(WSGOSSIP_NS, "ContextIdentifier")
-            .map(|c| c.text())
-        else {
+        let Ok((context_id, grant)) = GossipGrant::from_register_response(body) else {
             return HandlerOutcome::Consumed;
         };
         let grant = Arc::new(grant);
@@ -373,7 +362,7 @@ impl Handler for GossipHandler {
             return self.handle_register_response(ctx);
         }
 
-        let Some(header) = GossipHeaderRef::from_envelope(&ctx.envelope) else {
+        let Some(header) = GossipHeader::from_envelope(&ctx.envelope) else {
             return HandlerOutcome::Continue; // not gossip traffic
         };
 
@@ -394,7 +383,7 @@ impl Handler for GossipHandler {
             }
             Direction::Inbound => HandlerOutcome::Continue, // deliver to the application too
         };
-        let sends = Self::route(&mut state, &ctx.envelope, &header.to_header());
+        let sends = Self::route(&mut state, &ctx.envelope, &header);
         drop(state);
         for send in sends {
             ctx.send_envelope(send);
@@ -419,9 +408,9 @@ mod tests {
             GossipPolicy::default(),
         );
         let gossip = GossipHeader {
-            context_id: ctx_id.to_string(),
+            context_id: ctx_id.into(),
             topic: "quotes".into(),
-            origin: origin.to_string(),
+            origin: origin.into(),
             seq,
             round,
         };
@@ -454,11 +443,9 @@ mod tests {
     }
 
     fn register_response(ctx_id: &str, grant: &GossipGrant) -> Envelope {
-        let mut body = grant.to_register_response();
-        body.push_child(Element::in_ns("wsg", WSGOSSIP_NS, "ContextIdentifier").with_text(ctx_id));
         Envelope::request(
             MessageHeaders::request("http://node2/gossip", actions::REGISTER_RESPONSE),
-            body,
+            grant.to_register_response(ctx_id),
         )
     }
 

@@ -50,11 +50,11 @@
 
 pub mod actions;
 pub mod endpoint;
-pub mod header;
+#[cfg(test)]
+mod header;
 pub mod layer;
 pub mod node;
 pub mod scenario;
 
-pub use header::GossipHeader;
 pub use layer::{GossipHandler, GossipLayerStats};
 pub use node::{DeliveredOp, NodeStats, Role, WsGossipNode};

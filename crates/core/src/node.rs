@@ -5,8 +5,8 @@ use std::collections::BTreeMap;
 use wsg_gossip::FifoBuffer;
 
 use wsg_coord::{
-    ActivationService, CoordinationContext, CoordinatorSync, GossipPolicy, GossipProtocol,
-    RegistrationService, SubscriptionList, WSGOSSIP_NS,
+    ActivationService, CoordinationContext, CoordinatorSync, GossipGrant, GossipPolicy,
+    GossipProtocol, RegistrationService, SubscriptionList,
 };
 use std::sync::Arc;
 
@@ -14,13 +14,13 @@ use wsg_net::{
     AllLive, Context, NodeId, Pcg32, PeerLiveness, Protocol, RngExt, SimDuration, SimTime,
     SplitMix64, TimerTag,
 };
+use wsg_soap::gossip::GossipHeader;
 use wsg_soap::handler::{Direction, Disposition};
 use wsg_soap::{EndpointReference, Envelope, HandlerChain, MessageHeaders, Uuid};
 use wsg_xml::Element;
 
 use crate::actions;
-use crate::endpoint::{endpoint_of, node_of, registration_endpoint, topic_uri};
-use crate::header::GossipHeader;
+use crate::endpoint::{endpoint_of, is_live, node_of, registration_endpoint, topic_uri};
 use crate::layer::{GossipLayerHandle, GossipLayerStats};
 
 /// Timer tag for the coordinator replication tick (distributed mode).
@@ -103,9 +103,33 @@ struct CoordinatorState {
     // context id -> topic
     topics: BTreeMap<String, String>,
     policy: Option<GossipPolicy>,
-    protocol: GossipProtocol,
     // Peer coordinators (distributed coordinator mode, paper §3).
     peers: Vec<NodeId>,
+}
+
+impl CoordinatorState {
+    /// The grant for `participant` of `context`: the context's gossip
+    /// parameters, and as peers the topic's subscribers and the context's
+    /// participants — in that order, each once — less the participant
+    /// itself and the members `liveness` reports dead.
+    fn grant(
+        &self,
+        context: &CoordinationContext,
+        topic: &str,
+        participant: &str,
+        liveness: &dyn PeerLiveness,
+        now: SimTime,
+    ) -> GossipGrant {
+        let mut peers = self.subscriptions.subscribers(topic, now.as_millis());
+        for p in self.registration.participants(context.identifier()) {
+            if !peers.contains(p) {
+                peers.push(p.clone());
+            }
+        }
+        peers.retain(|p| p != participant && is_live(liveness, p));
+        let params = context.policy().params();
+        GossipGrant { fanout: params.fanout(), rounds: params.rounds(), peers }
+    }
 }
 
 #[derive(Debug, Default)]
@@ -180,7 +204,6 @@ impl WsGossipNode {
                 subscriptions: SubscriptionList::new(),
                 topics: BTreeMap::new(),
                 policy: None,
-                protocol: GossipProtocol::Push,
                 peers: Vec::new(),
             }),
             _ => None,
@@ -463,12 +486,6 @@ impl WsGossipNode {
         self.init.contexts.get(topic)
     }
 
-    /// Whether `endpoint` is a usable gossip destination per the liveness
-    /// oracle (endpoints outside the node-id scheme are never vetoed).
-    fn live_peer(&self, endpoint: &str) -> bool {
-        node_of(endpoint).is_none_or(|id| self.liveness.is_live(id))
-    }
-
     fn log(&mut self, now: SimTime, line: impl Into<String>) {
         self.events.push(format!("[{now}] {}", line.into()));
     }
@@ -522,8 +539,7 @@ impl WsGossipNode {
     /// Initiator: activate a gossip coordination context for `topic`.
     pub fn activate(&mut self, protocol: GossipProtocol, topic: &str, ctx: &mut dyn Context<String>) {
         assert_eq!(self.role, Role::Initiator, "only initiators activate");
-        let mut body = ActivationService::encode_request(protocol);
-        body.push_child(Element::in_ns("wsg", WSGOSSIP_NS, "Topic").with_text(topic.to_string()));
+        let body = ActivationService::encode_request(protocol, topic);
         let headers = MessageHeaders::request(
             endpoint_of(self.coordinator),
             actions::CREATE_CONTEXT,
@@ -555,16 +571,16 @@ impl WsGossipNode {
         let context = self.init.contexts.get(&topic).expect("context ready").clone();
         let seq = self.init.next_seq;
         self.init.next_seq += 1;
-        let gossip = GossipHeader {
-            context_id: context.identifier().to_string(),
-            topic: topic.clone(),
-            origin: self.endpoint.clone(),
-            seq,
-            round: 0,
-        };
         let headers = MessageHeaders::request(topic_uri(&topic), actions::NOTIFY)
             .with_message_id(self.fresh_id())
             .with_from(EndpointReference::new(self.endpoint.clone()));
+        let gossip = GossipHeader {
+            context_id: context.identifier().into(),
+            topic: topic.as_str().into(),
+            origin: self.endpoint.as_str().into(),
+            seq,
+            round: 0,
+        };
         let envelope = Envelope::request(headers, payload)
             .with_header(context.to_header())
             .with_header(gossip.to_element());
@@ -696,14 +712,10 @@ impl WsGossipNode {
     fn handle_create_context(&mut self, envelope: Envelope, ctx: &mut dyn Context<String>) {
         let now = ctx.now();
         let Some(body) = envelope.body() else { return };
-        let Ok(protocol) = ActivationService::decode_request(body) else {
+        let Ok((protocol, topic)) = ActivationService::decode_request(body) else {
             self.stats.faults += 1;
             return;
         };
-        let topic = body
-            .child_ns(WSGOSSIP_NS, "Topic")
-            .map(|t| t.text())
-            .unwrap_or_else(|| "default".to_string());
         let requester = envelope
             .addressing()
             .from()
@@ -711,32 +723,18 @@ impl WsGossipNode {
             .unwrap_or_default();
 
         let Some(coord) = &mut self.coord else { return };
-        coord.protocol = protocol;
         let subscriber_count = coord.subscriptions.subscriber_count(&topic, now.as_millis());
         let policy = coord
             .policy
             .clone()
             .unwrap_or_else(|| GossipPolicy::atomic_for(subscriber_count.max(2)));
-        let context = coord.activation.create_context(protocol, policy.clone(), now);
+        let context = coord.activation.create_context(protocol, policy, now);
         coord.topics.insert(context.identifier().to_string(), topic.clone());
         coord.registration.register(context.identifier(), requester.clone());
-
-        // Initial grant: the current subscribers, minus dead members.
-        let mut peers = coord.subscriptions.subscribers(&topic, now.as_millis());
-        peers.retain(|p| p != &requester);
-        let liveness = Arc::clone(&self.liveness);
-        peers.retain(|p| node_of(p).is_none_or(|id| liveness.is_live(id)));
-        let grant = wsg_coord::GossipGrant {
-            fanout: policy.params().fanout(),
-            rounds: policy.params().rounds(),
-            peers,
-        };
-
-        let mut body = ActivationService::encode_response(&context);
-        body.push_child(grant.to_element());
-        body.push_child(
-            Element::in_ns("wsg", WSGOSSIP_NS, "Topic").with_text(topic.clone()),
-        );
+        // The requester is the context's one participant: its grant names
+        // the current subscribers.
+        let grant = coord.grant(&context, &topic, &requester, &*self.liveness, now);
+        let body = ActivationService::encode_response(&context, &grant, &topic);
         self.log(now, format!(
             "created context {} (topic={topic}, subscribers={subscriber_count})",
             context.identifier()
@@ -753,34 +751,15 @@ impl WsGossipNode {
             self.stats.faults += 1;
             return;
         };
-        let liveness = Arc::clone(&self.liveness);
         let Some(coord) = &mut self.coord else { return };
         coord.registration.register(&context_id, participant.clone());
         let Ok(context) = coord.activation.lookup(&context_id, now) else {
             self.stats.faults += 1;
             return;
         };
-        let params = context.policy().params().clone();
-        let topic = coord.topics.get(&context_id).cloned().unwrap_or_default();
-        // Peers: union of subscribers and registered participants, minus
-        // members the liveness oracle reports dead.
-        let mut peers = coord.subscriptions.subscribers(&topic, now.as_millis());
-        for p in coord.registration.participants(&context_id) {
-            if !peers.contains(p) {
-                peers.push(p.clone());
-            }
-        }
-        peers.retain(|p| p != &participant);
-        peers.retain(|p| node_of(p).is_none_or(|id| liveness.is_live(id)));
-        let grant = wsg_coord::GossipGrant {
-            fanout: params.fanout(),
-            rounds: params.rounds(),
-            peers,
-        };
-        let mut body = grant.to_register_response();
-        body.push_child(
-            Element::in_ns("wsg", WSGOSSIP_NS, "ContextIdentifier").with_text(context_id.clone()),
-        );
+        let topic = coord.topics.get(&context_id).map_or("", String::as_str);
+        let grant = coord.grant(context, topic, &participant, &*self.liveness, now);
+        let body = grant.to_register_response(&context_id);
         self.log(now, format!("registered {participant} in {context_id}"));
         if let Some(headers) = self.reply_headers(&envelope, actions::REGISTER_RESPONSE) {
             self.transmit(Envelope::request(headers, body), ctx);
@@ -820,7 +799,7 @@ impl WsGossipNode {
         for concrete in affected {
             self.push_grant_updates(&concrete, ctx);
         }
-        let ack = Element::in_ns("wsg", WSGOSSIP_NS, "SubscribeResponse");
+        let ack = SubscriptionList::encode_subscribe_response();
         if let Some(headers) = self.reply_headers(&envelope, actions::SUBSCRIBE_RESPONSE) {
             self.transmit(Envelope::request(headers, ack), ctx);
         }
@@ -854,40 +833,13 @@ impl WsGossipNode {
     /// participants (subscription list changed).
     fn push_grant_updates(&mut self, topic: &str, ctx: &mut dyn Context<String>) {
         let now = ctx.now();
-        let mut updates: Vec<(String, Element)> = Vec::new();
-        {
-            let Some(coord) = &self.coord else { return };
-            let contexts: Vec<String> = coord
-                .topics
-                .iter()
-                .filter(|(_, t)| t.as_str() == topic)
-                .map(|(ctx_id, _)| ctx_id.clone())
-                .collect();
-            for context_id in contexts {
-                let Ok(context) = coord.activation.lookup(&context_id, now) else { continue };
-                let params = context.policy().params().clone();
-                let subscribers = coord.subscriptions.subscribers(topic, now.as_millis());
-                for participant in coord.registration.participants(&context_id).to_vec() {
-                    let mut peers = subscribers.clone();
-                    for p in coord.registration.participants(&context_id) {
-                        if !peers.contains(p) {
-                            peers.push(p.clone());
-                        }
-                    }
-                    peers.retain(|p| p != &participant);
-                    peers.retain(|p| self.live_peer(p));
-                    let grant = wsg_coord::GossipGrant {
-                        fanout: params.fanout(),
-                        rounds: params.rounds(),
-                        peers,
-                    };
-                    let mut body = grant.to_register_response();
-                    body.push_child(
-                        Element::in_ns("wsg", WSGOSSIP_NS, "ContextIdentifier")
-                            .with_text(context_id.clone()),
-                    );
-                    updates.push((participant, body));
-                }
+        let Some(coord) = &self.coord else { return };
+        let mut updates = Vec::new();
+        for (context_id, _) in coord.topics.iter().filter(|(_, t)| t.as_str() == topic) {
+            let Ok(context) = coord.activation.lookup(context_id, now) else { continue };
+            for participant in coord.registration.participants(context_id) {
+                let grant = coord.grant(context, topic, participant, &*self.liveness, now);
+                updates.push((participant.clone(), grant.to_register_response(context_id)));
             }
         }
         for (participant, body) in updates {
@@ -901,18 +853,12 @@ impl WsGossipNode {
     fn handle_context_response(&mut self, envelope: Envelope, ctx: &mut dyn Context<String>) {
         let now = ctx.now();
         let Some(body) = envelope.body() else { return };
-        let Ok(context) = ActivationService::decode_response(body) else {
+        let Ok((context, grant, topic)) = ActivationService::decode_response(body) else {
             self.stats.faults += 1;
             return;
         };
-        let topic = body
-            .child_ns(WSGOSSIP_NS, "Topic")
-            .map(|t| t.text())
-            .unwrap_or_else(|| "default".to_string());
-        if let Ok(grant) = wsg_coord::GossipGrant::from_parent(body) {
-            if let Some(layer) = &self.layer {
-                layer.set_grant(context.identifier(), grant);
-            }
+        if let (Some(grant), Some(layer)) = (grant, &self.layer) {
+            layer.set_grant(context.identifier(), grant);
         }
         self.log(now, format!("context ready {} (topic={topic})", context.identifier()));
         self.init.contexts.insert(topic.clone(), context);
@@ -935,7 +881,7 @@ impl WsGossipNode {
     fn handle_notify(&mut self, envelope: Envelope, ctx: &mut dyn Context<String>) {
         let now = ctx.now();
         let (topic, origin, seq, round) = match GossipHeader::from_envelope(&envelope) {
-            Some(h) => (h.topic, h.origin, h.seq, h.round),
+            Some(h) => (h.topic.into_owned(), h.origin.into_owned(), h.seq, h.round),
             None => {
                 let from = envelope.addressing().from().map(|epr| epr.address().to_string());
                 ("?".into(), from.unwrap_or_else(|| "?".into()), 0, 0)

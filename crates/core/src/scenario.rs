@@ -8,10 +8,10 @@ use std::sync::{Arc, Mutex};
 use wsg_coord::GossipProtocol;
 use wsg_net::sim::{SimConfig, SimNet};
 use wsg_net::{NodeId, TraceEvent};
+use wsg_soap::gossip::GossipHeader;
 use wsg_xml::Element;
 
 use crate::actions;
-use crate::header::GossipHeader;
 use crate::node::{Role, WsGossipNode};
 
 /// How many of each gossip-capable role to deploy (plus exactly one

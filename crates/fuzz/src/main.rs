@@ -174,6 +174,7 @@ fn write_seeds() -> std::io::Result<usize> {
     use wsg_cluster::proto::{ClusterMessage, MemberEntry};
     use wsg_net::NodeId;
     use wsg_soap::batch::{text_of, write_batch, write_batch_parts, BatchItem};
+    use wsg_soap::gossip::GossipHeader;
     use wsg_soap::{Envelope, Fault, FaultCode, MessageHeaders};
     use wsg_xml::Element;
 
@@ -205,23 +206,20 @@ fn write_seeds() -> std::io::Result<usize> {
     // A notification as the gossip layer reads it — `wsg:Origin` and
     // `wsg:Seq` straight off the header block's bytes — and the ways a
     // foreign stack may spell the same header.
-    let wsg = |local: &str, text: &str| {
-        Element::in_ns("wsg", "urn:ws-gossip:2008", local).with_text(text)
-    };
     let notification = |seq: u32| {
+        let header = GossipHeader {
+            context_id: "urn:ws-gossip:ctx:0".into(),
+            topic: "quotes".into(),
+            origin: "http://node1/gossip".into(),
+            seq: seq.into(),
+            round: 1,
+        };
         Envelope::request(
             MessageHeaders::request("http://node2/gossip", "urn:ws-gossip:2008:Notify")
                 .with_message_id(format!("urn:uuid:{:04}", seq - 11)),
             Element::text_node("tick", if seq == 12 { "ACME" } else { "ACME &c." }),
         )
-        .with_header(
-            Element::in_ns("wsg", "urn:ws-gossip:2008", "Gossip")
-                .with_child(wsg("Context", "urn:ws-gossip:ctx:0"))
-                .with_child(wsg("Topic", "quotes"))
-                .with_child(wsg("Origin", "http://node1/gossip"))
-                .with_child(wsg("Seq", &seq.to_string()))
-                .with_child(wsg("Round", "1")),
-        )
+        .with_header(header.to_element())
         .to_xml()
     };
     let gossip = notification(12);

@@ -10,7 +10,7 @@ use wsg_cluster::proto::ClusterMessage;
 use wsg_http::parser::{Parsed, RequestParser, ResponseParser};
 use wsg_http::Request;
 use wsg_soap::batch::{is_batch, parse_wire, parse_wire_after, text_of, unbundle, Unbundled};
-use wsg_soap::gossip::{gossip_id, GossipId};
+use wsg_soap::gossip::{gossip_id, GossipHeader, GossipId};
 use wsg_soap::{
     EndpointReference, Envelope, Fault, MessageHeaders, SoapError, SOAP_ENV_NS, WSA_NS,
 };
@@ -523,7 +523,7 @@ pub struct BatchTarget;
 /// namespace lookup on `raw` decoded, and the sender's read of its head.
 fn same_identity(streamed: &Option<GossipId<'static>>, raw: &str) -> Result<(), String> {
     if let Ok(envelope) = Envelope::parse(raw) {
-        let looked_up = envelope.gossip_id().map(GossipId::into_owned);
+        let looked_up = GossipHeader::from_envelope(&envelope).map(|h| h.id().into_owned());
         if *streamed != looked_up {
             return Err(format!("unwrapped with identity {streamed:?}, the envelope has {looked_up:?}"));
         }

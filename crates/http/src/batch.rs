@@ -6,8 +6,8 @@
 //! peer into a single `urn:ws-gossip:batch` POST (capped by
 //! [`BatchConfig`]). Because the queues are shared, other producers can
 //! ride along: `wsg_cluster` heartbeats use [`OutboundHandle::piggyback`]
-//! to append to a queue that already has traffic instead of opening their
-//! own request.
+//! to join the next batch for a peer that already has traffic queued,
+//! instead of opening their own request.
 //!
 //! A queued gossip copy can also leave without being posted: when the
 //! peer it is for sends this node the same notification first, the
@@ -21,10 +21,8 @@
 //! about what a message inside a batch does. Several messages share a POST
 //! only while the sender is busy posting — exactly when coalescing pays.
 
-use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 use std::net::SocketAddr;
-use std::ops::Range;
 use std::sync::Arc;
 
 use wsg_net::protocol::NodeId;
@@ -72,21 +70,12 @@ pub(crate) struct QueuedMsg {
     gossip: Option<QueuedId>,
 }
 
-/// A queued copy's gossip identity ([`GossipId`]), kept without a copy of
-/// the origin: where in the message its text stands.
+/// A queued copy's gossip identity ([`GossipId`]). The origin is read
+/// once per notification and shared by all of its queued copies.
 #[derive(Debug, Clone)]
 struct QueuedId {
-    origin: Origin,
+    origin: Arc<str>,
     seq: u64,
-}
-
-#[derive(Debug, Clone)]
-enum Origin {
-    /// The origin is these bytes of the message.
-    At(Range<usize>),
-    /// The origin's text had references resolved: it is no slice of the
-    /// message.
-    Resolved(Box<str>),
 }
 
 /// A gossip copy's identity as [`SenderQueues::push`] read it, and how
@@ -97,23 +86,8 @@ impl QueuedId {
     /// The identity of the gossip envelope `xml`, read off its head.
     fn read(xml: &str) -> Option<HeadRead> {
         let (GossipId { origin, seq }, read) = wsg_soap::gossip::gossip_id(xml)?;
-        let origin = match origin {
-            Cow::Borrowed(text) => match span_in(xml, text) {
-                Some(span) => Origin::At(span),
-                // Only an empty text is borrowed from elsewhere.
-                None => Origin::Resolved(text.into()),
-            },
-            Cow::Owned(text) => Origin::Resolved(text.into_boxed_str()),
-        };
-        Some((QueuedId { origin, seq }, read))
+        Some((QueuedId { origin: origin.into(), seq }, read))
     }
-}
-
-/// Where `part` lies in `source`, when it is a slice of it.
-fn span_in(source: &str, part: &str) -> Option<Range<usize>> {
-    let start = (part.as_ptr() as usize).checked_sub(source.as_ptr() as usize)?;
-    let end = start.checked_add(part.len())?;
-    (end <= source.len()).then_some(start..end)
 }
 
 impl QueuedMsg {
@@ -124,30 +98,7 @@ impl QueuedMsg {
 
     /// Whether this is a copy of gossip notification `id`.
     fn carries(&self, id: &GossipId<'_>) -> bool {
-        match &self.gossip {
-            Some(own) if own.seq == id.seq => match &own.origin {
-                Origin::At(span) => self.text_is(span.clone(), &id.origin),
-                Origin::Resolved(origin) => **origin == *id.origin,
-            },
-            _ => false,
-        }
-    }
-
-    /// Whether the XML's bytes at `span` are `text`, whichever pieces they
-    /// lie in.
-    fn text_is(&self, span: Range<usize>, text: &str) -> bool {
-        if span.len() != text.len() {
-            return false;
-        }
-        let mut at = 0;
-        self.parts().iter().all(|part| {
-            let (from, to) = (span.start.max(at), span.end.min(at + part.len()));
-            let same = from >= to
-                || part.as_bytes()[from - at..to - at]
-                    == text.as_bytes()[from - span.start..to - span.start];
-            at += part.len();
-            same
-        })
+        self.gossip.as_ref().is_some_and(|own| own.seq == id.seq && *own.origin == *id.origin)
     }
 
     /// The XML in its three pieces, in order.
@@ -320,18 +271,25 @@ impl SenderQueues {
         queued.by_peer.entry(to).or_default().push_back(msg);
     }
 
-    /// Append for `to` only if traffic is already queued there (the clone
-    /// happens only on success). Returns whether the message was queued.
-    pub(crate) fn piggyback(&self, to: NodeId, target: &str, xml: &str) -> bool {
+    /// Append for `to` only if the message rides the next batch
+    /// [`pop_batch`](Self::pop_batch) takes for that peer under `caps`:
+    /// traffic is queued there, and it leaves room for this message in
+    /// count and in bytes. Behind a longer backlog it would wait for
+    /// several POSTs. Returns whether the message was queued (the clone
+    /// happens only then).
+    pub(crate) fn piggyback(&self, to: NodeId, target: &str, xml: &str, caps: &BatchConfig) -> bool {
         let mut queued = self.queues.lock();
-        match queued.by_peer.get_mut(&to) {
-            Some(queue) if !queue.is_empty() => {
-                let xml = Arc::new(xml.to_string());
-                queue.push_back(QueuedMsg::whole(Some(target.to_string()), xml, None));
-                true
-            }
-            _ => false,
+        let Some(queue) = queued.by_peer.get_mut(&to) else {
+            return false;
+        };
+        let rides = !queue.is_empty()
+            && queue.len() < caps.max_batch_msgs.max(1)
+            && queue.iter().map(QueuedMsg::len).sum::<usize>() + xml.len() <= caps.max_batch_bytes;
+        if rides {
+            let xml = Arc::new(xml.to_string());
+            queue.push_back(QueuedMsg::whole(Some(target.to_string()), xml, None));
         }
+        rides
     }
 
     /// Drop every copy of gossip notification `id` still queued for
@@ -439,8 +397,8 @@ pub(crate) fn sender_loop(
     }
 }
 
-/// A producer-side handle on one node's outbound path: shared queues plus
-/// the sender thread's wakeup latch.
+/// A producer-side handle on one node's outbound path: shared queues, the
+/// sender thread's wakeup latch, and the caps its batches are drained by.
 ///
 /// Cloneable and cheap; obtained from `NetRuntime::outbound_of`. Dropping
 /// handles never blocks shutdown — the sender thread exits on an explicit
@@ -449,11 +407,12 @@ pub(crate) fn sender_loop(
 pub struct OutboundHandle {
     queues: Arc<SenderQueues>,
     wake: Arc<WakeSignal>,
+    caps: BatchConfig,
 }
 
 impl OutboundHandle {
-    pub(crate) fn new(queues: Arc<SenderQueues>, wake: Arc<WakeSignal>) -> Self {
-        OutboundHandle { queues, wake }
+    pub(crate) fn new(queues: Arc<SenderQueues>, wake: Arc<WakeSignal>, caps: BatchConfig) -> Self {
+        OutboundHandle { queues, wake, caps }
     }
 
     /// Queue a gossip envelope for `to` and wake the sender.
@@ -462,13 +421,14 @@ impl OutboundHandle {
         self.wake.wake();
     }
 
-    /// Append `xml` behind traffic already queued for `to`, to be
-    /// dispatched at route `target` on the receiver. Returns `false` (and
-    /// queues nothing) when no batch is forming for that peer — the caller
-    /// should fall back to its own POST. Never strands a message: a
-    /// successful piggyback wakes the sender like any other push.
+    /// Append `xml` to the batch forming for `to`, to be dispatched at
+    /// route `target` on the receiver. Returns `false` (and queues nothing)
+    /// when no batch is forming for that peer, or the next one has no room
+    /// left for it — the caller should fall back to its own POST. Never
+    /// strands a message: a successful piggyback wakes the sender like any
+    /// other push.
     pub fn piggyback(&self, to: NodeId, target: &str, xml: &str) -> bool {
-        if self.queues.piggyback(to, target, xml) {
+        if self.queues.piggyback(to, target, xml, &self.caps) {
             self.wake.wake();
             true
         } else {
@@ -523,7 +483,7 @@ mod model_tests {
             .explore(|| {
                 let queues = Arc::new(SenderQueues::default());
                 let signal = Arc::new(WakeSignal::default());
-                let out = OutboundHandle::new(Arc::clone(&queues), Arc::clone(&signal));
+                let out = OutboundHandle::new(Arc::clone(&queues), Arc::clone(&signal), BatchConfig::default());
                 let sender = spawn_sender(Arc::clone(&queues), Arc::clone(&signal));
                 out.send(NodeId(1), "<m>0</m>".to_string());
                 out.send(NodeId(2), "<m>1</m>".to_string());
@@ -564,7 +524,7 @@ mod model_tests {
             .explore(|| {
                 let queues = Arc::new(SenderQueues::default());
                 let signal = Arc::new(WakeSignal::default());
-                let out = OutboundHandle::new(Arc::clone(&queues), Arc::clone(&signal));
+                let out = OutboundHandle::new(Arc::clone(&queues), Arc::clone(&signal), BatchConfig::default());
                 let sender = spawn_sender(Arc::clone(&queues), Arc::clone(&signal));
                 let rider = {
                     let out = out.clone();
@@ -609,7 +569,7 @@ mod model_tests {
             .explore(|| {
                 let queues = Arc::new(SenderQueues::default());
                 let signal = Arc::new(WakeSignal::default());
-                let out = OutboundHandle::new(Arc::clone(&queues), Arc::clone(&signal));
+                let out = OutboundHandle::new(Arc::clone(&queues), Arc::clone(&signal), BatchConfig::default());
                 let sender = spawn_sender(Arc::clone(&queues), Arc::clone(&signal));
                 let server = {
                     let queues = Arc::clone(&queues);
@@ -643,6 +603,7 @@ mod model_tests {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::borrow::Cow;
 
     fn msg(n: usize) -> String {
         format!("<m>{n}</m>")
@@ -742,7 +703,7 @@ mod tests {
     #[test]
     fn forwards_the_gossip_layer_hands_over_keep_a_short_run_of_their_own() {
         use ws_gossip::layer::GossipLayerHandle;
-        use ws_gossip::GossipHeader;
+        use wsg_soap::gossip::GossipHeader;
         use wsg_coord::{CoordinationContext, GossipGrant, GossipPolicy, GossipProtocol};
         use wsg_soap::handler::Direction;
         use wsg_soap::{Envelope, HandlerChain, MessageHeaders};
@@ -759,7 +720,7 @@ mod tests {
         let gossip = |seq| GossipHeader {
             context_id: "urn:ws-gossip:ctx:3f2a".into(),
             topic: "quotes".into(),
-            origin: peer(1),
+            origin: peer(1).into(),
             seq,
             round: 1,
         };
@@ -789,7 +750,7 @@ mod tests {
                 let header = GossipHeader::from_envelope(forward).unwrap();
                 let xml = forward.to_xml();
                 let (id, _) = wsg_soap::gossip::gossip_id(&xml).unwrap();
-                assert_eq!((id.origin.as_ref(), id.seq), (header.origin.as_str(), header.seq));
+                assert_eq!(id, header.id());
                 sent.push((to, xml.clone()));
                 queues.push(NodeId(to), None, xml);
             }
@@ -801,7 +762,8 @@ mod tests {
             assert_eq!(batch.len(), queued.len());
             for (msg, xml) in batch.iter().zip(queued) {
                 assert_eq!(&msg.parts().concat(), xml);
-                let id = Envelope::parse(xml).unwrap().gossip_id().unwrap().into_owned();
+                let envelope = Envelope::parse(xml).unwrap();
+                let id = GossipHeader::from_envelope(&envelope).unwrap().id();
                 assert!(msg.carries(&id), "{xml}");
                 assert!(!msg.carries(&GossipId { seq: id.seq + 1, ..id.clone() }));
                 match msg.parts()[1].len() {
@@ -826,7 +788,7 @@ mod tests {
     /// A gossip copy of notification `(origin, seq)` for peer `to`: what
     /// the layer hands over, one forward of several that share their bytes.
     fn copy(origin: &str, seq: u64, to: usize, payload: &str) -> String {
-        use ws_gossip::GossipHeader;
+        use wsg_soap::gossip::GossipHeader;
         use wsg_soap::{Envelope, MessageHeaders};
         let header = GossipHeader {
             context_id: "urn:ws-gossip:ctx:9".into(),
@@ -930,8 +892,15 @@ mod tests {
                     5 => {
                         // A rider with a gossip block: not for the inbox.
                         let xml = copy(origins[origin], seq, peer, "rider");
-                        let rode = queues.piggyback(NodeId(peer), "/membership", &xml);
-                        prop_assert_eq!(rode, model.contains_key(&peer));
+                        let caps = BatchConfig::default();
+                        let rode = queues.piggyback(NodeId(peer), "/membership", &xml, &caps);
+                        // Only into the next batch: behind fewer messages
+                        // than it holds, and fewer bytes than its cap.
+                        let next_batch_has_room = model.get(&peer).is_some_and(|queue| {
+                            let queued: usize = queue.iter().map(|(xml, _, _)| xml.len()).sum();
+                            queue.len() < caps.max_batch_msgs && queued + xml.len() <= caps.max_batch_bytes
+                        });
+                        prop_assert_eq!(rode, next_batch_has_room);
                         if rode {
                             let target = Some("/membership".to_string());
                             model.entry(peer).or_default().push_back((xml, target, None));
@@ -1020,14 +989,38 @@ mod tests {
 
     #[test]
     fn piggyback_requires_a_forming_batch() {
+        let caps = BatchConfig::default();
         let queues = SenderQueues::default();
-        assert!(!queues.piggyback(NodeId(3), "/membership", "<hb/>"), "empty queue");
+        assert!(!queues.piggyback(NodeId(3), "/membership", "<hb/>", &caps), "empty queue");
         queues.push(NodeId(3), None, msg(1));
-        assert!(queues.piggyback(NodeId(3), "/membership", "<hb/>"));
-        let (_, batch) = queues.pop_batch(&BatchConfig::default()).unwrap();
+        assert!(queues.piggyback(NodeId(3), "/membership", "<hb/>", &caps));
+        let (_, batch) = queues.pop_batch(&caps).unwrap();
         assert_eq!(batch.len(), 2);
         assert_eq!(batch[1].target.as_deref(), Some("/membership"));
         // Fully drained: the next piggyback attempt fails again.
-        assert!(!queues.piggyback(NodeId(3), "/membership", "<hb/>"));
+        assert!(!queues.piggyback(NodeId(3), "/membership", "<hb/>", &caps));
+
+        // Behind a backlog longer than one batch a heartbeat would wait for
+        // the POSTs before its own: it is refused, and posted directly.
+        for n in 0..1000 {
+            queues.push(NodeId(3), None, msg(n));
+        }
+        assert!(!queues.piggyback(NodeId(3), "/membership", "<hb/>", &caps), "a full backlog");
+        let drained = std::iter::from_fn(|| queues.pop_batch(&caps)).count();
+        assert_eq!(drained, 63, "{} messages at {} a POST", 1000, caps.max_batch_msgs);
+        // A queue shorter than one batch takes it in its next one — within
+        // the byte cap too.
+        for n in 0..caps.max_batch_msgs - 1 {
+            queues.push(NodeId(3), None, msg(n));
+        }
+        assert!(queues.piggyback(NodeId(3), "/membership", "<hb/>", &caps));
+        let (_, batch) = queues.pop_batch(&caps).unwrap();
+        assert_eq!(batch.len(), caps.max_batch_msgs);
+        assert_eq!(batch.last().and_then(|m| m.target.as_deref()), Some("/membership"));
+        queues.push(NodeId(3), None, msg(0));
+        let tight = BatchConfig { max_batch_bytes: msg(0).len() + "<hb/>".len(), ..caps };
+        assert!(!queues.piggyback(NodeId(3), "/membership", "<hb/>!", &tight), "a byte over");
+        assert!(queues.piggyback(NodeId(3), "/membership", "<hb/>", &tight));
+        assert_eq!(queues.pop_batch(&tight).map(|(_, batch)| batch.len()), Some(2));
     }
 }

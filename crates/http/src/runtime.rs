@@ -333,11 +333,11 @@ where
         // per-destination queues into batched POSTs, routing through the
         // live directory so removed peers become unroutable immediately.
         let signal = Arc::new(WakeSignal::default());
-        let outbound = OutboundHandle::new(Arc::clone(&queues), Arc::clone(&signal));
+        let batch_config = self.config.batch.clone();
+        let outbound = OutboundHandle::new(Arc::clone(&queues), Arc::clone(&signal), batch_config.clone());
         let client = SoapHttpClient::new_observed(client_seed, self.config.client.clone(), &registry);
         let transport = TransportMetrics::new(&registry);
         let directory = Arc::clone(&self.directory);
-        let batch_config = self.config.batch.clone();
         let sender_handle = std::thread::Builder::new()
             .name(format!("wsg-net-sender-{index}"))
             .spawn(move || {

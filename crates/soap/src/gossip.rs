@@ -1,17 +1,26 @@
-//! The gossip identity of an envelope, read without decoding it.
+//! The `wsg:Gossip` SOAP header block, and the gossip identity of an
+//! envelope read without decoding it.
 //!
-//! Every disseminated notification carries a `wsg:Gossip` header block
-//! whose `wsg:Origin` and `wsg:Seq` name it: the key the gossip layer
-//! dedups on. The transport reads that key off the tokenizer in passes it
-//! makes anyway — the server's unwrap while it checks each message's
-//! shape (see [`crate::batch`]), the sender as it queues a message, up to
-//! `env:Body` — so it can tell that a peer already holds a notification
-//! without parsing the message as the node does.
+//! Every disseminated notification carries a `wsg:Gossip` block: the
+//! coordination context and topic it belongs to, the hop count (`round`),
+//! and the `wsg:Origin` and `wsg:Seq` that name it — the key the gossip
+//! layer dedups on. The block is deliberately **not** marked
+//! `mustUnderstand`: a Consumer with no gossip layer must be able to
+//! process the notification unchanged (paper §3, "completely unchanged and
+//! unaffected").
+//!
+//! [`GossipHeader`] is the block's one writer and, through one decoder of
+//! its five texts, every reader's: a lookup on an envelope, and the
+//! transport's reads off the tokenizer in passes it makes anyway — the
+//! server's unwrap while it checks each message's shape (see
+//! [`crate::batch`]), the sender as it queues a message, up to `env:Body` —
+//! so it can tell that a peer already holds a notification without parsing
+//! the message as the node does.
 
 use std::borrow::Cow;
 
 use wsg_net::cov;
-use wsg_xml::{Element, RawEvent, XmlError, XmlReader};
+use wsg_xml::{Element, QName, RawEvent, XmlError, XmlReader};
 
 use crate::envelope::{read_child_texts, read_root};
 use crate::{Envelope, SOAP_ENV_NS};
@@ -19,15 +28,61 @@ use crate::{Envelope, SOAP_ENV_NS};
 /// The WS-Gossip extension namespace.
 pub const WSGOSSIP_NS: &str = "urn:ws-gossip:2008";
 
-/// The children of a `wsg:Gossip` block, in the order the layer writes
-/// them.
+/// The children of a `wsg:Gossip` block, in the order they are written.
 const FIELDS: [&str; 5] = ["Context", "Topic", "Origin", "Seq", "Round"];
 
+/// The decoded `wsg:Gossip` header. Texts read off the bytes a block
+/// arrived as are borrowed from them, where no reference was resolved.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GossipHeader<'a> {
+    /// Coordination-context identifier this message belongs to.
+    pub context_id: Cow<'a, str>,
+    /// Topic being disseminated.
+    pub topic: Cow<'a, str>,
+    /// Endpoint of the originating (Initiator) node.
+    pub origin: Cow<'a, str>,
+    /// Per-origin sequence number.
+    pub seq: u64,
+    /// Hop count: 0 as published, incremented at each forward.
+    pub round: u32,
+}
+
+impl<'a> GossipHeader<'a> {
+    /// The header of `envelope`: its first `wsg:Gossip` block, when that
+    /// has all five children, `Seq` a `u64` and `Round` a `u32`. On a
+    /// parsed envelope the block is read off the bytes it arrived as,
+    /// without building it.
+    pub fn from_envelope(envelope: &'a Envelope) -> Option<Self> {
+        from_texts(envelope.header_texts(WSGOSSIP_NS, "Gossip", FIELDS)?)
+    }
+
+    /// Encode as the SOAP header element. Its names are interned: every
+    /// disseminated message writes them, so they must not allocate.
+    pub fn to_element(&self) -> Element {
+        let texts = [
+            self.context_id.to_string(),
+            self.topic.to_string(),
+            self.origin.to_string(),
+            self.seq.to_string(),
+            self.round.to_string(),
+        ];
+        let mut block = Element::with_name(QName::interned(WSGOSSIP_NS, "wsg", "Gossip"));
+        for (field, text) in FIELDS.into_iter().zip(texts) {
+            block.push_child(Element::with_name(QName::interned(WSGOSSIP_NS, "wsg", field)).with_text(text));
+        }
+        block
+    }
+
+    /// The identity of the notification this header travels with.
+    pub fn id(self) -> GossipId<'a> {
+        GossipId { origin: self.origin, seq: self.seq }
+    }
+}
+
 /// A gossip notification's identity: the `wsg:Origin` text and `wsg:Seq`
-/// number of an envelope's first `wsg:Gossip` header block, when the
-/// gossip layer decodes that block (all five children, `Seq` a `u64`,
-/// `Round` a `u32`). Two envelopes with equal identities are one
-/// notification to the layer: the second is a duplicate.
+/// number of an envelope's first `wsg:Gossip` header block, when that
+/// decodes as a [`GossipHeader`]. Two envelopes with equal identities are
+/// one notification to the gossip layer: the second is a duplicate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GossipId<'a> {
     /// The originating endpoint, as text (references resolved).
@@ -43,22 +98,17 @@ impl GossipId<'_> {
     }
 }
 
-/// The identity a block's five texts, in [`FIELDS`] order, make — none
-/// unless the layer would decode them.
-fn from_texts(texts: [Option<Cow<'_, str>>; 5]) -> Option<GossipId<'_>> {
-    let [context, topic, origin, seq, round] = texts;
-    context?;
-    topic?;
-    round?.parse::<u32>().ok()?;
-    Some(GossipId { origin: origin?, seq: seq?.parse().ok()? })
-}
-
-impl Envelope {
-    /// The gossip identity of this envelope: a namespace lookup of its
-    /// first `wsg:Gossip` block.
-    pub fn gossip_id(&self) -> Option<GossipId<'_>> {
-        from_texts(self.header_texts(WSGOSSIP_NS, "Gossip", FIELDS)?)
-    }
+/// The header a block's five texts, in [`FIELDS`] order, make — none
+/// unless every one is there and the numbers are numbers.
+fn from_texts(texts: [Option<Cow<'_, str>>; 5]) -> Option<GossipHeader<'_>> {
+    let [context_id, topic, origin, seq, round] = texts;
+    Some(GossipHeader {
+        context_id: context_id?,
+        topic: topic?,
+        origin: origin?,
+        seq: seq?.parse().ok()?,
+        round: round?.parse().ok()?,
+    })
 }
 
 /// The identity of an envelope's tree: its first `env:Header`'s first
@@ -67,6 +117,7 @@ impl Envelope {
 pub(crate) fn of_tree(envelope: &Element) -> Option<GossipId<'static>> {
     let block = envelope.child_ns(SOAP_ENV_NS, "Header")?.child_ns(WSGOSSIP_NS, "Gossip")?;
     from_texts(FIELDS.map(|field| block.child_ns(WSGOSSIP_NS, field).map(|c| Cow::Owned(c.text()))))
+        .map(GossipHeader::id)
 }
 
 /// Go through the `env:Header` just started, consuming through its end
@@ -105,7 +156,7 @@ fn next_block(reader: &mut XmlReader<'_>) -> Result<Option<bool>, XmlError> {
 /// The identity of the `wsg:Gossip` block just started, consuming
 /// through its end tag.
 fn read_block<'a>(reader: &mut XmlReader<'a>) -> Result<Option<GossipId<'a>>, XmlError> {
-    let id = from_texts(read_child_texts(reader, WSGOSSIP_NS, FIELDS)?);
+    let id = from_texts(read_child_texts(reader, WSGOSSIP_NS, FIELDS)?).map(GossipHeader::id);
     if id.is_none() {
         // A gossip block the layer would not decode.
         cov!();
@@ -172,19 +223,21 @@ mod tests {
         )
     }
 
-    /// What the three reads make of `xml`: the sender's, the server's
-    /// unwrap, and a lookup on the decoded envelope.
-    fn reads(xml: &str) -> [Option<GossipId<'static>>; 3] {
+    /// What the four reads make of `xml`: the sender's, the server's
+    /// unwrap, and a lookup on the decoded envelope, and on one that holds
+    /// the same header blocks as trees.
+    fn reads(xml: &str) -> [Option<GossipId<'static>>; 4] {
         let unwrapped = match parse_wire(xml) {
             Ok(Unbundled::Single(Ok(id))) => id,
             other => panic!("{other:?}"),
         };
         let decoded = Envelope::parse(xml).unwrap();
-        [
-            gossip_id(xml).map(|(id, _)| id.into_owned()),
-            unwrapped,
-            decoded.gossip_id().map(GossipId::into_owned),
-        ]
+        let mut built = Envelope::request(crate::MessageHeaders::new(), Element::new("op"));
+        for block in decoded.headers() {
+            built.push_header(block.clone());
+        }
+        let looked_up = |envelope| GossipHeader::from_envelope(envelope).map(|h| h.id().into_owned());
+        [gossip_id(xml).map(|(id, _)| id.into_owned()), unwrapped, looked_up(&decoded), looked_up(&built)]
     }
 
     fn id(origin: &str, seq: u64) -> Option<GossipId<'static>> {
@@ -204,13 +257,33 @@ mod tests {
             (envelope(&block("wsg", "x", " 7"), ""), None),
             (envelope(&block("wsg", "x", "-1"), ""), None),
             (envelope(&block("wsg", "x", "7").replace(">1<", ">x<"), ""), None),
+            (envelope(&block("wsg", "x", "not-a-number"), ""), None),
+            (envelope(&block("wsg", "x", "7").replace("<wsg:Topic>t</wsg:Topic>", ""), ""), None),
             (envelope(&block("wsg", "x", "7").replace("urn:ws-gossip:2008", "urn:other"), ""), None),
             (envelope("", "<wsg:Origin xmlns:wsg=\"urn:ws-gossip:2008\">x</wsg:Origin>"), None),
             (envelope("<wsa:Action xmlns:wsa=\"http://www.w3.org/2005/08/addressing\">a</wsa:Action>", ""), None),
         ];
         for (xml, want) in cases {
-            assert_eq!(reads(&xml), [want.clone(), want.clone(), want], "{xml}");
+            assert_eq!(reads(&xml), [want.clone(), want.clone(), want.clone(), want], "{xml}");
         }
+    }
+
+    #[test]
+    fn the_writer_round_trips_through_every_read() {
+        let header = GossipHeader {
+            context_id: "urn:ws-gossip:ctx:0".into(),
+            topic: "quotes".into(),
+            origin: "http://node1/gossip?a&b=<c>".into(),
+            seq: 42,
+            round: 3,
+        };
+        let built = Envelope::request(crate::MessageHeaders::request("http://x", "urn:op"), Element::new("op"))
+            .with_header(header.to_element());
+        assert_eq!(GossipHeader::from_envelope(&built), Some(header.clone()));
+        let wire = built.to_xml();
+        assert_eq!(GossipHeader::from_envelope(&Envelope::parse(&wire).unwrap()), Some(header.clone()));
+        let id = Some(header.id().into_owned());
+        assert_eq!(reads(&wire), [id.clone(), id.clone(), id.clone(), id]);
     }
 
     #[test]
@@ -221,7 +294,7 @@ mod tests {
             "{HEAD}<env:Body/><env:Header>{}</env:Header></env:Envelope>",
             block("wsg", "x", "1")
         );
-        assert_eq!(reads(&late), [None, id("x", 1), id("x", 1)]);
+        assert_eq!(reads(&late), [None, id("x", 1), id("x", 1), id("x", 1)]);
         // Past the block nothing is read: whatever follows it, a text that
         // starts with the bytes that decided the identity has it too.
         let xml = envelope(&block("wsg", "x", "1"), "");

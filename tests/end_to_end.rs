@@ -435,10 +435,10 @@ fn foreign_notification(
 ) -> String {
     use ws_gossip::endpoint::endpoint_of;
     let context = net.node(INITIATOR).context_for("t").expect("context active").clone();
-    let gossip = ws_gossip::GossipHeader {
-        context_id: context.identifier().to_string(),
+    let gossip = wsg_soap::gossip::GossipHeader {
+        context_id: context.identifier().into(),
         topic: "t".into(),
-        origin: endpoint_of(INITIATOR),
+        origin: endpoint_of(INITIATOR).into(),
         seq,
         round: 1,
     };

@@ -58,9 +58,9 @@ fn grant_wire_roundtrip() {
             rounds: g.u32(1..=49),
             peers: g.vec_of(20, |g| format!("http://node{}/gossip", g.usize(0..=999))),
         };
-        let xml = grant.to_register_response().to_xml_string();
-        let parsed = GossipGrant::from_parent(&Element::parse(&xml).unwrap()).unwrap();
-        prop_assert_eq!(parsed, grant);
+        let xml = grant.to_register_response("urn:ws-gossip:ctx:1").to_xml_string();
+        let parsed = GossipGrant::from_register_response(&Element::parse(&xml).unwrap()).unwrap();
+        prop_assert_eq!(parsed, ("urn:ws-gossip:ctx:1".to_string(), grant));
         Ok(())
     });
 }

@@ -2,13 +2,14 @@
 //! another, header blocks survive full wire round-trips, and the
 //! middleware chain composes with application handlers.
 
-use ws_gossip::{GossipHeader, WsGossipNode};
+use ws_gossip::WsGossipNode;
 use wsg_coord::{
     ActivationService, CoordinationContext, GossipGrant, GossipPolicy, GossipProtocol,
     RegistrationService, SubscriptionList,
 };
 use wsg_gossip::GossipParams;
 use wsg_net::NodeId;
+use wsg_soap::gossip::GossipHeader;
 use wsg_soap::handler::{Direction, Disposition};
 use wsg_soap::{Envelope, Handler, HandlerChain, HandlerOutcome, MessageContext, MessageHeaders};
 use wsg_xml::Element;
@@ -40,11 +41,11 @@ fn coordination_context_survives_full_wire_roundtrip() {
 #[test]
 fn all_coordination_bodies_roundtrip_via_wire_xml() {
     // CreateCoordinationContext
-    let req = ActivationService::encode_request(GossipProtocol::AntiEntropy);
+    let req = ActivationService::encode_request(GossipProtocol::AntiEntropy, "quotes");
     let re = Element::parse(&req.to_xml_string()).unwrap();
     assert_eq!(
         ActivationService::decode_request(&re).unwrap(),
-        GossipProtocol::AntiEntropy
+        (GossipProtocol::AntiEntropy, "quotes".to_string())
     );
 
     // Register
@@ -61,8 +62,8 @@ fn all_coordination_bodies_roundtrip_via_wire_xml() {
         rounds: 5,
         peers: vec!["http://node1/gossip".into(), "http://node2/gossip".into()],
     };
-    let re = Element::parse(&grant.to_register_response().to_xml_string()).unwrap();
-    assert_eq!(GossipGrant::from_parent(&re).unwrap(), grant);
+    let re = Element::parse(&grant.to_register_response("urn:ctx:1").to_xml_string()).unwrap();
+    assert_eq!(GossipGrant::from_register_response(&re).unwrap(), ("urn:ctx:1".to_string(), grant));
 
     // Subscribe
     let sub = SubscriptionList::encode_subscribe("quotes", "http://node4/gossip", 9000);
@@ -194,7 +195,7 @@ fn the_transport_reads_the_identity_the_layer_decodes_on_every_seed() {
             for (raw, read) in messages {
                 let Ok(envelope) = Envelope::parse(&raw) else { continue };
                 read_seeds.push(name.clone());
-                let decoded = GossipHeader::from_envelope(&envelope).map(|h| (h.origin, h.seq));
+                let decoded = GossipHeader::from_envelope(&envelope).map(|h| (h.origin.into_owned(), h.seq));
                 let read = read.map(|id| (id.origin.into_owned(), id.seq));
                 assert_eq!(read, decoded, "{name}: the unwrap's identity");
                 let queued = gossip_id(&raw).map(|(id, _)| (id.origin.into_owned(), id.seq));
