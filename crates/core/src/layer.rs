@@ -11,10 +11,10 @@
 //!
 //! * **outbound** messages carrying a `wsg:Gossip` header are intercepted;
 //!   copies are re-routed to `fanout` peers from the current grant;
-//! * **inbound** gossip messages are deduplicated — against the newest
-//!   65 536 sequence numbers remembered per origin; anything older counts
-//!   as seen — delivered to the application (`Continue`), and forwarded
-//!   another round;
+//! * **inbound** gossip messages are deduplicated — per `wsg:Origin`,
+//!   against a floor below which everything counts as seen and the
+//!   numbers seen above it ([`wsg_gossip::SeenSeqs`]) — delivered to the
+//!   application (`Continue`), and forwarded another round;
 //! * a forward draws `fanout` peers and then skips the ones that provably
 //!   hold the message — its origin, and the peer that delivered this copy;
 //! * the first message of an unknown interaction triggers a `Register`
@@ -22,10 +22,11 @@
 //!   shedding oldest-first and re-sending the `Register`) until the
 //!   `RegisterResponse` grant arrives.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use wsg_coord::{CoordinationContext, GossipGrant, RegistrationService, WSCOOR_NS, WSGOSSIP_NS};
+use wsg_gossip::SeenSeqs;
 use wsg_net::sync::Mutex;
 use wsg_net::{AllLive, Pcg32, PeerLiveness, RngExt};
 use wsg_soap::gossip::GossipHeader;
@@ -70,29 +71,12 @@ struct Registering {
     since_register: usize,
 }
 
-/// Sequence numbers one origin's dedup memory holds at most (≈ 1 MB);
-/// anything that arrives this far behind the newest is taken for a
-/// duplicate. A closed loop keeps 1 024 notifications outstanding, but the
-/// slowest copies of `saturate_small` arrive ~9 000 publications late
-/// (p99.9 16 s at 550/s through the unbounded sender queues): a 4 096
-/// window lost 0.2 % of first deliveries there, this one none.
-const SEEN_WINDOW: usize = 65_536;
-
-/// What has been seen from one origin: the newest [`SEEN_WINDOW`] sequence
-/// numbers, and a floor below which every number counts as seen — such a
-/// message is suppressed, never delivered twice.
-#[derive(Debug, Default)]
-struct SeenWindow {
-    floor: u64,
-    seqs: BTreeSet<u64>,
-}
-
 #[derive(Debug)]
 struct LayerState {
     me: String,
     rng: Pcg32,
-    // Dedup memory, per origin; a lookup borrows the origin from the header.
-    seen: BTreeMap<String, SeenWindow>,
+    // Dedup memory, keyed by `wsg:Origin`; a lookup borrows it from the header.
+    seen: SeenSeqs<String>,
     grants: BTreeMap<String, Arc<GossipGrant>>,
     registering: BTreeMap<String, Registering>,
     // Liveness oracle consulted when sampling forward targets; grants can
@@ -105,24 +89,6 @@ struct LayerState {
 impl LayerState {
     fn fresh_message_id(&mut self) -> String {
         Uuid::random(&mut self.rng).to_urn()
-    }
-
-    /// Record a message key in the dedup memory. Returns `true` when the
-    /// key was new — neither remembered nor below its origin's floor.
-    fn mark_seen(&mut self, origin: &str, seq: u64) -> bool {
-        let seen = match self.seen.get_mut(origin) {
-            Some(seen) => seen,
-            None => self.seen.entry(origin.to_string()).or_default(),
-        };
-        if seq < seen.floor || !seen.seqs.insert(seq) {
-            return false;
-        }
-        if seen.seqs.len() > SEEN_WINDOW {
-            if let Some(oldest) = seen.seqs.pop_first() {
-                seen.floor = oldest + 1;
-            }
-        }
-        true
     }
 
     fn sample_peers<'g>(&mut self, grant: &'g GossipGrant) -> Vec<&'g str> {
@@ -184,7 +150,7 @@ impl GossipLayerHandle {
             state: Arc::new(Mutex::new(LayerState {
                 me: me.into(),
                 rng: sampling_rng(seed),
-                seen: BTreeMap::new(),
+                seen: SeenSeqs::new(),
                 grants: BTreeMap::new(),
                 registering: BTreeMap::new(),
                 liveness: Arc::new(AllLive),
@@ -224,12 +190,6 @@ impl GossipLayerHandle {
     /// Layer counters.
     pub fn stats(&self) -> GossipLayerStats {
         self.state.lock().stats.clone()
-    }
-
-    /// Number of message keys the dedup memory holds.
-    #[cfg(test)]
-    fn seen_count(&self) -> usize {
-        self.state.lock().seen.values().map(|seen| seen.seqs.len()).sum()
     }
 }
 
@@ -369,7 +329,7 @@ impl Handler for GossipHandler {
         let mut state = self.state.lock();
         // The header alone decides a duplicate, and it is read in place:
         // nothing of the message has been built, let alone copied.
-        let new = state.mark_seen(&header.origin, header.seq);
+        let new = state.seen.insert(&*header.origin, header.seq).is_some();
         let outcome = match ctx.direction {
             // Interception at the origin: never let the original (which
             // is addressed to a topic URI, not a node) hit the wire.
@@ -396,6 +356,7 @@ impl Handler for GossipHandler {
 mod tests {
     use super::*;
     use wsg_coord::{GossipPolicy, GossipProtocol};
+    use wsg_gossip::SEEN_WINDOW;
     use wsg_soap::handler::{Direction, Disposition};
     use wsg_soap::HandlerChain;
     use wsg_xml::Element;
@@ -914,31 +875,35 @@ mod tests {
         let handle = GossipLayerHandle::new("http://node2/gossip", 10);
         handle.set_grant("ctx", grant(&["http://node3/gossip"]));
         let origin = "http://node1/gossip";
+        // Every second publication's copy never arrives: in-order traffic
+        // holds nothing, so only gaps make the memory hold numbers.
         let sent = 10 * SEEN_WINDOW as u64;
         {
             let mut state = handle.state.lock();
-            for seq in 0..sent {
-                assert!(state.mark_seen(origin, seq));
-                assert!(state.seen[origin].seqs.len() <= SEEN_WINDOW);
+            for seq in (1..sent).step_by(2) {
+                assert!(state.seen.insert(origin, seq).is_some());
+                assert!(state.seen.held() <= SEEN_WINDOW);
             }
             // Another origin's numbers are its own.
-            assert!(state.mark_seen("http://node4/gossip", 0));
+            assert!(state.seen.insert("http://node4/gossip", 1).is_some());
         }
-        assert_eq!(handle.seen_count(), SEEN_WINDOW + 1);
+        assert_eq!(handle.state.lock().seen.held(), SEEN_WINDOW + 1);
         let mut chain = chain_with(&handle);
         let mut receive = |seq: u64| {
             chain.process(Direction::Inbound, notification("ctx", origin, seq, 2), "http://node2/gossip")
         };
         // Inside the window a duplicate is a duplicate, as ever...
         assert!(matches!(receive(sent - 1).disposition, Disposition::Consumed));
-        // ...below the floor everything is one: a late copy is suppressed,
+        // ...and a gap is still open: its late first copy is delivered.
+        assert!(matches!(receive(sent - 2).disposition, Disposition::Deliver(_)));
+        // Below the floor everything is one: a late copy is suppressed,
         // not delivered a second time, and forwarded to nobody.
         let late = receive(0);
         assert!(matches!(late.disposition, Disposition::Consumed));
         assert!(late.sends.is_empty());
         // What is new is delivered and moves the window on.
-        assert!(matches!(receive(sent).disposition, Disposition::Deliver(_)));
-        assert_eq!(handle.seen_count(), SEEN_WINDOW + 1);
+        assert!(matches!(receive(sent + 1).disposition, Disposition::Deliver(_)));
+        assert_eq!(handle.state.lock().seen.held(), SEEN_WINDOW + 1);
     }
 
     #[test]

@@ -130,6 +130,20 @@ impl CoordinatorState {
         let params = context.policy().params();
         GossipGrant { fanout: params.fanout(), rounds: params.rounds(), peers }
     }
+
+    /// The `(topic, context id)` of every context whose topic the
+    /// subscription key `filter` (an exact topic or a wildcard filter)
+    /// covers, in order.
+    fn covered_contexts(&self, filter: &str) -> Vec<(&String, &String)> {
+        let mut covered: Vec<(&String, &String)> = self
+            .topics
+            .iter()
+            .filter(|(_, topic)| wsg_coord::topics::covers(filter, topic))
+            .map(|(id, topic)| (topic, id))
+            .collect();
+        covered.sort();
+        covered
+    }
 }
 
 #[derive(Debug, Default)]
@@ -173,8 +187,9 @@ pub struct WsGossipNode {
     stats: NodeStats,
     rng: Pcg32,
     drive: SelfDrive,
-    // Per-origin FIFO reordering of app deliveries, when enabled.
-    fifo: Option<FifoBuffer<DeliveredOp>>,
+    // Per-origin FIFO reordering of app deliveries, when enabled, keyed
+    // by the origin endpoint.
+    fifo: Option<FifoBuffer<String, DeliveredOp>>,
     // Reusable serialisation buffer: every outbound envelope is written
     // into it, so steady-state transmits reuse one allocation per node.
     scratch: String,
@@ -779,26 +794,7 @@ impl WsGossipNode {
         // The coordinator "knows the entire list of subscribers" and
         // provides "peers for each gossip round" (§3): push refreshed
         // grants so new subscribers become gossip targets immediately.
-        // The subscription key may be a wildcard filter covering several
-        // active interactions' concrete topics.
-        let affected: Vec<String> = self
-            .coord
-            .as_ref()
-            .map(|coord| {
-                let mut topics: Vec<String> = coord
-                    .topics
-                    .values()
-                    .filter(|t| wsg_coord::topics::covers(&topic, t))
-                    .cloned()
-                    .collect();
-                topics.sort();
-                topics.dedup();
-                topics
-            })
-            .unwrap_or_default();
-        for concrete in affected {
-            self.push_grant_updates(&concrete, ctx);
-        }
+        self.push_grant_updates(&topic, ctx);
         let ack = SubscriptionList::encode_subscribe_response();
         if let Some(headers) = self.reply_headers(&envelope, actions::SUBSCRIBE_RESPONSE) {
             self.transmit(Envelope::request(headers, ack), ctx);
@@ -815,13 +811,9 @@ impl WsGossipNode {
         let Some(coord) = &mut self.coord else { return };
         coord.subscriptions.unsubscribe(&topic, &endpoint);
         // The endpoint may also be a registered gossip participant; remove
-        // it from every context of this topic so grants stop naming it.
-        let contexts: Vec<String> = coord
-            .topics
-            .iter()
-            .filter(|(_, t)| **t == topic)
-            .map(|(ctx_id, _)| ctx_id.clone())
-            .collect();
+        // it from every context the key covers so grants stop naming it.
+        let contexts: Vec<String> =
+            coord.covered_contexts(&topic).into_iter().map(|(_, id)| id.clone()).collect();
         for context_id in &contexts {
             coord.registration.deregister(context_id, &endpoint);
         }
@@ -829,13 +821,14 @@ impl WsGossipNode {
         self.push_grant_updates(&topic, ctx);
     }
 
-    /// Push refreshed grants for every context of `topic` to its current
-    /// participants (subscription list changed).
-    fn push_grant_updates(&mut self, topic: &str, ctx: &mut dyn Context<String>) {
+    /// Push refreshed grants to the current participants of every context
+    /// the subscription key `filter` covers (subscription list changed) —
+    /// a wildcard filter may cover several interactions' concrete topics.
+    fn push_grant_updates(&mut self, filter: &str, ctx: &mut dyn Context<String>) {
         let now = ctx.now();
         let Some(coord) = &self.coord else { return };
         let mut updates = Vec::new();
-        for (context_id, _) in coord.topics.iter().filter(|(_, t)| t.as_str() == topic) {
+        for (topic, context_id) in coord.covered_contexts(filter) {
             let Ok(context) = coord.activation.lookup(context_id, now) else { continue };
             for participant in coord.registration.participants(context_id) {
                 let grant = coord.grant(context, topic, participant, &*self.liveness, now);
@@ -880,7 +873,9 @@ impl WsGossipNode {
 
     fn handle_notify(&mut self, envelope: Envelope, ctx: &mut dyn Context<String>) {
         let now = ctx.now();
-        let (topic, origin, seq, round) = match GossipHeader::from_envelope(&envelope) {
+        let header = GossipHeader::from_envelope(&envelope);
+        let sequenced = header.is_some();
+        let (topic, origin, seq, round) = match header {
             Some(h) => (h.topic.into_owned(), h.origin.into_owned(), h.seq, h.round),
             None => {
                 let from = envelope.addressing().from().map(|epr| epr.address().to_string());
@@ -890,17 +885,15 @@ impl WsGossipNode {
         let payload = envelope.into_body().unwrap_or_else(|| Element::new("empty"));
         let op = DeliveredOp { topic, origin, seq, round, at: now, payload };
         match &mut self.fifo {
-            Some(fifo) => {
-                // FIFO ordering keys on the gossip origin; map the origin
-                // endpoint to its node id (synthetic endpoints are
-                // bijective).
-                let origin = node_of(&op.origin).unwrap_or(NodeId(usize::MAX - 1));
-                let released = fifo.accept(wsg_gossip::MsgId::new(origin, op.seq), op);
-                for (_, op) in released {
+            // Only a gossip header gives a notification a sequence to
+            // order by; FIFO streams are per origin endpoint.
+            Some(fifo) if sequenced => {
+                let origin = op.origin.clone();
+                for op in fifo.accept(origin.as_str(), seq, op) {
                     self.deliver(op);
                 }
             }
-            None => self.deliver(op),
+            _ => self.deliver(op),
         }
     }
 
@@ -1045,6 +1038,86 @@ mod tests {
             peers.sort();
             assert_eq!(peers, others, "{id}");
         }
+    }
+
+    #[test]
+    fn a_wildcard_unsubscribe_leaves_every_context_its_filter_covers() {
+        use crate::scenario::{activate, build_figure1_network, notify, subscribe_all, Figure1Shape};
+        let shape = Figure1Shape { disseminators: 3, consumers: 0 };
+        let mut net = build_figure1_network(wsg_net::sim::SimConfig::default().seed(5), shape);
+        subscribe_all(&mut net, "market/*");
+        net.run_to_quiescence();
+        activate(&mut net, "market/ibm");
+        net.run_to_quiescence();
+        notify(&mut net, "market/ibm", Element::text_node("tick", "IBM 131.20"));
+        net.run_to_quiescence();
+        let context = net.node(NodeId(1)).context_for("market/ibm").expect("activated");
+        let context = context.identifier().to_string();
+        let leaver = NodeId(4);
+        let gone = endpoint_of(leaver);
+        let participants = |net: &wsg_net::sim::SimNet<WsGossipNode>| {
+            let coord = net.node(NodeId(0)).coord.as_ref().expect("coordinator");
+            coord.registration.participants(&context).to_vec()
+        };
+        let named_by = |net: &wsg_net::sim::SimNet<WsGossipNode>, id: NodeId| {
+            let layer = net.node(id).layer.as_ref().expect("gossip layer");
+            layer.grant(&context).expect("granted").peers.contains(&gone)
+        };
+        // Its first copy made the leaver a participant, in everyone's grant.
+        assert!(participants(&net).contains(&gone));
+        assert!((1..4).all(|id| named_by(&net, NodeId(id))));
+
+        net.invoke(leaver, |node, ctx| node.unsubscribe("market/*", ctx));
+        net.run_to_quiescence();
+        assert!(!participants(&net).contains(&gone));
+        for id in (1..4).map(NodeId) {
+            assert!(!named_by(&net, id), "{id} still gossips to {gone}");
+        }
+    }
+
+    #[test]
+    fn fifo_delivery_keys_on_the_origin_endpoint_and_passes_headerless_notifications() {
+        use wsg_net::sim::{SimConfig, SimNet};
+        let notification = |sender: &str, gossip: Option<(&str, u64)>, text: &str| {
+            let headers = MessageHeaders::request(endpoint_of(NodeId(1)), actions::NOTIFY)
+                .with_message_id(format!("urn:uuid:{text}"))
+                .with_from(EndpointReference::new(sender));
+            let envelope = Envelope::request(headers, Element::text_node("op", text));
+            match gossip {
+                Some((origin, seq)) => envelope.with_header(
+                    GossipHeader {
+                        context_id: "ctx".into(),
+                        topic: "t".into(),
+                        origin: origin.into(),
+                        seq,
+                        round: 1,
+                    }
+                    .to_element(),
+                ),
+                None => envelope,
+            }
+            .to_xml()
+        };
+        let mut net = SimNet::new(SimConfig::default());
+        let id = net.add_node(WsGossipNode::consumer(NodeId(1), NodeId(0)).with_fifo_delivery());
+        let inbound = [
+            // No header, so no sequence: each one is delivered as it comes.
+            notification("http://node2/gossip", None, "bare-1"),
+            notification("http://node2/gossip", None, "bare-2"),
+            // Two origins outside `http://nodeN/…` are two streams...
+            notification("http://node2/gossip", Some(("urn:external:a", 0)), "a0"),
+            notification("http://node2/gossip", Some(("urn:external:b", 0)), "b0"),
+            // ...each reordered on its own.
+            notification("http://node2/gossip", Some(("urn:external:a", 2)), "a2"),
+            notification("http://node2/gossip", Some(("urn:external:b", 1)), "b1"),
+            notification("http://node2/gossip", Some(("urn:external:a", 1)), "a1"),
+            notification("http://node2/gossip", Some(("urn:external:a", 1)), "a1-again"),
+        ];
+        for xml in inbound {
+            net.invoke(id, move |node, ctx| node.on_message(NodeId(2), xml, ctx));
+        }
+        let delivered: Vec<String> = net.node(id).ops().iter().map(|op| op.payload.text()).collect();
+        assert_eq!(delivered, ["bare-1", "bare-2", "a0", "b0", "b1", "a1", "a2"]);
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Message identity, buffering and digests for pull/anti-entropy styles.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use wsg_net::NodeId;
+
+use crate::seen::SeenSeqs;
 
 /// Globally unique message identity: the originating node plus a
 /// per-origin sequence number.
@@ -44,17 +46,15 @@ impl std::fmt::Display for MsgId {
     }
 }
 
-/// A compact summary of which messages a node has seen: for each known
-/// origin, the set of contiguous sequence numbers received so far is
-/// summarised by the highest seq `h` such that all of `0..=h` were seen,
-/// plus an explicit set of out-of-order extras.
+/// A compact summary of which messages a node has seen: per origin, a
+/// floor below which every seq was seen and the seqs seen above it (a
+/// [`SeenSeqs`] keyed by node).
 ///
 /// Digests are exchanged by pull and anti-entropy styles; a peer computes
 /// what the other side is missing with [`Digest::missing_from`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Digest {
-    // origin -> (contiguous high-water mark + 1, i.e. count, extras)
-    entries: BTreeMap<NodeId, (u64, Vec<u64>)>,
+    seen: SeenSeqs<NodeId>,
 }
 
 impl Digest {
@@ -63,86 +63,37 @@ impl Digest {
         Self::default()
     }
 
-    /// Record that `id` has been seen.
-    pub fn insert(&mut self, id: MsgId) {
-        let entry = self.entries.entry(id.origin()).or_insert((0, Vec::new()));
-        let (contiguous, extras) = entry;
-        if id.seq() < *contiguous || extras.contains(&id.seq()) {
-            return; // already recorded
-        }
-        if id.seq() == *contiguous {
-            *contiguous += 1;
-            // absorb any extras that are now contiguous
-            extras.sort_unstable();
-            while let Some(pos) = extras.iter().position(|&s| s == *contiguous) {
-                extras.remove(pos);
-                *contiguous += 1;
-            }
-        } else {
-            extras.push(id.seq());
-        }
+    /// Record that `id` has been seen. Returns `true` when it was new.
+    pub fn insert(&mut self, id: MsgId) -> bool {
+        self.seen.insert(&id.origin(), id.seq()).is_some()
     }
 
     /// Whether `id` is covered by this digest.
     pub fn contains(&self, id: &MsgId) -> bool {
-        match self.entries.get(&id.origin()) {
-            Some((contiguous, extras)) => id.seq() < *contiguous || extras.contains(&id.seq()),
-            None => false,
-        }
+        self.seen.contains(&id.origin(), id.seq())
     }
 
     /// All ids known to `self` that are *not* covered by `other` — what a
     /// peer holding `self` should send to a peer advertising `other`.
     pub fn missing_from(&self, other: &Digest) -> Vec<MsgId> {
-        let mut missing = Vec::new();
-        for (&origin, (contiguous, extras)) in &self.entries {
-            for seq in 0..*contiguous {
-                let id = MsgId::new(origin, seq);
-                if !other.contains(&id) {
-                    missing.push(id);
-                }
-            }
-            for &seq in extras {
-                let id = MsgId::new(origin, seq);
-                if !other.contains(&id) {
-                    missing.push(id);
-                }
-            }
-        }
-        missing
-    }
-
-    /// Number of (origin → summary) entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Total number of message ids covered.
-    #[cfg(test)]
-    pub(crate) fn id_count(&self) -> u64 {
-        self.entries
-            .values()
-            .map(|(contiguous, extras)| contiguous + extras.len() as u64)
-            .sum()
+        self.seen
+            .iter()
+            .map(|(&origin, seq)| MsgId::new(origin, seq))
+            .filter(|id| !other.contains(id))
+            .collect()
     }
 }
 
 /// Bounded store of message payloads, kept for answering pulls and
 /// retransmissions, with FIFO eviction once `capacity` is exceeded.
 ///
-/// Seen-set semantics are permanent (ids are remembered after payload
-/// eviction) so the engine never re-delivers an evicted message.
+/// The digest outlives the payloads (ids are remembered after payload
+/// eviction), so the engine never re-delivers an evicted message.
 #[derive(Debug, Clone)]
 pub(crate) struct MessageBuffer<T> {
     capacity: usize,
     payloads: BTreeMap<MsgId, (u32, T)>,
     order: VecDeque<MsgId>,
-    seen: BTreeSet<MsgId>,
     digest: Digest,
 }
 
@@ -158,17 +109,15 @@ impl<T: Clone> MessageBuffer<T> {
             capacity,
             payloads: BTreeMap::new(),
             order: VecDeque::new(),
-            seen: BTreeSet::new(),
             digest: Digest::new(),
         }
     }
 
     /// Record a message. Returns `true` when it was new (first sighting).
     pub fn insert(&mut self, id: MsgId, round: u32, payload: T) -> bool {
-        if !self.seen.insert(id) {
+        if !self.digest.insert(id) {
             return false;
         }
-        self.digest.insert(id);
         self.payloads.insert(id, (round, payload));
         self.order.push_back(id);
         while self.order.len() > self.capacity {
@@ -179,17 +128,12 @@ impl<T: Clone> MessageBuffer<T> {
         true
     }
 
-    /// Whether the id has ever been seen (payload may be evicted).
-    pub fn seen(&self, id: &MsgId) -> bool {
-        self.seen.contains(id)
-    }
-
     /// The stored payload and its hop count, if still retained.
     pub fn get(&self, id: &MsgId) -> Option<(u32, &T)> {
         self.payloads.get(id).map(|(round, payload)| (*round, payload))
     }
 
-    /// The digest of everything ever seen.
+    /// The digest of everything seen (payloads may be evicted).
     pub fn digest(&self) -> &Digest {
         &self.digest
     }
@@ -201,6 +145,11 @@ mod tests {
 
     fn id(origin: usize, seq: u64) -> MsgId {
         MsgId::new(NodeId(origin), seq)
+    }
+
+    /// Total number of message ids a digest covers.
+    fn id_count(digest: &Digest) -> usize {
+        digest.seen.iter().count()
     }
 
     #[test]
@@ -215,7 +164,7 @@ mod tests {
         // filling the gap absorbs the extra
         d.insert(id(0, 2));
         assert!(d.contains(&id(0, 2)));
-        assert_eq!(d.id_count(), 4);
+        assert_eq!(id_count(&d), 4);
     }
 
     #[test]
@@ -223,7 +172,7 @@ mod tests {
         let mut d = Digest::new();
         d.insert(id(1, 0));
         d.insert(id(1, 0));
-        assert_eq!(d.id_count(), 1);
+        assert_eq!(id_count(&d), 1);
     }
 
     #[test]
@@ -248,7 +197,7 @@ mod tests {
         let mut buf = MessageBuffer::new(8);
         assert!(buf.insert(id(0, 0), 0, "a"));
         assert!(!buf.insert(id(0, 0), 1, "a"));
-        assert_eq!(buf.seen.len(), 1);
+        assert_eq!(id_count(buf.digest()), 1);
     }
 
     #[test]
@@ -259,7 +208,7 @@ mod tests {
         buf.insert(id(0, 2), 0, "c");
         assert_eq!(buf.payloads.len(), 2);
         assert!(buf.get(&id(0, 0)).is_none(), "evicted payload gone");
-        assert!(buf.seen(&id(0, 0)), "seen survives eviction");
+        assert!(buf.digest().contains(&id(0, 0)), "seen survives eviction");
         assert!(!buf.insert(id(0, 0), 0, "a"), "evicted message not re-admitted");
     }
 
@@ -283,6 +232,6 @@ mod tests {
         let mut buf = MessageBuffer::new(4);
         buf.insert(id(0, 0), 0, 1u32);
         buf.insert(id(1, 0), 0, 2u32);
-        assert_eq!(buf.digest().id_count(), 2);
+        assert_eq!(id_count(buf.digest()), 2);
     }
 }

@@ -399,7 +399,7 @@ impl<T: Clone> Protocol for GossipEngine<T> {
                 // re-request if the payload never arrives.
                 let mut wanted = Vec::new();
                 for (id, _) in &ids {
-                    if self.buffer.seen(id) {
+                    if self.buffer.digest().contains(id) {
                         continue;
                     }
                     match self.pending.get_mut(id) {
@@ -528,18 +528,13 @@ impl<T: Clone> Protocol for GossipEngine<T> {
             return;
         }
         if self.config.style.is_periodic() {
-            let digest = self.buffer.digest().clone();
             for peer in self.select_peers(ctx) {
                 self.stats.pull_requests_sent += 1;
-                ctx.send(peer, GossipMessage::PullRequest { digest: clone_digest(&digest) });
+                ctx.send(peer, GossipMessage::PullRequest { digest: self.buffer.digest().clone() });
             }
             self.arm_tick(ctx);
         }
     }
-}
-
-fn clone_digest(d: &Digest) -> Digest {
-    d.clone()
 }
 
 #[cfg(test)]

@@ -47,9 +47,11 @@ pub mod buffer;
 pub mod engine;
 pub mod order;
 pub mod params;
+pub mod seen;
 
 pub use aggregation::{PushSum, PushSumShare};
 pub use buffer::{Digest, MsgId};
 pub use engine::{DeliveredMessage, EngineStats, GossipConfig, GossipEngine, GossipMessage};
 pub use order::FifoBuffer;
 pub use params::{ForwardDiscipline, GossipParams, GossipStyle};
+pub use seen::{SeenSeqs, SEEN_WINDOW};

@@ -6,113 +6,122 @@
 //! origin must not be observed before tick 6. [`FifoBuffer`] provides the
 //! standard solution — hold out-of-order messages until the gap fills.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
-use wsg_net::NodeId;
+use crate::seen::SeenSeqs;
 
-use crate::buffer::MsgId;
-
-/// Reorders deliveries into per-origin sequence order.
+/// Reorders deliveries into per-origin sequence order: a [`SeenSeqs`]
+/// plus the payloads that wait above an origin's floor. Whatever the floor
+/// moves over is released, in order — also when it moves past a gap that
+/// held [`SEEN_WINDOW`](crate::SEEN_WINDOW) later numbers back; what it
+/// skipped counts as seen and is never delivered.
 ///
 /// ```
-/// use wsg_gossip::order::FifoBuffer;
-/// use wsg_gossip::MsgId;
-/// use wsg_net::NodeId;
+/// use wsg_gossip::FifoBuffer;
 ///
-/// let mut fifo = FifoBuffer::new();
-/// let origin = NodeId(1);
-/// assert!(fifo.accept(MsgId::new(origin, 1), "b").is_empty()); // held: gap at 0
-/// let released = fifo.accept(MsgId::new(origin, 0), "a");
-/// assert_eq!(released, vec![(MsgId::new(origin, 0), "a"), (MsgId::new(origin, 1), "b")]);
+/// let mut fifo = FifoBuffer::<String, &str>::new();
+/// let origin = "http://node1/gossip";
+/// assert!(fifo.accept(origin, 1, "b").is_empty()); // held: gap at 0
+/// assert_eq!(fifo.accept(origin, 0, "a"), ["a", "b"]);
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct FifoBuffer<T> {
-    // origin -> next expected seq
-    next: BTreeMap<NodeId, u64>,
-    // origin -> held out-of-order messages
-    held: BTreeMap<NodeId, BTreeMap<u64, T>>,
+pub struct FifoBuffer<K, T> {
+    seen: SeenSeqs<K>,
+    // origin -> payloads waiting above its floor
+    held: BTreeMap<K, BTreeMap<u64, T>>,
 }
 
-impl<T> FifoBuffer<T> {
+impl<K: Ord, T> FifoBuffer<K, T> {
     /// An empty buffer (every origin starts at seq 0).
     pub fn new() -> Self {
-        FifoBuffer { next: BTreeMap::new(), held: BTreeMap::new() }
+        FifoBuffer { seen: SeenSeqs::new(), held: BTreeMap::new() }
     }
 
-    /// Offer a message; returns everything now releasable in order.
+    /// Offer a message; returns the payloads now releasable, in order.
     /// Duplicates and already-released seqs return nothing.
-    pub fn accept(&mut self, id: MsgId, payload: T) -> Vec<(MsgId, T)> {
-        let origin = id.origin();
-        let next = self.next.entry(origin).or_insert(0);
-        if id.seq() < *next {
-            return Vec::new(); // stale duplicate
-        }
-        let held = self.held.entry(origin).or_default();
-        if held.contains_key(&id.seq()) {
-            return Vec::new(); // duplicate of a held message
-        }
-        held.insert(id.seq(), payload);
-        // Release the contiguous prefix.
-        let mut released = Vec::new();
-        while let Some(payload) = held.remove(next) {
-            released.push((MsgId::new(origin, *next), payload));
-            *next += 1;
-        }
-        released
-    }
-
-    /// Number of messages currently held back (all origins).
-    #[cfg(test)]
-    pub(crate) fn held_count(&self) -> usize {
-        self.held.values().map(BTreeMap::len).sum()
+    pub fn accept<Q>(&mut self, origin: &Q, seq: u64, payload: T) -> Vec<T>
+    where
+        K: Borrow<Q>,
+        Q: Ord + ToOwned<Owned = K> + ?Sized,
+    {
+        let Some(released) = self.seen.insert(origin, seq) else {
+            return Vec::new();
+        };
+        let held = match self.held.get_mut(origin) {
+            Some(held) => held,
+            None => self.held.entry(origin.to_owned()).or_default(),
+        };
+        held.insert(seq, payload);
+        let still_held = held.split_off(&released.end);
+        std::mem::replace(held, still_held).into_values().collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SEEN_WINDOW;
 
-    fn id(origin: usize, seq: u64) -> MsgId {
-        MsgId::new(NodeId(origin), seq)
+    fn fifo() -> FifoBuffer<usize, u64> {
+        FifoBuffer::new()
+    }
+
+    /// Number of messages currently held back (all origins).
+    fn held_count(fifo: &FifoBuffer<usize, u64>) -> usize {
+        fifo.held.values().map(BTreeMap::len).sum()
     }
 
     #[test]
     fn in_order_stream_passes_through() {
-        let mut fifo = FifoBuffer::new();
+        let mut fifo = fifo();
         for seq in 0..5 {
-            let out = fifo.accept(id(0, seq), seq);
-            assert_eq!(out.len(), 1);
-            assert_eq!(out[0].0.seq(), seq);
+            assert_eq!(fifo.accept(&0, seq, seq), [seq]);
         }
-        assert_eq!(fifo.held_count(), 0);
+        assert_eq!(held_count(&fifo), 0);
     }
 
     #[test]
     fn reordering_is_corrected() {
-        let mut fifo = FifoBuffer::new();
-        assert!(fifo.accept(id(0, 2), "c").is_empty());
-        assert!(fifo.accept(id(0, 1), "b").is_empty());
-        assert_eq!(fifo.held_count(), 2);
-        let out = fifo.accept(id(0, 0), "a");
-        let seqs: Vec<u64> = out.iter().map(|(i, _)| i.seq()).collect();
-        assert_eq!(seqs, [0, 1, 2]);
-        assert_eq!(fifo.held_count(), 0);
+        let mut fifo = fifo();
+        assert!(fifo.accept(&0, 2, 2).is_empty());
+        assert!(fifo.accept(&0, 1, 1).is_empty());
+        assert_eq!(held_count(&fifo), 2);
+        assert_eq!(fifo.accept(&0, 0, 0), [0, 1, 2]);
+        assert_eq!(held_count(&fifo), 0);
     }
 
     #[test]
     fn origins_are_independent() {
-        let mut fifo = FifoBuffer::new();
-        assert_eq!(fifo.accept(id(0, 0), "a0").len(), 1);
-        assert!(fifo.accept(id(1, 1), "b1").is_empty(), "origin 1 still at 0");
-        assert_eq!(fifo.accept(id(1, 0), "b0").len(), 2);
+        let mut fifo = fifo();
+        assert_eq!(fifo.accept(&0, 0, 0).len(), 1);
+        assert!(fifo.accept(&1, 1, 1).is_empty(), "origin 1 still at 0");
+        assert_eq!(fifo.accept(&1, 0, 0).len(), 2);
     }
 
     #[test]
     fn duplicates_ignored() {
-        let mut fifo = FifoBuffer::new();
-        assert_eq!(fifo.accept(id(0, 0), "a").len(), 1);
-        assert!(fifo.accept(id(0, 0), "a").is_empty(), "released duplicate");
-        assert!(fifo.accept(id(0, 2), "c").is_empty());
-        assert!(fifo.accept(id(0, 2), "c").is_empty(), "held duplicate");
+        let mut fifo = fifo();
+        assert_eq!(fifo.accept(&0, 0, 0).len(), 1);
+        assert!(fifo.accept(&0, 0, 0).is_empty(), "released duplicate");
+        assert!(fifo.accept(&0, 2, 2).is_empty());
+        assert!(fifo.accept(&0, 2, 2).is_empty(), "held duplicate");
+    }
+
+    #[test]
+    fn a_gap_the_window_outlives_releases_what_waited_behind_it() {
+        let mut fifo = fifo();
+        let window = SEEN_WINDOW as u64;
+        // 0 never arrives: everything after it waits...
+        for seq in 1..=window {
+            assert!(fifo.accept(&0, seq, seq).is_empty());
+        }
+        assert_eq!(held_count(&fifo), SEEN_WINDOW);
+        // ...until one more than the window holds: the floor moves past the
+        // gap and all of it goes out in order, this one included.
+        let released = fifo.accept(&0, window + 1, window + 1);
+        assert_eq!(released, (1..=window + 1).collect::<Vec<_>>());
+        assert_eq!(held_count(&fifo), 0);
+        assert!(fifo.accept(&0, 0, 0).is_empty(), "the gap counts as seen");
     }
 }
