@@ -31,7 +31,8 @@ use wsg_net::sync::Mutex;
 use wsg_net::{AllLive, Pcg32, PeerLiveness, RngExt};
 use wsg_soap::gossip::GossipHeader;
 use wsg_soap::{
-    Envelope, EndpointReference, Handler, HandlerOutcome, MessageContext, MessageHeaders, Uuid,
+    Envelope, EndpointReference, Handler, HandlerOutcome, MessageContext, MessageHeaders, Outgoing,
+    Uuid,
 };
 use wsg_xml::QName;
 
@@ -202,7 +203,8 @@ pub struct GossipHandler {
 impl GossipHandler {
     /// The forward copies of `envelope` for the next round: one per
     /// sampled peer that does not provably hold the message, differing in
-    /// `To`, `MessageID`, `From` and `wsg:Round` and sharing the payload.
+    /// `To` and `MessageID` — the template, built once, carries this
+    /// node's `From` and the next `wsg:Round`, and every copy shares it.
     ///
     /// The targets are drawn first, exactly as if every one were sent to,
     /// and the holders dropped afterwards: the copies that remain are the
@@ -213,51 +215,42 @@ impl GossipHandler {
         envelope: &Envelope,
         header: &GossipHeader<'_>,
         grant: &GossipGrant,
-    ) -> Vec<Envelope> {
+    ) -> Option<Outgoing> {
         if header.round >= grant.rounds {
-            return Vec::new(); // round budget exhausted
+            return None; // round budget exhausted
         }
         let mut peers = state.sample_peers(grant);
         let sampled = peers.len();
         peers.retain(|peer| !provably_holds(envelope, header, peer));
         state.stats.forwards_suppressed += (sampled - peers.len()) as u64;
         if peers.is_empty() {
-            return Vec::new();
+            return None;
         }
         let mut template = envelope.clone();
         template.remove_header(WSGOSSIP_NS, "Gossip");
         template.push_header(GossipHeader { round: header.round + 1, ..header.clone() }.to_element());
         template.addressing_mut().set_from(EndpointReference::new(state.me.clone()));
-        let mut copies = Vec::with_capacity(peers.len());
-        for peer in peers {
-            let mut copy = template.clone();
-            let message_id = state.fresh_message_id();
-            let addressing = copy.addressing_mut();
-            addressing.set_to(peer);
-            addressing.set_message_id(message_id);
-            state.stats.forwards_sent += 1;
-            copies.push(copy);
-        }
-        copies
+        let heads: Vec<(String, String)> =
+            peers.into_iter().map(|peer| (peer.to_string(), state.fresh_message_id())).collect();
+        state.stats.forwards_sent += heads.len() as u64;
+        Some(Outgoing::Copies { template, heads })
     }
 
     /// Forward `envelope` under the context's grant, or — for an unknown
     /// interaction — register with the context's Registration service if
     /// we have not yet, and queue the message until the grant arrives.
     /// Returns what to send.
-    fn route(state: &mut LayerState, envelope: &Envelope, header: &GossipHeader<'_>) -> Vec<Envelope> {
+    fn route(state: &mut LayerState, envelope: &Envelope, header: &GossipHeader<'_>) -> Option<Outgoing> {
         if let Some(grant) = state.grants.get(&*header.context_id).map(Arc::clone) {
             return Self::forward(state, envelope, header, &grant);
         }
         let Some(waiting) = state.registering.get_mut(&*header.context_id) else {
-            let Some(registration) = registration_of(envelope) else {
-                // No context header: it cannot register, so no grant would
-                // ever flush it from the queue — it is not queued.
-                return Vec::new();
-            };
+            // No context header: it cannot register, so no grant would
+            // ever flush it from the queue — it is not queued.
+            let registration = registration_of(envelope)?;
             let waiting = Registering { queue: VecDeque::from([envelope.clone()]), since_register: 1 };
             state.registering.insert(header.context_id.to_string(), waiting);
-            return vec![state.register(registration, &header.context_id)];
+            return Some(Outgoing::Envelope(state.register(registration, &header.context_id)));
         };
         // Register already in flight: its grant flushes the queue.
         if waiting.queue.len() >= PENDING_CAP {
@@ -267,17 +260,16 @@ impl GossipHandler {
         waiting.queue.push_back(envelope.clone());
         waiting.since_register += 1;
         if waiting.since_register <= PENDING_CAP {
-            return Vec::new();
+            return None;
         }
         // More than the queue holds has gone by since the Register went
         // out, so this message shed one: the reply is taken for lost, and
         // the traffic itself is the retry — once per queue's worth of
-        // messages, not once per message.
-        let Some(registration) = registration_of(envelope) else {
-            return Vec::new(); // the next message that names the service retries
-        };
+        // messages, not once per message. Without a service named here,
+        // the next message that names one retries.
+        let registration = registration_of(envelope)?;
         waiting.since_register = 1;
-        vec![state.register(registration, &header.context_id)]
+        Some(Outgoing::Envelope(state.register(registration, &header.context_id)))
     }
 
     fn handle_register_response(&self, ctx: &mut MessageContext) -> HandlerOutcome {
@@ -293,8 +285,8 @@ impl GossipHandler {
         let waiting = state.registering.remove(&context_id).unwrap_or_default();
         for envelope in waiting.queue {
             if let Some(header) = GossipHeader::from_envelope(&envelope) {
-                for copy in Self::forward(&mut state, &envelope, &header, &grant) {
-                    ctx.send_envelope(copy);
+                if let Some(copies) = Self::forward(&mut state, &envelope, &header, &grant) {
+                    ctx.send(copies);
                 }
             }
         }
@@ -343,10 +335,10 @@ impl Handler for GossipHandler {
             }
             Direction::Inbound => HandlerOutcome::Continue, // deliver to the application too
         };
-        let sends = Self::route(&mut state, &ctx.envelope, &header);
+        let send = Self::route(&mut state, &ctx.envelope, &header);
         drop(state);
-        for send in sends {
-            ctx.send_envelope(send);
+        if let Some(send) = send {
+            ctx.send(send);
         }
         outcome
     }
@@ -414,10 +406,40 @@ mod tests {
         sends.iter().map(|copy| copy.addressing().to().expect("a forward names its peer")).collect()
     }
 
-    fn chain_with(handle: &GossipLayerHandle) -> HandlerChain {
+    /// A chain holding the layer, whose results spell each copy out.
+    struct Chain(HandlerChain);
+
+    /// What the chain did with a message: the original's fate, and every
+    /// copy as the envelope it stands for — its template with its own `To`
+    /// and `MessageID`.
+    struct Processed {
+        disposition: Disposition,
+        sends: Vec<Envelope>,
+    }
+
+    impl Chain {
+        fn process(&mut self, direction: Direction, envelope: Envelope) -> Processed {
+            let result = self.0.process(direction, envelope);
+            let sends = result.sends.into_iter().flat_map(|send| match send {
+                Outgoing::Envelope(envelope) => vec![envelope],
+                Outgoing::Copies { template, heads } => heads
+                    .into_iter()
+                    .map(|(to, message_id)| {
+                        let mut copy = template.clone();
+                        copy.addressing_mut().set_to(to);
+                        copy.addressing_mut().set_message_id(message_id);
+                        copy
+                    })
+                    .collect(),
+            });
+            Processed { disposition: result.disposition, sends: sends.collect() }
+        }
+    }
+
+    fn chain_with(handle: &GossipLayerHandle) -> Chain {
         let mut chain = HandlerChain::new();
         chain.push(Box::new(handle.handler()));
-        chain
+        Chain(chain)
     }
 
     #[test]
@@ -428,7 +450,6 @@ mod tests {
         let result = chain.process(
             Direction::Outbound,
             notification("ctx", "http://node1/gossip", 0, 0),
-            "http://node1/gossip",
         );
         assert!(matches!(result.disposition, Disposition::Consumed));
         assert_eq!(result.sends.len(), 2, "fanout 2");
@@ -445,13 +466,38 @@ mod tests {
     }
 
     #[test]
+    fn a_forward_is_one_template_and_a_to_and_message_id_per_copy() {
+        let handle = GossipLayerHandle::new("http://node2/gossip", 3);
+        let peers = ["http://node3/gossip", "http://node4/gossip", "http://node5/gossip"];
+        handle.set_grant("ctx", grant(&peers));
+        let mut chain = HandlerChain::new();
+        chain.push(Box::new(handle.handler()));
+        let inbound = notification("ctx", "http://node1/gossip", 0, 1);
+        let result = chain.process(Direction::Inbound, inbound);
+        let [Outgoing::Copies { template, heads }] = &result.sends[..] else {
+            panic!("one template: {:?}", result.sends);
+        };
+        // The template is the next round, handed on by this node...
+        assert_eq!(GossipHeader::from_envelope(template).unwrap().round, 2);
+        let from = template.addressing().from().map(EndpointReference::address);
+        assert_eq!(from, Some("http://node2/gossip"));
+        // ...and each copy only says where it goes and what it is called.
+        assert_eq!(heads.len(), 2, "fanout 2");
+        assert!(heads.iter().all(|(to, _)| peers.contains(&to.as_str())), "{heads:?}");
+        assert_ne!(heads[0], heads[1]);
+        for (_, message_id) in heads {
+            assert!(message_id.parse::<Uuid>().is_ok(), "{message_id}");
+        }
+        assert_eq!(handle.stats().forwards_sent, 2);
+    }
+
+    #[test]
     fn outbound_without_grant_registers_and_queues() {
         let handle = GossipLayerHandle::new("http://node1/gossip", 2);
         let mut chain = chain_with(&handle);
         let result = chain.process(
             Direction::Outbound,
             notification("ctx", "http://node1/gossip", 0, 0),
-            "http://node1/gossip",
         );
         assert!(matches!(result.disposition, Disposition::Consumed));
         assert_eq!(result.sends.len(), 1);
@@ -469,7 +515,6 @@ mod tests {
         let result = chain.process(
             Direction::Inbound,
             notification("ctx", "http://node1/gossip", 0, 1),
-            "http://node2/gossip",
         );
         assert!(matches!(result.disposition, Disposition::Deliver(_)), "app must see it");
         assert_eq!(result.sends.len(), 2);
@@ -486,13 +531,11 @@ mod tests {
         let first = chain.process(
             Direction::Inbound,
             notification("ctx", "http://node1/gossip", 7, 1),
-            "http://node2/gossip",
         );
         assert!(matches!(first.disposition, Disposition::Deliver(_)));
         let second = chain.process(
             Direction::Inbound,
             notification("ctx", "http://node1/gossip", 7, 2),
-            "http://node2/gossip",
         );
         assert!(matches!(second.disposition, Disposition::Consumed));
         assert!(second.sends.is_empty(), "duplicates are not re-forwarded");
@@ -524,7 +567,7 @@ mod tests {
             );
             let mut chain = chain_with(&handle);
             let inbound = Envelope::parse(first).unwrap();
-            let result = chain.process(Direction::Inbound, inbound, "http://node2/gossip");
+            let result = chain.process(Direction::Inbound, inbound);
             assert!(matches!(result.disposition, Disposition::Deliver(_)));
             assert_eq!(result.sends.len(), 2);
             for copy in &result.sends {
@@ -540,7 +583,7 @@ mod tests {
                 assert_eq!(again.body().unwrap().text(), "ACME");
             }
             let twin = Envelope::parse(twin).unwrap();
-            let second = chain.process(Direction::Inbound, twin, "http://node2/gossip");
+            let second = chain.process(Direction::Inbound, twin);
             assert!(matches!(second.disposition, Disposition::Consumed));
             assert!(second.sends.is_empty());
             assert_eq!(handle.stats().duplicates_suppressed, 1);
@@ -558,9 +601,9 @@ mod tests {
             CoordinationContext::from_header(header).expect("decodes")
         };
         let expected = context(&Envelope::parse(&wire).unwrap());
-        let forward_of = |chain: &mut HandlerChain, wire: &str| {
+        let forward_of = |chain: &mut Chain, wire: &str| {
             let inbound = Envelope::parse(wire).unwrap();
-            let result = chain.process(Direction::Inbound, inbound, "http://node2/gossip");
+            let result = chain.process(Direction::Inbound, inbound);
             assert_eq!(result.sends.len(), 2);
             result.sends[0].to_xml()
         };
@@ -600,7 +643,6 @@ mod tests {
         let result = chain.process(
             Direction::Inbound,
             notification("ctx", "http://node1/gossip", 0, 4),
-            "http://node2/gossip",
         );
         assert!(matches!(result.disposition, Disposition::Deliver(_)), "still delivered");
         assert!(result.sends.is_empty(), "round 4 >= budget 4: no forward");
@@ -614,12 +656,11 @@ mod tests {
         let first = chain.process(
             Direction::Inbound,
             notification("ctx", "http://node1/gossip", 0, 1),
-            "http://node2/gossip",
         );
         assert_eq!(first.sends.len(), 1, "register only");
         // Now the RegisterResponse arrives.
         let response = register_response("ctx", &grant(&["http://node5/gossip", "http://node6/gossip"]));
-        let result = chain.process(Direction::Inbound, response, "http://node2/gossip");
+        let result = chain.process(Direction::Inbound, response);
         assert!(matches!(result.disposition, Disposition::Consumed));
         assert_eq!(result.sends.len(), 2, "queued message forwarded to 2 peers");
         assert!(handle.grant("ctx").is_some());
@@ -636,7 +677,7 @@ mod tests {
         };
         // It names no Registration service: delivered, but nothing to send
         // and — no grant being on its way — nothing to wait for.
-        let first = chain.process(Direction::Inbound, bare(0), "http://node2/gossip");
+        let first = chain.process(Direction::Inbound, bare(0));
         assert!(matches!(first.disposition, Disposition::Deliver(_)));
         assert!(first.sends.is_empty());
         // The next message of the interaction carries the context: it
@@ -645,17 +686,16 @@ mod tests {
         let second = chain.process(
             Direction::Inbound,
             notification("ctx", "http://node1/gossip", 1, 1),
-            "http://node2/gossip",
         );
         assert_eq!(second.sends.len(), 1);
         assert_eq!(second.sends[0].addressing().action(), Some(actions::REGISTER));
         // With the register in flight a bare message waits for the grant too.
-        let third = chain.process(Direction::Inbound, bare(2), "http://node2/gossip");
+        let third = chain.process(Direction::Inbound, bare(2));
         assert!(third.sends.is_empty());
         assert_eq!(handle.stats().registers_sent, 1);
 
         let response = register_response("ctx", &grant(&["http://node5/gossip", "http://node6/gossip"]));
-        let result = chain.process(Direction::Inbound, response, "http://node2/gossip");
+        let result = chain.process(Direction::Inbound, response);
         let mut forwarded: Vec<u64> =
             result.sends.iter().map(|copy| GossipHeader::from_envelope(copy).unwrap().seq).collect();
         forwarded.dedup();
@@ -677,7 +717,7 @@ mod tests {
         let handle = GossipLayerHandle::new("http://node2/gossip", 14);
         handle.set_grant("ctx", everyone(&PEERS));
         let mut chain = chain_with(&handle);
-        let result = chain.process(Direction::Inbound, from_node3(0), "http://node2/gossip");
+        let result = chain.process(Direction::Inbound, from_node3(0));
         assert!(matches!(result.disposition, Disposition::Deliver(_)));
         let mut to = targets(&result.sends);
         to.sort_unstable();
@@ -693,7 +733,7 @@ mod tests {
         let mut chain = chain_with(&handle);
         let inbound = notification("ctx", "http://node1/gossip", 0, 1);
         assert!(inbound.addressing().from().is_none());
-        let result = chain.process(Direction::Inbound, inbound, "http://node2/gossip");
+        let result = chain.process(Direction::Inbound, inbound);
         let mut to = targets(&result.sends);
         to.sort_unstable();
         assert_eq!(to, ["http://node3/gossip", "http://node4/gossip", "http://node5/gossip"]);
@@ -706,7 +746,7 @@ mod tests {
         let handle = GossipLayerHandle::new("http://node2/gossip", 16);
         handle.set_grant("ctx", everyone(&PEERS[..2]));
         let mut chain = chain_with(&handle);
-        let result = chain.process(Direction::Inbound, from_node3(0), "http://node2/gossip");
+        let result = chain.process(Direction::Inbound, from_node3(0));
         assert!(matches!(result.disposition, Disposition::Deliver(_)), "still delivered here");
         assert!(result.sends.is_empty());
         let stats = handle.stats();
@@ -719,11 +759,11 @@ mod tests {
         let mut chain = chain_with(&handle);
         for (seq, sender) in [(0, "http://node3/gossip"), (1, "http://node4/gossip")] {
             let inbound = sent_by(notification("ctx", "http://node1/gossip", seq, 1), sender);
-            chain.process(Direction::Inbound, inbound, "http://node2/gossip");
+            chain.process(Direction::Inbound, inbound);
         }
         assert_eq!(handle.stats().registers_sent, 1);
         let response = register_response("ctx", &everyone(&PEERS));
-        let result = chain.process(Direction::Inbound, response, "http://node2/gossip");
+        let result = chain.process(Direction::Inbound, response);
         let seq_of = |copy: &Envelope| GossipHeader::from_envelope(copy).unwrap().seq;
         let mut forwarded: Vec<(u64, &str)> =
             result.sends.iter().map(seq_of).zip(targets(&result.sends)).collect();
@@ -746,7 +786,7 @@ mod tests {
         let handle = GossipLayerHandle::new("http://node2/gossip", 18);
         let mut chain = chain_with(&handle);
         let mut receive = |seq: u64| {
-            chain.process(Direction::Inbound, from_node3(seq), "http://node2/gossip").sends
+            chain.process(Direction::Inbound, from_node3(seq)).sends
         };
         let registers = |sends: &[Envelope]| {
             assert!(sends.iter().all(|s| s.addressing().action() == Some(actions::REGISTER)));
@@ -775,7 +815,7 @@ mod tests {
         // The grant arrives after all: what is still queued goes out, under
         // the same rule as any forward (node1 published, node3 delivered).
         let response = register_response("ctx", &everyone(&PEERS));
-        let sends = chain.process(Direction::Inbound, response, "http://node2/gossip").sends;
+        let sends = chain.process(Direction::Inbound, response).sends;
         assert_eq!(sends.len(), 2 * PENDING_CAP);
         assert!(targets(&sends).iter().all(|to| PEERS[2..].contains(to)), "neither node1 nor node3");
         let oldest = sends.iter().map(|copy| GossipHeader::from_envelope(copy).unwrap().seq).min();
@@ -815,7 +855,7 @@ mod tests {
                 if let Some(sender) = sender {
                     inbound = sent_by(inbound, sender);
                 }
-                let sends = chain_with(&handle).process(Direction::Inbound, inbound, me).sends;
+                let sends = chain_with(&handle).process(Direction::Inbound, inbound).sends;
                 let to: Vec<String> = targets(&sends).into_iter().map(str::to_string).collect();
                 (to, handle.stats())
             };
@@ -850,7 +890,6 @@ mod tests {
             let result = chain.process(
                 Direction::Inbound,
                 notification("ctx", "http://node1/gossip", seq, 1),
-                "http://node2/gossip",
             );
             assert_eq!(result.sends.len(), 1);
         }
@@ -865,7 +904,7 @@ mod tests {
             MessageHeaders::request("http://node2/gossip", "urn:other:Op"),
             Element::new("op"),
         );
-        let result = chain.process(Direction::Inbound, plain, "http://node2/gossip");
+        let result = chain.process(Direction::Inbound, plain);
         assert!(matches!(result.disposition, Disposition::Deliver(_)));
         assert!(result.sends.is_empty());
     }
@@ -890,7 +929,7 @@ mod tests {
         assert_eq!(handle.state.lock().seen.held(), SEEN_WINDOW + 1);
         let mut chain = chain_with(&handle);
         let mut receive = |seq: u64| {
-            chain.process(Direction::Inbound, notification("ctx", origin, seq, 2), "http://node2/gossip")
+            chain.process(Direction::Inbound, notification("ctx", origin, seq, 2))
         };
         // Inside the window a duplicate is a duplicate, as ever...
         assert!(matches!(receive(sent - 1).disposition, Disposition::Consumed));
@@ -943,7 +982,6 @@ mod tests {
         let result = chain.process(
             Direction::Outbound,
             notification("ctx", "http://node1/gossip", 0, 0),
-            "http://node1/gossip",
         );
         // node3 is filtered; node2, node4 and the (unmapped, never vetoed)
         // external endpoint remain.
@@ -968,7 +1006,6 @@ mod tests {
         let result = chain.process(
             Direction::Inbound,
             notification("ctx", "http://node1/gossip", 0, 1),
-            "http://node2/gossip",
         );
         for copy in &result.sends {
             assert_ne!(copy.addressing().to(), Some("http://node2/gossip"));

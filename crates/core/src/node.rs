@@ -16,7 +16,7 @@ use wsg_net::{
 };
 use wsg_soap::gossip::GossipHeader;
 use wsg_soap::handler::{Direction, Disposition};
-use wsg_soap::{EndpointReference, Envelope, HandlerChain, MessageHeaders, Uuid};
+use wsg_soap::{EndpointReference, Envelope, HandlerChain, MessageHeaders, Outgoing, Uuid};
 use wsg_xml::Element;
 
 use crate::actions;
@@ -600,10 +600,8 @@ impl WsGossipNode {
             .with_header(context.to_header())
             .with_header(gossip.to_element());
         // The outbound middleware stack intercepts and re-routes.
-        let result = self.chain.process(Direction::Outbound, envelope, self.endpoint.clone());
-        for send in result.sends {
-            self.transmit(send, ctx);
-        }
+        let result = self.chain.process(Direction::Outbound, envelope);
+        self.transmit_all(result.sends, ctx);
     }
 
     // ----- internals -----
@@ -675,6 +673,26 @@ impl WsGossipNode {
         // wire-sized copy for the network allocates.
         envelope.write_xml(&mut self.scratch);
         ctx.send(to, self.scratch.clone());
+    }
+
+    /// Hand what the handler chain asked to send to the network.
+    fn transmit_all(&mut self, sends: Vec<Outgoing>, ctx: &mut dyn Context<String>) {
+        for send in sends {
+            match send {
+                Outgoing::Envelope(envelope) => self.transmit(envelope, ctx),
+                Outgoing::Copies { template, heads } => {
+                    // One serialisation for all the copies: each is the
+                    // frame with its own `To` and `MessageID` spliced in.
+                    let frame = template.write_copy_frame(&mut self.scratch);
+                    for (to, message_id) in &heads {
+                        match node_of(to) {
+                            Some(node) => ctx.send(node, frame.copy(to, message_id)),
+                            None => self.stats.unroutable += 1,
+                        }
+                    }
+                }
+            }
+        }
     }
 
     fn reply_headers(&mut self, request: &Envelope, action: &str) -> Option<MessageHeaders> {
@@ -980,12 +998,8 @@ impl Protocol for WsGossipNode {
                 return;
             }
         };
-        let result = self
-            .chain
-            .process(Direction::Inbound, envelope, self.endpoint.clone());
-        for send in result.sends {
-            self.transmit(send, ctx);
-        }
+        let result = self.chain.process(Direction::Inbound, envelope);
+        self.transmit_all(result.sends, ctx);
         match result.disposition {
             Disposition::Deliver(envelope) => self.dispatch(envelope, ctx),
             Disposition::Consumed => {}

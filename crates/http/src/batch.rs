@@ -706,7 +706,7 @@ mod tests {
         use wsg_soap::gossip::GossipHeader;
         use wsg_coord::{CoordinationContext, GossipGrant, GossipPolicy, GossipProtocol};
         use wsg_soap::handler::Direction;
-        use wsg_soap::{Envelope, HandlerChain, MessageHeaders};
+        use wsg_soap::{Envelope, HandlerChain, MessageHeaders, Outgoing};
 
         // A live fleet's notification: loopback endpoints, a 256-byte
         // payload, the coordination context and gossip header.
@@ -743,14 +743,19 @@ mod tests {
         let mut sent = Vec::new();
         for seq in 0..3 {
             let arrived = Envelope::parse(&notification(seq).to_xml()).unwrap();
-            let forwards = chain.process(Direction::Inbound, arrived, peer(2)).sends;
-            assert!(forwards.len() >= 4, "{} forwards", forwards.len());
-            for (to, forward) in forwards.iter().enumerate() {
+            let forwards = chain.process(Direction::Inbound, arrived).sends;
+            let [Outgoing::Copies { template, heads }] = &forwards[..] else {
+                panic!("one forward: {forwards:?}");
+            };
+            assert!(heads.len() >= 4, "{} forwards", heads.len());
+            let sent_id = GossipHeader::from_envelope(template).unwrap().id();
+            let mut scratch = String::new();
+            let frame = template.write_copy_frame(&mut scratch);
+            for (to, (address, message_id)) in heads.iter().enumerate() {
                 // The sender reads the identity the layer dedups on.
-                let header = GossipHeader::from_envelope(forward).unwrap();
-                let xml = forward.to_xml();
+                let xml = frame.copy(address, message_id);
                 let (id, _) = wsg_soap::gossip::gossip_id(&xml).unwrap();
-                assert_eq!(id, header.id());
+                assert_eq!(id, sent_id);
                 sent.push((to, xml.clone()));
                 queues.push(NodeId(to), None, xml);
             }

@@ -315,18 +315,25 @@ impl MessageHeaders {
         Ok(())
     }
 
-    /// Stream [`Self::copy_blocks`] into an open writer, likewise.
-    pub(crate) fn write_copy_blocks(&self, w: &mut XmlWriter) -> Result<(), XmlError> {
+    /// Stream the `To` and `MessageID` of [`Self::copy_blocks`] into an
+    /// open writer, likewise: the run of bytes the copies of one message
+    /// re-routed to several peers differ in.
+    pub(crate) fn write_copy_head(&self, w: &mut XmlWriter) -> Result<(), XmlError> {
         if let Some(to) = &self.to {
             write_text_block(w, &qnames::WSA_TO, to)?;
         }
         if let Some(id) = &self.message_id {
             write_text_block(w, &qnames::WSA_MESSAGE_ID, id)?;
         }
-        if let Some(rel) = &self.relates_to {
-            write_text_block(w, &qnames::WSA_RELATES_TO, rel)?;
-        }
         Ok(())
+    }
+
+    /// Stream `RelatesTo`, the last of [`Self::copy_blocks`], likewise.
+    pub(crate) fn write_relates_to(&self, w: &mut XmlWriter) -> Result<(), XmlError> {
+        match &self.relates_to {
+            Some(rel) => write_text_block(w, &qnames::WSA_RELATES_TO, rel),
+            None => Ok(()),
+        }
     }
 
     /// Decode the `wsa:` header block `reader` just started straight from

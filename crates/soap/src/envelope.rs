@@ -5,6 +5,7 @@ use std::ops::Range;
 use std::sync::{Arc, LazyLock, OnceLock};
 
 use wsg_net::cov;
+use wsg_xml::escape::escape_text_into;
 use wsg_xml::{Element, QName, RawEvent, XmlError, XmlReader, XmlWriter};
 
 use crate::addressing::MessageHeaders;
@@ -131,60 +132,50 @@ impl Fragment {
     }
 }
 
-/// The application payload in whichever forms have been needed so far —
-/// an envelope built from a tree starts with `tree`, a parsed one with
-/// `wire`; the other is derived at most once, for every clone at once.
+/// The application payload: the tree it was built from, or the bytes it
+/// arrived as and — the first time someone asks, for every clone at
+/// once — the tree built from them.
 #[derive(Debug)]
 struct Payload {
     tree: OnceLock<Element>,
-    wire: OnceLock<Fragment>,
+    wire: Option<Fragment>,
 }
 
 impl Payload {
     fn from_tree(tree: Element) -> Arc<Self> {
-        Arc::new(Payload { tree: OnceLock::from(tree), wire: OnceLock::new() })
+        Arc::new(Payload { tree: OnceLock::from(tree), wire: None })
     }
 
     fn from_wire(wire: Fragment) -> Arc<Self> {
-        Arc::new(Payload { tree: OnceLock::new(), wire: OnceLock::from(wire) })
+        Arc::new(Payload { tree: OnceLock::new(), wire: Some(wire) })
     }
 
     fn tree(&self) -> &Element {
         self.tree.get_or_init(|| {
-            self.wire.get().expect("a payload holds a tree or a fragment").to_tree()
+            self.wire.as_ref().expect("a payload holds a tree or a fragment").to_tree()
         })
     }
 
     fn into_tree(self) -> Element {
         self.tree.into_inner().unwrap_or_else(|| {
-            self.wire.into_inner().expect("a payload holds a tree or a fragment").to_tree()
+            self.wire.expect("a payload holds a tree or a fragment").to_tree()
         })
     }
 
     /// Write the payload as content of the open `env:Body`. `fresh`: the
     /// writer held nothing before this envelope, so its scope is exactly
-    /// the `env` / `wsa` bindings the envelope declared. `shared`: other
-    /// clones of the envelope hold this payload too.
-    fn write_into(&self, w: &mut XmlWriter, fresh: bool, shared: bool) -> Result<(), XmlError> {
-        match self.wire.get() {
+    /// the `env` / `wsa` bindings the envelope declared.
+    fn write_into(&self, w: &mut XmlWriter, fresh: bool) -> Result<(), XmlError> {
+        match &self.wire {
             Some(fragment) if fresh && fragment.portable() => {
                 cov!();
                 w.raw(fragment.xml())
             }
-            None if fresh && shared => {
-                // First serialisation of a tree-built payload that has
-                // more to come (a publication's `f` forwards): keep the
-                // bytes, every clone splices them from now on.
-                cov!();
-                let source = Arc::new(w.capture(|w| self.tree().write_into(w))?.to_string());
-                let span = 0..source.len();
-                self.wire.get_or_init(|| Fragment { source, span, scope: Scope::Envelope });
-                Ok(())
-            }
             _ => {
-                // The fragment leans on bindings this document does not
-                // declare (or the writer carries a foreign scope): the
-                // tree writer re-declares whatever the payload uses.
+                // Built here, or a fragment leaning on bindings this
+                // document does not declare (or the writer carries a
+                // foreign scope): the tree writer re-declares whatever the
+                // payload uses.
                 cov!();
                 self.tree().write_into(w)
             }
@@ -499,27 +490,49 @@ impl Envelope {
     /// Propagates writer errors (e.g. an invalid payload element name).
     pub fn write_into(&self, w: &mut XmlWriter) -> Result<(), XmlError> {
         let fresh = w.depth() == 0;
+        let header = !self.addressing.is_empty() || !self.blocks.is_empty();
+        self.write_head(w, fresh, header)?;
+        if header {
+            self.addressing.write_copy_head(w)?;
+        }
+        self.write_tail(w, fresh, header)
+    }
+
+    /// Everything [`Envelope::write_into`] writes before `wsa:To` and
+    /// `wsa:MessageID`: the root, and — when there is a `header` — what
+    /// names the conversation and the other header blocks.
+    fn write_head(&self, w: &mut XmlWriter, fresh: bool, header: bool) -> Result<(), XmlError> {
         w.start_element(&qnames::ENVELOPE)?;
         w.declare_namespace("env", SOAP_ENV_NS)?;
         w.declare_namespace("wsa", WSA_NS)?;
-        if !self.addressing.is_empty() || !self.blocks.is_empty() {
+        if header {
             // What names the conversation before what names the copy:
             // header order is free, and this one lets consecutive
             // messages to a peer start with the same bytes (the batch
             // wrapper sends them once) while the `f` copies of one
             // notification still differ in one short run (`To` next to
-            // `MessageID`), which is what the sender queues share on.
+            // `MessageID`), which is what the sender queues share on and
+            // what [`Envelope::write_copy_frame`] splices.
             w.start_element(&qnames::HEADER)?;
             self.addressing.write_conversation_blocks(w)?;
             for block in self.blocks.iter() {
                 block.write_into(w, fresh)?;
             }
-            self.addressing.write_copy_blocks(w)?;
+        }
+        Ok(())
+    }
+
+    /// Everything [`Envelope::write_into`] writes after `wsa:MessageID`:
+    /// `wsa:RelatesTo` and the end of the header, when there is one, and
+    /// the body.
+    fn write_tail(&self, w: &mut XmlWriter, fresh: bool, header: bool) -> Result<(), XmlError> {
+        if header {
+            self.addressing.write_relates_to(w)?;
             w.end_element()?;
         }
         w.start_element(&qnames::BODY)?;
         match &self.body {
-            Body::Payload(p) => p.write_into(w, fresh, Arc::strong_count(p) > 1)?,
+            Body::Payload(p) => p.write_into(w, fresh)?,
             Body::Fault(f) => f.to_element().write_into(w)?,
             Body::Empty => {}
         }
@@ -535,6 +548,43 @@ impl Envelope {
         w.declaration().expect("declaration is written first");
         self.write_into(&mut w).expect("envelope is always writable");
         *buf = w.finish().expect("envelope is always balanced");
+    }
+
+    /// Serialise this envelope once as the frame of copies that differ
+    /// only in `wsa:To` and `wsa:MessageID` — a message re-routed to
+    /// several peers — into `buf`, cleared first and its allocation
+    /// reused: [`CopyFrame::copy`] then makes each copy by splicing its
+    /// two properties between the bytes before them and the bytes after.
+    /// A copy is byte for byte what [`Envelope::write_xml`] writes for a
+    /// clone of this envelope with `To` and `MessageID` set to its own.
+    ///
+    /// ```
+    /// use wsg_soap::{Envelope, MessageHeaders};
+    /// use wsg_xml::Element;
+    ///
+    /// let template = Envelope::request(
+    ///     MessageHeaders::request("urn:topic", "urn:stock:Notify"),
+    ///     Element::text_node("tick", "ACME"),
+    /// );
+    /// let mut scratch = String::new();
+    /// let frame = template.write_copy_frame(&mut scratch);
+    /// let copy = frame.copy("http://peer3", "urn:uuid:7");
+    ///
+    /// let mut clone = template.clone();
+    /// clone.addressing_mut().set_to("http://peer3");
+    /// clone.addressing_mut().set_message_id("urn:uuid:7");
+    /// assert_eq!(copy, clone.to_xml());
+    /// ```
+    pub fn write_copy_frame<'b>(&self, buf: &'b mut String) -> CopyFrame<'b> {
+        let mut w = XmlWriter::new_into(std::mem::take(buf));
+        w.declaration().expect("declaration is written first");
+        // A copy names its destination, so it always has a header.
+        self.write_head(&mut w, true, true).expect("envelope is always writable");
+        let tail =
+            w.capture(|w| self.write_tail(w, true, true)).expect("envelope is always writable").len();
+        *buf = w.finish().expect("envelope is always balanced");
+        let (head, tail) = buf.split_at(buf.len() - tail);
+        CopyFrame { head, tail }
     }
 
     /// Serialise to the wire (compact XML with declaration).
@@ -598,6 +648,40 @@ impl Envelope {
         Ok(Envelope { addressing, blocks: Arc::new(blocks), body })
     }
 }
+
+/// The serialised frame of one message's copies: the bytes before
+/// `wsa:To` and the bytes after `wsa:MessageID`, written once by
+/// [`Envelope::write_copy_frame`].
+#[derive(Debug)]
+pub struct CopyFrame<'b> {
+    head: &'b str,
+    tail: &'b str,
+}
+
+impl CopyFrame<'_> {
+    /// The copy addressed `to` with `message_id`, as one wire-sized string.
+    pub fn copy(&self, to: &str, message_id: &str) -> String {
+        // Exact unless a property needs escaping.
+        let mut wire = String::with_capacity(
+            self.head.len() + COPY_TAGS_LEN + to.len() + message_id.len() + self.tail.len(),
+        );
+        wire.push_str(self.head);
+        // What `MessageHeaders::write_copy_head` writes inside an envelope,
+        // where `wsa` is bound.
+        for (open, text, close) in
+            [("<wsa:To>", to, "</wsa:To>"), ("<wsa:MessageID>", message_id, "</wsa:MessageID>")]
+        {
+            wire.push_str(open);
+            escape_text_into(&mut wire, text);
+            wire.push_str(close);
+        }
+        wire.push_str(self.tail);
+        wire
+    }
+}
+
+/// The tags around a copy's `To` and `MessageID`.
+const COPY_TAGS_LEN: usize = "<wsa:To></wsa:To><wsa:MessageID></wsa:MessageID>".len();
 
 /// The one pass over an envelope document: check all of it for
 /// well-formedness, decode the WS-Addressing properties, and hand every
@@ -889,6 +973,107 @@ mod tests {
             assert_eq!(buf, tree);
             assert_eq!(env.to_xml(), tree);
         }
+    }
+
+    /// Each of `heads` as [`CopyFrame::copy`] must write it: a clone of
+    /// `template` with its `To` and `MessageID` set, written whole.
+    fn cloned_copies(template: &Envelope, heads: &[(String, String)]) -> Vec<String> {
+        let mut scratch = String::new();
+        heads
+            .iter()
+            .map(|(to, message_id)| {
+                let mut copy = template.clone();
+                copy.addressing_mut().set_to(to.as_str());
+                copy.addressing_mut().set_message_id(message_id.as_str());
+                copy.write_xml(&mut scratch);
+                scratch.clone()
+            })
+            .collect()
+    }
+
+    /// A random message as some hop holds it when it re-routes it: built
+    /// here (a publication), parsed from what this writer writes (header
+    /// blocks and payload spliced from the text, `Scope::Envelope`), or
+    /// parsed from a sender that declared the application prefix once on
+    /// `env:Envelope` (`Scope::Foreign`: written from their trees).
+    fn arbitrary_template(g: &mut wsg_net::check::Gen) -> Envelope {
+        let text = |g: &mut wsg_net::check::Gen| {
+            g.string_from(&['a', 'Z', '0', '&', '<', '>', ']', '"', ' ', '\u{e9}'], 12)
+        };
+        let mut addressing = MessageHeaders::new();
+        addressing.set_action(text(g));
+        if g.bool(0.5) {
+            addressing.set_to(text(g));
+        }
+        if g.bool(0.5) {
+            addressing.set_message_id(text(g));
+        }
+        if g.bool(0.5) {
+            addressing.set_from(EndpointReference::new(text(g)));
+        }
+        if g.bool(0.3) {
+            addressing = addressing.with_reply_to(EndpointReference::new(text(g)));
+        }
+        if g.bool(0.5) {
+            addressing = addressing.with_relates_to(text(g));
+        }
+        let app = |local: &str| Element::in_ns("app", "urn:app", local);
+        let mut envelope = match g.usize(0..=5) {
+            0 => Envelope::empty(addressing),
+            1 => Envelope::fault(addressing, Fault::new(FaultCode::Receiver, text(g))),
+            _ => {
+                let payload = app("op").with_attr("k", text(g)).with_child(app("v").with_text(text(g)));
+                Envelope::request(addressing, payload)
+            }
+        };
+        for i in 0..g.usize(0..=3) {
+            envelope.push_header(app(&format!("Block{i}")).with_text(text(g)));
+        }
+        match g.usize(0..=2) {
+            0 => envelope,
+            1 => Envelope::parse(&envelope.to_xml()).unwrap(),
+            _ => {
+                let declared = " xmlns:app=\"urn:app\"";
+                let leaning = envelope.to_xml().replace(declared, "").replacen(
+                    "<env:Envelope",
+                    &format!("<env:Envelope{declared}"),
+                    1,
+                );
+                Envelope::parse(&leaning).unwrap()
+            }
+        }
+    }
+
+    #[test]
+    fn a_copy_frame_splices_what_writing_each_clone_whole_writes() {
+        use wsg_net::check::{run, Gen};
+        use wsg_net::prop_assert_eq;
+
+        let spliced = std::cell::Cell::new([0usize; 3]);
+        run("a_copy_frame_splices_what_writing_each_clone_whole_writes", 512, |g: &mut Gen| {
+            let template = arbitrary_template(g);
+            let tricky = ["http://node3/gossip", "a]]>b", "x & y", "<to>", "", "urn:uuid:\u{e9}"];
+            let head = |g: &mut Gen| match g.usize(0..=2) {
+                0 => g.ascii_string(24),
+                _ => g.pick(&tricky).to_string(),
+            };
+            let copies = match g.usize(0..=2) {
+                0 => 0,
+                1 => 1,
+                _ => g.usize(2..=6),
+            };
+            let heads: Vec<(String, String)> = (0..copies).map(|_| (head(g), head(g))).collect();
+
+            let mut scratch = String::from("stale content to be cleared");
+            let frame = template.write_copy_frame(&mut scratch);
+            let copies: Vec<String> = heads.iter().map(|(to, id)| frame.copy(to, id)).collect();
+            prop_assert_eq!(copies, cloned_copies(&template, &heads));
+            let mut tally = spliced.get();
+            tally[heads.len().min(2)] += 1;
+            spliced.set(tally);
+            Ok(())
+        });
+        assert!(spliced.get().iter().all(|&cases| cases > 0), "{:?}", spliced.get());
     }
 
     #[test]

@@ -29,29 +29,42 @@ pub struct MessageContext {
     pub direction: Direction,
     /// The message; handlers may mutate it in place.
     pub envelope: Envelope,
-    /// Address of the local endpoint processing the message.
-    pub local_address: String,
-    sends: Vec<Envelope>,
+    sends: Vec<Outgoing>,
 }
 
 impl MessageContext {
-    /// A context for a message at `local_address`.
-    pub fn new(direction: Direction, envelope: Envelope, local_address: impl Into<String>) -> Self {
-        MessageContext {
-            direction,
-            envelope,
-            local_address: local_address.into(),
-            sends: Vec::new(),
-        }
+    /// A context for a message travelling in `direction`.
+    pub fn new(direction: Direction, envelope: Envelope) -> Self {
+        MessageContext { direction, envelope, sends: Vec::new() }
     }
 
-    /// Emit an additional envelope to be sent to the network once the
-    /// chain finishes — the interception/re-routing primitive: the gossip
-    /// layer queues copies addressed (via their `To` property) to selected
-    /// peers, then either lets the original continue or consumes it.
-    pub fn send_envelope(&mut self, envelope: Envelope) {
-        self.sends.push(envelope);
+    /// Queue something to send once the chain finishes — the
+    /// interception/re-routing primitive: the gossip layer queues the
+    /// copies of a message re-routed to selected peers
+    /// ([`Outgoing::Copies`]), then either lets the original continue or
+    /// consumes it; protocol messages such as registrations go out as
+    /// single envelopes.
+    pub fn send(&mut self, outgoing: Outgoing) {
+        self.sends.push(outgoing);
     }
+}
+
+/// One entry of a chain's send list.
+#[derive(Debug)]
+pub enum Outgoing {
+    /// An envelope, sent to its own `To`.
+    Envelope(Envelope),
+    /// Copies of one message re-routed to several destinations: each is
+    /// `template` with its own `wsa:To` and `wsa:MessageID` (the pairs of
+    /// `heads`, in order) — nothing else of the copies differs, so they
+    /// are written from one serialisation
+    /// ([`Envelope::write_copy_frame`]).
+    Copies {
+        /// The message as every copy carries it.
+        template: Envelope,
+        /// Per copy, its `(To, MessageID)`.
+        heads: Vec<(String, String)>,
+    },
 }
 
 /// What a handler decided about the message.
@@ -60,8 +73,8 @@ pub enum HandlerOutcome {
     /// Pass the (possibly mutated) message to the next handler.
     Continue,
     /// The handler consumed the message; stop the chain, nothing is
-    /// delivered further (envelopes queued via
-    /// [`MessageContext::send_envelope`] are still sent).
+    /// delivered further (what was queued via [`MessageContext::send`] is
+    /// still sent).
     Consumed,
     /// Abort processing with a fault.
     Abort(Fault),
@@ -100,14 +113,14 @@ pub enum Disposition {
 }
 
 /// Final result of pushing a message through the chain: what happens to
-/// the original, plus any envelopes handlers asked to send (re-routed
-/// copies, protocol messages such as registrations).
+/// the original, plus what handlers asked to send (re-routed copies,
+/// protocol messages such as registrations).
 #[derive(Debug)]
 pub struct ChainResult {
     /// Fate of the original message.
     pub disposition: Disposition,
-    /// Envelopes to hand to the network, in emission order.
-    pub sends: Vec<Envelope>,
+    /// What to hand to the network, in emission order.
+    pub sends: Vec<Outgoing>,
 }
 
 /// An ordered stack of handlers.
@@ -130,7 +143,7 @@ pub struct ChainResult {
 /// let mut chain = HandlerChain::new();
 /// chain.push(Box::new(Tag));
 /// let env = Envelope::request(MessageHeaders::new(), Element::new("op"));
-/// let result = chain.process(Direction::Outbound, env, "http://me");
+/// let result = chain.process(Direction::Outbound, env);
 /// let wsg_soap::handler::Disposition::Deliver(delivered) = result.disposition else {
 ///     panic!("nothing consumed it");
 /// };
@@ -179,12 +192,7 @@ impl HandlerChain {
     /// [`Handler::understands`], otherwise the result is a
     /// `MustUnderstand` fault (WS-Addressing blocks are understood
     /// natively).
-    pub fn process(
-        &mut self,
-        direction: Direction,
-        envelope: Envelope,
-        local_address: impl Into<String>,
-    ) -> ChainResult {
+    pub fn process(&mut self, direction: Direction, envelope: Envelope) -> ChainResult {
         if direction == Direction::Inbound {
             if let Some(fault) = self.check_must_understand(&envelope) {
                 return ChainResult {
@@ -193,7 +201,7 @@ impl HandlerChain {
                 };
             }
         }
-        let mut ctx = MessageContext::new(direction, envelope, local_address);
+        let mut ctx = MessageContext::new(direction, envelope);
         for handler in &mut self.handlers {
             match handler.process(&mut ctx) {
                 HandlerOutcome::Continue => {}
@@ -257,11 +265,8 @@ mod tests {
             "splitter"
         }
         fn process(&mut self, ctx: &mut MessageContext) -> HandlerOutcome {
-            for peer in ["http://p1", "http://p2"] {
-                let mut copy = ctx.envelope.clone();
-                copy.addressing_mut().set_to(peer);
-                ctx.send_envelope(copy);
-            }
+            let heads = ["http://p1", "http://p2"].map(|peer| (peer.to_string(), format!("urn:{peer}")));
+            ctx.send(Outgoing::Copies { template: ctx.envelope.clone(), heads: Vec::from(heads) });
             HandlerOutcome::Consumed
         }
     }
@@ -276,7 +281,7 @@ mod tests {
         fn process(&mut self, ctx: &mut MessageContext) -> HandlerOutcome {
             let mut copy = ctx.envelope.clone();
             copy.addressing_mut().set_to("http://peer");
-            ctx.send_envelope(copy);
+            ctx.send(Outgoing::Envelope(copy));
             HandlerOutcome::Continue
         }
     }
@@ -297,7 +302,7 @@ mod tests {
     #[test]
     fn empty_chain_delivers() {
         let mut chain = HandlerChain::new();
-        let result = chain.process(Direction::Outbound, env(), "http://me");
+        let result = chain.process(Direction::Outbound, env());
         assert!(matches!(result.disposition, Disposition::Deliver(_)));
         assert!(result.sends.is_empty());
     }
@@ -307,13 +312,12 @@ mod tests {
         let mut chain = HandlerChain::new();
         chain.push(Box::new(Splitter));
         chain.push(Box::new(Sink));
-        let result = chain.process(Direction::Outbound, env(), "http://me");
+        let result = chain.process(Direction::Outbound, env());
         assert!(matches!(result.disposition, Disposition::Consumed));
-        let tos: Vec<_> = result
-            .sends
-            .iter()
-            .map(|e| e.addressing().to().unwrap().to_string())
-            .collect();
+        let [Outgoing::Copies { heads, .. }] = &result.sends[..] else {
+            panic!("one set of copies: {:?}", result.sends);
+        };
+        let tos: Vec<&str> = heads.iter().map(|(to, _)| to.as_str()).collect();
         assert_eq!(tos, ["http://p1", "http://p2"]);
     }
 
@@ -321,10 +325,12 @@ mod tests {
     fn fork_delivers_and_sends() {
         let mut chain = HandlerChain::new();
         chain.push(Box::new(Forker));
-        let result = chain.process(Direction::Inbound, env(), "http://me");
+        let result = chain.process(Direction::Inbound, env());
         assert!(matches!(result.disposition, Disposition::Deliver(_)));
-        assert_eq!(result.sends.len(), 1);
-        assert_eq!(result.sends[0].addressing().to(), Some("http://peer"));
+        let [Outgoing::Envelope(copy)] = &result.sends[..] else {
+            panic!("one envelope: {:?}", result.sends);
+        };
+        assert_eq!(copy.addressing().to(), Some("http://peer"));
     }
 
     #[test]
@@ -333,7 +339,7 @@ mod tests {
             .with_attr(QName::with_ns(SOAP_ENV_NS, "mustUnderstand").with_prefix("env"), "true");
         let message = env().with_header(header);
         let mut chain = HandlerChain::new();
-        let result = chain.process(Direction::Inbound, message, "http://me");
+        let result = chain.process(Direction::Inbound, message);
         match result.disposition {
             Disposition::Faulted(f) => assert_eq!(f.code(), FaultCode::MustUnderstand),
             other => panic!("expected fault, got {other:?}"),
@@ -348,7 +354,7 @@ mod tests {
         let message = env().with_header(header);
         let mut chain = HandlerChain::new();
         chain.push(Box::new(Understands(name)));
-        let result = chain.process(Direction::Inbound, message, "http://me");
+        let result = chain.process(Direction::Inbound, message);
         assert!(matches!(result.disposition, Disposition::Deliver(_)));
     }
 
@@ -358,7 +364,7 @@ mod tests {
             .with_attr(QName::with_ns(SOAP_ENV_NS, "mustUnderstand").with_prefix("env"), "true");
         let message = env().with_header(header);
         let mut chain = HandlerChain::new();
-        let result = chain.process(Direction::Outbound, message, "http://me");
+        let result = chain.process(Direction::Outbound, message);
         assert!(matches!(result.disposition, Disposition::Deliver(_)));
     }
 
@@ -387,7 +393,7 @@ mod tests {
         let mut chain = HandlerChain::new();
         chain.push(Box::new(Mark));
         chain.push(Box::new(Check));
-        let result = chain.process(Direction::Inbound, env(), "http://me");
+        let result = chain.process(Direction::Inbound, env());
         assert!(matches!(result.disposition, Disposition::Consumed));
     }
 
@@ -400,13 +406,13 @@ mod tests {
             }
             fn process(&mut self, ctx: &mut MessageContext) -> HandlerOutcome {
                 let copy = ctx.envelope.clone();
-                ctx.send_envelope(copy);
+                ctx.send(Outgoing::Envelope(copy));
                 HandlerOutcome::Abort(Fault::new(FaultCode::Receiver, "boom"))
             }
         }
         let mut chain = HandlerChain::new();
         chain.push(Box::new(Aborter));
-        let result = chain.process(Direction::Inbound, env(), "http://me");
+        let result = chain.process(Direction::Inbound, env());
         assert!(matches!(result.disposition, Disposition::Faulted(_)));
         assert_eq!(result.sends.len(), 1);
     }

@@ -43,7 +43,9 @@ pub use envelope::Envelope;
 pub use error::SoapError;
 pub use fault::{Fault, FaultCode};
 pub use gossip::{GossipId, WSGOSSIP_NS};
-pub use handler::{ChainResult, Disposition, Handler, HandlerChain, HandlerOutcome, MessageContext};
+pub use handler::{
+    ChainResult, Disposition, Handler, HandlerChain, HandlerOutcome, MessageContext, Outgoing,
+};
 pub use uuid::Uuid;
 
 /// SOAP 1.2 envelope namespace.

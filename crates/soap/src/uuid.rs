@@ -35,11 +35,25 @@ impl Uuid {
     }
 
     /// Render as a `urn:uuid:...` URI, the form WS-Addressing uses for
-    /// `MessageID`.
+    /// `MessageID`: its 45 bytes written straight into a string of that
+    /// size (every forward copy draws one).
     pub fn to_urn(&self) -> String {
-        format!("urn:uuid:{self}")
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let mut urn = String::with_capacity(URN_LEN);
+        urn.push_str("urn:uuid:");
+        for nibble in 0..32 {
+            if matches!(nibble, 8 | 12 | 16 | 20) {
+                urn.push('-');
+            }
+            let digit = (self.0 >> (124 - 4 * nibble)) & 0xF;
+            urn.push(char::from(HEX[digit as usize]));
+        }
+        urn
     }
 }
+
+/// `urn:uuid:` and the 36 characters of the canonical form.
+const URN_LEN: usize = 45;
 
 impl fmt::Display for Uuid {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -84,9 +98,10 @@ impl FromStr for Uuid {
             return Err(ParseUuidError);
         }
         let mut bits: u128 = 0;
-        for part in parts {
-            let v = u64::from_str_radix(part, 16).map_err(|_| ParseUuidError)?;
-            bits = (bits << (part.len() * 4)) | v as u128;
+        for digit in parts.iter().flat_map(|part| part.chars()) {
+            // Hex digits only: `from_str_radix` would also take a sign.
+            let v = digit.to_digit(16).ok_or(ParseUuidError)?;
+            bits = (bits << 4) | u128::from(v);
         }
         Ok(Uuid(bits))
     }
@@ -128,6 +143,37 @@ mod tests {
         assert!("not-a-uuid".parse::<Uuid>().is_err());
         assert!("00000000-0000-0000-0000".parse::<Uuid>().is_err());
         assert!("g0000000-0000-4000-8000-000000000000".parse::<Uuid>().is_err());
+    }
+
+    #[test]
+    fn a_sign_is_no_hex_digit_in_any_group() {
+        let canonical = "00000000-0000-4000-8000-000000000000";
+        assert!(canonical.parse::<Uuid>().is_ok());
+        for at in [0, 9, 14, 19, 24] {
+            for sign in ["+", "-"] {
+                let mut signed = canonical.to_string();
+                signed.replace_range(at..at + 1, sign);
+                assert!(signed.parse::<Uuid>().is_err(), "{signed}");
+                assert!(format!("urn:uuid:{signed}").parse::<Uuid>().is_err(), "{signed}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_urn_is_the_display_form_behind_its_prefix() {
+        let mut rng = SplitMix64::new(31);
+        let corners = [0u128, u128::MAX, 0xF << 76, 0x3 << 62, 1, 1 << 127];
+        let randoms = (0..10_000).map(|_| {
+            let hi = rng.next() as u128;
+            let lo = rng.next() as u128;
+            (hi << 64) | lo
+        });
+        for raw in corners.into_iter().chain(randoms) {
+            let id = Uuid::from_u128(raw);
+            let urn = id.to_urn();
+            assert_eq!(urn, format!("urn:uuid:{id}"));
+            assert_eq!((urn.len(), urn.capacity()), (URN_LEN, URN_LEN));
+        }
     }
 
     #[test]

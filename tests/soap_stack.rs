@@ -128,7 +128,7 @@ fn application_handler_composes_with_gossip_layer() {
         MessageHeaders::request("http://node1/gossip", "urn:app:Echo"),
         Element::new("echo"),
     );
-    let result = chain.process(Direction::Inbound, plain, "http://node1/gossip");
+    let result = chain.process(Direction::Inbound, plain);
     assert!(matches!(result.disposition, Disposition::Deliver(_)));
 }
 
