@@ -130,8 +130,9 @@ fn a_first_receive_builds_one_tree_and_copies_the_payload_only_onto_the_wire() {
     let _alone = alone();
     let (small, _) = receive_costs(256);
     let (large, _) = receive_costs(16 * 1024);
-    // Measured 86 (202 while each copy was a clone written whole), and a
-    // little on top: the forward is one template serialised once, and each
+    // Measured 85 (86 while the fixture's dense payload was written
+    // escaped, and unescaped into a copy on receipt; 202 while each copy
+    // was a clone written whole), and a little on top: the forward is one template serialised once, and each
     // copy is that frame with its own `To` and `MessageID` spliced in; the
     // grant is shared and its peers are sampled by reference, so only the
     // five names sent to are copied.
@@ -139,7 +140,8 @@ fn a_first_receive_builds_one_tree_and_copies_the_payload_only_onto_the_wire() {
     assert!(large.calls <= 100, "{large:?}");
     // The floor under `Context::send(to, String)`: five forwards, each an
     // owned wire string of the whole envelope, plus the one delivered text
-    // (requested at its escaped size, then cut back to fit) — seven
+    // (copied out of its CDATA section at its size; text that came escaped
+    // is requested at that size, then cut back to fit) — seven
     // payload-sized requests. An eighth is a regression (building every
     // tree made about seventeen).
     let wire = notification(0, 16 * 1024).len() as u64;

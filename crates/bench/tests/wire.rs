@@ -65,14 +65,16 @@ fn a_forward_after_the_first_on_a_connection_is_what_it_adds() {
     server.shutdown();
 
     assert_eq!(*received.lock().expect("not poisoned"), forwards);
-    // The first says everything: the 1 496-byte envelope, the HTTP head
-    // (176 bytes) and the batch wrapper (~90).
+    // The first says everything: the 1 424-byte envelope, the HTTP head
+    // (176 bytes) and the batch wrapper (~80).
     let whole = forwards[0].len() as u64;
     assert!((whole + 176..whole + 300).contains(&requests[0]), "{requests:?} (envelope {whole})");
     // Every later one says what it adds to the one before it: the ~900
     // bytes up to `wsg:Seq` are left out, what follows it — the round, the
-    // `To` and `MessageID` of the copy, the 347-byte escaped payload —
-    // travels (measured 883 per request; a bare POST of it was 1 672).
+    // `To` and `MessageID` of the copy, the payload as a 268-byte CDATA
+    // section (346 escaped), its `]]>` split across two of the batch's
+    // sections — travels (measured 817 per request; the envelope alone is
+    // 1 424).
     assert!(requests[1..].iter().all(|&bytes| bytes <= 900), "{requests:?}");
     assert!(requests[1..].iter().all(|&bytes| bytes + 850 <= requests[0]), "{requests:?}");
 }

@@ -192,8 +192,10 @@ fn write_seeds() -> std::io::Result<usize> {
     )
     .to_xml();
 
-    // What a foreign SOAP stack may send and this writer never does: CDATA,
-    // a character reference, and a payload prefix bound on env:Envelope
+    // What a foreign SOAP stack may send and this writer never does: a
+    // CDATA section and escaped text in one element (the writer spells a
+    // text one way or the other, whole), a character reference, and a
+    // payload prefix bound on env:Envelope
     // (the shape behind fuzz/corpus/regressions/batch/24ffc09407f20b43:
     // a subtree leaning on a binding outside its own byte span).
     let foreign = push
@@ -206,7 +208,7 @@ fn write_seeds() -> std::io::Result<usize> {
     // A notification as the gossip layer reads it — `wsg:Origin` and
     // `wsg:Seq` straight off the header block's bytes — and the ways a
     // foreign stack may spell the same header.
-    let notification = |seq: u32| {
+    let notification_of = |seq: u32, tick: &str| {
         let header = GossipHeader {
             context_id: "urn:ws-gossip:ctx:0".into(),
             topic: "quotes".into(),
@@ -217,11 +219,12 @@ fn write_seeds() -> std::io::Result<usize> {
         Envelope::request(
             MessageHeaders::request("http://node2/gossip", "urn:ws-gossip:2008:Notify")
                 .with_message_id(format!("urn:uuid:{:04}", seq - 11)),
-            Element::text_node("tick", if seq == 12 { "ACME" } else { "ACME &c." }),
+            Element::text_node("tick", tick),
         )
         .with_header(header.to_element())
         .to_xml()
     };
+    let notification = |seq: u32| notification_of(seq, if seq == 12 { "ACME" } else { "ACME &c." });
     let gossip = notification(12);
     // The same notification as builds before the conversation-first
     // header order wrote it, byte for byte (and as any other stack may
@@ -312,6 +315,14 @@ fn write_seeds() -> std::io::Result<usize> {
     write_batch_parts(item, &mut said.to_string(), &mut next);
     assert!(next.contains("<wsgb:Msg pre=\""), "{next}");
     let connection_pre = format!("{said}\0{next}");
+    // Three forwards whose payloads escaping would grow past a CDATA
+    // section's delimiters: each is written as one section, and each coded
+    // tail splits that section's `]]>` across two of the batch's own.
+    let dense = [12, 13, 14]
+        .map(|seq| notification_of(seq, &format!("ACME {seq} < 101.25 & rising <fast> & more")));
+    let mut cdata_split = String::new();
+    write_batch(&dense.each_ref().map(|xml| BatchItem { target: None, xml }), &mut cdata_split);
+    assert_eq!(cdata_split.matches("]]]]><![CDATA[>").count(), 2, "{cdata_split}");
     // A character no XML document may hold, in a front-coded tail.
     let not_char_coded = front_coded.replacen("<![CDATA[", "<![CDATA[\u{1}", 1);
 
@@ -389,6 +400,7 @@ fn write_seeds() -> std::io::Result<usize> {
                 ("connection-pre", connection_pre.as_bytes()),
                 ("pre-fresh-connection", next.as_bytes()),
                 ("not-char-coded", not_char_coded.as_bytes()),
+                ("cdata-split", cdata_split.as_bytes()),
             ],
         ),
         (

@@ -71,11 +71,12 @@ const MIN_SHARED: usize = 64;
 
 /// ...and the smallest share of the message those bytes must be: one in
 /// `MIN_SHARE`. Coding costs the sender and the receiver one more pass
-/// each over what is *not* shared (for a `]]>`; for the CDATA section's
-/// end), so it has to leave out a fair part. A 16 KiB notification shares
-/// the same ~950 header bytes a 256-byte one does — 5 % of it: coded,
-/// `saturate_large` paid +5 % `cpu_ms_per_op` for −4 % `wire_bytes_per_op`
-/// (EXPERIMENTS.md §E12, issue 22); whole, it costs what it did.
+/// each over what is *not* shared (for the `]]>`s to split; for the CDATA
+/// section's end), so it has to leave out a fair part. A 16 KiB
+/// notification shares the same ~950 header bytes a 256-byte one does —
+/// 5 % of it: coded, `saturate_large` paid +5 % `cpu_ms_per_op` for −4 %
+/// `wire_bytes_per_op` (EXPERIMENTS.md §E12, "a batch says it once");
+/// whole, it costs what it did.
 const MIN_SHARE: usize = 8;
 
 /// Most bytes the messages of one batch may unwrap to, whole and coded
@@ -151,6 +152,12 @@ pub fn write_batch_parts<'a>(
 
 /// The writer behind both: the batch of `items`, the first coded against
 /// `reference`, into `out`; the bytes left out and the last message's text.
+///
+/// A coded message's tail is copied piece by piece into its CDATA section,
+/// and every `]]>` in it — its own payload's CDATA section ending, say —
+/// is split across two sections as it is copied (see [`push_in_section`]):
+/// the receiver joins the runs, so whatever the tail holds, the message
+/// is still coded.
 fn write_coded<'a>(
     items: impl Iterator<Item = (Option<&'a str>, [&'a str; 3])> + Clone,
     reference: &str,
@@ -174,26 +181,16 @@ fn write_coded<'a>(
             escape_attr_into(out, target);
             out.push('"');
         }
-        let whole_from = out.len();
         let (pre, piece, offset) = shared_start(&before.unwrap_or([reference, "", ""]), &text);
-        let mut coded = pre >= MIN_SHARED
-            && pre * MIN_SHARE >= text.iter().map(|part| part.len()).sum::<usize>();
-        if coded {
+        if pre >= MIN_SHARED && pre * MIN_SHARE >= text.iter().map(|part| part.len()).sum::<usize>() {
+            cov!();
             // wsg_lint: allow(E2) — fmt::Write to a String is infallible
             let _ = write!(out, " pre=\"{pre}\"><![CDATA[");
-            let tail_from = out.len();
-            out.push_str(&text[piece][offset..]);
-            text[piece + 1..].iter().for_each(|part| out.push_str(part));
-            // A foreign sender's CDATA section in the tail would end ours
-            // early: that message goes whole.
-            coded = !out[tail_from..].contains("]]>");
-        }
-        if coded {
-            cov!();
+            push_in_section(out, &text[piece][offset..]);
+            text[piece + 1..].iter().for_each(|part| push_in_section(out, part));
             out.push_str("]]></wsgb:Msg>");
             left_out += pre;
         } else {
-            out.truncate(whole_from);
             out.push('>');
             text.iter().for_each(|part| out.push_str(part));
             out.push_str("</wsgb:Msg>");
@@ -202,6 +199,31 @@ fn write_coded<'a>(
     }
     out.push_str("</wsgb:Batch>");
     (left_out, before)
+}
+
+/// Append `text` to the CDATA section open at the end of `out`, ending the
+/// section before the `>` of every `]]>` and opening another for the `>`:
+/// `]]>` is written `]]]]><![CDATA[>`. The section's opening `<![CDATA[`
+/// ends in `[`, so the `]`s `out` ends with are the text's, and a `]]>`
+/// that straddles two pieces is found from them. An empty piece (most
+/// messages come in fewer than three) asks for no search.
+fn push_in_section(out: &mut String, mut text: &str) {
+    while !text.is_empty() {
+        let close = if out.ends_with("]]") && text.starts_with('>') {
+            0
+        } else if out.ends_with(']') && text.starts_with("]>") {
+            1
+        } else if let Some(at) = text.find("]]>") {
+            at + 2
+        } else {
+            out.push_str(text);
+            return;
+        };
+        cov!();
+        out.push_str(&text[..close]);
+        out.push_str("]]><![CDATA[");
+        text = &text[close..];
+    }
 }
 
 /// `parts` without a leading `<?xml …?>` declaration — all of it in the
@@ -529,7 +551,9 @@ fn read_coded(
     loop {
         match reader.next_raw()? {
             RawEvent::Text(run) if tail.is_empty() => tail = run,
-            // Not what `write_batch` writes: text in several runs.
+            // Several runs: a `]]>` the sender split across two CDATA
+            // sections, or another writer's spelling (escaped text,
+            // comments between runs).
             RawEvent::Text(run) => {
                 cov!();
                 tail.to_mut().push_str(&run);
@@ -924,27 +948,50 @@ mod tests {
     }
 
     #[test]
-    fn a_tail_that_would_end_the_cdata_section_goes_whole() {
+    fn a_tail_that_would_end_the_cdata_section_is_split_across_two_sections() {
+        const SPLIT: &str = "]]]]><![CDATA[>";
         let head = format!("<env:Envelope xmlns:env=\"{SOAP_ENV_NS}\"><env:Body><!--{}-->", "x".repeat(80));
         let plain = format!("{head}<a>1</a></env:Body></env:Envelope>");
-        let foreign = format!("{head}<a><![CDATA[2]]></a></env:Body></env:Envelope>");
+        let foreign = format!("{head}<a><![CDATA[2]]></a><b><![CDATA[]]]]><![CDATA[>]]></b></env:Body></env:Envelope>");
         let split = format!("{head}<a>3]]</a></env:Body></env:Envelope>");
         let xmls = [plain.clone(), foreign.clone(), plain.clone(), split.clone()];
         let (wire, left_out) = batch_of(&xmls);
-        assert_eq!(wire.matches(" pre=\"").count(), 2, "{wire}");
-        assert!(wire.contains(&format!("<wsgb:Msg>{foreign}</wsgb:Msg>")), "{wire}");
+        // Every message after the first is coded, the foreign one too.
+        assert_eq!(wire.matches(" pre=\"").count(), 3, "{wire}");
+        assert_eq!(left_out, 3 * (head.len() + 3));
+        // Its tail carries the split once per `]]>` it holds.
+        let coded = |text: &str| {
+            let tail = &text[head.len() + 3..];
+            assert_eq!(tail.matches("]]>").count(), 3);
+            format!("<wsgb:Msg pre=\"{}\"><![CDATA[{}]]></wsgb:Msg>", head.len() + 3, tail.replace("]]>", SPLIT))
+        };
+        assert!(wire.contains(&coded(&foreign)), "{wire}");
+        assert_eq!(wire.matches(SPLIT).count(), 3, "{wire}");
         // `]]` alone is text like any other.
         assert!(wire.ends_with("<![CDATA[3]]</a></env:Body></env:Envelope>]]></wsgb:Msg></wsgb:Batch>"));
-        assert_eq!(left_out, 2 * (head.len() + 3));
         for (message, xml) in streamed(&wire).iter().zip(&xmls) {
             assert_eq!(message.raw, format!("{XML_DECL}{xml}"));
         }
-        // Split over two pieces, the `]]>` is found all the same.
-        let (to_brackets, rest) = foreign.split_at(foreign.find("]]>").unwrap() + 2);
-        let pieces = [(None, [plain.as_str(), "", ""]), (None, [to_brackets, rest, ""])];
-        let mut wire = String::new();
-        assert_eq!(write_batch_parts(pieces.into_iter(), &mut String::new(), &mut wire), 0);
-        assert_eq!(streamed(&wire)[1].raw, format!("{XML_DECL}{foreign}"));
+        for (message, xml) in fresh(&wire).unwrap().iter().zip(&xmls).skip(1) {
+            assert_eq!(message.raw, format!("{XML_DECL}{xml}"));
+        }
+        // Cut at every byte of every `]]>` into two or three pieces, the
+        // batch is the one written whole.
+        let mut cuts: Vec<usize> = foreign.match_indices("]]>").flat_map(|(at, _)| at..=at + 3).collect();
+        cuts.push(foreign.len());
+        for &a in &cuts {
+            for &b in cuts.iter().filter(|&&b| b >= a) {
+                let pieces = [
+                    (None, [plain.as_str(), "", ""]),
+                    (None, [&foreign[..a], &foreign[a..b], &foreign[b..]]),
+                    (None, [plain.as_str(), "", ""]),
+                    (None, [&split[..head.len() + 8], &split[head.len() + 8..], ""]),
+                ];
+                let mut in_pieces = String::new();
+                let left = write_batch_parts(pieces.into_iter(), &mut String::new(), &mut in_pieces);
+                assert_eq!((left, &in_pieces), (left_out, &wire), "cut at {a} and {b}");
+            }
+        }
     }
 
     #[test]

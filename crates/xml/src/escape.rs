@@ -27,16 +27,8 @@ pub fn escape_attr(input: &str) -> Cow<'_, str> {
     escape_with(input, true)
 }
 
-fn needs_escape(c: char, attr: bool) -> bool {
-    match c {
-        '&' | '<' | '>' => true,
-        '"' | '\t' | '\n' | '\r' => attr,
-        _ => false,
-    }
-}
-
 fn escape_with(input: &str, attr: bool) -> Cow<'_, str> {
-    if !input.chars().any(|c| needs_escape(c, attr)) {
+    if escape_growth(input, attr, 0) == 0 {
         return Cow::Borrowed(input);
     }
     let mut out = String::with_capacity(input.len() + 16);
@@ -58,24 +50,69 @@ pub fn escape_attr_into(out: &mut String, input: &str) {
     escape_into(out, input, true)
 }
 
+/// What escaping writes in place of `byte`, if it rewrites it. Every
+/// special is ASCII, so a byte scan never splits a UTF-8 sequence.
+#[inline(always)]
+fn replacement(byte: u8, attr: bool) -> Option<&'static str> {
+    match byte {
+        b'&' => Some("&amp;"),
+        b'<' => Some("&lt;"),
+        b'>' => Some("&gt;"),
+        b'"' if attr => Some("&quot;"),
+        b'\t' if attr => Some("&#9;"),
+        b'\n' if attr => Some("&#10;"),
+        b'\r' if attr => Some("&#13;"),
+        _ => None,
+    }
+}
+
+/// Offset of the first byte at or after `from` that escaping may rewrite
+/// (for an attribute value, any control character too: [`replacement`]
+/// tells them apart).
+#[inline(always)]
+fn find_special(bytes: &[u8], from: usize, attr: bool) -> Option<usize> {
+    let quote = if attr { u64::MAX } else { 0 };
+    find_by(
+        bytes,
+        from,
+        |word| {
+            flag(word, b'&')
+                | flag(word, b'<')
+                | flag(word, b'>')
+                | ((flag(word, b'"') | below_space(word)) & quote)
+        },
+        |b| replacement(b, attr).is_some(),
+    )
+}
+
+/// The bytes escaping `input` adds to it, counted until they pass
+/// `stop_past` (the count returned then is the first one above it): `0`
+/// says there is nothing to escape.
+#[inline]
+pub(crate) fn escape_growth(input: &str, attr: bool, stop_past: usize) -> usize {
+    let bytes = input.as_bytes();
+    let (mut added, mut from) = (0, 0);
+    while let Some(at) = find_special(bytes, from, attr) {
+        added += replacement(bytes[at], attr).map_or(0, |r| r.len() - 1);
+        if added > stop_past {
+            break;
+        }
+        from = at + 1;
+    }
+    added
+}
+
 fn escape_into(out: &mut String, input: &str, attr: bool) {
-    // Every special is ASCII, so a byte scan never splits a UTF-8
-    // sequence: clean runs between specials are copied whole.
-    let mut clean = 0;
-    for (i, byte) in input.bytes().enumerate() {
-        let replacement = match byte {
-            b'&' => "&amp;",
-            b'<' => "&lt;",
-            b'>' => "&gt;",
-            b'"' if attr => "&quot;",
-            b'\t' if attr => "&#9;",
-            b'\n' if attr => "&#10;",
-            b'\r' if attr => "&#13;",
-            _ => continue,
-        };
-        out.push_str(&input[clean..i]);
-        out.push_str(replacement);
-        clean = i + 1;
+    // Clean runs between specials are copied whole.
+    let bytes = input.as_bytes();
+    let (mut clean, mut from) = (0, 0);
+    while let Some(at) = find_special(bytes, from, attr) {
+        if let Some(replacement) = replacement(bytes[at], attr) {
+            out.push_str(&input[clean..at]);
+            out.push_str(replacement);
+            clean = at + 1;
+        }
+        from = at + 1;
     }
     out.push_str(&input[clean..]);
 }

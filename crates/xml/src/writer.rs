@@ -3,8 +3,11 @@
 use std::fmt::Write as _;
 
 use crate::error::{XmlError, XmlErrorKind};
-use crate::escape::{escape_attr_into, escape_text_into, validate_name};
+use crate::escape::{escape_attr_into, escape_growth, escape_text_into, validate_name};
 use crate::name::{NamespaceScope, QName};
+
+/// Bytes a CDATA section adds to its text: `<![CDATA[` and `]]>`.
+const CDATA_DELIMITERS: usize = "<![CDATA[".len() + "]]>".len();
 
 /// Streaming writer producing a well-formed document into a `String`.
 ///
@@ -178,7 +181,11 @@ impl XmlWriter {
         Ok(())
     }
 
-    /// Write character data (escaped).
+    /// Write character data in the shorter of its two spellings: escaped,
+    /// or as one CDATA section when escaping would add more than the
+    /// section's delimiters do and the text holds no `]]>`. Text with few
+    /// specials or none is escaped; a payload dense in `&` and `<` is
+    /// written, and read back, without a reference in it.
     ///
     /// # Errors
     ///
@@ -191,7 +198,12 @@ impl XmlWriter {
         if let Some(m) = self.mixed.last_mut() {
             *m = true;
         }
-        escape_text_into(&mut self.out, text);
+        match escape_growth(text, false, CDATA_DELIMITERS) {
+            // Most text (every header's) has nothing to escape: one scan.
+            0 => self.out.push_str(text),
+            growth if growth > CDATA_DELIMITERS && !text.contains("]]>") => self.push_cdata(text),
+            _ => escape_text_into(&mut self.out, text),
+        }
         Ok(())
     }
 
@@ -248,9 +260,14 @@ impl XmlWriter {
         if let Some(m) = self.mixed.last_mut() {
             *m = true;
         }
-        // wsg_lint: allow(E2) — fmt::Write to a String is infallible
-        let _ = write!(self.out, "<![CDATA[{text}]]>");
+        self.push_cdata(text);
         Ok(())
+    }
+
+    fn push_cdata(&mut self, text: &str) {
+        self.out.push_str("<![CDATA[");
+        self.out.push_str(text);
+        self.out.push_str("]]>");
     }
 
     /// Write a comment. Must not contain `--`.
@@ -440,6 +457,29 @@ mod tests {
         w.text("x < y").unwrap();
         w.end_element().unwrap();
         assert_eq!(w.finish().unwrap(), "<a>x &lt; y</a>");
+    }
+
+    #[test]
+    fn text_takes_its_shorter_spelling() {
+        let spelt = |text: &str| {
+            let mut w = XmlWriter::new();
+            w.start_element(&QName::new("a")).unwrap();
+            w.text(text).unwrap();
+            w.end_element().unwrap();
+            let xml = w.finish().unwrap();
+            assert_eq!(crate::tree::Element::parse(&xml).unwrap().text(), text);
+            xml[3..xml.len() - 4].to_string()
+        };
+        // Escaping adds 12 bytes, as the section would: escaped.
+        assert_eq!(spelt("<<<<"), "&lt;&lt;&lt;&lt;");
+        assert_eq!(spelt("&&&"), "&amp;&amp;&amp;");
+        // One more special, and the section is shorter.
+        assert_eq!(spelt("&&&<"), "<![CDATA[&&&<]]>");
+        assert_eq!(spelt("a<b>c<d>e"), "a&lt;b&gt;c&lt;d&gt;e");
+        assert_eq!(spelt("a<b>c<d>e<"), "<![CDATA[a<b>c<d>e<]]>");
+        // A section cannot hold `]]>`: escaped whatever it costs.
+        assert_eq!(spelt("<<<<]]>"), "&lt;&lt;&lt;&lt;]]&gt;");
+        assert_eq!(spelt(""), "");
     }
 
     #[test]

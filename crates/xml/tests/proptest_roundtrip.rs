@@ -1,11 +1,12 @@
 //! Property tests: any generated element tree serialises to XML that parses
-//! back to an equal tree, and escaping round-trips arbitrary strings.
+//! back to an equal tree, escaping round-trips arbitrary strings, and the
+//! writer spells character data in the shorter of its two forms.
 //! Runs on the in-tree `wsg_net::check` harness.
 
 use wsg_net::check::{run, Gen};
 use wsg_net::{prop_assert, prop_assert_eq};
 use wsg_xml::tree::{Element, Node};
-use wsg_xml::{escape, QName};
+use wsg_xml::{escape, QName, XmlWriter};
 
 /// XML-legal text: printable ASCII plus a slice of Latin/Greek, filtered
 /// through the XML 1.0 character rule.
@@ -195,6 +196,50 @@ fn escaped_text_contains_no_specials() {
                 prop_assert!(escaped[i..].contains(';'));
             }
         }
+        Ok(())
+    });
+}
+
+/// Text of every kind the writer must choose a spelling for: empty, plain,
+/// dense in specials, holding `]]>` (between other specials, or across
+/// what would be a section's end), and mostly not ASCII.
+fn text_to_spell(g: &mut Gen) -> String {
+    match g.usize(0..=4) {
+        0 => String::new(),
+        1 => xml_text(g),
+        2 => special_heavy_text(g),
+        3 => {
+            let mut text = special_heavy_text(g);
+            let at = g.usize(0..=text.len());
+            let at = (0..=at).rev().find(|&at| text.is_char_boundary(at)).unwrap_or(0);
+            let end = *g.pick::<&str>(&["]]>", "]]]>", "]]>]]>", "]>"]);
+            text.insert_str(at, end);
+            text
+        }
+        _ => g.string_from(&['漢', 'é', '😀', '&', '<', '>', ']'], 24),
+    }
+}
+
+#[test]
+fn text_is_written_in_its_shorter_spelling() {
+    run("text_is_written_in_its_shorter_spelling", 256, |g| {
+        let text = text_to_spell(g);
+        let mut w = XmlWriter::new();
+        w.start_element(&QName::new("a")).map_err(|e| e.to_string())?;
+        w.text(&text).map_err(|e| e.to_string())?;
+        w.end_element().map_err(|e| e.to_string())?;
+        let xml = w.finish().map_err(|e| e.to_string())?;
+        let spelt = &xml["<a>".len()..xml.len() - "</a>".len()];
+        let parsed = Element::parse(&xml).map_err(|e| format!("{e} in {xml}"))?;
+        prop_assert_eq!(parsed.text(), text.as_str());
+        // As long as the shorter spelling; escaped on a tie, so text with
+        // few specials is written as it always was, and escaped whenever
+        // a section could not hold it.
+        let escaped = escape::escape_text(&text);
+        let section = format!("<![CDATA[{text}]]>");
+        prop_assert!(spelt.len() == escaped.len().min(section.len()) || text.contains("]]>"), "{spelt}");
+        let shorter = section.len() < escaped.len() && !text.contains("]]>");
+        prop_assert_eq!(spelt, if shorter { section.as_str() } else { &*escaped });
         Ok(())
     });
 }

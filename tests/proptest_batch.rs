@@ -2,8 +2,9 @@
 //! the in-tree `wsg_net::check` harness: random envelope runs must
 //! round-trip through `write_batch` → parse → `unbundle` with count,
 //! order, per-message targets, headers and bodies intact; whatever a
-//! message shares with the one before it on its connection, a receiver
-//! gets back the sender's text byte for byte — and the unbundler must
+//! message shares with the one before it on its connection, and whatever
+//! `]]>` its coded tail holds, a receiver gets back the sender's text byte
+//! for byte — and the unbundler must
 //! answer malformed wrappers with a typed error, never a panic (the server
 //! turns it into a 400).
 
@@ -97,16 +98,21 @@ const DECLARATION: &str = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>";
 
 /// A message of one of a few conversations: the header (long, with
 /// characters of every width) repeats within a conversation, the id starts
-/// with one of two characters that share their first byte, the payload may
-/// hold a CDATA section of its own, and the declaration is there or not.
+/// with one of two characters that share their first byte, the payload is
+/// often a CDATA section of its own — dense in `]` and `>`, so it ends in
+/// a `]]>` and may hold more, split the way `XmlWriter` cannot but another
+/// writer may — and the declaration is there or not.
 fn random_message(g: &mut Gen, conversations: &[String]) -> String {
     let declaration =
         *g.pick(&["", DECLARATION, "<?xml version=\"1.0\"?>", " \n<?xml version=\"1.1\"?>\n"]);
     let header = g.pick(conversations);
     let id = format!("{}{}", g.pick(&['é', 'è', 'e']), g.usize(0..=3));
-    let payload = match g.usize(0..=3) {
-        0 => format!("<![CDATA[<{}]]>", g.ascii_string(12).replace(']', "")),
-        1 => format!("]] &gt;{}", g.string_from(&['a', '漢', '😀', ']'], 20)),
+    let payload = match g.usize(0..=4) {
+        0 | 1 => {
+            let text = g.string_from(&['a', ']', '>', '&', '<', '漢'], 16);
+            format!("<![CDATA[<{}]]>", text.replace("]]>", "]]]]><![CDATA[>"))
+        }
+        2 => format!("]] &gt;{}", g.string_from(&['a', '漢', '😀', ']'], 20)),
         _ => g.string_from(&['a', 'b', 'é', ' '], 40),
     };
     format!(
@@ -182,6 +188,10 @@ fn every_unwrapped_message_is_the_text_its_sender_queued() {
             .collect();
         prop_assert_eq!(pres.iter().flatten().sum::<usize>(), left_out);
         prop_assert_eq!(pres[0], None);
+        // Each `Msg` as written: its attributes, its content and its end
+        // tag (no message text holds `<wsgb:Msg`).
+        let msgs: Vec<&str> = wire.split("<wsgb:Msg").skip(1).collect();
+        prop_assert_eq!(msgs.len(), xmls.len());
 
         let streamed = match parse_wire(&wire).map_err(|e| e.to_string())? {
             Unbundled::Batch(streamed) => streamed,
@@ -197,11 +207,14 @@ fn every_unwrapped_message_is_the_text_its_sender_queued() {
             prop_assert_eq!(reference[i].target.as_deref(), targets[i]);
             prop_assert_eq!(streamed[i].envelope(), reference[i].envelope());
             if let Some(pre) = pres[i] {
-                // Coded: the reference rebuilds the very bytes, a tail
-                // that would close the CDATA section never is, and the
-                // cut falls on a character of the message before.
-                prop_assert_eq!(&reference[i].raw, &expected);
-                prop_assert!(!text[pre..].contains("]]>"), "message {i} of {wire}");
+                // Coded: the reference rebuilds the very bytes, the tail
+                // opens one more CDATA section for each `]]>` it holds,
+                // and the cut falls on a character of the message before.
+                prop_assert!(reference[i].raw == expected, "message {i} of {wire}: {}", reference[i].raw);
+                let tail = &text[pre..];
+                let sections = msgs[i].matches("<![CDATA[").count() - tail.matches("<![CDATA[").count();
+                let splits = tail.matches("]]>").count();
+                prop_assert!(sections == 1 + splits, "message {i}: {sections} sections for {splits} `]]>` in {wire}");
                 prop_assert!(pre >= 64 && pre * 8 >= text.len(), "message {i} of {wire}");
                 prop_assert!(texts[i - 1].is_char_boundary(pre), "message {i} of {wire}");
             }
