@@ -15,8 +15,7 @@ use wsg_soap::{
     EndpointReference, Envelope, Fault, MessageHeaders, SoapError, SOAP_ENV_NS, WSA_NS,
 };
 use wsg_xml::reader::MAX_DEPTH;
-use wsg_xml::event::Attribute;
-use wsg_xml::{Element, QName, RawEvent, XmlError, XmlEvent, XmlReader};
+use wsg_xml::{Element, QName, RawEvent, XmlError, XmlReader};
 
 /// One fuzzable parse path.
 pub trait FuzzTarget: Sync {
@@ -168,26 +167,20 @@ impl FuzzTarget for HttpTarget {
 /// Oracles: the event stream terminates within a linear bound (no
 /// livelock), open-element depth never exceeds [`MAX_DEPTH`], a tree
 /// that parses has an idempotent serialisation
-/// (serialise → parse → serialise is a fixed point), `next_raw` agrees
-/// with `next_event` on every event and on the verdict, and
-/// `skip_element` agrees with tree building — same verdict, same error,
-/// same end offset — on the root and on each of its children.
+/// (serialise → parse → serialise is a fixed point), and `skip_element`
+/// agrees with tree building (`Element::from_open`) — same verdict, same
+/// error, same end offset — on the root and on each of its children.
 pub struct XmlTarget;
 
 /// How a consumer leaves the element whose start tag was just read.
-type Consume = fn(&mut XmlReader<'_>, XmlEvent) -> Result<(), XmlError>;
+type Consume = fn(&mut XmlReader<'_>) -> Result<(), XmlError>;
 
-fn skip(reader: &mut XmlReader<'_>, _start: XmlEvent) -> Result<(), XmlError> {
+fn skip(reader: &mut XmlReader<'_>) -> Result<(), XmlError> {
     reader.skip_element()
 }
 
-fn build(reader: &mut XmlReader<'_>, start: XmlEvent) -> Result<(), XmlError> {
-    match start {
-        XmlEvent::StartElement { name, attributes, .. } => {
-            Element::from_start_event(reader, name, attributes).map(drop)
-        }
-        _ => Ok(()),
-    }
+fn build(reader: &mut XmlReader<'_>) -> Result<(), XmlError> {
+    Element::from_open(reader).map(drop)
 }
 
 /// Read `text` with `consume` applied to every element at nesting depth
@@ -197,67 +190,15 @@ fn element_ends(text: &str, level: usize, consume: Consume) -> Result<Vec<usize>
     let mut reader = XmlReader::new(text);
     let mut ends = Vec::new();
     loop {
-        match reader.next_event()? {
-            XmlEvent::Eof => return Ok(ends),
-            start @ XmlEvent::StartElement { .. } if reader.depth() == level + 1 => {
-                consume(&mut reader, start)?;
+        match reader.next_raw()? {
+            RawEvent::Eof => return Ok(ends),
+            RawEvent::Start if reader.depth() == level + 1 => {
+                consume(&mut reader)?;
                 ends.push(reader.position());
             }
             _ => {}
         }
     }
-}
-
-/// Whether the start tag `raw` just read is `name` with `attributes`, as
-/// `next_event` reported it: name and prefix, and each attribute's value
-/// as `attribute` finds it (the first of a resolved name answers).
-fn same_start_tag(raw: &XmlReader<'_>, name: &QName, attributes: &[Attribute]) -> bool {
-    let (ns, local) = raw.element_name();
-    let element = raw.element_qname();
-    element == *name
-        && element.prefix() == name.prefix()
-        && (ns, local) == (name.namespace().filter(|ns| !ns.is_empty()), name.local())
-        && attributes.iter().all(|attribute| {
-            let (ns, local) = (attribute.name.namespace(), attribute.name.local());
-            let first = attributes.iter().find(|a| a.name.matches(ns, local));
-            raw.attribute(ns, local).as_deref() == first.map(|a| a.value.as_str())
-        })
-}
-
-/// Drive `next_event` and `next_raw` over `text` side by side, to the
-/// first error or the end: the same event each time, the cursor in the
-/// same place after it, and the same error.
-fn raw_agrees_with_events(text: &str, bound: usize) -> Result<(), String> {
-    let (mut events, mut raw) = (XmlReader::new(text), XmlReader::new(text));
-    for _ in 0..=bound {
-        let (event, got) = (events.next_event(), raw.next_raw());
-        let same = match (&event, &got) {
-            (Err(expected), Err(error)) if expected == error => return Ok(()),
-            (Ok(XmlEvent::Eof), Ok(RawEvent::Eof)) => return Ok(()),
-            (Ok(XmlEvent::StartElement { name, attributes, .. }), Ok(RawEvent::Start)) => {
-                same_start_tag(&raw, name, attributes)
-            }
-            (Ok(XmlEvent::EndElement { .. }), Ok(RawEvent::End)) => true,
-            (Ok(XmlEvent::Text(text) | XmlEvent::CData(text)), Ok(RawEvent::Text(run))) => {
-                text == run
-            }
-            (
-                Ok(XmlEvent::Declaration { .. }
-                | XmlEvent::Comment(_)
-                | XmlEvent::ProcessingInstruction { .. }),
-                Ok(RawEvent::Markup),
-            ) => true,
-            _ => false,
-        };
-        if !same || events.position() != raw.position() {
-            return Err(format!(
-                "next_event read {event:?} to {}, next_raw {got:?} to {}",
-                events.position(),
-                raw.position()
-            ));
-        }
-    }
-    Err(format!("next_raw emitted over {bound} events for {} bytes", text.len()))
 }
 
 impl FuzzTarget for XmlTarget {
@@ -271,8 +212,8 @@ impl FuzzTarget for XmlTarget {
         let bound = 4 * text.len() + 16;
         let mut events = 0usize;
         let clean = loop {
-            match reader.next_event() {
-                Ok(XmlEvent::Eof) => break true,
+            match reader.next_raw() {
+                Ok(RawEvent::Eof) => break true,
                 Ok(_) => {
                     events += 1;
                     if events > bound {
@@ -288,8 +229,6 @@ impl FuzzTarget for XmlTarget {
                 Err(_) => break false, // clean rejection
             }
         };
-        raw_agrees_with_events(&text, bound)?;
-
         for level in [0, 1] {
             let skipped = element_ends(&text, level, skip);
             let built = element_ends(&text, level, build);

@@ -25,6 +25,11 @@ struct Seqs {
 /// traffic keeps no per-number state. Looked up by a borrowed origin key
 /// (`&str` for a `String` key).
 ///
+/// The top number, `u64::MAX`, is refused: `insert` returns `None` for it
+/// and keeps nothing, so a floor only rises, tops out at `u64::MAX` and
+/// never wraps. A message numbered `u64::MAX` is never delivered; its
+/// origin would have sent 2⁶⁴ − 1 before it.
+///
 /// ```
 /// use wsg_gossip::SeenSeqs;
 ///
@@ -61,6 +66,10 @@ impl<K: Ord> SeenSeqs<K> {
         K: Borrow<Q>,
         Q: Ord + ToOwned<Owned = K> + ?Sized,
     {
+        // Every number kept is below `u64::MAX`, so no `+ 1` here wraps.
+        if seq == u64::MAX {
+            return None;
+        }
         let seqs = match self.origins.get_mut(origin) {
             Some(seqs) => seqs,
             None => self.origins.entry(origin.to_owned()).or_default(),
@@ -218,6 +227,69 @@ mod tests {
                 prop_assert!(seen.contains(&7, seq));
             }
             prop_assert!(reported.iter().all(|&seq| seen.contains(&7, seq)));
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn at_the_top_of_the_range_a_seq_once_seen_stays_seen() {
+        run("at_the_top_of_the_range_a_seq_once_seen_stays_seen", 4, |g: &mut Gen| {
+            // One more than the window, up to the last number there is, in
+            // locally shuffled runs with copies and, now and then, a number
+            // from far below.
+            let first = u64::MAX - SEEN_WINDOW as u64 - 1;
+            let mut stream: Vec<u64> = Vec::new();
+            let mut next = first;
+            loop {
+                let run_end = next.saturating_add(g.u64(1..=16));
+                let start = stream.len();
+                stream.extend(next..run_end);
+                if run_end == u64::MAX {
+                    stream.push(u64::MAX);
+                }
+                for i in (start + 1..stream.len()).rev() {
+                    stream.swap(i, g.usize(start..=i));
+                }
+                if g.bool(0.2) {
+                    stream.push(stream[g.usize(0..=stream.len() - 1)]);
+                }
+                if g.bool(0.01) {
+                    stream.push(g.u64(0..=64));
+                }
+                if run_end == u64::MAX {
+                    break;
+                }
+                next = run_end;
+            }
+            stream.extend((0..g.len_in(64)).map(|_| g.u64(first..=u64::MAX)));
+            stream.extend([u64::MAX, 5, first]);
+
+            let mut seen = SeenSeqs::<u32>::new();
+            let (mut reported, mut history) = (BTreeSet::new(), Vec::new());
+            let mut floor = 0;
+            for seq in stream {
+                let moved = seen.insert(&7, seq);
+                if seq == u64::MAX {
+                    prop_assert!(moved.is_none(), "the top number was taken: {moved:?}");
+                    continue;
+                }
+                if let Some(moved) = moved {
+                    prop_assert!(reported.insert(seq), "seq {seq} reported new twice");
+                    prop_assert!(moved.start == floor && moved.end >= floor, "{moved:?}");
+                    floor = moved.end;
+                }
+                history.push(seq);
+                prop_assert!(seen.held() <= SEEN_WINDOW);
+                let probe = history[g.usize(0..=history.len() - 1)];
+                prop_assert!(seen.contains(&7, seq), "seq {seq} not seen");
+                prop_assert!(seen.contains(&7, probe), "seq {probe} forgotten");
+            }
+            // Everything below the top arrived, so the floor tops out there.
+            prop_assert_eq!(floor, u64::MAX);
+            prop_assert_eq!(seen.held(), 0);
+            prop_assert!(!seen.contains(&7, u64::MAX));
+            prop_assert!(reported.iter().all(|&seq| seen.contains(&7, seq)));
+            prop_assert!(seen.contains(&7, 5), "the floor went down");
             Ok(())
         });
     }

@@ -50,7 +50,7 @@ use std::time::Duration;
 
 use wsg_net::protocol::{NodeId, Protocol};
 use wsg_net::rng::{Pcg32, SplitMix64};
-use wsg_net::sync::{AtomicUsize, Mutex, Ordering};
+use wsg_net::sync::{AtomicBool, AtomicUsize, Mutex, Ordering};
 use wsg_net::threads::{run_node, Inbox};
 use wsg_net::time::WallClock;
 use wsg_obs::{Counter, HistogramMetric, Registry};
@@ -159,6 +159,9 @@ struct NodeSlot<P> {
     server: Option<SoapHttpServer>,
     registry: Arc<Registry>,
     outbound: OutboundHandle,
+    /// Set when the runtime shuts down: the node loop still handles what
+    /// arrives, but queues no more sends.
+    closing: Arc<AtomicBool>,
 }
 
 impl<P> NodeSlot<P> {
@@ -168,8 +171,8 @@ impl<P> NodeSlot<P> {
         let _ = self.inbox.send(Inbox::Stop);
     }
 
-    /// Wait for the sender thread's final drain (the node loop must have
-    /// exited: its last act is the sender's stop token).
+    /// Wait for the sender thread's final drain (after its stop token:
+    /// the node loop's last act, or [`NetRuntime::shutdown`]'s).
     fn join_sender(&mut self) -> TransportStats {
         self.sender_handle
             .take()
@@ -350,6 +353,8 @@ where
         let directory = Arc::clone(&self.directory);
         let clock = self.clock;
         let out = outbound.clone();
+        let closing = Arc::new(AtomicBool::new(false));
+        let closed = Arc::clone(&closing);
         let node_handle = std::thread::Builder::new()
             .name(format!("wsg-net-node-{index}"))
             .spawn(move || {
@@ -360,7 +365,11 @@ where
                     &mut rng,
                     &clock,
                     || directory.capacity(),
-                    |to, xml| out.send(to, xml),
+                    |to, xml| {
+                        if !closed.load(Ordering::Acquire) {
+                            out.send(to, xml);
+                        }
+                    },
                 );
                 // The sender drains what is queued, then exits — an
                 // explicit token, not channel disconnect, so outstanding
@@ -378,6 +387,7 @@ where
             server,
             registry,
             outbound,
+            closing,
         });
     }
 
@@ -485,18 +495,26 @@ where
     /// Stop all still-deployed nodes and return their final states in id
     /// order (nodes already removed or crashed are not re-reported).
     ///
-    /// Ordering matters: node loops stop first (dropping their outbound
-    /// queues), then sender threads drain what was already queued, then
-    /// the servers close — so no in-flight envelope is lost to shutdown.
+    /// Ordering matters: every node stops queueing sends first (what it
+    /// sends from then on is dropped), then the sender threads drain what
+    /// was already queued into node loops that still run, then the loops
+    /// stop, then the servers close — so no in-flight envelope is lost to
+    /// shutdown: each one a sender books as delivered reaches its node.
     pub fn shutdown(mut self) -> Vec<NetNode<P>> {
+        for slot in &self.slots {
+            slot.closing.store(true, Ordering::Release);
+            slot.outbound.stop();
+        }
+        let transports: Vec<TransportStats> =
+            self.slots.iter_mut().map(NodeSlot::join_sender).collect();
+        // Every POST a sender made has been answered, so each envelope its
+        // server took sits in an inbox ahead of this stop.
         self.slots.iter().for_each(NodeSlot::signal_stop);
         let protocols: Vec<Option<P>> = self
             .slots
             .iter_mut()
             .map(|slot| slot.node_handle.take().map(|h| h.join().expect("node thread panicked")))
             .collect();
-        let transports: Vec<TransportStats> =
-            self.slots.iter_mut().map(NodeSlot::join_sender).collect();
         self.slots.iter_mut().for_each(NodeSlot::close_server);
         protocols
             .into_iter()
@@ -969,6 +987,44 @@ mod tests {
             assert!(shared > 7 * each / 2, "{shared} of {transport:?}");
             assert!(shared < 7 * each, "{shared} of {transport:?}");
         }
+    }
+
+    #[test]
+    fn shutdown_hands_every_envelope_a_sender_booked_to_a_running_node() {
+        /// Node 0 queues a burst for node 1 at start, and every node sends
+        /// back what it gets: both senders hold envelopes when shutdown
+        /// begins.
+        struct Echo {
+            seen: u64,
+            arrived: Arc<AtomicUsize>,
+        }
+        impl Protocol for Echo {
+            type Message = String;
+            fn on_start(&mut self, ctx: &mut dyn Context<String>) {
+                if ctx.self_id() == NodeId(0) {
+                    for n in 0..200 {
+                        ctx.send(NodeId(1), envelope_xml(&format!("burst-{n}"), "urn:test:Burst"));
+                    }
+                }
+            }
+            fn on_message(&mut self, from: NodeId, msg: String, ctx: &mut dyn Context<String>) {
+                self.seen += 1;
+                self.arrived.fetch_add(1, Ordering::Relaxed);
+                ctx.send(from, msg);
+            }
+        }
+        let arrived = Arc::new(AtomicUsize::new(0));
+        let echo = || Echo { seen: 0, arrived: Arc::clone(&arrived) };
+        let net = NetRuntime::spawn(vec![echo(), echo()], 5, quick_config());
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while arrived.load(Ordering::Relaxed) == 0 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let nodes = net.shutdown();
+        let sent: u64 = nodes.iter().map(|node| node.transport.msgs_ok).sum();
+        let seen: u64 = nodes.iter().map(|node| node.protocol.seen).sum();
+        assert!(sent > 0, "nothing was posted");
+        assert_eq!(sent, seen, "envelopes booked as delivered never reached a node");
     }
 
     #[test]

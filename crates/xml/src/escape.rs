@@ -4,48 +4,26 @@ use std::borrow::Cow;
 
 use crate::error::{XmlError, XmlErrorKind};
 
-/// Escape character data for use as element text.
+/// Append the escaped form of `input` to `out`, for use as element text.
 ///
 /// Replaces `&`, `<` and `>` (`>` only strictly needs escaping in the
 /// `]]>` sequence, but escaping it unconditionally is valid and simpler).
 ///
-/// Returns a borrowed string when no escaping was necessary.
-///
 /// ```
-/// assert_eq!(wsg_xml::escape::escape_text("a < b & c"), "a &lt; b &amp; c");
+/// let mut out = String::from("<a>");
+/// wsg_xml::escape::escape_text_into(&mut out, "a < b & c");
+/// assert_eq!(out, "<a>a &lt; b &amp; c");
 /// ```
-pub fn escape_text(input: &str) -> Cow<'_, str> {
-    escape_with(input, false)
-}
-
-/// Escape a string for use inside a double-quoted attribute value.
-///
-/// In addition to the text escapes, `"` becomes `&quot;` and tabs/newlines
-/// become character references so they survive attribute-value
-/// normalisation on re-parse.
-pub fn escape_attr(input: &str) -> Cow<'_, str> {
-    escape_with(input, true)
-}
-
-fn escape_with(input: &str, attr: bool) -> Cow<'_, str> {
-    if escape_growth(input, attr, 0) == 0 {
-        return Cow::Borrowed(input);
-    }
-    let mut out = String::with_capacity(input.len() + 16);
-    escape_into(&mut out, input, attr);
-    Cow::Owned(out)
-}
-
-/// Append the text-escaped form of `input` to `out`.
-///
-/// The zero-allocation counterpart of [`escape_text`] for streaming
-/// serializers that own a reusable output buffer.
 pub fn escape_text_into(out: &mut String, input: &str) {
     escape_into(out, input, false)
 }
 
-/// Append the attribute-escaped form of `input` to `out` (see
-/// [`escape_attr`] for the escaping rules).
+/// Append the escaped form of `input` to `out`, for use inside a
+/// double-quoted attribute value.
+///
+/// In addition to the text escapes, `"` becomes `&quot;` and tabs/newlines
+/// become character references so they survive attribute-value
+/// normalisation on re-parse.
 pub fn escape_attr_into(out: &mut String, input: &str) {
     escape_into(out, input, true)
 }
@@ -85,15 +63,15 @@ fn find_special(bytes: &[u8], from: usize, attr: bool) -> Option<usize> {
     )
 }
 
-/// The bytes escaping `input` adds to it, counted until they pass
+/// The bytes escaping `input` as text adds to it, counted until they pass
 /// `stop_past` (the count returned then is the first one above it): `0`
 /// says there is nothing to escape.
 #[inline]
-pub(crate) fn escape_growth(input: &str, attr: bool, stop_past: usize) -> usize {
+pub(crate) fn escape_growth(input: &str, stop_past: usize) -> usize {
     let bytes = input.as_bytes();
     let (mut added, mut from) = (0, 0);
-    while let Some(at) = find_special(bytes, from, attr) {
-        added += replacement(bytes[at], attr).map_or(0, |r| r.len() - 1);
+    while let Some(at) = find_special(bytes, from, false) {
+        added += replacement(bytes[at], false).map_or(0, |r| r.len() - 1);
         if added > stop_past {
             break;
         }
@@ -380,31 +358,31 @@ pub(crate) fn validate_name(name: &str) -> Result<(), XmlError> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn text_escaping_borrows_when_clean() {
-        assert!(matches!(escape_text("hello"), Cow::Borrowed(_)));
+    fn escaped(input: &str, attr: bool) -> String {
+        let mut out = String::from("prefix:");
+        if attr {
+            escape_attr_into(&mut out, input);
+        } else {
+            escape_text_into(&mut out, input);
+        }
+        out.split_off("prefix:".len())
     }
 
     #[test]
     fn text_escaping_replaces_specials() {
-        assert_eq!(escape_text("<a&b>"), "&lt;a&amp;b&gt;");
-    }
-
-    #[test]
-    fn into_variants_match_cow_variants() {
-        for input in ["plain", "<a&b>", "a\"b\nc", ""] {
-            let mut t = String::from("prefix:");
-            escape_text_into(&mut t, input);
-            assert_eq!(t, format!("prefix:{}", escape_text(input)));
-            let mut a = String::from("prefix:");
-            escape_attr_into(&mut a, input);
-            assert_eq!(a, format!("prefix:{}", escape_attr(input)));
+        assert_eq!(escaped("<a&b>", false), "&lt;a&amp;b&gt;");
+        // Clean text is appended as it is, in both modes.
+        for attr in [false, true] {
+            assert_eq!(escaped("hello", attr), "hello");
+            assert_eq!(escaped("", attr), "");
         }
+        assert_eq!(escape_growth("hello", 0), 0);
     }
 
     #[test]
     fn attr_escaping_handles_quotes_and_whitespace() {
-        assert_eq!(escape_attr("a\"b\nc"), "a&quot;b&#10;c");
+        assert_eq!(escaped("a\"b\nc", true), "a&quot;b&#10;c");
+        assert_eq!(escaped("a\"b\nc", false), "a\"b\nc");
     }
 
     #[test]
@@ -436,8 +414,7 @@ mod tests {
     #[test]
     fn roundtrip_text() {
         let original = "price < 100 && symbol == \"ACME\"";
-        let escaped = escape_text(original);
-        assert_eq!(unescape(&escaped, 0).unwrap(), original);
+        assert_eq!(unescape(&escaped(original, false), 0).unwrap(), original);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! A small, dependency-free XML library providing exactly what a SOAP 1.2
 //! processing stack needs: a streaming [`writer::XmlWriter`], a pull
 //! [`reader::XmlReader`], namespace-aware qualified names ([`name::QName`])
-//! and an in-memory tree model ([`tree::Element`]).
+//! and an in-memory tree model ([`tree::Element`]) built from the reader's
+//! events.
 //!
 //! The WS-Gossip paper layers gossip on a SOAP/WS-* middleware stack. No
 //! SOAP implementation exists in the Rust ecosystem, so this crate is the
@@ -11,7 +12,10 @@
 //! implementation (no DTDs, no external entities — which is also the secure
 //! default for a network-facing middleware), but it is a faithful infoset
 //! for the document shapes that WS-* messages use: elements, attributes,
-//! namespaces, character data, CDATA, comments and processing instructions.
+//! namespaces, character data and CDATA. The XML declaration, comments and
+//! processing instructions are accepted where XML allows them, checked and
+//! skipped: nothing of what they say is reported or kept, and the writer
+//! writes none but the declaration.
 //!
 //! ## Example
 //!
@@ -30,7 +34,6 @@
 //! ```
 
 pub mod escape;
-pub mod event;
 pub mod name;
 pub mod reader;
 pub mod tree;
@@ -39,7 +42,6 @@ pub mod writer;
 mod error;
 
 pub use error::XmlError;
-pub use event::XmlEvent;
 pub use name::QName;
 pub use reader::{RawEvent, XmlReader};
 pub use tree::Element;

@@ -3,13 +3,14 @@
 //! Two layers share one grammar. The **token layer** ([`XmlReader`]'s
 //! private `next_token`) recognises every construct as slices of the
 //! input and enforces all well-formedness and namespace rules without
-//! building a `String` or a [`QName`]. On top of it sit three consumers:
-//! [`XmlReader::next_event`] turns tokens into owned [`XmlEvent`]s,
-//! [`XmlReader::next_raw`] hands them over as slices of the input (a
-//! [`RawEvent`]; the name and attributes of a start tag are asked of the
-//! reader), and [`XmlReader::skip_element`] discards them — same
-//! accept/reject decisions, same end offset, and for the last two no
-//! allocation.
+//! building a `String` or a [`QName`]. On top of it sit two consumers:
+//! [`XmlReader::next_raw`] hands the events over as slices of the input
+//! (a [`RawEvent`]; the name and attributes of a start tag are asked of
+//! the reader), and [`XmlReader::skip_element`] discards them — same
+//! accept/reject decisions, same end offset, and no allocation. The tree
+//! builder ([`Element::parse`](crate::Element::parse)) drives `next_raw`.
+//! Declarations, comments and processing instructions are checked and
+//! skipped: the reader reports that one stood there, not what it said.
 //!
 //! ## Bytes, not characters
 //!
@@ -19,8 +20,8 @@
 //! scanned once, a word at a time, for the `<` that ends it, for `]]>`,
 //! for characters XML 1.0's `Char` leaves out and for references, the
 //! five predefined entities being checked as they pass (a consumer that
-//! resolves them checks them itself, so for `next_event` and `next_raw`
-//! the scan only notes that there are some); an attribute value is
+//! resolves them checks them itself, so for `next_raw` the scan only
+//! notes that there are some); an attribute value is
 //! scanned once for its quote, `<`, references, the characters
 //! normalisation rewrites and those `Char` leaves out, a CDATA section
 //! for its `]]>` and those. An end tag is compared with
@@ -60,7 +61,6 @@ use crate::escape::{
     check_refs, find_by, find_byte, find_not_char, flag, is_name_char, is_name_start,
     maybe_not_char, maybe_not_char_byte, not_char_at, predefined, unescape, validate_qname,
 };
-use crate::event::{Attribute, XmlEvent};
 use crate::name::QName;
 
 #[cfg(test)]
@@ -109,19 +109,18 @@ const CHECKING: bool = false;
 
 /// One lexical construct, as slices of the input.
 enum Token<'a> {
-    /// `<?xml ...?>` at the document start; the pseudo-attribute text.
-    Declaration(&'a str),
-    Pi { target: &'a str, data: &'a str },
-    Comment(&'a str),
-    CData(&'a str),
+    /// A declaration, comment or processing instruction: checked, and
+    /// nothing of it kept.
+    Markup,
     /// Character data from byte offset `at`, still escaped; `refs` says
     /// whether it holds references. Unless the consumer is resolving them,
-    /// the tokenizer has checked them.
+    /// the tokenizer has checked them. A CDATA section is a run without
+    /// references.
     Text { raw: &'a str, at: usize, refs: bool },
     /// A start tag. The element is open (the last of `XmlReader::open`),
     /// its scope pushed and its attributes (validated) sit in
     /// `XmlReader::attrs`.
-    Start { empty: bool },
+    Start,
     /// A matched end tag (or the synthetic one after `<a/>`). The element
     /// stays open until the consumer calls `close_element`, so its own
     /// namespace declarations can still resolve its name.
@@ -129,13 +128,12 @@ enum Token<'a> {
     Eof,
 }
 
-/// One event as slices of the input — what [`XmlReader::next_event`] would
-/// have copied, before anything is.
+/// One event as slices of the input.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RawEvent<'a> {
     /// A start tag. The element is now the innermost open one: its name is
     /// [`XmlReader::element_name`], its attributes [`XmlReader::attribute`].
-    /// As with [`XmlEvent::StartElement`], `<a/>` is followed by its `End`.
+    /// `<a/>` is followed by its `End`, so nesting is uniform.
     Start,
     /// An end tag; the element is closed.
     End,
@@ -255,21 +253,19 @@ fn resolved_text(raw: &str, at: usize, refs: bool) -> Result<Cow<'_, str>, XmlEr
 
 /// A pull parser over an in-memory document.
 ///
-/// Produces a stream of [`XmlEvent`]s with namespaces resolved. Rejects
+/// Produces a stream of [`RawEvent`]s with namespaces resolved. Rejects
 /// DTDs and external entities by construction, and enforces a maximum
 /// element depth of [`MAX_DEPTH`] (the secure defaults for middleware that
 /// parses messages off the wire — unbounded depth lets a hostile document
 /// overflow the stack of tree-building consumers).
 ///
 /// ```
-/// use wsg_xml::{XmlReader, XmlEvent};
+/// use wsg_xml::{RawEvent, XmlReader};
 ///
 /// # fn main() -> Result<(), wsg_xml::XmlError> {
 /// let mut reader = XmlReader::new("<a xmlns='urn:x'><b>hi</b></a>");
-/// match reader.next_event()? {
-///     XmlEvent::StartElement { name, .. } => assert!(name.matches(Some("urn:x"), "a")),
-///     other => panic!("expected <a>, got {other:?}"),
-/// }
+/// assert_eq!(reader.next_raw()?, RawEvent::Start);
+/// assert_eq!(reader.element_name(), (Some("urn:x"), "a"));
 /// # Ok(())
 /// # }
 /// ```
@@ -369,64 +365,29 @@ impl<'a> XmlReader<'a> {
         self.open.len()
     }
 
-    /// Pull the next event.
+    /// Pull the next event. Nothing is copied but text whose references
+    /// had to be resolved.
     ///
     /// # Errors
     ///
     /// Returns an [`XmlError`] on malformed input; the reader should not be
     /// used further after an error.
-    pub fn next_event(&mut self) -> Result<XmlEvent, XmlError> {
-        Ok(match self.next_token(RESOLVING)? {
-            Token::Declaration(data) => XmlEvent::Declaration {
-                version: pseudo_attr(data, "version").unwrap_or_else(|| "1.0".to_string()),
-                encoding: pseudo_attr(data, "encoding"),
-            },
-            Token::Pi { target, data } => XmlEvent::ProcessingInstruction {
-                target: target.to_string(),
-                data: data.to_string(),
-            },
-            Token::Comment(text) => XmlEvent::Comment(text.to_string()),
-            Token::CData(text) => XmlEvent::CData(text.to_string()),
-            Token::Text { raw, at, refs } => {
-                XmlEvent::Text(resolved_text(raw, at, refs)?.into_owned())
-            }
-            Token::Start { empty } => {
-                let (name, attributes) = self.start_tag();
-                XmlEvent::StartElement { name, attributes, empty }
-            }
-            Token::End => {
-                let name = self.element_qname();
-                self.close_element();
-                XmlEvent::EndElement { name }
-            }
-            Token::Eof => XmlEvent::Eof,
-        })
-    }
-
-    /// Pull the next event without copying it: the zero-allocation form
-    /// of [`next_event`](Self::next_event), for consumers that compare
-    /// names and keep at most a few pieces of text.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the error `next_event` would have raised.
     pub fn next_raw(&mut self) -> Result<RawEvent<'a>, XmlError> {
         Ok(match self.next_token(RESOLVING)? {
-            Token::Start { .. } => RawEvent::Start,
+            Token::Start => RawEvent::Start,
             Token::End => {
                 self.close_element();
                 RawEvent::End
             }
             Token::Text { raw, at, refs } => RawEvent::Text(resolved_text(raw, at, refs)?),
-            Token::CData(text) => RawEvent::Text(Cow::Borrowed(text)),
             Token::Eof => RawEvent::Eof,
-            Token::Declaration(_) | Token::Pi { .. } | Token::Comment(_) => RawEvent::Markup,
+            Token::Markup => RawEvent::Markup,
         })
     }
 
     /// Owned name and attributes (namespace declarations excluded) of the
-    /// start tag last read — what [`XmlEvent::StartElement`] carries.
-    pub(crate) fn start_tag(&self) -> (QName, Vec<Attribute>) {
+    /// start tag last read, in document order — what a tree holds.
+    pub(crate) fn start_tag(&self) -> (QName, Vec<(QName, String)>) {
         let attributes = self
             .attrs
             .iter()
@@ -436,10 +397,7 @@ impl<'a> XmlReader<'a> {
                 // namespace (the default does not apply).
                 let (prefix, local) = QName::split_lexical(attr.name);
                 let uri = self.scope.uri(prefix.and_then(|p| self.scope.resolve(p)));
-                Attribute {
-                    name: resolved_qname(prefix, local, uri),
-                    value: checked_value(self.input, attr).into_owned(),
-                }
+                (resolved_qname(prefix, local, uri), checked_value(self.input, attr).into_owned())
             })
             .collect();
         (self.element_qname(), attributes)
@@ -494,7 +452,7 @@ impl<'a> XmlReader<'a> {
     ///
     /// # Errors
     ///
-    /// Exactly the error `next_event` would have raised in the subtree.
+    /// Exactly the error `next_raw` would have raised in the subtree.
     pub fn direct_text(&mut self) -> Result<Cow<'a, str>, XmlError> {
         let mut text = Cow::Borrowed("");
         loop {
@@ -510,15 +468,15 @@ impl<'a> XmlReader<'a> {
     }
 
     /// Advance past the end tag of the innermost open element — after a
-    /// [`XmlEvent::StartElement`], past that element's whole subtree —
-    /// enforcing every rule [`next_event`](Self::next_event) enforces
-    /// (it drives the same tokenizer) while building no event, name or
-    /// text: the fast path for subtrees a consumer only needs to frame.
+    /// [`RawEvent::Start`], past that element's whole subtree — enforcing
+    /// every rule [`next_raw`](Self::next_raw) enforces (it drives the
+    /// same tokenizer) while resolving no reference and building no name
+    /// or text: the fast path for subtrees a consumer only needs to frame.
     /// With no element open it does nothing.
     ///
     /// # Errors
     ///
-    /// Exactly the error `next_event` would have raised in the subtree.
+    /// Exactly the error `next_raw` would have raised in the subtree.
     pub fn skip_element(&mut self) -> Result<(), XmlError> {
         let target = self.open.len();
         if target == 0 {
@@ -548,7 +506,9 @@ impl<'a> XmlReader<'a> {
         loop {
             match self.next_token(CHECKING)? {
                 Token::Eof => return Ok(()),
-                Token::Comment(_) | Token::Pi { .. } => {}
+                // Comments and PIs: a declaration here was rejected when
+                // it was read.
+                Token::Markup => {}
                 _ => {
                     return Err(self.err(XmlErrorKind::Malformed(
                         "content after root element".into(),
@@ -752,10 +712,7 @@ impl<'a> XmlReader<'a> {
             .ok_or_else(|| self.err(XmlErrorKind::UnexpectedEof))?;
         let content = &after[..close];
         let consumed = 2 + close + 2;
-        let (target, data) = match content.bytes().position(is_space) {
-            Some(i) => (&content[..i], content[i..].trim_start_matches(SPACE)),
-            None => (content, ""),
-        };
+        let target = &content[..content.bytes().position(is_space).unwrap_or(content.len())];
         let start_pos = self.pos;
         self.pos += consumed;
         if target.contains(char::is_whitespace) {
@@ -767,18 +724,14 @@ impl<'a> XmlReader<'a> {
         if let Some(at) = find_not_char(content.as_bytes()) {
             return Err(self.not_char(start_pos + 2 + at));
         }
-        if target.eq_ignore_ascii_case("xml") {
-            if start_pos != 0 {
-                cov!();
-                return Err(XmlError::new(
-                    XmlErrorKind::Malformed("xml declaration not at document start".into()),
-                    start_pos,
-                ));
-            }
+        if target.eq_ignore_ascii_case("xml") && start_pos != 0 {
             cov!();
-            return Ok(Token::Declaration(data));
+            return Err(XmlError::new(
+                XmlErrorKind::Malformed("xml declaration not at document start".into()),
+                start_pos,
+            ));
         }
-        Ok(Token::Pi { target, data })
+        Ok(Token::Markup)
     }
 
     fn parse_comment(&mut self) -> Result<Token<'a>, XmlError> {
@@ -795,7 +748,7 @@ impl<'a> XmlReader<'a> {
             return Err(self.not_char(self.pos + 4 + at));
         }
         self.pos += 4 + close + 3;
-        Ok(Token::Comment(text))
+        Ok(Token::Markup)
     }
 
     fn parse_cdata(&mut self) -> Result<Token<'a>, XmlError> {
@@ -830,7 +783,7 @@ impl<'a> XmlReader<'a> {
             return Err(self.not_char(at));
         }
         self.pos = close + 3;
-        Ok(Token::CData(&self.input[body..close]))
+        Ok(Token::Text { raw: &self.input[body..close], at: body, refs: false })
     }
 
     fn parse_end_tag(&mut self) -> Result<Token<'a>, XmlError> {
@@ -999,7 +952,7 @@ impl<'a> XmlReader<'a> {
         self.open.push(Open { name, ns: ns.and_then(|entry| u32::try_from(entry).ok()) });
         self.pending_end = empty;
         cov!();
-        Ok(Token::Start { empty })
+        Ok(Token::Start)
     }
 
     /// Read a name at the cursor, and raise `InvalidName` at `invalid_at`
@@ -1194,182 +1147,202 @@ impl<'a> XmlReader<'a> {
     }
 }
 
-fn pseudo_attr(data: &str, name: &str) -> Option<String> {
-    let idx = data.find(name)?;
-    let rest = data[idx + name.len()..].trim_start_matches(SPACE);
-    let rest = rest.strip_prefix('=')?.trim_start_matches(SPACE);
-    let quote = rest.chars().next()?;
-    if quote != '"' && quote != '\'' {
-        return None;
-    }
-    let body = &rest[1..];
-    let end = body.find(quote)?;
-    Some(body[..end].to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Element;
 
-    fn events(input: &str) -> Vec<XmlEvent> {
+    /// The events of `input` up to its `Eof`, spelled: a start tag as its
+    /// resolved name (`<{ns}local>`), an end tag as `</>`, text as itself
+    /// and markup as `?`.
+    fn events(input: &str) -> Vec<String> {
         let mut reader = XmlReader::new(input);
         let mut out = Vec::new();
         loop {
-            let ev = reader.next_event().expect("parse error");
-            let eof = ev == XmlEvent::Eof;
-            out.push(ev);
-            if eof {
-                return out;
+            out.push(match reader.next_raw().expect("parse error") {
+                RawEvent::Start => match reader.element_name() {
+                    (Some(ns), local) => format!("<{{{ns}}}{local}>"),
+                    (None, local) => format!("<{local}>"),
+                },
+                RawEvent::End => "</>".to_string(),
+                RawEvent::Text(text) => text.into_owned(),
+                RawEvent::Markup => "?".to_string(),
+                RawEvent::Eof => return out,
+            });
+        }
+    }
+
+    /// The first error `next_raw` raises on `input`.
+    fn first_error(input: &str) -> Option<XmlError> {
+        let mut reader = XmlReader::new(input);
+        loop {
+            match reader.next_raw() {
+                Ok(RawEvent::Eof) => return None,
+                Ok(_) => {}
+                Err(error) => return Some(error),
             }
         }
     }
 
     #[test]
     fn simple_document() {
-        let evs = events("<a><b>text</b></a>");
-        assert_eq!(evs.len(), 6);
-        assert!(evs[0].is_start_of(None, "a"));
-        assert!(evs[1].is_start_of(None, "b"));
-        assert_eq!(evs[2], XmlEvent::Text("text".into()));
-        assert!(evs[3].is_end_of(None, "b"));
-        assert!(evs[4].is_end_of(None, "a"));
+        assert_eq!(events("<a><b>text</b></a>"), ["<a>", "<b>", "text", "</>", "</>"]);
     }
 
     #[test]
     fn self_closing_emits_end() {
-        let evs = events("<a/>");
-        assert!(matches!(&evs[0], XmlEvent::StartElement { empty: true, .. }));
-        assert!(evs[1].is_end_of(None, "a"));
+        assert_eq!(events("<a/>"), ["<a>", "</>"]);
+        // The element is open between the two, as between `<a>` and `</a>`.
+        let mut r = XmlReader::new("<a/>");
+        r.next_raw().unwrap();
+        assert_eq!((r.depth(), r.element_name()), (1, (None, "a")));
+        assert_eq!(r.next_raw().unwrap(), RawEvent::End);
+        assert_eq!(r.depth(), 0);
     }
 
     #[test]
     fn declaration_parsed() {
-        let evs = events("<?xml version=\"1.0\" encoding=\"UTF-8\"?><a/>");
-        assert_eq!(
-            evs[0],
-            XmlEvent::Declaration { version: "1.0".into(), encoding: Some("UTF-8".into()) }
-        );
+        // Accepted in either quote and skipped whole; only at the start.
+        for doc in ["<?xml version=\"1.0\" encoding=\"UTF-8\"?><a/>", "<?xml version='1.0'?>\n<a/>"]
+        {
+            assert_eq!(events(doc), ["?", "<a>", "</>"], "{doc}");
+        }
+        let mut r = XmlReader::new("<?xml version='1.0'?><a/>");
+        assert_eq!(r.next_raw().unwrap(), RawEvent::Markup);
+        assert_eq!(r.position(), "<?xml version='1.0'?>".len());
+        for misplaced in [" <?xml version='1.0'?><a/>", "<a/><?xml version='1.0'?>"] {
+            let error = first_error(misplaced).unwrap();
+            let kind = XmlErrorKind::Malformed("xml declaration not at document start".into());
+            assert_eq!(error.kind(), &kind, "{misplaced}");
+        }
     }
 
     #[test]
     fn default_namespace_applies_to_elements_not_attrs() {
-        let evs = events("<a xmlns=\"urn:x\" id=\"1\"><b/></a>");
-        match &evs[0] {
-            XmlEvent::StartElement { name, attributes, .. } => {
-                assert_eq!(name.namespace(), Some("urn:x"));
-                assert_eq!(attributes[0].name.namespace(), None);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(evs[1].is_start_of(Some("urn:x"), "b"));
+        let mut r = XmlReader::new("<a xmlns=\"urn:x\" id=\"1\"><b/></a>");
+        r.next_raw().unwrap();
+        let (name, attributes) = r.start_tag();
+        assert_eq!(name.namespace(), Some("urn:x"));
+        assert_eq!(attributes, [(QName::new("id"), "1".to_string())]);
+        assert_eq!(r.attribute(None, "id").as_deref(), Some("1"));
+        assert_eq!(r.next_raw().unwrap(), RawEvent::Start);
+        assert_eq!(r.element_name(), (Some("urn:x"), "b"));
     }
 
     #[test]
     fn prefixed_namespaces_resolve_and_shadow() {
-        let evs = events("<p:a xmlns:p=\"urn:one\"><p:a xmlns:p=\"urn:two\"/></p:a>");
-        assert!(evs[0].is_start_of(Some("urn:one"), "a"));
-        assert!(evs[1].is_start_of(Some("urn:two"), "a"));
-        assert!(evs[2].is_end_of(Some("urn:two"), "a"));
-        assert!(evs[3].is_end_of(Some("urn:one"), "a"));
+        // The inner declaration shadows the outer one until its element
+        // closes.
+        assert_eq!(
+            events("<p:a xmlns:p=\"urn:one\"><p:a xmlns:p=\"urn:two\"/><p:b/></p:a>"),
+            ["<{urn:one}a>", "<{urn:two}a>", "</>", "<{urn:one}b>", "</>", "</>"]
+        );
     }
 
     #[test]
     fn undeclared_prefix_rejected() {
-        let err = XmlReader::new("<p:a/>").next_event().unwrap_err();
+        let err = XmlReader::new("<p:a/>").next_raw().unwrap_err();
         assert!(matches!(err.kind(), XmlErrorKind::UndeclaredPrefix(p) if p == "p"));
     }
 
     #[test]
     fn mismatched_close_rejected() {
         let mut r = XmlReader::new("<a><b></a></b>");
-        r.next_event().unwrap();
-        r.next_event().unwrap();
-        let err = r.next_event().unwrap_err();
+        r.next_raw().unwrap();
+        r.next_raw().unwrap();
+        let err = r.next_raw().unwrap_err();
         assert!(matches!(err.kind(), XmlErrorKind::MismatchedTag { .. }));
     }
 
     #[test]
     fn unclosed_element_rejected() {
         let mut r = XmlReader::new("<a>");
-        r.next_event().unwrap();
-        assert!(r.next_event().is_err());
+        r.next_raw().unwrap();
+        assert!(r.next_raw().is_err());
     }
 
     #[test]
     fn multiple_roots_rejected() {
         let mut r = XmlReader::new("<a/><b/>");
-        r.next_event().unwrap();
-        r.next_event().unwrap(); // synthetic end of <a/>
-        assert!(r.next_event().is_err());
+        r.next_raw().unwrap();
+        r.next_raw().unwrap(); // synthetic end of <a/>
+        assert!(r.next_raw().is_err());
     }
 
     #[test]
     fn text_outside_root_rejected() {
         let mut r = XmlReader::new("hello<a/>");
-        assert!(r.next_event().is_err());
+        assert!(r.next_raw().is_err());
     }
 
     #[test]
     fn whitespace_outside_root_ok() {
-        let evs = events("  <a/>  ");
-        assert!(evs[0].is_start_of(None, "a"));
-        assert_eq!(evs.last(), Some(&XmlEvent::Eof));
+        assert_eq!(events("  <a/>  "), ["<a>", "</>"]);
     }
 
     #[test]
     fn cdata_passes_through_verbatim() {
-        let evs = events("<a><![CDATA[<raw> & stuff]]></a>");
-        assert_eq!(evs[1], XmlEvent::CData("<raw> & stuff".into()));
+        assert_eq!(
+            events("<a><![CDATA[<raw> & stuff]]><![CDATA[]]></a>"),
+            ["<a>", "<raw> & stuff", "", "</>"]
+        );
+    }
+
+    #[test]
+    fn text_is_borrowed_unless_a_reference_was_resolved() {
+        let mut r = XmlReader::new("<a>plain<![CDATA[&amp;]]>x &amp; y</a>");
+        r.next_raw().unwrap();
+        assert!(matches!(r.next_raw().unwrap(), RawEvent::Text(Cow::Borrowed("plain"))));
+        assert!(matches!(r.next_raw().unwrap(), RawEvent::Text(Cow::Borrowed("&amp;"))));
+        assert!(matches!(r.next_raw().unwrap(), RawEvent::Text(Cow::Owned(text)) if text == "x & y"));
+        assert_eq!(r.next_raw().unwrap(), RawEvent::End);
     }
 
     #[test]
     fn comments_and_pis() {
-        let evs = events("<!-- hi --><a><?pi some data?></a>");
-        assert_eq!(evs[0], XmlEvent::Comment(" hi ".into()));
+        // Checked and skipped whole, before, inside and after the root.
         assert_eq!(
-            evs[2],
-            XmlEvent::ProcessingInstruction { target: "pi".into(), data: "some data".into() }
+            events("<!-- hi --><a><?pi some data?><!----></a><?done?>"),
+            ["?", "<a>", "?", "?", "</>", "?"]
         );
+        let mut r = XmlReader::new("<!-- hi --><a/>");
+        assert_eq!(r.next_raw().unwrap(), RawEvent::Markup);
+        assert_eq!(r.position(), "<!-- hi -->".len());
+        for bad in ["<a><!-- a -- b --></a>", "<a><?pi open</a>", "<a><!-- open</a>"] {
+            assert!(first_error(bad).is_some(), "{bad}");
+        }
     }
 
     #[test]
     fn dtd_rejected() {
         let mut r = XmlReader::new("<!DOCTYPE a><a/>");
-        let err = r.next_event().unwrap_err();
+        let err = r.next_raw().unwrap_err();
         assert!(matches!(err.kind(), XmlErrorKind::Unsupported(_)));
     }
 
     #[test]
     fn entities_in_text_and_attrs() {
-        let evs = events("<a x=\"1 &lt; 2\">&amp;&#65;</a>");
-        match &evs[0] {
-            XmlEvent::StartElement { attributes, .. } => {
-                assert_eq!(attributes[0].value, "1 < 2");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(evs[1], XmlEvent::Text("&A".into()));
+        let mut r = XmlReader::new("<a x=\"1 &lt; 2\">&amp;&#65;</a>");
+        r.next_raw().unwrap();
+        assert_eq!(r.attribute(None, "x").as_deref(), Some("1 < 2"));
+        assert_eq!(r.next_raw().unwrap(), RawEvent::Text("&A".into()));
     }
 
     #[test]
     fn duplicate_attribute_rejected() {
         let mut r = XmlReader::new("<a x=\"1\" x=\"2\"/>");
         assert!(matches!(
-            r.next_event().unwrap_err().kind(),
+            r.next_raw().unwrap_err().kind(),
             XmlErrorKind::DuplicateAttribute(_)
         ));
     }
 
     #[test]
     fn attribute_value_newline_normalised() {
-        let evs = events("<a x=\"l1\nl2\"/>");
-        match &evs[0] {
-            XmlEvent::StartElement { attributes, .. } => {
-                assert_eq!(attributes[0].value, "l1 l2");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let mut r = XmlReader::new("<a x=\"l1\nl2\"/>");
+        r.next_raw().unwrap();
+        assert_eq!(r.attribute(None, "x").as_deref(), Some("l1 l2"));
+        assert_eq!(r.start_tag().1, [(QName::new("x"), "l1 l2".to_string())]);
     }
 
     #[test]
@@ -1399,59 +1372,10 @@ mod tests {
         // The subtree's errors are the reader's.
         let mut r = XmlReader::new("<a>x<b></c></a>");
         r.next_raw().unwrap();
-        let mut events = XmlReader::new("<a>x<b></c></a>");
-        let error = std::iter::repeat_with(|| events.next_event()).find_map(Result::err);
-        assert_eq!(r.direct_text().err(), error);
+        assert_eq!(r.direct_text().err(), first_error("<a>x<b></c></a>"));
         let mut r = XmlReader::new("<a>x");
         r.next_raw().unwrap();
         assert!(r.direct_text().is_err());
-    }
-
-    #[test]
-    fn raw_events_mirror_owned_events() {
-        let doc = r#"<?xml version="1.0"?><!-- c --><p:a xmlns:p="urn:p" xmlns="urn:d" k="v &lt; w">
-            t &#x26; u<b/><![CDATA[<raw>]]><?pi data?><p:c p:k="1">x</p:c></p:a>"#;
-        let (mut raw, mut owned) = (XmlReader::new(doc), XmlReader::new(doc));
-        loop {
-            let event = owned.next_event().unwrap();
-            let got = raw.next_raw().unwrap();
-            match event {
-                XmlEvent::StartElement { name, attributes, .. } => {
-                    assert_eq!(got, RawEvent::Start);
-                    assert_eq!(raw.element_qname(), name);
-                    assert_eq!(raw.element_name(), (name.namespace(), name.local()));
-                    assert_eq!(raw.start_tag(), (name, attributes.clone()));
-                    for a in &attributes {
-                        let value = raw.attribute(a.name.namespace(), a.name.local());
-                        assert_eq!(value.as_deref(), Some(a.value.as_str()));
-                    }
-                }
-                XmlEvent::EndElement { .. } => assert_eq!(got, RawEvent::End),
-                XmlEvent::Text(text) | XmlEvent::CData(text) => {
-                    assert_eq!(got, RawEvent::Text(text.into()));
-                }
-                XmlEvent::Eof => {
-                    assert_eq!(got, RawEvent::Eof);
-                    break;
-                }
-                _ => assert_eq!(got, RawEvent::Markup),
-            }
-            assert_eq!(raw.position(), owned.position());
-        }
-        // Text that needed nothing resolved is a slice of the input.
-        let mut r = XmlReader::new("<a>plain<![CDATA[&amp;]]>x &amp; y</a>");
-        r.next_raw().unwrap();
-        assert!(matches!(r.next_raw().unwrap(), RawEvent::Text(Cow::Borrowed("plain"))));
-        assert!(matches!(r.next_raw().unwrap(), RawEvent::Text(Cow::Borrowed("&amp;"))));
-        assert!(matches!(r.next_raw().unwrap(), RawEvent::Text(Cow::Owned(text)) if text == "x & y"));
-        // And the two readers fail alike.
-        for bad in ["<a><b></a>", "<a>&bogus;</a>", "<a x='1' x='2'/>", "<p:a/>", "<a>"] {
-            let (mut raw, mut owned) = (XmlReader::new(bad), XmlReader::new(bad));
-            let raw_error = std::iter::repeat_with(|| raw.next_raw()).find_map(Result::err);
-            let owned_error = std::iter::repeat_with(|| owned.next_event()).find_map(Result::err);
-            assert_eq!(raw_error, owned_error, "{bad}");
-            assert!(raw_error.is_some(), "{bad}");
-        }
     }
 
     #[test]
@@ -1479,14 +1403,7 @@ mod tests {
     #[test]
     fn pathological_depth_rejected_not_overflowed() {
         let deep = "<a>".repeat(100_000);
-        let mut reader = XmlReader::new(&deep);
-        let result = std::iter::from_fn(|| match reader.next_event() {
-            Ok(XmlEvent::Eof) => None,
-            Ok(ev) => Some(Ok(ev)),
-            Err(e) => Some(Err(e)),
-        })
-        .find_map(|r| r.err());
-        assert!(result.is_some(), "depth limit must trigger an error");
+        assert!(first_error(&deep).is_some(), "depth limit must trigger an error");
         // And the tree builder must therefore be safe too.
         assert!(crate::tree::Element::parse(&deep).is_err());
     }
@@ -1494,26 +1411,23 @@ mod tests {
     #[test]
     fn eof_is_idempotent() {
         let mut r = XmlReader::new("<a/>");
-        while r.next_event().unwrap() != XmlEvent::Eof {}
-        assert_eq!(r.next_event().unwrap(), XmlEvent::Eof);
+        while r.next_raw().unwrap() != RawEvent::Eof {}
+        assert_eq!(r.next_raw().unwrap(), RawEvent::Eof);
     }
 
     /// Read to the root start tag, leave the root by `skip_element` or by
     /// building its tree, and report where that ended (or the error).
     fn leave_root(input: &str, skip: bool) -> Result<usize, XmlError> {
         let mut reader = XmlReader::new(input);
-        loop {
-            if let XmlEvent::StartElement { name, attributes, .. } = reader.next_event()? {
-                if skip {
-                    reader.skip_element()?;
-                } else {
-                    crate::tree::Element::from_start_event(&mut reader, name, attributes)?;
-                }
-                let end = reader.position();
-                reader.finish()?;
-                return Ok(end);
-            }
+        while reader.next_raw()? != RawEvent::Start {}
+        if skip {
+            reader.skip_element()?;
+        } else {
+            Element::from_open(&mut reader)?;
         }
+        let end = reader.position();
+        reader.finish()?;
+        Ok(end)
     }
 
     #[test]
@@ -1522,7 +1436,7 @@ mod tests {
             "<a/>",
             "<?xml version=\"1.0\"?><a x=\"1\"><b>t &amp; u</b><![CDATA[<raw>]]><!-- c --><?pi d?></a> ",
             "<p:a xmlns:p=\"urn:p\"><p:b p:k=\"v\"/></p:a>",
-            // Every rule the event layer enforces, broken once.
+            // Every rule the reader enforces, broken once.
             "<a><b></a></b>",
             "<a><b>",
             "<a><b x=\"1\" x=\"2\"/></a>",
@@ -1549,26 +1463,28 @@ mod tests {
     #[test]
     fn skip_element_leaves_the_cursor_after_the_subtree() {
         let mut r = XmlReader::new("<a><b><c/>text</b><d/></a>");
-        r.next_event().unwrap(); // <a>
-        r.next_event().unwrap(); // <b>
+        r.next_raw().unwrap(); // <a>
+        r.next_raw().unwrap(); // <b>
         r.skip_element().unwrap();
         assert_eq!(r.depth(), 1);
-        assert!(r.next_event().unwrap().is_start_of(None, "d"));
+        assert_eq!(r.next_raw().unwrap(), RawEvent::Start);
+        assert_eq!(r.element_name(), (None, "d"));
         r.skip_element().unwrap(); // self-closing: only the synthetic end
-        assert!(r.next_event().unwrap().is_end_of(None, "a"));
+        assert_eq!(r.element_name(), (None, "a"));
+        assert_eq!(r.next_raw().unwrap(), RawEvent::End);
         r.skip_element().unwrap(); // nothing open: a no-op
-        assert_eq!(r.next_event().unwrap(), XmlEvent::Eof);
+        assert_eq!(r.next_raw().unwrap(), RawEvent::Eof);
     }
 
     #[test]
     fn skipping_moves_the_binding_watermark_like_reading() {
         let mut r = XmlReader::new("<r xmlns:o=\"urn:o\"><a xmlns:i=\"urn:i\"><i:x/></a><b><o:x/></b></r>");
-        r.next_event().unwrap(); // <r>
-        r.next_event().unwrap(); // <a>
+        r.next_raw().unwrap(); // <r>
+        r.next_raw().unwrap(); // <a>
         r.reset_binding_watermark();
         r.skip_element().unwrap();
         assert!(r.binding_watermark() > 1, "<a> resolves i: from its own declaration");
-        r.next_event().unwrap(); // <b>
+        r.next_raw().unwrap(); // <b>
         r.reset_binding_watermark();
         r.skip_element().unwrap();
         assert_eq!(r.binding_watermark(), 1, "<b> leans on the root's o: binding");
@@ -1579,10 +1495,12 @@ mod tests {
     fn a_fragment_reads_in_the_scope_it_was_cut_from() {
         let outer = [("o".to_string(), "urn:o".to_string()), (String::new(), "urn:d".to_string())];
         let mut r = XmlReader::with_bindings("<o:x><y/></o:x>", &outer);
-        assert!(r.next_event().unwrap().is_start_of(Some("urn:o"), "x"));
-        assert!(r.next_event().unwrap().is_start_of(Some("urn:d"), "y"));
+        r.next_raw().unwrap();
+        assert_eq!(r.element_name(), (Some("urn:o"), "x"));
+        r.next_raw().unwrap();
+        assert_eq!(r.element_name(), (Some("urn:d"), "y"));
         assert_eq!(r.binding_watermark(), usize::MAX, "outer bindings sit at depth 0");
-        assert!(XmlReader::new("<o:x/>").next_event().is_err());
+        assert!(XmlReader::new("<o:x/>").next_raw().is_err());
     }
 
     #[test]
@@ -1643,9 +1561,7 @@ mod tests {
             ("<a b\u{2002}='1'/>", malformed("expected '=' after attribute 'b'"), 4),
             ("<?pi\u{3000}data?><a/>", invalid("pi\u{3000}data"), 0),
         ] {
-            let mut reader = XmlReader::new(input);
-            let error = std::iter::repeat_with(|| reader.next_event()).find_map(Result::err);
-            let error = error.unwrap_or_else(|| panic!("{input:?} parsed"));
+            let error = first_error(input).unwrap_or_else(|| panic!("{input:?} parsed"));
             assert_eq!((error.kind(), error.position()), (&kind, at), "{input:?}");
         }
 
@@ -1656,11 +1572,7 @@ mod tests {
                 "<?xml{s}version{s}={s}'1.0'{s}encoding='UTF-8'?>{s}<?pi{s}data?>\
                  <a{s}b{s}={s}'1'{s}c='2'{s}>x</a{s}>{s}"
             );
-            let evs = events(&doc);
-            let declaration =
-                XmlEvent::Declaration { version: "1.0".into(), encoding: Some("UTF-8".into()) };
-            let pi = XmlEvent::ProcessingInstruction { target: "pi".into(), data: "data".into() };
-            assert_eq!(evs[..2], [declaration, pi], "{doc:?}");
+            assert_eq!(events(&doc)[..2], ["?", "?"], "{doc:?}");
             let root = Element::parse(&doc).unwrap();
             assert_eq!((root.attr("b"), root.attr("c")), (Some("1"), Some("2")));
             assert_eq!(root.text(), "x");

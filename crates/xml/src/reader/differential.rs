@@ -13,7 +13,6 @@ use wsg_net::check::{run, Gen};
 use wsg_net::prop_assert_eq;
 
 use super::{reference, RawEvent, XmlReader};
-use crate::event::Attribute;
 use crate::name::QName;
 
 /// Whitespace the two readers are meant to disagree on.
@@ -74,12 +73,12 @@ fn compare(input: &str) -> Result<(), String> {
 
 /// A start tag's names as written and resolved (`QName` equality leaves
 /// the prefix out), with each attribute's value.
-fn spelled(tag: &(QName, Vec<Attribute>)) -> Vec<(Option<&str>, Option<&str>, &str, &str)> {
+fn spelled(tag: &(QName, Vec<(QName, String)>)) -> Vec<(Option<&str>, Option<&str>, &str, &str)> {
     fn spell(name: &QName) -> (Option<&str>, Option<&str>, &str) {
         (name.namespace(), name.prefix(), name.local())
     }
     std::iter::once((spell(&tag.0), ""))
-        .chain(tag.1.iter().map(|a| (spell(&a.name), a.value.as_str())))
+        .chain(tag.1.iter().map(|(name, value)| (spell(name), value.as_str())))
         .map(|((ns, prefix, local), value)| (ns, prefix, local, value))
         .collect()
 }

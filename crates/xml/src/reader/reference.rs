@@ -6,9 +6,9 @@
 //! `S`. No `cov!()` here — the fuzzer's edge map is the live reader's.
 //!
 //! The code is the old reader's, with what the test never calls left
-//! out: the payloads of the markup tokens, `next_event`, fragment
-//! bindings, and the word-at-a-time `&` search (a plain one finds the same
-//! byte). The reference and name grammar of `crate::escape` it called is
+//! out: the payloads of the markup tokens, the owned-event stream the
+//! reader no longer has, fragment bindings, and the word-at-a-time `&`
+//! search (a plain one finds the same byte). The reference and name grammar of `crate::escape` it called is
 //! copied below as it was.
 //!
 //! Test-only. Do not "fix" this code: it is the specification the byte
@@ -23,7 +23,6 @@ use std::borrow::Cow;
 use super::RawEvent;
 use crate::error::{XmlError, XmlErrorKind};
 use crate::escape::{is_name_char, is_name_start, is_xml_char};
-use crate::event::Attribute;
 use crate::name::QName;
 
 use super::MAX_DEPTH;
@@ -168,15 +167,12 @@ impl<'a> XmlReader<'a> {
         }
     }
 
-    pub(super) fn start_tag(&self) -> (QName, Vec<Attribute>) {
+    pub(super) fn start_tag(&self) -> (QName, Vec<(QName, String)>) {
         let attributes = self
             .attrs
             .iter()
             .filter(|attr| declared_prefix(attr.name).is_none())
-            .map(|attr| Attribute {
-                name: self.qname(attr.name, false),
-                value: checked_value(attr).into_owned(),
-            })
+            .map(|attr| (self.qname(attr.name, false), checked_value(attr).into_owned()))
             .collect();
         (
             self.qname(self.open.last().copied().unwrap_or_default(), true),

@@ -1,9 +1,8 @@
 //! In-memory element tree built on the reader/writer.
 
-use crate::error::XmlError;
-use crate::event::XmlEvent;
+use crate::error::{XmlError, XmlErrorKind};
 use crate::name::QName;
-use crate::reader::XmlReader;
+use crate::reader::{RawEvent, XmlReader};
 use crate::writer::XmlWriter;
 
 /// A node in an element's content.
@@ -11,7 +10,8 @@ use crate::writer::XmlWriter;
 pub enum Node {
     /// Child element.
     Element(Element),
-    /// Character data (text and CDATA merged).
+    /// Character data (text and CDATA merged; never empty in a parsed
+    /// tree).
     Text(String),
 }
 
@@ -239,88 +239,53 @@ impl Element {
     /// Returns the underlying [`XmlError`] for malformed input.
     pub fn parse_in_scope(input: &str, outer: &[(String, String)]) -> Result<Element, XmlError> {
         let mut reader = XmlReader::with_bindings(input, outer);
-        let root = loop {
-            match reader.next_event()? {
-                XmlEvent::StartElement { name, attributes, .. } => {
-                    break Self::from_reader(&mut reader, name, attributes)?;
-                }
-                XmlEvent::Eof => {
-                    return Err(XmlError::new(
-                        crate::error::XmlErrorKind::UnexpectedEof,
-                        reader.position(),
-                    ))
-                }
-                _ => {}
-            }
-        };
+        // A document without a root element is an error before its end.
+        while reader.next_raw()? != RawEvent::Start {}
+        let root = Self::from_open(&mut reader)?;
         reader.finish()?;
         Ok(root)
     }
 
-    /// Build the subtree for a [`XmlEvent::StartElement`] the caller has
-    /// already pulled from `reader`, consuming events through the matching
-    /// end tag. Paired with [`XmlReader::position`] this lets streaming
-    /// consumers (e.g. the SOAP batch unwrapper) recover each subtree's
-    /// exact byte span in the source document instead of re-serialising
-    /// the finished tree.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying [`XmlError`] for malformed content.
-    pub fn from_start_event(
-        reader: &mut XmlReader<'_>,
-        name: QName,
-        attributes: Vec<crate::event::Attribute>,
-    ) -> Result<Element, XmlError> {
-        Self::from_reader(reader, name, attributes)
-    }
-
-    /// [`Element::from_start_event`] for a start tag pulled with
-    /// [`XmlReader::next_raw`]: build the subtree of the element `reader`
-    /// just started.
+    /// Build the subtree of the element `reader` just started (after a
+    /// [`RawEvent::Start`]), consuming events through its end tag.
+    /// Paired with [`XmlReader::position`] this lets streaming consumers
+    /// (e.g. the SOAP batch unwrapper) recover each subtree's exact byte
+    /// span in the source document instead of re-serialising the
+    /// finished tree.
     ///
     /// # Errors
     ///
     /// Returns the underlying [`XmlError`] for malformed content.
     pub fn from_open(reader: &mut XmlReader<'_>) -> Result<Element, XmlError> {
         let (name, attributes) = reader.start_tag();
-        Self::from_reader(reader, name, attributes)
-    }
-
-    fn from_reader(
-        reader: &mut XmlReader<'_>,
-        name: QName,
-        attributes: Vec<crate::event::Attribute>,
-    ) -> Result<Element, XmlError> {
-        let mut element = Element::with_name(name);
-        element.attributes = attributes.into_iter().map(|a| (a.name, a.value)).collect();
+        let mut element =
+            Element { name, attributes, namespaces: Vec::new(), content: Vec::new() };
         loop {
-            match reader.next_event()? {
-                XmlEvent::StartElement { name, attributes, .. } => {
-                    let child = Self::from_reader(reader, name, attributes)?;
+            match reader.next_raw()? {
+                RawEvent::Start => {
+                    let child = Self::from_open(reader)?;
                     element.push_parsed(Node::Element(child));
                 }
-                XmlEvent::EndElement { .. } => {
+                RawEvent::End => {
                     // Parsed trees get kept (a delivered payload, a
                     // header block): leave no growth slack behind.
                     element.content.shrink_to_fit();
                     return Ok(element);
                 }
-                XmlEvent::Text(t) | XmlEvent::CData(t) => {
+                // An empty run (`<![CDATA[]]>`) holds nothing, so it adds
+                // no node: `<p><![CDATA[]]></p>` is the tree of `<p/>`.
+                RawEvent::Text(run) if run.is_empty() => {}
+                RawEvent::Text(run) => {
                     // Merge adjacent text runs for a canonical tree.
                     if let Some(Node::Text(prev)) = element.content.last_mut() {
-                        prev.push_str(&t);
+                        prev.push_str(&run);
                     } else {
-                        element.push_parsed(Node::Text(t));
+                        element.push_parsed(Node::Text(run.into_owned()));
                     }
                 }
-                XmlEvent::Comment(_) | XmlEvent::ProcessingInstruction { .. } => {}
-                XmlEvent::Declaration { .. } => {}
-                XmlEvent::Eof => {
-                    return Err(XmlError::new(
-                        crate::error::XmlErrorKind::UnexpectedEof,
-                        reader.position(),
-                    ))
+                RawEvent::Markup => {}
+                RawEvent::Eof => {
+                    return Err(XmlError::new(XmlErrorKind::UnexpectedEof, reader.position()))
                 }
             }
         }
@@ -339,13 +304,6 @@ impl Element {
     /// Serialise this element as a compact document string.
     pub fn to_xml_string(&self) -> String {
         let mut w = XmlWriter::new();
-        self.write_into(&mut w).expect("element tree is always writable");
-        w.finish().expect("element tree is always balanced")
-    }
-
-    /// Serialise with indentation (for logs and docs).
-    pub fn to_pretty_string(&self) -> String {
-        let mut w = XmlWriter::pretty("  ");
         self.write_into(&mut w).expect("element tree is always writable");
         w.finish().expect("element tree is always balanced")
     }
@@ -473,6 +431,19 @@ mod tests {
         let root = Element::parse("<a>x<![CDATA[y]]>z</a>").unwrap();
         assert_eq!(root.nodes().len(), 1);
         assert_eq!(root.text(), "xyz");
+    }
+
+    #[test]
+    fn an_empty_cdata_section_adds_no_node() {
+        let parsed = Element::parse("<p><![CDATA[]]></p>").unwrap();
+        assert_eq!(parsed, Element::parse("<p></p>").unwrap());
+        assert!(parsed.is_empty());
+        // And writing it, then parsing that, gives the same tree.
+        assert_eq!(parsed.to_xml_string(), "<p/>");
+        assert_eq!(Element::parse(&parsed.to_xml_string()).unwrap(), parsed);
+        // Between two runs it merges nothing away.
+        let between = Element::parse("<p>a<![CDATA[]]>b</p>").unwrap();
+        assert_eq!(between.nodes(), [Node::Text("ab".into())]);
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! A streaming XML writer with namespace management.
 
-use std::fmt::Write as _;
-
 use crate::error::{XmlError, XmlErrorKind};
 use crate::escape::{escape_attr_into, escape_growth, escape_text_into, validate_name};
 use crate::name::{NamespaceScope, QName};
@@ -41,10 +39,6 @@ pub struct XmlWriter {
     tag_open: bool,
     root_closed: bool,
     generated: usize,
-    indent: Option<String>,
-    // True when the last thing written inside the current element was
-    // character data (suppresses indentation of the close tag).
-    mixed: Vec<bool>,
     // Reusable scratch for qualified_buf: the lexical form of the name
     // being written and any xmlns declaration it needs.
     lex_buf: String,
@@ -68,8 +62,6 @@ impl XmlWriter {
             tag_open: false,
             root_closed: false,
             generated: 0,
-            indent: None,
-            mixed: Vec::new(),
             lex_buf: String::new(),
             decl_buf: String::new(),
         }
@@ -87,13 +79,6 @@ impl XmlWriter {
         w
     }
 
-    /// A writer that pretty-prints with the given indent unit.
-    pub fn pretty(indent: &str) -> Self {
-        let mut w = Self::new();
-        w.indent = Some(indent.to_string());
-        w
-    }
-
     /// Emit the `<?xml version="1.0" encoding="UTF-8"?>` declaration.
     ///
     /// # Errors
@@ -104,9 +89,6 @@ impl XmlWriter {
             return Err(self.misuse("declaration must be first"));
         }
         self.out.push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>");
-        if self.indent.is_some() {
-            self.out.push('\n');
-        }
         Ok(())
     }
 
@@ -116,11 +98,10 @@ impl XmlWriter {
     ///
     /// Fails on invalid names or writing a second root element.
     pub fn start_element(&mut self, name: &QName) -> Result<(), XmlError> {
-        self.close_pending_tag(false)?;
+        self.close_pending_tag();
         if self.open.is_empty() && self.root_closed {
             return Err(self.misuse("document already has a root element"));
         }
-        self.newline_indent();
         self.scope.push_scope();
         self.qualified_buf(name, false)?;
         self.out.push('<');
@@ -129,7 +110,6 @@ impl XmlWriter {
         self.open.push(self.open_names.len());
         self.open_names.push_str(&self.lex_buf);
         self.tag_open = true;
-        self.mixed.push(false);
         Ok(())
     }
 
@@ -191,17 +171,18 @@ impl XmlWriter {
     ///
     /// Fails outside the root element.
     pub fn text(&mut self, text: &str) -> Result<(), XmlError> {
-        self.close_pending_tag(false)?;
+        self.close_pending_tag();
         if self.open.is_empty() {
             return Err(self.misuse("text outside root element"));
         }
-        if let Some(m) = self.mixed.last_mut() {
-            *m = true;
-        }
-        match escape_growth(text, false, CDATA_DELIMITERS) {
+        match escape_growth(text, CDATA_DELIMITERS) {
             // Most text (every header's) has nothing to escape: one scan.
             0 => self.out.push_str(text),
-            growth if growth > CDATA_DELIMITERS && !text.contains("]]>") => self.push_cdata(text),
+            growth if growth > CDATA_DELIMITERS && !text.contains("]]>") => {
+                self.out.push_str("<![CDATA[");
+                self.out.push_str(text);
+                self.out.push_str("]]>");
+            }
             _ => escape_text_into(&mut self.out, text),
         }
         Ok(())
@@ -216,12 +197,9 @@ impl XmlWriter {
     ///
     /// Fails outside the root element.
     pub fn raw(&mut self, xml: &str) -> Result<(), XmlError> {
-        self.close_pending_tag(false)?;
+        self.close_pending_tag();
         if self.open.is_empty() {
             return Err(self.misuse("raw content outside root element"));
-        }
-        if let Some(m) = self.mixed.last_mut() {
-            *m = true;
         }
         self.out.push_str(xml);
         Ok(())
@@ -238,52 +216,10 @@ impl XmlWriter {
         &mut self,
         write: impl FnOnce(&mut Self) -> Result<(), XmlError>,
     ) -> Result<&str, XmlError> {
-        self.close_pending_tag(false)?;
+        self.close_pending_tag();
         let start = self.out.len();
         write(self)?;
         Ok(&self.out[start..])
-    }
-
-    /// Write a CDATA section. The content must not contain `]]>`.
-    ///
-    /// # Errors
-    ///
-    /// Fails outside the root element or when content contains `]]>`.
-    pub fn cdata(&mut self, text: &str) -> Result<(), XmlError> {
-        self.close_pending_tag(false)?;
-        if self.open.is_empty() {
-            return Err(self.misuse("cdata outside root element"));
-        }
-        if text.contains("]]>") {
-            return Err(self.misuse("']]>' inside cdata"));
-        }
-        if let Some(m) = self.mixed.last_mut() {
-            *m = true;
-        }
-        self.push_cdata(text);
-        Ok(())
-    }
-
-    fn push_cdata(&mut self, text: &str) {
-        self.out.push_str("<![CDATA[");
-        self.out.push_str(text);
-        self.out.push_str("]]>");
-    }
-
-    /// Write a comment. Must not contain `--`.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the comment contains `--`.
-    pub fn comment(&mut self, text: &str) -> Result<(), XmlError> {
-        if text.contains("--") {
-            return Err(self.misuse("'--' inside comment"));
-        }
-        self.close_pending_tag(false)?;
-        self.newline_indent();
-        // wsg_lint: allow(E2) — fmt::Write to a String is infallible
-        let _ = write!(self.out, "<!--{text}-->");
-        Ok(())
     }
 
     /// Close the innermost open element.
@@ -299,17 +235,12 @@ impl XmlWriter {
             if let Some(start) = self.open.pop() {
                 self.open_names.truncate(start);
             }
-            self.mixed.pop();
             self.scope.pop_scope();
         } else {
             let start = self
                 .open
                 .pop()
                 .ok_or_else(|| self.misuse("end_element with no open element"))?;
-            let was_mixed = self.mixed.pop().unwrap_or(false);
-            if !was_mixed {
-                self.newline_indent();
-            }
             self.out.push_str("</");
             self.out.push_str(&self.open_names[start..]);
             self.out.push('>');
@@ -327,15 +258,12 @@ impl XmlWriter {
     /// # Errors
     ///
     /// Fails if elements remain open or no root was written.
-    pub fn finish(mut self) -> Result<String, XmlError> {
+    pub fn finish(self) -> Result<String, XmlError> {
         if self.tag_open || !self.open.is_empty() {
             return Err(self.misuse("finish with unclosed elements"));
         }
         if !self.root_closed {
             return Err(self.misuse("finish with no root element"));
-        }
-        if self.indent.is_some() && !self.out.ends_with('\n') {
-            self.out.push('\n');
         }
         Ok(self.out)
     }
@@ -345,23 +273,10 @@ impl XmlWriter {
         self.open.len()
     }
 
-    fn close_pending_tag(&mut self, _self_close: bool) -> Result<(), XmlError> {
+    fn close_pending_tag(&mut self) {
         if self.tag_open {
             self.out.push('>');
             self.tag_open = false;
-        }
-        Ok(())
-    }
-
-    fn newline_indent(&mut self) {
-        if let Some(unit) = &self.indent {
-            if !self.out.is_empty() {
-                self.out.push('\n');
-                let depth = self.open.len();
-                for _ in 0..depth {
-                    self.out.push_str(unit);
-                }
-            }
         }
     }
 
@@ -549,17 +464,6 @@ mod tests {
         w.start_element(&QName::new("a")).unwrap();
         w.end_element().unwrap();
         assert_eq!(w.finish().unwrap(), "<?xml version=\"1.0\" encoding=\"UTF-8\"?><a/>");
-    }
-
-    #[test]
-    fn pretty_printing_indents_structure_not_text() {
-        let mut w = XmlWriter::pretty("  ");
-        w.start_element(&QName::new("a")).unwrap();
-        w.start_element(&QName::new("b")).unwrap();
-        w.text("t").unwrap();
-        w.end_element().unwrap();
-        w.end_element().unwrap();
-        assert_eq!(w.finish().unwrap(), "<a>\n  <b>t</b>\n</a>\n");
     }
 
     #[test]

@@ -103,18 +103,6 @@ fn tree_roundtrips_through_serialisation() {
     });
 }
 
-#[test]
-fn pretty_output_preserves_names_and_attrs() {
-    run("pretty_output_preserves_names_and_attrs", 64, |g| {
-        let e = arb_element(g, 3);
-        let xml = e.to_pretty_string();
-        let parsed = Element::parse(&xml).expect("pretty output must parse");
-        prop_assert_eq!(parsed.name(), e.name());
-        prop_assert_eq!(parsed.attributes().len(), e.attributes().len());
-        Ok(())
-    });
-}
-
 /// Text dense in everything either escaping mode rewrites, between clean
 /// runs of varying length (multi-byte characters included).
 fn special_heavy_text(g: &mut Gen) -> String {
@@ -156,10 +144,8 @@ fn escaping_matches_the_reference_loop_and_roundtrips_in_both_modes() {
             let mut escaped = String::from("kept:");
             if attr {
                 escape::escape_attr_into(&mut escaped, &s);
-                prop_assert_eq!(&escaped[5..], &*escape::escape_attr(&s));
             } else {
                 escape::escape_text_into(&mut escaped, &s);
-                prop_assert_eq!(&escaped[5..], &*escape::escape_text(&s));
             }
             prop_assert_eq!(&escaped[5..], escape_char_by_char(&s, attr));
             prop_assert_eq!(escape::unescape(&escaped[5..], 0).unwrap(), s.as_str());
@@ -188,7 +174,8 @@ fn parser_never_panics_on_arbitrary_input() {
 fn escaped_text_contains_no_specials() {
     run("escaped_text_contains_no_specials", 64, |g| {
         let s = xml_text(g);
-        let escaped = escape::escape_text(&s);
+        let mut escaped = String::new();
+        escape::escape_text_into(&mut escaped, &s);
         prop_assert!(!escaped.contains('<'));
         // every '&' must begin an entity
         for (i, c) in escaped.char_indices() {
@@ -235,11 +222,12 @@ fn text_is_written_in_its_shorter_spelling() {
         // As long as the shorter spelling; escaped on a tie, so text with
         // few specials is written as it always was, and escaped whenever
         // a section could not hold it.
-        let escaped = escape::escape_text(&text);
+        let mut escaped = String::new();
+        escape::escape_text_into(&mut escaped, &text);
         let section = format!("<![CDATA[{text}]]>");
         prop_assert!(spelt.len() == escaped.len().min(section.len()) || text.contains("]]>"), "{spelt}");
         let shorter = section.len() < escaped.len() && !text.contains("]]>");
-        prop_assert_eq!(spelt, if shorter { section.as_str() } else { &*escaped });
+        prop_assert_eq!(spelt, if shorter { &section } else { &escaped });
         Ok(())
     });
 }
