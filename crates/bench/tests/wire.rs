@@ -1,6 +1,6 @@
 //! What a forward costs on the wire: the bytes each request puts on one
-//! keep-alive connection to a real server, when every message is
-//! front-coded against the one the connection carried before it.
+//! keep-alive connection to a real server, when every message is coded
+//! against the one the connection carried before it.
 
 mod fixture;
 
@@ -66,15 +66,18 @@ fn a_forward_after_the_first_on_a_connection_is_what_it_adds() {
 
     assert_eq!(*received.lock().expect("not poisoned"), forwards);
     // The first says everything: the 1 424-byte envelope, the HTTP head
-    // (176 bytes) and the batch wrapper (~80).
+    // (176 bytes), and the batch wrapper less the envelope's declaration
+    // (79 − 38).
     let whole = forwards[0].len() as u64;
     assert!((whole + 176..whole + 300).contains(&requests[0]), "{requests:?} (envelope {whole})");
-    // Every later one says what it adds to the one before it: the ~900
-    // bytes up to `wsg:Seq` are left out, what follows it — the round, the
-    // `To` and `MessageID` of the copy, the payload as a 268-byte CDATA
-    // section (346 escaped), its `]]>` split across two of the batch's
-    // sections — travels (measured 817 per request; the envelope alone is
-    // 1 424).
-    assert!(requests[1..].iter().all(|&bytes| bytes <= 900), "{requests:?}");
-    assert!(requests[1..].iter().all(|&bytes| bytes + 850 <= requests[0]), "{requests:?}");
+    // Every later one copies its envelope markup out of the one before it
+    // in four copies — the ~900 bytes up to the `wsg:Seq` value, the tags
+    // up to the `MessageID` value, those up to the payload, the closing
+    // tail — and says the rest: the sequence number, the `MessageID`'s
+    // 45 bytes, the payload as a 268-byte CDATA section (its `]]>` split
+    // across two of the batch's sections) and the op list. Measured 650
+    // per request: the HTTP head 176, the wrapper 58 and the `Msg` 416 (the
+    // envelope alone is 1 424).
+    assert!(requests[1..].iter().all(|&bytes| bytes <= 660), "{requests:?}");
+    assert!(requests[1..].iter().all(|&bytes| bytes + 950 <= requests[0]), "{requests:?}");
 }

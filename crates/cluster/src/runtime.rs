@@ -269,7 +269,7 @@ fn stop_pump(slot: &mut ClusterSlot) {
 /// push the heartbeat to its chosen targets — piggybacked onto the next
 /// outbound gossip batch for that peer when that has room for it (no
 /// extra request at all), POSTed directly otherwise, as a batch of one
-/// front-coded against the last heartbeat the pump's connection to that
+/// coded against the last heartbeat the pump's connection to that
 /// peer carried. Refused direct targets are reported back
 /// ([`MembershipPlane::note_unreachable`]) and their pooled connections
 /// evicted, as are all currently-dead members' addresses.

@@ -297,13 +297,13 @@ fn write_seeds() -> std::io::Result<usize> {
     let mut empty = String::new();
     write_batch(&[], &mut empty);
     // Three notifications forwarded to one peer, as the sender's drain
-    // writes them: the first whole, the others front-coded — and a `pre`
-    // that counts past the message before it.
+    // writes them: the first whole, the others coded as copies of its
+    // markup — and a copy that counts past the message before it.
     let forwards = [notification(12), notification(13), notification(14)];
     let mut front_coded = String::new();
     write_batch(&forwards.each_ref().map(|xml| BatchItem { target: None, xml }), &mut front_coded);
-    assert_eq!(front_coded.matches(" pre=\"").count(), 2);
-    let pre_hostile = front_coded.replacen(" pre=\"", " pre=\"9", 1);
+    assert_eq!(front_coded.matches(" ops=\"").count(), 2);
+    let pre_hostile = front_coded.replacen(" ops=\"", " ops=\"99999", 1);
     // The next request on that connection: its one message coded against
     // the last one of the request before — the reference, then a NUL, then
     // the document. Without the reference (a fresh connection) the same
@@ -313,7 +313,7 @@ fn write_seeds() -> std::io::Result<usize> {
     let fifteen = notification(15);
     let item = std::iter::once((None, [fifteen.as_str(), "", ""]));
     write_batch_parts(item, &mut said.to_string(), &mut next);
-    assert!(next.contains("<wsgb:Msg pre=\""), "{next}");
+    assert!(next.contains("<wsgb:Msg ops=\""), "{next}");
     let connection_pre = format!("{said}\0{next}");
     // Three forwards whose payloads escaping would grow past a CDATA
     // section's delimiters: each is written as one section, and each coded
@@ -323,7 +323,8 @@ fn write_seeds() -> std::io::Result<usize> {
     let mut cdata_split = String::new();
     write_batch(&dense.each_ref().map(|xml| BatchItem { target: None, xml }), &mut cdata_split);
     assert_eq!(cdata_split.matches("]]]]><![CDATA[>").count(), 2, "{cdata_split}");
-    // A character no XML document may hold, in a front-coded tail.
+    // A character no XML document may hold, in a coded message's literal
+    // runs.
     let not_char_coded = front_coded.replacen("<![CDATA[", "<![CDATA[\u{1}", 1);
 
     type TargetSeeds<'a> = (&'a str, &'a [(&'a str, &'a [u8])]);

@@ -448,9 +448,9 @@ impl FuzzTarget for EnvelopeTarget {
 /// envelope-shape verdict; each streamed message's `raw` is a standalone
 /// document that decodes exactly as the tree walk's re-serialisation
 /// does (byte-identity recovery), under the envelope differential; a
-/// front-coded message's `raw` — the first one coded against the
-/// reference — is, byte for byte, what the tree walk puts together from
-/// the `pre` and the text its tree holds; both leave the same reference
+/// coded message's `raw` — the first one coded against the reference —
+/// is, byte for byte, what the tree walk puts together from the `ops` and
+/// the text its tree holds; both leave the same reference
 /// behind; on a fresh connection `parse_wire` says what
 /// `parse_wire_after` does; and the gossip identity each message was
 /// unwrapped with is the one a namespace lookup on the decoded envelope
@@ -537,7 +537,7 @@ impl FuzzTarget for BatchTarget {
                         via_tree.len()
                     ));
                 }
-                let coded = parsed.children().into_iter().map(|msg| msg.attr("pre").is_some());
+                let coded = parsed.children().into_iter().map(|msg| msg.attr("ops").is_some());
                 for (i, ((streamed, tree), coded)) in
                     messages.iter().zip(&via_tree).zip(coded).enumerate()
                 {

@@ -93,7 +93,7 @@ fn the_foreign_seeds_reach_the_splice_fallback_branches() {
     let across = edges(&BatchTarget, seed("batch", "connection-pre"));
     assert!(across.difference(&within).next().is_some());
     // A character XML 1.0's `Char` leaves out is refused where it stands:
-    // in a document, and in a front-coded tail.
+    // in a document, and in a coded message's literal runs.
     let mixed = edges(&XmlTarget, seed("xml", "mixed"));
     let not_char = edges(&XmlTarget, seed("xml", "not-char"));
     assert!(not_char.difference(&mixed).next().is_some());

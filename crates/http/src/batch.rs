@@ -16,7 +16,7 @@
 //!
 //! Flush-on-idle is implicit in the wakeup protocol: every push sends a
 //! wake token, and the sender drains on each one, so under light load a
-//! message is posted alone immediately — a batch of one, front-coded
+//! message is posted alone immediately — a batch of one, coded
 //! against the last message its keep-alive connection carried, so it costs
 //! about what a message inside a batch does. Several messages share a POST
 //! only while the sender is busy posting — exactly when coalescing pays.

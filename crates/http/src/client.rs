@@ -16,7 +16,7 @@
 //!
 //! Every pooled connection remembers the text of the last message it
 //! carried, as the server at its other end does: a
-//! [`SoapHttpClient::post_batch`] front-codes its first message against
+//! [`SoapHttpClient::post_batch`] codes its first message against
 //! it (`wsg_soap::batch`). Each attempt is encoded for the connection it
 //! is about to be written to, so a retry on a fresh connection — whose
 //! reference is empty — goes whole.
@@ -34,7 +34,7 @@ use wsg_soap::batch::{text_of, write_batch_parts, BATCH_ACTION};
 
 use crate::message::Response;
 use crate::parser::{Parsed, ResponseParser};
-use crate::server::SOAP_CONTENT_TYPE;
+use crate::server::{read_some, SOAP_CONTENT_TYPE};
 
 /// Tuning knobs for [`SoapHttpClient`].
 #[derive(Debug, Clone)]
@@ -153,7 +153,7 @@ impl ClientMetrics {
 }
 
 /// A kept-alive connection and the text of the last message it carried:
-/// what the next batch written to it is front-coded against.
+/// what the next batch written to it is coded against.
 struct Conn {
     stream: TcpStream,
     said: String,
@@ -228,7 +228,7 @@ impl SoapHttpClient {
 
     /// POST `items` — `(target, parts)` as `wsg_soap::batch::write_batch_parts`
     /// takes them — to `addr` as one `wsgb:Batch` with the batch
-    /// `SOAPAction`, its first message front-coded against the last one the
+    /// `SOAPAction`, its first message coded against the last one the
     /// connection carried: a pooled connection's, nothing on a fresh one.
     /// [`PostOutcome::left_out`] is what coding saved on the attempt that
     /// got across. Otherwise as [`SoapHttpClient::post`].
@@ -410,28 +410,7 @@ impl SoapHttpClient {
     fn exchange(&self, mut stream: &TcpStream, wire: &[u8]) -> std::io::Result<Response> {
         // wsg_lint: allow(T1) — both timeouts armed where the stream is created (connect_and_exchange)
         stream.write_all(wire)?;
-        let mut parser = ResponseParser::new();
-        let mut chunk = [0u8; 4096];
-        loop {
-            let n = stream.read(&mut chunk)?;
-            if n == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed before a full response",
-                ));
-            }
-            parser.feed(&chunk[..n]);
-            match parser.parse() {
-                Ok(Parsed::Complete(response)) => return Ok(response),
-                Ok(Parsed::Partial) => continue,
-                Err(err) => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!("unparseable response: {err}"),
-                    ))
-                }
-            }
-        }
+        read_response(stream)
     }
 
     /// Total posts started.
@@ -460,6 +439,34 @@ impl SoapHttpClient {
     #[cfg(test)]
     pub(crate) fn pool_evictions(&self) -> u64 {
         self.counters.pool_evictions.get()
+    }
+}
+
+/// Read one response off `stream`. The request is out, and may have been
+/// dispatched: a read a signal cut short is read again ([`read_some`]), not
+/// taken for a failure the retry loop would post the request again for.
+fn read_response(mut stream: impl Read) -> std::io::Result<Response> {
+    let mut parser = ResponseParser::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        let n = read_some(&mut stream, &mut chunk)?;
+        if n == 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "connection closed before a full response",
+            ));
+        }
+        parser.feed(&chunk[..n]);
+        match parser.parse() {
+            Ok(Parsed::Complete(response)) => return Ok(response),
+            Ok(Parsed::Partial) => continue,
+            Err(err) => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!("unparseable response: {err}"),
+                ))
+            }
+        }
     }
 }
 
@@ -545,6 +552,38 @@ mod tests {
         assert_eq!(second.response.status, 202);
         assert_eq!(client.pool_hits(), 1);
         server.shutdown();
+    }
+
+    #[test]
+    fn a_read_a_signal_cut_short_is_read_again() {
+        // A response that arrives in two reads, the first cut short by a
+        // signal: an `EINTR` was taken for a dead connection, and the
+        // batch already dispatched was posted again.
+        struct Interrupted<'a> {
+            interrupts: usize,
+            rest: &'a [u8],
+        }
+        impl Read for Interrupted<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                if self.interrupts > 0 {
+                    self.interrupts -= 1;
+                    return Err(std::io::ErrorKind::Interrupted.into());
+                }
+                let n = buf.len().min(self.rest.len()).min(20);
+                buf[..n].copy_from_slice(&self.rest[..n]);
+                self.rest = &self.rest[n..];
+                Ok(n)
+            }
+        }
+        let wire = Response::new(202, "Accepted").to_bytes();
+        let response = read_response(Interrupted { interrupts: 1, rest: &wire }).unwrap();
+        assert_eq!(response.status, 202);
+        // The same retry serves the server's reads.
+        let mut reader = Interrupted { interrupts: 3, rest: b"POST" };
+        assert_eq!(read_some(&mut reader, &mut [0; 8]).unwrap(), 4);
+        // A reader that is done is still done.
+        let closed = read_response(Interrupted { interrupts: 1, rest: &wire[..10] });
+        assert_eq!(closed.unwrap_err().kind(), std::io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! * a **sender** thread owning a pooled, retrying [`SoapHttpClient`]
 //!   that drains everything queued per destination into one POST — a
 //!   `urn:ws-gossip:batch` wrapper of one envelope or many, its first
-//!   front-coded against the last one the keep-alive connection carried
+//!   coded against the last one the keep-alive connection carried
 //!   (see [`crate::batch`] and DESIGN.md §12).
 //!
 //! Because the node's view of the world is still just `wsg_net::Context`, the
@@ -574,7 +574,7 @@ impl TransportMetrics {
 }
 
 /// A node's sender thread: [`sender_loop`] with the HTTP posting step —
-/// route, POST as a batch front-coded against the connection, account.
+/// route, POST as a batch coded against the connection, account.
 fn run_sender(
     index: usize,
     signal: Arc<WakeSignal>,

@@ -11,7 +11,7 @@
 //! envelope (root `env:Envelope`, an `env:Body`), or a `urn:ws-gossip:batch`
 //! of them — in one streaming pass that builds no tree, and handed to the
 //! [`Service`] closure as the sender's bytes. A batch's first message may
-//! be front-coded against the last message the connection carried, so each
+//! be coded against the last message the connection carried, so each
 //! connection keeps that text between requests (`wsg_soap::batch`). A
 //! service that needs the decoded message asks [`SoapRequest::envelope`]
 //! for it; one that only relays the bytes (the gossip route) never pays for
@@ -560,7 +560,7 @@ fn serve_slice(
                 }
             }
         }
-        match conn.stream.read(read_buf) {
+        match read_some(&mut conn.stream, read_buf) {
             Ok(0) => return None,
             Ok(n) => {
                 conn.idle = Duration::ZERO;
@@ -582,6 +582,20 @@ fn serve_slice(
                 return Some(conn);
             }
             Err(_) => return None,
+        }
+    }
+}
+
+/// `reader.read(buf)`, read again when a signal cut it short: a socket
+/// read with a timeout armed fails with `EINTR` instead of restarting,
+/// however the handler was installed, and says nothing about the
+/// connection. (Taken for a failure, it dropped a live connection here,
+/// and had the client post a batch the server already dispatched again.)
+pub(crate) fn read_some(reader: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
+    loop {
+        match reader.read(buf) {
+            Err(err) if err.kind() == std::io::ErrorKind::Interrupted => {}
+            read => return read,
         }
     }
 }
@@ -930,18 +944,32 @@ mod tests {
             xmls.iter().map(|xml| wsg_soap::batch::BatchItem { target: None, xml }).collect();
         let mut good = String::new();
         assert!(wsg_soap::batch::write_batch(&items, &mut good) > 0, "{good}");
-        let pre = good.find(" pre=\"").unwrap() + 6;
+        // The batch with the first coded message's `ops` replaced.
+        let with_ops = |ops: &str| {
+            let at = good.find(" ops=\"").unwrap() + 6;
+            let end = at + good[at..].find('"').unwrap();
+            format!("{}{ops}{}", &good[..at], &good[end..])
+        };
+        let before = wsg_soap::batch::text_of(&xmls[0]);
         let hostile = [
-            // Past the message before, into the middle of its `é`, not a
-            // number, on the first message, beside an element; a rebuilt
-            // text that is no document; one with nothing but a prefix.
-            good.replacen(" pre=\"", " pre=\"9", 1),
-            format!("{}{}{}", &good[..pre], xmls[0].find('é').unwrap() - 37, &good[good[pre..].find('"').unwrap() + pre..]),
-            good.replacen(" pre=\"", " pre=\"x", 1),
-            good.replacen("<wsgb:Msg>", "<wsgb:Msg pre=\"0\">", 1),
+            // Copying past the message before, over its end, into the
+            // middle of its `é`; a run that is no number; a coded first
+            // message; an element beside the literal run; literal runs
+            // that leave a byte over; a rebuilt text that is no document;
+            // one that copies the message before ~9 MB worth.
+            with_ops("0:100000"),
+            with_ops(&format!("{}:10", before.len() - 5)),
+            with_ops(&format!("0:{}", before.find('é').unwrap() + 1)),
+            good.replacen(" ops=\"", " ops=\"x", 1),
+            good.replacen("<wsgb:Msg>", "<wsgb:Msg ops=\"0:0\">", 1),
             good.replacen("<![CDATA[", "<a/><![CDATA[", 1),
             good.replacen("<![CDATA[", "<![CDATA[<", 1),
-            good.replacen("]]></wsgb:Msg>", "]]></wsgb:Msg><wsgb:Msg pre=\"40\"/>", 1),
+            good.replacen("]]></wsgb:Msg>", "]]></wsgb:Msg><wsgb:Msg ops=\"0:40\"/>", 1),
+            good.replacen(
+                "]]></wsgb:Msg>",
+                &format!("]]></wsgb:Msg><wsgb:Msg ops=\"{}\"/>", vec!["0:200"; 45_000].join(",")),
+                1,
+            ),
         ];
         assert_eq!(wsg_soap::batch::MAX_UNWRAPPED_BYTES, crate::parser::MAX_BODY_BYTES);
 
@@ -984,7 +1012,7 @@ mod tests {
         let mut next = String::new();
         let items = [xmls[0].as_str(), &xmls[1]].map(|xml| (None, [xml, "", ""]));
         assert!(wsg_soap::batch::write_batch_parts(items.into_iter(), &mut said, &mut next) > 0);
-        assert!(next[next.find("<wsgb:Msg").unwrap()..].starts_with("<wsgb:Msg pre=\""), "{next}");
+        assert!(next[next.find("<wsgb:Msg").unwrap()..].starts_with("<wsgb:Msg ops=\""), "{next}");
         assert_eq!(exchange(&mut stream, &next).status, 202);
         assert_eq!(exchange(&mut stream, &xmls[1]).status, 202);
         assert_eq!(*seen.lock(), [0, 1, 2, 0, 1, 1].map(|i| xmls[i].clone()));

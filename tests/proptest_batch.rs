@@ -3,10 +3,10 @@
 //! round-trip through `write_batch` → parse → `unbundle` with count,
 //! order, per-message targets, headers and bodies intact; whatever a
 //! message shares with the one before it on its connection, and whatever
-//! `]]>` its coded tail holds, a receiver gets back the sender's text byte
-//! for byte — and the unbundler must
-//! answer malformed wrappers with a typed error, never a panic (the server
-//! turns it into a 400).
+//! `]]>` its literal runs hold, a receiver gets back the sender's text byte
+//! for byte, every copy is envelope markup on both sides — and the
+//! unbundler must answer malformed wrappers with a typed error, never a
+//! panic (the server turns it into a 400).
 
 use wsg_net::check::{run, Gen};
 use wsg_net::{prop_assert, prop_assert_eq};
@@ -96,18 +96,23 @@ fn batches_roundtrip_count_order_targets_and_content() {
 
 const DECLARATION: &str = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>";
 
+/// Plain text a payload may be a rotation of: a run of it is no
+/// conversation's, but the next message's may repeat it shifted.
+const FILLER: &str = "tick 101.25 rising fast é 漢 ";
+
 /// A message of one of a few conversations: the header (long, with
 /// characters of every width) repeats within a conversation, the id starts
 /// with one of two characters that share their first byte, the payload is
 /// often a CDATA section of its own — dense in `]` and `>`, so it ends in
 /// a `]]>` and may hold more, split the way `XmlWriter` cannot but another
-/// writer may — and the declaration is there or not.
+/// writer may — or a rotation of one filler text, and the declaration is
+/// there or not.
 fn random_message(g: &mut Gen, conversations: &[String]) -> String {
     let declaration =
         *g.pick(&["", DECLARATION, "<?xml version=\"1.0\"?>", " \n<?xml version=\"1.1\"?>\n"]);
     let header = g.pick(conversations);
     let id = format!("{}{}", g.pick(&['é', 'è', 'e']), g.usize(0..=3));
-    let payload = match g.usize(0..=4) {
+    let payload = match g.usize(0..=5) {
         0 | 1 => {
             // Now and then empty: `<![CDATA[]]>` is the text of `<p></p>`.
             let lead = if g.bool(0.5) { "<" } else { "" };
@@ -115,6 +120,11 @@ fn random_message(g: &mut Gen, conversations: &[String]) -> String {
             format!("<![CDATA[{lead}{}]]>", text.replace("]]>", "]]]]><![CDATA[>"))
         }
         2 => format!("]] &gt;{}", g.string_from(&['a', '漢', '😀', ']'], 20)),
+        3 => {
+            let at = g.usize(0..=FILLER.chars().count());
+            let cut = FILLER.char_indices().nth(at).map_or(FILLER.len(), |(cut, _)| cut);
+            FILLER[cut..].to_string() + &FILLER[..cut] + &FILLER[cut..] + &FILLER[..cut]
+        }
         _ => g.string_from(&['a', 'b', 'é', ' '], 40),
     };
     format!(
@@ -124,10 +134,81 @@ fn random_message(g: &mut Gen, conversations: &[String]) -> String {
     )
 }
 
+/// What stands between a text's `<env:Body>` and `</env:Body>`: the bytes
+/// no coded message may copy, nor copy from.
+fn body_content(text: &str) -> std::ops::Range<usize> {
+    let from = text.find("<env:Body>").map_or(0, |at| at + "<env:Body>".len());
+    from..text.rfind("</env:Body>").unwrap_or(text.len()).max(from)
+}
+
+/// One copy of a coded message: where it stands in the message, and the
+/// bytes of the text before it that it copies.
+type Run = (usize, std::ops::Range<usize>);
+
+/// A coded message's text as its `ops` describe it — the test's own
+/// reading of the form, by `str::get` — and its copies, or `None` where
+/// the ops do not fit `before` and `literal`.
+fn decode(ops: &str, before: &str, literal: &str) -> Option<(String, Vec<Run>)> {
+    let (mut text, mut copies, mut rest) = (String::new(), Vec::new(), literal);
+    for op in ops.split(',') {
+        let digits = |n: &str| n.bytes().all(|b| b.is_ascii_digit()).then(|| n.parse::<usize>().ok())?;
+        match op.split_once(':') {
+            Some((from, len)) => {
+                let (from, len) = (digits(from)?, digits(len)?);
+                copies.push((text.len(), from..from.checked_add(len)?));
+                text.push_str(before.get(from..from + len)?);
+            }
+            None => {
+                let (run, after) = rest.split_at_checked(digits(op)?)?;
+                text.push_str(run);
+                rest = after;
+            }
+        }
+    }
+    rest.is_empty().then_some((text, copies))
+}
+
+/// Every `Msg` of a written batch: its `ops`, if coded, and its joined
+/// character data.
+fn coded_parts(wire: &str) -> Result<Vec<(Option<String>, String)>, String> {
+    let root = Element::parse(wire).map_err(|e| e.to_string())?;
+    Ok(root.children().iter().map(|msg| (msg.attr("ops").map(str::to_string), msg.text())).collect())
+}
+
+/// Check the coded messages of `wire` against the texts the sender meant
+/// — `before` being the text said before the first — by the test's own
+/// reading of the form: each decodes to its text, copies envelope markup
+/// only, out of the markup of the text before it, and copies enough to be
+/// worth coding. Returns the bytes copied.
+fn check_coded(wire: &str, before: &str, texts: &[&str]) -> Result<usize, String> {
+    let parts = coded_parts(wire)?;
+    prop_assert_eq!(parts.len(), texts.len());
+    let mut copied = 0;
+    for (i, ((ops, literal), text)) in parts.iter().zip(texts).enumerate() {
+        let before = if i == 0 { before } else { texts[i - 1] };
+        let Some(ops) = ops else { continue };
+        let Some((decoded, copies)) = decode(ops, before, literal) else {
+            return Err(format!("message {i}: ops {ops} do not fit, in {wire}"));
+        };
+        prop_assert!(decoded == *text, "message {i} of {wire}: {decoded}");
+        let (mine, theirs) = (body_content(text), body_content(before));
+        for (at, from) in &copies {
+            let to = at + from.len();
+            prop_assert!(to <= mine.start || *at >= mine.end, "message {i} copies {from:?} into its body: {wire}");
+            prop_assert!(from.end <= theirs.start || from.start >= theirs.end, "message {i} copies {from:?} out of a body: {wire}");
+        }
+        let total: usize = copies.iter().map(|(_, from)| from.len()).sum();
+        prop_assert!(total >= 64 && total * 8 >= text.len(), "message {i} of {wire}");
+        copied += total;
+    }
+    Ok(copied)
+}
+
 /// Whatever consecutive messages share — nothing, a prefix that ends inside
-/// a character, everything — and however the sender holds them (whole or in
-/// three pieces), every message comes out of the batch as the declaration
-/// plus the text that went in, and the batch says what it left out.
+/// a character, everything, a payload shifted — and however the sender
+/// holds them (whole or in three pieces), every message comes out of the
+/// batch as the declaration plus the text that went in, a payload is never
+/// copied, and the batch says what it left out.
 #[test]
 fn every_unwrapped_message_is_the_text_its_sender_queued() {
     run("every_unwrapped_message_is_the_text_its_sender_queued", 192, |g| {
@@ -182,14 +263,9 @@ fn every_unwrapped_message_is_the_text_its_sender_queued() {
         prop_assert_eq!(write_batch_parts(pieces, &mut String::new(), &mut in_pieces), left_out);
         prop_assert_eq!(&in_pieces, &wire);
 
-        let root = Element::parse(&wire).map_err(|e| e.to_string())?;
-        let pres: Vec<Option<usize>> = root
-            .children()
-            .iter()
-            .map(|msg| msg.attr("pre").and_then(|pre| pre.parse().ok()))
-            .collect();
-        prop_assert_eq!(pres.iter().flatten().sum::<usize>(), left_out);
-        prop_assert_eq!(pres[0], None);
+        prop_assert_eq!(check_coded(&wire, "", &texts)?, left_out);
+        let parts = coded_parts(&wire)?;
+        prop_assert!(parts[0].0.is_none(), "coded against nothing: {wire}");
         // Each `Msg` as written: its attributes, its content and its end
         // tag (no message text holds `<wsgb:Msg`).
         let msgs: Vec<&str> = wire.split("<wsgb:Msg").skip(1).collect();
@@ -208,17 +284,17 @@ fn every_unwrapped_message_is_the_text_its_sender_queued() {
             prop_assert_eq!(streamed[i].target.as_deref(), targets[i]);
             prop_assert_eq!(reference[i].target.as_deref(), targets[i]);
             prop_assert_eq!(streamed[i].envelope(), reference[i].envelope());
-            if let Some(pre) = pres[i] {
-                // Coded: the reference rebuilds the very bytes, the tail
-                // opens one more CDATA section for each `]]>` it holds,
-                // and the cut falls on a character of the message before.
+            if let (Some(_), literal) = &parts[i] {
+                // Coded: the tree walk rebuilds the very bytes, and the
+                // literal runs open one more CDATA section for each `]]>`
+                // they hold — a payload that is a rotation of the one
+                // before among them, whole.
                 prop_assert!(reference[i].raw == expected, "message {i} of {wire}: {}", reference[i].raw);
-                let tail = &text[pre..];
-                let sections = msgs[i].matches("<![CDATA[").count() - tail.matches("<![CDATA[").count();
-                let splits = tail.matches("]]>").count();
+                let sections = msgs[i].matches("<![CDATA[").count() - literal.matches("<![CDATA[").count();
+                let splits = literal.matches("]]>").count();
                 prop_assert!(sections == 1 + splits, "message {i}: {sections} sections for {splits} `]]>` in {wire}");
-                prop_assert!(pre >= 64 && pre * 8 >= text.len(), "message {i} of {wire}");
-                prop_assert!(texts[i - 1].is_char_boundary(pre), "message {i} of {wire}");
+                let body = body_content(text);
+                prop_assert!(literal.contains(&text[body]), "message {i} of {wire}");
             }
         }
         Ok(())
@@ -229,8 +305,8 @@ fn every_unwrapped_message_is_the_text_its_sender_queued() {
 /// that reconnects at random, some posted bare: the sender's and the
 /// receiver's reference advance in lockstep (the tree walk's too), every
 /// message comes out as the declaration plus the text that went in, and
-/// the first `Msg` after a (re)connect never carries a `pre` — one built
-/// by hand is refused there, and taken where its reference is.
+/// the first `Msg` after a (re)connect is never coded — one coded by hand
+/// is refused there, and taken where its reference is.
 #[test]
 fn a_connection_codes_each_request_against_the_one_before() {
     run("a_connection_codes_each_request_against_the_one_before", 128, |g| {
@@ -265,23 +341,19 @@ fn a_connection_codes_each_request_against_the_one_before() {
             }
             let items = post.iter().map(|xml| (None, [xml.as_str(), "", ""]));
             let mut wire = String::new();
+            let said = sender.clone();
             let left_out = write_batch_parts(items, &mut sender, &mut wire);
-            let root = Element::parse(&wire).map_err(|e| e.to_string())?;
-            let pres: Vec<Option<usize>> = root
-                .children()
-                .iter()
-                .map(|msg| msg.attr("pre").and_then(|pre| pre.parse().ok()))
-                .collect();
-            prop_assert_eq!(pres.iter().flatten().sum::<usize>(), left_out);
-            prop_assert!(!fresh || pres[0].is_none(), "coded against nothing: {wire}");
+            let texts: Vec<&str> = post.iter().map(|xml| text_of(xml)).collect();
+            prop_assert_eq!(check_coded(&wire, &said, &texts)?, left_out);
+            prop_assert!(!fresh || coded_parts(&wire)?[0].0.is_none(), "coded against nothing: {wire}");
             let streamed = match parse_wire_after(&wire, &mut receiver).map_err(|e| e.to_string())? {
                 Unbundled::Batch(streamed) => streamed,
                 Unbundled::Single(_) => return Err("batch wire classified as a single document".into()),
             };
             let walked = unbundle(&wire, &mut walker).map_err(|e| e.to_string())?;
             prop_assert_eq!(streamed.len(), post.len());
-            for (i, xml) in post.iter().enumerate() {
-                let expected = format!("{DECLARATION}{}", text_of(xml));
+            for (i, text) in texts.iter().enumerate() {
+                let expected = format!("{DECLARATION}{text}");
                 prop_assert!(streamed[i].raw == expected, "message {i} of {wire}: {}", streamed[i].raw);
                 prop_assert_eq!(streamed[i].envelope(), walked[i].envelope());
             }
@@ -290,19 +362,30 @@ fn a_connection_codes_each_request_against_the_one_before() {
             fresh = false;
         }
 
-        // A first `Msg` coded by hand against the last text said.
+        // A first `Msg` coded by hand against the last text said: a copy,
+        // a literal run, a copy — each of them possibly empty.
         let said = sender.clone();
-        let mut pre = g.usize(0..=said.len());
-        while !said.is_char_boundary(pre) {
-            pre -= 1;
-        }
-        let tail = said[pre..].replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;");
+        let mut cut = || {
+            let mut at = g.usize(0..=said.len());
+            while !said.is_char_boundary(at) {
+                at -= 1;
+            }
+            at
+        };
+        let (a, b) = (cut(), cut());
+        let (a, b) = (a.min(b), a.max(b));
+        let literal = said[a..b].replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;");
         let hand = format!(
-            "<wsgb:Batch xmlns:wsgb=\"urn:ws-gossip:batch\"><wsgb:Msg pre=\"{pre}\">{tail}</wsgb:Msg></wsgb:Batch>"
+            "<wsgb:Batch xmlns:wsgb=\"urn:ws-gossip:batch\">\
+             <wsgb:Msg ops=\"0:{a},{},{b}:{}\">{literal}</wsgb:Msg></wsgb:Batch>",
+            b - a,
+            said.len() - b
         );
         let refused = |result| matches!(result, Err(SoapError::Batch(_)));
-        prop_assert!(refused(parse_wire_after(&hand, &mut String::new()).map(drop)), "{hand}");
-        prop_assert!(refused(unbundle(&hand, &mut String::new()).map(drop)), "{hand}");
+        if !said.is_empty() {
+            prop_assert!(refused(parse_wire_after(&hand, &mut String::new()).map(drop)), "{hand}");
+            prop_assert!(refused(unbundle(&hand, &mut String::new()).map(drop)), "{hand}");
+        }
         let taken = parse_wire_after(&hand, &mut receiver).map_err(|e| e.to_string())?;
         let Unbundled::Batch(taken) = taken else { return Err("no batch".into()) };
         prop_assert_eq!(&taken[0].raw, &format!("{DECLARATION}{said}"));
@@ -318,7 +401,7 @@ fn a_connection_codes_each_request_against_the_one_before() {
 #[test]
 fn corrupted_batches_error_instead_of_panicking() {
     run("corrupted_batches_error_instead_of_panicking", 96, |g| {
-        // Whole, front-coded with nothing of its own, front-coded.
+        // Whole, coded with nothing but its payload of its own, coded.
         let (envelope, other) = (random_envelope(g).to_xml(), random_envelope(g).to_xml());
         let mut wire = String::new();
         write_batch(
@@ -329,7 +412,7 @@ fn corrupted_batches_error_instead_of_panicking() {
             ],
             &mut wire,
         );
-        prop_assert_eq!(wire.matches(" pre=\"").count(), 2);
+        prop_assert_eq!(wire.matches(" ops=\"").count(), 2);
 
         let corrupted = match g.usize(0..=2) {
             0 => wire[..g.usize(1..=wire.len())].to_string(),
