@@ -323,6 +323,13 @@ fn write_seeds() -> std::io::Result<usize> {
     let mut cdata_split = String::new();
     write_batch(&dense.each_ref().map(|xml| BatchItem { target: None, xml }), &mut cdata_split);
     assert_eq!(cdata_split.matches("]]]]><![CDATA[>").count(), 2, "{cdata_split}");
+    // Two forwards of 16 KiB payloads: the second coded like a short one,
+    // its head and tail copied, its payload one literal CDATA section.
+    let large =
+        [12, 13].map(|seq| notification_of(seq, &format!("ACME {seq} & ").repeat(16 * 1024 / 10)));
+    let mut coded_large = String::new();
+    write_batch(&large.each_ref().map(|xml| BatchItem { target: None, xml }), &mut coded_large);
+    assert_eq!(coded_large.matches(" ops=\"").count(), 1, "{coded_large}");
     // A character no XML document may hold, in a coded message's literal
     // runs.
     let not_char_coded = front_coded.replacen("<![CDATA[", "<![CDATA[\u{1}", 1);
@@ -402,6 +409,7 @@ fn write_seeds() -> std::io::Result<usize> {
                 ("pre-fresh-connection", next.as_bytes()),
                 ("not-char-coded", not_char_coded.as_bytes()),
                 ("cdata-split", cdata_split.as_bytes()),
+                ("coded-large", coded_large.as_bytes()),
             ],
         ),
         (

@@ -20,9 +20,14 @@
 //! it (`wsg_soap::batch`). Each attempt is encoded for the connection it
 //! is about to be written to, so a retry on a fresh connection — whose
 //! reference is empty — goes whole.
+//!
+//! A request goes out as its head, formatted into a reused buffer, and its
+//! body where it already lies — the caller's bytes, or the batch the
+//! client wrote — in one vectored write: the body is never copied behind
+//! the head.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -30,7 +35,7 @@ use std::time::{Duration, Instant};
 use wsg_net::rng::{Pcg32, RngExt};
 use wsg_net::sync::Mutex;
 use wsg_obs::{Counter, Family, HistogramMetric, Registry};
-use wsg_soap::batch::{text_of, write_batch_parts, BATCH_ACTION};
+use wsg_soap::batch::{text_of, write_batch_parts};
 
 use crate::message::Response;
 use crate::parser::{Parsed, ResponseParser};
@@ -159,13 +164,21 @@ struct Conn {
     said: String,
 }
 
-/// Reused buffers: each post formats its head and body into `wire` instead
-/// of building a `Request` + `to_bytes` pair (a batch's body is written to
-/// `body` first), then hands them back for the next post.
+/// Reused buffers: each post formats its head into `head` instead of
+/// building a `Request` + `to_bytes` pair, and a batch its body into
+/// `body`, then hands them back for the next post.
 #[derive(Default)]
 struct Scratch {
-    wire: Vec<u8>,
+    head: Vec<u8>,
     body: String,
+}
+
+impl Scratch {
+    /// The request as it goes out: the head, then `body` — the caller's
+    /// own, sent where it lies — or, for `None`, the batch in `self.body`.
+    fn request<'s>(&'s self, body: Option<&'s [u8]>) -> [&'s [u8]; 2] {
+        [&self.head, body.unwrap_or(self.body.as_bytes())]
+    }
 }
 
 /// A pooled, retrying SOAP-over-HTTP client.
@@ -218,18 +231,19 @@ impl SoapHttpClient {
         body: &[u8],
     ) -> Result<PostOutcome, PostError> {
         let text = std::str::from_utf8(body).map_or("", text_of);
-        self.send(addr, |said, scratch| {
+        self.send(addr, Some(body), |said, scratch| {
             said.clear();
             said.push_str(text);
-            frame(&mut scratch.wire, addr, target, action, extra_headers, body);
+            frame(&mut scratch.head, addr, target, action, extra_headers, body.len());
             0
         })
     }
 
     /// POST `items` — `(target, parts)` as `wsg_soap::batch::write_batch_parts`
-    /// takes them — to `addr` as one `wsgb:Batch` with the batch
-    /// `SOAPAction`, its first message coded against the last one the
-    /// connection carried: a pooled connection's, nothing on a fresh one.
+    /// takes them — to `addr` as one `wsgb:Batch`, its first message coded
+    /// against the last one the connection carried: a pooled connection's,
+    /// nothing on a fresh one. The head names no `SOAPAction`: SOAP 1.2's
+    /// HTTP binding has none, and the server reads none.
     /// [`PostOutcome::left_out`] is what coding saved on the attempt that
     /// got across. Otherwise as [`SoapHttpClient::post`].
     ///
@@ -243,26 +257,27 @@ impl SoapHttpClient {
         extra_headers: &[(String, String)],
         items: impl Iterator<Item = (Option<&'a str>, [&'a str; 3])> + Clone,
     ) -> Result<PostOutcome, PostError> {
-        self.send(addr, |said, scratch| {
+        self.send(addr, None, |said, scratch| {
             let left_out = write_batch_parts(items.clone(), said, &mut scratch.body);
-            let body = scratch.body.as_bytes();
-            frame(&mut scratch.wire, addr, target, Some(BATCH_ACTION), extra_headers, body);
+            frame(&mut scratch.head, addr, target, None, extra_headers, scratch.body.len());
             left_out
         })
     }
 
-    /// Run one post: `encode` writes the request into `wire` for the
-    /// connection about to carry it — advancing that connection's reference
-    /// — and returns the bytes it left out.
+    /// Run one post: `encode` writes the request's head — and, when `body`
+    /// is `None`, the batch it carries — for the connection about to carry
+    /// it, advancing that connection's reference, and returns the bytes it
+    /// left out.
     fn send(
         &self,
         addr: SocketAddr,
+        body: Option<&[u8]>,
         mut encode: impl FnMut(&mut String, &mut Scratch) -> usize,
     ) -> Result<PostOutcome, PostError> {
         self.counters.posts.inc();
         let started = Instant::now();
         let mut scratch = std::mem::take(&mut *self.scratch.lock());
-        let result = self.drive(addr, &mut scratch, &mut encode, started);
+        let result = self.drive(addr, body, &mut scratch, &mut encode, started);
         *self.scratch.lock() = scratch;
         result
     }
@@ -272,6 +287,7 @@ impl SoapHttpClient {
     fn drive(
         &self,
         addr: SocketAddr,
+        body: Option<&[u8]>,
         scratch: &mut Scratch,
         encode: &mut impl FnMut(&mut String, &mut Scratch) -> usize,
         started: Instant,
@@ -283,14 +299,14 @@ impl SoapHttpClient {
             // whether the peer is reachable now.
             while let Some(mut conn) = self.take_pooled(addr) {
                 let left_out = encode(&mut conn.said, scratch);
-                if let Ok(response) = self.exchange(&conn.stream, &scratch.wire) {
+                if let Ok(response) = exchange(&conn.stream, scratch.request(body)) {
                     self.counters.pool_hits.inc();
                     self.maybe_pool(addr, conn, &response);
                     return Ok(self.finish(response, attempts.max(1), left_out, started));
                 }
             }
             attempts += 1;
-            match self.connect_and_exchange(addr, scratch, encode) {
+            match self.connect_and_exchange(addr, body, scratch, encode) {
                 Ok((conn, response, left_out)) => {
                     if attempts == 1 {
                         self.counters.pool_misses.inc();
@@ -390,6 +406,7 @@ impl SoapHttpClient {
     fn connect_and_exchange(
         &self,
         addr: SocketAddr,
+        body: Option<&[u8]>,
         scratch: &mut Scratch,
         encode: &mut impl FnMut(&mut String, &mut Scratch) -> usize,
     ) -> std::io::Result<(Conn, Response, usize)> {
@@ -403,14 +420,8 @@ impl SoapHttpClient {
         // A fresh connection has carried nothing to code against.
         let mut conn = Conn { stream, said: String::new() };
         let left_out = encode(&mut conn.said, scratch);
-        let response = self.exchange(&conn.stream, &scratch.wire)?;
+        let response = exchange(&conn.stream, scratch.request(body))?;
         Ok((conn, response, left_out))
-    }
-
-    fn exchange(&self, mut stream: &TcpStream, wire: &[u8]) -> std::io::Result<Response> {
-        // wsg_lint: allow(T1) — both timeouts armed where the stream is created (connect_and_exchange)
-        stream.write_all(wire)?;
-        read_response(stream)
     }
 
     /// Total posts started.
@@ -442,6 +453,29 @@ impl SoapHttpClient {
     }
 }
 
+/// Write a request's `head` and `body` to `stream` and read the response.
+/// Both timeouts are armed where the stream is created
+/// (`connect_and_exchange`), and bound every write and read here.
+fn exchange(stream: &TcpStream, [head, body]: [&[u8]; 2]) -> std::io::Result<Response> {
+    write_all_vectored(stream, &mut [IoSlice::new(head), IoSlice::new(body)])?;
+    read_response(stream)
+}
+
+/// Write all of `bufs` to `out`, in order, with as few writes as the
+/// socket takes: `Write::write_all_vectored` is not stable.
+fn write_all_vectored(mut out: impl Write, mut bufs: &mut [IoSlice<'_>]) -> std::io::Result<()> {
+    IoSlice::advance_slices(&mut bufs, 0);
+    while !bufs.is_empty() {
+        match out.write_vectored(bufs) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(err) if err.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(err) => return Err(err),
+        }
+    }
+    Ok(())
+}
+
 /// Read one response off `stream`. The request is out, and may have been
 /// dispatched: a read a signal cut short is read again ([`read_some`]), not
 /// taken for a failure the retry loop would post the request again for.
@@ -470,23 +504,24 @@ fn read_response(mut stream: impl Read) -> std::io::Result<Response> {
     }
 }
 
-/// Format the POST of `body` into `wire` — byte-identical to
+/// Format the head of a POST of a `body_len`-byte body into `wire` — with
+/// the body after it, byte-identical to
 /// `Request::post(..).with_header(..).to_bytes()` (regression-tested below)
-/// without an allocation per post, and written by a single `write_all`.
+/// without an allocation per post.
 fn frame(
     wire: &mut Vec<u8>,
     addr: SocketAddr,
     target: &str,
     action: Option<&str>,
     extra_headers: &[(String, String)],
-    body: &[u8],
+    body_len: usize,
 ) {
     wire.clear();
     wire.extend_from_slice(b"POST ");
     wire.extend_from_slice(target.as_bytes());
     wire.extend_from_slice(b" HTTP/1.1\r\nContent-Length: ");
     // wsg_lint: allow(E2) — io::Write to a Vec is infallible
-    let _ = write!(wire, "{}", body.len());
+    let _ = write!(wire, "{body_len}");
     wire.extend_from_slice(b"\r\nHost: ");
     // wsg_lint: allow(E2) — io::Write to a Vec is infallible
     let _ = write!(wire, "{addr}");
@@ -509,7 +544,6 @@ fn frame(
         wire.extend_from_slice(b"\r\n");
     }
     wire.extend_from_slice(b"\r\n");
-    wire.extend_from_slice(body);
 }
 
 #[cfg(test)]
@@ -863,6 +897,102 @@ mod tests {
             );
         }
         server.join().unwrap();
+    }
+
+    #[test]
+    fn a_batch_post_is_its_head_then_the_batch_with_no_soap_action() {
+        // Two batch POSTs over one kept-alive stream, captured raw: each is
+        // the builder's head and the batch `write_batch_parts` writes for
+        // that connection, byte for byte, and names no `SOAPAction`.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (tx, rx) = std::sync::mpsc::channel::<Vec<u8>>();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut buf = Vec::new();
+            let mut chunk = [0u8; 4096];
+            for _ in 0..2 {
+                loop {
+                    let mut probe = crate::parser::RequestParser::new();
+                    probe.feed(&buf);
+                    if matches!(probe.parse(), Ok(Parsed::Complete(_))) {
+                        break;
+                    }
+                    let n = stream.read(&mut chunk).unwrap();
+                    assert!(n > 0, "client closed early");
+                    buf.extend_from_slice(&chunk[..n]);
+                }
+                stream.write_all(b"HTTP/1.1 202 Accepted\r\nContent-Length: 0\r\n\r\n").unwrap();
+                tx.send(std::mem::take(&mut buf)).unwrap();
+            }
+        });
+
+        let client = SoapHttpClient::new(1, HttpClientConfig::default());
+        let node_header = [("X-WSG-Node".to_string(), "3".to_string())];
+        let xmls: Vec<String> = (0..3).map(|n| sample_xml().replace("101.25", &format!("10{n}"))).collect();
+        let mut said = String::new();
+        for post in [&xmls[..2], &xmls[2..]] {
+            let items = post.iter().map(|xml| (None, [xml.as_str(), "", ""]));
+            let outcome = client.post_batch(addr, "/gossip", &node_header, items.clone()).unwrap();
+            assert_eq!(outcome.response.status, 202);
+            let mut body = String::new();
+            assert_eq!(write_batch_parts(items, &mut said, &mut body), outcome.left_out);
+            let expected = Request::post("/gossip", body.into_bytes())
+                .with_header("Host", addr.to_string())
+                .with_header("Content-Type", SOAP_CONTENT_TYPE)
+                .with_header("X-WSG-Node", "3")
+                .to_bytes();
+            let captured = String::from_utf8(rx.recv().unwrap()).unwrap();
+            assert_eq!(captured, String::from_utf8(expected).unwrap());
+            assert!(!captured.to_ascii_lowercase().contains("soapaction"), "{captured}");
+        }
+        // The second was coded against the first's last message.
+        assert!(client.pool_hits() == 1 && said == text_of(&xmls[2]));
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn a_vectored_write_cut_short_anywhere_writes_every_byte_once_in_order() {
+        // A writer that takes at most `most` bytes a call, and is cut
+        // short by a signal now and then.
+        struct Trickle {
+            got: Vec<u8>,
+            most: usize,
+            calls: usize,
+        }
+        impl Write for Trickle {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.write_vectored(&[IoSlice::new(buf)])
+            }
+            fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+                self.calls += 1;
+                if self.calls.is_multiple_of(3) {
+                    return Err(std::io::ErrorKind::Interrupted.into());
+                }
+                let mut room = self.most;
+                for buf in bufs {
+                    let take = buf.len().min(room);
+                    self.got.extend_from_slice(&buf[..take]);
+                    room -= take;
+                }
+                Ok(self.most - room)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let (head, body) = (b"POST / HTTP/1.1\r\n\r\n".as_slice(), sample_xml().into_bytes());
+        for most in [1, 7, head.len(), head.len() + 1, 4096] {
+            for parts in [[head, &body[..]], [&[][..], &body[..]], [head, &[][..]]] {
+                let mut out = Trickle { got: Vec::new(), most, calls: 0 };
+                write_all_vectored(&mut out, &mut parts.map(IoSlice::new)).unwrap();
+                assert_eq!(out.got, parts.concat(), "{most} bytes a write");
+            }
+        }
+        // A socket that takes nothing is an error, not a spin.
+        let mut full = Trickle { got: Vec::new(), most: 0, calls: 0 };
+        let error = write_all_vectored(&mut full, &mut [IoSlice::new(head)]).unwrap_err();
+        assert_eq!(error.kind(), std::io::ErrorKind::WriteZero);
     }
 
     #[test]

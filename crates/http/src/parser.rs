@@ -5,6 +5,9 @@
 //! and [`RequestParser::parse`] yields [`Parsed::Complete`] once the head
 //! and the full `Content-Length` body are buffered, [`Parsed::Partial`]
 //! otherwise. Bytes of a pipelined next message are left in the buffer.
+//! A head is parsed once, when its blank line arrives, and kept until its
+//! body is complete: a body that arrives in many reads costs no more head
+//! parses than one that arrives in one.
 //!
 //! Malformed input is a typed [`ParseError`] — never a panic — so the
 //! server can answer `400 Bad Request` and move on. Chunked transfer
@@ -139,23 +142,54 @@ struct Buffer {
     bytes: Vec<u8>,
     max_head: usize,
     max_body: usize,
+    /// The head at the front of `bytes`, once parsed, while its body is
+    /// still arriving.
+    head: Option<Head>,
 }
 
-/// Head lines (request/status line + header lines) plus the raw body.
-type HeadAndBody = (Vec<String>, Vec<u8>);
+/// A parsed head: the request or status line, the header fields, and
+/// where in the buffer the body lies.
+#[derive(Debug)]
+struct Head {
+    start_line: String,
+    headers: Headers,
+    body_start: usize,
+    body_len: usize,
+}
+
+/// A whole message: its start line, its header fields and its body.
+type Message = (String, Headers, Vec<u8>);
 
 impl Buffer {
     fn new(max_head: usize, max_body: usize) -> Self {
-        Buffer { bytes: Vec::new(), max_head, max_body }
+        Buffer { bytes: Vec::new(), max_head, max_body, head: None }
     }
 
     fn feed(&mut self, chunk: &[u8]) {
         self.bytes.extend_from_slice(chunk);
     }
 
-    /// Split head (as UTF-8 lines) and body once both are buffered.
-    /// Returns `Ok(None)` when more bytes are needed.
-    fn split_message(&mut self) -> Result<Option<HeadAndBody>, ParseError> {
+    /// Split the message at the front off once its head and body are
+    /// buffered. Returns `Ok(None)` when more bytes are needed.
+    fn split_message(&mut self) -> Result<Option<Message>, ParseError> {
+        if self.head.is_none() {
+            self.head = self.parse_head()?;
+        }
+        let buffered = self.bytes.len();
+        let Some(head) = self.head.take_if(|head| buffered >= head.body_start + head.body_len) else {
+            cov!();
+            return Ok(None);
+        };
+        cov!();
+        let body_end = head.body_start + head.body_len;
+        let body = self.bytes[head.body_start..body_end].to_vec();
+        self.bytes.drain(..body_end);
+        Ok(Some((head.start_line, head.headers, body)))
+    }
+
+    /// The head at the front of the buffer, once its blank line is
+    /// buffered: `Ok(None)` before.
+    fn parse_head(&self) -> Result<Option<Head>, ParseError> {
         let Some(head_end) = find_head_end(&self.bytes) else {
             if self.bytes.len() > self.max_head {
                 cov!();
@@ -172,18 +206,11 @@ impl Buffer {
             cov!();
             ParseError::NonUtf8Head
         })?;
-        let lines: Vec<String> = head.split("\r\n").map(str::to_string).collect();
-        let headers = parse_header_lines(lines.iter().skip(1).map(String::as_str))?;
+        let mut lines = head.split("\r\n");
+        let start_line = lines.next().unwrap_or("").to_string();
+        let headers = parse_header_lines(lines)?;
         let body_len = content_length(&headers, self.max_body)?;
-        let body_start = head_end + 4;
-        if self.bytes.len() < body_start + body_len {
-            cov!();
-            return Ok(None);
-        }
-        cov!();
-        let body = self.bytes[body_start..body_start + body_len].to_vec();
-        self.bytes.drain(..body_start + body_len);
-        Ok(Some((lines, body)))
+        Ok(Some(Head { start_line, headers, body_start: head_end + 4, body_len }))
     }
 }
 
@@ -227,12 +254,10 @@ impl RequestParser {
     /// Any [`ParseError`]; the connection should be answered with 400 and
     /// closed, since resynchronisation is impossible.
     pub fn parse(&mut self) -> Result<Parsed<Request>, ParseError> {
-        let Some((lines, body)) = self.buffer.split_message()? else {
+        let Some((request_line, headers, body)) = self.buffer.split_message()? else {
             return Ok(Parsed::Partial);
         };
-        let request_line = lines.first().map(String::as_str).unwrap_or("");
-        let (method, target, version) = parse_request_line(request_line)?;
-        let headers = parse_header_lines(lines.iter().skip(1).map(String::as_str))?;
+        let (method, target, version) = parse_request_line(&request_line)?;
         Ok(Parsed::Complete(Request { method, target, version, headers, body }))
     }
 }
@@ -288,12 +313,10 @@ impl ResponseParser {
     ///
     /// Any [`ParseError`]; the connection should be discarded.
     pub fn parse(&mut self) -> Result<Parsed<Response>, ParseError> {
-        let Some((lines, body)) = self.buffer.split_message()? else {
+        let Some((status_line, headers, body)) = self.buffer.split_message()? else {
             return Ok(Parsed::Partial);
         };
-        let status_line = lines.first().map(String::as_str).unwrap_or("");
-        let (version, status, reason) = parse_status_line(status_line)?;
-        let headers = parse_header_lines(lines.iter().skip(1).map(String::as_str))?;
+        let (version, status, reason) = parse_status_line(&status_line)?;
         Ok(Parsed::Complete(Response { version, status, reason, headers, body }))
     }
 }

@@ -632,7 +632,7 @@ mod tests {
     use wsg_net::protocol::{Context, TimerTag};
     use wsg_net::threads::ThreadNet;
     use wsg_net::time::{SimDuration, SimTime};
-    use wsg_soap::batch::{write_batch, BatchItem, BATCH_ACTION};
+    use wsg_soap::batch::{write_batch, BatchItem};
     use wsg_soap::{Envelope, MessageHeaders};
     use wsg_xml::Element;
 
@@ -905,7 +905,7 @@ mod tests {
         ];
         let mut wire = String::new();
         write_batch(&items, &mut wire);
-        let outcome = net.post_external(id, Some(BATCH_ACTION), &wire).unwrap();
+        let outcome = net.post_external(id, None, &wire).unwrap();
         assert_eq!(outcome.response.status, 202, "one 202 for the whole batch");
         let nodes = net.shutdown_after(Duration::from_millis(300));
         // The two untargeted envelopes reached the inbox in order; the

@@ -48,8 +48,9 @@ use wsg_soap::{Envelope, Fault, FaultCode, GossipId, MessageHeaders, SoapError};
 use crate::message::Response;
 use crate::parser::{Parsed, RequestParser};
 
-/// Content type of every SOAP 1.2 message on the wire.
-pub const SOAP_CONTENT_TYPE: &str = "application/soap+xml; charset=utf-8";
+/// Content type of every SOAP 1.2 message on the wire. It names no
+/// `charset`: UTF-8 is XML's default, and no reader here looks at one.
+pub const SOAP_CONTENT_TYPE: &str = "application/soap+xml";
 
 /// The most a worker reads from a socket at once.
 const READ_BUF_BYTES: usize = 64 * 1024;
@@ -62,7 +63,9 @@ pub const NODE_HEADER: &str = "X-WSG-Node";
 pub struct HttpServerConfig {
     /// Worker threads servicing connections.
     pub workers: usize,
-    /// Close a connection after this much idle time between requests.
+    /// Close a connection once this much wall time has passed since it
+    /// last read a byte or answered a request — whether it waited for a
+    /// worker or a worker waited on it.
     pub keep_alive: Duration,
     /// How long a worker blocks per read before re-queuing a quiet
     /// connection and serving the next one. Workers multiplex over all
@@ -277,8 +280,8 @@ impl SoapHttpServer {
         registry: Arc<Registry>,
     ) -> std::io::Result<Self> {
         let local_addr = listener.local_addr()?;
-        // A zero slice is not a socket timeout the OS accepts, would never
-        // add up to `keep_alive`, and would spin the workers: floor it once.
+        // A zero slice is not a socket timeout the OS accepts and would
+        // spin the workers: floor it once.
         let config = HttpServerConfig {
             read_slice: config.read_slice.max(Duration::from_millis(1)),
             ..config
@@ -377,14 +380,16 @@ impl Drop for SoapHttpServer {
     }
 }
 
-/// A live connection with its accumulated parse state, idle time and the
-/// text of the last message it carried, passed between workers through the
-/// connection queue.
+/// A live connection with its accumulated parse state, when it was last
+/// active and the text of the last message it carried, passed between
+/// workers through the connection queue.
 struct Conn {
     stream: TcpStream,
     peer: SocketAddr,
     parser: RequestParser,
-    idle: Duration,
+    /// When the connection last read a byte or answered a request: it ages
+    /// in the queue as much as under a worker.
+    active: Instant,
     said: String,
 }
 
@@ -415,7 +420,7 @@ fn accept_loop(
             stream,
             peer,
             parser: RequestParser::new(),
-            idle: Duration::ZERO,
+            active: Instant::now(),
             said: String::new(),
         };
         match conn_tx.try_send(conn) {
@@ -522,7 +527,6 @@ fn serve_slice(
         loop {
             match conn.parser.parse() {
                 Ok(Parsed::Complete(request)) => {
-                    conn.idle = Duration::ZERO;
                     let keep = request.keep_alive();
                     let started = Instant::now();
                     let response =
@@ -542,6 +546,7 @@ fn serve_slice(
                     if !keep || !response.keep_alive() {
                         return None;
                     }
+                    conn.active = Instant::now();
                 }
                 Ok(Parsed::Partial) => break,
                 Err(err) => {
@@ -563,7 +568,7 @@ fn serve_slice(
         match read_some(&mut conn.stream, read_buf) {
             Ok(0) => return None,
             Ok(n) => {
-                conn.idle = Duration::ZERO;
+                conn.active = Instant::now();
                 counters.bytes_in.add(n as u64);
                 conn.parser.feed(&read_buf[..n]);
             }
@@ -571,11 +576,7 @@ fn serve_slice(
                 if err.kind() == std::io::ErrorKind::WouldBlock
                     || err.kind() == std::io::ErrorKind::TimedOut =>
             {
-                if stop.load(Ordering::SeqCst) {
-                    return None;
-                }
-                conn.idle += config.read_slice;
-                if conn.idle >= config.keep_alive {
+                if stop.load(Ordering::SeqCst) || conn.active.elapsed() >= config.keep_alive {
                     return None;
                 }
                 // Quiet socket: yield the worker to other connections.
@@ -1146,5 +1147,26 @@ mod tests {
             assert!(started.elapsed() >= keep_alive * 4 / 5);
             server.shutdown();
         }
+    }
+
+    #[test]
+    fn idle_connections_waiting_for_a_worker_age_too() {
+        // One worker rotating over ten quiet connections waits on each a
+        // tenth of the time: counted in read slices, `keep_alive` stretched
+        // ten times over (1.8–2.5 s for 200 ms).
+        let keep_alive = Duration::from_millis(200);
+        let config = HttpServerConfig { workers: 1, keep_alive, ..HttpServerConfig::default() };
+        let mut server = SoapHttpServer::bind("127.0.0.1:0", echo_service(), config).unwrap();
+        let started = Instant::now();
+        let streams: Vec<TcpStream> =
+            (0..10).map(|_| TcpStream::connect(server.local_addr()).unwrap()).collect();
+        for mut stream in streams {
+            stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            assert_eq!(stream.read(&mut [0u8; 16]).unwrap(), 0, "expected EOF from idle timeout");
+            assert!(started.elapsed() >= keep_alive * 4 / 5);
+        }
+        let all_closed = started.elapsed();
+        assert!(all_closed < keep_alive * 3, "the last idle connection lived {all_closed:?}");
+        server.shutdown();
     }
 }

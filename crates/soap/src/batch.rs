@@ -33,7 +33,9 @@
 //! context and gossip header, and the element tags around every value that
 //! differs — sequence number, round, `MessageID` — so a connection says
 //! them once. Whatever a payload shares with the one before it travels
-//! again.
+//! again. A message that copies at least 64 bytes is coded, however long
+//! it is: a 16 KiB notification's ~1 100 bytes of markup are left out as a
+//! 256-byte one's are.
 //!
 //! The text before a `Msg` is that of the previous message **on the same
 //! keep-alive connection**: the `Msg` before it in this document or, for
@@ -65,9 +67,6 @@ use crate::{Envelope, SoapError, SOAP_ENV_NS};
 /// Namespace of the batch wrapper vocabulary.
 const BATCH_NS: &str = "urn:ws-gossip:batch";
 
-/// SOAPAction carried by a batch POST, of one message or many.
-pub const BATCH_ACTION: &str = "urn:ws-gossip:batch/Batch";
-
 /// What every unwrapped message starts with, to stand alone.
 const XML_DECL: &str = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>";
 
@@ -76,20 +75,10 @@ const XML_DECL: &str = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>";
 /// ~8 bytes a run. Two envelopes of this stack share ~150 bytes in their
 /// root start tag alone, two forwards to one peer ~1 100: the form is for
 /// messages that share real header content, and out of the way of
-/// strangers.
+/// strangers. It is the only threshold: a message is coded whatever its
+/// length, so a 16 KiB notification's head and tail are copied as a
+/// 256-byte one's are (EXPERIMENTS.md §E12, "every message is coded").
 const MIN_SHARED: usize = 64;
-
-/// ...and the smallest share of the message those bytes must be: one in
-/// `MIN_SHARE`. Coding costs the sender and the receiver one more pass
-/// each over what is *not* copied (for the `]]>`s to split; for the CDATA
-/// section's end), so it has to leave out a fair part. A 16 KiB
-/// notification has the same ~1 100 bytes of markup a 256-byte one has —
-/// 7 % of it: coded, `saturate_large` paid +5 % `cpu_ms_per_op` for −4 %
-/// `wire_bytes_per_op` (EXPERIMENTS.md §E12, "a batch says it once");
-/// whole, it costs what it did. Copies come from the markup of the text
-/// before only, so a message longer than this many times that markup goes
-/// whole without being matched.
-const MIN_SHARE: usize = 8;
 
 /// How many tags ahead in the text before the writer looks for the tag a
 /// message goes on with after a value they do not share: enough to step
@@ -212,13 +201,13 @@ fn write_coded<'a>(
         // What the matcher finds of the message's own markup, if it runs;
         // worked out again when the next message needs it otherwise.
         let (copied, markup) = match from {
-            Some(from) if may_copy_enough(&from, before.len(), text.len()) => {
+            Some(from) if may_copy_enough(&from, before.len()) => {
                 let (copied, markup) = match_markup(&text, &before, from, &mut runs);
                 (copied, Some(markup))
             }
             _ => (0, None),
         };
-        if copied >= MIN_SHARED && copied * MIN_SHARE >= text.len() {
+        if copied >= MIN_SHARED {
             cov!();
             write_runs(out, &text, &runs);
             left_out += copied;
@@ -233,14 +222,12 @@ fn write_coded<'a>(
     (left_out, last)
 }
 
-/// Whether a message of `len` bytes may copy enough out of a text of
-/// `before_len` bytes whose markup ends and starts again at `from` to be
-/// coded: copies come from that markup only, so a message longer than
-/// [`MIN_SHARE`] times it — every 16 KiB notification — goes whole without
-/// being matched.
-fn may_copy_enough(from: &Range<usize>, before_len: usize, len: usize) -> bool {
-    let markup = from.start + (before_len - from.end);
-    markup >= MIN_SHARED && markup * MIN_SHARE >= len
+/// Whether a message may copy enough out of a text of `before_len` bytes
+/// whose markup ends and starts again at `from` to be coded: copies come
+/// from that markup only, so one under [`MIN_SHARED`] bytes is not matched
+/// against.
+fn may_copy_enough(from: &Range<usize>, before_len: usize) -> bool {
+    from.start + (before_len - from.end) >= MIN_SHARED
 }
 
 /// The `ops` attribute, the literal runs as one CDATA section and the end
@@ -1364,9 +1351,10 @@ mod tests {
             assert_eq!(&message.raw, xml, "the reference rebuilds the same bytes");
         }
 
-        // What is copied has to be an eighth of the message: the same
-        // ~700 bytes of markup around a 16 KiB payload go whole, around
-        // 2 KiB coded.
+        // However long the message, its markup is copied and its payload
+        // said: the same 575 bytes around a 16 KiB payload as around a
+        // 2 KiB one — all of them after a message of its own shape, all but
+        // the values they do not share after a forward.
         let with_payload = |bytes: usize| {
             let payload = Element::text_node("tick", "é".repeat(bytes / 2));
             let grown = Envelope::parse(&xmls[1]).unwrap();
@@ -1374,12 +1362,26 @@ mod tests {
             grown.headers().into_iter().for_each(|block| headers.push_header(block.clone()));
             headers.to_xml()
         };
-        for (bytes, coded) in [(16 * 1024, 0), (2 * 1024, 1)] {
-            let pair = [xmls[0].clone(), with_payload(bytes)];
+        let (long, short) = (with_payload(16 * 1024), with_payload(2 * 1024));
+        for pair in [[&xmls[0], &long], [&xmls[0], &short], [&short, &long], [&long, &long]] {
+            let pair = pair.map(String::clone);
             let (wire, left_out) = batch_of(&pair);
-            assert_eq!(wire.matches(" ops=\"").count(), coded, "{bytes}-byte payload");
-            assert_eq!(left_out > 0, coded > 0);
+            let [ops] = ops_of(&wire)[..] else { panic!("{wire}") };
+            let text = &pair[1][XML_DECL.len()..];
+            let content = Text::new([text, "", ""]).markup().unwrap();
+            // Copies of markup only, and the payload literal and whole.
+            let markup = text.len() - content.len();
+            assert_eq!(markup, 575);
+            if pair[0] == xmls[0] {
+                assert!((500..markup).contains(&left_out), "{left_out} of {markup}");
+            } else {
+                assert_eq!(left_out, markup);
+            }
+            let literal = wire.rsplit("<![CDATA[").next().unwrap();
+            assert!(literal.contains(&text[content.clone()]), "{ops}");
+            assert_eq!(wire.len(), 58 + pair[0].len() - XML_DECL.len() + 21 + text.len() - left_out + ops.len() + 19 + 21);
             assert_eq!(streamed(&wire)[1].raw, pair[1]);
+            assert_eq!(fresh(&wire).unwrap()[1].raw, pair[1]);
         }
 
         // A lone message shares with nobody, a stranger with no one

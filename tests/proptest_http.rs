@@ -164,3 +164,48 @@ fn keep_alive_is_case_insensitive() {
         Ok(())
     });
 }
+
+/// Two or three requests pipelined on one connection, their bytes cut
+/// into reads at random with a parse after every read: each request comes
+/// out once, in order, with its own head and its own body — a head kept
+/// while its body arrives is never the next request's — and nothing is
+/// left over.
+#[test]
+fn pipelined_requests_cut_anywhere_parse_to_their_own_bodies() {
+    run("pipelined_requests_cut_anywhere_parse_to_their_own_bodies", 128, |g| {
+        let sent: Vec<(String, Vec<u8>)> = (0..g.usize(2..=3))
+            .map(|n| {
+                let size = if g.bool(0.2) { g.usize(0..=64 * 1024) } else { g.usize(0..=300) };
+                let fill = g.usize(0..=255);
+                (format!("/r{n}"), (0..size).map(|i| ((i + fill) % 251) as u8).collect())
+            })
+            .collect();
+        let mut wire = Vec::new();
+        for (n, (target, body)) in sent.iter().enumerate() {
+            let request = Request::post(target.as_str(), body.clone())
+                .with_header(random_case(g, "x-wsg-node"), n.to_string());
+            wire.extend_from_slice(&request.to_bytes());
+        }
+        let mut parser = RequestParser::new();
+        let mut received = Vec::new();
+        let mut rest = wire.as_slice();
+        while !rest.is_empty() {
+            let most = if g.bool(0.5) { 16 } else { rest.len() };
+            let take = g.usize(1..=most.min(rest.len()));
+            parser.feed(&rest[..take]);
+            rest = &rest[take..];
+            while let Parsed::Complete(request) = parser.parse().map_err(|e| e.to_string())? {
+                received.push(request);
+            }
+        }
+        prop_assert_eq!(parser.buffered(), 0);
+        prop_assert_eq!(received.len(), sent.len());
+        for (n, (request, (target, body))) in received.iter().zip(&sent).enumerate() {
+            prop_assert_eq!(&request.target, target);
+            let node = n.to_string();
+            prop_assert_eq!(request.header("X-WSG-Node"), Some(node.as_str()));
+            prop_assert!(request.body == *body, "request {n}: {} bytes for {}", request.body.len(), body.len());
+        }
+        Ok(())
+    });
+}
