@@ -337,6 +337,10 @@ impl Handler for GossipHandler {
         };
         let send = Self::route(&mut state, &ctx.envelope, &header);
         drop(state);
+        // The application gets the header with the message.
+        if ctx.direction == Direction::Inbound {
+            ctx.gossip = Some(header.into_owned());
+        }
         if let Some(send) = send {
             ctx.send(send);
         }

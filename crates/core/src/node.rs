@@ -710,12 +710,17 @@ impl WsGossipNode {
         Some(headers)
     }
 
-    fn dispatch(&mut self, envelope: Envelope, ctx: &mut dyn Context<String>) {
+    /// Hand a delivered message to the handler of its action, with the
+    /// gossip header the chain decoded, if it decoded one.
+    fn dispatch(&mut self, envelope: Envelope, gossip: Option<GossipHeader<'static>>, ctx: &mut dyn Context<String>) {
         if let Some(fault) = envelope.as_fault() {
             self.stats.faults += 1;
             let code = fault.code();
             self.log(ctx.now(), format!("fault received: {code}"));
             return;
+        }
+        if envelope.addressing().action() == Some(actions::NOTIFY) {
+            return self.handle_notify(envelope, gossip, ctx);
         }
         // The action borrows the envelope; pick the handler, then hand
         // the envelope over.
@@ -730,7 +735,6 @@ impl WsGossipNode {
                     self.log(ctx.now(), "subscription acknowledged".to_string());
                     return;
                 }
-                actions::NOTIFY => Self::handle_notify,
                 actions::COORDINATOR_SYNC => Self::handle_coordinator_sync,
                 _ => {
                     // Unknown action: a fault back to the sender would be the
@@ -889,9 +893,11 @@ impl WsGossipNode {
         }
     }
 
-    fn handle_notify(&mut self, envelope: Envelope, ctx: &mut dyn Context<String>) {
+    /// Deliver a notification. `gossip` is its header as the gossip layer
+    /// decoded it; a node without one decodes it here.
+    fn handle_notify(&mut self, envelope: Envelope, gossip: Option<GossipHeader<'static>>, ctx: &mut dyn Context<String>) {
         let now = ctx.now();
-        let header = GossipHeader::from_envelope(&envelope);
+        let header = gossip.or_else(|| GossipHeader::from_envelope(&envelope));
         let sequenced = header.is_some();
         let (topic, origin, seq, round) = match header {
             Some(h) => (h.topic.into_owned(), h.origin.into_owned(), h.seq, h.round),
@@ -1001,7 +1007,7 @@ impl Protocol for WsGossipNode {
         let result = self.chain.process(Direction::Inbound, envelope);
         self.transmit_all(result.sends, ctx);
         match result.disposition {
-            Disposition::Deliver(envelope) => self.dispatch(envelope, ctx),
+            Disposition::Deliver(envelope) => self.dispatch(envelope, result.gossip, ctx),
             Disposition::Consumed => {}
             Disposition::Faulted(_) => self.stats.faults += 1,
         }

@@ -162,6 +162,10 @@ impl ClientMetrics {
 struct Conn {
     stream: TcpStream,
     said: String,
+    /// When the connection, idle in the pool, is too old to write to: a
+    /// margin before the server closes it, as its last answer's
+    /// `Keep-Alive: timeout=` says (`None`: it said nothing).
+    stale_at: Option<Instant>,
 }
 
 /// Reused buffers: each post formats its head into `head` instead of
@@ -367,8 +371,15 @@ impl SoapHttpClient {
         nominal.mul_f64(jitter)
     }
 
+    /// The last connection pooled for `addr`, left out — and dropped —
+    /// if it has sat idle long enough that the server may be closing it:
+    /// a post written to it would be lost and sent again.
     fn take_pooled(&self, addr: SocketAddr) -> Option<Conn> {
-        self.pool.lock().get_mut(&addr)?.pop()
+        let mut pool = self.pool.lock();
+        let idle = pool.get_mut(&addr)?;
+        let now = Instant::now();
+        idle.retain(|conn| conn.stale_at.is_none_or(|at| now < at));
+        idle.pop()
     }
 
     /// Drop every idle pooled connection to `addr`.
@@ -392,10 +403,15 @@ impl SoapHttpClient {
     /// Keep `conn` for the next post to `addr` — unless the server closes
     /// it (as it does after a request it could not unwrap), and with it
     /// the reference the two ends shared.
-    fn maybe_pool(&self, addr: SocketAddr, conn: Conn, response: &Response) {
+    fn maybe_pool(&self, addr: SocketAddr, mut conn: Conn, response: &Response) {
         if !response.keep_alive() {
             return;
         }
+        // A tenth short of the server's keep-alive: it counts from its own
+        // write of this answer, a little before the clock here starts, and
+        // the next request has to reach it before that runs out. Any more
+        // margin sends whole a message a live connection would carry coded.
+        conn.stale_at = response.keep_alive_timeout().map(|timeout| Instant::now() + timeout * 9 / 10);
         let mut pool = self.pool.lock();
         let idle = pool.entry(addr).or_default();
         if idle.len() < Self::POOL_PER_HOST {
@@ -418,7 +434,7 @@ impl SoapHttpClient {
         // wsg_lint: allow(E2) — Nagle is a latency tuning; a socket that rejects it still serves
         let _ = stream.set_nodelay(true);
         // A fresh connection has carried nothing to code against.
-        let mut conn = Conn { stream, said: String::new() };
+        let mut conn = Conn { stream, said: String::new(), stale_at: None };
         let left_out = encode(&mut conn.said, scratch);
         let response = exchange(&conn.stream, scratch.request(body))?;
         Ok((conn, response, left_out))
@@ -698,6 +714,59 @@ mod tests {
         assert_eq!(outcome.attempts, 1, "stale pool entry must not count as an attempt");
         assert_eq!(client.retries_performed(), 0);
         server.shutdown();
+    }
+
+    #[test]
+    fn a_pooled_connection_idle_past_the_servers_keep_alive_is_not_written_to() {
+        // A server that says it keeps an idle connection for one second —
+        // and, to show which connection each request comes on, keeps every
+        // one open and answers on it.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (tx, rx) = std::sync::mpsc::channel::<usize>();
+        let server = std::thread::spawn(move || {
+            let mut handlers = Vec::new();
+            for conn in 0..2 {
+                let (mut stream, _) = listener.accept().unwrap();
+                let tx = tx.clone();
+                handlers.push(std::thread::spawn(move || {
+                    let mut parser = crate::parser::RequestParser::new();
+                    let mut chunk = [0u8; 4096];
+                    loop {
+                        if let Ok(Parsed::Complete(_)) = parser.parse() {
+                            tx.send(conn).unwrap();
+                            let answer = "HTTP/1.1 202 Accepted\r\nContent-Length: 0\r\nKeep-Alive: timeout=1\r\n\r\n";
+                            stream.write_all(answer.as_bytes()).unwrap();
+                            continue;
+                        }
+                        match stream.read(&mut chunk) {
+                            Ok(0) | Err(_) => return,
+                            Ok(n) => parser.feed(&chunk[..n]),
+                        }
+                    }
+                }));
+            }
+            handlers.into_iter().for_each(|handler| handler.join().unwrap());
+        });
+        let client = SoapHttpClient::new(5, HttpClientConfig::default());
+        let xml = sample_xml();
+        let wait = Duration::from_secs(5);
+        client.post(addr, "/gossip", None, &[], xml.as_bytes()).unwrap();
+        assert_eq!(rx.recv_timeout(wait), Ok(0));
+        // Reused while it is fresh...
+        client.post(addr, "/gossip", None, &[], xml.as_bytes()).unwrap();
+        assert_eq!(rx.recv_timeout(wait), Ok(0));
+        // ...but not once it has sat as long as the server may keep it.
+        std::thread::sleep(Duration::from_millis(1_000));
+        let outcome = client.post(addr, "/gossip", None, &[], xml.as_bytes()).unwrap();
+        assert_eq!(outcome.attempts, 1);
+        let next = rx.recv_timeout(wait);
+        // Let the server go: a second connection, if the client made none,
+        // and the end of every one.
+        drop(client);
+        drop(std::net::TcpStream::connect(addr));
+        server.join().unwrap();
+        assert_eq!(next, Ok(1), "the third post went out on the idle connection");
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! the same header on the wire).
 
 use std::fmt::Write as _;
+use std::time::Duration;
 
 /// An ordered header list with case-insensitive name lookup.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -194,6 +195,17 @@ impl Response {
         keep_alive(&self.version, &self.headers)
     }
 
+    /// How long the server keeps the connection open while it is idle, as
+    /// its `Keep-Alive: timeout=<seconds>` says; `None` when it says
+    /// nothing of it.
+    pub fn keep_alive_timeout(&self) -> Option<Duration> {
+        let timeout = self.header("keep-alive")?.split(',').find_map(|param| {
+            let (name, value) = param.split_once('=')?;
+            name.trim().eq_ignore_ascii_case("timeout").then(|| value.trim().parse().ok())?
+        })?;
+        Some(Duration::from_secs(timeout))
+    }
+
     /// The body as UTF-8 text (lossy).
     pub fn body_text(&self) -> String {
         String::from_utf8_lossy(&self.body).into_owned()
@@ -245,6 +257,16 @@ mod tests {
         assert_eq!(req.soap_action(), Some("urn:notify"));
         let bare = Request::post("/", Vec::new()).with_header("soapaction", "urn:notify");
         assert_eq!(bare.soap_action(), Some("urn:notify"));
+    }
+
+    #[test]
+    fn keep_alive_timeout_is_read_in_whole_seconds() {
+        let said = |value: &str| Response::new(202, "Accepted").with_header("Keep-Alive", value).keep_alive_timeout();
+        assert_eq!(said("timeout=5"), Some(Duration::from_secs(5)));
+        assert_eq!(said("max=100, Timeout = 3"), Some(Duration::from_secs(3)));
+        assert_eq!(said("max=100"), None);
+        assert_eq!(said("timeout=soon"), None);
+        assert_eq!(Response::new(202, "Accepted").keep_alive_timeout(), None);
     }
 
     #[test]

@@ -529,8 +529,14 @@ fn serve_slice(
                 Ok(Parsed::Complete(request)) => {
                     let keep = request.keep_alive();
                     let started = Instant::now();
-                    let response =
+                    let mut response =
                         handle_request(request, conn.peer, service, counters, &mut conn.said);
+                    // Say how long an idle connection lives, so that the
+                    // client stops reusing it before it is closed here.
+                    let idle_secs = config.keep_alive.as_secs();
+                    if keep && response.keep_alive() && idle_secs > 0 {
+                        response.headers.push("Keep-Alive", format!("timeout={idle_secs}"));
+                    }
                     counters
                         .request_micros
                         .observe(started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);

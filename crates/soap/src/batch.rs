@@ -57,7 +57,7 @@
 use std::ops::Range;
 
 use wsg_net::cov;
-use wsg_xml::escape::escape_attr_into;
+use wsg_xml::escape::{cdata_end, escape_attr_into, find_byte};
 use wsg_xml::{Element, RawEvent, XmlReader};
 
 use crate::envelope::{read_root, walk};
@@ -84,6 +84,16 @@ const MIN_SHARED: usize = 64;
 /// message goes on with after a value they do not share: enough to step
 /// over a header block one of the two lacks, and a bound on the work per
 /// tag...
+///
+/// Forwards of one stack share their header blocks, so the tag sought is
+/// the first one looked at: over 200 forwards to one peer (four origins,
+/// rounds 1–3, 256 B and 16 KiB payloads) every setting from 1 tag and
+/// 128 bytes to no bound at all writes the same bytes (97 097 and
+/// 3 323 294), and the writer's time per message moved inside its run to
+/// run spread (EXPERIMENTS.md §E12, "a byte scan runs a block at a time").
+/// The bounds are for the message that lacks a block — see
+/// `resyncing_steps_over_a_header_block_one_side_lacks` — and for markup
+/// made to cost (`markup_full_of_lone_angle_brackets_is_matched_in_linear_time`).
 const LOOKAHEAD: usize = 16;
 
 /// ...and how many bytes: the coordination context, the longest block
@@ -419,17 +429,9 @@ impl<'t> Text<'t> {
         self.spans(range).map(|(k, span)| (self.starts[k] + span.start, &self.parts[k].as_bytes()[span]))
     }
 
-    /// Where the first `byte`, an ASCII one, in `range` stands. A span on
-    /// characters is searched as a `str`, a word at a time.
+    /// Where the first `byte` in `range` stands.
     fn find(&self, range: Range<usize>, byte: u8) -> Option<usize> {
-        self.spans(range).find_map(|(k, span)| {
-            let part = self.parts[k];
-            let found = match part.get(span.clone()) {
-                Some(text) => text.find(char::from(byte)),
-                None => part.as_bytes()[span.clone()].iter().position(|&b| b == byte),
-            };
-            Some(self.starts[k] + span.start + found?)
-        })
+        self.segments(range).find_map(|(at, bytes)| Some(at + find_byte(bytes, 0, byte)?))
     }
 
     /// Where the first byte in `range` that `is` stands.
@@ -590,21 +592,6 @@ fn push_in_section(out: &mut String, mut text: &str) {
         out.push_str("]]><![CDATA[");
         text = &text[close..];
     }
-}
-
-/// Where the first `]]>` in `text` starts, found by its `]`s — a literal
-/// run is most often a few bytes with none, and a `str` pattern search
-/// costs more to set up than such a run costs to copy.
-fn cdata_end(text: &str) -> Option<usize> {
-    let mut at = 0;
-    while let Some(bracket) = text[at..].find(']') {
-        at += bracket;
-        if text[at..].starts_with("]]>") {
-            return Some(at);
-        }
-        at += 1;
-    }
-    None
 }
 
 /// `parts` without a leading `<?xml …?>` declaration — all of it in the
@@ -874,9 +861,11 @@ fn read_msg(
 /// that character data and checked as a bare POST's body is, with its
 /// gossip identity.
 ///
-/// The character data is kept as the runs the reader hands over, borrowed
-/// from `wire` — the writer's own spelling, a CDATA section split once per
-/// `]]>`, is two or three — and joined only past the third.
+/// Every byte of the character data ends up in that text, which is read
+/// whole: a CDATA section — the writer's spelling, split once per `]]>` —
+/// is stepped over here by its `]]>` and not tokenized, so the literal is
+/// read once. The runs are kept as the reader hands them over, borrowed
+/// from `wire`, and joined only past the third.
 fn read_coded(
     reader: &mut XmlReader<'_>,
     ops: &str,
@@ -885,18 +874,24 @@ fn read_coded(
 ) -> Result<(String, Option<GossipId<'static>>), SoapError> {
     let mut literal: [std::borrow::Cow<'_, str>; 3] = Default::default();
     let mut runs = 0;
-    loop {
-        match reader.next_raw()? {
-            RawEvent::Text(run) if runs < literal.len() => {
-                literal[runs] = run;
-                runs += 1;
-            }
+    let mut push = |run| {
+        if runs < literal.len() {
+            literal[runs] = run;
+            runs += 1;
+        } else {
             // More runs: a tail with several `]]>`, or another writer's
             // spelling (escaped text, comments between runs).
-            RawEvent::Text(run) => {
-                cov!();
-                literal[2].to_mut().push_str(&run);
-            }
+            cov!();
+            literal[2].to_mut().push_str(&run);
+        }
+    };
+    loop {
+        if let Some(section) = reader.cdata_unchecked() {
+            push(section.into());
+            continue;
+        }
+        match reader.next_raw()? {
+            RawEvent::Text(run) => push(run),
             RawEvent::Start => {
                 cov!();
                 return Err(SoapError::Batch("a coded Msg wraps an element".into()));
@@ -1152,6 +1147,11 @@ mod tests {
     /// The `n`-th notification one node forwards to one peer: everything
     /// but the ids and the payload repeats.
     fn forward(n: usize) -> String {
+        forward_with(n, &format!("ACME {n} é"))
+    }
+
+    /// [`forward`] with `payload` as its text.
+    fn forward_with(n: usize, payload: &str) -> String {
         let context = Element::in_ns("wscoor", "urn:wscoor", "CoordinationContext")
             .with_child(Element::text_node("Identifier", "urn:ctx:7"))
             .with_child(Element::text_node("Expires", "86400000"));
@@ -1159,7 +1159,7 @@ mod tests {
             MessageHeaders::request("http://127.0.0.1:4100/gossip", "urn:ws-gossip:2008:Notify")
                 .with_from(EndpointReference::new("http://127.0.0.1:4200/gossip"))
                 .with_message_id(format!("urn:uuid:{n:032x}")),
-            Element::text_node("tick", format!("ACME {n} é")),
+            Element::text_node("tick", payload),
         )
         .with_header(context)
         .with_header(Element::text_node("Seq", n.to_string()))
@@ -1603,6 +1603,35 @@ mod tests {
         let reference = fresh(&wire).unwrap();
         assert_eq!(messages[1..], reference[1..]);
         assert_eq!(messages[0].envelope(), reference[0].envelope());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn a_coded_message_is_tokenized_once_on_receipt() {
+        // Two 16 KiB forwards on one connection, the second coded: its
+        // literal (the payload, a CDATA section whose `]]>` splits it in
+        // two) is read in the text rebuilt from it, and not in the wire.
+        let dense: String = "tick 101.25 & rising <fast> ".chars().cycle().take(16 * 1024).collect();
+        let forward = |n: usize| forward_with(n, &format!("{dense}{n}"));
+        let (mut sent, mut received) = (String::new(), String::new());
+        let mut wire = String::new();
+        write_batch_parts(std::iter::once((None, [forward(1).as_str(), "", ""])), &mut sent, &mut wire);
+        parse_wire_after(&wire, &mut received).unwrap();
+        let second = forward(2);
+        write_batch_parts(std::iter::once((None, [second.as_str(), "", ""])), &mut sent, &mut wire);
+        let ops = ops_of(&wire);
+        assert_eq!(ops.len(), 1);
+        let literal: usize = ops[0].split(',').filter(|run| !run.contains(':')).map(|len| number(len).unwrap()).sum();
+        assert!(literal > dense.len() && wire.matches("<![CDATA[").count() >= 2);
+
+        let read = wsg_xml::reader::tokenized_bytes();
+        let Unbundled::Batch(messages) = parse_wire_after(&wire, &mut received).unwrap() else { panic!("a batch") };
+        let read = wsg_xml::reader::tokenized_bytes() - read;
+        assert_eq!(messages[0].raw, format!("{XML_DECL}{}", text_of(&second)));
+        // The rebuilt text whole, and of the wire no more than what is not
+        // the literal: each literal byte once (twice would be 16 KiB more).
+        let raw = messages[0].raw.len();
+        assert!((raw..=raw + wire.len() - literal).contains(&read), "{read} bytes tokenized");
     }
 
     #[test]

@@ -73,6 +73,17 @@ impl<'a> GossipHeader<'a> {
         block
     }
 
+    /// The header with every text owned.
+    pub fn into_owned(self) -> GossipHeader<'static> {
+        GossipHeader {
+            context_id: Cow::Owned(self.context_id.into_owned()),
+            topic: Cow::Owned(self.topic.into_owned()),
+            origin: Cow::Owned(self.origin.into_owned()),
+            seq: self.seq,
+            round: self.round,
+        }
+    }
+
     /// The identity of the notification this header travels with.
     pub fn id(self) -> GossipId<'a> {
         GossipId { origin: self.origin, seq: self.seq }

@@ -12,6 +12,7 @@ use wsg_xml::QName;
 
 use crate::envelope::Envelope;
 use crate::fault::{Fault, FaultCode};
+use crate::gossip::GossipHeader;
 
 /// Direction a message is travelling through the stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -29,13 +30,17 @@ pub struct MessageContext {
     pub direction: Direction,
     /// The message; handlers may mutate it in place.
     pub envelope: Envelope,
+    /// The message's `wsg:Gossip` header, once a handler has decoded it:
+    /// what the chain hands the application with the message, so that it
+    /// is not decoded again.
+    pub gossip: Option<GossipHeader<'static>>,
     sends: Vec<Outgoing>,
 }
 
 impl MessageContext {
     /// A context for a message travelling in `direction`.
     pub fn new(direction: Direction, envelope: Envelope) -> Self {
-        MessageContext { direction, envelope, sends: Vec::new() }
+        MessageContext { direction, envelope, gossip: None, sends: Vec::new() }
     }
 
     /// Queue something to send once the chain finishes — the
@@ -121,6 +126,9 @@ pub struct ChainResult {
     pub disposition: Disposition,
     /// What to hand to the network, in emission order.
     pub sends: Vec<Outgoing>,
+    /// The message's gossip header, when a handler decoded it
+    /// ([`MessageContext::gossip`]).
+    pub gossip: Option<GossipHeader<'static>>,
 }
 
 /// An ordered stack of handlers.
@@ -198,6 +206,7 @@ impl HandlerChain {
                 return ChainResult {
                     disposition: Disposition::Faulted(fault),
                     sends: Vec::new(),
+                    gossip: None,
                 };
             }
         }
@@ -206,12 +215,17 @@ impl HandlerChain {
             match handler.process(&mut ctx) {
                 HandlerOutcome::Continue => {}
                 HandlerOutcome::Consumed => {
-                    return ChainResult { disposition: Disposition::Consumed, sends: ctx.sends }
+                    return ChainResult {
+                        disposition: Disposition::Consumed,
+                        sends: ctx.sends,
+                        gossip: ctx.gossip,
+                    }
                 }
                 HandlerOutcome::Abort(fault) => {
                     return ChainResult {
                         disposition: Disposition::Faulted(fault),
                         sends: ctx.sends,
+                        gossip: ctx.gossip,
                     }
                 }
             }
@@ -219,6 +233,7 @@ impl HandlerChain {
         ChainResult {
             disposition: Disposition::Deliver(ctx.envelope),
             sends: ctx.sends,
+            gossip: ctx.gossip,
         }
     }
 

@@ -17,7 +17,7 @@
 //! Every delimiter of the grammar is ASCII, so the token layer reads
 //! bytes: a byte test never splits a UTF-8 sequence. A name is read and
 //! checked as a QName in one loop over a class table. Character data is
-//! scanned once, a word at a time, for the `<` that ends it, for `]]>`,
+//! scanned once, a block at a time, for the `<` that ends it, for `]]>`,
 //! for characters XML 1.0's `Char` leaves out and for references, the
 //! five predefined entities being checked as they pass (a consumer that
 //! resolves them checks them itself, so for `next_raw` the scan only
@@ -58,8 +58,8 @@ use wsg_net::cov;
 
 use crate::error::{XmlError, XmlErrorKind};
 use crate::escape::{
-    check_refs, find_by, find_byte, find_not_char, flag, is_name_char, is_name_start,
-    maybe_not_char, maybe_not_char_byte, not_char_at, predefined, unescape, validate_qname,
+    cdata_end, check_refs, find_by, find_byte, find_not_char, is_name_char, is_name_start, may_start_not_char,
+    not_char_at, predefined, unescape, validate_qname,
 };
 use crate::name::QName;
 
@@ -67,6 +67,18 @@ use crate::name::QName;
 mod differential;
 #[cfg(test)]
 mod reference;
+
+/// Bytes the readers on this thread have tokenized, in debug builds: what
+/// a test counts a consumer's passes over a document with.
+#[cfg(debug_assertions)]
+pub fn tokenized_bytes() -> usize {
+    TOKENIZED.with(std::cell::Cell::get)
+}
+
+#[cfg(debug_assertions)]
+thread_local! {
+    static TOKENIZED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
 
 /// Maximum element nesting depth accepted by the reader.
 pub const MAX_DEPTH: usize = 512;
@@ -241,16 +253,6 @@ fn resolved_qname(prefix: Option<&str>, local: &str, uri: Option<&str>) -> QName
     }
 }
 
-/// Character data as a tree holds it: a slice of the input unless a
-/// reference had to be resolved.
-fn resolved_text(raw: &str, at: usize, refs: bool) -> Result<Cow<'_, str>, XmlError> {
-    if refs {
-        unescape(raw, at)
-    } else {
-        Ok(Cow::Borrowed(raw))
-    }
-}
-
 /// A pull parser over an in-memory document.
 ///
 /// Produces a stream of [`RawEvent`]s with namespaces resolved. Rejects
@@ -379,7 +381,10 @@ impl<'a> XmlReader<'a> {
                 self.close_element();
                 RawEvent::End
             }
-            Token::Text { raw, at, refs } => RawEvent::Text(resolved_text(raw, at, refs)?),
+            // As a tree holds it: a slice of the input unless a reference
+            // had to be resolved.
+            Token::Text { raw, at, refs: true } => RawEvent::Text(unescape(raw, at)?),
+            Token::Text { raw, .. } => RawEvent::Text(Cow::Borrowed(raw)),
             Token::Eof => RawEvent::Eof,
             Token::Markup => RawEvent::Markup,
         })
@@ -494,6 +499,21 @@ impl<'a> XmlReader<'a> {
         }
     }
 
+    /// At a CDATA section inside an element, step over it and hand back
+    /// what it holds, its characters unchecked; anywhere else, or when the
+    /// section has no end, read nothing and return `None`. For a caller
+    /// that puts the characters into a document it then reads whole, which
+    /// checks them there: they are read once, not twice.
+    pub fn cdata_unchecked(&mut self) -> Option<&'a str> {
+        if self.pending_end || self.open.is_empty() || !self.input[self.pos..].starts_with("<![CDATA[") {
+            return None;
+        }
+        let body = self.pos + "<![CDATA[".len();
+        let close = body + cdata_end(&self.input[body..])?;
+        self.pos = close + "]]>".len();
+        Some(&self.input[body..close])
+    }
+
     /// Consume the epilogue once the root element has closed: only
     /// comments, processing instructions and whitespace may follow, so
     /// trailing junk (a second root, stray text) is rejected rather than
@@ -527,6 +547,15 @@ impl<'a> XmlReader<'a> {
     /// The next construct. `resolving`: the caller resolves the references
     /// of a text run itself, which checks them, so the tokenizer need not.
     fn next_token(&mut self, resolving: bool) -> Result<Token<'a>, XmlError> {
+        #[cfg(debug_assertions)]
+        let from = self.pos;
+        let token = self.token(resolving);
+        #[cfg(debug_assertions)]
+        TOKENIZED.with(|bytes| bytes.set(bytes.get() + self.pos.saturating_sub(from)));
+        token
+    }
+
+    fn token(&mut self, resolving: bool) -> Result<Token<'a>, XmlError> {
         if self.pending_end {
             cov!();
             self.pending_end = false;
@@ -596,7 +625,7 @@ impl<'a> XmlReader<'a> {
                 return if self.pos >= bytes.len() {
                     self.at_eof()
                 } else {
-                    self.next_token(resolving)
+                    self.token(resolving)
                 };
             }
             cov!();
@@ -613,18 +642,10 @@ impl<'a> XmlReader<'a> {
         let (mut from, mut refs, mut unchecked, mut cdata_close) = (start, false, None, false);
         let mut not_char = None;
         let end = loop {
-            let amps = if unchecked.is_none() && !(resolving && refs) { u64::MAX } else { 0 };
-            let next = find_by(
-                bytes,
-                from,
-                |word| {
-                    flag(word, b'<')
-                        | flag(word, b']')
-                        | (flag(word, b'&') & amps)
-                        | maybe_not_char(word)
-                },
-                |b| b == b'<' || b == b']' || (b == b'&' && amps != 0) || maybe_not_char_byte(b),
-            );
+            let amps = unchecked.is_none() && !(resolving && refs);
+            let next = find_by(bytes, from, |b| {
+                (b == b'<') | (b == b']') | (amps & (b == b'&')) | may_start_not_char(b)
+            });
             let Some(at) = next else { break bytes.len() };
             match bytes[at] {
                 b'<' => break at,
@@ -647,9 +668,7 @@ impl<'a> XmlReader<'a> {
                     from = at + 1;
                 }
                 _ => {
-                    if not_char.is_none() && not_char_at(bytes, at) {
-                        not_char = Some(at);
-                    }
+                    not_char = not_char.or_else(|| not_char_at(bytes, at).then_some(at));
                     from = at + 1;
                 }
             }
@@ -763,18 +782,11 @@ impl<'a> XmlReader<'a> {
         let body = self.pos + 9;
         let (mut from, mut not_char) = (body, None);
         let close = loop {
-            let at = find_by(
-                bytes,
-                from,
-                |word| flag(word, b']') | maybe_not_char(word),
-                |b| b == b']' || maybe_not_char_byte(b),
-            )
-            .ok_or_else(|| self.err(XmlErrorKind::UnexpectedEof))?;
+            let at = find_by(bytes, from, |b| (b == b']') | may_start_not_char(b))
+                .ok_or_else(|| self.err(XmlErrorKind::UnexpectedEof))?;
             from = at + 1;
             if bytes[at] != b']' {
-                if not_char.is_none() && not_char_at(bytes, at) {
-                    not_char = Some(at);
-                }
+                not_char = not_char.or_else(|| not_char_at(bytes, at).then_some(at));
             } else if bytes[from..].starts_with(b"]>") {
                 break at;
             }
@@ -1087,14 +1099,9 @@ impl<'a> XmlReader<'a> {
         let (mut from, mut lt, mut plain, mut unchecked) = (at, false, true, None);
         let mut not_char = None;
         let close = loop {
-            let next = find_by(
-                bytes,
-                from,
-                |word| {
-                    flag(word, quote) | flag(word, b'<') | flag(word, b'&') | maybe_not_char(word)
-                },
-                |b| b == quote || b == b'<' || b == b'&' || maybe_not_char_byte(b),
-            );
+            let next = find_by(bytes, from, |b| {
+                (b == quote) | (b == b'<') | (b == b'&') | may_start_not_char(b)
+            });
             let Some(at) = next else {
                 cov!();
                 return Err(self.err(XmlErrorKind::UnexpectedEof));
@@ -1116,11 +1123,7 @@ impl<'a> XmlReader<'a> {
                     }
                 }
                 b'\t' | b'\n' | b'\r' => plain = false,
-                _ => {
-                    if not_char.is_none() && not_char_at(bytes, at) {
-                        not_char = Some(at);
-                    }
-                }
+                _ => not_char = not_char.or_else(|| not_char_at(bytes, at).then_some(at)),
             }
         };
         if lt {

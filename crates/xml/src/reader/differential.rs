@@ -157,6 +157,31 @@ const TEXTS: &[&str] = &[
 ];
 const SPACES: &[&str] = &[" ", " ", " ", "\t", "\n", "\r\n", "  \t"];
 
+/// What a long run holds somewhere: every byte a scan stops at.
+const SPECIALS: &[&str] = &["<", "&", "]", "]]>", "\"", "'", "\u{1}", "\u{FFFE}"];
+
+/// A run of plain text at least `len` bytes long with `special` at the
+/// first character boundary at or past byte `at`: long enough for the
+/// scans to go a block at a time before and after it.
+fn long_run(len: usize, at: usize, special: &str) -> String {
+    let mut filler = "plain text of a long run, ünï 名前 ".chars().cycle();
+    let mut run = String::new();
+    while run.len() < at {
+        run.push(filler.next().expect("a cycle"));
+    }
+    run.push_str(special);
+    while run.len() < len {
+        run.push(filler.next().expect("a cycle"));
+    }
+    run
+}
+
+/// A [`long_run`] of 60–300 bytes, its special at byte 0–130.
+fn long(g: &mut Gen) -> String {
+    let (len, at) = (g.usize(60..=300), g.usize(0..=130));
+    long_run(len, at, pick(g, SPECIALS))
+}
+
 fn pick(g: &mut Gen, options: &[&'static str]) -> &'static str {
     g.pick::<&str>(options)
 }
@@ -237,8 +262,9 @@ fn element(g: &mut Gen, out: &mut String, depth: u32, scope: &mut Vec<&'static s
         attributes.push(format!("xmlns{}", quoted(g, uri)));
     }
     for _ in 0..g.len_in(3) {
-        let (attribute, value) = (name(g, scope), *g.pick(VALUES));
-        attributes.push(format!("{attribute}{}", quoted(g, value)));
+        let attribute = name(g, scope);
+        let value = if g.bool(0.1) { long(g) } else { g.pick(VALUES).to_string() };
+        attributes.push(format!("{attribute}{}", quoted(g, &value)));
     }
     if g.bool(0.03) {
         if let Some(last) = attributes.last().cloned() {
@@ -264,9 +290,15 @@ fn element(g: &mut Gen, out: &mut String, depth: u32, scope: &mut Vec<&'static s
     } else {
         out.push('>');
         for _ in 0..g.len_in(4) {
-            match g.usize(0..=9) {
+            match g.usize(0..=10) {
                 0..=3 => element(g, out, depth - 1, scope),
                 4..=6 => out.push_str(pick(g, TEXTS)),
+                10 => {
+                    let (open, close) = *g.pick(&[("", ""), ("<![CDATA[", "]]>"), ("<!--", "-->")]);
+                    out.push_str(open);
+                    out.push_str(&long(g));
+                    out.push_str(close);
+                }
                 7 => {
                     out.push_str("<![CDATA[");
                     out.push_str(pick(g, &["<raw> & stuff", "", "]]", "a]b", "ü", "\u{1}]"]));
@@ -348,6 +380,24 @@ fn the_byte_reader_agrees_with_the_char_reader_on_generated_documents() {
             check(&mangled(doc.as_bytes(), g.usize(0..=doc.len()), Some(flip)))
         },
     );
+}
+
+#[test]
+fn the_readers_agree_with_a_special_at_every_offset_of_a_long_run() {
+    for special in SPECIALS {
+        for at in 0..=130 {
+            let run = long_run(200, at, special);
+            let quote = if special.contains('"') { '\'' } else { '"' };
+            for doc in [
+                format!("<a>{run}</a>"),
+                format!("<a><![CDATA[{run}]]></a>"),
+                format!("<a x={quote}{run}{quote}/>"),
+                format!("<a><!--{run}--></a>"),
+            ] {
+                check(&doc).unwrap();
+            }
+        }
+    }
 }
 
 /// The committed seeds of the targets that parse XML, each document of a

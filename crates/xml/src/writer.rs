@@ -1,7 +1,7 @@
 //! A streaming XML writer with namespace management.
 
 use crate::error::{XmlError, XmlErrorKind};
-use crate::escape::{escape_attr_into, escape_growth, escape_text_into, validate_name};
+use crate::escape::{cdata_end, escape_attr_into, escape_growth, escape_text_into, validate_name};
 use crate::name::{NamespaceScope, QName};
 
 /// Bytes a CDATA section adds to its text: `<![CDATA[` and `]]>`.
@@ -178,7 +178,7 @@ impl XmlWriter {
         match escape_growth(text, CDATA_DELIMITERS) {
             // Most text (every header's) has nothing to escape: one scan.
             0 => self.out.push_str(text),
-            growth if growth > CDATA_DELIMITERS && !text.contains("]]>") => {
+            growth if growth > CDATA_DELIMITERS && cdata_end(text).is_none() => {
                 self.out.push_str("<![CDATA[");
                 self.out.push_str(text);
                 self.out.push_str("]]>");
