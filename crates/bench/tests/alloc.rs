@@ -13,13 +13,15 @@ use fixture::{notification_via, payload_text, subscriber_granted, Capture, SUBSC
 use ws_gossip::WsGossipNode;
 use wsg_bench::timing::{count_allocs, Allocs};
 use wsg_coord::GossipPolicy;
-use wsg_http::{Parsed, Request, RequestParser};
+use wsg_http::parser::MAX_BODY_BYTES;
+use wsg_http::{ParseError, Parsed, Request, RequestParser};
 use wsg_net::{NodeId, Pcg32, Protocol};
 use wsg_soap::batch::{parse_wire, write_batch, BatchItem, Unbundled};
 use wsg_soap::handler::Direction;
 use wsg_soap::{EndpointReference, Envelope, HandlerChain, MessageHeaders};
 use wsg_xml::{Element, RawEvent, XmlReader};
 
+use std::io::{ErrorKind, Read};
 use std::sync::{Mutex, MutexGuard};
 
 /// The counters are process-global: one test measures at a time, and each
@@ -230,17 +232,22 @@ fn unwrapping_a_batch_builds_no_tree() {
     assert!(allocs.bytes <= 13 * (longest + 1024), "{allocs:?}");
 }
 
-#[test]
-fn a_request_head_is_parsed_once_however_its_body_arrives() {
-    let _alone = alone();
-    // A 256 KiB batch POST read 4 KiB at a time, with a parse after every
-    // read, as a server worker polls its connection's parser.
-    let wire = Request::post("/gossip", vec![b'x'; 256 * 1024])
+/// A 256 KiB batch POST.
+const LARGE_BODY: usize = 256 * 1024;
+
+fn large_post() -> Vec<u8> {
+    Request::post("/gossip", vec![b'x'; LARGE_BODY])
         .with_header("Host", "127.0.0.1:4100")
         .with_header("Content-Type", "application/soap+xml")
         .with_header("X-WSG-Node", "3")
-        .to_bytes();
-    let allocs = floor(|| {
+        .to_bytes()
+}
+
+/// What parsing `wire` asks of the allocator when it is fed 4 KiB at a
+/// time with a parse after each piece, as a server worker polls its
+/// connection's parser.
+fn fed_in_4k_pieces(wire: &[u8]) -> Allocs {
+    floor(|| {
         let mut parser = RequestParser::new();
         let mut complete = 0;
         for chunk in wire.chunks(4 * 1024) {
@@ -248,12 +255,93 @@ fn a_request_head_is_parsed_once_however_its_body_arrives() {
             complete += usize::from(matches!(parser.parse(), Ok(Parsed::Complete(_))));
         }
         assert_eq!((complete, parser.buffered()), (1, 0));
-    });
-    // The buffer's growth, one head parse — its start line and four
-    // header fields — the body's copy and the request's strings: measured
-    // 22 calls. A head parsed again on each of the 64 reads that bring the
-    // body was 1 061.
+    })
+}
+
+#[test]
+fn a_request_head_is_parsed_once_however_its_body_arrives() {
+    let _alone = alone();
+    let allocs = fed_in_4k_pieces(&large_post());
+    // The head buffer, one head parse — its start line and four header
+    // fields — the body's `Vec` and the request's strings: measured 15
+    // calls (22 while the buffer grew and the body was copied out of it).
+    // A head parsed again on each of the 64 reads that bring the body was
+    // 1 061.
     assert!(allocs.calls <= 40, "{allocs:?}");
+}
+
+/// A reader that hands out `wire` `piece` bytes per read, then finds the
+/// socket quiet.
+struct Pieces<'a> {
+    wire: &'a [u8],
+    piece: usize,
+}
+
+impl Read for Pieces<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self.wire.is_empty() {
+            return Err(ErrorKind::WouldBlock.into());
+        }
+        let n = buf.len().min(self.piece).min(self.wire.len());
+        buf[..n].copy_from_slice(&self.wire[..n]);
+        self.wire = &self.wire[n..];
+        Ok(n)
+    }
+}
+
+#[test]
+fn a_request_body_is_allocated_once_however_it_arrives() {
+    let _alone = alone();
+    // The 256 KiB POST fed 4 KiB at a time, and read off a reader that
+    // hands out 4 KiB per read.
+    let wire = large_post();
+    let fed = fed_in_4k_pieces(&wire);
+    let read = floor(|| {
+        let mut parser = RequestParser::new();
+        let mut reader = Pieces { wire: &wire, piece: 4 * 1024 };
+        let mut complete = 0;
+        while parser.read_from(&mut reader).is_ok() {
+            complete += usize::from(matches!(parser.parse(), Ok(Parsed::Complete(_))));
+        }
+        assert_eq!((complete, parser.buffered()), (1, 0));
+    });
+    // The body's `Vec` once, at its declared length, the head buffer and
+    // the head's strings: measured 266 553 bytes in 15 calls fed, 270 649
+    // in 16 read (one more head reserve, for the read after the body). A
+    // buffer that grew by doubling and a body copied out of it asked for
+    // 1 306 937 bytes, five times the body.
+    for allocs in [fed, read] {
+        assert!(allocs.bytes <= (LARGE_BODY + 16 * 1024) as u64, "{allocs:?}");
+        assert!(allocs.calls <= 40, "{allocs:?}");
+    }
+}
+
+#[test]
+fn a_hostile_body_length_reserves_no_more_than_it_declares() {
+    let _alone = alone();
+    // Over the cap: refused when the head is parsed, before the body gets
+    // any room.
+    let over = format!("POST /gossip HTTP/1.1\r\nContent-Length: {}\r\n\r\nab", MAX_BODY_BYTES + 1);
+    let refused = floor(|| {
+        let mut parser = RequestParser::new();
+        parser.feed(over.as_bytes());
+        assert!(matches!(parser.parse(), Err(ParseError::BodyTooLarge(_))));
+    });
+    assert!(refused.bytes <= 16 * 1024, "{refused:?}");
+    // At the cap, with 1 KiB sent and then silence: the declared length
+    // once, nothing more, however often the quiet socket is read.
+    let mut cut = format!("POST /gossip HTTP/1.1\r\nContent-Length: {MAX_BODY_BYTES}\r\n\r\n").into_bytes();
+    cut.extend_from_slice(&[b'x'; 1024]);
+    let waiting = floor(|| {
+        let mut parser = RequestParser::new();
+        let mut reader = Pieces { wire: &cut, piece: 512 };
+        for _ in 0..10 {
+            let _ = parser.read_from(&mut reader);
+            assert!(matches!(parser.parse(), Ok(Parsed::Partial)));
+        }
+        assert_eq!(parser.buffered(), cut.len());
+    });
+    assert!(waiting.bytes <= (MAX_BODY_BYTES + 16 * 1024) as u64, "{waiting:?}");
 }
 
 #[test]

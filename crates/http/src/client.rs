@@ -39,7 +39,7 @@ use wsg_soap::batch::{text_of, write_batch_parts};
 
 use crate::message::Response;
 use crate::parser::{Parsed, ResponseParser};
-use crate::server::{read_some, SOAP_CONTENT_TYPE};
+use crate::server::SOAP_CONTENT_TYPE;
 
 /// Tuning knobs for [`SoapHttpClient`].
 #[derive(Debug, Clone)]
@@ -493,20 +493,18 @@ fn write_all_vectored(mut out: impl Write, mut bufs: &mut [IoSlice<'_>]) -> std:
 }
 
 /// Read one response off `stream`. The request is out, and may have been
-/// dispatched: a read a signal cut short is read again ([`read_some`]), not
-/// taken for a failure the retry loop would post the request again for.
+/// dispatched: a read a signal cut short is read again
+/// ([`ResponseParser::read_from`]), not taken for a failure the retry loop
+/// would post the request again for.
 fn read_response(mut stream: impl Read) -> std::io::Result<Response> {
     let mut parser = ResponseParser::new();
-    let mut chunk = [0u8; 4096];
     loop {
-        let n = read_some(&mut stream, &mut chunk)?;
-        if n == 0 {
+        if parser.read_from(&mut stream)? == 0 {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "connection closed before a full response",
             ));
         }
-        parser.feed(&chunk[..n]);
         match parser.parse() {
             Ok(Parsed::Complete(response)) => return Ok(response),
             Ok(Parsed::Partial) => continue,
@@ -566,6 +564,7 @@ fn frame(
 mod tests {
     use super::*;
     use crate::message::Request;
+    use crate::parser::read_some;
     use crate::server::{HttpServerConfig, SoapHttpServer, SoapReply, SoapRequest, Service};
     use std::sync::Arc;
     use wsg_soap::{Envelope, MessageHeaders};

@@ -31,8 +31,15 @@
 //!
 //! A body that does not unwrap closes the connection: both ends then drop
 //! the text they shared, and the sender's next request starts afresh.
+//!
+//! A worker owns no read buffer. It reads a connection through the
+//! connection's parser ([`RequestParser::read_from`]): a head into the
+//! parser's small head buffer, the body straight into the `Vec` the
+//! request carries to the service. A received byte is copied at most once
+//! in user space (the body bytes that came with the head), and a
+//! connection between requests holds no read buffer at all.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
@@ -51,9 +58,6 @@ use crate::parser::{Parsed, RequestParser};
 /// Content type of every SOAP 1.2 message on the wire. It names no
 /// `charset`: UTF-8 is XML's default, and no reader here looks at one.
 pub const SOAP_CONTENT_TYPE: &str = "application/soap+xml";
-
-/// The most a worker reads from a socket at once.
-const READ_BUF_BYTES: usize = 64 * 1024;
 
 /// Header carrying the sending node's numeric id between gossip peers.
 pub const NODE_HEADER: &str = "X-WSG-Node";
@@ -479,13 +483,6 @@ fn worker_loop(
     stop: Arc<AtomicBool>,
     counters: Arc<ServerMetrics>,
 ) {
-    // One read buffer per worker, not per connection: everything read is
-    // fed to the connection's parser before the worker moves on, and a
-    // fleet has nine times as many keep-alive connections as workers
-    // (per-connection buffers cost `steady_small` 1.8 MB of its 11 MB).
-    // Large enough that a 256 KiB batch is four reads and four
-    // `RequestParser::feed`s, not sixty-four.
-    let mut read_buf = vec![0u8; READ_BUF_BYTES];
     loop {
         if stop.load(Ordering::SeqCst) {
             return;
@@ -501,7 +498,7 @@ fn worker_loop(
             }
         };
         let Some(conn) = conn else { continue };
-        if let Some(conn) = serve_slice(conn, &mut read_buf, &service, &config, &stop, &counters) {
+        if let Some(conn) = serve_slice(conn, &service, &config, &stop, &counters) {
             // Still alive: back in the rotation. A full queue here means
             // the server is drowning in connections; shed this one.
             if conn_tx.try_send(conn).is_err() {
@@ -516,7 +513,6 @@ fn worker_loop(
 /// is finished (closed, errored, idled out, or shutdown).
 fn serve_slice(
     mut conn: Conn,
-    read_buf: &mut [u8],
     service: &Service,
     config: &HttpServerConfig,
     stop: &AtomicBool,
@@ -571,12 +567,11 @@ fn serve_slice(
                 }
             }
         }
-        match read_some(&mut conn.stream, read_buf) {
+        match conn.parser.read_from(&mut conn.stream) {
             Ok(0) => return None,
             Ok(n) => {
                 conn.active = Instant::now();
                 counters.bytes_in.add(n as u64);
-                conn.parser.feed(&read_buf[..n]);
             }
             Err(err)
                 if err.kind() == std::io::ErrorKind::WouldBlock
@@ -589,20 +584,6 @@ fn serve_slice(
                 return Some(conn);
             }
             Err(_) => return None,
-        }
-    }
-}
-
-/// `reader.read(buf)`, read again when a signal cut it short: a socket
-/// read with a timeout armed fails with `EINTR` instead of restarting,
-/// however the handler was installed, and says nothing about the
-/// connection. (Taken for a failure, it dropped a live connection here,
-/// and had the client post a batch the server already dispatched again.)
-pub(crate) fn read_some(reader: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
-    loop {
-        match reader.read(buf) {
-            Err(err) if err.kind() == std::io::ErrorKind::Interrupted => {}
-            read => return read,
         }
     }
 }
@@ -696,6 +677,7 @@ fn fault_response(status: u16, fault: Fault) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
     use std::time::Instant;
 
     #[test]
@@ -1058,6 +1040,41 @@ mod tests {
     }
 
     #[test]
+    fn a_body_declared_over_the_cap_is_a_400() {
+        let mut server =
+            SoapHttpServer::bind("127.0.0.1:0", echo_service(), HttpServerConfig::default())
+                .unwrap();
+        let too_large = crate::parser::MAX_BODY_BYTES + 1;
+        let head = format!("POST /gossip HTTP/1.1\r\nContent-Length: {too_large}\r\n\r\n<a/>");
+        let reply = raw_exchange(server.local_addr(), head.as_bytes());
+        assert!(reply.starts_with("HTTP/1.1 400 "), "got: {reply}");
+        assert!(reply.contains(&format!("declared body of {too_large} bytes")), "got: {reply}");
+        assert_eq!((server.parse_errors(), server.requests_served()), (1, 0));
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_body_that_stops_short_idles_out() {
+        // 8 MiB declared, 1 KiB sent, then silence with the connection
+        // open: `keep_alive` closes it as it closes an idle one.
+        let keep_alive = Duration::from_millis(100);
+        let config = HttpServerConfig { keep_alive, ..HttpServerConfig::default() };
+        let mut server = SoapHttpServer::bind("127.0.0.1:0", echo_service(), config).unwrap();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let declared = crate::parser::MAX_BODY_BYTES;
+        let head = format!("POST /gossip HTTP/1.1\r\nContent-Length: {declared}\r\n\r\n");
+        stream.write_all(head.as_bytes()).unwrap();
+        stream.write_all(&[b'x'; 1024]).unwrap();
+        let started = Instant::now();
+        assert_eq!(stream.read(&mut [0u8; 16]).unwrap(), 0, "expected EOF from idle timeout");
+        let lived = started.elapsed();
+        assert!(lived >= keep_alive * 4 / 5 && lived < keep_alive * 3, "lived {lived:?}");
+        assert_eq!((server.parse_errors(), server.requests_served()), (0, 0));
+        server.shutdown();
+    }
+
+    #[test]
     fn keep_alive_serves_sequential_requests_on_one_connection() {
         let mut server =
             SoapHttpServer::bind("127.0.0.1:0", echo_service(), HttpServerConfig::default())
@@ -1088,8 +1105,8 @@ mod tests {
 
     #[test]
     fn a_large_request_and_one_pipelined_behind_it_both_parse() {
-        // 300 KiB is several fills of the worker's read buffer; the small
-        // request's bytes arrive in the same read as the large one's tail.
+        // 300 KiB is many reads into the large body's own room; the small
+        // request follows its last byte on the same stream.
         let service: Service = Arc::new(|_req| Ok(SoapReply::Accepted));
         let mut server =
             SoapHttpServer::bind("127.0.0.1:0", service, HttpServerConfig::default()).unwrap();
