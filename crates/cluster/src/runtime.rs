@@ -182,12 +182,11 @@ where
         // enough for *our* silence to exceed other nodes' fail window.
         // Detection latency beats delivery guarantees here.
         let interval = self.config.interval.to_std();
-        let mut config = wsg_http::HttpClientConfig::default();
-        config.retries = 0;
-        config.connect_timeout = interval.max(std::time::Duration::from_millis(50));
-        config.read_timeout = (interval * 2).max(std::time::Duration::from_millis(100));
-        config.write_timeout = config.read_timeout;
-        config
+        wsg_http::HttpClientConfig {
+            connect_timeout: interval.max(std::time::Duration::from_millis(50)),
+            io_timeout: (interval * 2).max(std::time::Duration::from_millis(100)),
+            retries: 0,
+        }
     }
 
     /// This node's membership plane.

@@ -38,6 +38,7 @@
 
 pub mod corpus;
 mod mutate;
+pub mod seeds;
 pub mod targets;
 
 use std::collections::BTreeSet;

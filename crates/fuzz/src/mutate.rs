@@ -17,9 +17,12 @@ const DICTIONARY: &[&[u8]] = &[
     b"<?xml version=\"1.0\" encoding=\"UTF-8\"?>",
     b"<wsgb:Batch xmlns:wsgb=\"urn:ws-gossip:batch\">",
     b"</wsgb:Batch>",
-    b"<wsgb:Msg>",
+    b"<wsgb:Msg ops=\"",
+    b"\"><![CDATA[",
+    b"]]></wsgb:Msg>",
     b"</wsgb:Msg>",
-    b"<wsgb:Msg target=\"/membership\">",
+    b"<wsgb:Msg target=\"/membership\" ops=\"",
+    b"0:64,",
     b"<env:Envelope xmlns:env=\"http://www.w3.org/2003/05/soap-envelope\">",
     b"</env:Envelope>",
     b"<env:Header>",
@@ -375,7 +378,7 @@ mod tests {
 
     #[test]
     fn batch_shuffle_preserves_segment_multiset() {
-        let wire = b"<B><wsgb:Msg>1</wsgb:Msg><wsgb:Msg>2</wsgb:Msg><wsgb:Msg>3</wsgb:Msg></B>";
+        let wire = b"<B><wsgb:Msg ops=\"1\">1</wsgb:Msg><wsgb:Msg ops=\"0:1\"></wsgb:Msg><wsgb:Msg ops=\"1\">3</wsgb:Msg></B>";
         let mut r = SplitMix64::new(9);
         for _ in 0..16 {
             let mut input = wire.to_vec();

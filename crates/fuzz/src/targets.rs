@@ -446,11 +446,10 @@ impl FuzzTarget for EnvelopeTarget {
 /// Oracles: the streaming classifier — which builds no tree — agrees with
 /// the tree walk on what is a batch, on every message's target and on the
 /// envelope-shape verdict; each streamed message's `raw` is a standalone
-/// document that decodes exactly as the tree walk's re-serialisation
-/// does (byte-identity recovery), under the envelope differential; a
-/// coded message's `raw` — the first one coded against the reference —
-/// is, byte for byte, what the tree walk puts together from the `ops` and
-/// the text its tree holds; both leave the same reference
+/// document, under the envelope differential, and — the first one coded
+/// against the reference — byte for byte what the tree walk puts
+/// together from the `ops` and the text its tree holds; both leave the
+/// same reference
 /// behind; on a fresh connection `parse_wire` says what
 /// `parse_wire_after` does; and the gossip identity each message was
 /// unwrapped with is the one a namespace lookup on the decoded envelope
@@ -520,7 +519,7 @@ impl FuzzTarget for BatchTarget {
                 }
                 Ok(())
             }
-            (Ok(Unbundled::Batch(messages)), Ok(parsed)) => {
+            (Ok(Unbundled::Batch(messages)), Ok(_)) => {
                 let mut walked = reference.clone();
                 let via_tree = unbundle(&text, &mut walked).map_err(|error| {
                     format!("parse_wire accepted a batch unbundle rejects: {error}")
@@ -537,10 +536,7 @@ impl FuzzTarget for BatchTarget {
                         via_tree.len()
                     ));
                 }
-                let coded = parsed.children().into_iter().map(|msg| msg.attr("ops").is_some());
-                for (i, ((streamed, tree), coded)) in
-                    messages.iter().zip(&via_tree).zip(coded).enumerate()
-                {
+                for (i, (streamed, tree)) in messages.iter().zip(&via_tree).enumerate() {
                     if streamed.target != tree.target {
                         return Err(format!("message {i} target differs between stream and tree"));
                     }
@@ -552,9 +548,9 @@ impl FuzzTarget for BatchTarget {
                     }
                     same_identity(&streamed.gossip, &streamed.raw)
                         .map_err(|error| format!("message {i}: {error}"))?;
-                    if coded && streamed.raw != tree.raw {
+                    if streamed.raw != tree.raw {
                         return Err(format!(
-                            "coded message {i} unwraps to {:?}, by its tree to {:?}",
+                            "message {i} unwraps to {:?}, by its tree to {:?}",
                             streamed.raw, tree.raw
                         ));
                     }

@@ -19,7 +19,7 @@
 //! [`SoapHttpClient::post_batch`] codes its first message against
 //! it (`wsg_soap::batch`). Each attempt is encoded for the connection it
 //! is about to be written to, so a retry on a fresh connection — whose
-//! reference is empty — goes whole.
+//! reference is empty — copies nothing.
 //!
 //! A request goes out as its head, formatted into a reused buffer, and its
 //! body where it already lies — the caller's bytes, or the batch the
@@ -41,35 +41,33 @@ use crate::message::Response;
 use crate::parser::{Parsed, ResponseParser};
 use crate::server::SOAP_CONTENT_TYPE;
 
-/// Tuning knobs for [`SoapHttpClient`].
+/// Tuning knobs for [`SoapHttpClient`]: what the node runtime and the
+/// membership pump set differently.
 #[derive(Debug, Clone)]
 pub struct HttpClientConfig {
     /// Timeout for establishing a fresh connection.
     pub connect_timeout: Duration,
-    /// Timeout for reading a response.
-    pub read_timeout: Duration,
-    /// Timeout for writing a request.
-    pub write_timeout: Duration,
+    /// Timeout for each write of a request and each read of a response.
+    pub io_timeout: Duration,
     /// Transport-level retries after the first attempt.
     pub retries: u32,
-    /// Nominal backoff before retry `n` is `backoff_base * 2^(n-1)`...
-    pub backoff_base: Duration,
-    /// ...capped at this much, then jittered into `[0.5, 1.0]` of nominal.
-    pub backoff_cap: Duration,
 }
 
 impl Default for HttpClientConfig {
     fn default() -> Self {
         HttpClientConfig {
             connect_timeout: Duration::from_millis(500),
-            read_timeout: Duration::from_secs(2),
-            write_timeout: Duration::from_secs(2),
+            io_timeout: Duration::from_secs(2),
             retries: 2,
-            backoff_base: Duration::from_millis(20),
-            backoff_cap: Duration::from_millis(200),
         }
     }
 }
+
+/// Nominal backoff before retry `n` is `BACKOFF_BASE * 2^(n-1)`...
+const BACKOFF_BASE: Duration = Duration::from_millis(20);
+
+/// ...capped at this much, then jittered into `[0.5, 1.0]` of nominal.
+const BACKOFF_CAP: Duration = Duration::from_millis(200);
 
 /// A delivered exchange: the response plus how hard it was to get.
 #[derive(Debug, Clone)]
@@ -362,11 +360,7 @@ impl SoapHttpClient {
     /// Nominal exponential backoff before retry `n` (1-based), jittered
     /// into `[0.5, 1.0]` of nominal so synchronized peers desynchronize.
     fn backoff(&self, n: u32) -> Duration {
-        let nominal = self
-            .config
-            .backoff_base
-            .saturating_mul(1u32 << (n - 1).min(16))
-            .min(self.config.backoff_cap);
+        let nominal = BACKOFF_BASE.saturating_mul(1u32 << (n - 1).min(16)).min(BACKOFF_CAP);
         let jitter = self.rng.lock().gen_range(0.5..1.0);
         nominal.mul_f64(jitter)
     }
@@ -429,8 +423,8 @@ impl SoapHttpClient {
         let stream = TcpStream::connect_timeout(&addr, self.config.connect_timeout)?;
         // Armed once, for as long as the connection lives in the pool:
         // every exchange over it is bounded by these two.
-        stream.set_write_timeout(Some(self.config.write_timeout))?;
-        stream.set_read_timeout(Some(self.config.read_timeout))?;
+        stream.set_write_timeout(Some(self.config.io_timeout))?;
+        stream.set_read_timeout(Some(self.config.io_timeout))?;
         // wsg_lint: allow(E2) — Nagle is a latency tuning; a socket that rejects it still serves
         let _ = stream.set_nodelay(true);
         // A fresh connection has carried nothing to code against.
@@ -652,9 +646,9 @@ mod tests {
         let pooled = client.take_pooled(server.local_addr()).expect("kept alive").stream;
         // The OS may round a timeout up to its timer granularity.
         let read = pooled.read_timeout().unwrap().expect("read timeout armed");
-        assert!(read >= config.read_timeout, "{read:?}");
+        assert!(read >= config.io_timeout, "{read:?}");
         let write = pooled.write_timeout().unwrap().expect("write timeout armed");
-        assert!(write >= config.write_timeout, "{write:?}");
+        assert!(write >= config.io_timeout, "{write:?}");
         server.shutdown();
     }
 
@@ -667,8 +661,6 @@ mod tests {
         };
         let config = HttpClientConfig {
             retries: 3,
-            backoff_base: Duration::from_millis(5),
-            backoff_cap: Duration::from_millis(20),
             connect_timeout: Duration::from_millis(200),
             ..HttpClientConfig::default()
         };
@@ -687,9 +679,8 @@ mod tests {
         let delays_b: Vec<Duration> = (1..=4).map(|n| b.backoff(n)).collect();
         assert_eq!(delays_a, delays_b);
         // Nominal doubling with cap: each delay sits in [0.5, 1.0]×nominal.
-        let base = Duration::from_millis(20);
         for (i, d) in delays_a.iter().enumerate() {
-            let nominal = base.saturating_mul(1 << i).min(Duration::from_millis(200));
+            let nominal = BACKOFF_BASE.saturating_mul(1 << i).min(BACKOFF_CAP);
             assert!(*d >= nominal.mul_f64(0.5) && *d <= nominal, "delay {i}: {d:?}");
         }
     }
@@ -807,7 +798,7 @@ mod tests {
         assert_eq!(client.pool_hits(), 1);
         // The server closes the pooled connection: the attempt written to
         // it was coded against the second message, the retry on a fresh
-        // connection — the one that gets across — goes whole.
+        // connection — the one that gets across — copies nothing.
         std::thread::sleep(Duration::from_millis(300));
         let after_close = post(&xmls[2]);
         assert_eq!((after_close.attempts, after_close.left_out), (1, 0));
@@ -845,9 +836,7 @@ mod tests {
         let config = HttpClientConfig {
             retries: 0,
             connect_timeout: Duration::from_millis(200),
-            read_timeout: Duration::from_millis(300),
-            write_timeout: Duration::from_millis(300),
-            ..HttpClientConfig::default()
+            io_timeout: Duration::from_millis(300),
         };
         let client = SoapHttpClient::new(17, config);
         let xml = sample_xml();
@@ -889,8 +878,6 @@ mod tests {
         let registry = Registry::new();
         let config = HttpClientConfig {
             retries: 2,
-            backoff_base: Duration::from_millis(2),
-            backoff_cap: Duration::from_millis(8),
             connect_timeout: Duration::from_millis(100),
             ..HttpClientConfig::default()
         };

@@ -667,8 +667,6 @@ mod tests {
         NetRuntimeConfig {
             client: HttpClientConfig {
                 retries: 1,
-                backoff_base: Duration::from_millis(5),
-                backoff_cap: Duration::from_millis(10),
                 connect_timeout: Duration::from_millis(300),
                 ..HttpClientConfig::default()
             },

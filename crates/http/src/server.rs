@@ -199,7 +199,7 @@ impl ServerMetrics {
         );
         let connections_shed = registry.register_counter(
             "wsg_http_server_connections_shed_total",
-            "Live connections dropped because the re-queue backlog was full.",
+            "Connections dropped because the worker queue was full: new ones at accept, live ones at re-queue.",
         );
         ServerMetrics {
             registry,
@@ -316,9 +316,10 @@ impl SoapHttpServer {
 
         let accept_stop = Arc::clone(&stop);
         let accept_config = config.clone();
+        let accept_counters = Arc::clone(&counters);
         let accept_handle = std::thread::Builder::new()
             .name("wsg-http-accept".into())
-            .spawn(move || accept_loop(listener, conn_tx, accept_config, accept_stop))?;
+            .spawn(move || accept_loop(listener, conn_tx, accept_config, accept_stop, accept_counters))?;
 
         Ok(SoapHttpServer {
             local_addr,
@@ -402,6 +403,7 @@ fn accept_loop(
     conn_tx: SyncSender<Conn>,
     config: HttpServerConfig,
     stop: Arc<AtomicBool>,
+    counters: Arc<ServerMetrics>,
 ) {
     loop {
         let (stream, peer) = match listener.accept() {
@@ -433,6 +435,7 @@ fn accept_loop(
                 // Backlog full: shed load instead of blocking the
                 // accept thread. The client's retry path covers this.
                 drop(conn);
+                counters.connections_shed.inc();
             }
             Err(TrySendError::Disconnected(_)) => return,
         }
@@ -933,24 +936,30 @@ mod tests {
             xmls.iter().map(|xml| wsg_soap::batch::BatchItem { target: None, xml }).collect();
         let mut good = String::new();
         assert!(wsg_soap::batch::write_batch(&items, &mut good) > 0, "{good}");
-        // The batch with the first coded message's `ops` replaced.
+        // The batch with the second message's `ops` — the first that
+        // copies — replaced.
         let with_ops = |ops: &str| {
-            let at = good.find(" ops=\"").unwrap() + 6;
+            let at = good.match_indices(" ops=\"").nth(1).unwrap().0 + 6;
             let end = at + good[at..].find('"').unwrap();
             format!("{}{ops}{}", &good[..at], &good[end..])
         };
         let before = wsg_soap::batch::text_of(&xmls[0]);
+        let first = good.find("<wsgb:Msg").unwrap();
+        let first_end = good.find("</wsgb:Msg>").unwrap();
         let hostile = [
             // Copying past the message before, over its end, into the
-            // middle of its `é`; a run that is no number; a coded first
-            // message; an element beside the literal run; literal runs
-            // that leave a byte over; a rebuilt text that is no document;
-            // one that copies the message before ~9 MB worth.
+            // middle of its `é`; a run that is no number; a copy on the
+            // first message; a first message without `ops`, and as the
+            // envelope element it is; an element beside the literal run;
+            // literal runs that leave a byte over; a rebuilt text that is
+            // no document; one that copies the message before ~9 MB worth.
             with_ops("0:100000"),
             with_ops(&format!("{}:10", before.len() - 5)),
             with_ops(&format!("0:{}", before.find('é').unwrap() + 1)),
             good.replacen(" ops=\"", " ops=\"x", 1),
-            good.replacen("<wsgb:Msg>", "<wsgb:Msg ops=\"0:0\">", 1),
+            good.replacen(" ops=\"", " ops=\"0:1,", 1),
+            good.replacen(&format!(" ops=\"{}\"", before.len()), "", 1),
+            format!("{}<wsgb:Msg>{before}{}", &good[..first], &good[first_end..]),
             good.replacen("<![CDATA[", "<a/><![CDATA[", 1),
             good.replacen("<![CDATA[", "<![CDATA[<", 1),
             good.replacen("]]></wsgb:Msg>", "]]></wsgb:Msg><wsgb:Msg ops=\"0:40\"/>", 1),
@@ -1001,7 +1010,8 @@ mod tests {
         let mut next = String::new();
         let items = [xmls[0].as_str(), &xmls[1]].map(|xml| (None, [xml, "", ""]));
         assert!(wsg_soap::batch::write_batch_parts(items.into_iter(), &mut said, &mut next) > 0);
-        assert!(next[next.find("<wsgb:Msg").unwrap()..].starts_with("<wsgb:Msg ops=\""), "{next}");
+        let ops = &next[next.find(" ops=\"").unwrap() + 6..];
+        assert!(ops[..ops.find('"').unwrap()].contains(':'), "{next}");
         assert_eq!(exchange(&mut stream, &next).status, 202);
         assert_eq!(exchange(&mut stream, &xmls[1]).status, 202);
         assert_eq!(*seen.lock(), [0, 1, 2, 0, 1, 1].map(|i| xmls[i].clone()));
@@ -1190,6 +1200,37 @@ mod tests {
         }
         let all_closed = started.elapsed();
         assert!(all_closed < keep_alive * 3, "the last idle connection lived {all_closed:?}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_connection_shed_at_accept_is_counted() {
+        // The one worker held in its service: the queue takes
+        // `QUEUE_DEPTH` new connections, and the accept thread drops the
+        // two after them.
+        let (entered_tx, entered_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let (entered_tx, release_rx) = (Mutex::new(entered_tx), Mutex::new(release_rx));
+        let service: Service = Arc::new(move |_| {
+            let _ = entered_tx.lock().send(());
+            let _ = release_rx.lock().recv_timeout(Duration::from_secs(10));
+            Ok(SoapReply::Accepted)
+        });
+        let config = HttpServerConfig { workers: 1, ..HttpServerConfig::default() };
+        let mut server = SoapHttpServer::bind("127.0.0.1:0", service, config).unwrap();
+        let body = sample_envelope().to_xml();
+        let mut held = TcpStream::connect(server.local_addr()).unwrap();
+        let wire = format!("POST /gossip HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}", body.len());
+        held.write_all(wire.as_bytes()).unwrap();
+        entered_rx.recv_timeout(Duration::from_secs(5)).expect("the worker is in the service");
+        let _flood: Vec<TcpStream> =
+            (0..QUEUE_DEPTH + 2).map(|_| TcpStream::connect(server.local_addr()).unwrap()).collect();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.metrics.connections_shed.get() < 2 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(server.metrics.connections_shed.get(), 2);
+        release_tx.send(()).unwrap();
         server.shutdown();
     }
 }

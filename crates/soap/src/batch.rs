@@ -5,9 +5,9 @@
 //!
 //! ```xml
 //! <wsgb:Batch xmlns:wsgb="urn:ws-gossip:batch">
-//!   <wsgb:Msg>…env:Envelope…</wsgb:Msg>
+//!   <wsgb:Msg ops="1402"><![CDATA[<env:Envelope …>…</env:Envelope>]]></wsgb:Msg>
 //!   <wsgb:Msg ops="0:896,1,897:98,45,1040:39,281,1360:26"><![CDATA[…]]></wsgb:Msg>
-//!   <wsgb:Msg target="/membership">…env:Envelope…</wsgb:Msg>
+//!   <wsgb:Msg target="/membership" ops="…"><![CDATA[…a piggybacked heartbeat…]]></wsgb:Msg>
 //! </wsgb:Batch>
 //! ```
 //!
@@ -17,14 +17,13 @@
 //! batch); absent, the message dispatches to the POST target itself. The
 //! document has no XML declaration: UTF-8 is XML's default.
 //!
-//! A `Msg` holds its envelope whole, as an element, or **coded**: an
-//! `ops` attribute and character data only. The *text* of a `Msg` is what
-//! stands between its tags (for a coded one, what it expands to). `ops` is
-//! a comma-separated list of runs that, in order, make the text up:
-//! `from:len` copies `len` bytes at byte offset `from` of the text before
-//! this one, and a lone `len` takes the next `len` bytes of the `Msg`'s
-//! character data, which the literal runs use up exactly. Every offset and
-//! length falls on a character boundary.
+//! Every `Msg` is **coded**: an `ops` attribute and character data only.
+//! Its *text* is what it expands to. `ops` is a comma-separated list of
+//! runs that, in order, make the text up: `from:len` copies `len` bytes at
+//! byte offset `from` of the text before this one, and a lone `len` takes
+//! the next `len` bytes of the `Msg`'s character data, which the literal
+//! runs use up exactly. Every offset and length falls on a character
+//! boundary. A message with nothing worth copying is one literal run.
 //!
 //! The writer copies **envelope markup** only: what stands before the
 //! content of the message's `Body`, and its closing tail from the `Body`
@@ -33,9 +32,9 @@
 //! context and gossip header, and the element tags around every value that
 //! differs — sequence number, round, `MessageID` — so a connection says
 //! them once. Whatever a payload shares with the one before it travels
-//! again. A message that copies at least 64 bytes is coded, however long
-//! it is: a 16 KiB notification's ~1 100 bytes of markup are left out as a
-//! 256-byte one's are.
+//! again. However long a message is, its markup is copied: a 16 KiB
+//! notification's ~1 100 bytes of markup are left out as a 256-byte one's
+//! are.
 //!
 //! The text before a `Msg` is that of the previous message **on the same
 //! keep-alive connection**: the `Msg` before it in this document or, for
@@ -49,10 +48,10 @@
 //! Building a batch never re-parses: the sender already holds each inner
 //! envelope as serialised XML, so [`write_batch`] splices the strings
 //! (declarations stripped) into a caller-owned scratch buffer. Unwrapping
-//! gives every message back as the standalone document it was: a coded
-//! one is rebuilt and then checked exactly as a bare POST is. The
-//! transport's sender posts every message this way, one or many to a
-//! batch (see `wsg_http::runtime`).
+//! gives every message back as the standalone document it was, rebuilt and
+//! then checked exactly as a bare POST is. The transport's sender posts
+//! every message this way, one or many to a batch (see
+//! `wsg_http::runtime`).
 
 use std::ops::Range;
 
@@ -69,16 +68,6 @@ const BATCH_NS: &str = "urn:ws-gossip:batch";
 
 /// What every unwrapped message starts with, to stand alone.
 const XML_DECL: &str = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>";
-
-/// Fewest bytes a message must copy from the one before it to travel
-/// coded. Coding costs ` ops=""`, `<![CDATA[` and `]]>` (19 bytes) and
-/// ~8 bytes a run. Two envelopes of this stack share ~150 bytes in their
-/// root start tag alone, two forwards to one peer ~1 100: the form is for
-/// messages that share real header content, and out of the way of
-/// strangers. It is the only threshold: a message is coded whatever its
-/// length, so a 16 KiB notification's head and tail are copied as a
-/// 256-byte one's are (EXPERIMENTS.md §E12, "every message is coded").
-const MIN_SHARED: usize = 64;
 
 /// How many tags ahead in the text before the writer looks for the tag a
 /// message goes on with after a value they do not share: enough to step
@@ -171,14 +160,16 @@ pub fn write_batch_parts<'a>(
     left_out
 }
 
-/// The writer behind both: the batch of `items`, the first coded against
-/// `reference`, into `out`; the bytes left out and the last message's text.
+/// The writer behind both: the batch of `items`, each coded against the
+/// text before it — the first against `reference` — into `out`; the bytes
+/// left out and the last message's text.
 ///
-/// A coded message's literal runs are copied piece by piece into its CDATA
+/// A message's literal runs are copied piece by piece into its CDATA
 /// section, and every `]]>` in them — a payload's CDATA section ending,
 /// say — is split across two sections as it is copied (see
 /// [`push_in_section`]): the receiver joins the runs, so whatever the
-/// message holds, it is still coded.
+/// message holds, it is coded. One with nothing worth copying is a single
+/// literal run.
 fn write_coded<'a>(
     items: impl Iterator<Item = (Option<&'a str>, [&'a str; 3])> + Clone,
     reference: &str,
@@ -207,41 +198,30 @@ fn write_coded<'a>(
             escape_attr_into(out, target);
             out.push('"');
         }
-        let from = before_markup.get_or_insert_with(|| before.markup()).clone();
         // What the matcher finds of the message's own markup, if it runs;
         // worked out again when the next message needs it otherwise.
-        let (copied, markup) = match from {
-            Some(from) if may_copy_enough(&from, before.len()) => {
+        let markup = match before_markup.get_or_insert_with(|| before.markup()).clone() {
+            Some(from) => {
                 let (copied, markup) = match_markup(&text, &before, from, &mut runs);
-                (copied, Some(markup))
+                left_out += copied;
+                Some(markup)
             }
-            _ => (0, None),
+            None => {
+                cov!();
+                runs.clear();
+                None
+            }
         };
-        if copied >= MIN_SHARED {
-            cov!();
-            write_runs(out, &text, &runs);
-            left_out += copied;
-        } else {
-            out.push('>');
-            parts.iter().for_each(|part| out.push_str(part));
-            out.push_str("</wsgb:Msg>");
-        }
+        write_runs(out, &text, &runs);
         (before, before_markup, last) = (text, markup, Some(parts));
     }
     out.push_str("</wsgb:Batch>");
     (left_out, last)
 }
 
-/// Whether a message may copy enough out of a text of `before_len` bytes
-/// whose markup ends and starts again at `from` to be coded: copies come
-/// from that markup only, so one under [`MIN_SHARED`] bytes is not matched
-/// against.
-fn may_copy_enough(from: &Range<usize>, before_len: usize) -> bool {
-    from.start + (before_len - from.end) >= MIN_SHARED
-}
-
 /// The `ops` attribute, the literal runs as one CDATA section and the end
-/// tag of a message coded as `runs` out of the text before it.
+/// tag of a message coded as `runs` out of the text before it (none: one
+/// literal run, `0` for an empty text).
 fn write_runs(out: &mut String, text: &Text<'_>, runs: &[Copied]) {
     out.push_str(" ops=\"");
     let mut said = 0;
@@ -256,7 +236,7 @@ fn write_runs(out: &mut String, text: &Text<'_>, runs: &[Copied]) {
         out.push(',');
         said = run.at + run.len;
     }
-    if said < text.len() {
+    if said < text.len() || runs.is_empty() {
         push_number(out, text.len() - said);
     } else {
         out.pop(); // the last run's `,`
@@ -307,7 +287,7 @@ impl Copied {
 /// The runs of `text`'s markup that `before` has in its markup — before
 /// and after its body's content at `from` — into `runs`: how many bytes
 /// they copy, and where `text`'s own markup ends and starts again (`None`
-/// for a text without a `Body` start tag, which is not coded).
+/// for a text without a `Body` start tag, which copies nothing).
 ///
 /// The runs are the shared start — compared a word at a time up to
 /// `before`'s body, cut back to a character — then whatever resyncing tag
@@ -338,7 +318,10 @@ fn match_markup(
             None => resync(text, shared..text.len(), before, shared..from.start, runs),
         }
     };
-    let Some(head) = head else { return (0, None) };
+    let Some(head) = head else {
+        runs.clear();
+        return (0, None);
+    };
     let tail = text.body_end(head);
     resync(text, tail..text.len(), before, from.end..before.len(), runs);
     runs.retain(Copied::pays);
@@ -651,7 +634,7 @@ pub enum Unbundled {
 ///
 /// As [`parse_wire_after`].
 pub fn parse_wire(wire: &str) -> Result<Unbundled, SoapError> {
-    unwrap_wire(wire, "").map(|(unbundled, _)| unbundled)
+    unwrap_wire(wire, "")
 }
 
 /// Check a wire document that follows `reference` on its connection — the
@@ -663,57 +646,44 @@ pub fn parse_wire(wire: &str) -> Result<Unbundled, SoapError> {
 /// streamed once with [`XmlReader::skip_element`] doing the well-formedness
 /// work, every envelope is checked for its shape only (root is
 /// `env:Envelope`, has an `env:Body`), and each batched message's `raw`
-/// form is the sender's exact bytes — sliced back out of `wire`, or for a
-/// coded message put together from the text before it and its own and
-/// then checked as a document of its own — in one exact-capacity
+/// form is put together from the text before it and its own character
+/// data and then checked as a document of its own, in one exact-capacity
 /// allocation per message.
 ///
 /// # Errors
 ///
 /// [`SoapError::Xml`] for malformed XML (including trailing content after
 /// the root, matching [`Element::parse`]), [`SoapError::Batch`] for a
-/// malformed wrapper — an `ops` run that is no number, copies past or
-/// into a character of the text before it, takes past or into a character
-/// of its own text, or literal runs that leave some of it over; an `ops`
-/// beside an element; messages unwrapping to more than
-/// [`MAX_UNWRAPPED_BYTES`] — and the envelope-shape errors for a batched
-/// message that is not an envelope. Never panics, whatever the input looks
-/// like.
+/// malformed wrapper — a `Msg` without `ops`, an `ops` run that is no
+/// number, copies past or into a character of the text before it, takes
+/// past or into a character of its own text, or literal runs that leave
+/// some of it over; an element in a `Msg`; messages unwrapping to more
+/// than [`MAX_UNWRAPPED_BYTES`] — and the envelope-shape errors for a
+/// batched message that is not an envelope. Never panics, whatever the
+/// input looks like.
 pub fn parse_wire_after(wire: &str, reference: &mut String) -> Result<Unbundled, SoapError> {
-    let (unbundled, last) = unwrap_wire(wire, reference)?;
-    let text = match (&unbundled, last) {
-        (_, Some(text)) => &wire[text],
-        (Unbundled::Batch(messages), None) => {
-            messages.last().map_or("", |coded| &coded.raw[XML_DECL.len()..])
-        }
-        (Unbundled::Single(_), None) => text_of(wire),
+    let unbundled = unwrap_wire(wire, reference)?;
+    let text = match &unbundled {
+        Unbundled::Batch(messages) => messages.last().map_or("", |last| &last.raw[XML_DECL.len()..]),
+        Unbundled::Single(_) => text_of(wire),
     };
     reference.clear();
     reference.push_str(text);
     Ok(unbundled)
 }
 
-/// The reader behind both: the document unwrapped against `reference`, and
-/// where in `wire` its last message's text lies when it was sent whole
-/// (`None` for a coded one, whose text is its `raw` past the declaration,
-/// and for a bare envelope).
-fn unwrap_wire(
-    wire: &str,
-    reference: &str,
-) -> Result<(Unbundled, Option<Range<usize>>), SoapError> {
+/// The reader behind both: the document unwrapped against `reference`.
+fn unwrap_wire(wire: &str, reference: &str) -> Result<Unbundled, SoapError> {
     let mut reader = XmlReader::new(wire);
     read_root(&mut reader)?;
     if reader.element_name() != (Some(BATCH_NS), "Batch") {
         cov!();
         let shape = envelope_shape(&mut reader)?;
         reader.finish()?;
-        return Ok((Unbundled::Single(shape), None));
+        return Ok(Unbundled::Single(shape));
     }
 
     let mut out: Vec<BatchedEnvelope> = Vec::new();
-    // Where in `wire` the text of the message before lies, when it was
-    // sent whole; a coded one's text is its `raw` past the declaration.
-    let mut sent: Option<Range<usize>> = None;
     let mut room = MAX_UNWRAPPED_BYTES;
     loop {
         match reader.next_raw()? {
@@ -724,29 +694,11 @@ fn unwrap_wire(
                     return Err(SoapError::Batch(format!("batch carries a {name}")));
                 }
                 let target = reader.attribute(None, "target").map(|target| target.into_owned());
-                let (raw, gossip) = match reader.attribute(None, "ops") {
-                    None => {
-                        cov!();
-                        let (raw, gossip, text) = read_msg(&mut reader, wire)?;
-                        room = spend(room, text.len())?;
-                        sent = Some(text);
-                        (raw, gossip)
-                    }
-                    Some(ops) => {
-                        cov!();
-                        let before = match (sent.take(), out.last()) {
-                            (Some(text), _) => &wire[text],
-                            (None, Some(coded)) => &coded.raw[XML_DECL.len()..],
-                            // Coded against the request before (empty on a
-                            // fresh connection: nothing to copy from).
-                            (None, None) => {
-                                cov!();
-                                reference
-                            }
-                        };
-                        read_coded(&mut reader, &ops, before, &mut room)?
-                    }
-                };
+                let ops = reader.attribute(None, "ops").ok_or_else(no_ops)?;
+                // Coded against the message before, or the request before
+                // (empty on a fresh connection: nothing to copy from).
+                let before = out.last().map_or(reference, |last| &last.raw[XML_DECL.len()..]);
+                let (raw, gossip) = read_coded(&mut reader, &ops, before, &mut room)?;
                 out.push(BatchedEnvelope { target, raw, gossip });
             }
             // `</wsgb:Batch>` — the reader itself balances tags, so an
@@ -762,7 +714,13 @@ fn unwrap_wire(
         cov!();
         return Err(SoapError::Batch("batch carries no messages".into()));
     }
-    Ok((Unbundled::Batch(out), sent))
+    Ok(Unbundled::Batch(out))
+}
+
+/// What a `Msg` without `ops` is: every message is coded.
+fn no_ops() -> SoapError {
+    cov!();
+    SoapError::Batch("Msg carries no ops".into())
 }
 
 /// `room` less the `bytes` one more message, or run of one, unwraps to.
@@ -789,71 +747,6 @@ fn envelope_shape(
         XmlReader::skip_element,
     )?;
     Ok(shape.is_envelope().and_then(|()| shape.has_body()).map(|()| id))
-}
-
-/// Read one whole `wsgb:Msg`'s content — exactly one inner element, shaped
-/// like an envelope — and return its standalone `raw` form, its gossip
-/// identity, and where in `wire` the message's text (all that stands
-/// between its tags) lies.
-fn read_msg(
-    reader: &mut XmlReader<'_>,
-    wire: &str,
-) -> Result<(String, Option<GossipId<'static>>, Range<usize>), SoapError> {
-    let mut inner: Option<(String, Option<GossipId<'static>>)> = None;
-    // Bindings declared at or below this scope depth (the batch wrapper's
-    // xmlns:wsgb, or anything else on the outer elements) are invisible to
-    // a message slice replayed standalone.
-    let outer_scope = reader.scope_depth();
-    let text_from = reader.position();
-    loop {
-        // After the previous event is consumed the cursor sits exactly
-        // on the next construct, so for a tag this is the byte offset of
-        // its `<`.
-        let start = reader.position();
-        reader.reset_binding_watermark();
-        match reader.next_raw()? {
-            RawEvent::Start => {
-                if inner.is_some() {
-                    cov!();
-                    return Err(SoapError::Batch(
-                        "Msg wraps more than one element (want exactly 1)".into(),
-                    ));
-                }
-                cov!();
-                let gossip = envelope_shape(reader)??;
-                let slice = &wire[start..reader.position()];
-                let mut raw = String::with_capacity(XML_DECL.len() + slice.len());
-                raw.push_str(XML_DECL);
-                if reader.binding_watermark() > outer_scope {
-                    // The envelope resolved every prefix from its own
-                    // declarations: the sender's exact bytes are a
-                    // standalone document.
-                    cov!();
-                    raw.push_str(slice);
-                } else {
-                    // The envelope leaned on a binding inherited from
-                    // the batch wrapper (e.g. wsgb:), which the slice
-                    // would lose — build this one message's tree and let
-                    // the writer re-declare everything it uses.
-                    // (Regression:
-                    // fuzz/corpus/regressions/batch/24ffc09407f20b43.)
-                    cov!();
-                    let tree = Element::parse_in_scope(slice, &reader.in_scope_bindings())?;
-                    raw.push_str(&tree.to_xml_string());
-                }
-                inner = Some((raw, gossip));
-            }
-            // `</wsgb:Msg>`, with at least the element before it.
-            RawEvent::End => {
-                let (raw, gossip) = inner.ok_or_else(|| {
-                    cov!();
-                    SoapError::Batch("Msg wraps 0 elements (want exactly 1)".into())
-                })?;
-                return Ok((raw, gossip, text_from..start));
-            }
-            _ => {} // text/comments alongside the envelope are ignored
-        }
-    }
 }
 
 /// Read one coded `wsgb:Msg`'s content — character data only — and return
@@ -1043,13 +936,12 @@ pub fn is_batch(root: &Element) -> bool {
 ///
 /// [`SoapError::Xml`] when `wire` is no XML document;
 /// [`SoapError::Batch`] when the root is not a `wsgb:Batch`, a child is
-/// not a `wsgb:Msg`, a whole `Msg` does not carry exactly one child
-/// element, a coded one carries any or has `ops` that fit nothing before
-/// it or not its own text, the batch is empty or unwraps to more than
-/// [`MAX_UNWRAPPED_BYTES`]; [`SoapError::NotAnEnvelope`] /
-/// [`SoapError::MissingPart`] for a message without the envelope shape;
-/// [`SoapError::Xml`] for a coded message that unwraps to no document.
-/// Never panics, whatever the input looks like.
+/// not a `wsgb:Msg`, a `Msg` has no `ops`, carries an element or has `ops`
+/// that fit nothing before it or not its own text, the batch is empty or
+/// unwraps to more than [`MAX_UNWRAPPED_BYTES`];
+/// [`SoapError::NotAnEnvelope`] / [`SoapError::MissingPart`] for a message
+/// without the envelope shape; [`SoapError::Xml`] for a message that
+/// unwraps to no document. Never panics, whatever the input looks like.
 pub fn unbundle(wire: &str, reference: &mut String) -> Result<Vec<BatchedEnvelope>, SoapError> {
     let root = &Element::parse(wire)?;
     if !is_batch(root) {
@@ -1061,39 +953,21 @@ pub fn unbundle(wire: &str, reference: &mut String) -> Result<Vec<BatchedEnvelop
         cov!();
         return Err(SoapError::Batch("batch carries no messages".into()));
     }
-    let texts = child_texts(wire)?;
-    let mut out = Vec::with_capacity(children.len());
-    let mut before = reference.clone();
+    let mut out: Vec<BatchedEnvelope> = Vec::with_capacity(children.len());
     let mut room = MAX_UNWRAPPED_BYTES;
-    for (child, sent) in children.into_iter().zip(texts) {
+    for child in children {
         if !child.name().matches(Some(BATCH_NS), "Msg") {
             cov!();
             return Err(SoapError::Batch(format!("batch carries a {}", child.name())));
         }
-        let wrapped = child.children();
-        // A whole message as the tree has it; a coded one as it was sent.
-        let (text, inner, raw) = match (child.attr("ops"), wrapped.as_slice()) {
-            (None, [only]) => {
-                room = spend(room, sent.len())?;
-                let raw = format!("{XML_DECL}{}", only.to_xml_string());
-                (wire[sent].to_string(), (*only).clone(), raw)
-            }
-            (None, _) => {
-                cov!();
-                return Err(SoapError::Batch(format!(
-                    "Msg wraps {} elements (want exactly 1)",
-                    wrapped.len()
-                )));
-            }
-            (Some(ops), []) => {
-                let raw = splice(ops, &before, &Text::new([&child.text(), "", ""]), &mut room)?;
-                (raw[XML_DECL.len()..].to_string(), Element::parse(&raw)?, raw)
-            }
-            (Some(_), _) => {
-                cov!();
-                return Err(SoapError::Batch("a coded Msg wraps an element".into()));
-            }
-        };
+        let ops = child.attr("ops").ok_or_else(no_ops)?;
+        if !child.children().is_empty() {
+            cov!();
+            return Err(SoapError::Batch("a coded Msg wraps an element".into()));
+        }
+        let before = out.last().map_or(reference.as_str(), |last| &last.raw[XML_DECL.len()..]);
+        let raw = splice(ops, before, &Text::new([&child.text(), "", ""]), &mut room)?;
+        let inner = Element::parse(&raw)?;
         cov!();
         if !inner.name().matches(Some(SOAP_ENV_NS), "Envelope") {
             return Err(SoapError::NotAnEnvelope(format!("root element is {}", inner.name())));
@@ -1103,32 +977,11 @@ pub fn unbundle(wire: &str, reference: &mut String) -> Result<Vec<BatchedEnvelop
         }
         let gossip = gossip::of_tree(&inner);
         out.push(BatchedEnvelope { target: child.attr("target").map(str::to_string), raw, gossip });
-        before = text;
     }
-    *reference = before;
+    if let Some(last) = out.last() {
+        *reference = last.raw[XML_DECL.len()..].to_string();
+    }
     Ok(out)
-}
-
-/// Where in `wire` the text of each child of the document element lies:
-/// what stands between the child's tags.
-fn child_texts(wire: &str) -> Result<Vec<Range<usize>>, SoapError> {
-    let mut reader = XmlReader::new(wire);
-    read_root(&mut reader)?;
-    let mut texts = Vec::new();
-    loop {
-        match reader.next_raw()? {
-            RawEvent::Start => {
-                let from = reader.position();
-                reader.skip_element()?;
-                // An end tag holds one `<`, its first byte; `<a/>` has no
-                // end tag, and the `<` found is its own, before `from`.
-                let to = wire[..reader.position()].rfind('<').map_or(from, |to| to.max(from));
-                texts.push(from..to);
-            }
-            RawEvent::End => return Ok(texts),
-            _ => {}
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1199,19 +1052,18 @@ mod tests {
             );
             (wire, left_out)
         };
-        // One message per request: the first goes whole, every later one
-        // as what it adds to the one the connection carried before it.
+        // One message per request: the first one literal run, every later
+        // one as what it adds to the one the connection carried before it.
         for (n, xml) in xmls.iter().enumerate() {
             let (wire, left_out) = post(std::slice::from_ref(xml), &mut sent);
-            assert_eq!(wire.contains(" ops=\""), n > 0, "{wire}");
+            let literal = (xml.len() - XML_DECL.len()).to_string();
+            assert_eq!(ops_of(&wire) == [literal.as_str()], n == 0, "{wire}");
             assert_eq!(left_out > xml.len() / 2, n > 0, "{left_out} of {wire}");
             let Unbundled::Batch(messages) = parse_wire_after(&wire, &mut received).unwrap() else {
                 panic!("{wire}");
             };
             assert_eq!(messages[0].raw, *xml);
-            // (The tree walk gives a whole message back re-serialised.)
-            let walk = unbundle(&wire, &mut walked).unwrap();
-            assert_eq!(walk[0].envelope(), messages[0].envelope());
+            assert_eq!(unbundle(&wire, &mut walked).unwrap(), messages);
             assert_eq!(sent, xml[XML_DECL.len()..]);
             assert_eq!((&received, &walked), (&sent, &sent));
             // Without the request before, the same document is refused.
@@ -1329,25 +1181,24 @@ mod tests {
     fn forwards_to_one_peer_are_said_once_and_come_back_byte_for_byte() {
         let xmls: Vec<String> = (0..5).map(forward).collect();
         let (wire, left_out) = batch_of(&xmls);
-        // The first goes whole, the rest as what they add to it.
-        assert_eq!(wire.matches("<wsgb:Msg>").count(), 1, "{wire}");
-        assert_eq!(wire.matches("<wsgb:Msg ops=\"").count(), 4, "{wire}");
+        // The first is one literal run, the rest what they add to it.
+        let ops = ops_of(&wire);
+        assert_eq!(ops.len(), 5, "{wire}");
+        assert_eq!(ops[0], (xmls[0].len() - XML_DECL.len()).to_string());
         assert_eq!(wire.matches("<wscoor:CoordinationContext").count(), 1, "{wire}");
         // Each copies its markup around the values it does not share —
         // the sequence number, the message id — and its closing tail.
-        let ops = ops_of(&wire);
-        assert!(ops.iter().all(|ops| ops.matches(':').count() >= 3), "{ops:?}");
-        let whole: usize = xmls.iter().map(|xml| xml.len() - XML_DECL.len() + 21).sum();
-        assert!(left_out > whole * 2 / 3, "{left_out} bytes left out of {whole}");
-        // Per coded message: ` ops="…"` and the CDATA brackets.
-        let attributes: usize = ops.iter().map(|ops| ops.len() + 19).sum();
-        assert_eq!(wire.len(), 58 + whole - left_out + attributes);
+        assert!(ops[1..].iter().all(|ops| ops.matches(':').count() >= 3), "{ops:?}");
+        let texts: usize = xmls.iter().map(|xml| xml.len() - XML_DECL.len()).sum();
+        assert!(left_out > texts * 2 / 3, "{left_out} bytes left out of {texts}");
+        // Per message: its tags, ` ops="…"` and the CDATA brackets.
+        let attributes: usize = ops.iter().map(|ops| ops.len() + 40).sum();
+        assert_eq!(wire.len(), 58 + texts - left_out + attributes);
         assert!(!wire.starts_with("<?xml"), "{wire}");
         for (message, xml) in streamed(&wire).iter().zip(&xmls) {
             assert_eq!(&message.raw, xml);
         }
-        // (The reference gives a whole message back re-serialised.)
-        for (message, xml) in fresh(&wire).unwrap().iter().zip(&xmls).skip(1) {
+        for (message, xml) in fresh(&wire).unwrap().iter().zip(&xmls) {
             assert_eq!(&message.raw, xml, "the reference rebuilds the same bytes");
         }
 
@@ -1366,7 +1217,7 @@ mod tests {
         for pair in [[&xmls[0], &long], [&xmls[0], &short], [&short, &long], [&long, &long]] {
             let pair = pair.map(String::clone);
             let (wire, left_out) = batch_of(&pair);
-            let [ops] = ops_of(&wire)[..] else { panic!("{wire}") };
+            let [first, ops] = ops_of(&wire)[..] else { panic!("{wire}") };
             let text = &pair[1][XML_DECL.len()..];
             let content = Text::new([text, "", ""]).markup().unwrap();
             // Copies of markup only, and the payload literal and whole.
@@ -1379,7 +1230,9 @@ mod tests {
             }
             let literal = wire.rsplit("<![CDATA[").next().unwrap();
             assert!(literal.contains(&text[content.clone()]), "{ops}");
-            assert_eq!(wire.len(), 58 + pair[0].len() - XML_DECL.len() + 21 + text.len() - left_out + ops.len() + 19 + 21);
+            assert_eq!(first, (pair[0].len() - XML_DECL.len()).to_string());
+            let coded = text.len() - left_out + ops.len() + 40;
+            assert_eq!(wire.len(), 58 + pair[0].len() - XML_DECL.len() + first.len() + 40 + coded);
             assert_eq!(streamed(&wire)[1].raw, pair[1]);
             assert_eq!(fresh(&wire).unwrap()[1].raw, pair[1]);
         }
@@ -1396,7 +1249,8 @@ mod tests {
         assert_eq!(left_out, text.len() - content.len());
         let body = text.find(content).unwrap();
         let tail = body + content.len();
-        assert_eq!(ops_of(&wire), [format!("0:{body},{},{tail}:{}", content.len(), text.len() - tail)]);
+        let again = format!("0:{body},{},{tail}:{}", content.len(), text.len() - tail);
+        assert_eq!(ops_of(&wire)[1..], [text.len().to_string(), again]);
         assert!(wire.ends_with(&format!("\"><![CDATA[{content}]]></wsgb:Msg></wsgb:Batch>")), "{wire}");
         let back = streamed(&wire);
         assert_eq!(back[1].raw, back[2].raw);
@@ -1475,7 +1329,7 @@ mod tests {
         let block: String = (0..6).map(|i| format!("<x:I{i} xmlns:x=\"urn:x\">{i}</x:I{i}>")).collect();
         for (first, second) in [(envelope("", 1), envelope(&block, 2)), (envelope(&block, 1), envelope("", 2))] {
             let (wire, _) = batch_of(&[first.clone(), second.clone()]);
-            let [ops] = ops_of(&wire)[..] else { panic!("{wire}") };
+            let [_, ops] = ops_of(&wire)[..] else { panic!("{wire}") };
             // `h:B` and everything after it up to the body is one copy.
             let b = second.find("<h:B").unwrap();
             let from = first.find("<h:B").unwrap();
@@ -1511,7 +1365,7 @@ mod tests {
         let started = std::time::Instant::now();
         let (wire, _) = batch_of(&xmls);
         assert!(started.elapsed() < std::time::Duration::from_secs(20), "{:?}", started.elapsed());
-        assert_eq!(wire.matches(" ops=\"").count(), 1);
+        assert!(ops_of(&wire)[1].contains(':'), "{}", ops_of(&wire)[1]);
         assert_eq!(streamed(&wire)[1].raw, format!("{XML_DECL}{}", xmls[1]));
     }
 
@@ -1525,9 +1379,9 @@ mod tests {
         let split = format!("{head}{comment}<a>3]]</a></env:Body></env:Envelope>");
         let xmls = [plain.clone(), foreign.clone(), plain.clone(), split.clone()];
         let (wire, left_out) = batch_of(&xmls);
-        // Every message after the first is coded, the foreign one too: its
+        // Every message after the first copies, the foreign one too: its
         // head and its closing tail are copies, its body's content literal.
-        assert_eq!(wire.matches(" ops=\"").count(), 3, "{wire}");
+        assert_eq!(ops_of(&wire)[1..].iter().filter(|ops| ops.contains(':')).count(), 3, "{wire}");
         let tail = "</env:Body></env:Envelope>".len();
         assert_eq!(left_out, 3 * (head.len() + tail));
         // Its literal run carries the split once per `]]>` it holds.
@@ -1547,7 +1401,7 @@ mod tests {
         for (message, xml) in streamed(&wire).iter().zip(&xmls) {
             assert_eq!(message.raw, format!("{XML_DECL}{xml}"));
         }
-        for (message, xml) in fresh(&wire).unwrap().iter().zip(&xmls).skip(1) {
+        for (message, xml) in fresh(&wire).unwrap().iter().zip(&xmls) {
             assert_eq!(message.raw, format!("{XML_DECL}{xml}"));
         }
         // Cut at every byte of every `]]>` into two or three pieces, the
@@ -1575,13 +1429,13 @@ mod tests {
         let first = &first[XML_DECL.len()..];
         let cut = first.find("<wsa:To>").unwrap();
         let rest = &first[cut..];
-        // Escaped text instead of a CDATA section, several runs, a
-        // comment, the message before with whitespace around it, a
-        // literal run ahead of a copy, runs of nothing.
+        // Text around a CDATA section, escaped text instead of one, several
+        // runs, a comment, a message with whitespace around it, a literal
+        // run ahead of a copy, runs of nothing.
         let escaped = rest.replace('&', "&amp;").replace('<', "&lt;");
         let (half, other) = rest.split_at(rest.len() / 2);
         let wire = format!(
-            "<b:Batch xmlns:b=\"{BATCH_NS}\"><b:Msg>\n{first}\n</b:Msg>\
+            "<b:Batch xmlns:b=\"{BATCH_NS}\"><b:Msg ops=\"{4}\">\n<![CDATA[{first}]]>\n</b:Msg>\
              <b:Msg ops=\"0:{0},{2}\" target=\"/x\">{escaped}</b:Msg>\
              <b:Msg ops=\"0:{0},{2}\"><![CDATA[{half}]]><!-- and --><![CDATA[{other}]]></b:Msg>\
              <b:Msg ops='1,1:{1}'>\n</b:Msg>\
@@ -1590,6 +1444,7 @@ mod tests {
             first.len(),
             rest.len(),
             first.len() + 1,
+            first.len() + 2,
         );
         let messages = streamed(&wire);
         assert_eq!(messages.len(), 5);
@@ -1598,11 +1453,9 @@ mod tests {
         for message in &messages[1..] {
             assert_eq!(message.raw, format!("{XML_DECL}\n{first}"));
         }
-        assert_eq!(messages[0].raw, format!("{XML_DECL}{first}"));
+        assert_eq!(messages[0].raw, format!("{XML_DECL}\n{first}\n"));
         assert_eq!(messages[1].target.as_deref(), Some("/x"));
-        let reference = fresh(&wire).unwrap();
-        assert_eq!(messages[1..], reference[1..]);
-        assert_eq!(messages[0].envelope(), reference[0].envelope());
+        assert_eq!(fresh(&wire).unwrap(), messages);
     }
 
     #[test]
@@ -1640,17 +1493,32 @@ mod tests {
         let envelope = &envelope[XML_DECL.len()..];
         let body = envelope.find("<env:Body>").unwrap();
         let batch = |msgs: &str| format!("<wsgb:Batch xmlns:wsgb=\"{BATCH_NS}\">{msgs}</wsgb:Batch>");
-        let after = |msg: &str| batch(&format!("<wsgb:Msg>{envelope}é</wsgb:Msg>{msg}"));
+        // The text before ends in a comment holding an `é` at `e`.
         let len = envelope.len();
+        let before = format!("{envelope}<!--é-->");
+        let e = len + 4;
+        let after = |msg: &str| {
+            let first = format!("<wsgb:Msg ops=\"{}\"><![CDATA[{before}]]></wsgb:Msg>", before.len());
+            batch(&format!("{first}{msg}"))
+        };
         type Class = fn(&SoapError) -> bool;
         let wrapper: Class = |e| matches!(e, SoapError::Batch(_));
         let xml: Class = |e| matches!(e, SoapError::Xml(_));
         let table: Vec<(&str, String, Class)> = vec![
             ("a copy on the first Msg", batch("<wsgb:Msg ops=\"0:4\"><![CDATA[<a/>]]></wsgb:Msg>"), wrapper),
-            ("a copy past the text before", after(&format!("<wsgb:Msg ops=\"0:{}\"/>", len + 3)), wrapper),
-            ("a copy overlapping its end", after(&format!("<wsgb:Msg ops=\"{len}:3\"/>")), wrapper),
-            ("a copy ending inside a character", after(&format!("<wsgb:Msg ops=\"0:{}\"/>", len + 1)), wrapper),
-            ("a copy starting inside a character", after(&format!("<wsgb:Msg ops=\"{}:1\"/>", len + 1)), wrapper),
+            ("a Msg without ops", batch(&format!("<wsgb:Msg>{envelope}</wsgb:Msg>")), wrapper),
+            ("a Msg without ops after one with", after(&format!("<wsgb:Msg>{envelope}</wsgb:Msg>")), wrapper),
+            ("a Msg without ops or content", after("<wsgb:Msg/>"), wrapper),
+            ("a Msg without ops holding text", after(&format!("<wsgb:Msg><![CDATA[{envelope}]]></wsgb:Msg>")), wrapper),
+            (
+                "a Msg without ops leaning on the wrapper's prefix",
+                batch(&format!("<wsgb:Msg><env:Envelope xmlns:env=\"{SOAP_ENV_NS}\"><env:Body><wsgb:a/></env:Body></env:Envelope></wsgb:Msg>")),
+                wrapper,
+            ),
+            ("a copy past the text before", after(&format!("<wsgb:Msg ops=\"0:{}\"/>", before.len() + 1)), wrapper),
+            ("a copy overlapping its end", after(&format!("<wsgb:Msg ops=\"{}:3\"/>", before.len() - 2)), wrapper),
+            ("a copy ending inside a character", after(&format!("<wsgb:Msg ops=\"0:{}\"/>", e + 1)), wrapper),
+            ("a copy starting inside a character", after(&format!("<wsgb:Msg ops=\"{}:1\"/>", e + 1)), wrapper),
             ("a copy whose end overflows", after(&format!("<wsgb:Msg ops=\"1:{}\"/>", usize::MAX)), wrapper),
             ("a literal past the text", after("<wsgb:Msg ops=\"0:5,4\">abc</wsgb:Msg>"), wrapper),
             ("a literal inside a character", after(&format!("<wsgb:Msg ops=\"1,0:{len}\">é</wsgb:Msg>")), wrapper),
@@ -1705,15 +1573,16 @@ mod tests {
             "x".repeat(250_000)
         );
         let again = format!("0:{}", big.len());
+        let first = format!("<wsgb:Msg ops=\"{}\"><![CDATA[{big}]]></wsgb:Msg>", big.len());
         let bomb = |copies: usize| {
             let again = format!("<wsgb:Msg ops=\"{again}\"/>").repeat(copies);
-            format!("<wsgb:Batch xmlns:wsgb=\"{BATCH_NS}\"><wsgb:Msg>{big}</wsgb:Msg>{again}</wsgb:Batch>")
+            format!("<wsgb:Batch xmlns:wsgb=\"{BATCH_NS}\">{first}{again}</wsgb:Batch>")
         };
         let fits = MAX_UNWRAPPED_BYTES / big.len() - 1;
         assert_eq!(streamed(&bomb(fits)).len(), fits + 1);
         let in_one = |copies: usize| {
             let runs = vec![again.as_str(); copies].join(",");
-            format!("<wsgb:Batch xmlns:wsgb=\"{BATCH_NS}\"><wsgb:Msg>{big}</wsgb:Msg><wsgb:Msg ops=\"{runs}\"/></wsgb:Batch>")
+            format!("<wsgb:Batch xmlns:wsgb=\"{BATCH_NS}\">{first}<wsgb:Msg ops=\"{runs}\"/></wsgb:Batch>")
         };
         for wire in [bomb(fits + 1), bomb(10_000), in_one(fits + 1), in_one(10_000)] {
             assert!(wire.len() < 600_000);
@@ -1754,7 +1623,7 @@ mod tests {
             }
         }
         let not_envelope =
-            "<wsgb:Batch xmlns:wsgb=\"urn:ws-gossip:batch\"><wsgb:Msg><x/></wsgb:Msg></wsgb:Batch>";
+            "<wsgb:Batch xmlns:wsgb=\"urn:ws-gossip:batch\"><wsgb:Msg ops=\"4\">&lt;x/></wsgb:Msg></wsgb:Batch>";
         assert!(matches!(parse_wire(not_envelope), Err(SoapError::NotAnEnvelope(_))));
     }
 
@@ -1769,7 +1638,7 @@ mod tests {
             assert!(matches!(fresh(bad), Err(SoapError::Batch(_))), "{bad}");
         }
         let not_envelope =
-            "<wsgb:Batch xmlns:wsgb=\"urn:ws-gossip:batch\"><wsgb:Msg><x/></wsgb:Msg></wsgb:Batch>";
+            "<wsgb:Batch xmlns:wsgb=\"urn:ws-gossip:batch\"><wsgb:Msg ops=\"4\">&lt;x/></wsgb:Msg></wsgb:Batch>";
         assert!(matches!(fresh(not_envelope), Err(SoapError::NotAnEnvelope(_))));
         assert!(matches!(fresh("<unclosed"), Err(SoapError::Xml(_))));
     }

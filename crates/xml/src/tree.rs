@@ -227,18 +227,7 @@ impl Element {
     ///
     /// Returns the underlying [`XmlError`] for malformed documents.
     pub fn parse(input: &str) -> Result<Element, XmlError> {
-        Self::parse_in_scope(input, &[])
-    }
-
-    /// Parse an element cut out of a larger document, given the
-    /// `(prefix, uri)` bindings that were in scope around it (see
-    /// [`XmlReader::with_bindings`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying [`XmlError`] for malformed input.
-    pub fn parse_in_scope(input: &str, outer: &[(String, String)]) -> Result<Element, XmlError> {
-        let mut reader = XmlReader::with_bindings(input, outer);
+        let mut reader = XmlReader::new(input);
         // A document without a root element is an error before its end.
         while reader.next_raw()? != RawEvent::Start {}
         let root = Self::from_open(&mut reader)?;

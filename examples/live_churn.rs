@@ -82,8 +82,6 @@ fn main() {
         client: HttpClientConfig {
             connect_timeout: Duration::from_millis(300),
             retries: 1,
-            backoff_base: Duration::from_millis(5),
-            backoff_cap: Duration::from_millis(20),
             ..HttpClientConfig::default()
         },
         server: HttpServerConfig {

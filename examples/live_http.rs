@@ -95,8 +95,6 @@ fn main() {
         client: HttpClientConfig {
             connect_timeout: Duration::from_millis(300),
             retries: 2,
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(40),
             ..HttpClientConfig::default()
         },
         refuse: vec![refused],

@@ -28,8 +28,6 @@ fn loopback_config() -> NetRuntimeConfig {
         client: HttpClientConfig {
             connect_timeout: Duration::from_millis(300),
             retries: 2,
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(40),
             ..HttpClientConfig::default()
         },
         ..NetRuntimeConfig::default()
@@ -511,8 +509,6 @@ fn refused_posts_follow_a_seeded_backoff_schedule() {
     let config = HttpClientConfig {
         connect_timeout: Duration::from_millis(200),
         retries: 3,
-        backoff_base: Duration::from_millis(10),
-        backoff_cap: Duration::from_millis(40),
         ..HttpClientConfig::default()
     };
     for _ in 0..2 {

@@ -41,8 +41,6 @@ fn loopback_config() -> NetRuntimeConfig {
         client: HttpClientConfig {
             connect_timeout: Duration::from_millis(300),
             retries: 1,
-            backoff_base: Duration::from_millis(5),
-            backoff_cap: Duration::from_millis(20),
             ..HttpClientConfig::default()
         },
         server: HttpServerConfig {

@@ -271,8 +271,6 @@ fn live_runtime_node_serves_its_own_metrics() {
         client: HttpClientConfig {
             connect_timeout: Duration::from_millis(300),
             retries: 1,
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(40),
             ..HttpClientConfig::default()
         },
         ..NetRuntimeConfig::default()

@@ -174,8 +174,8 @@ fn decode(ops: &str, before: &str, literal: &str) -> Option<(String, Vec<Run>)> 
     rest.is_empty().then_some((text, copies))
 }
 
-/// Every `Msg` of a written batch: its `ops`, if coded, and its joined
-/// character data.
+/// Every `Msg` of a written batch: its `ops`, if it has any, and its
+/// joined character data.
 fn coded_parts(wire: &str) -> Result<Vec<(Option<String>, String)>, String> {
     let root = Element::parse(wire).map_err(|e| e.to_string())?;
     Ok(root.children().iter().map(|msg| (msg.attr("ops").map(str::to_string), msg.text())).collect())
@@ -194,11 +194,10 @@ fn shared_start(text: &str, before: &str) -> usize {
 
 /// Check the messages of `wire` against the texts the sender meant —
 /// `before` being the text said before the first — by the test's own
-/// reading of the form: a coded one decodes to its text, copies envelope
-/// markup only, out of the markup of the text before it, and copies at
-/// least 64 bytes; one that goes whole could not have copied that many,
-/// not even of the start the two share, however long it is. Returns the
-/// bytes copied.
+/// reading of the form: each is coded, decodes to its text, copies
+/// envelope markup only, out of the markup of the text before it, and
+/// copies at least the start the two share when that is longer than a run
+/// costs, however long the message is. Returns the bytes copied.
 fn check_coded(wire: &str, before: &str, texts: &[&str]) -> Result<usize, String> {
     let parts = coded_parts(wire)?;
     prop_assert_eq!(parts.len(), texts.len());
@@ -206,9 +205,7 @@ fn check_coded(wire: &str, before: &str, texts: &[&str]) -> Result<usize, String
     for (i, ((ops, literal), text)) in parts.iter().zip(texts).enumerate() {
         let before = if i == 0 { before } else { texts[i - 1] };
         let Some(ops) = ops else {
-            let shared = shared_start(text, before);
-            prop_assert!(shared < 64, "message {i} of {} bytes goes whole, sharing {shared}: {wire}", text.len());
-            continue;
+            return Err(format!("message {i} has no ops, in {wire}"));
         };
         let Some((decoded, copies)) = decode(ops, before, literal) else {
             return Err(format!("message {i}: ops {ops} do not fit, in {wire}"));
@@ -221,7 +218,8 @@ fn check_coded(wire: &str, before: &str, texts: &[&str]) -> Result<usize, String
             prop_assert!(from.end <= theirs.start || from.start >= theirs.end, "message {i} copies {from:?} out of a body: {wire}");
         }
         let total: usize = copies.iter().map(|(_, from)| from.len()).sum();
-        prop_assert!(total >= 64, "message {i} copies {total} bytes: {wire}");
+        let shared = shared_start(text, before);
+        prop_assert!(shared < 16 || total >= shared, "message {i} copies {total} bytes, sharing {shared}: {wire}");
         copied += total;
     }
     Ok(copied)
@@ -288,7 +286,7 @@ fn every_unwrapped_message_is_the_text_its_sender_queued() {
 
         prop_assert_eq!(check_coded(&wire, "", &texts)?, left_out);
         let parts = coded_parts(&wire)?;
-        prop_assert!(parts[0].0.is_none(), "coded against nothing: {wire}");
+        prop_assert_eq!(&parts[0].0, &Some(texts[0].len().to_string()));
         // Each `Msg` as written: its attributes, its content and its end
         // tag (no message text holds `<wsgb:Msg`).
         let msgs: Vec<&str> = wire.split("<wsgb:Msg").skip(1).collect();
@@ -307,18 +305,17 @@ fn every_unwrapped_message_is_the_text_its_sender_queued() {
             prop_assert_eq!(streamed[i].target.as_deref(), targets[i]);
             prop_assert_eq!(reference[i].target.as_deref(), targets[i]);
             prop_assert_eq!(streamed[i].envelope(), reference[i].envelope());
-            if let (Some(_), literal) = &parts[i] {
-                // Coded: the tree walk rebuilds the very bytes, and the
-                // literal runs open one more CDATA section for each `]]>`
-                // they hold — a payload that is a rotation of the one
-                // before among them, whole.
-                prop_assert!(reference[i].raw == expected, "message {i} of {wire}: {}", reference[i].raw);
-                let sections = msgs[i].matches("<![CDATA[").count() - literal.matches("<![CDATA[").count();
-                let splits = literal.matches("]]>").count();
-                prop_assert!(sections == 1 + splits, "message {i}: {sections} sections for {splits} `]]>` in {wire}");
-                let body = body_content(text);
-                prop_assert!(literal.contains(&text[body]), "message {i} of {wire}");
-            }
+            // The tree walk rebuilds the very bytes, and the literal runs
+            // open one more CDATA section for each `]]>` they hold — a
+            // payload that is a rotation of the one before among them,
+            // whole.
+            prop_assert!(reference[i].raw == expected, "message {i} of {wire}: {}", reference[i].raw);
+            let literal = &parts[i].1;
+            let sections = msgs[i].matches("<![CDATA[").count() - literal.matches("<![CDATA[").count();
+            let splits = literal.matches("]]>").count();
+            prop_assert!(sections == 1 + splits, "message {i}: {sections} sections for {splits} `]]>` in {wire}");
+            let body = body_content(text);
+            prop_assert!(literal.contains(&text[body]), "message {i} of {wire}");
         }
         Ok(())
     });
@@ -328,8 +325,8 @@ fn every_unwrapped_message_is_the_text_its_sender_queued() {
 /// that reconnects at random, some posted bare: the sender's and the
 /// receiver's reference advance in lockstep (the tree walk's too), every
 /// message comes out as the declaration plus the text that went in, and
-/// the first `Msg` after a (re)connect is never coded — one coded by hand
-/// is refused there, and taken where its reference is.
+/// the first `Msg` after a (re)connect copies nothing — one that copies,
+/// coded by hand, is refused there, and taken where its reference is.
 #[test]
 fn a_connection_codes_each_request_against_the_one_before() {
     run("a_connection_codes_each_request_against_the_one_before", 128, |g| {
@@ -368,7 +365,8 @@ fn a_connection_codes_each_request_against_the_one_before() {
             let left_out = write_batch_parts(items, &mut sender, &mut wire);
             let texts: Vec<&str> = post.iter().map(|xml| text_of(xml)).collect();
             prop_assert_eq!(check_coded(&wire, &said, &texts)?, left_out);
-            prop_assert!(!fresh || coded_parts(&wire)?[0].0.is_none(), "coded against nothing: {wire}");
+            let first = coded_parts(&wire)?.swap_remove(0).0.unwrap_or_default();
+            prop_assert!(!fresh || !first.contains(':'), "a copy against nothing: {wire}");
             let streamed = match parse_wire_after(&wire, &mut receiver).map_err(|e| e.to_string())? {
                 Unbundled::Batch(streamed) => streamed,
                 Unbundled::Single(_) => return Err("batch wire classified as a single document".into()),
@@ -417,6 +415,50 @@ fn a_connection_codes_each_request_against_the_one_before() {
     });
 }
 
+/// Whatever a batch holds and whatever came before it on its connection,
+/// every `Msg` written carries `ops` — there is one form — and a `Msg`
+/// without it, the rest of the document as written or its envelope as an
+/// element, is refused by the stream and the tree walk alike.
+#[test]
+fn every_msg_is_coded_and_one_without_ops_is_refused() {
+    run("every_msg_is_coded_and_one_without_ops_is_refused", 128, |g| {
+        let conversations: Vec<String> = (0..g.usize(1..=2)).map(|_| g.string_from(&['h', 'é', '-'], 30)).collect();
+        let heartbeat = random_envelope(g).to_xml();
+        let xmls: Vec<String> = (0..g.usize(1..=6))
+            .map(|_| if g.bool(0.2) { heartbeat.clone() } else { random_message(g, &conversations) })
+            .collect();
+        let said = if g.bool(0.5) { String::new() } else { text_of(&random_message(g, &conversations)).to_string() };
+        let mut wire = String::new();
+        if said.is_empty() && g.bool(0.5) {
+            let items: Vec<BatchItem<'_>> = xmls.iter().map(|xml| BatchItem { target: None, xml }).collect();
+            write_batch(&items, &mut wire);
+        } else {
+            let items = xmls.iter().map(|xml| (None, [xml.as_str(), "", ""]));
+            write_batch_parts(items, &mut said.clone(), &mut wire);
+        }
+        let parts = coded_parts(&wire)?;
+        prop_assert_eq!(parts.len(), xmls.len());
+        prop_assert!(parts.iter().all(|(ops, _)| ops.is_some()), "a Msg without ops: {wire}");
+
+        // One `Msg` stripped of its `ops`, or its text written as the
+        // envelope element it is.
+        let k = g.usize(0..=xmls.len() - 1);
+        let start = wire.match_indices("<wsgb:Msg").nth(k).map(|(at, _)| at).unwrap();
+        let end = start + wire[start..].find("</wsgb:Msg>").unwrap();
+        let ops = start + wire[start..].find(" ops=\"").unwrap();
+        let ops_end = ops + 6 + wire[ops + 6..].find('"').unwrap() + 1;
+        let stripped = if g.bool(0.5) {
+            format!("{}{}", &wire[..ops], &wire[ops_end..])
+        } else {
+            format!("{}<wsgb:Msg>{}{}", &wire[..start], text_of(&xmls[k]), &wire[end..])
+        };
+        let refused = |result: Result<(), SoapError>| matches!(result, Err(SoapError::Batch(_)));
+        prop_assert!(refused(parse_wire_after(&stripped, &mut said.clone()).map(drop)), "{stripped}");
+        prop_assert!(refused(unbundle(&stripped, &mut said.clone()).map(drop)), "{stripped}");
+        Ok(())
+    });
+}
+
 /// Structural corruption of a valid batch — truncation, byte flips,
 /// spliced-in garbage — must never panic: either the XML parser rejects
 /// it or `unbundle` returns a typed error (or, rarely, the mutation was
@@ -424,7 +466,7 @@ fn a_connection_codes_each_request_against_the_one_before() {
 #[test]
 fn corrupted_batches_error_instead_of_panicking() {
     run("corrupted_batches_error_instead_of_panicking", 96, |g| {
-        // Whole, coded with nothing but its payload of its own, coded.
+        // A lone literal run, nothing but its payload of its own, coded.
         let (envelope, other) = (random_envelope(g).to_xml(), random_envelope(g).to_xml());
         let mut wire = String::new();
         write_batch(
@@ -435,7 +477,7 @@ fn corrupted_batches_error_instead_of_panicking() {
             ],
             &mut wire,
         );
-        prop_assert_eq!(wire.matches(" ops=\"").count(), 2);
+        prop_assert_eq!(wire.matches(" ops=\"").count(), 3);
 
         let corrupted = match g.usize(0..=2) {
             0 => wire[..g.usize(1..=wire.len())].to_string(),
