@@ -56,7 +56,7 @@ fn bytes_per_request(forwards: &[String]) -> Vec<u64> {
     let mut requests = Vec::new();
     for forward in forwards {
         let before = bytes_in.get();
-        let message = std::iter::once((None, [forward.as_str(), "", ""]));
+        let message = std::iter::once((None, forward.as_str()));
         let outcome = client.post_batch(server.local_addr(), "/gossip", &node, message);
         assert_eq!(outcome.expect("delivered").response.status, 202);
         // The server counts what it reads before it answers.

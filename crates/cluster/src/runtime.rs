@@ -298,8 +298,7 @@ fn spawn_pump(
                     if outbound.piggyback(member, MEMBERSHIP_TARGET, &xml) {
                         continue;
                     }
-                    let heartbeat = std::iter::once((None, [xml.as_str(), "", ""]));
-                    match client.post_batch(addr, MEMBERSHIP_TARGET, &[], heartbeat) {
+                    match client.post_batch(addr, MEMBERSHIP_TARGET, &[], std::iter::once((None, xml.as_str()))) {
                         Ok(_) => {}
                         // Refused means nobody is listening — condemn. A
                         // timeout is only load (the φ detector will catch

@@ -7,7 +7,7 @@ use std::io;
 
 use wsg_cluster::proto::{ClusterMessage, MemberEntry};
 use wsg_net::NodeId;
-use wsg_soap::batch::{text_of, write_batch, write_batch_parts, BatchItem};
+use wsg_soap::batch::{text_of, write_batch, write_batch_after, BatchItem};
 use wsg_soap::gossip::GossipHeader;
 use wsg_soap::{Envelope, Fault, FaultCode, MessageHeaders};
 use wsg_xml::Element;
@@ -165,8 +165,8 @@ pub fn all() -> Vec<(&'static str, &'static str, Vec<u8>)> {
     let said = text_of(&forwards[2]);
     let mut next = String::new();
     let fifteen = notification(15);
-    let item = std::iter::once((None, [fifteen.as_str(), "", ""]));
-    write_batch_parts(item, &mut said.to_string(), &mut next);
+    let item = std::iter::once((None, fifteen.as_str()));
+    write_batch_after(item, &mut said.to_string(), &mut next);
     assert!(next.contains("<wsgb:Msg ops=\""), "{next}");
     let connection_pre = format!("{said}\0{next}");
     // Three forwards whose payloads escaping would grow past a CDATA

@@ -14,6 +14,10 @@
 //! server withdraws it (`SenderQueues::withdraw`) — the peer holds it, and
 //! would only count it as a duplicate.
 //!
+//! A forward copy waits in pieces (see [`QueuedMsg`]) but leaves as one
+//! string: [`join`] puts a drained batch together once, into a buffer the
+//! sender thread reuses, so the batch writer never sees a piece.
+//!
 //! Flush-on-idle is implicit in the wakeup protocol: every push sends a
 //! wake token, and the sender drains on each one, so under light load a
 //! message is posted alone immediately — a batch of one, coded
@@ -59,7 +63,7 @@ impl Default for BatchConfig {
 /// mostly repeats the one queued before it keeps only the bytes of its own
 /// and shares that message's for the rest (see [`SenderQueues::push`]).
 #[derive(Debug)]
-pub(crate) struct QueuedMsg {
+pub struct QueuedMsg {
     pub(crate) target: Option<String>,
     own: String,
     shared: Arc<String>,
@@ -102,7 +106,7 @@ impl QueuedMsg {
     }
 
     /// The XML in its three pieces, in order.
-    pub(crate) fn parts(&self) -> [&str; 3] {
+    fn parts(&self) -> [&str; 3] {
         [&self.shared[..self.prefix], &self.own, &self.shared[self.suffix_from..]]
     }
 
@@ -188,7 +192,7 @@ type UnreachableHook = Arc<dyn Fn(SocketAddr) + Send + Sync>;
 /// Shared between the node loop (its `ctx.send`s), the sender thread, and
 /// any piggybacking producer holding an [`OutboundHandle`].
 #[derive(Default)]
-pub(crate) struct SenderQueues {
+pub struct SenderQueues {
     queues: Mutex<Queued>,
     /// Messages [withdrawn](SenderQueues::withdraw), counted under the
     /// queues' lock.
@@ -231,18 +235,9 @@ impl SenderQueues {
     /// Only the look-up of the last message queued whole and the append
     /// take the lock: comparing and reading happen outside it, on an `Arc`
     /// that keeps that message's bytes whatever is pushed meanwhile.
-    pub(crate) fn push(&self, to: NodeId, target: Option<String>, xml: String) {
+    pub fn push(&self, to: NodeId, target: Option<String>, xml: String) {
         let last = self.queues.lock().last_whole.clone();
-        let (mut prefix, mut suffix) =
-            last.as_ref().map_or((0, 0), |(text, _)| common_ends(text, &xml));
-        let prologue = wsg_soap::batch::prologue_len(&xml);
-        if prefix < prologue {
-            // The batch writer strips an XML declaration from a message's
-            // first piece: a declaration not shared whole stays whole in
-            // `own`.
-            prefix = 0;
-            suffix = suffix.min(xml.len() - prologue);
-        }
+        let (prefix, suffix) = last.as_ref().map_or((0, 0), |(text, _)| common_ends(text, &xml));
         let head = match last.as_ref().and_then(|(_, head)| head.as_ref()) {
             _ if target.is_some() => None,
             Some((id, read)) if *read <= prefix => Some((id.clone(), *read)),
@@ -315,43 +310,28 @@ impl SenderQueues {
         withdrawn
     }
 
-    /// Messages withdrawn so far.
-    pub(crate) fn withdrawn(&self) -> u64 {
-        self.withdrawn.get()
-    }
-
-    /// Take the next batch: the first (ascending id) non-empty peer's
-    /// queue, drained FIFO up to the caps. [`None`] when everything is
-    /// empty. Emptied queues are dropped so the map stays bounded by the
-    /// live fan-out, not fleet history.
-    pub(crate) fn pop_batch(&self, config: &BatchConfig) -> Option<(NodeId, Vec<QueuedMsg>)> {
-        let queues = &mut self.queues.lock().by_peer;
-        let to = queues.iter().find(|(_, q)| !q.is_empty()).map(|(id, _)| *id)?;
-        let mut batch = Vec::new();
-        let mut bytes = 0usize;
-        if let Some(queue) = queues.get_mut(&to) {
-            while let Some(front) = queue.front() {
-                if !batch.is_empty()
-                    && (batch.len() >= config.max_batch_msgs.max(1)
-                        || bytes + front.len() > config.max_batch_bytes)
-                {
-                    break;
-                }
-                bytes += front.len();
-                match queue.pop_front() {
-                    Some(msg) => batch.push(msg),
-                    None => break,
-                }
+    /// Take the next batch: the first (ascending id) peer's queue — the
+    /// map holds only peers with traffic — drained FIFO up to the caps.
+    /// [`None`] when everything is empty. Emptied queues are dropped so the
+    /// map stays bounded by the live fan-out, not fleet history.
+    pub fn pop_batch(&self, config: &BatchConfig) -> Option<(NodeId, Vec<QueuedMsg>)> {
+        let mut queued = self.queues.lock();
+        let mut entry = queued.by_peer.first_entry()?;
+        let (queue, mut batch, mut bytes) = (entry.get_mut(), Vec::new(), 0);
+        while let Some(front) = queue.front() {
+            if !batch.is_empty()
+                && (batch.len() >= config.max_batch_msgs.max(1) || bytes + front.len() > config.max_batch_bytes)
+            {
+                break;
             }
-            if queue.is_empty() {
-                queues.remove(&to);
-            }
+            bytes += front.len();
+            batch.extend(queue.pop_front());
         }
-        if batch.is_empty() {
-            None
-        } else {
-            Some((to, batch))
+        let to = *entry.key();
+        if entry.get().is_empty() {
+            entry.remove();
         }
+        Some((to, batch))
     }
 
     pub(crate) fn set_unreachable_hook(&self, hook: Arc<dyn Fn(SocketAddr) + Send + Sync>) {
@@ -364,6 +344,23 @@ impl SenderQueues {
             hook(addr);
         }
     }
+}
+
+/// `batch` as the batch writer takes it — each message's target and XML —
+/// with every message's pieces joined, once, into `joined` (cleared first,
+/// its allocation reused from batch to batch).
+pub fn join<'a>(
+    batch: &'a [QueuedMsg],
+    joined: &'a mut String,
+) -> impl Iterator<Item = (Option<&'a str>, &'a str)> + Clone + 'a {
+    joined.clear();
+    batch.iter().flat_map(QueuedMsg::parts).for_each(|part| joined.push_str(part));
+    let mut rest: &'a str = joined;
+    batch.iter().map(move |msg| {
+        let (xml, after) = rest.split_at(msg.len());
+        rest = after;
+        (msg.target.as_deref(), xml)
+    })
 }
 
 /// The sender thread's whole protocol: park until woken, read the stop
@@ -466,9 +463,9 @@ mod model_tests {
         signal: Arc<WakeSignal>,
     ) -> thread::JoinHandle<Vec<String>> {
         thread::spawn(move || {
-            let mut drained = Vec::new();
+            let (mut drained, mut joined) = (Vec::new(), String::new());
             sender_loop(&signal, &queues, &BatchConfig::default(), |_, batch| {
-                drained.extend(batch.iter().map(|m| m.parts().concat()));
+                drained.extend(join(&batch, &mut joined).map(|(_, xml)| xml.to_string()));
             });
             drained
         })
@@ -586,7 +583,7 @@ mod model_tests {
                 let posted = drained.iter().filter(|xml| *xml == COPY).count();
                 assert_eq!(posted + withdrawn, 1, "posted {posted}, withdrawn {withdrawn}");
                 assert_eq!(drained.len(), 1 + posted, "{drained:?}");
-                assert_eq!(queues.withdrawn(), withdrawn as u64);
+                assert_eq!(queues.withdrawn.get(), withdrawn as u64);
                 assert!(queues.pop_batch(&BatchConfig::default()).is_none());
                 OUTCOMES.fetch_or(1 << withdrawn, std::sync::atomic::Ordering::Relaxed);
             });
@@ -778,9 +775,8 @@ mod tests {
             }
             // And to one peer the three notifications say their ~950
             // bytes of conversation once.
-            let parts = batch.iter().map(|m| (m.target.as_deref(), m.parts()));
-            let fresh = &mut String::new();
-            coded += wsg_soap::batch::write_batch_parts(parts, fresh, &mut wire) / (batch.len() - 1);
+            let (joined, fresh) = (&mut String::new(), &mut String::new());
+            coded += wsg_soap::batch::write_batch_after(join(&batch, joined), fresh, &mut wire) / (batch.len() - 1);
         }
         // One copy of each notification holds its bytes; every other one
         // kept its `To` and `MessageID` — the port digits through the id —
@@ -829,7 +825,7 @@ mod tests {
         assert_eq!(queues.withdraw(NodeId(9), &id(origin, 7)), 0, "nothing queued there");
         assert_eq!(queues.withdraw(NodeId(1), &id(origin, 7)), 1);
         assert_eq!(queues.withdraw(NodeId(1), &id(origin, 7)), 0, "gone already");
-        assert_eq!(queues.withdrawn(), 1);
+        assert_eq!(queues.withdrawn.get(), 1);
         assert!(!queues.queues.lock().by_peer.contains_key(&NodeId(1)), "an emptied queue is dropped");
         let mut own = 0;
         while let Some((to, batch)) = queues.pop_batch(&BatchConfig::default()) {
@@ -947,7 +943,7 @@ mod tests {
                 // took nothing left nothing behind.
                 let peers: Vec<usize> = queues.queues.lock().by_peer.keys().map(|id| id.0).collect();
                 prop_assert_eq!(peers, model.keys().copied().collect::<Vec<_>>());
-                prop_assert_eq!(queues.withdrawn(), withdrawn);
+                prop_assert_eq!(queues.withdrawn.get(), withdrawn);
             }
             while let Some((to, batch)) = queues.pop_batch(&BatchConfig::default()) {
                 let queue = model.get_mut(&to.0).unwrap();
@@ -967,11 +963,15 @@ mod tests {
 
     #[test]
     fn shared_pieces_batch_to_the_same_bytes_as_whole_messages() {
-        use wsg_soap::batch::{write_batch, write_batch_parts, BatchItem};
-        // Declarations that differ half-way through: the common prefix ends
-        // inside one, where the batch writer could no longer strip it.
+        use wsg_soap::batch::{write_batch, write_batch_after, BatchItem};
+        // Forwards that share their bytes, a stranger, and declarations
+        // that differ half-way through: the common prefix ends inside one.
         let tail = format!("<a>{}</a>", "x".repeat(200));
+        let forward = |to: usize| format!("<env:Envelope><To>{to}</To><env:Body>{tail}</env:Body></env:Envelope>");
         let xmls = [
+            forward(1),
+            forward(2),
+            "<other/>".to_string(),
             format!("<?xml version=\"1.0\"?>{tail}"),
             format!("<?xml version=\"1.1\"?>{tail}"),
             format!("  <?xml version=\"1.0\"?><b/>{tail}"),
@@ -982,14 +982,20 @@ mod tests {
             queues.push(NodeId(1), None, xml.clone());
         }
         let (_, batch) = queues.pop_batch(&BatchConfig::default()).unwrap();
-        assert!(batch.iter().any(|m| !m.parts()[1].is_empty()), "nothing was shared");
+        assert_eq!(batch.len(), xmls.len());
+        assert!(batch.iter().filter(|m| !m.parts()[1].is_empty()).count() >= 3, "too little was shared");
         let items: Vec<BatchItem<'_>> =
             xmls.iter().map(|xml| BatchItem { target: None, xml }).collect();
-        let (mut whole, mut pieces) = (String::new(), String::new());
-        write_batch(&items, &mut whole);
-        let parts = batch.iter().map(|m| (m.target.as_deref(), m.parts()));
-        write_batch_parts(parts, &mut String::new(), &mut pieces);
+        let (mut whole, mut joined, mut pieces) = (String::new(), String::new(), String::new());
+        // Queued, joined and written, as the sender does: the bytes whole
+        // messages batch to. A stale buffer is cleared.
+        joined.push_str("stale");
+        let left_out = write_batch(&items, &mut whole);
+        let mut reference = String::new();
+        assert_eq!(write_batch_after(join(&batch, &mut joined), &mut reference, &mut pieces), left_out);
         assert_eq!(pieces, whole);
+        assert_eq!(reference, tail);
+        assert_eq!(joined, xmls.concat());
     }
 
     #[test]

@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 use wsg_net::rng::{Pcg32, RngExt};
 use wsg_net::sync::Mutex;
 use wsg_obs::{Counter, Family, HistogramMetric, Registry};
-use wsg_soap::batch::{text_of, write_batch_parts};
+use wsg_soap::batch::{text_of, write_batch_after};
 
 use crate::message::Response;
 use crate::parser::{Parsed, ResponseParser};
@@ -241,7 +241,7 @@ impl SoapHttpClient {
         })
     }
 
-    /// POST `items` — `(target, parts)` as `wsg_soap::batch::write_batch_parts`
+    /// POST `items` — `(target, xml)` as `wsg_soap::batch::write_batch_after`
     /// takes them — to `addr` as one `wsgb:Batch`, its first message coded
     /// against the last one the connection carried: a pooled connection's,
     /// nothing on a fresh one. The head names no `SOAPAction`: SOAP 1.2's
@@ -257,10 +257,10 @@ impl SoapHttpClient {
         addr: SocketAddr,
         target: &str,
         extra_headers: &[(String, String)],
-        items: impl Iterator<Item = (Option<&'a str>, [&'a str; 3])> + Clone,
+        items: impl Iterator<Item = (Option<&'a str>, &'a str)> + Clone,
     ) -> Result<PostOutcome, PostError> {
         self.send(addr, None, |said, scratch| {
-            let left_out = write_batch_parts(items.clone(), said, &mut scratch.body);
+            let left_out = write_batch_after(items.clone(), said, &mut scratch.body);
             frame(&mut scratch.head, addr, target, None, extra_headers, scratch.body.len());
             left_out
         })
@@ -787,7 +787,7 @@ mod tests {
             .collect();
         let post = |xml: &String| {
             let outcome = client
-                .post_batch(addr, "/gossip", &[], std::iter::once((None, [xml.as_str(), "", ""])))
+                .post_batch(addr, "/gossip", &[], std::iter::once((None, xml.as_str())))
                 .unwrap();
             assert_eq!(outcome.response.status, 202);
             outcome
@@ -957,7 +957,7 @@ mod tests {
     #[test]
     fn a_batch_post_is_its_head_then_the_batch_with_no_soap_action() {
         // Two batch POSTs over one kept-alive stream, captured raw: each is
-        // the builder's head and the batch `write_batch_parts` writes for
+        // the builder's head and the batch `write_batch_after` writes for
         // that connection, byte for byte, and names no `SOAPAction`.
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -987,11 +987,11 @@ mod tests {
         let xmls: Vec<String> = (0..3).map(|n| sample_xml().replace("101.25", &format!("10{n}"))).collect();
         let mut said = String::new();
         for post in [&xmls[..2], &xmls[2..]] {
-            let items = post.iter().map(|xml| (None, [xml.as_str(), "", ""]));
+            let items = post.iter().map(|xml| (None, xml.as_str()));
             let outcome = client.post_batch(addr, "/gossip", &node_header, items.clone()).unwrap();
             assert_eq!(outcome.response.status, 202);
             let mut body = String::new();
-            assert_eq!(write_batch_parts(items, &mut said, &mut body), outcome.left_out);
+            assert_eq!(write_batch_after(items, &mut said, &mut body), outcome.left_out);
             let expected = Request::post("/gossip", body.into_bytes())
                 .with_header("Host", addr.to_string())
                 .with_header("Content-Type", SOAP_CONTENT_TYPE)

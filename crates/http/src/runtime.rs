@@ -56,7 +56,7 @@ use wsg_net::time::WallClock;
 use wsg_obs::{Counter, HistogramMetric, Registry};
 use wsg_soap::{Fault, FaultCode};
 
-use crate::batch::{sender_loop, BatchConfig, OutboundHandle, SenderQueues, WakeSignal};
+use crate::batch::{join, sender_loop, BatchConfig, OutboundHandle, SenderQueues, WakeSignal};
 use crate::client::{HttpClientConfig, PostError, PostOutcome, SoapHttpClient};
 use crate::server::{
     HttpServerConfig, SoapHttpServer, SoapReply, SoapRequest, Service, NODE_HEADER,
@@ -83,7 +83,7 @@ pub struct NetRuntimeConfig {
     pub batch: BatchConfig,
 }
 
-/// Transport-level counters a node's sender thread accumulated.
+/// Transport-level counts: a node's `wsg_transport_*` metrics, read when its sender ends.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransportStats {
     /// HTTP POSTs that reached their destination (any HTTP status). With
@@ -296,10 +296,8 @@ where
         // on the node's socket shows all of them.
         let registry = Arc::new(Registry::new());
         let (inbox_tx, inbox_rx) = channel();
-        let queues = Arc::new(SenderQueues::counting(registry.register_counter(
-            "wsg_transport_withdrawn_total",
-            "Queued gossip copies dropped unposted because their peer sent this node the notification first",
-        )));
+        let transport = TransportMetrics::new(&registry);
+        let queues = Arc::new(SenderQueues::counting(Arc::clone(&transport.withdrawn)));
 
         // Server: route-matched targets go to their service; everything
         // else is enqueued as received for the node's own thread to parse
@@ -339,13 +337,10 @@ where
         let batch_config = self.config.batch.clone();
         let outbound = OutboundHandle::new(Arc::clone(&queues), Arc::clone(&signal), batch_config.clone());
         let client = SoapHttpClient::new_observed(client_seed, self.config.client.clone(), &registry);
-        let transport = TransportMetrics::new(&registry);
         let directory = Arc::clone(&self.directory);
         let sender_handle = std::thread::Builder::new()
             .name(format!("wsg-net-sender-{index}"))
-            .spawn(move || {
-                run_sender(index, signal, queues, batch_config, client, directory, transport)
-            })
+            .spawn(move || run_sender(index, signal, queues, batch_config, client, directory, transport))
             .expect("spawn sender thread");
 
         // Node loop: the shared live loop with the sender's queues as
@@ -526,16 +521,18 @@ where
     }
 }
 
-/// Live `wsg_transport_*` counters mirrored into a node's registry by
-/// its sender thread, alongside the `TransportStats` it returns on join.
+/// The `wsg_transport_*` metrics in a node's registry: the one tally of
+/// what its sender thread and queues did.
 struct TransportMetrics {
     posts_ok: Arc<Counter>,
     posts_failed: Arc<Counter>,
+    msgs_failed: Arc<Counter>,
     batch_msgs: Arc<HistogramMetric>,
     posts_saved: Arc<Counter>,
     batch_shared_bytes: Arc<Counter>,
     attempts: Arc<Counter>,
     unroutable: Arc<Counter>,
+    withdrawn: Arc<Counter>,
 }
 
 impl TransportMetrics {
@@ -548,6 +545,10 @@ impl TransportMetrics {
             posts_failed: registry.register_counter(
                 "wsg_transport_posts_failed_total",
                 "HTTP POSTs that failed after all retries",
+            ),
+            msgs_failed: registry.register_counter(
+                "wsg_transport_msgs_failed_total",
+                "Envelopes lost in POSTs that failed after all retries",
             ),
             batch_msgs: registry.register_histogram(
                 "wsg_transport_batch_msgs",
@@ -569,12 +570,24 @@ impl TransportMetrics {
                 "wsg_transport_unroutable_total",
                 "Outbound envelopes addressed to node ids absent from the directory",
             ),
+            withdrawn: registry.register_counter(
+                "wsg_transport_withdrawn_total",
+                "Queued gossip copies dropped unposted because their peer sent this node the notification first",
+            ),
         }
+    }
+
+    /// The counts so far: each envelope of a delivered POST but its first saved a POST.
+    fn stats(&self) -> TransportStats {
+        let (posts_ok, posts_saved, attempts) = (self.posts_ok.get(), self.posts_saved.get(), self.attempts.get());
+        let (posts_failed, msgs_failed) = (self.posts_failed.get(), self.msgs_failed.get());
+        let (unroutable, withdrawn, msgs_ok) = (self.unroutable.get(), self.withdrawn.get(), posts_ok + posts_saved);
+        TransportStats { posts_ok, posts_failed, msgs_ok, msgs_failed, posts_saved, attempts, unroutable, withdrawn }
     }
 }
 
 /// A node's sender thread: [`sender_loop`] with the HTTP posting step —
-/// route, POST as a batch coded against the connection, account.
+/// route, join, POST as a batch coded against the connection, count.
 fn run_sender(
     index: usize,
     signal: Arc<WakeSignal>,
@@ -584,24 +597,18 @@ fn run_sender(
     directory: Arc<NodeDirectory>,
     metrics: TransportMetrics,
 ) -> TransportStats {
-    let mut stats = TransportStats::default();
     let node_header = [(NODE_HEADER.to_string(), index.to_string())];
+    let mut joined = String::new();
     sender_loop(&signal, &queues, &config, |to, batch| {
         let count = batch.len() as u64;
         // Route through the live directory: a peer removed after these
         // envelopes were queued is dropped here instead of dialed.
         let Some(addr) = directory.addr_of(to) else {
-            stats.unroutable += count;
             metrics.unroutable.add(count);
             return;
         };
-        let items = batch.iter().map(|m| (m.target.as_deref(), m.parts()));
-        match client.post_batch(addr, GOSSIP_TARGET, &node_header, items) {
+        match client.post_batch(addr, GOSSIP_TARGET, &node_header, join(&batch, &mut joined)) {
             Ok(outcome) => {
-                stats.posts_ok += 1;
-                stats.msgs_ok += count;
-                stats.posts_saved += count - 1;
-                stats.attempts += u64::from(outcome.attempts);
                 metrics.posts_ok.inc();
                 metrics.batch_msgs.observe(count);
                 metrics.posts_saved.add(count - 1);
@@ -609,10 +616,8 @@ fn run_sender(
                 metrics.attempts.add(u64::from(outcome.attempts));
             }
             Err(err) => {
-                stats.posts_failed += 1;
-                stats.msgs_failed += count;
-                stats.attempts += u64::from(err.attempts);
                 metrics.posts_failed.inc();
+                metrics.msgs_failed.add(count);
                 metrics.attempts.add(u64::from(err.attempts));
                 // Refused means nobody is listening on that socket; let
                 // whoever registered a hook (the membership plane) know.
@@ -622,8 +627,7 @@ fn run_sender(
             }
         }
     });
-    stats.withdrawn = queues.withdrawn();
-    stats
+    metrics.stats()
 }
 
 #[cfg(test)]
@@ -796,6 +800,44 @@ mod tests {
             nodes[0].transport
         );
         assert!(nodes[1].protocol.seen.is_empty());
+    }
+
+    #[test]
+    fn transport_stats_are_what_the_node_metrics_say() {
+        // Node 0 answers pings from node 1, whose pongs are delivered, and
+        // from refused node 2, whose pongs fail after their retries.
+        let mut config = quick_config();
+        config.refuse = vec![NodeId(2)];
+        let pongers = (0..3).map(|_| Ponger { seen: Vec::new() }).collect();
+        let net = NetRuntime::spawn(pongers, 17, config);
+        for _ in 0..3 {
+            net.send_local(NodeId(1), NodeId(0), envelope_xml("ping", "urn:test:Ping"));
+            net.send_local(NodeId(2), NodeId(0), envelope_xml("ping", "urn:test:Ping"));
+        }
+        let registries: Vec<Arc<Registry>> = (0..3).map(|n| net.registry_of(NodeId(n))).collect();
+        let nodes = net.shutdown_after(Duration::from_millis(900));
+        // What `GET /metrics` renders of each registry, read back.
+        for (n, (node, registry)) in nodes.iter().zip(&registries).enumerate() {
+            let samples = wsg_obs::parse_exposition(&registry.render()).unwrap();
+            let metric = |name: &str| match samples.iter().find(|(key, _)| key == name) {
+                Some((_, value)) => *value as u64,
+                None => panic!("node {n} has no {name}"),
+            };
+            let scraped = TransportStats {
+                posts_ok: metric("wsg_transport_posts_ok_total"),
+                posts_failed: metric("wsg_transport_posts_failed_total"),
+                msgs_ok: metric("wsg_transport_batch_msgs_sum"),
+                msgs_failed: metric("wsg_transport_msgs_failed_total"),
+                posts_saved: metric("wsg_transport_posts_saved_total"),
+                attempts: metric("wsg_transport_attempts_total"),
+                unroutable: metric("wsg_transport_unroutable_total"),
+                withdrawn: metric("wsg_transport_withdrawn_total"),
+            };
+            assert_eq!(node.transport, scraped, "node {n}");
+        }
+        let sent = nodes[0].transport;
+        assert_eq!((sent.msgs_ok, sent.msgs_failed), (3, 3), "{sent:?}");
+        assert!(sent.posts_failed >= 1 && sent.attempts > sent.posts_ok + sent.posts_failed, "{sent:?}");
     }
 
     #[test]

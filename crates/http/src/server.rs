@@ -1008,8 +1008,8 @@ mod tests {
         assert_eq!(exchange(&mut stream, &good).status, 202);
         let mut said = wsg_soap::batch::text_of(&xmls[2]).to_string();
         let mut next = String::new();
-        let items = [xmls[0].as_str(), &xmls[1]].map(|xml| (None, [xml, "", ""]));
-        assert!(wsg_soap::batch::write_batch_parts(items.into_iter(), &mut said, &mut next) > 0);
+        let items = [xmls[0].as_str(), &xmls[1]].map(|xml| (None, xml));
+        assert!(wsg_soap::batch::write_batch_after(items.into_iter(), &mut said, &mut next) > 0);
         let ops = &next[next.find(" ops=\"").unwrap() + 6..];
         assert!(ops[..ops.find('"').unwrap()].contains(':'), "{next}");
         assert_eq!(exchange(&mut stream, &next).status, 202);

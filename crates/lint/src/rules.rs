@@ -1194,6 +1194,42 @@ mod tests {
         assert!(lint_at("crates/gossip/src/engine.rs", paths).is_empty());
     }
 
+    /// DESIGN.md §14 lists each instrumented parser with its probe count:
+    /// every `cov!()` outside test code in the file, which is what the
+    /// fuzzer's edge map can see there.
+    #[test]
+    fn the_design_probe_table_counts_every_probe_in_each_parser() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md");
+        let section = design.split("\n## 14.").nth(1).expect("§14").split("\n## ").next().unwrap_or("");
+        // Rows `| target | `file` | probes | parses |`.
+        let table: std::collections::BTreeMap<&str, usize> = section
+            .lines()
+            .filter_map(|line| {
+                let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+                let file = cells.get(2)?.strip_prefix('`')?.strip_suffix('`')?;
+                Some((file, cells.get(3)?.parse().ok()?))
+            })
+            .collect();
+        // The macro's own module is no parser.
+        let parsers: std::collections::BTreeMap<&str, usize> = F1_COV_FILES
+            .iter()
+            .filter(|file| **file != "crates/net/src/cov.rs")
+            .map(|&file| {
+                let src = std::fs::read_to_string(root.join(file)).expect("parser source");
+                let tokens = lex(&src);
+                let code: Vec<Token<'_>> = tokens.iter().copied().filter(|t| !t.is_comment()).collect();
+                let tests = test_regions(&code);
+                let probes = (0..code.len())
+                    .filter(|&i| code[i].is_ident("cov") && code.get(i + 1).is_some_and(|t| t.is_punct('!')))
+                    .filter(|&i| !tests.iter().any(|&(lo, hi)| (lo..=hi).contains(&i)))
+                    .count();
+                (file, probes)
+            })
+            .collect();
+        assert_eq!(table, parsers, "DESIGN.md §14's probe table against the sources");
+    }
+
     #[test]
     fn f1_allow_comment_suppresses() {
         let src = "fn f() { cov!(); } // wsg_lint: allow(cov-scope)\n";

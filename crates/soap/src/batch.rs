@@ -40,19 +40,21 @@
 //! keep-alive connection**: the `Msg` before it in this document or, for
 //! the first, the last message of the previous request on the connection
 //! (a bare envelope's is its body past the prologue). Each end keeps that
-//! text between requests — the *reference* [`write_batch_parts`] and
+//! text between requests — the *reference* [`write_batch_after`] and
 //! [`parse_wire_after`] take and advance; on a fresh connection it is
 //! empty, and a copy on the first `Msg` there is refused. [`write_batch`]
 //! and [`parse_wire`] are the fresh-connection forms.
 //!
 //! Building a batch never re-parses: the sender already holds each inner
-//! envelope as serialised XML, so [`write_batch`] splices the strings
-//! (declarations stripped) into a caller-owned scratch buffer. Unwrapping
-//! gives every message back as the standalone document it was, rebuilt and
-//! then checked exactly as a bare POST is. The transport's sender posts
-//! every message this way, one or many to a batch (see
-//! `wsg_http::runtime`).
+//! envelope as serialised XML, one string per message (`wsg_http`'s queue
+//! keeps forward copies in shared pieces and joins a drained batch once),
+//! so [`write_batch`] splices the strings (declarations stripped) into a
+//! caller-owned scratch buffer. Unwrapping gives every message back as the
+//! standalone document it was, rebuilt and then checked exactly as a bare
+//! POST is. The transport's sender posts every message this way, one or
+//! many to a batch (see `wsg_http::runtime`).
 
+use std::borrow::Cow;
 use std::ops::Range;
 
 use wsg_net::cov;
@@ -137,25 +139,23 @@ impl BatchedEnvelope {
 /// declarations are stripped, and a message whose markup repeats the one
 /// before it is coded. Returns the bytes coding left out.
 pub fn write_batch(items: &[BatchItem<'_>], out: &mut String) -> usize {
-    write_coded(items.iter().map(|item| (item.target, [item.xml, "", ""])), "", out).0
+    write_coded(items.iter().map(|item| (item.target, item.xml)), "", out).0
 }
 
-/// [`write_batch`] mid-connection, over messages held in pieces —
-/// `(target, parts)`, the inner XML being the parts in order — so a sender
-/// whose queued copies of one notification share most of their bytes can
-/// splice them without joining each first. The first message may be coded
-/// against `reference`, the text of the last message said on the
-/// connection (empty on a fresh one), which then becomes the text of the
-/// last message written here.
-pub fn write_batch_parts<'a>(
-    items: impl Iterator<Item = (Option<&'a str>, [&'a str; 3])> + Clone,
+/// [`write_batch`] mid-connection, over `(target, xml)` pairs: the first
+/// message may be coded against `reference`, the text of the last message
+/// said on the connection (empty on a fresh one), which then becomes the
+/// text of the last message written here — as [`parse_wire_after`] does on
+/// the other end.
+pub fn write_batch_after<'a>(
+    items: impl Iterator<Item = (Option<&'a str>, &'a str)> + Clone,
     reference: &mut String,
     out: &mut String,
 ) -> usize {
     let (left_out, last) = write_coded(items, reference, out);
     if let Some(last) = last {
         reference.clear();
-        last.iter().for_each(|part| reference.push_str(part));
+        reference.push_str(last);
     }
     left_out
 }
@@ -164,34 +164,31 @@ pub fn write_batch_parts<'a>(
 /// text before it — the first against `reference` — into `out`; the bytes
 /// left out and the last message's text.
 ///
-/// A message's literal runs are copied piece by piece into its CDATA
-/// section, and every `]]>` in them — a payload's CDATA section ending,
-/// say — is split across two sections as it is copied (see
-/// [`push_in_section`]): the receiver joins the runs, so whatever the
-/// message holds, it is coded. One with nothing worth copying is a single
-/// literal run.
+/// A message's literal runs are copied into its CDATA section, and every
+/// `]]>` in them — a payload's CDATA section ending, say — is split across
+/// two sections as it is copied (see [`push_in_section`]): the receiver
+/// joins the runs, so whatever the message holds, it is coded. One with
+/// nothing worth copying is a single literal run.
 fn write_coded<'a>(
-    items: impl Iterator<Item = (Option<&'a str>, [&'a str; 3])> + Clone,
+    items: impl Iterator<Item = (Option<&'a str>, &'a str)> + Clone,
     reference: &str,
     out: &mut String,
-) -> (usize, Option<[&'a str; 3]>) {
+) -> (usize, Option<&'a str>) {
     out.clear();
-    let body: usize =
-        items.clone().map(|(_, parts)| parts.iter().map(|p| p.len()).sum::<usize>() + 24).sum();
+    let body: usize = items.clone().map(|(_, xml)| xml.len() + 24).sum();
     out.reserve(64 + body);
     out.push_str("<wsgb:Batch xmlns:wsgb=\"");
     out.push_str(BATCH_NS);
     out.push_str("\">");
     // The text before the next message, and where its markup lies, once
     // worked out.
-    let mut before = Text::new([reference, "", ""]);
+    let mut before = reference;
     let mut before_markup = None;
     let mut last = None;
     let mut runs = Vec::new();
     let mut left_out = 0;
-    for (target, parts) in items {
-        let parts = without_declaration(parts);
-        let text = Text::new(parts);
+    for (target, xml) in items {
+        let text = text_of(xml);
         out.push_str("<wsgb:Msg");
         if let Some(target) = target {
             out.push_str(" target=\"");
@@ -200,9 +197,9 @@ fn write_coded<'a>(
         }
         // What the matcher finds of the message's own markup, if it runs;
         // worked out again when the next message needs it otherwise.
-        let markup = match before_markup.get_or_insert_with(|| before.markup()).clone() {
+        let markup = match before_markup.get_or_insert_with(|| markup_of(before)).clone() {
             Some(from) => {
-                let (copied, markup) = match_markup(&text, &before, from, &mut runs);
+                let (copied, markup) = match_markup(text, before, from, &mut runs);
                 left_out += copied;
                 Some(markup)
             }
@@ -212,8 +209,8 @@ fn write_coded<'a>(
                 None
             }
         };
-        write_runs(out, &text, &runs);
-        (before, before_markup, last) = (text, markup, Some(parts));
+        write_runs(out, text, &runs);
+        (before, before_markup, last) = (text, markup, Some(text));
     }
     out.push_str("</wsgb:Batch>");
     (left_out, last)
@@ -222,7 +219,7 @@ fn write_coded<'a>(
 /// The `ops` attribute, the literal runs as one CDATA section and the end
 /// tag of a message coded as `runs` out of the text before it (none: one
 /// literal run, `0` for an empty text).
-fn write_runs(out: &mut String, text: &Text<'_>, runs: &[Copied]) {
+fn write_runs(out: &mut String, text: &str, runs: &[Copied]) {
     out.push_str(" ops=\"");
     let mut said = 0;
     for run in runs {
@@ -244,10 +241,10 @@ fn write_runs(out: &mut String, text: &Text<'_>, runs: &[Copied]) {
     out.push_str("\"><![CDATA[");
     let mut said = 0;
     for run in runs {
-        text.push_in_section(out, said..run.at);
+        push_in_section(out, &text[said..run.at]);
         said = run.at + run.len;
     }
-    text.push_in_section(out, said..text.len());
+    push_in_section(out, &text[said..]);
     out.push_str("]]></wsgb:Msg>");
 }
 
@@ -298,13 +295,15 @@ impl Copied {
 /// over. So the ~900 bytes two forwards share are never scanned tag by
 /// tag.
 fn match_markup(
-    text: &Text<'_>,
-    before: &Text<'_>,
+    text: &str,
+    before: &str,
     from: Range<usize>,
     runs: &mut Vec<Copied>,
 ) -> (usize, Option<Range<usize>>) {
     runs.clear();
-    let mut shared = text.common(0, before, 0, from.start.min(text.len()));
+    let (bytes, before) = (text.as_bytes(), before.as_bytes());
+    let start = from.start.min(text.len());
+    let mut shared = common(&bytes[..start], &before[..start]);
     while !text.is_char_boundary(shared) {
         shared -= 1;
     }
@@ -313,17 +312,17 @@ fn match_markup(
         Some(shared)
     } else {
         // The shared start may end inside the body's start tag.
-        match text.rfind(0..shared, b'<').filter(|&open| text.starts_body(open)) {
-            Some(open) => text.find(open..text.len(), b'>').map(|close| close + 1),
-            None => resync(text, shared..text.len(), before, shared..from.start, runs),
+        match rfind(&bytes[..shared], b'<').filter(|&open| starts_body(bytes, open)) {
+            Some(open) => find_byte(bytes, open, b'>').map(|close| close + 1),
+            None => resync(bytes, shared..text.len(), before, shared..from.start, runs),
         }
     };
     let Some(head) = head else {
         runs.clear();
         return (0, None);
     };
-    let tail = text.body_end(head);
-    resync(text, tail..text.len(), before, from.end..before.len(), runs);
+    let tail = body_end(bytes, head);
+    resync(bytes, tail..text.len(), before, from.end..before.len(), runs);
     runs.retain(Copied::pays);
     (runs.iter().map(|run| run.len).sum(), Some(head..tail))
 }
@@ -341,215 +340,116 @@ fn match_markup(
 /// the next `>`: every byte of `text` is looked at a bounded number of
 /// times, however its markup is spelled.
 fn resync(
-    text: &Text<'_>,
+    text: &[u8],
     mut at: Range<usize>,
-    before: &Text<'_>,
+    before: &[u8],
     mut from: Range<usize>,
     runs: &mut Vec<Copied>,
 ) -> Option<usize> {
-    while let Some(open) = text.find(at.clone(), b'<') {
-        let close = text.position(open + 1..at.end, |b| b == b'<' || b == b'>')?;
-        if text.byte(close) == Some(b'<') {
+    while let Some(open) = find_byte(&text[..at.end], at.start, b'<') {
+        let close = open + 1 + text[open + 1..at.end].iter().position(|&b| b == b'<' || b == b'>')?;
+        if text[close] == b'<' {
             at.start = close;
             continue;
         }
-        let window = from.start..from.end.min(from.start + LOOKAHEAD_BYTES);
-        let mut next = window.start;
+        let window = &before[..from.end.min(from.start + LOOKAHEAD_BYTES)];
+        let mut next = from.start;
         let found = (0..LOOKAHEAD).find_map(|_| {
-            let candidate = before.find(next..window.end, b'<')?;
+            let candidate = find_byte(window, next, b'<')?;
             next = candidate + 1;
-            let same = text.common(open, before, candidate, (at.end - open).min(from.end - candidate));
+            let same = common(&text[open..at.end], &before[candidate..from.end]);
             (same > close - open).then_some((candidate, same))
         });
         match found {
             Some((candidate, same)) => {
-                let end = text.rfind(open..open + same, b'>').unwrap_or(close) + 1;
+                let end = rfind(&text[open..open + same], b'>').map_or(close, |end| open + end) + 1;
                 runs.push(Copied { at: open, from: candidate, len: end - open });
                 (at.start, from.start) = (end, candidate + end - open);
                 if from.start == from.end {
                     return Some(end);
                 }
             }
-            None if text.starts_body(open) => return Some(close + 1),
+            None if starts_body(text, open) => return Some(close + 1),
             None => at.start = open + 1,
         }
     }
     None
 }
 
-/// A text held in up to three pieces, read as one string and addressed by
-/// byte offsets into the whole: a message as the sender's queue holds it,
-/// or a coded message's literal runs as the reader meets them.
-struct Text<'t> {
-    parts: [&'t str; 3],
-    /// Where each part starts, and the total length last.
-    starts: [usize; 4],
+/// How many bytes `x` and `y` start with in common: whole 64-byte blocks
+/// first (slice equality is a memcmp), single bytes to finish.
+fn common(x: &[u8], y: &[u8]) -> usize {
+    let run: usize = x.chunks(64).zip(y.chunks(64)).take_while(|(p, q)| p == q).map(|(p, _)| p.len()).sum();
+    run + x[run..].iter().zip(&y[run..]).take_while(|(p, q)| p == q).count()
 }
 
-impl<'t> Text<'t> {
-    fn new(parts: [&'t str; 3]) -> Self {
-        let mut starts = [0; 4];
-        for (k, part) in parts.iter().enumerate() {
-            starts[k + 1] = starts[k] + part.len();
+/// Where the last `byte` in `bytes` stands.
+fn rfind(bytes: &[u8], byte: u8) -> Option<usize> {
+    bytes.iter().rposition(|&b| b == byte)
+}
+
+/// Where the message's envelope markup stops and starts again: past its
+/// first `Body` start tag (of any prefix), and at its last `Body` end tag
+/// after that — or where it stopped, when there is none (an empty
+/// `<env:Body/>`). `None` for a text without a `Body` start tag.
+fn markup_of(text: &str) -> Option<Range<usize>> {
+    let bytes = text.as_bytes();
+    body_start(bytes).map(|head| head..body_end(bytes, head))
+}
+
+/// Past the first `Body` start tag in `text`.
+fn body_start(text: &[u8]) -> Option<usize> {
+    let mut at = 0;
+    loop {
+        let body = find_byte(text, at, b'B')?;
+        if let Some((open, false)) = body_tag(text, body) {
+            return Some(find_byte(text, open, b'>')? + 1);
         }
-        Text { parts, starts }
+        at = body + 1;
     }
+}
 
-    fn len(&self) -> usize {
-        self.starts[3]
-    }
-
-    /// The bytes in `range`, part by part: which part, and where in it.
-    fn spans(&self, range: Range<usize>) -> impl DoubleEndedIterator<Item = (usize, Range<usize>)> + '_ {
-        (0..3).filter_map(move |k| {
-            let (start, end) = (range.start.max(self.starts[k]), range.end.min(self.starts[k + 1]));
-            (start < end).then(|| (k, start - self.starts[k]..end - self.starts[k]))
-        })
-    }
-
-    /// The bytes in `range` as slices, each with its offset in the text.
-    fn segments(&self, range: Range<usize>) -> impl DoubleEndedIterator<Item = (usize, &'t [u8])> + '_ {
-        self.spans(range).map(|(k, span)| (self.starts[k] + span.start, &self.parts[k].as_bytes()[span]))
-    }
-
-    /// Where the first `byte` in `range` stands.
-    fn find(&self, range: Range<usize>, byte: u8) -> Option<usize> {
-        self.segments(range).find_map(|(at, bytes)| Some(at + find_byte(bytes, 0, byte)?))
-    }
-
-    /// Where the first byte in `range` that `is` stands.
-    fn position(&self, range: Range<usize>, is: impl Fn(u8) -> bool) -> Option<usize> {
-        self.segments(range).find_map(|(at, bytes)| Some(at + bytes.iter().position(|&b| is(b))?))
-    }
-
-    /// Where the last `byte` in `range` stands.
-    fn rfind(&self, range: Range<usize>, byte: u8) -> Option<usize> {
-        self.rposition(range, |b| b == byte)
-    }
-
-    /// How many bytes, at most `limit`, `self` from `at` and `other` from
-    /// `other_at` have in common.
-    fn common(&self, at: usize, other: &Text<'_>, other_at: usize, limit: usize) -> usize {
-        let mut same = 0;
-        while same < limit {
-            let (Some((_, x)), Some((_, y))) = (
-                self.segments(at + same..at + limit).next(),
-                other.segments(other_at + same..other_at + limit).next(),
-            ) else {
-                break;
-            };
-            let span = x.len().min(y.len());
-            let (x, y) = (&x[..span], &y[..span]);
-            // Whole 64-byte blocks first (slice equality is a memcmp),
-            // single bytes to finish.
-            let mut run: usize =
-                x.chunks(64).zip(y.chunks(64)).take_while(|(p, q)| p == q).map(|(p, _)| p.len()).sum();
-            run += x[run..].iter().zip(&y[run..]).take_while(|(p, q)| p == q).count();
-            same += run;
-            if run < span {
-                break;
-            }
+/// Where the last `Body` end tag after `head` starts; `head` without one.
+fn body_end(text: &[u8], head: usize) -> usize {
+    let mut to = text.len();
+    while let Some(body) = rfind(&text[head..to], b'B') {
+        let body = head + body;
+        if let Some((open, true)) = body_tag(text, body) {
+            return open;
         }
-        same
+        to = body;
     }
+    head
+}
 
-    /// Whether the bytes at `at` are `expected`.
-    fn holds(&self, at: usize, expected: &str) -> bool {
-        let mut rest = expected.as_bytes();
-        for (_, bytes) in self.segments(at..at + expected.len()) {
-            match rest.strip_prefix(bytes) {
-                Some(after) => rest = after,
-                None => return false,
-            }
-        }
-        rest.is_empty()
+/// Whether the tag at `open` starts an element named `Body`.
+fn starts_body(text: &[u8], open: usize) -> bool {
+    // A name never holds a `<`: stopping there keeps a run of `<`s in a
+    // comment from being read once per `<`.
+    let ends = |b: &u8| matches!(b, b'>' | b'/' | b'<' | b' ' | b'\t' | b'\r' | b'\n');
+    let end = text[open + 1..].iter().position(ends).map(|end| open + 1 + end);
+    end.is_some_and(|end| end >= open + 5 && body_tag(text, end - 4) == Some((open, false)))
+}
+
+/// Whether the `B` at `at` begins the name `Body` of a start or an end
+/// tag, with or without a prefix: where that tag's `<` stands, and whether
+/// it ends an element. Found from a `B` rather than from every `<`, a
+/// `Body` costs one search a word at a time; stepping back over a prefix
+/// stops at its `:`, so no byte is stepped over twice.
+fn body_tag(text: &[u8], at: usize) -> Option<(usize, bool)> {
+    let delimiter = |b: u8| matches!(b, b'>' | b'/' | b' ' | b'\t' | b'\r' | b'\n');
+    if !text[at..].starts_with(b"Body") || !text.get(at + 4).is_some_and(|&b| delimiter(b)) {
+        return None;
     }
-
-    /// A part is a `str`: no character straddles two of them.
-    fn is_char_boundary(&self, at: usize) -> bool {
-        let k = (0..3).find(|&k| at < self.starts[k + 1]).unwrap_or(2);
-        self.parts[k].is_char_boundary(at - self.starts[k])
+    let mut open = at.checked_sub(1)?;
+    if text[open] == b':' {
+        let prefix = |b: u8| !(delimiter(b) || matches!(b, b'<' | b':' | b'=' | b'"' | b'\''));
+        open = text[..open].iter().rposition(|&b| !prefix(b))?;
     }
-
-    /// Where the message's envelope markup stops and starts again: past
-    /// its first `Body` start tag (of any prefix), and at its last `Body`
-    /// end tag after that — or where it stopped, when there is none (an
-    /// empty `<env:Body/>`). `None` for a text without a `Body` start tag.
-    fn markup(&self) -> Option<Range<usize>> {
-        self.body_start(0).map(|head| head..self.body_end(head))
-    }
-
-    /// Past the first `Body` start tag from `at` on.
-    fn body_start(&self, mut at: usize) -> Option<usize> {
-        loop {
-            let body = self.find(at..self.len(), b'B')?;
-            if let Some((open, false)) = self.body_tag(body) {
-                return Some(self.find(open..self.len(), b'>')? + 1);
-            }
-            at = body + 1;
-        }
-    }
-
-    /// Where the last `Body` end tag after `head` starts; `head` without
-    /// one.
-    fn body_end(&self, head: usize) -> usize {
-        let mut to = self.len();
-        while let Some(body) = self.rfind(head..to, b'B') {
-            if let Some((open, true)) = self.body_tag(body) {
-                return open;
-            }
-            to = body;
-        }
-        head
-    }
-
-    /// Whether the tag at `open` starts an element named `Body`.
-    fn starts_body(&self, open: usize) -> bool {
-        // A name never holds a `<`: stopping there keeps a run of `<`s in
-        // a comment from being read once per `<`.
-        let ends = |b: u8| matches!(b, b'>' | b'/' | b'<' | b' ' | b'\t' | b'\r' | b'\n');
-        let end = self.position(open + 1..self.len(), ends);
-        end.is_some_and(|end| end >= open + 5 && self.body_tag(end - 4) == Some((open, false)))
-    }
-
-    /// Whether the `B` at `at` begins the name `Body` of a start or an end
-    /// tag, with or without a prefix: where that tag's `<` stands, and
-    /// whether it ends an element. Found from a `B` rather than from every
-    /// `<`, a `Body` costs one search a word at a time; stepping back over
-    /// a prefix stops at its `:`, so no byte is stepped over twice.
-    fn body_tag(&self, at: usize) -> Option<(usize, bool)> {
-        let delimiter = |b: u8| matches!(b, b'>' | b'/' | b' ' | b'\t' | b'\r' | b'\n');
-        if !self.holds(at, "Body") || !self.byte(at + 4).is_some_and(delimiter) {
-            return None;
-        }
-        let mut open = at.checked_sub(1)?;
-        if self.byte(open) == Some(b':') {
-            let prefix = |b: u8| !(delimiter(b) || matches!(b, b'<' | b':' | b'=' | b'"' | b'\''));
-            open = self.rposition(0..open, |b| !prefix(b))?;
-        }
-        match (self.byte(open), open.checked_sub(1).and_then(|lt| self.byte(lt))) {
-            (Some(b'<'), _) => Some((open, false)),
-            (Some(b'/'), Some(b'<')) => Some((open - 1, true)),
-            _ => None,
-        }
-    }
-
-    /// The byte at `at`.
-    fn byte(&self, at: usize) -> Option<u8> {
-        self.segments(at..at + 1).next().map(|(_, bytes)| bytes[0])
-    }
-
-    /// Where the last byte in `range` that `is` stands.
-    fn rposition(&self, range: Range<usize>, is: impl Fn(u8) -> bool) -> Option<usize> {
-        self.segments(range).rev().find_map(|(at, bytes)| Some(at + bytes.iter().rposition(|&b| is(b))?))
-    }
-
-    /// Append the text in `range` — which starts and ends on characters —
-    /// to the CDATA section open at the end of `out`.
-    fn push_in_section(&self, out: &mut String, range: Range<usize>) {
-        for (k, span) in self.spans(range) {
-            push_in_section(out, &self.parts[k][span]);
-        }
+    match (text[open], open.checked_sub(1).map(|lt| text[lt])) {
+        (b'<', _) => Some((open, false)),
+        (b'/', Some(b'<')) => Some((open - 1, true)),
+        _ => None,
     }
 }
 
@@ -557,7 +457,7 @@ impl<'t> Text<'t> {
 /// section before the `>` of every `]]>` and opening another for the `>`:
 /// `]]>` is written `]]]]><![CDATA[>`. The section's opening `<![CDATA[`
 /// ends in `[`, so the `]`s `out` ends with are the text's, and a `]]>`
-/// that straddles two pieces is found from them.
+/// that straddles two literal runs is found from them.
 fn push_in_section(out: &mut String, mut text: &str) {
     while !text.is_empty() {
         let close = if out.ends_with("]]") && text.starts_with('>') {
@@ -577,43 +477,14 @@ fn push_in_section(out: &mut String, mut text: &str) {
     }
 }
 
-/// `parts` without a leading `<?xml …?>` declaration — all of it in the
-/// first part that has any bytes (see [`prologue_len`]) — and the
-/// whitespace around it, so the envelope can stand inside the batch
-/// document.
-fn without_declaration(mut parts: [&str; 3]) -> [&str; 3] {
-    let mut declaration = true;
-    for part in &mut parts {
-        if declaration && !part.is_empty() {
-            *part = &part[prologue_len(part)..];
-            declaration = false;
-        }
-        *part = part.trim_start();
-        if !part.is_empty() {
-            break;
-        }
-    }
-    parts
-}
-
-/// Bytes of `xml` up to the end of a leading `<?xml …?>` declaration
-/// (leading whitespace up to the first markup when there is none) —
-/// where [`write_batch_parts`] starts copying. A message handed to it in
-/// pieces must have all of this in its first non-empty piece.
-pub fn prologue_len(xml: &str) -> usize {
-    let rest = xml.trim_start();
-    let leading = xml.len() - rest.len();
-    match rest.strip_prefix("<?xml").and_then(|after| after.find("?>")) {
-        Some(end) => leading + "<?xml".len() + end + "?>".len(),
-        None => leading,
-    }
-}
-
-/// The text a document has as a whole `Msg`: `xml` past its prologue and
-/// the whitespace after it. What a bare POST of `xml` leaves as its
+/// The text a document has as a whole `Msg`: `xml` past a leading
+/// `<?xml …?>` declaration and the whitespace around it. What the batch
+/// writer codes a message as, and what a bare POST of `xml` leaves as its
 /// connection's reference.
 pub fn text_of(xml: &str) -> &str {
-    xml[prologue_len(xml)..].trim_start()
+    let rest = xml.trim_start();
+    let past = rest.strip_prefix("<?xml").and_then(|after| Some(&after[after.find("?>")? + 2..]));
+    past.unwrap_or(rest).trim_start()
 }
 
 /// A wire document classified by [`parse_wire`].
@@ -757,15 +628,16 @@ fn envelope_shape(
 /// Every byte of the character data ends up in that text, which is read
 /// whole: a CDATA section — the writer's spelling, split once per `]]>` —
 /// is stepped over here by its `]]>` and not tokenized, so the literal is
-/// read once. The runs are kept as the reader hands them over, borrowed
-/// from `wire`, and joined only past the third.
+/// read once. The sections are kept as the reader hands them over,
+/// borrowed from `wire`, and joined only past the third: [`splice`] reads
+/// them in order.
 fn read_coded(
     reader: &mut XmlReader<'_>,
     ops: &str,
     before: &str,
     room: &mut usize,
 ) -> Result<(String, Option<GossipId<'static>>), SoapError> {
-    let mut literal: [std::borrow::Cow<'_, str>; 3] = Default::default();
+    let mut literal: [Cow<'_, str>; 3] = Default::default();
     let mut runs = 0;
     let mut push = |run| {
         if runs < literal.len() {
@@ -793,7 +665,7 @@ fn read_coded(
             _ => {}
         }
     }
-    let raw = splice(ops, before, &Text::new([&literal[0], &literal[1], &literal[2]]), room)?;
+    let raw = splice(ops, before, &literal, room)?;
     let mut rebuilt = XmlReader::new(&raw);
     read_root(&mut rebuilt)?;
     let gossip = envelope_shape(&mut rebuilt)??;
@@ -803,10 +675,10 @@ fn read_coded(
 
 /// A coded message's standalone form: the declaration, then the runs
 /// `ops` makes its text of, out of `before` and the message's own
-/// character data `literal`. Every run is checked, and charged to `room`,
-/// before anything is allocated; the text is then put together in one
-/// exact-capacity allocation.
-fn splice(ops: &str, before: &str, literal: &Text<'_>, room: &mut usize) -> Result<String, SoapError> {
+/// character data, in the sections of `literal`. Every run is checked, and
+/// charged to `room`, before anything is allocated; the text is then put
+/// together in one exact-capacity allocation.
+fn splice(ops: &str, before: &str, literal: &[Cow<'_, str>], room: &mut usize) -> Result<String, SoapError> {
     let mut left = *room;
     for run in runs(ops, before, literal) {
         left = spend(left, run?.len())?;
@@ -818,7 +690,14 @@ fn splice(ops: &str, before: &str, literal: &Text<'_>, room: &mut usize) -> Resu
         match run {
             Run::Copy(copied) => raw.push_str(copied),
             Run::Literal(range) => {
-                literal.spans(range).for_each(|(k, span)| raw.push_str(&literal.parts[k][span]));
+                let mut start = 0;
+                for section in literal {
+                    let span = range.start.max(start)..range.end.min(start + section.len());
+                    if !span.is_empty() {
+                        raw.push_str(&section[span.start - start..span.end - start]);
+                    }
+                    start += section.len();
+                }
             }
         }
     }
@@ -842,30 +721,28 @@ impl Run<'_> {
 }
 
 /// The runs `ops` makes a coded message's text of, in order — each copy a
-/// slice of `before`, each literal the next bytes of `literal`, both on
-/// characters — and, when the list is through with `literal` left over,
-/// an error. Allocates nothing but the error.
+/// slice of `before`, each literal the next bytes of the character data in
+/// `literal`, both on characters — and, when the list is through with
+/// character data left over, an error. Allocates nothing but the error.
 fn runs<'t>(
     ops: &'t str,
     before: &'t str,
-    literal: &'t Text<'_>,
+    literal: &'t [Cow<'t, str>],
 ) -> impl Iterator<Item = Result<Run<'t>, SoapError>> + 't {
+    let own: usize = literal.iter().map(|section| section.len()).sum();
     let mut list = Some(ops.split(','));
     let mut taken = 0;
     std::iter::from_fn(move || {
         let Some(op) = list.as_mut()?.next() else {
             list = None;
-            return (taken < literal.len()).then(|| {
+            return (taken < own).then(|| {
                 cov!();
-                Err(SoapError::Batch(format!(
-                    "Msg ops leave {} bytes of its own text unused",
-                    literal.len() - taken
-                )))
+                Err(SoapError::Batch(format!("Msg ops leave {} bytes of its own text unused", own - taken)))
             });
         };
         let run = match op.split_once(':').map(|(from, len)| (number(from), number(len))) {
             None => match number(op) {
-                Some(len) if len <= literal.len() - taken && literal.is_char_boundary(taken + len) => {
+                Some(len) if len <= own - taken && on_char(literal, taken + len) => {
                     taken += len;
                     Ok(Run::Literal(taken - len..taken))
                 }
@@ -873,7 +750,7 @@ fn runs<'t>(
                     cov!();
                     Err(SoapError::Batch(format!(
                         "Msg ops take {len} bytes, no run of the {} left of its own text",
-                        literal.len() - taken
+                        own - taken
                     )))
                 }
                 None => Err(malformed_op(op)),
@@ -901,6 +778,18 @@ fn runs<'t>(
         };
         Some(run)
     })
+}
+
+/// Whether byte `at` of the character data in `sections` starts a
+/// character, or ends the data.
+fn on_char(sections: &[Cow<'_, str>], mut at: usize) -> bool {
+    for section in sections {
+        if at <= section.len() {
+            return section.is_char_boundary(at);
+        }
+        at -= section.len();
+    }
+    at == 0
 }
 
 /// An `ops` entry that is no run.
@@ -966,7 +855,7 @@ pub fn unbundle(wire: &str, reference: &mut String) -> Result<Vec<BatchedEnvelop
             return Err(SoapError::Batch("a coded Msg wraps an element".into()));
         }
         let before = out.last().map_or(reference.as_str(), |last| &last.raw[XML_DECL.len()..]);
-        let raw = splice(ops, before, &Text::new([&child.text(), "", ""]), &mut room)?;
+        let raw = splice(ops, before, &[child.text().into()], &mut room)?;
         let inner = Element::parse(&raw)?;
         cov!();
         if !inner.name().matches(Some(SOAP_ENV_NS), "Envelope") {
@@ -1045,11 +934,7 @@ mod tests {
         let (mut sent, mut received, mut walked) = (String::new(), String::new(), String::new());
         let post = |xmls: &[String], sent: &mut String| {
             let mut wire = String::new();
-            let left_out = write_batch_parts(
-                xmls.iter().map(|xml| (None, [xml.as_str(), "", ""])),
-                sent,
-                &mut wire,
-            );
+            let left_out = write_batch_after(xmls.iter().map(|xml| (None, xml.as_str())), sent, &mut wire);
             (wire, left_out)
         };
         // One message per request: the first one literal run, every later
@@ -1130,19 +1015,17 @@ mod tests {
 
     #[test]
     fn declaration_is_stripped_once_regardless_of_form() {
-        let strip_declaration = |xml| without_declaration([xml, "", ""]).concat();
-        assert_eq!(strip_declaration("<a/>"), "<a/>");
-        assert_eq!(
-            strip_declaration("<?xml version=\"1.0\" encoding=\"UTF-8\"?><a/>"),
-            "<a/>"
-        );
-        assert_eq!(strip_declaration("  <?xml version=\"1.0\"?>\n  <a/>"), "<a/>");
+        assert_eq!(text_of("<a/>"), "<a/>");
+        assert_eq!(text_of("<?xml version=\"1.0\" encoding=\"UTF-8\"?><a/>"), "<a/>");
+        assert_eq!(text_of("  <?xml version=\"1.0\"?>\n  <a/>"), "<a/>");
         // A truncated declaration is left alone (the parse will reject it).
-        assert_eq!(strip_declaration("<?xml version"), "<?xml version");
-        // In pieces: the declaration in the first that has bytes, the
-        // whitespace after it wherever it falls.
-        assert_eq!(without_declaration(["", " <?xml version=\"1.0\"?> ", "\n<a/> "]).concat(), "<a/> ");
-        assert_eq!(without_declaration(["<a>", " <?xml?>", ""]).concat(), "<a> <?xml?>");
+        assert_eq!(text_of("<?xml version"), "<?xml version");
+        // Only a leading one; the whitespace after the text stays.
+        assert_eq!(text_of(" <?xml version=\"1.0\"?> \n<a/> "), "<a/> ");
+        assert_eq!(text_of("<a> <?xml?>"), "<a> <?xml?>");
+        // Written into a batch, a message is its text.
+        let (with, _) = batch_of(&[format!("{XML_DECL}\n<a/>")]);
+        assert_eq!(with, batch_of(&["<a/>".to_string()]).0);
     }
 
     #[test]
@@ -1219,7 +1102,7 @@ mod tests {
             let (wire, left_out) = batch_of(&pair);
             let [first, ops] = ops_of(&wire)[..] else { panic!("{wire}") };
             let text = &pair[1][XML_DECL.len()..];
-            let content = Text::new([text, "", ""]).markup().unwrap();
+            let content = markup_of(text).unwrap();
             // Copies of markup only, and the payload literal and whole.
             let markup = text.len() - content.len();
             assert_eq!(markup, 575);
@@ -1258,12 +1141,12 @@ mod tests {
     }
 
     #[test]
-    fn the_shared_start_is_cut_on_a_character_and_found_across_pieces() {
-        // The bytes two texts in pieces start with, cut back to a
-        // character of the second.
-        let shared = |a: [&str; 3], b: [&str; 3]| {
-            let (a, b) = (Text::new(a), Text::new(b));
-            let mut shared = b.common(0, &a, 0, a.len().min(b.len()));
+    fn the_shared_start_is_cut_on_a_character() {
+        // The bytes two texts start with, cut back to a character of the
+        // second.
+        let shared = |a: &str, b: &str| {
+            let limit = a.len().min(b.len());
+            let mut shared = common(&b.as_bytes()[..limit], &a.as_bytes()[..limit]);
             while !b.is_char_boundary(shared) {
                 shared -= 1;
             }
@@ -1272,49 +1155,29 @@ mod tests {
         let long = "x".repeat(70);
         // `é` and `è` share their first byte: the cut falls before it.
         let (a, b) = (format!("{long}é1"), format!("{long}è2"));
-        assert_eq!(shared([&a, "", ""], [&b, "", ""]), 70);
-        assert_eq!(shared([&a, "", ""], ["", &b[..30], &b[30..]]), 70);
-        assert_eq!(shared([&a[..10], &a[10..72], &a[72..]], [&b, "", ""]), 70);
-        assert_eq!(shared([&a, "", ""], [&a[..5], "", &a[5..]]), a.len());
-        assert_eq!(shared([&a, "", ""], [&a[..5], "", ""]), 5);
-        assert_eq!(shared(["", "", ""], [&a, "", ""]), 0);
-        assert_eq!(shared([&a, "", ""], ["", "", ""]), 0);
-
-        // Messages in three pieces, as a sender's queue hands them over,
-        // batch to the bytes whole messages batch to.
-        let xmls: Vec<String> = (0..4).map(forward).collect();
-        let pieces = xmls.iter().enumerate().map(|(i, xml)| {
-            let (cut, end) = (xml.len() * i / 4, xml.len() - 9 * i);
-            (None, [&xml[..cut], &xml[cut..end], &xml[end..]])
-        });
-        let mut in_pieces = String::new();
-        let left_out = write_batch_parts(pieces, &mut String::new(), &mut in_pieces);
-        assert_eq!((in_pieces, left_out), batch_of(&xmls));
+        assert_eq!(shared(&a, &b), 70);
+        assert_eq!(shared(&b, &a), 70);
+        assert_eq!(shared(&a, &a), a.len());
+        assert_eq!(shared(&a, &a[..5]), 5);
+        assert_eq!(shared("", &a), 0);
+        assert_eq!(shared(&a, ""), 0);
     }
 
     #[test]
-    fn markup_is_what_stands_around_the_content_of_the_body_in_any_pieces() {
-        fn markup(text: &str) -> Option<&str> {
-            let whole = Text::new([text, "", ""]).markup();
-            // Cut anywhere into three pieces, the text has the same.
-            for a in (0..=text.len()).filter(|&a| text.is_char_boundary(a)) {
-                for b in (a..=text.len()).filter(|&b| text.is_char_boundary(b)) {
-                    let pieces = Text::new([&text[..a], &text[a..b], &text[b..]]);
-                    assert_eq!(pieces.markup(), whole, "{text} cut at {a} and {b}");
-                }
-            }
-            whole.map(|body| &text[body])
+    fn markup_is_what_stands_around_the_content_of_the_body() {
+        fn content(text: &str) -> Option<&str> {
+            markup_of(text).map(|body| &text[body])
         }
-        assert_eq!(markup("<e:Envelope><e:Header/><e:Body><a>1</a></e:Body></e:Envelope>"), Some("<a>1</a>"));
+        assert_eq!(content("<e:Envelope><e:Header/><e:Body><a>1</a></e:Body></e:Envelope>"), Some("<a>1</a>"));
         // No prefix, attributes, a `Body` inside the body, an empty one.
-        assert_eq!(markup("<E><Body x='1'><Body/>é</Body ></E>"), Some("<Body/>é"));
-        assert_eq!(markup("<env:Envelope><env:Body/></env:Envelope>"), Some(""));
-        assert_eq!(markup("<E><env:Body></env:Body></E>"), Some(""));
+        assert_eq!(content("<E><Body x='1'><Body/>é</Body ></E>"), Some("<Body/>é"));
+        assert_eq!(content("<env:Envelope><env:Body/></env:Envelope>"), Some(""));
+        assert_eq!(content("<E><env:Body></env:Body></E>"), Some(""));
         // Names that only end in `Body`, and texts without one.
-        assert_eq!(markup("<E><xBody>1</xBody><p:Body>2</p:Body></E>"), Some("2"));
-        assert_eq!(markup("<E><h:Bodyguard/></E>"), None);
-        assert_eq!(markup("<E>Body</E>"), None);
-        assert_eq!(markup(""), None);
+        assert_eq!(content("<E><xBody>1</xBody><p:Body>2</p:Body></E>"), Some("2"));
+        assert_eq!(content("<E><h:Bodyguard/></E>"), None);
+        assert_eq!(content("<E>Body</E>"), None);
+        assert_eq!(content(""), None);
     }
 
     #[test]
@@ -1404,23 +1267,20 @@ mod tests {
         for (message, xml) in fresh(&wire).unwrap().iter().zip(&xmls) {
             assert_eq!(message.raw, format!("{XML_DECL}{xml}"));
         }
-        // Cut at every byte of every `]]>` into two or three pieces, the
-        // batch is the one written whole.
-        let mut cuts: Vec<usize> = foreign.match_indices("]]>").flat_map(|(at, _)| at..=at + 3).collect();
-        cuts.push(foreign.len());
-        for &a in &cuts {
-            for &b in cuts.iter().filter(|&&b| b >= a) {
-                let pieces = [
-                    (None, [plain.as_str(), "", ""]),
-                    (None, [&foreign[..a], &foreign[a..b], &foreign[b..]]),
-                    (None, [plain.as_str(), "", ""]),
-                    (None, [&split[..head.len() + 8], &split[head.len() + 8..], ""]),
-                ];
-                let mut in_pieces = String::new();
-                let left = write_batch_parts(pieces.into_iter(), &mut String::new(), &mut in_pieces);
-                assert_eq!((left, &in_pieces), (left_out, &wire), "cut at {a} and {b}");
-            }
-        }
+        // A `]]>` that two literal runs make up around a copy — a header
+        // value ending in `]]`, the next one starting with `>` — is split
+        // where they meet.
+        let header = |a: &str, b: &str| {
+            format!(
+                "<env:Envelope xmlns:env=\"{SOAP_ENV_NS}\"><env:Header><h:A xmlns:h=\"urn:h\">{a}</h:A>\
+                 <h:B xmlns:h=\"urn:h\">{b}</h:B></env:Header><env:Body/></env:Envelope>"
+            )
+        };
+        let xmls = [header("1", "2"), header("]]", ">2")];
+        let (wire, left_out) = batch_of(&xmls);
+        assert!(left_out > 0, "{wire}");
+        assert!(wire.contains("<![CDATA[]]]]><![CDATA[>2]]>"), "{wire}");
+        assert_eq!(streamed(&wire)[1].raw, format!("{XML_DECL}{}", xmls[1]));
     }
 
     #[test]
@@ -1468,10 +1328,10 @@ mod tests {
         let forward = |n: usize| forward_with(n, &format!("{dense}{n}"));
         let (mut sent, mut received) = (String::new(), String::new());
         let mut wire = String::new();
-        write_batch_parts(std::iter::once((None, [forward(1).as_str(), "", ""])), &mut sent, &mut wire);
+        write_batch_after(std::iter::once((None, forward(1).as_str())), &mut sent, &mut wire);
         parse_wire_after(&wire, &mut received).unwrap();
         let second = forward(2);
-        write_batch_parts(std::iter::once((None, [second.as_str(), "", ""])), &mut sent, &mut wire);
+        write_batch_after(std::iter::once((None, second.as_str())), &mut sent, &mut wire);
         let ops = ops_of(&wire);
         assert_eq!(ops.len(), 1);
         let literal: usize = ops[0].split(',').filter(|run| !run.contains(':')).map(|len| number(len).unwrap()).sum();

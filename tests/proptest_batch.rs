@@ -12,8 +12,8 @@ use wsg_net::check::{run, Gen};
 use wsg_net::{prop_assert, prop_assert_eq};
 
 use wsg_soap::batch::{
-    is_batch, parse_wire, parse_wire_after, prologue_len, text_of, unbundle, write_batch,
-    write_batch_parts, BatchItem, Unbundled,
+    is_batch, parse_wire, parse_wire_after, text_of, unbundle, write_batch, write_batch_after,
+    BatchItem, Unbundled,
 };
 use wsg_soap::{Envelope, MessageHeaders, SoapError};
 use wsg_xml::Element;
@@ -226,9 +226,10 @@ fn check_coded(wire: &str, before: &str, texts: &[&str]) -> Result<usize, String
 }
 
 /// Whatever consecutive messages share — nothing, a prefix that ends inside
-/// a character, everything, a payload shifted — and however the sender
-/// holds them (whole or in three pieces), every message comes out of the
-/// batch as the declaration plus the text that went in, a payload is never
+/// a character, everything, a payload shifted — and whether it is the
+/// first batch on a connection or written after an empty reference, every
+/// message comes out of the batch as the declaration plus the text that
+/// went in, a payload is never
 /// copied, and the batch says what it left out.
 #[test]
 fn every_unwrapped_message_is_the_text_its_sender_queued() {
@@ -251,38 +252,22 @@ fn every_unwrapped_message_is_the_text_its_sender_queued() {
             targets.push(target);
         }
         // What the sender means by each: its text past the declaration.
-        let texts: Vec<&str> =
-            xmls.iter().map(|xml| xml[prologue_len(xml)..].trim_start()).collect();
+        let texts: Vec<&str> = xmls.iter().map(|xml| text_of(xml)).collect();
 
         let items: Vec<BatchItem<'_>> =
             xmls.iter().zip(&targets).map(|(xml, target)| BatchItem { target: *target, xml }).collect();
         let mut wire = String::new();
         let left_out = write_batch(&items, &mut wire);
 
-        // In pieces — cut on characters, the declaration in the first
-        // piece that has bytes, as `QueuedMsg::parts` hands messages over
-        // — the same document comes out.
-        let cuts: Vec<(usize, usize)> = xmls
-            .iter()
-            .map(|xml| {
-                let mut cut = || {
-                    let mut at = g.usize(prologue_len(xml)..=xml.len());
-                    while !xml.is_char_boundary(at) {
-                        at -= 1;
-                    }
-                    at.max(prologue_len(xml))
-                };
-                let (a, b) = (cut(), cut());
-                (a.min(b), a.max(b))
-            })
-            .collect();
-        let pieces = xmls.iter().zip(&targets).zip(&cuts).map(|((xml, target), (a, b))| {
-            let first = if a % 2 == 0 { &xml[..*a] } else { "" };
-            (*target, [first, &xml[first.len()..*b], &xml[*b..]])
-        });
-        let mut in_pieces = String::new();
-        prop_assert_eq!(write_batch_parts(pieces, &mut String::new(), &mut in_pieces), left_out);
-        prop_assert_eq!(&in_pieces, &wire);
+        // Mid-connection on an empty reference — what a sender writes on a
+        // fresh connection — the same document comes out, and the
+        // reference becomes the last text.
+        let mut reference = String::new();
+        let mut after = String::new();
+        let whole = xmls.iter().zip(&targets).map(|(xml, target)| (*target, xml.as_str()));
+        prop_assert_eq!(write_batch_after(whole, &mut reference, &mut after), left_out);
+        prop_assert_eq!(&after, &wire);
+        prop_assert_eq!(reference.as_str(), texts[texts.len() - 1]);
 
         prop_assert_eq!(check_coded(&wire, "", &texts)?, left_out);
         let parts = coded_parts(&wire)?;
@@ -359,10 +344,10 @@ fn a_connection_codes_each_request_against_the_one_before() {
                 fresh = false;
                 continue;
             }
-            let items = post.iter().map(|xml| (None, [xml.as_str(), "", ""]));
+            let items = post.iter().map(|xml| (None, xml.as_str()));
             let mut wire = String::new();
             let said = sender.clone();
-            let left_out = write_batch_parts(items, &mut sender, &mut wire);
+            let left_out = write_batch_after(items, &mut sender, &mut wire);
             let texts: Vec<&str> = post.iter().map(|xml| text_of(xml)).collect();
             prop_assert_eq!(check_coded(&wire, &said, &texts)?, left_out);
             let first = coded_parts(&wire)?.swap_remove(0).0.unwrap_or_default();
@@ -433,8 +418,8 @@ fn every_msg_is_coded_and_one_without_ops_is_refused() {
             let items: Vec<BatchItem<'_>> = xmls.iter().map(|xml| BatchItem { target: None, xml }).collect();
             write_batch(&items, &mut wire);
         } else {
-            let items = xmls.iter().map(|xml| (None, [xml.as_str(), "", ""]));
-            write_batch_parts(items, &mut said.clone(), &mut wire);
+            let items = xmls.iter().map(|xml| (None, xml.as_str()));
+            write_batch_after(items, &mut said.clone(), &mut wire);
         }
         let parts = coded_parts(&wire)?;
         prop_assert_eq!(parts.len(), xmls.len());
